@@ -233,7 +233,7 @@ bool control_matches_seed_path(const core::AutoencoderReconciler& reconciler) {
     AliceSession alice(scfg, reconciler, ka);
     BobSession bob(scfg, reconciler, kb);
     PublicChannel plain;
-    const auto seed_result = run_key_agreement_detailed(plain, alice, bob);
+    const auto seed_result = run_key_agreement(plain, alice, bob);
 
     // Compare the FIRST attempt against the seed path: session recovery may
     // legitimately rescue a trial whose attempt-0 probe material is beyond

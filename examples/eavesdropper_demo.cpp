@@ -68,7 +68,7 @@ int main() {
   protocol::BobSession bob(scfg, pipeline.reconciler(), block->bob_key);
   protocol::PublicChannel channel;
   protocol::install_syndrome_tamper(channel);
-  const bool established = run_key_agreement(channel, alice, bob);
+  const bool established = run_key_agreement(channel, alice, bob).established;
   std::printf("3. MITM tampering with the syndrome in flight:\n");
   std::printf("   -> session %s (Alice's verdict: %s)\n",
               established ? "ESTABLISHED (!!)" : "aborted",

@@ -7,12 +7,14 @@
 //      produces reconciled key blocks.
 //   2. AliceSession/BobSession run the authenticated agreement protocol
 //      (syndrome + MAC, key confirmation, replay protection).
-//   3. SecureLink protects traffic with AES-128-CTR + HMAC.
+//   3. KeySchedule derives directional AES-128-CTR + HMAC traffic keys from
+//      the established key; each side seals with its own direction.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
 #include "core/pipeline.h"
+#include "protocol/key_schedule.h"
 #include "protocol/session.h"
 
 int main() {
@@ -68,13 +70,16 @@ int main() {
               channel.transcript().size());
 
   // --- 3. protected V2V traffic ------------------------------------------
-  protocol::SecureLink alice_link(alice.final_key());
-  protocol::SecureLink bob_link(bob.final_key());
+  using Role = protocol::KeySchedule::Role;
+  protocol::KeySchedule alice_link(alice.final_key(), session_cfg.session_id,
+                                   Role::kInitiator);
+  protocol::KeySchedule bob_link(bob.final_key(), session_cfg.session_id,
+                                 Role::kResponder);
   const std::vector<std::uint8_t> warning{'I', 'C', 'Y', ' ', 'R', 'O',
                                           'A', 'D', ' ', 'A', 'H', 'E',
                                           'A', 'D'};
-  const auto sealed = alice_link.seal(session_cfg.session_id, 100, warning);
-  const auto opened = bob_link.open(sealed);
+  const auto sealed = alice_link.seal(/*nonce=*/100, warning);
+  const auto opened = bob_link.open(sealed, /*now_ms=*/0.0);
   if (!opened || *opened != warning) {
     std::printf("payload protection failed\n");
     return 1;

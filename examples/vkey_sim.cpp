@@ -390,8 +390,8 @@ int main(int argc, char** argv) {
         });
     if (cfg.use_prediction) {
       // Batched attempt-0 prefetch: one blocked predictor pass per
-      // sim_batch regenerates, live, the same bits the per-attempt source
-      // reads out of the cached evaluation blocks (infer_batch is
+      // simulation batch regenerates, live, the same bits the per-attempt
+      // source reads out of the cached evaluation blocks (infer_batch is
       // bit-identical per member to the infer() calls that produced those
       // blocks, so the two sources agree as BatchMaterialFn requires).
       const auto& samples = pipeline.test_samples();

@@ -6,7 +6,6 @@
 #include "common/alloc_stats.h"
 #include "common/error.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace vkey::telemetry {
 
@@ -105,8 +104,6 @@ void Sampler::sample(double t_ms) {
   last_t_ms_ = t_ms;
   ++seq_;
 }
-
-void Sampler::sample_now() { sample(trace::default_now_ms()); }
 
 std::string Sampler::header_line() const {
   json::Value header = json::Value::object();

@@ -72,9 +72,6 @@ class Sampler {
   /// Take one sample at time `t_ms` (caller's clock — virtual or wall).
   /// Sample times must be non-decreasing.
   void sample(double t_ms);
-  /// Convenience: sample at trace::default_now_ms() (wall clock unless a
-  /// simulation installed its own default time source).
-  void sample_now();
 
   std::uint64_t samples_taken() const noexcept { return seq_; }
   std::uint64_t dropped() const noexcept { return ring_.dropped(); }

@@ -20,16 +20,6 @@ double wall_now_ms() {
 
 namespace {
 
-// Process-default time source. Guarded by a mutex rather than an atomic
-// because NowFn is a std::function (multi-word, cannot be swapped
-// atomically); every reader copies the function under the lock and calls
-// the copy outside it, so set_default_now() can never free a NowFn out
-// from under a concurrent caller. Timers additionally pin their copy once
-// at start, so a mid-span toggle cannot mix two time bases in one
-// measurement (the TSan stress test toggles while timers run).
-std::mutex default_now_mu;
-NowFn default_now_fn;  // empty -> wall clock
-
 // Per-thread ambient span context. `parent` is the innermost open span on
 // this thread (0 = none); `lane` is the execution-lane id (0 = a calling
 // thread, 1..N-1 = borrowed pool workers, installed via LaneScope).
@@ -41,21 +31,6 @@ struct Ctx {
 thread_local Ctx tls_ctx;
 
 }  // namespace
-
-void set_default_now(NowFn now) {
-  std::lock_guard<std::mutex> lock(default_now_mu);
-  default_now_fn = std::move(now);
-}
-
-NowFn default_now_snapshot() {
-  std::lock_guard<std::mutex> lock(default_now_mu);
-  return default_now_fn;
-}
-
-double default_now_ms() {
-  NowFn fn = default_now_snapshot();
-  return fn ? fn() : wall_now_ms();
-}
 
 std::string to_string(Domain d) {
   return d == Domain::kVirtual ? "virtual" : "wall";
@@ -213,32 +188,25 @@ bool TraceLog::write_chrome_trace(const std::string& path,
 
 ScopedTimer::ScopedTimer(metrics::Histogram& hist, std::string_view name)
     : hist_(&hist) {
-  begin(name, /*explicit_clock=*/false);
+  begin(name);
 }
 
 ScopedTimer::ScopedTimer(metrics::Histogram& hist, NowFn now,
                          std::string_view name)
     : hist_(&hist), now_(std::move(now)) {
-  begin(name, /*explicit_clock=*/static_cast<bool>(now_));
+  begin(name);
 }
 
 ScopedTimer::ScopedTimer(const std::string& name)
     : hist_(&metrics::Registry::global().histogram(name)) {
-  begin(name, /*explicit_clock=*/false);
+  begin(name);
 }
 
-void ScopedTimer::begin(std::string_view name, bool explicit_clock) {
+void ScopedTimer::begin(std::string_view name) {
   if (!metrics::enabled()) return;  // no clock read, no allocation
-  if (explicit_clock) {
-    // Every explicit NowFn in this tree is a SimClock (or test) virtual
-    // time base; wall-clock callers use the default clock.
-    domain_ = Domain::kVirtual;
-  } else {
-    // Pin the default override once so a concurrent set_default_now()
-    // cannot change the time base between start and stop.
-    now_ = default_now_snapshot();
-    domain_ = now_ ? Domain::kVirtual : Domain::kWall;
-  }
+  // Every explicit NowFn in this tree is a SimClock (or test) virtual time
+  // base; wall-clock callers use the default clock.
+  domain_ = now_ ? Domain::kVirtual : Domain::kWall;
   start_ms_ = now_ ? now_() : wall_now_ms();
   running_ = true;
   TraceLog& log = TraceLog::global();

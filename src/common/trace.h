@@ -4,13 +4,10 @@
 // A ScopedTimer measures the lifetime of a scope and, on destruction,
 // observes the elapsed milliseconds into a Histogram and (optionally)
 // appends a span to the global TraceLog. The time source is pluggable:
-//   * default — the process-default clock: monotonic wall clock (benches,
-//     vkey_sim, the pipeline) unless set_default_now() installs an override;
+//   * default — the monotonic wall clock (benches, vkey_sim, the pipeline);
 //   * any NowFn returning milliseconds — protocol code passes a lambda over
 //     the PR-1 SimClock, so spans inside a simulated session are measured
 //     in *virtual* time and stay bit-reproducible.
-// The timer resolves its clock ONCE at start, so a set_default_now() toggle
-// mid-span can never mix two time bases inside one measurement.
 //
 // Spans form per-run trees, not a flat list: every recording timer is
 // assigned a process-unique id at start (its stable sequence number — ids
@@ -57,23 +54,6 @@ using NowFn = std::function<double()>;
 /// sanctioned wall-clock read in the library (vkey_lint's `wall-clock` rule
 /// allowlists only its definition); all other code takes time from a NowFn.
 double wall_now_ms();
-
-/// Install the process-default time source used by ScopedTimers constructed
-/// without an explicit NowFn (an empty function restores the wall clock).
-/// A simulation can point this at a SimClock so every timer in the process
-/// — including ones in code that never heard of virtual time — measures
-/// virtual milliseconds and stays bit-reproducible. Thread-safe against
-/// concurrent timers: each timer snapshots the override once at start.
-void set_default_now(NowFn now);
-
-/// Milliseconds from the process-default source (wall clock unless
-/// set_default_now installed an override).
-double default_now_ms();
-
-/// Snapshot of the installed override (empty when the wall clock is the
-/// default). Timers pin this at start so a concurrent set_default_now()
-/// cannot change the time base mid-span.
-NowFn default_now_snapshot();
 
 /// Which clock produced a span's timestamps. Virtual-domain spans are
 /// bit-reproducible and are the only ones a deterministic export may keep.
@@ -208,7 +188,7 @@ class LaneScope {
 /// never reads the clock at all).
 class ScopedTimer {
  public:
-  /// Time into an explicit histogram with the process-default clock.
+  /// Time into an explicit histogram with the wall clock.
   explicit ScopedTimer(metrics::Histogram& hist, std::string_view name = {});
   /// Time with a custom clock (e.g. a SimClock lambda, in virtual ms).
   /// Spans from explicit clocks are tagged Domain::kVirtual: in this tree
@@ -240,10 +220,10 @@ class ScopedTimer {
   ~ScopedTimer();
 
  private:
-  void begin(std::string_view name, bool explicit_clock);
+  void begin(std::string_view name);
 
   metrics::Histogram* hist_;
-  NowFn now_;  // empty -> wall clock (default override is pinned at start)
+  NowFn now_;  // empty -> wall clock
   std::string name_;           // filled only when tracing
   std::vector<Attr> attrs_;    // filled only when tracing
   double start_ms_ = 0.0;

@@ -14,6 +14,10 @@ namespace vkey::core {
 
 namespace {
 
+// Stride of the *training* sample windows (overlap augments the small
+// per-trace dataset); evaluation always uses non-overlapping windows.
+constexpr std::size_t kTrainStride = 4;
+
 // Stage histograms are fetched once per process; the per-run cost is a
 // relaxed atomic observe, keeping the hot path within the metrics budget.
 metrics::Histogram& stage_hist(const char* stage) {
@@ -84,7 +88,7 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   const auto test_streams = extract_streams(
       test_trace, cfg_.dataset.extractor, cfg_.dataset.reciprocal_windows);
   DatasetConfig train_ds = cfg_.dataset;
-  train_ds.stride = cfg_.train_stride;
+  train_ds.stride = kTrainStride;
   DatasetConfig test_ds = cfg_.dataset;
   test_ds.stride = 0;  // non-overlapping evaluation windows
   const auto train_samples = make_samples(train_streams, train_ds);

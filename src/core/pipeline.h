@@ -33,9 +33,6 @@ struct PipelineConfig {
   std::size_t predictor_epochs = 45;
   std::size_t reconciler_epochs = 25;
   std::size_t reconciler_samples = 3000;
-  /// Stride for the *training* sample windows (overlap augments the small
-  /// per-trace dataset); evaluation always uses non-overlapping windows.
-  std::size_t train_stride = 4;
   /// Fig. 10 ablation: false replaces the BiLSTM with Alice running the
   /// same multi-bit quantizer as Bob on her own measurements.
   bool use_prediction = true;

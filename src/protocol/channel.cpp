@@ -3,14 +3,14 @@
 namespace vkey::protocol {
 
 void PublicChannel::send(const Message& msg) {
+  auto delivered = transmit(msg);
+  if (delivered.has_value()) queue_.push_back(std::move(*delivered));
+}
+
+std::optional<Message> PublicChannel::transmit(const Message& msg) {
   transcript_.push_back(msg);
-  if (interceptor_) {
-    auto delivered = interceptor_(msg);
-    if (!delivered.has_value()) return;  // dropped
-    queue_.push_back(std::move(*delivered));
-    return;
-  }
-  queue_.push_back(msg);
+  if (interceptor_) return interceptor_(msg);
+  return msg;
 }
 
 std::optional<Message> PublicChannel::receive() {

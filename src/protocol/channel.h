@@ -23,9 +23,16 @@ class PublicChannel {
   using Interceptor =
       std::function<std::optional<Message>(const Message&)>;
 
-  /// Transmit a message; it is appended to the public transcript *as sent*
-  /// (Eve sees the original even when an interceptor rewrites it).
+  /// Transmit a message: transmit() it, then queue what survives for
+  /// receive().
   void send(const Message& msg);
+
+  /// The queue-free half of send(): append `msg` to the public transcript
+  /// *as sent* (Eve sees the original even when an interceptor rewrites
+  /// it) and apply the interceptor. Returns the message to deliver, or
+  /// nullopt when the interceptor drops it. A link that delivers on its own
+  /// schedule (UnreliableChannel) uses this and never touches the queue.
+  std::optional<Message> transmit(const Message& msg);
 
   /// Deliver the next queued message (after interception), if any.
   std::optional<Message> receive();

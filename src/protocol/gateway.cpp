@@ -11,6 +11,10 @@ namespace vkey::protocol {
 
 namespace {
 
+/// RF exchanges simulated per pool batch (arrival order; bounds look-ahead
+/// memory).
+constexpr std::size_t kSimBatch = 256;
+
 metrics::Histogram& gw_histogram(const char* name) {
   return metrics::Registry::global().histogram(std::string("gateway.") +
                                                name);
@@ -40,7 +44,6 @@ GatewayEngine::GatewayEngine(const GatewayConfig& config,
       registry_(config.max_inflight),
       outcomes_(config.sessions) {
   VKEY_REQUIRE(cfg_.sessions >= 1, "gateway needs at least one session");
-  VKEY_REQUIRE(cfg_.sim_batch >= 1, "simulation batch must be positive");
   VKEY_REQUIRE(cfg_.arrival_interval_ms >= 0.0 && cfg_.idle_timeout_ms > 0.0,
                "arrival spacing must be >= 0 and idle timeout positive");
   VKEY_REQUIRE(static_cast<bool>(material_), "probe material source required");
@@ -113,9 +116,9 @@ void GatewayEngine::ensure_outcome(std::uint64_t device) {
   while (simulated_ <= device) {
     const std::size_t begin = simulated_;
     const std::size_t end =
-        std::min(cfg_.sessions, begin + cfg_.sim_batch);
+        std::min(cfg_.sessions, begin + kSimBatch);
     // Batched attempt-0 prefetch (when installed) runs on this thread once
-    // per sim_batch, so a predictor-backed source amortizes its blocked
+    // per batch, so a predictor-backed source amortizes its blocked
     // batch inference across the whole batch before the pool fans out.
     std::vector<std::pair<BitVec, BitVec>> prefetched;
     if (batch_material_) {

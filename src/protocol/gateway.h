@@ -60,8 +60,6 @@ struct GatewayConfig {
   double rekey_interval_ms = 10'000.0;  ///< per-session scheduled rekey
                                         ///< period (0 disables rekeying)
   std::size_t max_rekeys = 2;  ///< rekeys per session before it idles out
-  std::size_t sim_batch = 256;  ///< RF exchanges simulated per pool batch
-                                ///< (arrival order; bounds look-ahead memory)
   std::size_t threads = 0;  ///< pool lanes for the batches (0 = default;
                             ///< 1 = bit-exact sequential reference)
   /// Fault model, ARQ, radio and retry budget of every session's exchange.
@@ -132,13 +130,14 @@ class GatewayEngine {
 
   /// Optional batched prefetch of *attempt-0* material for a contiguous
   /// device range [first_device, first_device + count). Called on the
-  /// lifecycle thread immediately before each sim_batch pool fan-out, so a
-  /// predictor-backed source can run one blocked batch inference per
-  /// sim_batch instead of one per session. Must return exactly `count`
-  /// pairs, and each pair MUST equal material(device, 0) — recovery
-  /// attempts (>= 1) and post-run failure re-simulation still go through
-  /// MaterialFn, and the determinism contract (byte-identical post-mortems)
-  /// relies on the two sources agreeing.
+  /// lifecycle thread immediately before each simulation batch's pool
+  /// fan-out (256 arrivals), so a predictor-backed source can run one
+  /// blocked batch inference per batch instead of one per session. Must
+  /// return exactly `count` pairs, and each pair MUST equal
+  /// material(device, 0) — recovery attempts (>= 1) and post-run failure
+  /// re-simulation still go through MaterialFn, and the determinism
+  /// contract (byte-identical post-mortems) relies on the two sources
+  /// agreeing.
   using BatchMaterialFn = std::function<std::vector<std::pair<BitVec, BitVec>>(
       std::uint64_t first_device, std::size_t count)>;
 

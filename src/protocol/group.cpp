@@ -2,6 +2,8 @@
 
 #include "common/error.h"
 #include "crypto/secret_buffer.h"
+#include "protocol/key_schedule.h"
+#include "protocol/session.h"
 
 namespace vkey::protocol {
 
@@ -9,8 +11,8 @@ GroupKeyHub::GroupKeyHub(std::uint64_t hub_seed) : rng_(hub_seed) {}
 
 void GroupKeyHub::add_member(const std::string& member_id,
                              const BitVec& pairwise_key) {
-  VKEY_REQUIRE(pairwise_key.size() == 128,
-               "pairwise key must be 128 bits");
+  VKEY_REQUIRE(pairwise_key.size() == kFinalKeyBits,
+               "pairwise key must be a full-width session key");
   VKEY_REQUIRE(!member_id.empty(), "member id must be non-empty");
   members_[member_id] = pairwise_key;
 }
@@ -39,13 +41,13 @@ std::vector<std::pair<std::string, Message>> GroupKeyHub::distribute() {
   std::vector<std::pair<std::string, Message>> out;
   out.reserve(members_.size());
   // The serialized group key exists in the clear only for the duration of
-  // the wrap loop; every member receives it sealed under their pairwise
-  // SecureLink.
+  // the wrap loop; every member receives it sealed by the hub's side of a
+  // KeySchedule over their pairwise key.
   auto payload = key.to_bytes();
   for (const auto& [id, pairwise] : members_) {
-    const SecureLink link(pairwise);
-    out.emplace_back(id, link.seal(/*session_id=*/epoch_,
-                                   /*nonce=*/epoch_, payload));
+    KeySchedule hub(pairwise, /*session_id=*/epoch_,
+                    KeySchedule::Role::kInitiator);
+    out.emplace_back(id, hub.seal(/*nonce=*/epoch_, payload));
   }
   crypto::secure_wipe(payload);
   return out;
@@ -53,8 +55,9 @@ std::vector<std::pair<std::string, Message>> GroupKeyHub::distribute() {
 
 std::optional<BitVec> unwrap_group_key(const BitVec& pairwise_key,
                                        const Message& wrapped) {
-  const SecureLink link(pairwise_key);
-  const auto payload = link.open(wrapped);
+  KeySchedule member(pairwise_key, /*session_id=*/wrapped.session_id,
+                     KeySchedule::Role::kResponder);
+  const auto payload = member.open(wrapped, /*now_ms=*/0.0);
   if (!payload.has_value() || payload->size() != 16) return std::nullopt;
   return BitVec::from_bytes(*payload, 128);
 }

@@ -5,8 +5,9 @@
 // key generation literature the paper cites ([15]), a hub (typically the
 // RSU, or the platoon leader) first establishes an independent pairwise
 // Vehicle-Key session key with every member, then samples a fresh group
-// key and distributes it to each member wrapped under the pairwise
-// SecureLink (AES-128-CTR + HMAC). Rekeying on membership change is a new
+// key and distributes it to each member sealed by a KeySchedule over the
+// pairwise key (hub as initiator, member as responder, session id = group
+// epoch; AES-128-CTR + HMAC). Rekeying on membership change is a new
 // distribution round; leaving members only ever saw group keys from epochs
 // they belonged to.
 #pragma once
@@ -18,7 +19,8 @@
 #include <vector>
 
 #include "common/bitvec.h"
-#include "protocol/session.h"
+#include "common/rng.h"
+#include "protocol/message.h"
 
 namespace vkey::protocol {
 

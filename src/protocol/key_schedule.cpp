@@ -312,8 +312,7 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
   // simulated air the retries consume.
   const Message probe = initiator.make_confirm(nonce_base);
   const double timeout_ms =
-      4.0 * link.nominal_latency_ms(probe) +
-      link.faults().reorder_window_ms + 100.0;
+      4.0 * link.nominal_latency_ms(probe) + kReorderWindowMs + 100.0;
 
   std::function<void()> attempt = [&] {
     if (done || report.transmissions >= max_transmissions) return;

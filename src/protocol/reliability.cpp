@@ -19,6 +19,10 @@ metrics::Counter& rel_counter(const char* name) {
 // (~6 frames * (1 + max_retries) events each, plus duplicates).
 constexpr std::size_t kMaxEventsPerAttempt = 200000;
 
+// Attempt deadline in virtual time (30 virtual minutes); an attempt still
+// running past it ends as FailureReason::kTimeout.
+constexpr double kAttemptTimeoutMs = 1.8e6;
+
 void accumulate(LinkStats& into, const LinkStats& from) {
   into.sent += from.sent;
   into.bytes_sent += from.bytes_sent;
@@ -122,7 +126,6 @@ AgreementReport run_reliable_key_agreement_on(
     // identically in attempt k+1.
     SessionConfig scfg;
     scfg.session_id = config.base_session_id + attempt;
-    scfg.final_key_bits = config.final_key_bits;
     auto [alice_raw, bob_raw] = material(attempt);
     AliceSession alice(scfg, reconciler, std::move(alice_raw));
     BobSession bob(scfg, reconciler, std::move(bob_raw));
@@ -221,7 +224,7 @@ AgreementReport run_reliable_key_agreement_on(
              alice_tx.exhausted() || bob_tx.exhausted();
     };
     while (!terminal() && events < kMaxEventsPerAttempt) {
-      if (clock.now_ms() - attempt_start_ms > config.attempt_timeout_ms) {
+      if (clock.now_ms() - attempt_start_ms > kAttemptTimeoutMs) {
         timed_out = true;
         break;
       }

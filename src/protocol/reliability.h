@@ -44,8 +44,6 @@ struct ReliabilityConfig {
   /// Radio timing for airtime-derived latency and RTT estimation.
   channel::LoRaParams radio;
   std::size_t max_session_attempts = 3;
-  double attempt_timeout_ms = 1.8e6;  ///< 30 virtual minutes
-  std::size_t final_key_bits = 128;
   std::uint64_t base_session_id = 1;  ///< attempt k uses base + k
   /// Flight-recorder ring size per attempt (0 disables recording). Every
   /// attempt gets its own recorder, wired through the link, both transports

@@ -2,11 +2,10 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
-#include "crypto/aes128.h"
-#include "protocol/flight_recorder.h"
-#include "crypto/hkdf.h"
 #include "crypto/hmac.h"
+#include "crypto/secret_buffer.h"
 #include "crypto/sha256.h"
+#include "protocol/flight_recorder.h"
 
 namespace vkey::protocol {
 
@@ -39,25 +38,6 @@ std::vector<std::uint8_t> confirm_digest(const BitVec& final_key,
   h.update(&role_byte, 1);
   const auto d = h.finalize();
   return {d.begin(), d.end()};
-}
-
-// Shared flight-recorder bookkeeping for both session roles: one kReject
-// per rejected frame (reason + offending message type) and one
-// kStateChange per transition, e.g. "await-syndrome->failed".
-void note_outcome(FlightRecorder* recorder, const std::string& actor,
-                  SessionState before, SessionState after, RejectReason reject,
-                  const Message& msg) {
-  if (recorder == nullptr) return;
-  if (reject != RejectReason::kNone) {
-    recorder->record(FlightEventKind::kReject, actor,
-                     to_string(reject) + " on " + to_string(msg.type),
-                     msg.session_id, msg.nonce);
-  }
-  if (after != before) {
-    recorder->record(FlightEventKind::kStateChange, actor,
-                     to_string(before) + "->" + to_string(after),
-                     msg.session_id, msg.nonce);
-  }
 }
 
 }  // namespace
@@ -114,118 +94,146 @@ std::optional<Message> InboundGuard::response_for(std::uint64_t nonce) const {
   return it->second.response;
 }
 
+// ------------------------------------------------------------ SessionEndpoint
+
+SessionEndpoint::SessionEndpoint(const SessionConfig& config,
+                                 const core::AutoencoderReconciler& reconciler,
+                                 BitVec raw_key)
+    : cfg_(config),
+      reconciler_(reconciler),
+      key_(std::move(raw_key)),
+      amplifier_(kFinalKeyBits) {
+  VKEY_REQUIRE(key_.size() == reconciler.config().key_bits,
+               "session key width must match the reconciler");
+}
+
+std::optional<Message> SessionEndpoint::handle(const Message& msg) {
+  const SessionState before = state_;
+  last_reject_ = RejectReason::kNone;
+  std::optional<Message> response;
+  if (msg.session_id != cfg_.session_id) {
+    last_reject_ = RejectReason::kBadSession;
+    guard_.count_reject();
+  } else {
+    switch (guard_.classify(msg)) {
+      case InboundGuard::Verdict::kDuplicate:
+        // ARQ retransmission: the peer did not see our response, so
+        // re-elicit the original one instead of tripping the replay defense.
+        last_reject_ = RejectReason::kDuplicate;
+        guard_.count_duplicate();
+        response = guard_.response_for(msg.nonce);
+        break;
+      case InboundGuard::Verdict::kReplay:
+        last_reject_ = RejectReason::kReplayedNonce;
+        guard_.count_reject();
+        break;
+      case InboundGuard::Verdict::kFresh:
+        next_nonce_ = std::max(next_nonce_, msg.nonce + 1);
+        response = dispatch(msg);
+        if (last_reject_ == RejectReason::kNone) {
+          guard_.accept(msg, response);
+        } else {
+          guard_.count_reject();
+        }
+        break;
+    }
+  }
+  note(before, last_reject_, msg);
+  return response;
+}
+
+void SessionEndpoint::set_recorder(FlightRecorder* recorder,
+                                   std::string actor) {
+  recorder_ = recorder;
+  actor_ = std::move(actor);
+}
+
+BitVec SessionEndpoint::final_key() const {
+  VKEY_REQUIRE(state_ == SessionState::kEstablished,
+               "session not established");
+  return amplified_key();
+}
+
+std::nullopt_t SessionEndpoint::reject(RejectReason reason) {
+  last_reject_ = reason;
+  return std::nullopt;
+}
+
+std::nullopt_t SessionEndpoint::fail(RejectReason reason) {
+  state_ = SessionState::kFailed;
+  return reject(reason);
+}
+
+Message SessionEndpoint::next_frame(MessageType type) {
+  Message msg;
+  msg.type = type;
+  msg.session_id = cfg_.session_id;
+  msg.nonce = next_nonce_++;
+  return msg;
+}
+
+BitVec SessionEndpoint::amplified_key() const {
+  return amplifier_.amplify(key_, cfg_.session_id);
+}
+
+// One kReject per rejected frame (reason + offending message type) and one
+// kStateChange per transition, e.g. "await-syndrome->failed".
+void SessionEndpoint::note(SessionState before, RejectReason reason,
+                           const Message& msg) const {
+  if (recorder_ == nullptr) return;
+  if (reason != RejectReason::kNone) {
+    recorder_->record(FlightEventKind::kReject, actor_,
+                      to_string(reason) + " on " + to_string(msg.type),
+                      msg.session_id, msg.nonce);
+  }
+  if (state_ != before) {
+    recorder_->record(FlightEventKind::kStateChange, actor_,
+                      to_string(before) + "->" + to_string(state_),
+                      msg.session_id, msg.nonce);
+  }
+}
+
 // ---------------------------------------------------------------- BobSession
 
 BobSession::BobSession(const SessionConfig& config,
                        const core::AutoencoderReconciler& reconciler,
                        BitVec raw_key)
-    : cfg_(config),
-      reconciler_(reconciler),
-      raw_key_(std::move(raw_key)),
-      amplifier_(config.final_key_bits) {
-  VKEY_REQUIRE(raw_key_.size() == reconciler.config().key_bits,
-               "Bob key width must match the reconciler");
-}
-
-BitVec BobSession::final_key() const {
-  VKEY_REQUIRE(state_ == SessionState::kEstablished,
-               "session not established");
-  return amplifier_.amplify(raw_key_, cfg_.session_id);
-}
-
-std::optional<Message> BobSession::handle(const Message& msg) {
-  const SessionState before = state_;
-  last_reject_ = RejectReason::kNone;
-  if (msg.session_id != cfg_.session_id) {
-    last_reject_ = RejectReason::kBadSession;
-    guard_.count_reject();
-    note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-    return std::nullopt;
-  }
-  switch (guard_.classify(msg)) {
-    case InboundGuard::Verdict::kDuplicate:
-      // ARQ retransmission: the peer did not see our response, so re-elicit
-      // the original one instead of tripping the replay defense.
-      last_reject_ = RejectReason::kDuplicate;
-      guard_.count_duplicate();
-      note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-      return guard_.response_for(msg.nonce);
-    case InboundGuard::Verdict::kReplay:
-      last_reject_ = RejectReason::kReplayedNonce;
-      guard_.count_reject();
-      note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-      return std::nullopt;
-    case InboundGuard::Verdict::kFresh:
-      break;
-  }
-  next_nonce_ = std::max(next_nonce_, msg.nonce + 1);
-  auto response = dispatch(msg);
-  if (last_reject_ == RejectReason::kNone) {
-    guard_.accept(msg, response);
-  } else {
-    guard_.count_reject();
-  }
-  note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-  return response;
-}
-
-void BobSession::set_recorder(FlightRecorder* recorder, std::string actor) {
-  recorder_ = recorder;
-  actor_ = std::move(actor);
-}
+    : SessionEndpoint(config, reconciler, std::move(raw_key)) {}
 
 std::optional<Message> BobSession::dispatch(const Message& msg) {
   switch (msg.type) {
-    case MessageType::kKeyGenRequest: {
+    case MessageType::kKeyGenRequest:
       if (state_ != SessionState::kIdle) {
-        last_reject_ = RejectReason::kBadState;
-        return std::nullopt;
+        return reject(RejectReason::kBadState);
       }
-      // Accept, then immediately publish the syndrome.
-      Message accept;
-      accept.type = MessageType::kKeyGenAccept;
-      accept.session_id = cfg_.session_id;
-      accept.nonce = next_nonce_++;
-
+      // Accept; the syndrome is published right after (make_syndrome).
       state_ = SessionState::kAwaitConfirm;
-      return accept;
-    }
+      return next_frame(MessageType::kKeyGenAccept);
     case MessageType::kKeyConfirm: {
       if (state_ != SessionState::kAwaitConfirm) {
-        last_reject_ = RejectReason::kBadState;
-        return std::nullopt;
+        return reject(RejectReason::kBadState);
       }
-      const auto expected = confirm_digest(
-          amplifier_.amplify(raw_key_, cfg_.session_id), cfg_.session_id,
-          "A");
-      if (!crypto::constant_time_equal(msg.payload, expected)) {
-        last_reject_ = RejectReason::kConfirmMismatch;
-        state_ = SessionState::kFailed;
-        return std::nullopt;
+      const BitVec key = amplified_key();
+      if (!crypto::constant_time_equal(
+              msg.payload, confirm_digest(key, cfg_.session_id, "A"))) {
+        return fail(RejectReason::kConfirmMismatch);
       }
       state_ = SessionState::kEstablished;
-      Message ack;
-      ack.type = MessageType::kKeyConfirmAck;
-      ack.session_id = cfg_.session_id;
-      ack.nonce = next_nonce_++;
-      ack.payload = confirm_digest(final_key(), cfg_.session_id, "B");
+      Message ack = next_frame(MessageType::kKeyConfirmAck);
+      ack.payload = confirm_digest(key, cfg_.session_id, "B");
       return ack;
     }
     default:
-      last_reject_ = RejectReason::kBadState;
-      return std::nullopt;
+      return reject(RejectReason::kBadState);
   }
 }
 
 Message BobSession::make_syndrome() {
   VKEY_REQUIRE(state_ == SessionState::kAwaitConfirm,
                "syndrome requested before the session was accepted");
-  Message msg;
-  msg.type = MessageType::kSyndrome;
-  msg.session_id = cfg_.session_id;
-  msg.nonce = next_nonce_++;
-  msg.payload = pack_doubles(reconciler_.encode_bob(raw_key_));
-  msg.mac = hmac_of(raw_key_, msg);
+  Message msg = next_frame(MessageType::kSyndrome);
+  msg.payload = pack_doubles(reconciler_.encode_bob(key_));
+  msg.mac = hmac_of(key_, msg);
   return msg;
 }
 
@@ -234,143 +242,69 @@ Message BobSession::make_syndrome() {
 AliceSession::AliceSession(const SessionConfig& config,
                            const core::AutoencoderReconciler& reconciler,
                            BitVec raw_key)
-    : cfg_(config),
-      reconciler_(reconciler),
-      raw_key_(std::move(raw_key)),
-      amplifier_(config.final_key_bits) {
-  VKEY_REQUIRE(raw_key_.size() == reconciler.config().key_bits,
-               "Alice key width must match the reconciler");
-}
+    : SessionEndpoint(config, reconciler, std::move(raw_key)) {}
 
 Message AliceSession::start() {
   VKEY_REQUIRE(state_ == SessionState::kIdle, "session already started");
-  Message req;
-  req.type = MessageType::kKeyGenRequest;
-  req.session_id = cfg_.session_id;
-  req.nonce = next_nonce_++;
+  Message req = next_frame(MessageType::kKeyGenRequest);
   state_ = SessionState::kAwaitAccept;
-  note_outcome(recorder_, actor_, SessionState::kIdle, state_,
-               RejectReason::kNone, req);
+  note(SessionState::kIdle, RejectReason::kNone, req);
   return req;
-}
-
-void AliceSession::set_recorder(FlightRecorder* recorder, std::string actor) {
-  recorder_ = recorder;
-  actor_ = std::move(actor);
-}
-
-BitVec AliceSession::final_key() const {
-  VKEY_REQUIRE(state_ == SessionState::kEstablished,
-               "session not established");
-  return amplifier_.amplify(corrected_key_, cfg_.session_id);
-}
-
-std::optional<Message> AliceSession::handle(const Message& msg) {
-  const SessionState before = state_;
-  last_reject_ = RejectReason::kNone;
-  if (msg.session_id != cfg_.session_id) {
-    last_reject_ = RejectReason::kBadSession;
-    guard_.count_reject();
-    note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-    return std::nullopt;
-  }
-  switch (guard_.classify(msg)) {
-    case InboundGuard::Verdict::kDuplicate:
-      last_reject_ = RejectReason::kDuplicate;
-      guard_.count_duplicate();
-      note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-      return guard_.response_for(msg.nonce);
-    case InboundGuard::Verdict::kReplay:
-      last_reject_ = RejectReason::kReplayedNonce;
-      guard_.count_reject();
-      note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-      return std::nullopt;
-    case InboundGuard::Verdict::kFresh:
-      break;
-  }
-  next_nonce_ = std::max(next_nonce_, msg.nonce + 1);
-  auto response = dispatch(msg);
-  if (last_reject_ == RejectReason::kNone) {
-    guard_.accept(msg, response);
-  } else {
-    guard_.count_reject();
-  }
-  note_outcome(recorder_, actor_, before, state_, last_reject_, msg);
-  return response;
 }
 
 std::optional<Message> AliceSession::dispatch(const Message& msg) {
   switch (msg.type) {
-    case MessageType::kKeyGenAccept: {
+    case MessageType::kKeyGenAccept:
       if (state_ != SessionState::kAwaitAccept) {
-        last_reject_ = RejectReason::kBadState;
-        return std::nullopt;
+        return reject(RejectReason::kBadState);
       }
       state_ = SessionState::kAwaitSyndrome;
       return std::nullopt;  // Bob sends the syndrome unprompted
-    }
     case MessageType::kSyndrome: {
       if (state_ != SessionState::kAwaitSyndrome) {
-        last_reject_ = RejectReason::kBadState;
-        return std::nullopt;
+        return reject(RejectReason::kBadState);
       }
       std::vector<double> y_bob;
       try {
         y_bob = unpack_doubles(msg.payload);
       } catch (const vkey::Error&) {
-        last_reject_ = RejectReason::kMalformed;
-        return std::nullopt;
+        return reject(RejectReason::kMalformed);
       }
       if (y_bob.size() != reconciler_.config().code_dim) {
-        last_reject_ = RejectReason::kMalformed;
-        return std::nullopt;
+        return reject(RejectReason::kMalformed);
       }
-      corrected_key_ = reconciler_.reconcile(raw_key_, y_bob);
+      key_ = reconciler_.reconcile(key_, y_bob);
       // MAC check: verifies only when the corrected key equals K_Bob, so an
       // in-flight modification (MITM) or a failed correction aborts here.
-      if (!crypto::constant_time_equal(msg.mac, hmac_of(corrected_key_, msg))) {
-        last_reject_ = RejectReason::kMacMismatch;
-        state_ = SessionState::kFailed;
-        return std::nullopt;
+      if (!crypto::constant_time_equal(msg.mac, hmac_of(key_, msg))) {
+        return fail(RejectReason::kMacMismatch);
       }
       state_ = SessionState::kAwaitConfirmAck;
-      Message confirm;
-      confirm.type = MessageType::kKeyConfirm;
-      confirm.session_id = cfg_.session_id;
-      confirm.nonce = next_nonce_++;
-      confirm.payload = confirm_digest(
-          amplifier_.amplify(corrected_key_, cfg_.session_id),
-          cfg_.session_id, "A");
+      Message confirm = next_frame(MessageType::kKeyConfirm);
+      confirm.payload = confirm_digest(amplified_key(), cfg_.session_id, "A");
       return confirm;
     }
-    case MessageType::kKeyConfirmAck: {
+    case MessageType::kKeyConfirmAck:
       if (state_ != SessionState::kAwaitConfirmAck) {
-        last_reject_ = RejectReason::kBadState;
-        return std::nullopt;
+        return reject(RejectReason::kBadState);
       }
-      const auto expected = confirm_digest(
-          amplifier_.amplify(corrected_key_, cfg_.session_id),
-          cfg_.session_id, "B");
-      if (!crypto::constant_time_equal(msg.payload, expected)) {
-        last_reject_ = RejectReason::kConfirmMismatch;
-        state_ = SessionState::kFailed;
-        return std::nullopt;
+      if (!crypto::constant_time_equal(
+              msg.payload,
+              confirm_digest(amplified_key(), cfg_.session_id, "B"))) {
+        return fail(RejectReason::kConfirmMismatch);
       }
       state_ = SessionState::kEstablished;
       return std::nullopt;
-    }
     default:
-      last_reject_ = RejectReason::kBadState;
-      return std::nullopt;
+      return reject(RejectReason::kBadState);
   }
 }
 
 // ----------------------------------------------------------------- plumbing
 
-AgreementResult run_key_agreement_detailed(PublicChannel& channel,
-                                           AliceSession& alice,
-                                           BobSession& bob,
-                                           std::size_t max_deliveries) {
+AgreementResult run_key_agreement(PublicChannel& channel, AliceSession& alice,
+                                  BobSession& bob,
+                                  std::size_t max_deliveries) {
   AgreementResult result;
   channel.send(alice.start());
 
@@ -421,44 +355,6 @@ AgreementResult run_key_agreement_detailed(PublicChannel& channel,
   reg.counter("session.frames_delivered").add(result.delivered);
   if (result.established) reg.counter("session.established").add(1);
   return result;
-}
-
-bool run_key_agreement(PublicChannel& channel, AliceSession& alice,
-                       BobSession& bob) {
-  return run_key_agreement_detailed(channel, alice, bob).established;
-}
-
-SecureLink::SecureLink(const BitVec& key128) {
-  VKEY_REQUIRE(key128.size() == 128, "SecureLink needs a 128-bit key");
-  auto bytes = key128.to_bytes();
-  // Cryptographically separated subkeys via HKDF (RFC 5869).
-  aes_key_ = crypto::derive_subkey(bytes, "vkey-v1 encryption", 16);
-  mac_key_ = crypto::derive_subkey(bytes, "vkey-v1 mac", 32);
-  crypto::secure_wipe(bytes);
-}
-
-Message SecureLink::seal(std::uint64_t session_id, std::uint64_t nonce,
-                         const std::vector<std::uint8_t>& plaintext) const {
-  crypto::Aes128 aes(aes_key_);
-  Message msg;
-  msg.type = MessageType::kData;
-  msg.session_id = session_id;
-  msg.nonce = nonce;
-  msg.payload = aes.ctr_crypt(plaintext, nonce);
-  const auto tag = crypto::hmac_sha256(mac_key_, mac_input(msg));
-  msg.mac.assign(tag.begin(), tag.end());
-  return msg;
-}
-
-std::optional<std::vector<std::uint8_t>> SecureLink::open(
-    const Message& msg) const {
-  if (msg.type != MessageType::kData) return std::nullopt;
-  const auto tag = crypto::hmac_sha256(mac_key_, mac_input(msg));
-  if (!crypto::constant_time_equal(msg.mac, tag)) {
-    return std::nullopt;
-  }
-  crypto::Aes128 aes(aes_key_);
-  return aes.ctr_crypt(msg.payload, msg.nonce);
 }
 
 }  // namespace vkey::protocol

@@ -12,7 +12,8 @@
 // reject non-increasing nonces or mismatched session ids (Sec. IV-C).
 //
 // After confirmation both sides hold the privacy-amplified 128-bit session
-// key; SecureLink wraps it for AES-128-CTR + HMAC payload protection.
+// key; KeySchedule (key_schedule.h) derives the directional AES-128-CTR +
+// HMAC traffic keys from it.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include <string>
 
 #include "common/bitvec.h"
-#include "crypto/secret_buffer.h"
 #include "core/privacy.h"
 #include "core/reconciler.h"
 #include "protocol/channel.h"
@@ -58,9 +58,12 @@ enum class RejectReason : std::uint8_t {
 std::string to_string(SessionState s);
 std::string to_string(RejectReason r);
 
+/// Width of the established session key: the privacy amplifier's output,
+/// the secret KeySchedule derives traffic keys from.
+inline constexpr std::size_t kFinalKeyBits = 128;
+
 struct SessionConfig {
   std::uint64_t session_id = 1;
-  std::size_t final_key_bits = 128;
 };
 
 /// Shared inbound-envelope bookkeeping for both session roles: the replay
@@ -103,22 +106,19 @@ class InboundGuard {
   std::size_t rejects_ = 0;
 };
 
-class BobSession {
+/// The endpoint core both roles share: one inbound envelope (session-id
+/// check, InboundGuard verdict, duplicate re-elicitation, replay reject,
+/// nonce advance, accept-or-count and the flight note), the session state
+/// and the key material. A role adds dispatch(), its handler for fresh
+/// in-session frames, and the frames it originates.
+class SessionEndpoint {
  public:
-  /// `raw_key` is Bob's quantized key material (reconciler.key_bits wide).
-  BobSession(const SessionConfig& config,
-             const core::AutoencoderReconciler& reconciler, BitVec raw_key);
-
   /// Feed an inbound message; returns the response to transmit, if any.
   std::optional<Message> handle(const Message& msg);
 
   /// Attach a flight recorder; state transitions and InboundGuard
   /// rejections are logged under `actor`. Pass nullptr to detach.
   void set_recorder(FlightRecorder* recorder, std::string actor);
-
-  /// Build the syndrome message { y_Bob, MAC(K_Bob, header||y_Bob) }.
-  /// Valid once the session has been accepted (state kAwaitConfirm).
-  Message make_syndrome();
 
   SessionState state() const { return state_; }
   RejectReason last_reject() const { return last_reject_; }
@@ -130,17 +130,44 @@ class BobSession {
   }
   std::size_t rejected_count() const { return guard_.rejects(); }
 
-  /// Final 128-bit key; valid once state() == kEstablished.
+  /// Final kFinalKeyBits-wide key; valid once state() == kEstablished.
   BitVec final_key() const;
 
- private:
-  std::optional<Message> dispatch(const Message& msg);
+ protected:
+  /// `raw_key` is this side's quantized key material (reconciler.key_bits
+  /// wide).
+  SessionEndpoint(const SessionConfig& config,
+                  const core::AutoencoderReconciler& reconciler,
+                  BitVec raw_key);
+
+  /// Handle a fresh in-session frame. Refuse it through reject() or fail().
+  virtual std::optional<Message> dispatch(const Message& msg) = 0;
+
+  /// Refuse the frame being dispatched with `reason`; returns nullopt, the
+  /// response a refused frame gets.
+  std::nullopt_t reject(RejectReason reason);
+  /// reject(), and the session fails: it cannot recover.
+  std::nullopt_t fail(RejectReason reason);
+
+  /// The next outbound frame of `type` in this session.
+  Message next_frame(MessageType type);
+
+  /// Privacy-amplified key_ (the final key, before any state check).
+  BitVec amplified_key() const;
+
+  /// Log a transition and/or rejection to the attached recorder.
+  void note(SessionState before, RejectReason reason,
+            const Message& msg) const;
 
   SessionConfig cfg_;
   const core::AutoencoderReconciler& reconciler_;
-  BitVec raw_key_;
-  core::PrivacyAmplifier amplifier_;
+  /// The side's key: its raw key, which Alice replaces with her reconciled
+  /// key when the syndrome arrives.
+  BitVec key_;
   SessionState state_ = SessionState::kIdle;
+
+ private:
+  core::PrivacyAmplifier amplifier_;
   RejectReason last_reject_ = RejectReason::kNone;
   std::uint64_t next_nonce_ = 0;
   InboundGuard guard_;
@@ -148,7 +175,20 @@ class BobSession {
   std::string actor_;
 };
 
-class AliceSession {
+class BobSession final : public SessionEndpoint {
+ public:
+  BobSession(const SessionConfig& config,
+             const core::AutoencoderReconciler& reconciler, BitVec raw_key);
+
+  /// Build the syndrome message { y_Bob, MAC(K_Bob, header||y_Bob) }.
+  /// Valid once the session has been accepted (state kAwaitConfirm).
+  Message make_syndrome();
+
+ private:
+  std::optional<Message> dispatch(const Message& msg) override;
+};
+
+class AliceSession final : public SessionEndpoint {
  public:
   AliceSession(const SessionConfig& config,
                const core::AutoencoderReconciler& reconciler, BitVec raw_key);
@@ -156,37 +196,8 @@ class AliceSession {
   /// Kick off the exchange.
   Message start();
 
-  std::optional<Message> handle(const Message& msg);
-
-  /// Attach a flight recorder; state transitions and InboundGuard
-  /// rejections are logged under `actor`. Pass nullptr to detach.
-  void set_recorder(FlightRecorder* recorder, std::string actor);
-
-  SessionState state() const { return state_; }
-  RejectReason last_reject() const { return last_reject_; }
-  const SessionConfig& config() const { return cfg_; }
-
-  std::size_t duplicates_suppressed() const {
-    return guard_.duplicates_suppressed();
-  }
-  std::size_t rejected_count() const { return guard_.rejects(); }
-
-  BitVec final_key() const;
-
  private:
-  std::optional<Message> dispatch(const Message& msg);
-
-  SessionConfig cfg_;
-  const core::AutoencoderReconciler& reconciler_;
-  BitVec raw_key_;
-  BitVec corrected_key_;
-  core::PrivacyAmplifier amplifier_;
-  SessionState state_ = SessionState::kIdle;
-  RejectReason last_reject_ = RejectReason::kNone;
-  std::uint64_t next_nonce_ = 0;
-  InboundGuard guard_;
-  FlightRecorder* recorder_ = nullptr;
-  std::string actor_;
+  std::optional<Message> dispatch(const Message& msg) override;
 };
 
 /// Structured outcome of driving a key agreement to termination.
@@ -205,31 +216,10 @@ struct AgreementResult {
 /// Drive both parties over a channel until explicit termination: either
 /// party reaching kFailed, both established, the queue draining, or the
 /// delivery cap (a runaway guard against interceptors that forge unbounded
-/// traffic). Returns the terminal state and reject reason of both parties.
-AgreementResult run_key_agreement_detailed(PublicChannel& channel,
-                                           AliceSession& alice,
-                                           BobSession& bob,
-                                           std::size_t max_deliveries = 256);
-
-/// Boolean shim over run_key_agreement_detailed for existing callers.
-bool run_key_agreement(PublicChannel& channel, AliceSession& alice,
-                       BobSession& bob);
-
-/// AES-128-CTR + HMAC-SHA256 payload protection under an established key.
-class SecureLink {
- public:
-  explicit SecureLink(const BitVec& key128);
-
-  /// Encrypt and authenticate a payload into a kData message.
-  Message seal(std::uint64_t session_id, std::uint64_t nonce,
-               const std::vector<std::uint8_t>& plaintext) const;
-
-  /// Verify and decrypt; nullopt when authentication fails.
-  std::optional<std::vector<std::uint8_t>> open(const Message& msg) const;
-
- private:
-  crypto::SecretBuffer aes_key_;  ///< 16-byte AES key (zeroizing)
-  crypto::SecretBuffer mac_key_;  ///< 32-byte HMAC key (zeroizing)
-};
+/// traffic). Returns the terminal state and reject reason of both parties;
+/// the result converts to true when both established the same key.
+AgreementResult run_key_agreement(PublicChannel& channel, AliceSession& alice,
+                                  BobSession& bob,
+                                  std::size_t max_deliveries = 256);
 
 }  // namespace vkey::protocol

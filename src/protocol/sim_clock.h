@@ -61,11 +61,6 @@ class SimClock {
 
   std::size_t pending() const noexcept { return queue_.size(); }
 
-  /// Virtual due time of the earliest pending event; `fallback` when idle.
-  double next_due_ms(double fallback = 0.0) const noexcept {
-    return queue_.empty() ? fallback : queue_.begin()->first.first;
-  }
-
   /// Drop every pending event without running it; returns how many were
   /// discarded. The owner of a torn-down sub-simulation must clear the
   /// clock before reusing it: stale timer closures reference transports and

@@ -11,6 +11,10 @@ namespace vkey::protocol {
 
 namespace {
 
+// Echo delay of a duplicated frame, and rx chain latency on top of airtime.
+constexpr double kDupDelayMs = 150.0;
+constexpr double kProcessingDelayMs = 5.0;
+
 metrics::Counter& link_counter(const char* name) {
   // The handful of link counters are fetched by string; cache each behind a
   // function-local static at the call sites via this helper being cheap —
@@ -53,7 +57,7 @@ double UnreliableChannel::airtime_ms(const Message& msg) const {
 }
 
 double UnreliableChannel::nominal_latency_ms(const Message& msg) const {
-  return airtime_ms(msg) + faults_.processing_delay_ms;
+  return airtime_ms(msg) + kProcessingDelayMs;
 }
 
 void UnreliableChannel::deliver(Endpoint to, const Message& msg,
@@ -92,9 +96,9 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       from == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
 
   // Through the base channel first: keeps the eavesdropper transcript and
-  // lets an installed MITM interceptor rewrite or drop the frame.
-  base_.send(msg);
-  auto in_flight = base_.receive();
+  // lets an installed MITM interceptor rewrite or drop the frame. The link
+  // delivers on its own clock, so the base's delivery queue is never used.
+  auto in_flight = base_.transmit(msg);
   if (!in_flight.has_value()) return;  // intercepted and dropped
 
   if (rng_.bernoulli(faults_.drop_prob)) {
@@ -146,7 +150,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   if (rng_.bernoulli(faults_.reorder_prob)) {
     ++stats_.reordered;
     link_counter("reordered").add(1);
-    const double extra = rng_.uniform(0.0, faults_.reorder_window_ms);
+    const double extra = rng_.uniform(0.0, kReorderWindowMs);
     delay += extra;
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kReorder, "link",
@@ -164,7 +168,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       recorder_->record(FlightEventKind::kDuplicate, "link",
                         to_string(msg.type), msg.session_id, msg.nonce);
     }
-    deliver(to, *in_flight, delay + faults_.dup_delay_ms);
+    deliver(to, *in_flight, delay + kDupDelayMs);
   }
 }
 

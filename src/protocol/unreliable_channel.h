@@ -4,10 +4,11 @@
 // frame occupies the air for a duration given by the LoRa PHY timing
 // formulas. UnreliableChannel models all of that on top of the existing
 // PublicChannel (which keeps the eavesdropper transcript and the active-
-// attacker interceptor hook): each send() passes through the base channel
-// first — so Eve's view and MITM interception are unchanged — and is then
-// subjected to a seeded fault model before being delivered to the far
-// endpoint through the SimClock:
+// attacker interceptor hook): each send() passes through the base channel's
+// transmit() first — so Eve's view and MITM interception are unchanged, and
+// the base's delivery queue is never used — and is then subjected to a
+// seeded fault model before being delivered to the far endpoint through the
+// SimClock:
 //
 //   * drop:        frame lost with probability drop_prob;
 //   * corruption:  1..3 random bit flips in the *packed wire frame*
@@ -17,10 +18,10 @@
 //                  CRC32 catches almost all damage, the protocol MAC
 //                  catches the rest;
 //   * latency:     time-on-air of the packed wire frame (channel::LoRaPhy)
-//                  plus a fixed processing delay;
-//   * reordering:  extra uniform delay in [0, reorder_window_ms] with
+//                  plus a fixed 5 ms processing delay;
+//   * reordering:  extra uniform delay in [0, kReorderWindowMs] with
 //                  probability reorder_prob, letting later frames overtake;
-//   * duplication: a second copy delivered dup_delay_ms later with
+//   * duplication: a second copy delivered 150 ms later with
 //                  probability dup_prob.
 #pragma once
 
@@ -36,15 +37,15 @@ namespace vkey::protocol {
 
 class FlightRecorder;
 
+/// Max extra delay [ms] of a reordered frame.
+inline constexpr double kReorderWindowMs = 400.0;
+
 /// Seeded fault model parameters (probabilities in [0, 1]).
 struct FaultConfig {
   double drop_prob = 0.0;
   double dup_prob = 0.0;
   double corrupt_prob = 0.0;
   double reorder_prob = 0.0;
-  double reorder_window_ms = 400.0;  ///< max extra delay for reordered frames
-  double dup_delay_ms = 150.0;       ///< echo delay of a duplicated frame
-  double processing_delay_ms = 5.0;  ///< rx chain latency on top of airtime
   std::uint64_t seed = 1;
 };
 
@@ -88,7 +89,6 @@ class UnreliableChannel {
   double nominal_latency_ms(const Message& msg) const;
 
   const LinkStats& stats() const { return stats_; }
-  const FaultConfig& faults() const { return faults_; }
 
  private:
   void deliver(Endpoint to, const Message& msg, double delay_ms);

@@ -228,72 +228,6 @@ TEST(ConcurrencyStress, ScopedTimersFromManyThreadsObserveOnce) {
                    static_cast<double>(kThreads) * kTimersPerThread);
 }
 
-TEST(DefaultClock, OverrideRedirectsTimersAndRestores) {
-  Registry& reg = Registry::global();
-  Histogram& h = reg.histogram("stress.defaultclock.ms");
-  h.reset();
-
-  double virtual_ms = 100.0;
-  trace::set_default_now([&virtual_ms] { return virtual_ms; });
-  {
-    trace::ScopedTimer timer(h);  // no explicit NowFn: uses the override
-    virtual_ms += 7.0;
-  }
-  trace::set_default_now({});  // restore the wall clock
-
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 7.0);
-  // Back on the wall clock: a timer around no work observes ~0, not -100.
-  {
-    trace::ScopedTimer timer(h);
-  }
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_GE(h.sum(), 7.0);
-}
-
-TEST(DefaultClock, ToggleWhileTimersRunIsRaceFreeAndNeverMixesTimeBases) {
-  // The stored NowFn is behind a mutex and each timer pins a snapshot of it
-  // at start, so flipping the override while timers are mid-flight must be
-  // (a) TSan-clean and (b) unable to produce a mixed-base elapsed reading.
-  // The virtual clock here is pinned at +1e9 ms, far from the wall clock's
-  // small monotonic values: a timer that started on one base and stopped on
-  // the other would observe an elapsed time of ~±1e9 ms.
-  Registry& reg = Registry::global();
-  Histogram& h = reg.histogram("stress.defaultclock.toggle.ms");
-  h.reset();
-
-  constexpr int kTimers = 20000;
-  std::atomic<bool> stop{false};
-  std::thread toggler([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      trace::set_default_now([] { return 1e9; });
-      trace::set_default_now({});
-    }
-  });
-
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&h] {
-      for (int i = 0; i < kTimers / kThreads; ++i) {
-        trace::ScopedTimer timer(h);  // default clock: racing the toggler
-        const double elapsed = timer.stop();
-        // Same base at start and stop: either ~0 wall ms or exactly 0
-        // virtual ms — never a cross-base difference of ~1e9.
-        EXPECT_GE(elapsed, 0.0);
-        EXPECT_LT(elapsed, 1e6);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  stop.store(true, std::memory_order_relaxed);
-  toggler.join();
-  trace::set_default_now({});  // leave the wall clock installed
-
-  EXPECT_EQ(h.count(),
-            static_cast<std::uint64_t>(kThreads) * (kTimers / kThreads));
-}
-
 TEST(ConcurrencyStress, AllocStatsCountsAreExactAcrossThreads) {
   // This binary does not link vkey_alloc_hooks, so the counters move only
   // through the direct reporting API — which makes the expected totals

@@ -6,6 +6,7 @@
 #include "core/dataset.h"
 #include "core/pipeline.h"
 #include "protocol/attacks.h"
+#include "protocol/key_schedule.h"
 #include "protocol/session.h"
 
 namespace vkey {
@@ -68,11 +69,13 @@ TEST_F(EndToEnd, SessionOverRealKeyMaterial) {
   (void)ka;
 
   // And the established key protects traffic end to end.
-  protocol::SecureLink alice_link(alice.final_key());
-  protocol::SecureLink bob_link(bob.final_key());
+  protocol::KeySchedule alice_link(alice.final_key(), cfg.session_id,
+                                   protocol::KeySchedule::Role::kInitiator);
+  protocol::KeySchedule bob_link(bob.final_key(), cfg.session_id,
+                                 protocol::KeySchedule::Role::kResponder);
   const std::vector<std::uint8_t> v2v_msg{'b', 'r', 'a', 'k', 'e', '!'};
-  const auto sealed = alice_link.seal(cfg.session_id, 100, v2v_msg);
-  const auto opened = bob_link.open(sealed);
+  const auto sealed = alice_link.seal(100, v2v_msg);
+  const auto opened = bob_link.open(sealed, 0.0);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, v2v_msg);
 }
@@ -94,8 +97,9 @@ TEST_F(EndToEnd, EveCannotDecryptTraffic) {
   protocol::PublicChannel ch;
   ASSERT_TRUE(run_key_agreement(ch, alice, bob));
 
-  protocol::SecureLink alice_link(alice.final_key());
-  const auto sealed = alice_link.seal(cfg.session_id, 5, {1, 2, 3});
+  protocol::KeySchedule alice_link(alice.final_key(), cfg.session_id,
+                                   protocol::KeySchedule::Role::kInitiator);
+  const auto sealed = alice_link.seal(5, {1, 2, 3});
 
   // Eve guesses a key from the syndrome + her own material.
   const auto syndrome = protocol::find_syndrome(ch);
@@ -106,8 +110,10 @@ TEST_F(EndToEnd, EveCannotDecryptTraffic) {
   const BitVec eve_raw =
       protocol::eavesdrop_attack(pipeline_->reconciler(), ke, *syndrome);
   const core::PrivacyAmplifier amp(128);
-  protocol::SecureLink eve_link(amp.amplify(eve_raw, cfg.session_id));
-  EXPECT_FALSE(eve_link.open(sealed).has_value());
+  protocol::KeySchedule eve_link(amp.amplify(eve_raw, cfg.session_id),
+                                 cfg.session_id,
+                                 protocol::KeySchedule::Role::kResponder);
+  EXPECT_FALSE(eve_link.open(sealed, 0.0).has_value());
 }
 
 TEST_F(EndToEnd, AmplifiedKeysLookRandomEnoughForNist) {

@@ -118,7 +118,7 @@ TEST(Pipeline, StageTimersAndCountersPopulatedAfterRun) {
   protocol::AliceSession alice(cfg, p.reconciler(), blk.alice_raw);
   protocol::BobSession bob(cfg, p.reconciler(), blk.bob_key);
   protocol::PublicChannel ch;
-  const auto result = protocol::run_key_agreement_detailed(ch, alice, bob);
+  const auto result = protocol::run_key_agreement(ch, alice, bob);
   EXPECT_EQ(reg.counter("session.runs").value(), runs_before + 1);
   EXPECT_GE(reg.counter("session.frames_delivered").value(),
             static_cast<std::uint64_t>(result.delivered));

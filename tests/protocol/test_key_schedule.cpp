@@ -102,6 +102,11 @@ TEST(KeySchedule, SealOpenRoundTripsAcrossRoles) {
   EXPECT_EQ(*at_alice, plain);
   EXPECT_EQ(alice.stats().opened, 1u);
   EXPECT_EQ(bob.stats().opened, 1u);
+
+  // The nonce enters the CTR counter: one plaintext under distinct nonces
+  // gives distinct ciphertexts.
+  const std::vector<std::uint8_t> block(24, 0x55);
+  EXPECT_NE(alice.seal(3, block).payload, alice.seal(4, block).payload);
 }
 
 TEST(KeySchedule, ReflectedFramesDoNotAuthenticate) {
@@ -133,6 +138,21 @@ TEST(KeySchedule, TamperedCiphertextEpochOrNonceIsRejected) {
   EXPECT_FALSE(bob.open(short_frame, 0.0).has_value());
   EXPECT_EQ(bob.stats().malformed, 1u);
   EXPECT_EQ(bob.stats().mac_rejects, 3u);
+
+  // A different secret cannot open the frame.
+  KeySchedule eve(test_secret(0xe5e), kSession,
+                  KeySchedule::Role::kResponder);
+  EXPECT_FALSE(eve.open(alice.seal(5, {1, 2, 3, 4}), 0.0).has_value());
+  EXPECT_EQ(eve.stats().mac_rejects, 1u);
+
+  // A frame spliced into another session fails that session's MAC: the
+  // session id salts the whole key schedule.
+  KeySchedule other(test_secret(), kSession + 1,
+                    KeySchedule::Role::kResponder);
+  Message spliced = alice.seal(6, {1, 2, 3, 4});
+  spliced.session_id = kSession + 1;
+  EXPECT_FALSE(other.open(spliced, 0.0).has_value());
+  EXPECT_EQ(other.stats().mac_rejects, 1u);
 }
 
 // ------------------------------------------------------------------ rekey

@@ -220,6 +220,44 @@ TEST(UnreliableChannel, SeededFaultStreamIsReproducible) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(UnreliableChannel, DeliversTheFrameItWasGivenWhateverTheBaseHolds) {
+  // The link uses the base channel for its transcript and interceptor only.
+  // A message waiting in the base's delivery queue must neither reach Bob
+  // in place of the frame being sent nor slip through when the interceptor
+  // drops that frame.
+  SimClock clock;
+  PublicChannel base;
+  UnreliableChannel link(clock, base, FaultConfig{}, fast_radio());
+  std::vector<std::uint64_t> at_bob;
+  link.set_handler(UnreliableChannel::Endpoint::kBob,
+                   [&](const Message& m) { at_bob.push_back(m.nonce); });
+  link.set_handler(UnreliableChannel::Endpoint::kAlice,
+                   [](const Message&) {});
+  Message queued;
+  Message frame;
+
+  queued.nonce = 99;
+  base.inject(queued);
+  frame.nonce = 1;
+  link.send(UnreliableChannel::Endpoint::kAlice, frame);
+  clock.run_until_idle();
+  EXPECT_EQ(at_bob, (std::vector<std::uint64_t>{1}));
+  ASSERT_EQ(base.pending(), 1u);
+  EXPECT_EQ(base.receive()->nonce, 99u);  // left where it was
+
+  base.set_interceptor(
+      [](const Message&) -> std::optional<Message> { return std::nullopt; });
+  queued.nonce = 77;
+  base.inject(queued);
+  frame.nonce = 2;
+  link.send(UnreliableChannel::Endpoint::kAlice, frame);
+  clock.run_until_idle();
+  EXPECT_EQ(at_bob, (std::vector<std::uint64_t>{1}));  // the drop holds
+  ASSERT_EQ(base.pending(), 1u);
+  EXPECT_EQ(base.receive()->nonce, 77u);
+  EXPECT_EQ(base.transcript().size(), 2u);  // Eve saw both frames
+}
+
 // ------------------------------------------------- end-to-end key agreement
 
 class ReliabilityTest : public ::testing::Test {
@@ -285,7 +323,7 @@ TEST_F(ReliabilityTest, FaultFreeRunMatchesSeedPathAndNeverRetransmits) {
   AliceSession alice(scfg, *reconciler_, ka);
   BobSession bob(scfg, *reconciler_, kb);
   PublicChannel plain;
-  const auto detail = run_key_agreement_detailed(plain, alice, bob);
+  const auto detail = run_key_agreement(plain, alice, bob);
   ASSERT_TRUE(detail.established);
 
   // Reliability layer with zero faults on the same material.
@@ -407,7 +445,7 @@ TEST_F(ReliabilityTest, DetailedResultCarriesTerminalStates) {
   AliceSession alice(scfg, *reconciler_, with_flips(kb, 2, 61));
   BobSession bob(scfg, *reconciler_, kb);
   PublicChannel ch;
-  const auto result = run_key_agreement_detailed(ch, alice, bob);
+  const auto result = run_key_agreement(ch, alice, bob);
   EXPECT_TRUE(result.established);
   EXPECT_TRUE(static_cast<bool>(result));
   EXPECT_EQ(result.alice_state, SessionState::kEstablished);
@@ -422,7 +460,7 @@ TEST_F(ReliabilityTest, DetailedResultExplainsFailure) {
   AliceSession alice(scfg, *reconciler_, random_key(70));
   BobSession bob(scfg, *reconciler_, random_key(71));
   PublicChannel ch;
-  const auto result = run_key_agreement_detailed(ch, alice, bob);
+  const auto result = run_key_agreement(ch, alice, bob);
   EXPECT_FALSE(result.established);
   EXPECT_EQ(result.alice_state, SessionState::kFailed);
   EXPECT_EQ(result.alice_reject, RejectReason::kMacMismatch);

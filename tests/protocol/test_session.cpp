@@ -153,63 +153,5 @@ TEST_F(SessionTest, StateStringsAreHumanReadable) {
   EXPECT_EQ(to_string(RejectReason::kMacMismatch), "mac-mismatch");
 }
 
-TEST(SecureLink, SealOpenRoundTrip) {
-  vkey::Rng rng(10);
-  BitVec key(128);
-  for (std::size_t i = 0; i < 128; ++i) key.set(i, rng.bernoulli(0.5));
-  SecureLink link(key);
-  const std::vector<std::uint8_t> payload{'h', 'e', 'l', 'l', 'o'};
-  const Message sealed = link.seal(1, 7, payload);
-  EXPECT_NE(sealed.payload, payload);  // actually encrypted
-  const auto opened = link.open(sealed);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, payload);
-}
-
-TEST(SecureLink, TamperDetected) {
-  vkey::Rng rng(11);
-  BitVec key(128);
-  for (std::size_t i = 0; i < 128; ++i) key.set(i, rng.bernoulli(0.5));
-  SecureLink link(key);
-  Message sealed = link.seal(1, 7, {1, 2, 3, 4});
-  sealed.payload[0] ^= 0x01;
-  EXPECT_FALSE(link.open(sealed).has_value());
-}
-
-TEST(SecureLink, WrongKeyCannotOpen) {
-  vkey::Rng rng(12);
-  BitVec k1(128), k2(128);
-  for (std::size_t i = 0; i < 128; ++i) {
-    k1.set(i, rng.bernoulli(0.5));
-    k2.set(i, rng.bernoulli(0.5));
-  }
-  const Message sealed = SecureLink(k1).seal(1, 7, {1, 2, 3});
-  EXPECT_FALSE(SecureLink(k2).open(sealed).has_value());
-}
-
-TEST(SecureLink, RequiresFullWidthKey) {
-  EXPECT_THROW(SecureLink(BitVec(64)), vkey::Error);
-}
-
-TEST(SecureLink, DistinctNoncesDistinctCiphertexts) {
-  vkey::Rng rng(13);
-  BitVec key(128);
-  for (std::size_t i = 0; i < 128; ++i) key.set(i, rng.bernoulli(0.5));
-  SecureLink link(key);
-  const std::vector<std::uint8_t> payload(24, 0x55);
-  EXPECT_NE(link.seal(1, 1, payload).payload,
-            link.seal(1, 2, payload).payload);
-}
-
-TEST(SecureLink, CrossSessionIdRejected) {
-  vkey::Rng rng(14);
-  BitVec key(128);
-  for (std::size_t i = 0; i < 128; ++i) key.set(i, rng.bernoulli(0.5));
-  SecureLink link(key);
-  Message sealed = link.seal(1, 1, {9, 9, 9});
-  sealed.session_id = 2;  // spliced into another session
-  EXPECT_FALSE(link.open(sealed).has_value());  // MAC covers the header
-}
-
 }  // namespace
 }  // namespace vkey::protocol

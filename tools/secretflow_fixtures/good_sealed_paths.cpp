@@ -16,9 +16,9 @@ Tag sanctioned_consumers(const SecretBuffer& mac_key,
 }
 
 // Sealing is the sanctioned way for derived material to reach a frame.
-Message sanctioned_seal(const SecureLink& link,
+Message sanctioned_seal(KeySchedule& schedule,
                         const std::vector<std::uint8_t>& payload) {
-  return link.seal(1, 1, payload);
+  return schedule.seal(1, payload);
 }
 
 // Lengths, counts, and outcomes are public: attaching them to spans,

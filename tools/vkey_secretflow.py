@@ -9,7 +9,7 @@ artifacts, streams/printf, hex encoders, or unsealed wire frames. The runtime
 counterpart is `crypto::SecretBuffer` (src/crypto/secret_buffer.h): bytes live
 inside a zeroizing container whose only escape hatch is `expose()`, and the
 analyzer treats everything downstream of `expose()` as still secret — sealing
-(`SecureLink::seal`) and keyed primitives (HMAC/HKDF/AES) are the sanctioned
+(`KeySchedule::seal`) and keyed primitives (HMAC/HKDF/AES) are the sanctioned
 consumers, observability is not.
 
 Backends
@@ -157,7 +157,7 @@ SINKS = [
      "hex encoding is a serialization; only tests may render key material"),
     ("secret-to-frame", re.compile(r"\.\s*put_bytes\s*\("),
      "frame payloads ride the radio in the clear unless sealed; pass "
-     "secrets through SecureLink::seal first"),
+     "secrets through KeySchedule::seal first"),
 ]
 
 SUPPRESS = re.compile(
