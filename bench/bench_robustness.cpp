@@ -90,7 +90,7 @@ SweepRow sweep(double drop, const core::AutoencoderReconciler& reconciler,
     const auto report = run_reliable_key_agreement(
         base, reconciler, cfg, material_for(static_cast<std::uint64_t>(trial)));
     attempts += report.attempts;
-    frames += report.wire_frames;
+    frames += report.link.sent;
     for (const auto& att : report.attempt_log) {
       retransmissions += att.alice_transport.retransmissions +
                          att.bob_transport.retransmissions;

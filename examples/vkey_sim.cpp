@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
       const auto report = protocol::run_reliable_key_agreement(
           base, pipeline.reconciler(), rcfg, material);
       attempts += report.attempts;
-      frames += report.wire_frames;
+      frames += report.link.sent;
       for (const auto& att : report.attempt_log) {
         retransmissions += att.alice_transport.retransmissions +
                            att.bob_transport.retransmissions;

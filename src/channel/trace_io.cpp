@@ -1,8 +1,11 @@
 #include "channel/trace_io.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -20,6 +23,21 @@ const char* observer_name(int idx) {
     case 3: return "eve_rx_bob_tx";
   }
   throw vkey::Error("bad observer index");
+}
+
+/// Parse all of `token` as a T: from_chars must consume every character
+/// (no sign for unsigned fields, no trailing unit or junk), and a double
+/// must be finite.
+template <typename T>
+T parse_field(const std::string& token, std::size_t line_no) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  VKEY_REQUIRE(ok, "non-numeric field '" + token + "' in trace CSV at line " +
+                       std::to_string(line_no));
+  return value;
 }
 
 PacketObservation& observation_of(ProbeRound& round,
@@ -79,17 +97,10 @@ std::vector<ProbeRound> read_trace_csv(std::istream& in) {
                     static_cast<bool>(std::getline(row, rssi_s));
     VKEY_REQUIRE(ok, "malformed trace CSV at line " +
                          std::to_string(line_no));
-    std::size_t round_idx = 0, symbol = 0;
-    double t_start = 0.0, rssi = 0.0;
-    try {
-      round_idx = std::stoul(round_s);
-      symbol = std::stoul(symbol_s);
-      t_start = std::stod(t_s);
-      rssi = std::stod(rssi_s);
-    } catch (const std::exception&) {
-      throw vkey::Error("non-numeric field in trace CSV at line " +
-                        std::to_string(line_no));
-    }
+    const auto round_idx = parse_field<std::size_t>(round_s, line_no);
+    const auto symbol = parse_field<std::size_t>(symbol_s, line_no);
+    const auto t_start = parse_field<double>(t_s, line_no);
+    const auto rssi = parse_field<double>(rssi_s, line_no);
     ProbeRound& round = rounds[round_idx];
     PacketObservation& obs = observation_of(round, observer);
     VKEY_REQUIRE(symbol == obs.rrssi.size(),

@@ -82,13 +82,9 @@ SessionOutcome GatewayEngine::simulate(
   rcfg.base_session_id = session_id_for(device);
   rcfg.flight_capacity = flight_capacity;
 
-  // The dedicated sub-clock of this device's RF exchange; constructing it
-  // here keeps clock ownership with the gateway scheduler (lint rule
-  // `sim-clock-owner`; this file is the sanctioned owner).
-  SimClock sub;
   PublicChannel base;
-  const AgreementReport report = run_reliable_key_agreement_on(
-      sub, base, reconciler_, rcfg,
+  const AgreementReport report = run_reliable_key_agreement(
+      base, reconciler_, rcfg,
       [this, device, attempt0](std::size_t attempt) {
         // Recovery attempts (and post-mortem re-simulation, which passes no
         // prefetch) fall back to the per-attempt source.
@@ -101,12 +97,7 @@ SessionOutcome GatewayEngine::simulate(
   out.failure = report.failure;
   out.establish_ms = report.time_to_establish_ms;
   out.attempts = report.attempts;
-  out.wire_frames = report.wire_frames;
   out.wire_bytes = report.link.bytes_sent;
-  for (const auto& att : report.attempt_log) {
-    out.retransmissions += att.alice_transport.retransmissions +
-                           att.bob_transport.retransmissions;
-  }
   if (report.established) out.key = report.key;
   if (dump != nullptr) *dump = report.failure_dump();
   return out;

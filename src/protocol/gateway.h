@@ -6,15 +6,15 @@
 // queue drives every session's lifecycle (arrival, admission, establishment
 // completion, rekey, eviction), a SessionRegistry enforces admission
 // control and owns the per-device state machines, and the heavy per-session
-// RF sub-simulations (ARQ, fault injection, reconciliation — the PR-1
+// RF sub-simulations (ARQ, fault injection, reconciliation — the
 // reliability supervisor) run batched through the deterministic parallel
 // pool.
 //
 // Two-level scheduling. Lifecycle events live on the shared gateway
-// timeline; each admitted session's radio exchange runs on a *dedicated*
-// sub-clock the engine constructs and hands to
-// run_reliable_key_agreement_on(). This split is what makes gateway-scale
-// parallelism compatible with the bit-exactness contract (DESIGN.md §9):
+// timeline; each admitted session's radio exchange is one
+// run_reliable_key_agreement() call on that agreement's own sub-clock. This
+// split is what makes gateway-scale parallelism compatible with the
+// bit-exactness contract (DESIGN.md §9):
 // an RF exchange depends only on its device's seeds and probe material —
 // never on admission time or on other sessions — so exchanges are per-index
 // pure and the pool may advance many of them concurrently, in arrival-order
@@ -89,9 +89,7 @@ struct SessionOutcome {
   FailureReason failure = FailureReason::kNone;
   double establish_ms = 0.0;
   std::size_t attempts = 0;
-  std::size_t wire_frames = 0;
   std::size_t wire_bytes = 0;  ///< packed v1 frame bytes incl. retx + acks
-  std::size_t retransmissions = 0;
   BitVec key;  ///< established 128-bit key; empty on failure
 };
 

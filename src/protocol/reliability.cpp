@@ -16,7 +16,7 @@ metrics::Counter& rel_counter(const char* name) {
 }
 
 // Runaway guard per attempt: far above anything a sane exchange needs
-// (~6 frames * (1 + max_retries) events each, plus duplicates).
+// (~6 frames * (1 + kMaxRetries) events each, plus duplicates).
 constexpr std::size_t kMaxEventsPerAttempt = 200000;
 
 // Attempt deadline in virtual time (30 virtual minutes); an attempt still
@@ -95,23 +95,15 @@ std::string to_string(FailureReason r) {
 AgreementReport run_reliable_key_agreement(
     PublicChannel& base, const core::AutoencoderReconciler& reconciler,
     const ReliabilityConfig& config, const ProbeMaterialFn& material) {
-  // Single-session entry point: this agreement IS the whole simulation, so
-  // the supervisor owns a private timeline for it. Multi-session callers go
-  // through the gateway engine, which hands every session a sub-clock.
-  SimClock clock;  // vkey-lint: allow(sim-clock-owner)
-  return run_reliable_key_agreement_on(clock, base, reconciler, config,
-                                       material);
-}
-
-AgreementReport run_reliable_key_agreement_on(
-    SimClock& clock, PublicChannel& base,
-    const core::AutoencoderReconciler& reconciler,
-    const ReliabilityConfig& config, const ProbeMaterialFn& material) {
   VKEY_REQUIRE(config.max_session_attempts >= 1, "need at least one attempt");
   AgreementReport report;
 
-  // Virtual time-to-establish across the whole agreement (all attempts):
-  // each attempt's SimClock starts at 0, so accumulate per-attempt spans.
+  // This agreement's private timeline. Attempts run on it back to back:
+  // clear() drops a torn-down attempt's events but never rewinds time.
+  SimClock clock;  // vkey-lint: allow(sim-clock-owner)
+
+  // Virtual time-to-establish across the whole agreement (all attempts),
+  // accumulated from the per-attempt spans.
   static metrics::Histogram& establish_hist =
       metrics::Registry::global().histogram(
           "reliability.time_to_establish_ms");
@@ -130,9 +122,6 @@ AgreementReport run_reliable_key_agreement_on(
     AliceSession alice(scfg, reconciler, std::move(alice_raw));
     BobSession bob(scfg, reconciler, std::move(bob_raw));
 
-    // The attempt measures durations relative to the caller's clock: a
-    // gateway sub-clock arrives already advanced to the session's admission
-    // instant, a fresh single-session clock arrives at 0.
     const double attempt_start_ms = clock.now_ms();
     // Virtual-time span: the timer reads the attempt's SimClock, not the
     // wall clock, so the observed duration is bit-reproducible.
@@ -153,62 +142,12 @@ AgreementReport run_reliable_key_agreement_on(
     alice.set_recorder(&flight, "alice");
     bob.set_recorder(&flight, "bob");
 
-    // RTT estimate: frame airtime + ack airtime + both processing delays.
-    Message ack_probe;
-    ack_probe.type = MessageType::kAck;
-    const auto rtt = [&link, ack_latency = link.nominal_latency_ms(ack_probe)](
-                         const Message& m) {
-      return link.nominal_latency_ms(m) + ack_latency;
-    };
-
-    ArqConfig arq_alice = config.arq;
-    arq_alice.seed = hash_combine64(config.arq.seed, 2 * attempt);
-    ArqConfig arq_bob = config.arq;
-    arq_bob.seed = hash_combine64(config.arq.seed, 2 * attempt + 1);
-
     ReliableTransport alice_tx(
-        clock, arq_alice,
-        [&link](const Message& m) {
-          link.send(UnreliableChannel::Endpoint::kAlice, m);
-        },
-        rtt);
+        clock, ArqConfig{hash_combine64(config.arq.seed, 2 * attempt)}, link,
+        UnreliableChannel::Endpoint::kAlice, alice);
     ReliableTransport bob_tx(
-        clock, arq_bob,
-        [&link](const Message& m) {
-          link.send(UnreliableChannel::Endpoint::kBob, m);
-        },
-        rtt);
-    alice_tx.set_recorder(&flight, "alice");
-    bob_tx.set_recorder(&flight, "bob");
-
-    const auto accepts = [](const RejectReason r) {
-      return r == RejectReason::kNone || r == RejectReason::kDuplicate;
-    };
-    alice_tx.set_upcall(
-        [&alice](const Message& m) { return alice.handle(m); },
-        [&alice, accepts] { return accepts(alice.last_reject()); });
-
-    bool syndrome_sent = false;
-    bob_tx.set_upcall(
-        [&](const Message& m) {
-          auto response = bob.handle(m);
-          if (!syndrome_sent && bob.state() == SessionState::kAwaitConfirm) {
-            // Bob publishes y_Bob + MAC right after accepting. Defer the
-            // reliable send one event so the accept is transmitted first.
-            syndrome_sent = true;
-            clock.schedule(0.0, [&bob_tx, syndrome = bob.make_syndrome()] {
-              bob_tx.send(syndrome);
-            });
-          }
-          return response;
-        },
-        [&bob, accepts] { return accepts(bob.last_reject()); });
-
-    link.set_handler(UnreliableChannel::Endpoint::kAlice,
-                     [&alice_tx](const Message& m) { alice_tx.on_wire(m); });
-    link.set_handler(UnreliableChannel::Endpoint::kBob,
-                     [&bob_tx](const Message& m) { bob_tx.on_wire(m); });
-
+        clock, ArqConfig{hash_combine64(config.arq.seed, 2 * attempt + 1)},
+        link, UnreliableChannel::Endpoint::kBob, bob);
     alice_tx.send(alice.start());
 
     bool timed_out = false;
@@ -243,9 +182,6 @@ AgreementReport run_reliable_key_agreement_on(
     att.bob_transport = bob_tx.stats();
     att.alice_duplicates_suppressed = alice.duplicates_suppressed();
     att.bob_duplicates_suppressed = bob.duplicates_suppressed();
-    att.alice_rejects = alice.rejected_count();
-    att.bob_rejects = bob.rejected_count();
-    att.link = link.stats();
     att.established = established() && alice.final_key() == bob.final_key();
     att.failure = att.established
                       ? FailureReason::kNone
@@ -256,19 +192,17 @@ AgreementReport run_reliable_key_agreement_on(
     flight.record(FlightEventKind::kAttemptEnd, "supervisor",
                   att.established ? "established" : to_string(att.failure),
                   scfg.session_id);
-    // The recorder travels with the report; its NowFn points at the
-    // caller's clock, so detach it before the attempt scope closes.
+    // The recorder travels with the report, which outlives this
+    // agreement's clock: detach the recorder's NowFn from it.
     flight.set_now({});
     att.flight = std::move(flight);
 
     // Tear down the attempt's residue: un-fired ARQ timers and in-flight
     // deliveries hold closures over the link, transports and sessions that
-    // die with this scope. The clock is dedicated to this agreement, so
-    // clearing cannot hit anyone else's events.
+    // die with this scope.
     clock.clear();
 
     report.time_to_establish_ms += att.duration_ms;
-    report.wire_frames += link.stats().sent;
     accumulate(report.link, link.stats());
     report.failure = att.failure;
     const bool success = att.established;

@@ -1,13 +1,14 @@
 // Session-recovery supervisor: reliable key agreement over a lossy link.
 //
-// Wires AliceSession/BobSession to two ReliableTransports over an
-// UnreliableChannel driven by a virtual clock, and supervises the exchange:
-// when a transport exhausts its retry budget, a party fails, or the attempt
+// Per attempt it puts AliceSession and BobSession on the two ends of an
+// UnreliableChannel, each driven by its own ReliableTransport on the
+// agreement's private virtual clock, and supervises the exchange: when a
+// transport exhausts its retry budget, a party fails, or the attempt
 // deadline passes, the supervisor tears the attempt down and restarts
 // negotiation under a *fresh* session id with *fresh* probe material (and a
 // fresh fault/jitter stream — a retransmission storm must not replay
 // identically). The caller gets a structured report — failure reason,
-// attempt count, per-attempt transport/link counters and virtual
+// attempt count, per-attempt transport counters, link counters and virtual
 // time-to-establish — instead of a bare bool.
 #pragma once
 
@@ -46,8 +47,9 @@ struct ReliabilityConfig {
   std::size_t max_session_attempts = 3;
   std::uint64_t base_session_id = 1;  ///< attempt k uses base + k
   /// Flight-recorder ring size per attempt (0 disables recording). Every
-  /// attempt gets its own recorder, wired through the link, both transports
-  /// and both sessions, stamped with the attempt's SimClock.
+  /// attempt gets its own recorder, attached to the link (the transports on
+  /// its ends log there too) and both sessions, stamped with the
+  /// agreement's SimClock.
   std::size_t flight_capacity = 512;
 };
 
@@ -65,9 +67,6 @@ struct AttemptReport {
   TransportStats bob_transport;
   std::size_t alice_duplicates_suppressed = 0;
   std::size_t bob_duplicates_suppressed = 0;
-  std::size_t alice_rejects = 0;
-  std::size_t bob_rejects = 0;
-  LinkStats link;
   /// The attempt's full event timeline (empty ring when recording was
   /// disabled via ReliabilityConfig::flight_capacity = 0).
   FlightRecorder flight;
@@ -80,10 +79,10 @@ struct AgreementReport {
   /// Virtual ms from the first transmission to key establishment, summed
   /// across attempts (failed ones included).
   double time_to_establish_ms = 0.0;
-  /// Frames put on the air across all attempts: data + retransmissions +
-  /// acks. The per-establishment message overhead of the reliability layer.
-  std::size_t wire_frames = 0;
-  LinkStats link;  ///< aggregated over attempts
+  /// Aggregated over attempts. `link.sent` counts the frames put on the
+  /// air (data + retransmissions + acks): the per-establishment message
+  /// overhead of the reliability layer.
+  LinkStats link;
   std::vector<AttemptReport> attempt_log;
   BitVec key;  ///< the established 128-bit key; empty on failure
 
@@ -105,24 +104,11 @@ struct AgreementReport {
 using ProbeMaterialFn =
     std::function<std::pair<BitVec, BitVec>(std::size_t attempt)>;
 
-/// Run key agreement with ARQ + session recovery over a faulty link. `base`
-/// keeps the eavesdropper transcript across attempts and may carry a MITM
-/// interceptor.
+/// Run key agreement with ARQ + session recovery over a faulty link, on a
+/// virtual clock of its own. `base` keeps the eavesdropper transcript across
+/// attempts and may carry a MITM interceptor.
 AgreementReport run_reliable_key_agreement(
     PublicChannel& base, const core::AutoencoderReconciler& reconciler,
-    const ReliabilityConfig& config, const ProbeMaterialFn& material);
-
-/// Same supervisor, but driven by a caller-owned scheduler: the gateway
-/// engine hands every session a dedicated sub-clock so clock construction
-/// stays with the scheduler (the `sim-clock-owner` lint rule). The clock
-/// need not start at 0 — attempt durations and the timeout are measured
-/// relative to the clock's time at entry — but it must be *dedicated* to
-/// this agreement: between attempts the supervisor clears all pending
-/// events (stale ARQ timers reference torn-down transports), which would
-/// destroy unrelated events on a shared queue.
-AgreementReport run_reliable_key_agreement_on(
-    SimClock& clock, PublicChannel& base,
-    const core::AutoencoderReconciler& reconciler,
     const ReliabilityConfig& config, const ProbeMaterialFn& material);
 
 /// Eagerly register every instrument the session/ARQ/link/reliability stack

@@ -7,6 +7,7 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "protocol/flight_recorder.h"
+#include "protocol/session.h"
 
 namespace vkey::protocol {
 
@@ -22,52 +23,50 @@ metrics::Histogram& arq_backoff_hist() {
   return h;
 }
 
+/// The kAck frame acknowledging `msg`: same (session, nonce), no payload.
+Message ack_for(const Message& msg) {
+  Message ack;
+  ack.type = MessageType::kAck;
+  ack.session_id = msg.session_id;
+  ack.nonce = msg.nonce;
+  return ack;
+}
+
 }  // namespace
 
-double arq_backoff_delay_ms(const ArqConfig& cfg, std::size_t attempt,
-                            vkey::Rng& rng) {
+double arq_backoff_delay_ms(std::size_t attempt, vkey::Rng& rng) {
   const double ceiling =
-      std::min(cfg.max_backoff_ms,
-               cfg.base_backoff_ms *
-                   std::pow(cfg.backoff_factor, static_cast<double>(attempt)));
-  const double hi = std::max(cfg.base_backoff_ms, ceiling);
-  return rng.uniform(cfg.base_backoff_ms, hi);
+      std::min(kMaxBackoffMs,
+               kBaseBackoffMs *
+                   std::pow(kBackoffFactor, static_cast<double>(attempt)));
+  const double hi = std::max(kBaseBackoffMs, ceiling);
+  return rng.uniform(kBaseBackoffMs, hi);
 }
 
 ReliableTransport::ReliableTransport(SimClock& clock, const ArqConfig& config,
-                                     WireFn wire, RttFn rtt)
+                                     UnreliableChannel& link,
+                                     UnreliableChannel::Endpoint endpoint,
+                                     SessionEndpoint& session)
     : clock_(clock),
-      cfg_(config),
-      wire_(std::move(wire)),
-      rtt_(std::move(rtt)),
+      link_(link),
+      endpoint_(endpoint),
+      session_(session),
+      ack_latency_ms_(link.nominal_latency_ms(ack_for(Message{}))),
       rng_(config.seed) {
-  VKEY_REQUIRE(cfg_.base_backoff_ms > 0.0 &&
-                   cfg_.max_backoff_ms >= cfg_.base_backoff_ms &&
-                   cfg_.backoff_factor >= 1.0,
-               "backoff parameters must satisfy 0 < base <= cap, factor >= 1");
-}
-
-void ReliableTransport::set_upcall(UpcallFn upcall, AckGateFn ack_gate) {
-  upcall_ = std::move(upcall);
-  ack_gate_ = std::move(ack_gate);
-}
-
-void ReliableTransport::set_recorder(FlightRecorder* recorder,
-                                     std::string actor) {
-  recorder_ = recorder;
-  actor_ = std::move(actor);
+  link_.set_handler(endpoint_, [this](const Message& m) { on_wire(m); });
 }
 
 void ReliableTransport::arm_timer(std::uint64_t nonce) {
   auto& entry = inflight_.at(nonce);
-  const double backoff = arq_backoff_delay_ms(cfg_, entry.attempt, rng_);
+  const double backoff = arq_backoff_delay_ms(entry.attempt, rng_);
   arq_backoff_hist().observe(backoff);
-  const double timeout = rtt_(entry.msg) + backoff;
-  if (recorder_ != nullptr) {
-    recorder_->record(FlightEventKind::kBackoff, actor_,
-                      "attempt=" + std::to_string(entry.attempt) +
-                          " delay_ms=" + json::format_number(timeout),
-                      entry.msg.session_id, nonce);
+  const double timeout =
+      link_.nominal_latency_ms(entry.msg) + ack_latency_ms_ + backoff;
+  if (FlightRecorder* rec = link_.recorder()) {
+    rec->record(FlightEventKind::kBackoff, to_string(endpoint_),
+                "attempt=" + std::to_string(entry.attempt) +
+                    " delay_ms=" + json::format_number(timeout),
+                entry.msg.session_id, nonce);
   }
   entry.timer = clock_.schedule(timeout, [this, nonce] { on_timeout(nonce); });
 }
@@ -75,14 +74,14 @@ void ReliableTransport::arm_timer(std::uint64_t nonce) {
 void ReliableTransport::on_timeout(std::uint64_t nonce) {
   const auto it = inflight_.find(nonce);
   if (it == inflight_.end()) return;  // acked while the event was queued
-  if (it->second.attempt >= cfg_.max_retries) {
+  if (it->second.attempt >= kMaxRetries) {
     ++stats_.gave_up;
     arq_counter("gave_up").add(1);
-    if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kGaveUp, actor_,
-                        to_string(it->second.msg.type) + " after " +
-                            std::to_string(cfg_.max_retries) + " retries",
-                        it->second.msg.session_id, nonce);
+    if (FlightRecorder* rec = link_.recorder()) {
+      rec->record(FlightEventKind::kGaveUp, to_string(endpoint_),
+                  to_string(it->second.msg.type) + " after " +
+                      std::to_string(kMaxRetries) + " retries",
+                  it->second.msg.session_id, nonce);
     }
     exhausted_ = true;
     inflight_.erase(it);
@@ -92,12 +91,12 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   ++stats_.retransmissions;
   arq_counter("timeouts").add(1);
   arq_counter("retransmissions").add(1);
-  if (recorder_ != nullptr) {
-    recorder_->record(FlightEventKind::kRetransmit, actor_,
-                      "timeout attempt=" + std::to_string(it->second.attempt),
-                      it->second.msg.session_id, nonce);
+  if (FlightRecorder* rec = link_.recorder()) {
+    rec->record(FlightEventKind::kRetransmit, to_string(endpoint_),
+                "timeout attempt=" + std::to_string(it->second.attempt),
+                it->second.msg.session_id, nonce);
   }
-  wire_(it->second.msg);
+  link_.send(endpoint_, it->second.msg);
   arm_timer(nonce);
 }
 
@@ -111,17 +110,17 @@ void ReliableTransport::send(const Message& msg) {
     // peer asked again, so don't wait for the timer.
     ++stats_.retransmissions;
     arq_counter("retransmissions").add(1);
-    if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kRetransmit, actor_, "fast",
-                        it->second.msg.session_id, msg.nonce);
+    if (FlightRecorder* rec = link_.recorder()) {
+      rec->record(FlightEventKind::kRetransmit, to_string(endpoint_), "fast",
+                  it->second.msg.session_id, msg.nonce);
     }
-    wire_(it->second.msg);
+    link_.send(endpoint_, it->second.msg);
     return;
   }
   inflight_[msg.nonce] = Pending{msg, 0, 0};
   ++stats_.data_sent;
   arq_counter("data_sent").add(1);
-  wire_(msg);
+  link_.send(endpoint_, msg);
   arm_timer(msg.nonce);
 }
 
@@ -130,9 +129,9 @@ void ReliableTransport::on_wire(const Message& msg) {
     const auto it = inflight_.find(msg.nonce);
     if (it == inflight_.end()) {
       ++stats_.stale_acks;
-      if (recorder_ != nullptr) {
-        recorder_->record(FlightEventKind::kStaleAck, actor_, {},
-                          msg.session_id, msg.nonce);
+      if (FlightRecorder* rec = link_.recorder()) {
+        rec->record(FlightEventKind::kStaleAck, to_string(endpoint_), {},
+                    msg.session_id, msg.nonce);
       }
       return;
     }
@@ -141,27 +140,31 @@ void ReliableTransport::on_wire(const Message& msg) {
     inflight_.erase(it);
     ++stats_.acks_received;
     arq_counter("acks_received").add(1);
-    if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kAckRx, actor_, {}, msg.session_id,
-                        msg.nonce);
+    if (FlightRecorder* rec = link_.recorder()) {
+      rec->record(FlightEventKind::kAckRx, to_string(endpoint_), {},
+                  msg.session_id, msg.nonce);
     }
     return;
   }
 
-  VKEY_REQUIRE(static_cast<bool>(upcall_), "transport upcall not installed");
-  auto response = upcall_(msg);
-  if (!ack_gate_ || ack_gate_()) {
-    Message ack;
-    ack.type = MessageType::kAck;
-    ack.session_id = msg.session_id;
-    ack.nonce = msg.nonce;
-    wire_(ack);
+  auto response = session_.handle(msg);
+  if (auto unprompted = session_.take_unprompted()) {
+    // A frame the session publishes on its own (Bob's syndrome once he
+    // accepts) goes out one event later, after the response sent below.
+    clock_.schedule(0.0, [this, frame = std::move(*unprompted)] {
+      send(frame);
+    });
+  }
+  // Gated ACK: only frames the session accepted or recognized as benign
+  // duplicates; a state-rejected frame waits for its retransmission.
+  const RejectReason verdict = session_.last_reject();
+  if (verdict == RejectReason::kNone || verdict == RejectReason::kDuplicate) {
+    link_.send(endpoint_, ack_for(msg));
     ++stats_.acks_sent;
     arq_counter("acks_sent").add(1);
-    if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kAckTx, actor_,
-                        "for " + to_string(msg.type), msg.session_id,
-                        msg.nonce);
+    if (FlightRecorder* rec = link_.recorder()) {
+      rec->record(FlightEventKind::kAckTx, to_string(endpoint_),
+                  "for " + to_string(msg.type), msg.session_id, msg.nonce);
     }
   }
   if (response.has_value()) send(*response);

@@ -1,5 +1,7 @@
 #include "protocol/session.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "common/metrics.h"
 #include "crypto/hmac.h"
@@ -142,6 +144,10 @@ std::optional<Message> SessionEndpoint::handle(const Message& msg) {
   return response;
 }
 
+std::optional<Message> SessionEndpoint::take_unprompted() {
+  return std::exchange(unprompted_, std::nullopt);
+}
+
 void SessionEndpoint::set_recorder(FlightRecorder* recorder,
                                    std::string actor) {
   recorder_ = recorder;
@@ -202,13 +208,16 @@ BobSession::BobSession(const SessionConfig& config,
 
 std::optional<Message> BobSession::dispatch(const Message& msg) {
   switch (msg.type) {
-    case MessageType::kKeyGenRequest:
+    case MessageType::kKeyGenRequest: {
       if (state_ != SessionState::kIdle) {
         return reject(RejectReason::kBadState);
       }
-      // Accept; the syndrome is published right after (make_syndrome).
+      // Accept, and publish y_Bob + MAC right after the accept.
       state_ = SessionState::kAwaitConfirm;
-      return next_frame(MessageType::kKeyGenAccept);
+      Message accept = next_frame(MessageType::kKeyGenAccept);
+      unprompted_ = make_syndrome();
+      return accept;
+    }
     case MessageType::kKeyConfirm: {
       if (state_ != SessionState::kAwaitConfirm) {
         return reject(RejectReason::kBadState);
@@ -229,8 +238,6 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
 }
 
 Message BobSession::make_syndrome() {
-  VKEY_REQUIRE(state_ == SessionState::kAwaitConfirm,
-               "syndrome requested before the session was accepted");
   Message msg = next_frame(MessageType::kSyndrome);
   msg.payload = pack_doubles(reconciler_.encode_bob(key_));
   msg.mac = hmac_of(key_, msg);
@@ -308,10 +315,6 @@ AgreementResult run_key_agreement(PublicChannel& channel, AliceSession& alice,
   AgreementResult result;
   channel.send(alice.start());
 
-  // Bob publishes the syndrome right after accepting; model that by letting
-  // the loop below ask Bob for his pending syndrome when he reaches
-  // kAwaitConfirm. We synthesize it here from his session state.
-  bool syndrome_sent = false;
   while (channel.pending() > 0) {
     // Explicit termination: a failed party cannot recover within a session,
     // so draining the rest of the queue is pointless.
@@ -328,20 +331,12 @@ AgreementResult run_key_agreement(PublicChannel& channel, AliceSession& alice,
     ++result.delivered;
     // Route by expected direction: requests/confirms go to Bob, the rest to
     // Alice. (The simulated wire is a single broadcast medium.)
-    std::optional<Message> reply;
-    if (msg->type == MessageType::kKeyGenRequest ||
-        msg->type == MessageType::kKeyConfirm) {
-      reply = bob.handle(*msg);
-    } else {
-      reply = alice.handle(*msg);
-    }
-    if (reply) channel.send(*reply);
-
-    if (!syndrome_sent && bob.state() == SessionState::kAwaitConfirm) {
-      // Bob publishes y_Bob + MAC once the session is accepted.
-      syndrome_sent = true;
-      channel.send(bob.make_syndrome());
-    }
+    const bool to_bob = msg->type == MessageType::kKeyGenRequest ||
+                        msg->type == MessageType::kKeyConfirm;
+    SessionEndpoint& to = to_bob ? static_cast<SessionEndpoint&>(bob) : alice;
+    if (auto reply = to.handle(*msg)) channel.send(*reply);
+    // Bob's syndrome follows the accept that queued it.
+    if (auto unprompted = to.take_unprompted()) channel.send(*unprompted);
   }
   result.alice_state = alice.state();
   result.bob_state = bob.state();

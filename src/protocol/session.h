@@ -116,6 +116,11 @@ class SessionEndpoint {
   /// Feed an inbound message; returns the response to transmit, if any.
   std::optional<Message> handle(const Message& msg);
 
+  /// A frame the session publishes on its own rather than in response:
+  /// Bob's syndrome, queued when he accepts the request. Each is handed out
+  /// once; send it right after the response to the frame that queued it.
+  std::optional<Message> take_unprompted();
+
   /// Attach a flight recorder; state transitions and InboundGuard
   /// rejections are logged under `actor`. Pass nullptr to detach.
   void set_recorder(FlightRecorder* recorder, std::string actor);
@@ -165,6 +170,7 @@ class SessionEndpoint {
   /// key when the syndrome arrives.
   BitVec key_;
   SessionState state_ = SessionState::kIdle;
+  std::optional<Message> unprompted_;  ///< see take_unprompted()
 
  private:
   core::PrivacyAmplifier amplifier_;
@@ -180,12 +186,11 @@ class BobSession final : public SessionEndpoint {
   BobSession(const SessionConfig& config,
              const core::AutoencoderReconciler& reconciler, BitVec raw_key);
 
-  /// Build the syndrome message { y_Bob, MAC(K_Bob, header||y_Bob) }.
-  /// Valid once the session has been accepted (state kAwaitConfirm).
-  Message make_syndrome();
-
  private:
   std::optional<Message> dispatch(const Message& msg) override;
+
+  /// The syndrome message { y_Bob, MAC(K_Bob, header||y_Bob) }.
+  Message make_syndrome();
 };
 
 class AliceSession final : public SessionEndpoint {

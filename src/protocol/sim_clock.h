@@ -12,9 +12,9 @@
 // timers and fault-delayed deliveries) or THE shared gateway timeline that
 // drives every session's lifecycle events (arrival, admission, completion,
 // rekey, eviction — see protocol/gateway.h). Ownership of instances inside
-// src/protocol/ is linted: only the gateway scheduler constructs clocks
-// (tools/vkey_lint.py `sim-clock-owner`), so virtual time has a single
-// authority per simulation.
+// src/protocol/ is linted: only the gateway engine and the reliability
+// supervisor construct clocks (tools/vkey_lint.py `sim-clock-owner`), so
+// virtual time has a single authority per simulation.
 #pragma once
 
 #include <cstdint>

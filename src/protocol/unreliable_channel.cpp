@@ -22,11 +22,11 @@ metrics::Counter& link_counter(const char* name) {
   return metrics::Registry::global().counter(std::string("link.") + name);
 }
 
-const char* endpoint_name(UnreliableChannel::Endpoint e) {
-  return e == UnreliableChannel::Endpoint::kAlice ? "alice" : "bob";
-}
-
 }  // namespace
+
+std::string to_string(UnreliableChannel::Endpoint endpoint) {
+  return endpoint == UnreliableChannel::Endpoint::kAlice ? "alice" : "bob";
+}
 
 UnreliableChannel::UnreliableChannel(SimClock& clock, PublicChannel& base,
                                      const FaultConfig& faults,
@@ -67,7 +67,7 @@ void UnreliableChannel::deliver(Endpoint to, const Message& msg,
   clock_.schedule(delay_ms, [this, to, msg] {
     ++stats_.delivered;
     if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kFrameRx, endpoint_name(to),
+      recorder_->record(FlightEventKind::kFrameRx, to_string(to),
                         to_string(msg.type), msg.session_id, msg.nonce);
     }
     handlers_[static_cast<int>(to)](msg);
@@ -82,7 +82,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   stats_.bytes_sent += wire::frame_size(msg);
   link_counter("sent").add(1);
   if (recorder_ != nullptr) {
-    recorder_->record(FlightEventKind::kFrameTx, endpoint_name(from),
+    recorder_->record(FlightEventKind::kFrameTx, to_string(from),
                       to_string(msg.type), msg.session_id, msg.nonce);
   }
   if (metrics::enabled()) {

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "channel/lora_phy.h"
 #include "common/rng.h"
@@ -79,6 +80,9 @@ class UnreliableChannel {
   /// logged with the frame's type and nonce. Pass nullptr to detach. The
   /// recorder must outlive the channel (the supervisor owns both).
   void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  /// The attached recorder (nullptr when detached); the transports on the
+  /// link's ends log their ARQ events to it too.
+  FlightRecorder* recorder() const { return recorder_; }
 
   void send(Endpoint from, const Message& msg);
 
@@ -102,5 +106,8 @@ class UnreliableChannel {
   LinkStats stats_;
   FlightRecorder* recorder_ = nullptr;
 };
+
+/// "alice" / "bob": the endpoint's actor name in flight-recorder timelines.
+std::string to_string(UnreliableChannel::Endpoint endpoint);
 
 }  // namespace vkey::protocol

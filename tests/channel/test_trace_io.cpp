@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace vkey::channel {
 namespace {
@@ -91,6 +98,102 @@ TEST(TraceIo, HardwareCaptureWithoutEveIsRejectedButDiagnosable) {
   ASSERT_EQ(rounds.size(), 1u);
   EXPECT_EQ(rounds[0].bob_rx.rrssi.size(), 2u);
   EXPECT_TRUE(rounds[0].eve_rx_bob_tx.rrssi.empty());
+}
+
+/// One round with both legitimate observers; the tokens fill Bob's row.
+std::string one_round(const std::string& round, const std::string& t_start,
+                      const std::string& rssi) {
+  return "round,observer,symbol,t_start,rssi_dbm\n" + round + ",bob_rx,0," +
+         t_start + "," + rssi + "\n" + round + ",alice_rx,0,1.7,-79\n";
+}
+
+TEST(TraceIo, RejectsPartialAndNonFiniteNumbers) {
+  std::stringstream control(one_round("12", "0.5", "-80"));
+  EXPECT_EQ(read_trace_csv(control).size(), 1u);
+  // Each field must parse completely; a number with trailing junk, a sign
+  // on an unsigned field or a non-finite double is malformed.
+  for (const std::string& csv :
+       {one_round("12abc", "0.5", "-80"), one_round("-1", "0.5", "-80"),
+        one_round("12", "0.5", "-80dBm"), one_round("12", "0.5", "nan"),
+        one_round("12", "inf", "-80")}) {
+    std::stringstream buf(csv);
+    EXPECT_THROW(read_trace_csv(buf), vkey::Error) << csv;
+  }
+}
+
+// Seeded mutation fuzz of the CSV reader, in the style of the frame-codec
+// fuzzer: bit flips, truncations and whole-field rewrites with edge-case
+// tokens. Every read either throws vkey::Error or returns rounds whose
+// values are all finite and whose legitimate observations are non-empty.
+TEST(TraceIo, MutatedCsvIsRejectedOrFinite) {
+  auto rounds = make_rounds(2);
+  for (ProbeRound& r : rounds) {
+    for (PacketObservation* o :
+         {&r.bob_rx, &r.alice_rx, &r.eve_rx_alice_tx, &r.eve_rx_bob_tx}) {
+      o->rrssi.resize(3);
+    }
+  }
+  std::stringstream valid;
+  write_trace_csv(valid, rounds);
+  const std::string csv = valid.str();
+
+  // [begin, end) of every numeric field (round, symbol, t_start, rssi).
+  std::vector<std::pair<std::size_t, std::size_t>> fields;
+  for (std::size_t pos = csv.find('\n') + 1; pos < csv.size();) {
+    const std::size_t eol = csv.find('\n', pos);
+    for (int f = 0; pos <= eol; ++f) {
+      const std::size_t end = std::min(csv.find(',', pos), eol);
+      if (f != 1) fields.emplace_back(pos, end);
+      pos = end + 1;
+    }
+  }
+  const char* const kTokens[] = {"nan",   "inf",    "-inf", "1e999", "-1",
+                                 "12abc", "-80dBm", "",     " 7",    "0x1p3"};
+
+  constexpr int kCases = 20'000;
+  vkey::Rng rng(0x7ace5);
+  int accepted = 0;
+  for (int trial = 0; trial < kCases; ++trial) {
+    std::string bytes = csv;
+    switch (rng.uniform_int(3)) {
+      case 0:  // 1..4 bit flips anywhere
+        for (std::uint64_t f = 0, n = 1 + rng.uniform_int(4); f < n; ++f) {
+          bytes[rng.uniform_int(bytes.size())] ^=
+              static_cast<char>(1u << rng.uniform_int(8));
+        }
+        break;
+      case 1:  // truncate (or keep whole, exercising the accept path)
+        bytes.resize(rng.uniform_int(bytes.size() + 1));
+        break;
+      default: {  // rewrite one numeric field
+        const auto [begin, end] = fields[rng.uniform_int(fields.size())];
+        bytes.replace(begin, end - begin,
+                      kTokens[rng.uniform_int(std::size(kTokens))]);
+        break;
+      }
+    }
+    std::stringstream in(bytes);
+    std::vector<ProbeRound> back;
+    try {
+      back = read_trace_csv(in);
+    } catch (const vkey::Error&) {
+      continue;
+    }
+    ++accepted;
+    for (const ProbeRound& r : back) {
+      ASSERT_FALSE(r.bob_rx.rrssi.empty()) << "trial " << trial;
+      ASSERT_FALSE(r.alice_rx.rrssi.empty()) << "trial " << trial;
+      ASSERT_TRUE(std::isfinite(r.t_round_start)) << "trial " << trial;
+      for (const PacketObservation* o :
+           {&r.bob_rx, &r.alice_rx, &r.eve_rx_alice_tx, &r.eve_rx_bob_tx}) {
+        ASSERT_TRUE(std::isfinite(o->t_start)) << "trial " << trial;
+        for (const double v : o->rrssi) {
+          ASSERT_TRUE(std::isfinite(v)) << "trial " << trial;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);  // the accept path is exercised too
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // this binary (and only this one besides bench_soak) links vkey_alloc_hooks,
 // so operator new/delete report every block here. Kept out of test_common —
 // interposing the global allocator there would turn every other suite's
-// heap noise into accounting noise, and the replacement operators would
-// collide with test_trace_alloc's own counting allocator.
+// heap noise into accounting noise.
 #include "common/alloc_stats.h"
 
 #include <gtest/gtest.h>

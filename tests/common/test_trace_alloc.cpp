@@ -3,42 +3,17 @@
 // The disabled paths are on the pipeline's per-sample hot loop, so they must
 // not touch the heap: with VKEY_METRICS off a timer is a handful of loads;
 // with metrics on but the TraceLog disabled a *named* timer must still skip
-// the name copy and attribute storage entirely. This binary replaces the
-// global allocator with a counting one (which is why these tests live alone:
-// the counter would be noise in any shared binary) and asserts exact zero
-// allocation across construction, attr() calls, and destruction.
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
-#include <new>
+// the name copy and attribute storage entirely. The audit counts through
+// alloc_stats, so it is built into test_alloc_stats — the test binary that
+// links the counting allocator hooks — and asserts exact zero allocation
+// across construction, attr() calls, and destruction.
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_stats.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vkey::trace {
 namespace {
@@ -52,18 +27,18 @@ metrics::Histogram& test_hist() {
 /// Allocations performed by `fn` after a warm-up call (the first run may
 /// lazily initialize statics; steady state is what the hot loop sees).
 template <typename Fn>
-std::size_t allocations_in(Fn&& fn) {
+std::uint64_t allocations_in(Fn&& fn) {
   fn();  // warm up
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const alloc_stats::PhaseScope phase;
   fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return phase.delta().allocations;
 }
 
 TEST(ScopedTimerAlloc, DisabledMetricsPathIsAllocationFree) {
   metrics::Histogram& h = test_hist();
   TraceLog::global().set_enabled(true);  // even with the log on
   metrics::set_enabled(false);
-  const std::size_t n = allocations_in([&h] {
+  const std::uint64_t n = allocations_in([&h] {
     ScopedTimer t(h, "pipeline.reconcile_block");
     t.attr("block", 7).attr("reason", "duplicate");
   });
@@ -77,7 +52,7 @@ TEST(ScopedTimerAlloc, NamedTimerWithTraceLogDisabledIsAllocationFree) {
   metrics::Histogram& h = test_hist();
   ASSERT_TRUE(metrics::enabled());
   ASSERT_FALSE(TraceLog::global().enabled());
-  const std::size_t n = allocations_in([&h] {
+  const std::uint64_t n = allocations_in([&h] {
     ScopedTimer t(h, "pipeline.reconcile_block");
     t.attr("block", 7).attr("reason", "duplicate");
   });
@@ -87,7 +62,7 @@ TEST(ScopedTimerAlloc, NamedTimerWithTraceLogDisabledIsAllocationFree) {
 TEST(ScopedTimerAlloc, UnnamedTimerIsAllocationFreeEvenWhileTracing) {
   metrics::Histogram& h = test_hist();
   TraceLog::global().set_enabled(true);
-  const std::size_t n = allocations_in([&h] { ScopedTimer t(h); });
+  const std::uint64_t n = allocations_in([&h] { ScopedTimer t(h); });
   TraceLog::global().set_enabled(false);
   TraceLog::global().clear();
   EXPECT_EQ(n, 0u);
@@ -98,7 +73,7 @@ TEST(ScopedTimerAlloc, TracingTimerDoesAllocate) {
   // its name into the log, which cannot be free.
   metrics::Histogram& h = test_hist();
   TraceLog::global().set_enabled(true);
-  const std::size_t n = allocations_in([&h] {
+  const std::uint64_t n = allocations_in([&h] {
     ScopedTimer t(h, "a span name comfortably beyond any SSO buffer");
   });
   TraceLog::global().set_enabled(false);

@@ -142,6 +142,18 @@ std::optional<Message> flip_one_field_bit(Message msg, vkey::Rng& rng) {
   return msg;
 }
 
+/// Deliver `msg` the way run_key_agreement routes it (requests and
+/// confirms to Bob, the rest to Alice) and put the reply, then any frame the
+/// party publishes unprompted (Bob's syndrome), back in flight.
+void deliver(const Message& msg, AliceSession& alice, BobSession& bob,
+             std::deque<Message>& wire) {
+  const bool to_bob = msg.type == MessageType::kKeyGenRequest ||
+                      msg.type == MessageType::kKeyConfirm;
+  SessionEndpoint& to = to_bob ? static_cast<SessionEndpoint&>(bob) : alice;
+  if (auto reply = to.handle(msg)) wire.push_back(*reply);
+  if (auto unprompted = to.take_unprompted()) wire.push_back(*unprompted);
+}
+
 class SessionFuzz : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -188,7 +200,6 @@ TEST_F(SessionFuzz, RandomInterleavingsNeverCrashOrDisagree) {
     wire.push_back(alice.start());
     SessionState alice_prev = alice.state();
     SessionState bob_prev = bob.state();
-    bool syndrome_queued = false;
 
     int steps = 0;
     while (!wire.empty() && steps++ < 64) {
@@ -208,19 +219,7 @@ TEST_F(SessionFuzz, RandomInterleavingsNeverCrashOrDisagree) {
         msg = std::move(*corrupted);
       }
 
-      // Route by direction, as run_key_agreement does.
-      std::optional<Message> reply;
-      if (msg.type == MessageType::kKeyGenRequest ||
-          msg.type == MessageType::kKeyConfirm) {
-        reply = bob.handle(msg);
-      } else {
-        reply = alice.handle(msg);
-      }
-      if (reply) wire.push_back(*reply);
-      if (!syndrome_queued && bob.state() == SessionState::kAwaitConfirm) {
-        syndrome_queued = true;
-        wire.push_back(bob.make_syndrome());
-      }
+      deliver(msg, alice, bob, wire);
 
       // Monotonicity: states only move forward; terminal states are sticky.
       ASSERT_GE(rank(alice.state()), rank(alice_prev)) << "trial " << trial;
@@ -270,7 +269,6 @@ TEST_F(SessionFuzz, WireRejectedFramesLeaveNoPayloadResidueInSessionState) {
 
   std::deque<Message> wire_q;
   wire_q.push_back(alice.start());
-  bool syndrome_queued = false;
   int steps = 0;
   std::size_t rejected_mutations = 0;
   while (!wire_q.empty() && steps++ < 64) {
@@ -320,18 +318,7 @@ TEST_F(SessionFuzz, WireRejectedFramesLeaveNoPayloadResidueInSessionState) {
     ASSERT_EQ(bob_rec.size(), b_events);
 
     // Now deliver the genuine frame and keep the handshake moving.
-    std::optional<Message> reply;
-    if (msg.type == MessageType::kKeyGenRequest ||
-        msg.type == MessageType::kKeyConfirm) {
-      reply = bob.handle(msg);
-    } else {
-      reply = alice.handle(msg);
-    }
-    if (reply) wire_q.push_back(*reply);
-    if (!syndrome_queued && bob.state() == SessionState::kAwaitConfirm) {
-      syndrome_queued = true;
-      wire_q.push_back(bob.make_syndrome());
-    }
+    deliver(msg, alice, bob, wire_q);
   }
 
   EXPECT_GT(rejected_mutations, 100u);
@@ -367,7 +354,6 @@ TEST_F(SessionFuzz, FailedFuzzedSessionDumpsTimelineNamingTheInjectedFault) {
 
     std::deque<Message> wire;
     wire.push_back(alice.start());
-    bool syndrome_queued = false;
     bool injected = false;
 
     int steps = 0;
@@ -386,18 +372,7 @@ TEST_F(SessionFuzz, FailedFuzzedSessionDumpsTimelineNamingTheInjectedFault) {
         msg = std::move(*corrupted);
       }
 
-      std::optional<Message> reply;
-      if (msg.type == MessageType::kKeyGenRequest ||
-          msg.type == MessageType::kKeyConfirm) {
-        reply = bob.handle(msg);
-      } else {
-        reply = alice.handle(msg);
-      }
-      if (reply) wire.push_back(*reply);
-      if (!syndrome_queued && bob.state() == SessionState::kAwaitConfirm) {
-        syndrome_queued = true;
-        wire.push_back(bob.make_syndrome());
-      }
+      deliver(msg, alice, bob, wire);
     }
 
     const bool failed = alice.state() == SessionState::kFailed ||

@@ -299,7 +299,6 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
     BobSession bob;
     ReliableTransport alice_tx;
     ReliableTransport bob_tx;
-    bool syndrome_sent = false;
 
     Pair(SimClock& clk, std::uint64_t id,
          const core::AutoencoderReconciler& rec, BitVec alice_raw,
@@ -307,16 +306,10 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
         : link(clk, base, dup_faults(id), fast_radio()),
           alice(scfg, rec, std::move(alice_raw)),
           bob(scfg, rec, std::move(bob_raw)),
-          alice_tx(clk, arq_for(2 * id),
-                   [this](const Message& m) {
-                     link.send(UnreliableChannel::Endpoint::kAlice, m);
-                   },
-                   rtt()),
-          bob_tx(clk, arq_for(2 * id + 1),
-                 [this](const Message& m) {
-                   link.send(UnreliableChannel::Endpoint::kBob, m);
-                 },
-                 rtt()) {}
+          alice_tx(clk, arq_for(2 * id), link,
+                   UnreliableChannel::Endpoint::kAlice, alice),
+          bob_tx(clk, arq_for(2 * id + 1), link,
+                 UnreliableChannel::Endpoint::kBob, bob) {}
 
     static FaultConfig dup_faults(std::uint64_t id) {
       FaultConfig f;
@@ -329,38 +322,6 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
       ArqConfig a;
       a.seed = hash_combine64(0x50c, id);
       return a;
-    }
-    ReliableTransport::RttFn rtt() {
-      Message ack;
-      ack.type = MessageType::kAck;
-      return [this, ack_ms = link.nominal_latency_ms(ack)](const Message& m) {
-        return link.nominal_latency_ms(m) + ack_ms;
-      };
-    }
-
-    void wire(SimClock& clk) {
-      const auto accepts = [](const RejectReason r) {
-        return r == RejectReason::kNone || r == RejectReason::kDuplicate;
-      };
-      alice_tx.set_upcall(
-          [this](const Message& m) { return alice.handle(m); },
-          [this, accepts] { return accepts(alice.last_reject()); });
-      bob_tx.set_upcall(
-          [this, &clk](const Message& m) {
-            auto response = bob.handle(m);
-            if (!syndrome_sent && bob.state() == SessionState::kAwaitConfirm) {
-              syndrome_sent = true;
-              clk.schedule(0.0, [this, syndrome = bob.make_syndrome()] {
-                bob_tx.send(syndrome);
-              });
-            }
-            return response;
-          },
-          [this, accepts] { return accepts(bob.last_reject()); });
-      link.set_handler(UnreliableChannel::Endpoint::kAlice,
-                       [this](const Message& m) { alice_tx.on_wire(m); });
-      link.set_handler(UnreliableChannel::Endpoint::kBob,
-                       [this](const Message& m) { bob_tx.on_wire(m); });
     }
 
     bool established() const {
@@ -377,8 +338,6 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
   scfg1.session_id = 33;
   Pair p0(clock, 0, *reconciler_, with_flips(kb0, 2, 910), kb0, scfg0);
   Pair p1(clock, 1, *reconciler_, with_flips(kb1, 2, 911), kb1, scfg1);
-  p0.wire(clock);
-  p1.wire(clock);
 
   // Stagger the starts so the two exchanges interleave mid-flight on the
   // shared timeline instead of running in lockstep.

@@ -72,20 +72,15 @@ TEST(SimClock, RunUntilAdvancesClockEvenWhenIdle) {
 // ------------------------------------------------------------- backoff maths
 
 TEST(ArqBackoff, DelaysRespectBaseCapAndExponentialCeiling) {
-  ArqConfig cfg;
-  cfg.base_backoff_ms = 50.0;
-  cfg.max_backoff_ms = 2000.0;
-  cfg.backoff_factor = 2.0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     vkey::Rng rng(seed);
     for (std::size_t attempt = 0; attempt < 12; ++attempt) {
-      const double d = arq_backoff_delay_ms(cfg, attempt, rng);
+      const double d = arq_backoff_delay_ms(attempt, rng);
       const double ceiling =
-          std::min(cfg.max_backoff_ms,
-                   cfg.base_backoff_ms *
-                       std::pow(cfg.backoff_factor,
-                                static_cast<double>(attempt)));
-      EXPECT_GE(d, cfg.base_backoff_ms)
+          std::min(kMaxBackoffMs,
+                   kBaseBackoffMs * std::pow(kBackoffFactor,
+                                             static_cast<double>(attempt)));
+      EXPECT_GE(d, kBaseBackoffMs)
           << "attempt " << attempt << " seed " << seed;
       EXPECT_LE(d, ceiling) << "attempt " << attempt << " seed " << seed;
     }
@@ -93,30 +88,24 @@ TEST(ArqBackoff, DelaysRespectBaseCapAndExponentialCeiling) {
 }
 
 TEST(ArqBackoff, FirstAttemptIsExactlyBase) {
-  ArqConfig cfg;
-  cfg.base_backoff_ms = 123.0;
   vkey::Rng rng(9);
-  EXPECT_DOUBLE_EQ(arq_backoff_delay_ms(cfg, 0, rng), 123.0);
+  EXPECT_DOUBLE_EQ(arq_backoff_delay_ms(0, rng), kBaseBackoffMs);
 }
 
 TEST(ArqBackoff, DeterministicUnderFixedSeed) {
-  ArqConfig cfg;
   vkey::Rng a(77), b(77);
   for (std::size_t attempt = 0; attempt < 10; ++attempt) {
-    EXPECT_DOUBLE_EQ(arq_backoff_delay_ms(cfg, attempt, a),
-                     arq_backoff_delay_ms(cfg, attempt, b));
+    EXPECT_DOUBLE_EQ(arq_backoff_delay_ms(attempt, a),
+                     arq_backoff_delay_ms(attempt, b));
   }
 }
 
 TEST(ArqBackoff, JitterActuallySpreadsDelays) {
   // Decorrelated jitter: at a high attempt index the interval
   // [base, cap] is wide, so distinct draws must not collapse to one value.
-  ArqConfig cfg;
-  cfg.base_backoff_ms = 100.0;
-  cfg.max_backoff_ms = 6400.0;
   vkey::Rng rng(5);
   std::vector<double> draws;
-  for (int i = 0; i < 16; ++i) draws.push_back(arq_backoff_delay_ms(cfg, 8, rng));
+  for (int i = 0; i < 16; ++i) draws.push_back(arq_backoff_delay_ms(8, rng));
   std::sort(draws.begin(), draws.end());
   EXPECT_GT(draws.back() - draws.front(), 500.0);
 }
@@ -426,7 +415,6 @@ TEST_F(ReliabilityTest, RecoversWithFreshSessionAfterTamperedAttempt) {
 
 TEST_F(ReliabilityTest, ReportsRetryExhaustionOnHopelessLink) {
   ReliabilityConfig cfg = config_for(0.95, 9);
-  cfg.arq.max_retries = 2;
   cfg.max_session_attempts = 2;
   PublicChannel base;
   const auto report =

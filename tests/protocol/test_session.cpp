@@ -132,7 +132,26 @@ TEST_F(SessionTest, SyndromeRequiresAcceptedSession) {
   const BitVec k = random_key(8);
   SessionConfig cfg;
   BobSession bob(cfg, *reconciler_, k);
-  EXPECT_THROW(bob.make_syndrome(), vkey::Error);
+  EXPECT_FALSE(bob.take_unprompted().has_value());
+
+  Message req;
+  req.type = MessageType::kKeyGenRequest;
+  req.session_id = cfg.session_id;
+  req.nonce = 5;
+  const auto accept = bob.handle(req);
+  ASSERT_TRUE(accept.has_value());
+  // Accepting queues exactly one syndrome, numbered right after the accept.
+  const auto syndrome = bob.take_unprompted();
+  ASSERT_TRUE(syndrome.has_value());
+  EXPECT_EQ(syndrome->type, MessageType::kSyndrome);
+  EXPECT_EQ(syndrome->nonce, accept->nonce + 1);
+  EXPECT_FALSE(syndrome->mac.empty());
+  EXPECT_FALSE(bob.take_unprompted().has_value());
+
+  // A retransmitted request re-elicits the accept, not a second syndrome.
+  EXPECT_TRUE(bob.handle(req).has_value());
+  EXPECT_EQ(bob.last_reject(), RejectReason::kDuplicate);
+  EXPECT_FALSE(bob.take_unprompted().has_value());
 }
 
 TEST_F(SessionTest, FinalKeyBeforeEstablishmentThrows) {

@@ -47,17 +47,17 @@ bounded-reader
     raw byte access.
 
 sim-clock-owner
-    No private `SimClock` construction in the protocol layer
-    (`src/protocol/`) outside the gateway scheduler. The gateway engine is
-    the clock authority: it owns THE shared lifecycle timeline and
-    constructs the per-session sub-clocks it hands to
-    `run_reliable_key_agreement_on` (DESIGN.md "Gateway engine"). A layer
+    No `SimClock` construction in the protocol layer (`src/protocol/`)
+    outside its two owners. The gateway engine owns THE shared lifecycle
+    timeline (`gateway.h`), and the reliability supervisor
+    `run_reliable_key_agreement` mints the private sub-clock of each key
+    agreement (`reliability.cpp`, an inline
+    `// vkey-lint: allow(sim-clock-owner)` suppression; DESIGN.md "Gateway
+    engine"). Everything else takes a `SimClock&` from its caller. A layer
     that quietly news up its own clock forks the timeline — its events can
     never interleave with the rest of the gateway, which is exactly the
-    multi-session bug the shared queue exists to prevent. The
-    single-session convenience wrapper in `reliability.cpp` carries an
-    inline `// vkey-lint: allow(sim-clock-owner)` suppression. Tests,
-    benches and examples construct clocks freely.
+    multi-session bug the shared queue exists to prevent. Tests, benches
+    and examples construct clocks freely.
 
 no-raw-memcmp-on-secrets
     No `memcmp` in the key-lifecycle layers (`src/crypto/`, `src/protocol/`).
@@ -125,12 +125,6 @@ ALLOWLIST = {
             "lifecycle timeline every session's events interleave on"
         ),
     },
-    "src/protocol/gateway.cpp": {
-        "sim-clock-owner": (
-            "the gateway scheduler constructs the dedicated per-session "
-            "sub-clocks it hands to run_reliable_key_agreement_on"
-        ),
-    },
     "src/crypto/secret_buffer.cpp": {
         "no-raw-memcmp-on-secrets": (
             "the zeroizing container is the single sanctioned comparison "
@@ -180,8 +174,9 @@ BOUNDED_READER_PATTERNS = [
 BOUNDED_READER_SCOPE = "src/protocol/"
 
 # SimClock construction (by value, new, or make_unique/make_shared) in
-# protocol code: only the gateway scheduler may mint timelines. References
-# and parameters (`SimClock&`) pass an existing clock and are fine.
+# protocol code: only the gateway engine and the reliability supervisor may
+# mint timelines. References and parameters (`SimClock&`) pass an existing
+# clock and are fine.
 SIM_CLOCK_OWNER_PATTERNS = [
     re.compile(r"(?<![\w:])SimClock\s+\w+\s*[;{(=]"),
     re.compile(r"(?<![\w:])new\s+SimClock\b"),
@@ -311,8 +306,9 @@ def scan_file(path, rel, explain):
                     check("sim-clock-owner", i, raw,
                           "private SimClock construction in protocol code; "
                           "the gateway engine owns the shared timeline and "
-                          "mints per-session sub-clocks — take a SimClock& "
-                          "from the caller instead")
+                          "the reliability supervisor each agreement's "
+                          "sub-clock — take a SimClock& from the caller "
+                          "instead")
                     break
         if IOSTREAM_PATTERN.search(code):
             check("iostream-in-lib", i, raw,
