@@ -13,7 +13,7 @@
 //   --train-rounds N       probe rounds used for training   default 600
 //   --test-rounds N        probe rounds used for evaluation default 400
 //   --hidden N             BiLSTM hidden units              default 32
-//   --epochs N             predictor training epochs        default 40
+//   --epochs N             predictor training epochs (>= 1) default 40
 //   --decoder-units N      reconciler decoder width         default 64
 //   --seed N               simulation seed                  default 1
 //   --no-prediction        ablate the BiLSTM (direct quantization)
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     else if (arg == "--train-rounds") train_rounds = static_cast<std::size_t>(next_u64());
     else if (arg == "--test-rounds") test_rounds = static_cast<std::size_t>(next_u64());
     else if (arg == "--hidden") cfg.predictor.hidden = static_cast<std::size_t>(next_u64());
-    else if (arg == "--epochs") cfg.predictor_epochs = static_cast<std::size_t>(next_u64());
+    else if (arg == "--epochs") { cfg.predictor_epochs = static_cast<std::size_t>(next_u64()); if (cfg.predictor_epochs == 0) usage(argv[0]); }
     else if (arg == "--decoder-units") cfg.reconciler.decoder_units = static_cast<std::size_t>(next_u64());
     else if (arg == "--seed") cfg.trace.seed = next_u64();
     else if (arg == "--no-prediction") cfg.use_prediction = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/error.h"
 #include "nn/activations.h"
@@ -35,6 +36,7 @@ PredictorQuantizer::PredictorQuantizer(const PredictorConfig& config)
   VKEY_REQUIRE(config.hidden >= 2, "hidden size too small");
   VKEY_REQUIRE(config.theta >= 0.0 && config.theta <= 1.0,
                "theta must be in [0,1]");
+  VKEY_REQUIRE(config.batch_size >= 1, "batch size must be >= 1");
   if (config.quantized) set_quantized(true);
 }
 
@@ -51,55 +53,29 @@ std::vector<nn::Parameter*> PredictorQuantizer::parameters() {
   return p;
 }
 
-double PredictorQuantizer::train_one(const TrainingSample& s) {
-  VKEY_REQUIRE(s.alice_seq.size() == cfg_.seq_len, "sample seq_len mismatch");
-  VKEY_REQUIRE(s.bob_seq.size() == cfg_.seq_len, "sample target mismatch");
-  VKEY_REQUIRE(s.bob_bits.size() == cfg_.key_bits,
-               "sample bits width mismatch");
-
-  // Forward.
-  const nn::Seq h = bilstm_.forward(to_seq(s.alice_seq, cfg_.phase_period));
-  nn::Vec flat;
-  flat.reserve(cfg_.seq_len * 2 * cfg_.hidden);
-  for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
-  const nn::Vec y_hat = pred_head_.forward(flat);
-  const nn::Vec logits = quant_head_.forward(y_hat);
-
-  // Joint loss.
-  const auto mse = nn::mse_loss(y_hat, s.bob_seq);
-  const auto bce = nn::bce_with_logits(logits, s.bob_bits.to_doubles());
-  const double loss = cfg_.theta * mse.loss + (1.0 - cfg_.theta) * bce.loss;
-
-  // Backward: BCE through the quantization head into y_hat, plus the MSE
-  // gradient directly on y_hat.
-  nn::Vec dlogits(bce.grad.size());
-  for (std::size_t i = 0; i < dlogits.size(); ++i) {
-    dlogits[i] = (1.0 - cfg_.theta) * bce.grad[i];
-  }
-  nn::Vec dy = quant_head_.backward(dlogits);
-  for (std::size_t i = 0; i < dy.size(); ++i) {
-    dy[i] += cfg_.theta * mse.grad[i];
-  }
-  const nn::Vec dflat = pred_head_.backward(dy);
-
-  nn::Seq dh(cfg_.seq_len, nn::Vec(2 * cfg_.hidden));
-  for (std::size_t t = 0; t < cfg_.seq_len; ++t) {
-    std::copy(dflat.begin() + static_cast<std::ptrdiff_t>(t * 2 * cfg_.hidden),
-              dflat.begin() +
-                  static_cast<std::ptrdiff_t>((t + 1) * 2 * cfg_.hidden),
-              dh[t].begin());
-  }
-  bilstm_.backward(dh);
-  return loss;
-}
-
 TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
                                       std::size_t epochs) {
   VKEY_REQUIRE(!samples.empty(), "no training samples");
+  VKEY_REQUIRE(epochs >= 1, "need at least one training epoch");
+  for (const TrainingSample& s : samples) {
+    VKEY_REQUIRE(s.alice_seq.size() == cfg_.seq_len,
+                 "sample seq_len mismatch");
+    VKEY_REQUIRE(s.bob_seq.size() == cfg_.seq_len, "sample target mismatch");
+    VKEY_REQUIRE(s.bob_bits.size() == cfg_.key_bits,
+                 "sample bits width mismatch");
+  }
   nn::Adam opt(parameters(), cfg_.learning_rate);
 
   std::vector<std::size_t> order(samples.size());
   std::iota(order.begin(), order.end(), 0);
+
+  // One mini-batch's state, reused across batches: every member's forward
+  // activations, then the gradients flowing back layer by layer.
+  const std::size_t batch = std::min(cfg_.batch_size, samples.size());
+  std::vector<nn::BiLstm::Cache> lstm_caches(batch);
+  std::vector<nn::Dense::Cache> pred_caches(batch), quant_caches(batch);
+  std::vector<nn::Vec> dlogits(batch), mse_grads(batch);
+  const std::size_t width = 2 * cfg_.hidden;
 
   TrainReport report;
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -109,15 +85,55 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
                 order[static_cast<std::size_t>(rng_.uniform_int(i))]);
     }
     double epoch_loss = 0.0;
-    std::size_t in_batch = 0;
-    for (std::size_t idx : order) {
-      epoch_loss += train_one(samples[idx]);
-      if (++in_batch == cfg_.batch_size) {
-        opt.step(in_batch);
-        in_batch = 0;
+    for (std::size_t start = 0; start < order.size(); start += batch) {
+      const std::size_t bs = std::min(batch, order.size() - start);
+      // Forward every member; the loss sums in member order.
+      for (std::size_t m = 0; m < bs; ++m) {
+        const TrainingSample& s = samples[order[start + m]];
+        const nn::Seq h = bilstm_.forward(
+            to_seq(s.alice_seq, cfg_.phase_period), lstm_caches[m]);
+        nn::Vec flat;
+        flat.reserve(cfg_.seq_len * width);
+        for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
+        const nn::Vec y_hat = pred_head_.forward(flat, pred_caches[m]);
+        const nn::Vec logits = quant_head_.forward(y_hat, quant_caches[m]);
+
+        // Joint loss.
+        auto mse = nn::mse_loss(y_hat, s.bob_seq);
+        const auto bce = nn::bce_with_logits(logits, s.bob_bits.to_doubles());
+        epoch_loss += cfg_.theta * mse.loss + (1.0 - cfg_.theta) * bce.loss;
+        dlogits[m].resize(bce.grad.size());
+        for (std::size_t i = 0; i < bce.grad.size(); ++i) {
+          dlogits[m][i] = (1.0 - cfg_.theta) * bce.grad[i];
+        }
+        mse_grads[m] = std::move(mse.grad);
       }
+
+      // Backward: BCE through the quantization head into y_hat, plus the
+      // MSE gradient directly on y_hat, then the prediction head and the
+      // BiLSTM, each member's gradients added in member order.
+      std::vector<nn::Vec> dy = quant_head_.backward_batch(
+          std::span(quant_caches).first(bs), std::span(dlogits).first(bs),
+          true);
+      for (std::size_t m = 0; m < bs; ++m) {
+        for (std::size_t i = 0; i < dy[m].size(); ++i) {
+          dy[m][i] += cfg_.theta * mse_grads[m][i];
+        }
+      }
+      const std::vector<nn::Vec> dflat =
+          pred_head_.backward_batch(std::span(pred_caches).first(bs), dy, true);
+      nn::Seq dh(cfg_.seq_len, nn::Vec(width));
+      for (std::size_t m = 0; m < bs; ++m) {
+        for (std::size_t t = 0; t < cfg_.seq_len; ++t) {
+          const auto from =
+              dflat[m].begin() + static_cast<std::ptrdiff_t>(t * width);
+          std::copy(from, from + static_cast<std::ptrdiff_t>(width),
+                    dh[t].begin());
+        }
+        bilstm_.backward(lstm_caches[m], dh);
+      }
+      opt.step(bs);
     }
-    if (in_batch > 0) opt.step(in_batch);
     report.epoch_loss.push_back(epoch_loss /
                                 static_cast<double>(samples.size()));
   }

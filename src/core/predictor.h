@@ -32,7 +32,7 @@ struct PredictorConfig {
   std::size_t key_bits = 64;  ///< quantization head width (paper value)
   double theta = 0.9;         ///< joint-loss weight (paper value)
   double learning_rate = 2e-3;
-  std::size_t batch_size = 16;
+  std::size_t batch_size = 16;  ///< >= 1
   /// Period of the phase input feature. Mirrored reciprocal-zone pairing
   /// (see dataset.h) gives stream index j a lag of (2*(j mod k)+1) windows;
   /// feeding the phase j mod k lets the BiLSTM learn per-lag compensation.
@@ -56,7 +56,11 @@ class PredictorQuantizer {
 
   const PredictorConfig& config() const { return cfg_; }
 
-  /// Train for `epochs` epochs over the samples (Adam, mini-batches).
+  /// Train for `epochs` (>= 1) epochs over the samples: Adam over
+  /// batch_size mini-batches of a per-epoch shuffle. Each batch forwards
+  /// every member, then runs backward layer by layer (Dense::backward_batch,
+  /// then each member's BiLSTM BPTT), adding every member's gradients in
+  /// member order — the same sums, bit for bit, as one sample at a time.
   TrainReport train(std::span<const TrainingSample> samples,
                     std::size_t epochs);
 
@@ -87,8 +91,6 @@ class PredictorQuantizer {
   double evaluate_loss(std::span<const TrainingSample> samples) const;
 
  private:
-  double train_one(const TrainingSample& s);  ///< fwd+bwd, returns loss
-
   PredictorConfig cfg_;
   vkey::Rng rng_;
   nn::BiLstm bilstm_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
@@ -23,6 +24,7 @@ AutoencoderReconciler::AutoencoderReconciler(const ReconcilerConfig& config)
   VKEY_REQUIRE(config.key_bits >= 8, "key too short");
   VKEY_REQUIRE(config.code_dim >= 2, "code dimension too small");
   VKEY_REQUIRE(config.decoder_layers >= 1, "need at least one decoder layer");
+  VKEY_REQUIRE(config.batch_size >= 1, "batch size must be >= 1");
   VKEY_REQUIRE(config.train_ber_lo >= 0.0 &&
                    config.train_ber_hi <= 0.5 &&
                    config.train_ber_lo <= config.train_ber_hi,
@@ -55,88 +57,6 @@ std::vector<nn::Parameter*> AutoencoderReconciler::parameters() {
   return p;
 }
 
-/// One sample's gradient, held apart from the shared parameters so a batch
-/// can fan out across worker lanes; sized lazily to the layers that are
-/// actually trainable under the current config.
-struct AutoencoderReconciler::GradSink {
-  nn::Vec f1_w, f1_b;
-  nn::Vec f2_w, f2_b;
-  std::vector<nn::Dense::Cache> decoder_caches;
-  std::vector<nn::Vec> dec_w, dec_b;
-
-  void reset(const AutoencoderReconciler& r) {
-    const bool train_encoder = !r.cfg_.freeze_encoder;
-    auto zero = [](nn::Vec& v, std::size_t n) { v.assign(n, 0.0); };
-    if (train_encoder) {
-      zero(f1_w, r.f1_.weights().value.size());
-      zero(f1_b, r.f1_.bias().value.size());
-      if (!r.cfg_.tie_encoders) {
-        zero(f2_w, r.f2_.weights().value.size());
-        zero(f2_b, r.f2_.bias().value.size());
-      }
-    }
-    decoder_caches.resize(r.decoder_.size());
-    dec_w.resize(r.decoder_.size());
-    dec_b.resize(r.decoder_.size());
-    for (std::size_t l = 0; l < r.decoder_.size(); ++l) {
-      zero(dec_w[l], r.decoder_[l].weights().value.size());
-      zero(dec_b[l], r.decoder_[l].bias().value.size());
-    }
-  }
-};
-
-double AutoencoderReconciler::train_one_into(const BitVec& key_bob,
-                                             const BitVec& key_alice,
-                                             GradSink& sink) const {
-  const BitVec kb = bloom_.apply(key_bob);
-  const BitVec ka = bloom_.apply(key_alice);
-  const BitVec e = kb ^ ka;
-  const bool train_encoder = !cfg_.freeze_encoder;
-
-  nn::Vec h(cfg_.code_dim);
-  nn::Dense::Cache f1_cache, f2_cache;
-  if (cfg_.tie_encoders) {
-    // Tied linear encoders: h = f(K'_B) - f(K'_A) = W (K'_B - K'_A); the
-    // bias cancels, so training on the difference vector is exactly the
-    // weight-shared gradient (g x kb - g x ka = g x diff).
-    const auto db = kb.to_doubles();
-    const auto da = ka.to_doubles();
-    nn::Vec diff(db.size());
-    for (std::size_t i = 0; i < diff.size(); ++i) diff[i] = db[i] - da[i];
-    h = f1_.forward(diff, f1_cache);
-  } else {
-    const nn::Vec yb = f1_.forward(kb.to_doubles(), f1_cache);
-    const nn::Vec ya = f2_.forward(ka.to_doubles(), f2_cache);
-    for (std::size_t i = 0; i < h.size(); ++i) h[i] = yb[i] - ya[i];
-  }
-
-  nn::Vec x = h;
-  for (std::size_t l = 0; l < decoder_.size(); ++l) {
-    x = decoder_[l].forward(x, sink.decoder_caches[l]);
-  }
-
-  const auto bce = nn::bce_with_logits(x, e.to_doubles());
-
-  // Backward through the decoder stack.
-  nn::Vec g = bce.grad;
-  for (std::size_t l = decoder_.size(); l-- > 0;) {
-    g = decoder_[l].backward(sink.decoder_caches[l], g, sink.dec_w[l],
-                             sink.dec_b[l]);
-  }
-  if (train_encoder) {
-    if (cfg_.tie_encoders) {
-      f1_.backward(f1_cache, g, sink.f1_w, sink.f1_b);
-    } else {
-      // h = yb - ya: gradient splits with opposite signs.
-      f1_.backward(f1_cache, g, sink.f1_w, sink.f1_b);
-      nn::Vec neg(g.size());
-      for (std::size_t i = 0; i < g.size(); ++i) neg[i] = -g[i];
-      f2_.backward(f2_cache, neg, sink.f2_w, sink.f2_b);
-    }
-  }
-  return bce.loss;
-}
-
 double AutoencoderReconciler::train(std::size_t num_samples,
                                     std::size_t epochs) {
   VKEY_REQUIRE(num_samples >= 1 && epochs >= 1, "nothing to train on");
@@ -163,13 +83,46 @@ double AutoencoderReconciler::train(std::size_t num_samples,
       },
       cfg_.threads);
 
-  // Batched forward/backward: the samples of one mini-batch fan out, each
-  // writing its loss and gradient into a private per-slot sink; the fold
-  // into the shared parameter gradients below is strictly in sample order,
-  // so the non-associative double sums match the sequential reference.
-  const std::size_t batch = cfg_.batch_size;
-  std::vector<GradSink> sinks(std::min(batch, pairs.size()));
-  std::vector<double> losses(sinks.size());
+  // One mini-batch's state, reused across batches: every member's forward
+  // activations per layer, its loss and its dL/dlogits.
+  const std::size_t batch = std::min(cfg_.batch_size, pairs.size());
+  const bool train_encoder = !cfg_.freeze_encoder;
+  std::vector<nn::Dense::Cache> f1_caches(batch), f2_caches(batch);
+  std::vector<std::vector<nn::Dense::Cache>> dec_caches(
+      decoder_.size(), std::vector<nn::Dense::Cache>(batch));
+  std::vector<nn::Vec> grads(batch);
+  std::vector<double> losses(batch);
+
+  // Member j's forward pass. Members are independent, so they fan out over
+  // the lanes; each writes only its own slots.
+  auto forward = [&](std::size_t j, const BitVec& key_bob,
+                     const BitVec& key_alice) {
+    const BitVec kb = bloom_.apply(key_bob);
+    const BitVec ka = bloom_.apply(key_alice);
+    const BitVec e = kb ^ ka;
+    nn::Vec h(cfg_.code_dim);
+    if (cfg_.tie_encoders) {
+      // Tied linear encoders: h = f(K'_B) - f(K'_A) = W (K'_B - K'_A); the
+      // bias cancels, so training on the difference vector is exactly the
+      // weight-shared gradient (g x kb - g x ka = g x diff).
+      const auto db = kb.to_doubles();
+      const auto da = ka.to_doubles();
+      nn::Vec diff(db.size());
+      for (std::size_t i = 0; i < diff.size(); ++i) diff[i] = db[i] - da[i];
+      h = f1_.forward(diff, f1_caches[j]);
+    } else {
+      const nn::Vec yb = f1_.forward(kb.to_doubles(), f1_caches[j]);
+      const nn::Vec ya = f2_.forward(ka.to_doubles(), f2_caches[j]);
+      for (std::size_t i = 0; i < h.size(); ++i) h[i] = yb[i] - ya[i];
+    }
+    nn::Vec x = h;
+    for (std::size_t l = 0; l < decoder_.size(); ++l) {
+      x = decoder_[l].forward(x, dec_caches[l][j]);
+    }
+    auto bce = nn::bce_with_logits(x, e.to_doubles());
+    losses[j] = bce.loss;
+    grads[j] = std::move(bce.grad);
+  };
 
   double last_epoch_loss = 0.0;
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -185,38 +138,34 @@ double AutoencoderReconciler::train(std::size_t num_samples,
       parallel::parallel_for(
           bs,
           [&](std::size_t j) {
-            sinks[j].reset(*this);
-            losses[j] = train_one_into(pairs[start + j].first,
-                                       pairs[start + j].second, sinks[j]);
+            forward(j, pairs[start + j].first, pairs[start + j].second);
           },
           cfg_.threads);
-      for (std::size_t j = 0; j < bs; ++j) {
-        epoch_loss += losses[j];
-        fold_sink(sinks[j]);
+      for (std::size_t j = 0; j < bs; ++j) epoch_loss += losses[j];
+
+      // Backward layer by layer; each layer adds its members' gradients in
+      // member order, so the double sums do not depend on the lane count.
+      std::vector<nn::Vec> g(grads.begin(),
+                             grads.begin() + static_cast<std::ptrdiff_t>(bs));
+      for (std::size_t l = decoder_.size(); l-- > 0;) {
+        g = decoder_[l].backward_batch(std::span(dec_caches[l]).first(bs), g,
+                                       l > 0 || train_encoder);
+      }
+      if (train_encoder) {
+        f1_.backward_batch(std::span(f1_caches).first(bs), g, false);
+        if (!cfg_.tie_encoders) {
+          // h = yb - ya: the gradient splits with opposite signs.
+          for (nn::Vec& gj : g) {
+            for (double& v : gj) v = -v;
+          }
+          f2_.backward_batch(std::span(f2_caches).first(bs), g, false);
+        }
       }
       opt.step(bs);
     }
     last_epoch_loss = epoch_loss / static_cast<double>(pairs.size());
   }
   return last_epoch_loss;
-}
-
-void AutoencoderReconciler::fold_sink(const GradSink& sink) {
-  auto add = [](nn::Vec& dst, const nn::Vec& src) {
-    for (std::size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
-  };
-  if (!cfg_.freeze_encoder) {
-    add(f1_.weights_grad(), sink.f1_w);
-    add(f1_.bias_grad(), sink.f1_b);
-    if (!cfg_.tie_encoders) {
-      add(f2_.weights_grad(), sink.f2_w);
-      add(f2_.bias_grad(), sink.f2_b);
-    }
-  }
-  for (std::size_t l = 0; l < decoder_.size(); ++l) {
-    add(decoder_[l].weights_grad(), sink.dec_w[l]);
-    add(decoder_[l].bias_grad(), sink.dec_b[l]);
-  }
 }
 
 std::vector<double> AutoencoderReconciler::encode_bob(

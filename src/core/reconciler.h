@@ -33,7 +33,7 @@ struct ReconcilerConfig {
   std::size_t decoder_units = 64;///< hidden width of the 3 decoder layers
   std::size_t decoder_layers = 3;
   double learning_rate = 2e-3;
-  std::size_t batch_size = 32;
+  std::size_t batch_size = 32;  ///< >= 1
   /// Bit-disagreement rates sampled during training (uniform over range).
   double train_ber_lo = 0.0;
   double train_ber_hi = 0.20;
@@ -59,12 +59,13 @@ struct ReconcilerConfig {
   std::size_t max_decode_iterations = 40;
   std::uint64_t seed = 11;
   std::uint64_t session_seed = 0x5e551011;  ///< Bloom parameters
-  /// Worker lanes for training (synthetic-pair generation and the batched
-  /// forward/backward). 0 = process default. Training is bit-reproducible
-  /// for every value: each synthetic pair draws from its own
-  /// hash_combine64(seed, index)-derived stream and per-sample gradients
-  /// are reduced in sample order (see DESIGN.md "Parallel execution &
-  /// determinism contract").
+  /// Worker lanes for training (synthetic-pair generation and each
+  /// mini-batch's member forward passes). 0 = process default. Training is
+  /// bit-reproducible for every value: each synthetic pair draws from its
+  /// own hash_combine64(seed, index)-derived stream, members' forward
+  /// passes are independent, and the backward runs on the calling lane,
+  /// adding every member's gradients in member order (see DESIGN.md
+  /// "Parallel execution & determinism contract").
   std::size_t threads = 0;
 };
 
@@ -74,8 +75,10 @@ class AutoencoderReconciler {
 
   const ReconcilerConfig& config() const { return cfg_; }
 
-  /// Train on `num_samples` synthetic key pairs for `epochs` epochs.
-  /// Returns the final mean training loss.
+  /// Train on `num_samples` synthetic key pairs for `epochs` epochs (Adam
+  /// over batch_size mini-batches: forward every member, then
+  /// Dense::backward_batch layer by layer). Returns the final mean
+  /// training loss.
   double train(std::size_t num_samples, std::size_t epochs);
 
   /// Bob's side: Bloom-map the key and encode; the returned vector is the
@@ -114,15 +117,6 @@ class AutoencoderReconciler {
   std::vector<nn::Parameter*> parameters();
 
  private:
-  /// Per-sample gradient sink for the batched-parallel training path: one
-  /// worker computes a sample's full gradient into its own sink; the
-  /// training loop then folds the sinks into the shared parameters in
-  /// sample order so the sum is independent of the schedule.
-  struct GradSink;
-  double train_one_into(const BitVec& key_bob, const BitVec& key_alice,
-                        GradSink& sink) const;
-  void fold_sink(const GradSink& sink);
-
   ReconcilerConfig cfg_;
   vkey::Rng rng_;
   PositionPreservingBloom bloom_;

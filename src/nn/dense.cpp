@@ -92,12 +92,6 @@ Vec Dense::activate(const Vec& z) const {
   throw vkey::Error("unknown activation");
 }
 
-Vec Dense::forward(const Vec& x) {
-  last_x_ = x;
-  last_y_ = activate(affine(x, /*quantized=*/false));
-  return last_y_;
-}
-
 Vec Dense::forward(const Vec& x, Cache& cache) const {
   cache.x = x;
   cache.y = activate(affine(x, /*quantized=*/false));
@@ -141,52 +135,59 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
   return ys;
 }
 
-Vec Dense::backward_impl(const Vec& x, const Vec& y, const Vec& grad_out,
-                         Vec& grad_w, Vec& grad_b) const {
-  VKEY_REQUIRE(grad_out.size() == out_, "Dense grad size mismatch");
-  VKEY_REQUIRE(x.size() == in_, "Dense backward before forward");
-
-  // Fold the activation derivative into the output gradient.
-  Vec dz = grad_out;
-  switch (act_) {
-    case Activation::kNone:
-      break;
-    case Activation::kSigmoid:
-      for (std::size_t o = 0; o < out_; ++o) dz[o] *= dsigmoid_from_y(y[o]);
-      break;
-    case Activation::kTanh:
-      for (std::size_t o = 0; o < out_; ++o) dz[o] *= dtanh_from_y(y[o]);
-      break;
-    case Activation::kRelu:
-      for (std::size_t o = 0; o < out_; ++o)
-        if (y[o] <= 0.0) dz[o] = 0.0;
-      break;
-  }
-
-  Vec dx(in_, 0.0);
-  for (std::size_t o = 0; o < out_; ++o) {
-    const double g = dz[o];
-    grad_b[o] += g;
-    double* gw = &grad_w[o * in_];
-    const double* wrow = &w_.value[o * in_];
-    for (std::size_t i = 0; i < in_; ++i) {
-      gw[i] += g * x[i];
-      dx[i] += g * wrow[i];
-    }
-  }
-  return dx;
-}
-
 Vec Dense::backward(const Vec& grad_out) {
-  return backward_impl(last_x_, last_y_, grad_out, w_.grad, b_.grad);
+  return std::move(
+      backward_batch(std::span<const Cache>(&last_, 1),
+                     std::span<const Vec>(&grad_out, 1), true)[0]);
 }
 
-Vec Dense::backward(const Cache& cache, const Vec& grad_out, Vec& grad_w,
-                    Vec& grad_b) const {
-  VKEY_REQUIRE(grad_w.size() == w_.value.size() &&
-                   grad_b.size() == b_.value.size(),
-               "Dense gradient buffer size mismatch");
-  return backward_impl(cache.x, cache.y, grad_out, grad_w, grad_b);
+std::vector<Vec> Dense::backward_batch(std::span<const Cache> caches,
+                                       std::span<const Vec> grad_outs,
+                                       bool input_grad) {
+  VKEY_REQUIRE(caches.size() == grad_outs.size(),
+               "Dense backward batch size mismatch");
+  const std::size_t n = caches.size();
+  // Fold the activation derivative into each member's output gradient.
+  std::vector<Vec> dz(grad_outs.begin(), grad_outs.end());
+  std::vector<const double*> dzp(n), xp(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const Vec& y = caches[m].y;
+    Vec& d = dz[m];
+    VKEY_REQUIRE(d.size() == out_, "Dense grad size mismatch");
+    VKEY_REQUIRE(caches[m].x.size() == in_ && y.size() == out_,
+                 "Dense backward before forward");
+    switch (act_) {
+      case Activation::kNone:
+        break;
+      case Activation::kSigmoid:
+        for (std::size_t o = 0; o < out_; ++o) d[o] *= dsigmoid_from_y(y[o]);
+        break;
+      case Activation::kTanh:
+        for (std::size_t o = 0; o < out_; ++o) d[o] *= dtanh_from_y(y[o]);
+        break;
+      case Activation::kRelu:
+        for (std::size_t o = 0; o < out_; ++o)
+          if (y[o] <= 0.0) d[o] = 0.0;
+        break;
+    }
+    dzp[m] = d.data();
+    xp[m] = caches[m].x.data();
+  }
+
+  // The bias gradient is the outer product with a ones column: dz * 1.0 is
+  // exactly dz, so it sums like the weights, in member order.
+  static constexpr double kOne = 1.0;
+  const std::vector<const double*> ones(n, &kOne);
+  accumulate_outer(dzp.data(), xp.data(), n, out_, in_, w_.grad.data());
+  accumulate_outer(dzp.data(), ones.data(), n, out_, 1, b_.grad.data());
+
+  std::vector<Vec> dx;
+  if (!input_grad) return dx;
+  dx.assign(n, Vec(in_));
+  std::vector<double*> dxp(n);
+  for (std::size_t m = 0; m < n; ++m) dxp[m] = dx[m].data();
+  matvec_transposed(w_.value.data(), out_, in_, dzp.data(), n, dxp.data());
+  return dx;
 }
 
 }  // namespace vkey::nn

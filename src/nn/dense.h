@@ -1,11 +1,14 @@
 // Fully connected layer: y = W x + b.
 //
-// forward() caches the input so an immediately following backward() can
-// accumulate weight gradients; the usual usage is per-sample
-// forward -> backward with gradients summed over a mini-batch, then one
-// optimizer step.
+// Training takes one mini-batch shape: forward(x, cache) for every member,
+// then one backward_batch() over the members, which adds their weight and
+// bias gradients into the parameters in member order (through the gemm
+// core's accumulate_outer / matvec_transposed, bit-identical to the naive
+// per-sample loops), then one optimizer step. forward(x)/backward(grad)
+// are the same bodies over a layer-owned one-member cache.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,20 +25,18 @@ class Dense {
   Dense(std::size_t in, std::size_t out, vkey::Rng& rng,
         Activation act = Activation::kNone);
 
-  /// Externally owned forward activations for the batched-parallel
-  /// training path: many threads can run forward(x, cache) /
-  /// backward(cache, ...) concurrently against the same frozen weights,
-  /// each with a private Cache and gradient buffers.
+  /// One member's forward activations, owned by the caller so a batch's
+  /// members (on any number of threads) can run forward(x, cache) against
+  /// the same weights before one backward_batch().
   struct Cache {
     Vec x;  ///< layer input
     Vec y;  ///< post-activation output
   };
 
-  /// Forward pass; caches input and (for nonlinear activations) output.
-  Vec forward(const Vec& x);
+  /// Forward pass into the layer-owned cache read by backward(grad_out).
+  Vec forward(const Vec& x) { return forward(x, last_); }
 
-  /// Thread-safe forward writing the activations into `cache` instead of
-  /// the layer (same arithmetic as forward(x), bit for bit).
+  /// Thread-safe forward writing the activations into `cache`.
   Vec forward(const Vec& x, Cache& cache) const;
 
   /// Forward without caching (inference-only; usable concurrently).
@@ -56,15 +57,19 @@ class Dense {
   /// oracle for the packed kernels (tests only; no metrics, no cache).
   Vec infer_reference(const Vec& x) const;
 
-  /// Backward pass for the most recent forward(). Accumulates gradients
-  /// into the layer parameters and returns dL/dx.
+  /// Backward pass for the most recent forward(x): backward_batch() over
+  /// that one member. Accumulates into the parameter gradients and
+  /// returns dL/dx.
   Vec backward(const Vec& grad_out);
 
-  /// Thread-safe backward for a forward(x, cache) pass: accumulates the
-  /// weight/bias gradients into caller-owned buffers (sized like the
-  /// parameters) and returns dL/dx. Shares the arithmetic of backward().
-  Vec backward(const Cache& cache, const Vec& grad_out, Vec& grad_w,
-               Vec& grad_b) const;
+  /// Backward over a mini-batch: member m's forward(x, caches[m]) pass and
+  /// output gradient grad_outs[m]. Adds every member's weight and bias
+  /// gradient straight into the parameter gradients, in member order, and
+  /// returns each member's dL/dx — or nothing when `input_grad` is false
+  /// (no trainable layer upstream).
+  std::vector<Vec> backward_batch(std::span<const Cache> caches,
+                                  std::span<const Vec> grad_outs,
+                                  bool input_grad);
 
   std::size_t in_size() const { return in_; }
   std::size_t out_size() const { return out_; }
@@ -72,16 +77,10 @@ class Dense {
   std::vector<Parameter*> parameters() { return {&w_, &b_}; }
   const Parameter& weights() const { return w_; }
   const Parameter& bias() const { return b_; }
-  /// Mutable gradient accumulators, for folding externally computed
-  /// per-sample gradients (see backward(cache, ...)) into the layer.
-  Vec& weights_grad() { return w_.grad; }
-  Vec& bias_grad() { return b_.grad; }
 
  private:
   Vec affine(const Vec& x, bool quantized) const;
   Vec activate(const Vec& z) const;
-  Vec backward_impl(const Vec& x, const Vec& y, const Vec& grad_out,
-                    Vec& grad_w, Vec& grad_b) const;
   const PackedMatrix& packed() const;
   const QuantizedMatrix& quant() const;
 
@@ -91,8 +90,7 @@ class Dense {
   bool quantized_ = false;
   Parameter w_;  // out x in, row-major
   Parameter b_;  // out
-  Vec last_x_;
-  Vec last_y_;   // post-activation (needed for activation derivative)
+  Cache last_;  // forward(x)'s activations, read by backward(grad_out)
   // Lazily repacked weight layouts, keyed on w_.revision (see gemm.h).
   mutable PackedMatrix packed_w_;
   mutable QuantizedMatrix quant_w_;

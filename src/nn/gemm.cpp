@@ -27,6 +27,207 @@ void reference_matvec(const double* w, std::size_t rows, std::size_t cols,
   }
 }
 
+void reference_matvec_transposed(const double* w, std::size_t rows,
+                                 std::size_t cols, const double* dz,
+                                 double* dx) {
+  for (std::size_t c = 0; c < cols; ++c) dx[c] = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* wrow = w + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) dx[c] += dz[r] * wrow[c];
+  }
+}
+
+void reference_accumulate_outer(const double* const* dz,
+                                const double* const* x, std::size_t n,
+                                std::size_t rows, std::size_t cols,
+                                double* grad) {
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* grow = grad + r * cols;
+      for (std::size_t c = 0; c < cols; ++c) grow[c] += dz[s][r] * x[s][c];
+    }
+  }
+}
+
+namespace {
+
+// Portable tails: one accumulator chain per output element, in reference
+// order. They finish whatever the register tiles below leave over (ragged
+// columns or rows) and are the whole kernel on targets without AVX2.
+
+// Columns [c0, cols) of one member's W^T dz.
+void transposed_cols(const double* w, std::size_t rows, std::size_t cols,
+                     std::size_t c0, const double* dz, double* dx) {
+  for (std::size_t c = c0; c < cols; ++c) {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) acc += dz[r] * w[r * cols + c];
+    dx[c] = acc;
+  }
+}
+
+// grad[r][c] summed over all n terms.
+void outer_element(const double* const* dz, const double* const* x,
+                   std::size_t n, std::size_t r, std::size_t c, double* g) {
+  double acc = *g;
+  for (std::size_t s = 0; s < n; ++s) acc += dz[s][r] * x[s][c];
+  *g = acc;
+}
+
+#if defined(__AVX2__)
+
+// Register tiles: K independent 4-wide accumulators, each holding its
+// elements across the whole reduction (explicit mul then add — never
+// fused), so every element sees exactly the reference's operation order.
+// K = 8 chains cover the add latency.
+
+// One member, columns [0, 4K) of W^T dz; `w` points at the tile's column 0.
+template <std::size_t K>
+void transposed_tile(const double* w, std::size_t rows, std::size_t cols,
+                     const double* dz, double* dx) {
+  __m256d acc[K];
+  for (std::size_t k = 0; k < K; ++k) acc[k] = _mm256_setzero_pd();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m256d d = _mm256_set1_pd(dz[r]);
+    const double* wr = w + r * cols;
+    for (std::size_t k = 0; k < K; ++k)
+      acc[k] = _mm256_add_pd(
+          acc[k], _mm256_mul_pd(d, _mm256_loadu_pd(wr + 4 * k)));
+  }
+  for (std::size_t k = 0; k < K; ++k) _mm256_storeu_pd(dx + 4 * k, acc[k]);
+}
+
+// Four members, columns [c, c + 8): each weight load feeds four members,
+// so a weight matrix too large for the cache streams once per four.
+void transposed_quad(const double* w, std::size_t rows, std::size_t cols,
+                     std::size_t c, const double* const* dz,
+                     double* const* dx) {
+  __m256d acc[8];
+  for (auto& a : acc) a = _mm256_setzero_pd();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* wr = w + r * cols + c;
+    const __m256d wlo = _mm256_loadu_pd(wr);
+    const __m256d whi = _mm256_loadu_pd(wr + 4);
+    for (std::size_t k = 0; k < 4; ++k) {
+      const __m256d d = _mm256_set1_pd(dz[k][r]);
+      acc[2 * k] = _mm256_add_pd(acc[2 * k], _mm256_mul_pd(d, wlo));
+      acc[2 * k + 1] = _mm256_add_pd(acc[2 * k + 1], _mm256_mul_pd(d, whi));
+    }
+  }
+  for (std::size_t k = 0; k < 4; ++k) {
+    _mm256_storeu_pd(dx[k] + c, acc[2 * k]);
+    _mm256_storeu_pd(dx[k] + c + 4, acc[2 * k + 1]);
+  }
+}
+
+// Four members, one column c: the members are the vector lanes (a narrow
+// matrix, e.g. every LSTM step's dx through the 3-column Wx).
+void transposed_quad_column(const double* w, std::size_t rows,
+                            std::size_t cols, std::size_t c,
+                            const double* const* dz, double* const* dx) {
+  __m256d acc = _mm256_setzero_pd();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m256d d = _mm256_set_pd(dz[3][r], dz[2][r], dz[1][r], dz[0][r]);
+    acc = _mm256_add_pd(acc,
+                        _mm256_mul_pd(d, _mm256_set1_pd(w[r * cols + c])));
+  }
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, acc);
+  for (std::size_t k = 0; k < 4; ++k) dx[k][c] = lane[k];
+}
+
+// Row r, columns [c, c + 4K): vectorized over columns.
+template <std::size_t K>
+void outer_cols_tile(const double* const* dz, const double* const* x,
+                     std::size_t n, std::size_t r, std::size_t c, double* g) {
+  __m256d acc[K];
+  for (std::size_t k = 0; k < K; ++k) acc[k] = _mm256_loadu_pd(g + 4 * k);
+  for (std::size_t s = 0; s < n; ++s) {
+    const __m256d d = _mm256_set1_pd(dz[s][r]);
+    const double* xs = x[s] + c;
+    for (std::size_t k = 0; k < K; ++k)
+      acc[k] = _mm256_add_pd(
+          acc[k], _mm256_mul_pd(d, _mm256_loadu_pd(xs + 4 * k)));
+  }
+  for (std::size_t k = 0; k < K; ++k) _mm256_storeu_pd(g + 4 * k, acc[k]);
+}
+
+// Column c, rows [r0, r0 + 4K): vectorized over rows (narrow matrices).
+template <std::size_t K>
+void outer_rows_tile(const double* const* dz, const double* const* x,
+                     std::size_t n, std::size_t r0, std::size_t c,
+                     std::size_t cols, double* grad) {
+  alignas(32) double g[4 * K];
+  for (std::size_t k = 0; k < 4 * K; ++k) g[k] = grad[(r0 + k) * cols + c];
+  __m256d acc[K];
+  for (std::size_t k = 0; k < K; ++k) acc[k] = _mm256_load_pd(g + 4 * k);
+  for (std::size_t s = 0; s < n; ++s) {
+    const __m256d xc = _mm256_set1_pd(x[s][c]);
+    const double* d = dz[s] + r0;
+    for (std::size_t k = 0; k < K; ++k)
+      acc[k] = _mm256_add_pd(
+          acc[k], _mm256_mul_pd(_mm256_loadu_pd(d + 4 * k), xc));
+  }
+  for (std::size_t k = 0; k < K; ++k) _mm256_store_pd(g + 4 * k, acc[k]);
+  for (std::size_t k = 0; k < 4 * K; ++k) grad[(r0 + k) * cols + c] = g[k];
+}
+
+#endif  // __AVX2__
+
+}  // namespace
+
+void matvec_transposed(const double* w, std::size_t rows, std::size_t cols,
+                       const double* const* dz, std::size_t n,
+                       double* const* dx) {
+  std::size_t m = 0;
+#if defined(__AVX2__)
+  for (; m + 4 <= n; m += 4) {
+    std::size_t c = 0;
+    for (; c + 8 <= cols; c += 8)
+      transposed_quad(w, rows, cols, c, dz + m, dx + m);
+    for (; c < cols; ++c)
+      transposed_quad_column(w, rows, cols, c, dz + m, dx + m);
+  }
+#endif
+  for (; m < n; ++m) {
+    std::size_t c = 0;
+#if defined(__AVX2__)
+    for (; c + 32 <= cols; c += 32)
+      transposed_tile<8>(w + c, rows, cols, dz[m], dx[m] + c);
+    for (; c + 8 <= cols; c += 8)
+      transposed_tile<2>(w + c, rows, cols, dz[m], dx[m] + c);
+#endif
+    transposed_cols(w, rows, cols, c, dz[m], dx[m]);
+  }
+}
+
+void accumulate_outer(const double* const* dz, const double* const* x,
+                      std::size_t n, std::size_t rows, std::size_t cols,
+                      double* grad) {
+  if (cols < 8) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      std::size_t r = 0;
+#if defined(__AVX2__)
+      for (; r + 32 <= rows; r += 32)
+        outer_rows_tile<8>(dz, x, n, r, c, cols, grad);
+      for (; r + 8 <= rows; r += 8)
+        outer_rows_tile<2>(dz, x, n, r, c, cols, grad);
+#endif
+      for (; r < rows; ++r) outer_element(dz, x, n, r, c, grad + r * cols + c);
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* grow = grad + r * cols;
+    std::size_t c = 0;
+#if defined(__AVX2__)
+    for (; c + 32 <= cols; c += 32)
+      outer_cols_tile<8>(dz, x, n, r, c, grow + c);
+    for (; c + 8 <= cols; c += 8) outer_cols_tile<2>(dz, x, n, r, c, grow + c);
+#endif
+    for (; c < cols; ++c) outer_element(dz, x, n, r, c, grow + c);
+  }
+}
+
 void PackedMatrix::pack(const double* w, std::size_t rows, std::size_t cols) {
   VKEY_REQUIRE(rows > 0 && cols > 0, "PackedMatrix::pack: empty shape");
   rows_ = rows;

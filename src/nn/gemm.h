@@ -1,4 +1,4 @@
-// Blocked matrix kernels for vkey::nn — the NN inference core.
+// Blocked matrix kernels for vkey::nn — the NN inference and training core.
 //
 // Why this exists: the naive per-row dot products in Dense::affine and the
 // LSTM cell accumulate through ONE floating-point chain per row, so the CPU
@@ -22,10 +22,17 @@
 //   * Preallocated scratch. Callers pass output storage; the kernels
 //     allocate nothing.
 //
-// The reference kernels (`reference_matvec`) implement the original naive
-// loops and are retained forever: the golden-vector suite in
+// The reference kernels (`reference_*`) implement the original naive loops
+// and are retained forever: the golden-vector suite in
 // tests/nn/test_gemm.cpp asserts bit-equality between the two on every
 // shape the layers use.
+//
+// Training runs through the same core: `matvec_transposed` (every layer's
+// input gradient) and `accumulate_outer` (every weight and bias gradient,
+// summed over a mini-batch's members or an LSTM's steps in order) keep the
+// reference accumulation order per output element, so trained weights are
+// bit-identical to the naive backward loops (DESIGN.md "NN kernel core",
+// "Training kernels").
 //
 // `QuantizedMatrix` plus the *_approx activations are the optional int8
 // path (per-row weight scales, per-vector dynamic input scale, exact int32
@@ -51,6 +58,41 @@ inline constexpr std::size_t kPanelRows = 8;
 /// reference for the packed kernels.
 void reference_matvec(const double* w, std::size_t rows, std::size_t cols,
                       const double* x, const double* bias, double* y);
+
+/// Naive reference: dx[c] = sum_r dz[r] * w[r*cols + c], one accumulator
+/// per column starting at 0.0, rows in ascending order — the input-gradient
+/// loop the layers' backward passes started with.
+void reference_matvec_transposed(const double* w, std::size_t rows,
+                                 std::size_t cols, const double* dz,
+                                 double* dx);
+
+/// dx[m] = W^T dz[m] for each of `n` members and a row-major `rows x cols`
+/// W: every layer's input gradient (a mini-batch's members, or an LSTM's
+/// steps). Register tiles span columns and, four at a time, members, so one
+/// pass over W serves four members; each column's sum still starts at 0.0
+/// and adds rows in ascending order, so every dx[m] is bit-identical to
+/// reference_matvec_transposed on dz[m].
+void matvec_transposed(const double* w, std::size_t rows, std::size_t cols,
+                       const double* const* dz, std::size_t n,
+                       double* const* dx);
+
+/// Naive reference: grad[r*cols + c] += dz[s][r] * x[s][c] for
+/// s = 0 ... n-1 in order, one read-modify-write per term.
+void reference_accumulate_outer(const double* const* dz,
+                                const double* const* x, std::size_t n,
+                                std::size_t rows, std::size_t cols,
+                                double* grad);
+
+/// Weight-gradient accumulation: grad[r][c] += dz[s][r] * x[s][c] for
+/// s = 0 ... n-1 in order (a mini-batch's members, or an LSTM's steps). Each
+/// element is held in a register across all n terms and added in the same
+/// order as the reference, so the result is bit-identical to
+/// reference_accumulate_outer. Wide shapes vectorize over columns; narrow
+/// ones (cols < 8: the LSTM's input weights, a bias as a ones column)
+/// vectorize over rows.
+void accumulate_outer(const double* const* dz, const double* const* x,
+                      std::size_t n, std::size_t rows, std::size_t cols,
+                      double* grad);
 
 /// Row-major matrix repacked into kPanelRows-row panels with
 /// column-interleaved storage:

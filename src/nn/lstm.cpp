@@ -82,33 +82,24 @@ void Lstm::init_scratch(Scratch& s) const {
   if (quantized_) s.xq.assign(quant().padded_cols(), 0);
 }
 
-// One fused cell step. s.xh holds [x_t ; h_prev]; the single packed matvec
+// One fused cell step. xh holds [x_t ; h_prev]; the single packed matvec
 // computes all 4H gate pre-activations in the exact accumulation order of
 // the naive cell (bias, then Wx columns, then Wh columns — see
-// PackedMatrix::pack_pair). Gates are evaluated in place in s.z
+// PackedMatrix::pack_pair). Gates are evaluated in place in z
 // (i | f | g | o blocks); each element depends only on its own
 // pre-activation, so the value sequence matches the reference loop bit for
 // bit.
-void Lstm::step_fused(Scratch& s, StepCache* cache) const {
+void Lstm::step_fused(const double* xh, double* z, const double* c_prev,
+                      double* c, double* tc, double* hv) const {
   const std::size_t h = hidden_;
-  packed().matvec(s.xh.data(), b_.value.data(), s.z.data());
-  double* z = s.z.data();
+  packed().matvec(xh, b_.value.data(), z);
   for (std::size_t k = 0; k < 2 * h; ++k) z[k] = sigmoid(z[k]);
   for (std::size_t k = 2 * h; k < 3 * h; ++k) z[k] = std::tanh(z[k]);
   for (std::size_t k = 3 * h; k < 4 * h; ++k) z[k] = sigmoid(z[k]);
   for (std::size_t k = 0; k < h; ++k)
-    s.c[k] = z[h + k] * s.c[k] + z[k] * z[2 * h + k];
-  for (std::size_t k = 0; k < h; ++k) s.tc[k] = std::tanh(s.c[k]);
-  for (std::size_t k = 0; k < h; ++k) s.h[k] = z[3 * h + k] * s.tc[k];
-  if (cache != nullptr) {
-    cache->i.assign(z, z + h);
-    cache->f.assign(z + h, z + 2 * h);
-    cache->g.assign(z + 2 * h, z + 3 * h);
-    cache->o.assign(z + 3 * h, z + 4 * h);
-    cache->c = s.c;
-    cache->tanh_c = s.tc;
-    cache->h = s.h;
-  }
+    c[k] = z[h + k] * c_prev[k] + z[k] * z[2 * h + k];
+  for (std::size_t k = 0; k < h; ++k) tc[k] = std::tanh(c[k]);
+  for (std::size_t k = 0; k < h; ++k) hv[k] = z[3 * h + k] * tc[k];
 }
 
 // The int8 variant: quantized fused affine plus polynomial gate
@@ -129,7 +120,7 @@ void Lstm::step_quantized(Scratch& s) const {
   for (std::size_t k = 0; k < h; ++k) s.h[k] = z[3 * h + k] * s.tc[k];
 }
 
-Seq Lstm::forward(const Seq& x) {
+Seq Lstm::forward(const Seq& x, Cache& cache) const {
   const std::size_t t_len = x.size();
   // Validate the whole sequence BEFORE touching the step/FLOP counters: a
   // rejected pass must not account for work that never ran.
@@ -138,21 +129,30 @@ Seq Lstm::forward(const Seq& x) {
     VKEY_REQUIRE(xt.size() == input_, "Lstm input width mismatch");
   lstm_steps().add(t_len);
   lstm_flops().add(t_len * step_flops(input_, hidden_));
-  cache_.assign(t_len, StepCache{});
-  Scratch s;
-  init_scratch(s);
-  Seq out(t_len);
-  for (std::size_t step_idx = 0; step_idx < t_len; ++step_idx) {
-    const std::size_t t = reverse_ ? t_len - 1 - step_idx : step_idx;
-    std::copy(x[t].begin(), x[t].end(), s.xh.begin());
-    std::copy(s.h.begin(), s.h.end(),
-              s.xh.begin() + static_cast<std::ptrdiff_t>(input_));
-    StepCache& cc = cache_[step_idx];
-    cc.x = x[t];
-    cc.h_prev = s.h;
-    cc.c_prev = s.c;
-    step_fused(s, &cc);
-    out[t] = s.h;
+  const std::size_t h = hidden_;
+  const std::size_t width = input_ + h;
+  cache.steps = t_len;
+  cache.xh.resize(t_len * width);
+  cache.gates.resize(t_len * 4 * h);
+  cache.c.resize((t_len + 1) * h);
+  std::fill(cache.c.begin(), cache.c.begin() + static_cast<std::ptrdiff_t>(h),
+            0.0);
+  cache.tanh_c.resize(t_len * h);
+  Seq out(t_len, Vec(h));
+  const double* h_prev = nullptr;
+  for (std::size_t step = 0; step < t_len; ++step) {
+    const std::size_t t = reverse_ ? t_len - 1 - step : step;
+    double* xh = &cache.xh[step * width];
+    std::copy(x[t].begin(), x[t].end(), xh);
+    if (h_prev != nullptr) {
+      std::copy(h_prev, h_prev + h, xh + input_);
+    } else {
+      std::fill(xh + input_, xh + width, 0.0);
+    }
+    step_fused(xh, &cache.gates[step * 4 * h], &cache.c[step * h],
+               &cache.c[(step + 1) * h], &cache.tanh_c[step * h],
+               out[t].data());
+    h_prev = out[t].data();
   }
   return out;
 }
@@ -179,7 +179,8 @@ void Lstm::infer_impl(const Seq& x, Seq& out, std::size_t offset) const {
     if (quantized_) {
       step_quantized(s);
     } else {
-      step_fused(s, nullptr);
+      step_fused(s.xh.data(), s.z.data(), s.c.data(), s.c.data(),
+                 s.tc.data(), s.h.data());
     }
     std::copy(s.h.begin(), s.h.end(),
               out[t].begin() + static_cast<std::ptrdiff_t>(offset));
@@ -231,57 +232,73 @@ Seq Lstm::infer_reference(const Seq& x) const {
   return out;
 }
 
-Seq Lstm::backward(const Seq& grad_out) {
-  const std::size_t t_len = cache_.size();
+Seq Lstm::backward(const Cache& cache, const Seq& grad_out) {
+  const std::size_t t_len = cache.steps;
   VKEY_REQUIRE(t_len > 0, "Lstm backward before forward");
   VKEY_REQUIRE(grad_out.size() == t_len, "Lstm grad length mismatch");
+  for (const Vec& g : grad_out)
+    VKEY_REQUIRE(g.size() == hidden_, "Lstm grad width mismatch");
   const std::size_t h = hidden_;
+  const std::size_t width = input_ + h;
+  VKEY_REQUIRE(cache.xh.size() == t_len * width &&
+                   cache.gates.size() == t_len * 4 * h &&
+                   cache.c.size() == (t_len + 1) * h &&
+                   cache.tanh_c.size() == t_len * h,
+               "Lstm cache shape mismatch");
 
-  Seq dx(t_len, Vec(input_, 0.0));
+  // The recurrence: per step only the gate gradients dz and the dh/dc
+  // carried to the previous step.
+  dz_.resize(t_len * 4 * h);
   Vec dh_rec(h, 0.0), dc_rec(h, 0.0);
-  Vec dz(4 * h);
-
-  for (std::size_t step_idx = t_len; step_idx-- > 0;) {
-    const std::size_t t = reverse_ ? t_len - 1 - step_idx : step_idx;
-    const StepCache& cc = cache_[step_idx];
-    VKEY_REQUIRE(grad_out[t].size() == h, "Lstm grad width mismatch");
-
+  for (std::size_t step = t_len; step-- > 0;) {
+    const std::size_t t = reverse_ ? t_len - 1 - step : step;
+    const double* gi = &cache.gates[step * 4 * h];
+    const double* gf = gi + h;
+    const double* gg = gi + 2 * h;
+    const double* go = gi + 3 * h;
+    const double* c_prev = &cache.c[step * h];
+    const double* tanh_c = &cache.tanh_c[step * h];
+    double* dz = &dz_[step * 4 * h];
     for (std::size_t k = 0; k < h; ++k) {
       const double dh = grad_out[t][k] + dh_rec[k];
-      const double d_o = dh * cc.tanh_c[k];
-      const double dc = dh * cc.o[k] * dtanh_from_y(cc.tanh_c[k]) + dc_rec[k];
-      const double d_f = dc * cc.c_prev[k];
-      const double d_i = dc * cc.g[k];
-      const double d_g = dc * cc.i[k];
-      dc_rec[k] = dc * cc.f[k];
-      dz[k] = d_i * dsigmoid_from_y(cc.i[k]);
-      dz[h + k] = d_f * dsigmoid_from_y(cc.f[k]);
-      dz[2 * h + k] = d_g * dtanh_from_y(cc.g[k]);
-      dz[3 * h + k] = d_o * dsigmoid_from_y(cc.o[k]);
+      const double d_o = dh * tanh_c[k];
+      const double dc = dh * go[k] * dtanh_from_y(tanh_c[k]) + dc_rec[k];
+      const double d_f = dc * c_prev[k];
+      const double d_i = dc * gg[k];
+      const double d_g = dc * gi[k];
+      dc_rec[k] = dc * gf[k];
+      dz[k] = d_i * dsigmoid_from_y(gi[k]);
+      dz[h + k] = d_f * dsigmoid_from_y(gf[k]);
+      dz[2 * h + k] = d_g * dtanh_from_y(gg[k]);
+      dz[3 * h + k] = d_o * dsigmoid_from_y(go[k]);
     }
-
-    // Parameter gradients and upstream gradients. No data-dependent
-    // skipping here: a `g == 0` shortcut would make the accumulation order
-    // depend on runtime values, which a blocked kernel (and the 1-vs-N-lane
-    // bit-exactness contract) could not reproduce.
-    std::fill(dh_rec.begin(), dh_rec.end(), 0.0);
-    for (std::size_t j = 0; j < 4 * h; ++j) {
-      const double g = dz[j];
-      b_.grad[j] += g;
-      double* gwx = &wx_.grad[j * input_];
-      const double* wx_row = &wx_.value[j * input_];
-      for (std::size_t k = 0; k < input_; ++k) {
-        gwx[k] += g * cc.x[k];
-        dx[t][k] += g * wx_row[k];
-      }
-      double* gwh = &wh_.grad[j * h];
-      const double* wh_row = &wh_.value[j * h];
-      for (std::size_t k = 0; k < h; ++k) {
-        gwh[k] += g * cc.h_prev[k];
-        dh_rec[k] += g * wh_row[k];
-      }
+    if (step > 0) {  // the first processed step has no predecessor
+      double* dh_out = dh_rec.data();
+      matvec_transposed(wh_.value.data(), 4 * h, h, &dz, 1, &dh_out);
     }
   }
+
+  // Parameter gradients, one accumulation per matrix over the steps in the
+  // order the recurrence visited them (last processed step first) — the
+  // order per-step accumulation used — and every step's dx in one pass.
+  Seq dx(t_len, Vec(input_));
+  std::vector<const double*> dzp(t_len), xp(t_len), hp(t_len);
+  std::vector<double*> dxp(t_len);
+  for (std::size_t s = 0; s < t_len; ++s) {
+    const std::size_t step = t_len - 1 - s;
+    dzp[s] = &dz_[step * 4 * h];
+    xp[s] = &cache.xh[step * width];
+    hp[s] = xp[s] + input_;
+    dxp[s] = dx[reverse_ ? t_len - 1 - step : step].data();
+  }
+  static constexpr double kOne = 1.0;
+  const std::vector<const double*> ones(t_len, &kOne);
+  accumulate_outer(dzp.data(), xp.data(), t_len, 4 * h, input_,
+                   wx_.grad.data());
+  accumulate_outer(dzp.data(), hp.data(), t_len, 4 * h, h, wh_.grad.data());
+  accumulate_outer(dzp.data(), ones.data(), t_len, 4 * h, 1, b_.grad.data());
+  matvec_transposed(wx_.value.data(), 4 * h, input_, dzp.data(), t_len,
+                    dxp.data());
   return dx;
 }
 
@@ -290,9 +307,9 @@ BiLstm::BiLstm(std::size_t input, std::size_t hidden, vkey::Rng& rng)
       fwd_(input, hidden, rng, /*reverse=*/false),
       bwd_(input, hidden, rng, /*reverse=*/true) {}
 
-Seq BiLstm::forward(const Seq& x) {
-  const Seq hf = fwd_.forward(x);
-  const Seq hb = bwd_.forward(x);
+Seq BiLstm::forward(const Seq& x, Cache& cache) const {
+  const Seq hf = fwd_.forward(x, cache.fwd);
+  const Seq hb = bwd_.forward(x, cache.bwd);
   Seq out(x.size(), Vec(2 * hidden_));
   for (std::size_t t = 0; t < x.size(); ++t) {
     std::copy(hf[t].begin(), hf[t].end(), out[t].begin());
@@ -335,15 +352,14 @@ void BiLstm::set_quantized(bool quantized) {
   bwd_.set_quantized(quantized);
 }
 
-Seq BiLstm::backward(const Seq& grad_out) {
+Seq BiLstm::backward(const Cache& cache, const Seq& grad_out) {
   const std::size_t t_len = grad_out.size();
   // Guard like Lstm::backward does: reject an empty gradient and a
   // gradient whose length disagrees with the cached forward pass before
   // any indexing happens.
   VKEY_REQUIRE(t_len > 0, "BiLstm backward on empty gradient");
-  VKEY_REQUIRE(
-      fwd_.cached_steps() == t_len && bwd_.cached_steps() == t_len,
-      "BiLstm backward/forward length mismatch");
+  VKEY_REQUIRE(cache.fwd.steps == t_len && cache.bwd.steps == t_len,
+               "BiLstm backward/forward length mismatch");
   Seq gf(t_len, Vec(hidden_)), gb(t_len, Vec(hidden_));
   for (std::size_t t = 0; t < t_len; ++t) {
     VKEY_REQUIRE(grad_out[t].size() == 2 * hidden_,
@@ -354,8 +370,8 @@ Seq BiLstm::backward(const Seq& grad_out) {
     std::copy(grad_out[t].begin() + static_cast<std::ptrdiff_t>(hidden_),
               grad_out[t].end(), gb[t].begin());
   }
-  const Seq dxf = fwd_.backward(gf);
-  const Seq dxb = bwd_.backward(gb);
+  const Seq dxf = fwd_.backward(cache.fwd, gf);
+  const Seq dxb = bwd_.backward(cache.bwd, gb);
   Seq dx(t_len, Vec(fwd_.input_size(), 0.0));
   for (std::size_t t = 0; t < t_len; ++t) {
     for (std::size_t k = 0; k < dx[t].size(); ++k) {

@@ -11,6 +11,11 @@
 // see gemm.h and DESIGN.md "NN kernel core"); the float path is
 // bit-identical to the retained naive reference (infer_reference), and an
 // optional int8 path trades exactness for speed behind set_quantized().
+//
+// Training follows Dense's mini-batch shape: forward(x, cache) per member
+// into a caller-owned Cache, then backward(cache, grad_out) per member in
+// member order. forward(x)/backward(grad_out) are the same bodies over a
+// layer-owned cache.
 #pragma once
 
 #include <span>
@@ -31,9 +36,24 @@ class Lstm {
   Lstm(std::size_t input, std::size_t hidden, vkey::Rng& rng,
        bool reverse = false);
 
-  /// Forward over a sequence; returns hidden states in *time* order
-  /// regardless of processing direction. Caches all intermediates for BPTT.
-  Seq forward(const Seq& x);
+  /// One sequence's forward activations for BPTT, owned by the caller so a
+  /// mini-batch's members can each keep theirs until backward. Rows are in
+  /// processing order; the buffers keep their capacity across calls.
+  struct Cache {
+    std::size_t steps = 0;
+    Vec xh;      ///< steps x (input + hidden): [x_t ; h_prev] per step
+    Vec gates;   ///< steps x 4H: post-activation i | f | g | o
+    Vec c;       ///< (steps + 1) x hidden: cell states, row 0 the zeros
+    Vec tanh_c;  ///< steps x hidden
+  };
+
+  /// Forward over a sequence into the layer-owned cache read by
+  /// backward(grad_out); returns hidden states in *time* order regardless
+  /// of processing direction.
+  Seq forward(const Seq& x) { return forward(x, cache_); }
+
+  /// Forward writing the BPTT intermediates into `cache`.
+  Seq forward(const Seq& x, Cache& cache) const;
 
   /// Inference-only forward (no caching).
   Seq infer(const Seq& x) const;
@@ -53,25 +73,25 @@ class Lstm {
   void set_quantized(bool quantized) { quantized_ = quantized; }
   bool quantized() const { return quantized_; }
 
-  /// BPTT for the most recent forward(). `grad_out` is dL/dh in time order;
-  /// returns dL/dx in time order. Gradients accumulate into the parameters.
-  Seq backward(const Seq& grad_out);
+  /// BPTT for the most recent forward(x).
+  Seq backward(const Seq& grad_out) { return backward(cache_, grad_out); }
+
+  /// BPTT for a forward(x, cache) pass. `grad_out` is dL/dh in time order;
+  /// returns dL/dx in time order. Only the dh/dc recurrence runs per step;
+  /// the Wx, Wh and bias gradients are then added with one
+  /// accumulate_outer each, steps in the order BPTT visits them (last
+  /// processed first), and every step's dx comes from one
+  /// matvec_transposed — bit-identical to per-step accumulation.
+  Seq backward(const Cache& cache, const Seq& grad_out);
 
   std::size_t input_size() const { return input_; }
   std::size_t hidden_size() const { return hidden_; }
-  /// Steps cached by the most recent forward() (0 before any forward).
-  std::size_t cached_steps() const { return cache_.size(); }
 
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
  private:
-  struct StepCache {
-    Vec x, h_prev, c_prev;
-    Vec i, f, g, o, c, tanh_c, h;
-  };
-
-  /// Preallocated per-sequence scratch for the fused cell (one allocation
-  /// per call instead of ~8 per step).
+  /// Preallocated per-sequence scratch for the inference cell (one
+  /// allocation per call instead of ~8 per step).
   struct Scratch {
     Vec xh;   ///< [x_t ; h_prev], input_ + hidden_ wide
     Vec z;    ///< fused 4H gate pre-activations
@@ -82,8 +102,11 @@ class Lstm {
   };
 
   void init_scratch(Scratch& s) const;
-  /// One fused cell step: reads s.xh, updates s.h / s.c in place.
-  void step_fused(Scratch& s, StepCache* cache) const;
+  /// One fused cell step from xh = [x_t ; h_prev]: gates into z (4H,
+  /// in place), c = f * c_prev + i * g (c may alias c_prev), tc = tanh(c),
+  /// h = o * tc.
+  void step_fused(const double* xh, double* z, const double* c_prev,
+                  double* c, double* tc, double* h) const;
   void step_quantized(Scratch& s) const;
   /// Shared full-sequence driver for infer()/infer_into().
   void infer_impl(const Seq& x, Seq& out, std::size_t offset) const;
@@ -98,7 +121,8 @@ class Lstm {
   Parameter wx_;  // 4H x input
   Parameter wh_;  // 4H x hidden
   Parameter b_;   // 4H  (forget-gate bias initialized to 1)
-  std::vector<StepCache> cache_;  // indexed by processing step
+  Cache cache_;   // forward(x)'s activations, read by backward(grad_out)
+  Vec dz_;        // backward's per-step gate gradients (steps x 4H)
   // Fused [Wx | Wh] packed layouts, keyed on the parameter revisions
   // (see gemm.h; the key is the revision sum, monotone under bump()).
   mutable PackedMatrix packed_w_;
@@ -113,7 +137,14 @@ class BiLstm {
  public:
   BiLstm(std::size_t input, std::size_t hidden, vkey::Rng& rng);
 
-  Seq forward(const Seq& x);
+  /// Both directions' forward activations (see Lstm::Cache).
+  struct Cache {
+    Lstm::Cache fwd;
+    Lstm::Cache bwd;
+  };
+
+  Seq forward(const Seq& x) { return forward(x, cache_); }
+  Seq forward(const Seq& x, Cache& cache) const;
   Seq infer(const Seq& x) const;
   /// Batched inference over independent sequences; bit-identical to
   /// calling infer() per element, in order. (The LSTM weights are small
@@ -124,7 +155,10 @@ class BiLstm {
   /// Naive-reference BiLSTM inference (per-direction reference cells plus
   /// the original concat loop) — the bit-exactness oracle for infer().
   Seq infer_reference(const Seq& x) const;
-  Seq backward(const Seq& grad_out);
+  Seq backward(const Seq& grad_out) { return backward(cache_, grad_out); }
+  /// BPTT through both directions of a forward(x, cache) pass; returns the
+  /// summed dL/dx.
+  Seq backward(const Cache& cache, const Seq& grad_out);
 
   /// Propagates to both directions (infer paths only; see Lstm).
   void set_quantized(bool quantized);
@@ -139,6 +173,7 @@ class BiLstm {
   std::size_t hidden_ = 0;
   Lstm fwd_;
   Lstm bwd_;
+  Cache cache_;  // forward(x)'s activations, read by backward(grad_out)
 };
 
 }  // namespace vkey::nn

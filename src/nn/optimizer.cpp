@@ -6,23 +6,6 @@
 
 namespace vkey::nn {
 
-Sgd::Sgd(std::vector<Parameter*> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
-  VKEY_REQUIRE(lr > 0.0, "learning rate must be positive");
-}
-
-void Sgd::step(std::size_t batch_size) {
-  VKEY_REQUIRE(batch_size >= 1, "batch size must be >= 1");
-  const double scale = 1.0 / static_cast<double>(batch_size);
-  for (Parameter* p : params_) {
-    for (std::size_t i = 0; i < p->size(); ++i) {
-      p->value[i] -= lr_ * p->grad[i] * scale;
-    }
-    p->bump();
-    p->zero_grad();
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
            double beta2, double epsilon)
     : params_(std::move(params)),

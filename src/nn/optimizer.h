@@ -1,7 +1,10 @@
-// Optimizers: plain SGD and Adam (Kingma & Ba).
+// The Adam optimizer (Kingma & Ba), the one both trainers use.
 //
 // Layers accumulate gradients across a mini-batch; step() consumes them
-// (dividing by the batch size) and zeroes the accumulators.
+// (dividing by the batch size) and zeroes the accumulators. The element
+// update is built with the gemm core's flags (vectorized, never contracted;
+// IEEE division and square root round correctly at every vector width, so
+// the update is bit-identical to its scalar form).
 #pragma once
 
 #include <cstddef>
@@ -10,22 +13,6 @@
 #include "nn/param.h"
 
 namespace vkey::nn {
-
-class Sgd {
- public:
-  explicit Sgd(std::vector<Parameter*> params, double lr = 0.01);
-
-  /// Apply one update using the accumulated gradients / `batch_size`,
-  /// then zero the gradients.
-  void step(std::size_t batch_size = 1);
-
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
-
- private:
-  std::vector<Parameter*> params_;
-  double lr_ = 0.0;
-};
 
 class Adam {
  public:

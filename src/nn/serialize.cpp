@@ -1,8 +1,6 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <algorithm>
 
 #include "common/error.h"
 
@@ -37,41 +35,6 @@ void restore(const std::vector<Parameter*>& params,
     p->bump();
     off += p->size();
   }
-}
-
-void save_file(const std::string& path,
-               const std::vector<Parameter*>& params) {
-  std::ofstream f(path, std::ios::binary);
-  VKEY_REQUIRE(f.good(), "cannot open file for writing: " + path);
-  const auto snap = snapshot(params);
-  const char magic[4] = {'v', 'k', 'w', '1'};
-  f.write(magic, 4);
-  const std::uint64_t n = snap.size();
-  f.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  f.write(reinterpret_cast<const char*>(snap.data()),
-          static_cast<std::streamsize>(snap.size() * sizeof(double)));
-  VKEY_REQUIRE(f.good(), "write failed: " + path);
-}
-
-void load_file(const std::string& path,
-               const std::vector<Parameter*>& params) {
-  std::ifstream f(path, std::ios::binary);
-  VKEY_REQUIRE(f.good(), "cannot open file for reading: " + path);
-  char magic[4];
-  f.read(magic, 4);
-  VKEY_REQUIRE(f.good() && std::memcmp(magic, "vkw1", 4) == 0,
-               "bad weight file magic: " + path);
-  std::uint64_t n = 0;
-  f.read(reinterpret_cast<char*>(&n), sizeof(n));
-  VKEY_REQUIRE(f.good(), "truncated weight file: " + path);
-  // The count is untrusted: check it against the model before allocating.
-  VKEY_REQUIRE(n == param_total(params),
-               "weight file parameter count does not match the model: " + path);
-  std::vector<double> snap(n);
-  f.read(reinterpret_cast<char*>(snap.data()),
-         static_cast<std::streamsize>(n * sizeof(double)));
-  VKEY_REQUIRE(f.good(), "truncated weight file: " + path);
-  restore(params, snap);
 }
 
 }  // namespace vkey::nn

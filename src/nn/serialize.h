@@ -1,12 +1,10 @@
-// Weight (de)serialization.
+// Weight snapshots.
 //
 // Models expose their parameter list; these helpers snapshot / restore all
-// values, either to an in-memory blob (used by the transfer-learning
-// experiment, Fig. 14, to clone a base model before fine-tuning) or to a
-// file.
+// values as an in-memory blob (used by the transfer-learning experiment,
+// Fig. 14, to clone a base model before fine-tuning).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "nn/param.h"
@@ -20,14 +18,5 @@ std::vector<double> snapshot(const std::vector<Parameter*>& params);
 /// parameter list (sizes are validated).
 void restore(const std::vector<Parameter*>& params,
              const std::vector<double>& snap);
-
-/// Write a snapshot to a file ("vkw1" magic + count + doubles, little
-/// endian host format).
-void save_file(const std::string& path,
-               const std::vector<Parameter*>& params);
-
-/// Load a file written by save_file into the given parameters.
-void load_file(const std::string& path,
-               const std::vector<Parameter*>& params);
 
 }  // namespace vkey::nn

@@ -56,6 +56,9 @@ TEST(Predictor, ConfigValidated) {
   bad = tiny_config();
   bad.theta = 1.5;
   EXPECT_THROW(PredictorQuantizer{bad}, vkey::Error);
+  bad = tiny_config();
+  bad.batch_size = 0;
+  EXPECT_THROW(PredictorQuantizer{bad}, vkey::Error);
 }
 
 TEST(Predictor, OutputShapes) {
@@ -133,6 +136,8 @@ TEST(Predictor, EvaluateLossMatchesTrainingScale) {
 TEST(Predictor, TrainRequiresSamples) {
   PredictorQuantizer p(tiny_config());
   EXPECT_THROW(p.train({}, 1), vkey::Error);
+  EXPECT_THROW(p.train(synthetic_samples(tiny_config(), 4, 18), 0),
+               vkey::Error);
 }
 
 TEST(Predictor, SampleShapeChecked) {

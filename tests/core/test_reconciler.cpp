@@ -151,6 +151,9 @@ TEST(Reconciler, ConfigValidated) {
   bad.train_ber_lo = 0.3;
   bad.train_ber_hi = 0.2;
   EXPECT_THROW(AutoencoderReconciler{bad}, vkey::Error);
+  bad = fast_config();
+  bad.batch_size = 0;  // the mini-batch loop would never advance
+  EXPECT_THROW(AutoencoderReconciler{bad}, vkey::Error);
 }
 
 TEST(Reconciler, MoreUnitsMoreFlops) {

@@ -101,38 +101,51 @@ TEST(PipelineDeterminism, LaneCountDoesNotChangeBitsWithPrediction) {
 }
 
 TEST(PipelineDeterminism, ReconcilerTrainingIsLaneCountInvariant) {
-  ReconcilerConfig rc;
-  rc.decoder_units = 64;
+  // The default encoder (tied + frozen) and the three other tie x freeze
+  // configurations: trained encoders add their own backward pass, untied
+  // ones a second encoder with the negated gradient.
+  for (const bool tie : {true, false}) {
+    for (const bool freeze : {true, false}) {
+      SCOPED_TRACE(std::string(tie ? "tied" : "untied") +
+                   (freeze ? " + frozen" : " + trained"));
+      ReconcilerConfig rc;
+      rc.decoder_units = 64;
+      rc.tie_encoders = tie;
+      rc.freeze_encoder = freeze;
 
-  auto train = [&](std::size_t threads) {
-    ReconcilerConfig c = rc;
-    c.threads = threads;
-    AutoencoderReconciler r(c);
-    const double loss = r.train(600, 6);
-    return std::pair<double, AutoencoderReconciler>(loss, std::move(r));
-  };
+      auto train = [&](std::size_t threads) {
+        ReconcilerConfig c = rc;
+        c.threads = threads;
+        AutoencoderReconciler r(c);
+        const double loss = r.train(600, 6);
+        return std::pair<double, AutoencoderReconciler>(loss, std::move(r));
+      };
 
-  auto [loss1, r1] = train(1);
-  auto [loss4, r4] = train(4);
-  EXPECT_EQ(loss1, loss4);
+      auto [loss1, r1] = train(1);
+      auto [loss4, r4] = train(4);
+      EXPECT_EQ(loss1, loss4);
 
-  // The trained parameters themselves must be bit-identical, not just the
-  // reported loss: compare every weight of every layer.
-  const auto p1 = r1.parameters();
-  const auto p4 = r4.parameters();
-  ASSERT_EQ(p1.size(), p4.size());
-  for (std::size_t i = 0; i < p1.size(); ++i) {
-    ASSERT_EQ(p1[i]->value.size(), p4[i]->value.size()) << "param " << i;
-    for (std::size_t j = 0; j < p1[i]->value.size(); ++j) {
-      ASSERT_EQ(p1[i]->value[j], p4[i]->value[j])
-          << "param " << i << " element " << j;
+      // The trained parameters themselves must be bit-identical, not just
+      // the reported loss: compare every weight of every layer.
+      const auto p1 = r1.parameters();
+      const auto p4 = r4.parameters();
+      ASSERT_EQ(p1.size(), p4.size());
+      for (std::size_t i = 0; i < p1.size(); ++i) {
+        ASSERT_EQ(p1[i]->value.size(), p4[i]->value.size()) << "param " << i;
+        for (std::size_t j = 0; j < p1[i]->value.size(); ++j) {
+          ASSERT_EQ(p1[i]->value[j], p4[i]->value[j])
+              << "param " << i << " element " << j;
+        }
+      }
+
+      // And the public behavior agrees: identical syndromes for the same
+      // key.
+      BitVec key(rc.key_bits);
+      for (std::size_t i = 0; i < key.size(); ++i)
+        key.set(i, (i * 7 + 3) % 5 < 2);
+      EXPECT_EQ(r1.encode_bob(key), r4.encode_bob(key));
     }
   }
-
-  // And the public behavior agrees: identical syndromes for the same key.
-  BitVec key(rc.key_bits);
-  for (std::size_t i = 0; i < key.size(); ++i) key.set(i, (i * 7 + 3) % 5 < 2);
-  EXPECT_EQ(r1.encode_bob(key), r4.encode_bob(key));
 }
 
 }  // namespace

@@ -3,19 +3,24 @@
 // The contract under test (DESIGN.md "NN kernel core"): the packed float
 // kernels are BIT-identical to the retained naive reference on every shape
 // the layers use — including ragged panel tails — and the batched entry
-// points are bit-identical to their sequential counterparts. The int8 path
-// is checked against explicit error bounds instead.
+// points are bit-identical to their sequential counterparts. The training
+// kernels and the layers' backward passes are held to the same contract
+// against naive loops, compared as bit patterns so that -0.0 and +0.0
+// differ. The int8 path is checked against explicit error bounds instead.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/optimizer.h"
@@ -134,6 +139,153 @@ TEST(PackedMatrix, BatchedMatvecBitEqualsSequential) {
   }
 }
 
+// --- training kernels: bit patterns, not ==, so a -0.0 cannot pass as +0.0
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bits_eq(const std::vector<double>& want,
+                    const std::vector<double>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(bits(want[i]), bits(got[i]))
+        << what << " element " << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+// Every trainer shape (rows x cols): the LSTM's Wx and Wh at H = 8 and 32
+// (4H x 3, 4H x H), the prediction head, the quantization head and decoder
+// layers, the encoder, a bias as a one-column matrix, plus ragged sizes
+// that are not multiples of 8.
+const Shape kTrainShapes[] = {{32, 3},   {32, 8},   {128, 3},  {128, 32},
+                              {64, 4096}, {64, 64},  {64, 32},  {32, 64},
+                              {128, 1},  {37, 13},  {13, 37},  {9, 5},
+                              {5, 9},    {100, 7},  {7, 100},  {33, 41}};
+const std::size_t kTrainBatches[] = {1, 16, 32, 64};
+
+TEST(TrainingKernels, MatvecTransposedBitEqualsReference) {
+  vkey::Rng rng(111);
+  for (const auto& sh : kTrainShapes) {
+    const auto w = random_vec(sh.rows * sh.cols, rng);
+    for (std::size_t n : kTrainBatches) {
+      std::vector<std::vector<double>> dz(n), want(n), got(n);
+      std::vector<const double*> dzp(n);
+      std::vector<double*> gotp(n);
+      for (std::size_t m = 0; m < n; ++m) {
+        dz[m] = random_vec(sh.rows, rng);
+        want[m].resize(sh.cols);
+        got[m].assign(sh.cols, 99.0);  // overwritten, never accumulated into
+        reference_matvec_transposed(w.data(), sh.rows, sh.cols, dz[m].data(),
+                                    want[m].data());
+        dzp[m] = dz[m].data();
+        gotp[m] = got[m].data();
+      }
+      matvec_transposed(w.data(), sh.rows, sh.cols, dzp.data(), n,
+                        gotp.data());
+      for (std::size_t m = 0; m < n; ++m) {
+        expect_bits_eq(want[m], got[m],
+                       std::to_string(sh.rows) + "x" + std::to_string(sh.cols) +
+                           " n=" + std::to_string(n) + " member " +
+                           std::to_string(m));
+      }
+    }
+  }
+}
+
+TEST(TrainingKernels, AccumulateOuterBitEqualsReference) {
+  vkey::Rng rng(112);
+  for (const auto& sh : kTrainShapes) {
+    for (std::size_t n : kTrainBatches) {
+      std::vector<std::vector<double>> dz(n), x(n);
+      std::vector<const double*> dzp(n), xp(n);
+      for (std::size_t s = 0; s < n; ++s) {
+        dz[s] = random_vec(sh.rows, rng);
+        x[s] = random_vec(sh.cols, rng);
+        dzp[s] = dz[s].data();
+        xp[s] = x[s].data();
+      }
+      // Accumulate onto a gradient that already holds earlier terms.
+      auto want = random_vec(sh.rows * sh.cols, rng);
+      auto got = want;
+      reference_accumulate_outer(dzp.data(), xp.data(), n, sh.rows, sh.cols,
+                                 want.data());
+      accumulate_outer(dzp.data(), xp.data(), n, sh.rows, sh.cols,
+                       got.data());
+      expect_bits_eq(want, got,
+                     std::to_string(sh.rows) + "x" + std::to_string(sh.cols) +
+                         " n=" + std::to_string(n));
+    }
+  }
+}
+
+// Products of +-0.0 added into +0 accumulators, the case where a sum's
+// sign of zero depends on the order and the start value: a column whose
+// products are all -0.0 must come out +0.0, as 0.0 + (-0.0) does. Also pins
+// the argument that lets one gradient accumulate a whole batch directly: a
+// per-member sink zeroed and folded in (grad += (0 + p)) gives the same bits
+// as grad += p, because a round-to-nearest sum that starts at +0 is never
+// -0.
+TEST(TrainingKernels, SignedZeroProductsIntoPositiveZero) {
+  const double vals[] = {0.0, -0.0, 1.5, -2.0};
+  const std::size_t rows = 37, cols = 13, n = 16;
+  vkey::Rng rng(113);
+  auto pick = [&] {
+    return vals[static_cast<std::size_t>(rng.uniform_int(4))];
+  };
+  // Every third column of W and x is negative, so against an all-+0.0 dz
+  // every product there is -0.0; these columns land in each register tile
+  // shape (8-wide blocks and the ragged tail).
+  auto negative_col = [](std::size_t c) { return c % 3 == 0; };
+  std::vector<double> w(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c)
+      w[r * cols + c] = negative_col(c) ? -1.5 : pick();
+  }
+  std::vector<std::vector<double>> dz(n, std::vector<double>(rows)),
+      x(n, std::vector<double>(cols));
+  std::vector<const double*> dzp(n), xp(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (double& v : dz[s]) v = s % 2 == 0 ? 0.0 : pick();
+    for (std::size_t c = 0; c < cols; ++c)
+      x[s][c] = negative_col(c) ? -1.5 : pick();
+    dzp[s] = dz[s].data();
+    xp[s] = x[s].data();
+  }
+
+  // Input gradients, through both the four-member and the one-member tiles.
+  std::vector<std::vector<double>> want(n, std::vector<double>(cols)),
+      got(n, std::vector<double>(cols, 99.0));
+  std::vector<double*> gotp(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    reference_matvec_transposed(w.data(), rows, cols, dzp[s],
+                                want[s].data());
+    gotp[s] = got[s].data();
+  }
+  matvec_transposed(w.data(), rows, cols, dzp.data(), n, gotp.data());
+  for (std::size_t s = 0; s < n; ++s) {
+    expect_bits_eq(want[s], got[s], "member " + std::to_string(s));
+    std::vector<double> one(cols, 99.0);
+    double* onep = one.data();
+    matvec_transposed(w.data(), rows, cols, &dzp[s], 1, &onep);
+    expect_bits_eq(want[s], one, "single member " + std::to_string(s));
+  }
+  EXPECT_EQ(bits(want[0][0]), bits(0.0));  // all -0.0 products: +0.0
+
+  // Weight gradients from a +0 start, all-zero members included.
+  std::vector<double> ref(rows * cols, 0.0), acc(rows * cols, 0.0);
+  reference_accumulate_outer(dzp.data(), xp.data(), n, rows, cols,
+                             ref.data());
+  accumulate_outer(dzp.data(), xp.data(), n, rows, cols, acc.data());
+  expect_bits_eq(ref, acc, "accumulate_outer");
+
+  std::vector<double> folded(rows * cols, 0.0), sink(rows * cols);
+  for (std::size_t s = 0; s < n; ++s) {
+    std::fill(sink.begin(), sink.end(), 0.0);
+    reference_accumulate_outer(&dzp[s], &xp[s], 1, rows, cols, sink.data());
+    for (std::size_t i = 0; i < sink.size(); ++i) folded[i] += sink[i];
+  }
+  expect_bits_eq(folded, acc, "zeroed sink + fold");
+}
+
 // --- Dense layer golden vectors ---
 
 TEST(DenseGolden, InferBitEqualsNaiveReference) {
@@ -188,9 +340,79 @@ TEST(DenseGolden, OptimizerStepRepacksCache) {
   (void)d.infer(x);  // warm the packed cache
   d.forward(x);
   d.backward(Vec(6, 1.0));
-  Sgd opt(d.parameters(), 0.1);
+  Adam opt(d.parameters(), 0.1);
   opt.step(1);
   EXPECT_EQ(d.infer(x), d.infer_reference(x));
+}
+
+// The per-sample Dense backward the layer started with: activation
+// derivative folded into dz, then gW/gb accumulated and dx summed from 0.0.
+Vec naive_dense_backward(const Dense& d, Activation act, const Vec& x,
+                         const Vec& y, const Vec& grad_out, Vec& gw,
+                         Vec& gb) {
+  const std::size_t in = d.in_size(), out = d.out_size();
+  const Vec& w = d.weights().value;
+  Vec dz = grad_out;
+  for (std::size_t o = 0; o < out; ++o) {
+    switch (act) {
+      case Activation::kNone:
+        break;
+      case Activation::kSigmoid:
+        dz[o] *= y[o] * (1.0 - y[o]);
+        break;
+      case Activation::kTanh:
+        dz[o] *= 1.0 - y[o] * y[o];
+        break;
+      case Activation::kRelu:
+        if (y[o] <= 0.0) dz[o] = 0.0;
+        break;
+    }
+  }
+  Vec dx(in, 0.0);
+  for (std::size_t o = 0; o < out; ++o) {
+    const double g = dz[o];
+    gb[o] += g;
+    for (std::size_t i = 0; i < in; ++i) {
+      gw[o * in + i] += g * x[i];
+      dx[i] += g * w[o * in + i];
+    }
+  }
+  return dx;
+}
+
+TEST(DenseGolden, BackwardBatchBitEqualsNaiveLoops) {
+  for (auto act : {Activation::kNone, Activation::kSigmoid, Activation::kTanh,
+                   Activation::kRelu}) {
+    vkey::Rng rng(207);
+    Dense d(37, 21, rng, act);
+    vkey::Rng xr(208);
+    const std::size_t n = 6;
+    std::vector<Dense::Cache> caches(n);
+    std::vector<Vec> grads(n);
+    Vec gw(d.weights().value.size(), 0.0), gb(d.bias().value.size(), 0.0);
+    std::vector<Vec> want_dx(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      (void)d.forward(random_vec(37, xr), caches[m]);
+      grads[m] = random_vec(21, xr);
+      want_dx[m] = naive_dense_backward(d, act, caches[m].x, caches[m].y,
+                                        grads[m], gw, gb);
+    }
+    const std::vector<Vec> dx = d.backward_batch(caches, grads, true);
+    ASSERT_EQ(dx.size(), n);
+    for (std::size_t m = 0; m < n; ++m)
+      expect_bits_eq(want_dx[m], dx[m], "dx member " + std::to_string(m));
+    expect_bits_eq(gw, d.weights().grad, "weight gradient");
+    expect_bits_eq(gb, d.bias().grad, "bias gradient");
+
+    // Without an upstream layer to train: same gradients, no dx.
+    for (std::size_t m = 0; m < n; ++m) {
+      (void)naive_dense_backward(d, act, caches[m].x, caches[m].y, grads[m],
+                                 gw, gb);
+    }
+    EXPECT_TRUE(d.backward_batch(caches, grads, false).empty());
+    expect_bits_eq(gw, d.weights().grad, "weight gradient, second batch");
+    expect_bits_eq(gb, d.bias().grad, "bias gradient, second batch");
+  }
 }
 
 // --- LSTM / BiLSTM golden vectors ---
@@ -237,6 +459,189 @@ TEST(BiLstmGolden, InferBatchBitEqualsSequential) {
   ASSERT_EQ(batched.size(), xs.size());
   for (std::size_t b = 0; b < xs.size(); ++b) {
     EXPECT_EQ(batched[b], bi.infer(xs[b]));
+  }
+}
+
+// Test-local naive LSTM: the per-step forward of infer_reference with every
+// intermediate kept, and the per-step BPTT the layer started with, reading
+// the weights through parameters() = {Wx, Wh, b}.
+struct NaiveStep {
+  Vec x, h_prev, c_prev, i, f, g, o, tanh_c;
+};
+
+std::vector<NaiveStep> naive_lstm_forward(Lstm& l, bool reverse,
+                                          const Seq& x) {
+  const auto p = l.parameters();
+  const Vec& wx = p[0]->value;
+  const Vec& wh = p[1]->value;
+  const Vec& b = p[2]->value;
+  const std::size_t in = l.input_size(), h = l.hidden_size();
+  const std::size_t t_len = x.size();
+  std::vector<NaiveStep> steps(t_len);
+  Vec hv(h, 0.0), cv(h, 0.0);
+  for (std::size_t step = 0; step < t_len; ++step) {
+    const std::size_t t = reverse ? t_len - 1 - step : step;
+    NaiveStep& st = steps[step];
+    st.x = x[t];
+    st.h_prev = hv;
+    st.c_prev = cv;
+    st.i.resize(h);
+    st.f.resize(h);
+    st.g.resize(h);
+    st.o.resize(h);
+    st.tanh_c.resize(h);
+    for (std::size_t j = 0; j < 4 * h; ++j) {
+      double sum = b[j];
+      for (std::size_t k = 0; k < in; ++k) sum += wx[j * in + k] * x[t][k];
+      for (std::size_t k = 0; k < h; ++k) sum += wh[j * h + k] * hv[k];
+      const std::size_t gate = j / h, k = j % h;
+      if (gate == 0) st.i[k] = sigmoid(sum);
+      if (gate == 1) st.f[k] = sigmoid(sum);
+      if (gate == 2) st.g[k] = std::tanh(sum);
+      if (gate == 3) st.o[k] = sigmoid(sum);
+    }
+    for (std::size_t k = 0; k < h; ++k) {
+      cv[k] = st.f[k] * st.c_prev[k] + st.i[k] * st.g[k];
+      st.tanh_c[k] = std::tanh(cv[k]);
+      hv[k] = st.o[k] * st.tanh_c[k];
+    }
+  }
+  return steps;
+}
+
+Seq naive_lstm_backward(Lstm& l, bool reverse,
+                        const std::vector<NaiveStep>& steps,
+                        const Seq& grad_out, Vec& gwx, Vec& gwh, Vec& gb) {
+  const auto p = l.parameters();
+  const Vec& wx = p[0]->value;
+  const Vec& wh = p[1]->value;
+  const std::size_t in = l.input_size(), h = l.hidden_size();
+  const std::size_t t_len = steps.size();
+  Seq dx(t_len, Vec(in, 0.0));
+  Vec dh_rec(h, 0.0), dc_rec(h, 0.0), dz(4 * h);
+  for (std::size_t step = t_len; step-- > 0;) {
+    const std::size_t t = reverse ? t_len - 1 - step : step;
+    const NaiveStep& cc = steps[step];
+    for (std::size_t k = 0; k < h; ++k) {
+      const double dh = grad_out[t][k] + dh_rec[k];
+      const double d_o = dh * cc.tanh_c[k];
+      const double dc =
+          dh * cc.o[k] * (1.0 - cc.tanh_c[k] * cc.tanh_c[k]) + dc_rec[k];
+      const double d_f = dc * cc.c_prev[k];
+      const double d_i = dc * cc.g[k];
+      const double d_g = dc * cc.i[k];
+      dc_rec[k] = dc * cc.f[k];
+      dz[k] = d_i * (cc.i[k] * (1.0 - cc.i[k]));
+      dz[h + k] = d_f * (cc.f[k] * (1.0 - cc.f[k]));
+      dz[2 * h + k] = d_g * (1.0 - cc.g[k] * cc.g[k]);
+      dz[3 * h + k] = d_o * (cc.o[k] * (1.0 - cc.o[k]));
+    }
+    std::fill(dh_rec.begin(), dh_rec.end(), 0.0);
+    for (std::size_t j = 0; j < 4 * h; ++j) {
+      const double g = dz[j];
+      gb[j] += g;
+      for (std::size_t k = 0; k < in; ++k) {
+        gwx[j * in + k] += g * cc.x[k];
+        dx[t][k] += g * wx[j * in + k];
+      }
+      for (std::size_t k = 0; k < h; ++k) {
+        gwh[j * h + k] += g * cc.h_prev[k];
+        dh_rec[k] += g * wh[j * h + k];
+      }
+    }
+  }
+  return dx;
+}
+
+void expect_seq_bits_eq(const Seq& want, const Seq& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t t = 0; t < want.size(); ++t)
+    expect_bits_eq(want[t], got[t], what + " t=" + std::to_string(t));
+}
+
+TEST(LstmGolden, BackwardBitEqualsNaiveBptt) {
+  for (const bool reverse : {false, true}) {
+    for (const std::size_t hidden : {8u, 13u}) {
+      vkey::Rng rng(309);
+      Lstm lstm(3, hidden, rng, reverse);
+      const auto p = lstm.parameters();
+      Vec gwx(p[0]->size(), 0.0), gwh(p[1]->size(), 0.0),
+          gb(p[2]->size(), 0.0);
+      vkey::Rng xr(310);
+      // Two members through external caches, then one through forward(x):
+      // each member's gradients add onto the earlier members'.
+      std::vector<Lstm::Cache> caches(2);
+      for (std::size_t m = 0; m < 3; ++m) {
+        const Seq x = random_seq(9, 3, xr);
+        const Seq grad = random_seq(9, hidden, xr);
+        const auto steps = naive_lstm_forward(lstm, reverse, x);
+        const Seq want_dx =
+            naive_lstm_backward(lstm, reverse, steps, grad, gwx, gwh, gb);
+        Seq dx;
+        if (m < 2) {
+          (void)lstm.forward(x, caches[m]);
+          dx = lstm.backward(caches[m], grad);
+        } else {
+          (void)lstm.forward(x);
+          dx = lstm.backward(grad);
+        }
+        const std::string what = std::string(reverse ? "reverse" : "forward") +
+                                 " H=" + std::to_string(hidden) + " member " +
+                                 std::to_string(m);
+        expect_seq_bits_eq(want_dx, dx, what + " dx");
+        expect_bits_eq(gwx, p[0]->grad, what + " Wx gradient");
+        expect_bits_eq(gwh, p[1]->grad, what + " Wh gradient");
+        expect_bits_eq(gb, p[2]->grad, what + " bias gradient");
+      }
+    }
+  }
+}
+
+TEST(BiLstmGolden, BackwardBitEqualsNaiveBptt) {
+  vkey::Rng rng(311);
+  BiLstm bi(3, 8, rng);
+  const auto p = bi.parameters();  // forward {Wx, Wh, b}, then backward's
+  std::vector<Vec> want;
+  for (const Parameter* q : p) want.emplace_back(q->size(), 0.0);
+  vkey::Rng xr(312);
+  std::vector<BiLstm::Cache> caches(2);
+  for (std::size_t m = 0; m < 2; ++m)
+    (void)bi.forward(random_seq(7, 3, xr), caches[m]);
+
+  // Rebuild the two directions' weights as standalone layers for the
+  // naive passes (same values, same direction).
+  vkey::Rng unused(0);
+  Lstm fwd(3, 8, unused, false), bwd(3, 8, unused, true);
+  const auto pf = fwd.parameters(), pb = bwd.parameters();
+  for (std::size_t k = 0; k < 3; ++k) {
+    pf[k]->value = p[k]->value;
+    pb[k]->value = p[3 + k]->value;
+  }
+  vkey::Rng xr2(312);
+  for (std::size_t m = 0; m < 2; ++m) {
+    const Seq x = random_seq(7, 3, xr2);
+    const Seq grad = random_seq(7, 16, xr);
+    Seq gf(7, Vec(8)), gbk(7, Vec(8));
+    for (std::size_t t = 0; t < 7; ++t) {
+      std::copy(grad[t].begin(), grad[t].begin() + 8, gf[t].begin());
+      std::copy(grad[t].begin() + 8, grad[t].end(), gbk[t].begin());
+    }
+    const Seq dxf = naive_lstm_backward(fwd, false,
+                                        naive_lstm_forward(fwd, false, x), gf,
+                                        want[0], want[1], want[2]);
+    const Seq dxb = naive_lstm_backward(bwd, true,
+                                        naive_lstm_forward(bwd, true, x), gbk,
+                                        want[3], want[4], want[5]);
+    const Seq dx = bi.backward(caches[m], grad);
+    ASSERT_EQ(dx.size(), 7u);
+    for (std::size_t t = 0; t < 7; ++t) {
+      Vec sum(3);
+      for (std::size_t k = 0; k < 3; ++k) sum[k] = dxf[t][k] + dxb[t][k];
+      expect_bits_eq(sum, dx[t], "dx t=" + std::to_string(t));
+    }
+    for (std::size_t k = 0; k < p.size(); ++k)
+      expect_bits_eq(want[k], p[k]->grad, "parameter " + std::to_string(k));
   }
 }
 

@@ -75,28 +75,6 @@ TEST(Activations, SigmoidSymmetry) {
   EXPECT_NEAR(sigmoid(-100.0), 0.0, 1e-12);
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  // Minimize (w - 3)^2 via repeated gradient steps.
-  Parameter w(1);
-  w.value[0] = 0.0;
-  Sgd opt({&w}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    w.grad[0] = 2.0 * (w.value[0] - 3.0);
-    opt.step();
-  }
-  EXPECT_NEAR(w.value[0], 3.0, 1e-6);
-}
-
-TEST(Sgd, BatchScaling) {
-  Parameter w(1);
-  w.value[0] = 0.0;
-  Sgd opt({&w}, 1.0);
-  w.grad[0] = 4.0;  // accumulated over a batch of 4
-  opt.step(4);
-  EXPECT_NEAR(w.value[0], -1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(w.grad[0], 0.0);  // zeroed after the step
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   Parameter w(1);
   w.value[0] = 10.0;
@@ -137,13 +115,13 @@ TEST(Adam, TrainsXorWithHiddenLayer) {
 
 TEST(Optimizers, ValidateLearningRate) {
   Parameter w(1);
-  EXPECT_THROW(Sgd({&w}, 0.0), vkey::Error);
+  EXPECT_THROW(Adam({&w}, 0.0), vkey::Error);
   EXPECT_THROW(Adam({&w}, -1.0), vkey::Error);
 }
 
 TEST(Optimizers, BatchSizeValidated) {
   Parameter w(1);
-  Sgd opt({&w}, 0.1);
+  Adam opt({&w}, 0.1);
   EXPECT_THROW(opt.step(0), vkey::Error);
 }
 

@@ -2,19 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdio>
-#include <string>
-
 #include "common/error.h"
 #include "nn/dense.h"
 
 namespace vkey::nn {
 namespace {
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 TEST(Serialize, SnapshotRestoreRoundTrip) {
   vkey::Rng rng(1);
@@ -31,59 +23,6 @@ TEST(Serialize, RestoreSizeChecked) {
   vkey::Rng rng(2);
   Dense a(3, 4, rng);
   EXPECT_THROW(restore(a.parameters(), std::vector<double>(5)), vkey::Error);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  vkey::Rng rng(3);
-  Dense a(2, 3, rng), b(2, 3, rng);
-  const auto path = temp_path("weights.vkw");
-  save_file(path, a.parameters());
-  load_file(path, b.parameters());
-  EXPECT_EQ(snapshot(a.parameters()), snapshot(b.parameters()));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadMissingFileThrows) {
-  vkey::Rng rng(4);
-  Dense a(2, 2, rng);
-  EXPECT_THROW(load_file("/nonexistent/path.vkw", a.parameters()),
-               vkey::Error);
-}
-
-TEST(Serialize, LoadRejectsBadMagic) {
-  const auto path = temp_path("bad.vkw");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not-a-weight-file", f);
-  std::fclose(f);
-  vkey::Rng rng(5);
-  Dense a(2, 2, rng);
-  EXPECT_THROW(load_file(path, a.parameters()), vkey::Error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadRejectsWrongShape) {
-  vkey::Rng rng(6);
-  Dense a(2, 2, rng);
-  Dense bigger(4, 4, rng);
-  const auto path = temp_path("shape.vkw");
-  save_file(path, a.parameters());
-  EXPECT_THROW(load_file(path, bigger.parameters()), vkey::Error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadRejectsForgedCountBeforeAllocating) {
-  // A valid magic followed by a 2^40-double count (8 TiB): the loader must
-  // compare the count with the model before allocating anything for it.
-  const auto path = temp_path("forged.vkw");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fwrite("vkw1", 1, 4, f);
-  const std::uint64_t n = std::uint64_t{1} << 40;
-  std::fwrite(&n, sizeof(n), 1, f);
-  std::fclose(f);
-  vkey::Rng rng(7);
-  Dense a(2, 2, rng);
-  EXPECT_THROW(load_file(path, a.parameters()), vkey::Error);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -67,8 +67,21 @@ no-raw-memcmp-on-secrets
     `crypto::constant_time_equal` (src/crypto/secret_buffer.h), whose
     OR-accumulator touches every byte regardless of where the mismatch is.
     `secret_buffer.cpp` is the single sanctioned comparison owner. Code
-    outside the secret layers (e.g. file-magic checks in nn/serialize) and
-    tests comparing public vectors are unaffected.
+    outside the secret layers and tests comparing public vectors are
+    unaffected.
+
+fp-exact
+    No floating-point mode that contracts or reassociates. The blocked NN
+    kernels, and through them the trained weights, every KAR and Eve number
+    and every 1-vs-N-lane byte-diff, are bit-identical to the naive
+    reference loops only because each sum keeps its order and each multiply
+    and add round separately. In `CMakeLists.txt` and `*.cmake` files:
+    `-ffast-math`, `-Ofast`, `-ffp-contract=fast|on`, `-fassociative-math`,
+    `-freciprocal-math`, `-funsafe-math-optimizations`. In sources:
+    `#pragma STDC FP_CONTRACT ON`, and a `#pragma GCC optimize`,
+    `__attribute__((optimize(...)))` or `[[gnu::optimize(...)]]` naming any
+    of those modes. (`-ffp-contract=off` and `-fno-math-errno` change no
+    value and are fine.)
 
 pragma-once
     Every header's first preprocessor directive must be `#pragma once`.
@@ -190,6 +203,19 @@ SIM_CLOCK_OWNER_SCOPE = "src/protocol/"
 MEMCMP_PATTERN = re.compile(r"(?<![\w:])(?:std\s*::\s*)?memcmp\s*\(")
 MEMCMP_SCOPES = ("src/crypto/", "src/protocol/")
 
+# Floating-point modes that contract or reassociate (fp-exact). The same
+# mode names are matched inside optimize pragmas/attributes, where they are
+# written without the leading "-f" ("fast-math", "Ofast", ...).
+FP_UNSAFE_MODE = (r"(?:(?<!no-)fast-math|Ofast|fp-contract=(?:fast|on)"
+                  r"|(?<!no-)associative-math|(?<!no-)reciprocal-math"
+                  r"|(?<!no-)unsafe-math-optimizations)")
+FP_UNSAFE_FLAG = re.compile(r"(?<![\w-])-(?:f|O)?" + FP_UNSAFE_MODE + r"\b")
+FP_CONTRACT_PRAGMA = re.compile(r"#\s*pragma\s+STDC\s+FP_CONTRACT\s+ON\b")
+FP_OPTIMIZE_SITE = re.compile(
+    r"#\s*pragma\s+GCC\s+optimize\b|__attribute__\s*\(\(\s*(?:__)?optimize"
+    r"|\[\[\s*gnu\s*::\s*(?:__)?optimize")
+FP_OPTIMIZE_MODE = re.compile(FP_UNSAFE_MODE)
+
 IOSTREAM_PATTERN = re.compile(r"#\s*include\s*<iostream>")
 USING_NAMESPACE_PATTERN = re.compile(r"(?<![\w:])using\s+namespace\s+[\w:]+")
 SUPPRESS_PATTERN = re.compile(r"//\s*vkey-lint:\s*allow\(([\w, -]+)\)")
@@ -310,6 +336,16 @@ def scan_file(path, rel, explain):
                           "sub-clock — take a SimClock& from the caller "
                           "instead")
                     break
+        # Pragmas and attributes carry their mode as a string literal, so
+        # these read the line with only its trailing comment removed.
+        line = raw.split("//", 1)[0]
+        if FP_CONTRACT_PRAGMA.search(line) or (
+                FP_OPTIMIZE_SITE.search(line)
+                and FP_OPTIMIZE_MODE.search(line)):
+            check("fp-exact", i, raw,
+                  "contracting/reassociating floating-point mode; the NN "
+                  "kernels' bit-exactness needs every sum in order and "
+                  "no FMA fusion (DESIGN.md \"NN kernel core\")")
         if IOSTREAM_PATTERN.search(code):
             check("iostream-in-lib", i, raw,
                   "<iostream> in a library target; report via metrics/"
@@ -332,6 +368,38 @@ def scan_file(path, rel, explain):
     return out
 
 
+def cmake_code(line):
+    """A CMake line without its `#` comment (quoted `#` kept)."""
+    quoted = False
+    for idx, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:idx]
+    return line
+
+
+def scan_cmake(path, rel):
+    """fp-exact over a CMake file: no flag that enables fast-math,
+    contraction or reassociation."""
+    out = []
+    text = path.read_text(encoding="utf-8", errors="replace")
+    for i, raw in enumerate(text.split("\n"), start=1):
+        m = FP_UNSAFE_FLAG.search(cmake_code(raw))
+        if m and rule_applies("fp-exact", rel):
+            out.append(Violation(
+                rel, i, "fp-exact",
+                f"`{m.group(0)}` lets the compiler contract or reassociate "
+                "floating point; the NN kernels' bit-exactness needs "
+                "-ffp-contract=off and no fast-math (DESIGN.md \"NN kernel "
+                "core\")"))
+    return out
+
+
+def is_cmake(path):
+    return path.name == "CMakeLists.txt" or path.suffix == ".cmake"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--root", default=".", help="repository root")
@@ -345,12 +413,12 @@ def main(argv=None):
     if args.paths:
         files = [Path(p).resolve() for p in args.paths]
     else:
-        files = []
+        files = sorted(p for p in root.iterdir() if is_cmake(p))
         for d in LINT_DIRS:
             base = root / d
             if base.is_dir():
                 files.extend(p for p in sorted(base.rglob("*"))
-                             if p.suffix in SOURCE_SUFFIXES)
+                             if p.suffix in SOURCE_SUFFIXES or is_cmake(p))
 
     violations = []
     for f in files:
@@ -358,7 +426,10 @@ def main(argv=None):
             rel = f.relative_to(root).as_posix()
         except ValueError:
             rel = f.as_posix()
-        violations.extend(scan_file(f, rel, args.explain))
+        if is_cmake(f):
+            violations.extend(scan_cmake(f, rel))
+        else:
+            violations.extend(scan_file(f, rel, args.explain))
 
     for v in violations:
         print(v)
