@@ -116,12 +116,12 @@ int main(int argc, char** argv) {
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      sessions_override =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      if (sessions_override == 0) {
+      const auto v = parse_count(argv[++i]);
+      if (!v) {
         std::fprintf(stderr, "--sessions expects a positive integer\n");
         return 2;
       }
+      sessions_override = *v;
     } else {
       args.push_back(argv[i]);
     }

@@ -5,8 +5,8 @@
 // mean frames-per-establishment (data + retransmissions + acks), mean
 // retransmissions and mean session attempts. The 0% row is the control:
 // it must match the seed path — no retransmissions, and the established
-// key equal to what the plain in-order channel produces for the same
-// probe material.
+// key equal to what core's reconcile-and-amplify arithmetic produces for
+// the same probe material.
 //
 // A second sweep exercises the full key lifecycle under byte-level wire
 // corruption: establish under a corrupting link, run the key-confirmation
@@ -23,6 +23,7 @@
 #include "common/bench_io.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "core/privacy.h"
 #include "core/reconciler.h"
 #include "protocol/key_schedule.h"
 #include "protocol/reliability.h"
@@ -218,8 +219,12 @@ WireRow wire_sweep(double corrupt, const core::AutoencoderReconciler& reconciler
 }
 
 /// Control: at 0% faults the reliability layer must reproduce the seed
-/// path bit-for-bit (same keys, zero retransmissions).
+/// path bit-for-bit (same keys, zero retransmissions). The seed path is
+/// core's own arithmetic, which shares no code with the sessions: attempt 0
+/// establishes iff Alice's reconciliation recovers Bob's key, and its key
+/// is Bob's, amplified under the attempt's session id.
 bool control_matches_seed_path(const core::AutoencoderReconciler& reconciler) {
+  const core::PrivacyAmplifier amplifier(kFinalKeyBits);
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     const auto material = material_for(trial);
     ReliabilityConfig cfg;
@@ -229,22 +234,18 @@ bool control_matches_seed_path(const core::AutoencoderReconciler& reconciler) {
         run_reliable_key_agreement(base, reconciler, cfg, material);
 
     auto [ka, kb] = material(0);
-    SessionConfig scfg;
-    AliceSession alice(scfg, reconciler, ka);
-    BobSession bob(scfg, reconciler, kb);
-    PublicChannel plain;
-    const auto seed_result = run_key_agreement(plain, alice, bob);
+    const bool seed_established =
+        reconciler.reconcile(ka, reconciler.encode_bob(kb)) == kb;
 
     // Compare the FIRST attempt against the seed path: session recovery may
     // legitimately rescue a trial whose attempt-0 probe material is beyond
     // the reconciler (fresh material on attempt 1), which the single-shot
     // seed path cannot do.
     if (report.attempt_log.empty()) return false;
-    if (report.attempt_log.front().established != seed_result.established) {
-      return false;
-    }
-    if (report.attempt_log.front().established &&
-        report.key != alice.final_key()) {
+    const AttemptReport& first = report.attempt_log.front();
+    if (first.established != seed_established) return false;
+    if (first.established &&
+        report.key != amplifier.amplify(kb, first.session_id)) {
       return false;
     }
     for (const auto& att : report.attempt_log) {

@@ -127,13 +127,12 @@ int main(int argc, char** argv) {
     const bool is_rounds = std::strcmp(argv[i], "--rounds") == 0;
     const bool is_sessions = std::strcmp(argv[i], "--sessions") == 0;
     if ((is_rounds || is_sessions) && i + 1 < argc) {
-      const auto v =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      if (v == 0) {
+      const auto v = parse_count(argv[++i]);
+      if (!v) {
         std::fprintf(stderr, "%s expects a positive integer\n", argv[i - 1]);
         return 2;
       }
-      (is_rounds ? rounds_override : sessions_override) = v;
+      (is_rounds ? rounds_override : sessions_override) = *v;
     } else {
       args.push_back(argv[i]);
     }

@@ -6,14 +6,15 @@
 //   1. quantize her own observations (imitating attack),
 //   2. feed the overheard syndrome + her material to the public decoder
 //      (eavesdropping attack, paper Fig. 15a),
-//   3. actively tamper with the syndrome in flight (MITM).
+//   3. actively tamper with the syndrome in flight (MITM),
+//   4. replay frames Bob already accepted.
 //
 // Build & run:  ./build/examples/eavesdropper_demo
 #include <cstdio>
 
 #include "core/pipeline.h"
 #include "protocol/attacks.h"
-#include "protocol/session.h"
+#include "protocol/reliability.h"
 
 using namespace vkey;
 using namespace vkey::channel;
@@ -53,7 +54,7 @@ int main() {
   // 3. Active MITM on a live session.
   const KeyBlockResult* block = nullptr;
   for (const auto& blk : pipeline.blocks()) {
-    if (blk.success) {
+    if (blk.success && blk.alice_raw != blk.bob_key) {
       block = &blk;
       break;
     }
@@ -62,31 +63,43 @@ int main() {
     std::printf("(no usable block in this short trace; rerun)\n");
     return 1;
   }
-  protocol::SessionConfig scfg;
-  protocol::AliceSession alice(scfg, pipeline.reconciler(),
-                               block->alice_corrected);
-  protocol::BobSession bob(scfg, pipeline.reconciler(), block->bob_key);
+  // Alice starts from her raw key, as in a real exchange; one block of
+  // probe material, so one attempt.
+  protocol::ReliabilityConfig link_cfg;
+  link_cfg.max_session_attempts = 1;
   protocol::PublicChannel channel;
   protocol::install_syndrome_tamper(channel);
-  const bool established = run_key_agreement(channel, alice, bob).established;
+  const auto report = protocol::run_reliable_key_agreement(
+      channel, pipeline.reconciler(), link_cfg, [block](std::size_t) {
+        return std::make_pair(block->alice_raw, block->bob_key);
+      });
   std::printf("3. MITM tampering with the syndrome in flight:\n");
   std::printf("   -> session %s (Alice's verdict: %s)\n",
-              established ? "ESTABLISHED (!!)" : "aborted",
-              to_string(alice.last_reject()).c_str());
+              report.established ? "ESTABLISHED (!!)" : "aborted",
+              to_string(report.attempt_log.front().alice_reject).c_str());
 
-  // And a replayed syndrome from the recorded transcript.
-  protocol::PublicChannel clean;
-  protocol::AliceSession alice2(scfg, pipeline.reconciler(),
-                                block->alice_corrected);
-  protocol::BobSession bob2(scfg, pipeline.reconciler(), block->bob_key);
-  if (run_key_agreement(clean, alice2, bob2)) {
-    const auto syn = protocol::find_syndrome(clean);
-    if (syn && !alice2.handle(protocol::make_replay(*syn)).has_value()) {
-      std::printf("4. Replaying the recorded syndrome later: rejected "
-                  "(%s).\n",
-                  to_string(alice2.last_reject()).c_str());
-    }
-  }
+  // 4. Bob's nonce window: a bit-identical copy of a frame he accepted, then
+  // a forged frame under the same nonce.
+  protocol::SessionConfig scfg;
+  protocol::BobSession bob(scfg, pipeline.reconciler(), block->bob_key);
+  protocol::Message req;
+  req.type = protocol::MessageType::kKeyGenRequest;
+  req.session_id = scfg.session_id;
+  req.nonce = 1;
+  bob.handle(req);
+  const bool copy_answered = bob.handle(req).has_value();
+  const protocol::RejectReason copy_reason = bob.last_reject();
+  protocol::Message forged = req;
+  forged.payload = {0xde, 0xad};
+  const bool forged_answered = bob.handle(forged).has_value();
+  std::printf("4. Replaying a request Bob already accepted:\n");
+  std::printf("   -> bit-identical copy: %s (%s), Bob still %s\n",
+              copy_answered ? "cached accept re-sent" : "ignored",
+              to_string(copy_reason).c_str(),
+              to_string(bob.state()).c_str());
+  std::printf("   -> forged frame under the seen nonce: %s (%s)\n",
+              forged_answered ? "ANSWERED (!!)" : "rejected",
+              to_string(bob.last_reject()).c_str());
   std::printf("\nEve leaves empty-handed.\n");
   return 0;
 }

@@ -5,8 +5,9 @@
 //   1. KeyGenPipeline simulates channel probing, trains the BiLSTM
 //      prediction/quantization model and the autoencoder reconciler, and
 //      produces reconciled key blocks.
-//   2. AliceSession/BobSession run the authenticated agreement protocol
-//      (syndrome + MAC, key confirmation, replay protection).
+//   2. run_reliable_key_agreement drives AliceSession/BobSession through the
+//      authenticated agreement protocol (syndrome + MAC, key confirmation,
+//      replay protection) over an ARQ link, the path every workload runs.
 //   3. KeySchedule derives directional AES-128-CTR + HMAC traffic keys from
 //      the established key; each side seals with its own direction.
 //
@@ -15,7 +16,7 @@
 
 #include "core/pipeline.h"
 #include "protocol/key_schedule.h"
-#include "protocol/session.h"
+#include "protocol/reliability.h"
 
 int main() {
   using namespace vkey;
@@ -42,9 +43,10 @@ int main() {
               100.0 * metrics.mean_eve_kar);
 
   // --- 2. authenticated key agreement over the public channel ------------
+  // A block the pipeline reconciled, with errors for the session to fix.
   const core::KeyBlockResult* block = nullptr;
   for (const auto& blk : pipeline.blocks()) {
-    if (blk.success) {
+    if (blk.success && blk.alice_raw != blk.bob_key) {
       block = &blk;
       break;
     }
@@ -54,27 +56,31 @@ int main() {
     return 1;
   }
 
-  protocol::SessionConfig session_cfg;
-  session_cfg.session_id = 1;
-  protocol::AliceSession alice(session_cfg, pipeline.reconciler(),
-                               block->alice_corrected);
-  protocol::BobSession bob(session_cfg, pipeline.reconciler(),
-                           block->bob_key);
+  // Alice starts from her raw key; the session reconciles it against Bob's
+  // syndrome. One block of probe material, so one attempt.
+  protocol::ReliabilityConfig link_cfg;
+  link_cfg.max_session_attempts = 1;
   protocol::PublicChannel channel;
-  if (!run_key_agreement(channel, alice, bob)) {
-    std::printf("key agreement failed\n");
+  const auto report = protocol::run_reliable_key_agreement(
+      channel, pipeline.reconciler(), link_cfg, [block](std::size_t) {
+        return std::make_pair(block->alice_raw, block->bob_key);
+      });
+  if (!report) {
+    std::printf("key agreement failed (%s)\n",
+                to_string(report.failure).c_str());
     return 1;
   }
-  std::printf("Protocol complete: both sides confirmed the same key "
-              "(%zu protocol messages on the air).\n",
+  const std::uint64_t session_id = report.attempt_log.back().session_id;
+  std::printf("Protocol complete: Alice reconciled %zu differing bits and "
+              "both sides confirmed the same key (%zu frames on the air, "
+              "ARQ acks included).\n",
+              block->alice_raw.hamming_distance(block->bob_key),
               channel.transcript().size());
 
   // --- 3. protected V2V traffic ------------------------------------------
   using Role = protocol::KeySchedule::Role;
-  protocol::KeySchedule alice_link(alice.final_key(), session_cfg.session_id,
-                                   Role::kInitiator);
-  protocol::KeySchedule bob_link(bob.final_key(), session_cfg.session_id,
-                                 Role::kResponder);
+  protocol::KeySchedule alice_link(report.key, session_id, Role::kInitiator);
+  protocol::KeySchedule bob_link(report.key, session_id, Role::kResponder);
   const std::vector<std::uint8_t> warning{'I', 'C', 'Y', ' ', 'R', 'O',
                                           'A', 'D', ' ', 'A', 'H', 'E',
                                           'A', 'D'};

@@ -17,16 +17,16 @@ constexpr const char* kUsage =
     "[--quick] [--json <path>] [--threads <n>] [--trace-out <path>] "
     "[--telemetry-out <path>] [--telemetry-all]";
 
-// Strict positive-integer parse: the whole token must be digits.
-bool parse_threads(const std::string& s, std::size_t& out) {
+}  // namespace
+
+std::optional<std::size_t> parse_count(std::string_view s) {
   std::size_t v = 0;
   const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size() || v == 0) return false;
-  out = v;
-  return true;
+  if (ec != std::errc{} || p != s.data() + s.size() || v == 0) {
+    return std::nullopt;
+  }
+  return v;
 }
-
-}  // namespace
 
 BenchReport::BenchReport(std::string name, int argc, char** argv)
     : name_(std::move(name)) {
@@ -41,13 +41,13 @@ BenchReport::BenchReport(std::string name, int argc, char** argv)
       }
       path_ = argv[++i];
     } else if (arg == "--threads") {
-      std::size_t n = 0;
-      if (i + 1 >= argc || !parse_threads(argv[++i], n)) {
+      const auto n = i + 1 < argc ? parse_count(argv[++i]) : std::nullopt;
+      if (!n) {
         std::fprintf(stderr, "%s: --threads needs a positive integer\n",
                      argv[0]);
         std::exit(2);
       }
-      parallel::set_default_threads(n);
+      parallel::set_default_threads(*n);
     } else if (arg == "--telemetry-out") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: --telemetry-out needs a path\n", argv[0]);

@@ -26,13 +26,21 @@
 // the snapshot must byte-match across lane counts (CI diffs it).
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/json.h"
 #include "common/table.h"
 #include "common/telemetry.h"
 
 namespace vkey {
+
+/// Strict count parse for command-line flags (`--threads`, `--sessions`,
+/// `--rounds`): the whole token must be decimal digits and the value at
+/// least 1. Anything else ("-1", "12abc", "0", "") is nullopt.
+std::optional<std::size_t> parse_count(std::string_view s);
 
 class BenchReport {
  public:

@@ -11,8 +11,7 @@ namespace vkey::telemetry {
 
 const std::vector<std::string>& deterministic_prefixes() {
   static const std::vector<std::string> prefixes = {
-      "arq.",     "gateway.", "link.", "reliability.",
-      "session.", "soak.",    "wire.",
+      "arq.", "gateway.", "link.", "reliability.", "soak.", "wire.",
   };
   return prefixes;
 }

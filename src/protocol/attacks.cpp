@@ -31,6 +31,4 @@ void install_syndrome_tamper(PublicChannel& channel) {
   });
 }
 
-Message make_replay(const Message& original) { return original; }
-
 }  // namespace vkey::protocol

@@ -11,7 +11,8 @@
 //  * Imitating attack: drive Eve's channel observations (she followed
 //    Alice's route) through the same pipeline (Fig. 15(b)).
 //  * MITM: intercept and perturb the syndrome; Alice's MAC check must fail.
-//  * Replay: re-inject an old syndrome; the nonce window must reject it.
+//  * Replay: hand a session a captured frame again; the nonce window
+//    suppresses a bit-identical copy and rejects a modified one.
 #pragma once
 
 #include <optional>
@@ -33,9 +34,5 @@ BitVec eavesdrop_attack(const core::AutoencoderReconciler& reconciler,
 /// Install a MITM interceptor that perturbs every syndrome payload in
 /// flight (flips one byte) while passing other traffic through.
 void install_syndrome_tamper(PublicChannel& channel);
-
-/// Build a replayed copy of a previously observed message (same nonce —
-/// exactly what the replay window must reject).
-Message make_replay(const Message& original);
 
 }  // namespace vkey::protocol

@@ -225,9 +225,6 @@ AgreementReport run_reliable_key_agreement(
 
 void register_protocol_metrics() {
   auto& reg = metrics::Registry::global();
-  reg.counter("session.runs");
-  reg.counter("session.frames_delivered");
-  reg.counter("session.established");
   for (const char* n : {"data_sent", "retransmissions", "timeouts", "gave_up",
                         "acks_received", "acks_sent"}) {
     reg.counter(std::string("arq.") + n);

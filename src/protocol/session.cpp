@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/metrics.h"
 #include "crypto/hmac.h"
 #include "crypto/secret_buffer.h"
 #include "crypto/sha256.h"
@@ -305,51 +304,6 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
     default:
       return reject(RejectReason::kBadState);
   }
-}
-
-// ----------------------------------------------------------------- plumbing
-
-AgreementResult run_key_agreement(PublicChannel& channel, AliceSession& alice,
-                                  BobSession& bob,
-                                  std::size_t max_deliveries) {
-  AgreementResult result;
-  channel.send(alice.start());
-
-  while (channel.pending() > 0) {
-    // Explicit termination: a failed party cannot recover within a session,
-    // so draining the rest of the queue is pointless.
-    if (alice.state() == SessionState::kFailed ||
-        bob.state() == SessionState::kFailed) {
-      break;
-    }
-    if (result.delivered >= max_deliveries) {
-      result.hit_delivery_cap = true;
-      break;
-    }
-    auto msg = channel.receive();
-    if (!msg) break;
-    ++result.delivered;
-    // Route by expected direction: requests/confirms go to Bob, the rest to
-    // Alice. (The simulated wire is a single broadcast medium.)
-    const bool to_bob = msg->type == MessageType::kKeyGenRequest ||
-                        msg->type == MessageType::kKeyConfirm;
-    SessionEndpoint& to = to_bob ? static_cast<SessionEndpoint&>(bob) : alice;
-    if (auto reply = to.handle(*msg)) channel.send(*reply);
-    // Bob's syndrome follows the accept that queued it.
-    if (auto unprompted = to.take_unprompted()) channel.send(*unprompted);
-  }
-  result.alice_state = alice.state();
-  result.bob_state = bob.state();
-  result.alice_reject = alice.last_reject();
-  result.bob_reject = bob.last_reject();
-  result.established = alice.state() == SessionState::kEstablished &&
-                       bob.state() == SessionState::kEstablished &&
-                       alice.final_key() == bob.final_key();
-  auto& reg = metrics::Registry::global();
-  reg.counter("session.runs").add(1);
-  reg.counter("session.frames_delivered").add(result.delivered);
-  if (result.established) reg.counter("session.established").add(1);
-  return result;
 }
 
 }  // namespace vkey::protocol

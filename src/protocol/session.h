@@ -24,7 +24,7 @@
 #include "common/bitvec.h"
 #include "core/privacy.h"
 #include "core/reconciler.h"
-#include "protocol/channel.h"
+#include "protocol/message.h"
 
 namespace vkey::protocol {
 
@@ -204,27 +204,5 @@ class AliceSession final : public SessionEndpoint {
  private:
   std::optional<Message> dispatch(const Message& msg) override;
 };
-
-/// Structured outcome of driving a key agreement to termination.
-struct AgreementResult {
-  bool established = false;  ///< both parties established the *same* key
-  SessionState alice_state = SessionState::kIdle;
-  SessionState bob_state = SessionState::kIdle;
-  RejectReason alice_reject = RejectReason::kNone;
-  RejectReason bob_reject = RejectReason::kNone;
-  std::size_t delivered = 0;      ///< frames pulled off the channel
-  bool hit_delivery_cap = false;  ///< stopped by the safety cap, not quiescence
-
-  explicit operator bool() const { return established; }
-};
-
-/// Drive both parties over a channel until explicit termination: either
-/// party reaching kFailed, both established, the queue draining, or the
-/// delivery cap (a runaway guard against interceptors that forge unbounded
-/// traffic). Returns the terminal state and reject reason of both parties;
-/// the result converts to true when both established the same key.
-AgreementResult run_key_agreement(PublicChannel& channel, AliceSession& alice,
-                                  BobSession& bob,
-                                  std::size_t max_deliveries = 256);
 
 }  // namespace vkey::protocol

@@ -136,13 +136,6 @@ void SessionRegistry::rekeyed(std::uint64_t device_id, double now_ms) {
   gw_counter("rekeys").add(1);
 }
 
-void SessionRegistry::touch(std::uint64_t device_id, double now_ms) {
-  DeviceRecord& rec = mutable_record(device_id);
-  VKEY_REQUIRE(rec.state == DeviceState::kConfirmed,
-               "touch() on a device in state " + to_string(rec.state));
-  rec.last_activity_ms = now_ms;
-}
-
 void SessionRegistry::evict(std::uint64_t device_id, double now_ms,
                             EvictReason reason) {
   DeviceRecord& rec = mutable_record(device_id);

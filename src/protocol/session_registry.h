@@ -54,7 +54,7 @@ struct DeviceRecord {
   double admitted_ms = -1.0;
   double established_ms = -1.0;
   double evicted_ms = -1.0;
-  double last_activity_ms = 0.0;  ///< advanced by establish/rekey/touch
+  double last_activity_ms = 0.0;  ///< advanced by establish/rekey
   std::size_t rekeys = 0;
   FailureReason failure = FailureReason::kNone;
   std::optional<EvictReason> evict_reason;
@@ -106,9 +106,6 @@ class SessionRegistry {
 
   /// A confirmed session rekeyed; counts and refreshes last activity.
   void rekeyed(std::uint64_t device_id, double now_ms);
-
-  /// Any traffic on a confirmed session refreshes last activity.
-  void touch(std::uint64_t device_id, double now_ms);
 
   /// kConfirmed/kFailed -> kEvicted. Confirmed sessions evict as kIdle,
   /// failed ones as kFailed; passing a mismatched reason aborts.

@@ -96,8 +96,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       from == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
 
   // Through the base channel first: keeps the eavesdropper transcript and
-  // lets an installed MITM interceptor rewrite or drop the frame. The link
-  // delivers on its own clock, so the base's delivery queue is never used.
+  // lets an installed MITM interceptor rewrite or drop the frame.
   auto in_flight = base_.transmit(msg);
   if (!in_flight.has_value()) return;  // intercepted and dropped
 

@@ -5,10 +5,9 @@
 // formulas. UnreliableChannel models all of that on top of the existing
 // PublicChannel (which keeps the eavesdropper transcript and the active-
 // attacker interceptor hook): each send() passes through the base channel's
-// transmit() first — so Eve's view and MITM interception are unchanged, and
-// the base's delivery queue is never used — and is then subjected to a
-// seeded fault model before being delivered to the far endpoint through the
-// SimClock:
+// transmit() first — so Eve's view and MITM interception are unchanged —
+// and is then subjected to a seeded fault model before being delivered to
+// the far endpoint through the SimClock:
 //
 //   * drop:        frame lost with probability drop_prob;
 //   * corruption:  1..3 random bit flips in the *packed wire frame*

@@ -1,12 +1,15 @@
 // JSON document model: formatting, escaping, parse/dump round-trips, and
 // the table exporter path bench_runner relies on.
+#include <array>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/table.h"
 
 namespace vkey::json {
@@ -120,6 +123,104 @@ TEST(Parse, RejectsDeepNesting) {
   EXPECT_EQ(Value::parse(nested(200)).dump(0), nested(200));
   EXPECT_NO_THROW((void)Value::parse(nested(256)));
   EXPECT_THROW((void)Value::parse(nested(257)), vkey::Error);
+}
+
+/// A document shaped like a bench snapshot: escaped strings, negative and
+/// exponent numbers, and tables nested inside arrays inside objects.
+Value snapshot_like() {
+  Value row = Value::array();
+  row.push_back(Value("10%"));
+  row.push_back(Value("say \"hi\"\\\tC:\\\\x\n\xc3\xa9"));
+  row.push_back(Value(-42));
+  row.push_back(Value(-1.5e-7));
+  row.push_back(Value(6.02e23));
+  Value rows = Value::array();
+  rows.push_back(row);
+  rows.push_back(Value::array());
+  Value table = Value::object();
+  table.set("id", Value("robustness_drop_sweep"));
+  table.set("caption", Value("key \"establishment\" vs drop\r\n\x01"));
+  table.set("rows", std::move(rows));
+  Value tables = Value::array();
+  tables.push_back(std::move(table));
+  Value hist = Value::object();
+  hist.set("count", Value(0));
+  hist.set("p99", Value(0.1));
+  hist.set("max", Value(-3.25e12));
+  Value metrics = Value::object();
+  metrics.set("reliability.attempt_ms", std::move(hist));
+  metrics.set("empty", Value::object());
+  Value doc = Value::object();
+  doc.set("bench", Value("robustness"));
+  doc.set("schema", Value(1));
+  doc.set("quick", Value(true));
+  doc.set("tables", std::move(tables));
+  doc.set("notes", Value(nullptr));
+  doc.set("metrics", std::move(metrics));
+  return doc;
+}
+
+// bench_runner parses committed snapshots with Value::parse, so any byte
+// string near a real document must be refused with vkey::Error or parse to
+// a value whose dump is a fixed point: never another exception, a crash or
+// a document that does not survive its own round trip.
+TEST(Parse, MutatedDocumentsAreRejectedOrRoundTrip) {
+  const Value doc = snapshot_like();
+  const std::array<std::string, 3> seeds = {
+      doc.dump(0), doc.dump(2),
+      "{\"a\":[1E+2,-0.5e-3,0,-0,\"\\u0041\\/\\b\\f\\r\"],\"b\":{}}"};
+  for (const auto& seed : seeds) ASSERT_NO_THROW((void)Value::parse(seed));
+  const std::array<std::string, 6> splices = {"1e999", "1e-400", "\\u12",
+                                              "[[[[",  "\"\\",   "-"};
+
+  vkey::Rng rng(0x150f);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(n));
+  };
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 20'000; ++iter) {
+    std::string text = seeds[pick(seeds.size())];
+    switch (pick(5)) {
+      case 0:  // 1-3 bit flips
+        for (std::size_t f = pick(3) + 1; f > 0; --f) {
+          text[pick(text.size())] ^= static_cast<char>(1u << pick(8));
+        }
+        break;
+      case 1:  // truncation
+        text.resize(pick(text.size()));
+        break;
+      case 2:  // byte insert
+        text.insert(pick(text.size() + 1), 1, static_cast<char>(pick(256)));
+        break;
+      case 3:  // byte delete
+        text.erase(pick(text.size()), 1);
+        break;
+      default: {  // token splice over 0-3 bytes
+        const std::size_t at = pick(text.size() + 1);
+        text.replace(at, pick(4), splices[pick(splices.size())]);
+        break;
+      }
+    }
+    std::optional<Value> parsed;
+    try {
+      parsed = Value::parse(text);
+    } catch (const vkey::Error&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    for (const int indent : {0, 2}) {
+      const std::string once = parsed->dump(indent);
+      std::string twice;
+      ASSERT_NO_THROW(twice = Value::parse(once).dump(indent))
+          << "iteration " << iter << ": " << text;
+      ASSERT_EQ(twice, once) << "iteration " << iter << ": " << text;
+    }
+  }
+  // The sweep exercises both outcomes.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 100u);
 }
 
 TEST(Accessors, ThrowOnTypeMismatchAndMissingKeys) {

@@ -7,7 +7,7 @@
 #include "core/pipeline.h"
 #include "protocol/attacks.h"
 #include "protocol/key_schedule.h"
-#include "protocol/session.h"
+#include "protocol/reliability.h"
 
 namespace vkey {
 namespace {
@@ -33,6 +33,29 @@ class EndToEnd : public ::testing::Test {
     pipeline_ = nullptr;
   }
 
+  /// The first block the pipeline reconciled exactly from a raw key that
+  /// differed from Bob's, so the session's reconciler has bits to fix.
+  static const core::KeyBlockResult* reconcilable_block() {
+    for (const auto& blk : pipeline_->blocks()) {
+      if (blk.success && blk.alice_raw != blk.bob_key) return &blk;
+    }
+    return nullptr;
+  }
+
+  /// Run the agreement protocol over a fault-free link, Alice starting
+  /// from her raw (pre-reconciliation) key and Bob from his.
+  static protocol::AgreementReport agree(const core::KeyBlockResult& block,
+                                         protocol::PublicChannel& ch,
+                                         std::uint64_t session_id = 1) {
+    protocol::ReliabilityConfig cfg;
+    cfg.base_session_id = session_id;
+    cfg.max_session_attempts = 1;
+    return protocol::run_reliable_key_agreement(
+        ch, pipeline_->reconciler(), cfg, [&block](std::size_t) {
+          return std::make_pair(block.alice_raw, block.bob_key);
+        });
+  }
+
   static core::KeyGenPipeline* pipeline_;
   static core::PipelineMetrics metrics_;
 };
@@ -47,31 +70,23 @@ TEST_F(EndToEnd, ChannelMaterialReachesProtocolGrade) {
 TEST_F(EndToEnd, SessionOverRealKeyMaterial) {
   // Pick a reconcilable block from the pipeline and run the full message
   // protocol over it.
-  const core::KeyBlockResult* block = nullptr;
-  for (const auto& blk : pipeline_->blocks()) {
-    if (blk.success) {
-      block = &blk;
-      break;
-    }
-  }
+  const core::KeyBlockResult* block = reconcilable_block();
   ASSERT_NE(block, nullptr) << "no reconcilable block in the test trace";
 
-  protocol::SessionConfig cfg;
-  cfg.session_id = 7;
-  // Alice holds her raw (pre-reconciliation) key; Bob holds his.
-  const BitVec ka = block->alice_corrected ^
-                    (block->alice_corrected ^ block->bob_key);  // == bob_key
-  protocol::AliceSession alice(cfg, pipeline_->reconciler(),
-                               block->alice_corrected);
-  protocol::BobSession bob(cfg, pipeline_->reconciler(), block->bob_key);
   protocol::PublicChannel ch;
-  EXPECT_TRUE(run_key_agreement(ch, alice, bob));
-  (void)ka;
+  const auto report = agree(*block, ch, /*session_id=*/7);
+  ASSERT_TRUE(report.established);
+  const std::uint64_t session_id = report.attempt_log.front().session_id;
+  EXPECT_EQ(session_id, 7u);
+  // Bob's side of the key, from his raw key alone.
+  const BitVec bob_key = core::PrivacyAmplifier(protocol::kFinalKeyBits)
+                             .amplify(block->bob_key, session_id);
+  EXPECT_EQ(report.key, bob_key);
 
   // And the established key protects traffic end to end.
-  protocol::KeySchedule alice_link(alice.final_key(), cfg.session_id,
+  protocol::KeySchedule alice_link(report.key, session_id,
                                    protocol::KeySchedule::Role::kInitiator);
-  protocol::KeySchedule bob_link(bob.final_key(), cfg.session_id,
+  protocol::KeySchedule bob_link(bob_key, session_id,
                                  protocol::KeySchedule::Role::kResponder);
   const std::vector<std::uint8_t> v2v_msg{'b', 'r', 'a', 'k', 'e', '!'};
   const auto sealed = alice_link.seal(100, v2v_msg);
@@ -81,23 +96,15 @@ TEST_F(EndToEnd, SessionOverRealKeyMaterial) {
 }
 
 TEST_F(EndToEnd, EveCannotDecryptTraffic) {
-  const core::KeyBlockResult* block = nullptr;
-  for (const auto& blk : pipeline_->blocks()) {
-    if (blk.success) {
-      block = &blk;
-      break;
-    }
-  }
+  const core::KeyBlockResult* block = reconcilable_block();
   ASSERT_NE(block, nullptr);
 
-  protocol::SessionConfig cfg;
-  protocol::AliceSession alice(cfg, pipeline_->reconciler(),
-                               block->alice_corrected);
-  protocol::BobSession bob(cfg, pipeline_->reconciler(), block->bob_key);
   protocol::PublicChannel ch;
-  ASSERT_TRUE(run_key_agreement(ch, alice, bob));
+  const auto report = agree(*block, ch);
+  ASSERT_TRUE(report.established);
+  const std::uint64_t session_id = report.attempt_log.front().session_id;
 
-  protocol::KeySchedule alice_link(alice.final_key(), cfg.session_id,
+  protocol::KeySchedule alice_link(report.key, session_id,
                                    protocol::KeySchedule::Role::kInitiator);
   const auto sealed = alice_link.seal(5, {1, 2, 3});
 
@@ -109,9 +116,8 @@ TEST_F(EndToEnd, EveCannotDecryptTraffic) {
   for (std::size_t i = 0; i < 64; ++i) ke.set(i, rng.bernoulli(0.5));
   const BitVec eve_raw =
       protocol::eavesdrop_attack(pipeline_->reconciler(), ke, *syndrome);
-  const core::PrivacyAmplifier amp(128);
-  protocol::KeySchedule eve_link(amp.amplify(eve_raw, cfg.session_id),
-                                 cfg.session_id,
+  const core::PrivacyAmplifier amp(protocol::kFinalKeyBits);
+  protocol::KeySchedule eve_link(amp.amplify(eve_raw, session_id), session_id,
                                  protocol::KeySchedule::Role::kResponder);
   EXPECT_FALSE(eve_link.open(sealed, 0.0).has_value());
 }

@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
-#include "protocol/session.h"
+#include "protocol/reliability.h"
 
 namespace vkey::core {
 namespace {
@@ -111,20 +111,22 @@ TEST(Pipeline, StageTimersAndCountersPopulatedAfterRun) {
     EXPECT_GT(reg.counter("pipeline.bits.amplified").value(), 0u);
   }
 
-  // Driving a session end to end bumps the session counters.
-  const std::uint64_t runs_before = reg.counter("session.runs").value();
+  // Driving an agreement end to end bumps the reliability counters.
+  auto& attempts = reg.counter("reliability.attempts");
+  auto& established = reg.counter("reliability.established");
+  const std::uint64_t attempts_before = attempts.value();
+  const std::uint64_t established_before = established.value();
   const auto& blk = p.blocks().front();
-  protocol::SessionConfig cfg;
-  protocol::AliceSession alice(cfg, p.reconciler(), blk.alice_raw);
-  protocol::BobSession bob(cfg, p.reconciler(), blk.bob_key);
+  protocol::ReliabilityConfig cfg;
+  cfg.max_session_attempts = 1;
   protocol::PublicChannel ch;
-  const auto result = protocol::run_key_agreement(ch, alice, bob);
-  EXPECT_EQ(reg.counter("session.runs").value(), runs_before + 1);
-  EXPECT_GE(reg.counter("session.frames_delivered").value(),
-            static_cast<std::uint64_t>(result.delivered));
-  if (result.established) {
-    EXPECT_GT(reg.counter("session.established").value(), 0u);
-  }
+  const auto report = protocol::run_reliable_key_agreement(
+      ch, p.reconciler(), cfg, [&blk](std::size_t) {
+        return std::make_pair(blk.alice_raw, blk.bob_key);
+      });
+  EXPECT_EQ(attempts.value(), attempts_before + 1);
+  EXPECT_EQ(established.value(),
+            established_before + (report.established ? 1u : 0u));
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "protocol/reliability.h"
 #include "protocol/session.h"
 
 namespace vkey::protocol {
@@ -30,6 +31,17 @@ class AttackTest : public ::testing::Test {
     return k;
   }
 
+  /// One agreement attempt over a fault-free link whose base channel is
+  /// `ch`: Eve's transcript and the attacker's interceptor.
+  static AgreementReport agree(PublicChannel& ch, const BitVec& ka,
+                               const BitVec& kb) {
+    ReliabilityConfig cfg;
+    cfg.max_session_attempts = 1;
+    return run_reliable_key_agreement(
+        ch, *reconciler_, cfg,
+        [&](std::size_t) { return std::make_pair(ka, kb); });
+  }
+
   static core::AutoencoderReconciler* reconciler_;
 };
 
@@ -39,11 +51,8 @@ TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
   const BitVec kb = random_key(1);
   BitVec ka = kb;
   ka.flip(5);
-  SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, ka);
-  BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
-  ASSERT_TRUE(run_key_agreement(ch, alice, bob));
+  ASSERT_TRUE(agree(ch, ka, kb));
 
   // Eve pulls the syndrome from the transcript.
   const auto syndrome = find_syndrome(ch);
@@ -72,14 +81,14 @@ TEST_F(AttackTest, MitmTamperIsDetectedByMac) {
   const BitVec kb = random_key(3);
   BitVec ka = kb;
   ka.flip(7);
-  SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, ka);
-  BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
   install_syndrome_tamper(ch);
-  EXPECT_FALSE(run_key_agreement(ch, alice, bob));
-  EXPECT_EQ(alice.state(), SessionState::kFailed);
-  EXPECT_EQ(alice.last_reject(), RejectReason::kMacMismatch);
+  const auto report = agree(ch, ka, kb);
+  EXPECT_FALSE(report);
+  EXPECT_EQ(report.failure, FailureReason::kMacMismatch);
+  const AttemptReport& att = report.attempt_log.front();
+  EXPECT_EQ(att.alice_state, SessionState::kFailed);
+  EXPECT_EQ(att.alice_reject, RejectReason::kMacMismatch);
 }
 
 TEST_F(AttackTest, ReplayedSyndromeCannotDisturbTheSession) {
@@ -89,20 +98,30 @@ TEST_F(AttackTest, ReplayedSyndromeCannotDisturbTheSession) {
   SessionConfig cfg;
   AliceSession alice(cfg, *reconciler_, ka);
   BobSession bob(cfg, *reconciler_, kb);
-  PublicChannel ch;
-  ASSERT_TRUE(run_key_agreement(ch, alice, bob));
-
-  const auto syndrome = find_syndrome(ch);
+  // Step the five frames by hand, so the established session stays live:
+  // request, accept, syndrome, confirm, ack.
+  const auto accept = bob.handle(alice.start());
+  ASSERT_TRUE(accept.has_value());
+  const auto syndrome = bob.take_unprompted();
   ASSERT_TRUE(syndrome.has_value());
+  EXPECT_FALSE(alice.handle(*accept).has_value());
+  const auto confirm = alice.handle(*syndrome);
+  ASSERT_TRUE(confirm.has_value());
+  const auto ack = bob.handle(*confirm);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(alice.handle(*ack).has_value());
+  ASSERT_EQ(alice.state(), SessionState::kEstablished);
+  ASSERT_EQ(bob.state(), SessionState::kEstablished);
+
   // Replaying the captured syndrome bit-identically is indistinguishable
   // from an ARQ retransmission: it is suppressed as a duplicate (the cached
   // response is re-elicited) and the established state is untouched.
-  alice.handle(make_replay(*syndrome));
+  EXPECT_EQ(alice.handle(*syndrome), confirm);
   EXPECT_EQ(alice.last_reject(), RejectReason::kDuplicate);
   EXPECT_EQ(alice.state(), SessionState::kEstablished);
 
   // A *modified* replay under the old nonce is an attack: rejected outright.
-  Message forged = make_replay(*syndrome);
+  Message forged = *syndrome;
   forged.payload[0] ^= 0xff;
   EXPECT_FALSE(alice.handle(forged).has_value());
   EXPECT_EQ(alice.last_reject(), RejectReason::kReplayedNonce);
@@ -116,8 +135,7 @@ TEST_F(AttackTest, TamperInterceptorPassesOtherTraffic) {
   req.type = MessageType::kKeyGenRequest;
   req.session_id = 1;
   req.nonce = 1;
-  ch.send(req);
-  const auto got = ch.receive();
+  const auto got = ch.transmit(req);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, req);  // untouched
 }

@@ -13,21 +13,10 @@ Message msg(MessageType type, std::uint64_t nonce) {
   return m;
 }
 
-TEST(PublicChannel, FifoDelivery) {
-  PublicChannel ch;
-  ch.send(msg(MessageType::kKeyGenRequest, 1));
-  ch.send(msg(MessageType::kKeyGenAccept, 2));
-  EXPECT_EQ(ch.pending(), 2u);
-  EXPECT_EQ(ch.receive()->nonce, 1u);
-  EXPECT_EQ(ch.receive()->nonce, 2u);
-  EXPECT_FALSE(ch.receive().has_value());
-}
-
 TEST(PublicChannel, TranscriptRecordsEverything) {
   PublicChannel ch;
-  ch.send(msg(MessageType::kKeyGenRequest, 1));
-  (void)ch.receive();
-  ch.send(msg(MessageType::kSyndrome, 2));
+  EXPECT_EQ(ch.transmit(msg(MessageType::kKeyGenRequest, 1))->nonce, 1u);
+  EXPECT_EQ(ch.transmit(msg(MessageType::kSyndrome, 2))->nonce, 2u);
   ASSERT_EQ(ch.transcript().size(), 2u);
   EXPECT_EQ(ch.transcript()[1].type, MessageType::kSyndrome);
 }
@@ -39,8 +28,7 @@ TEST(PublicChannel, InterceptorCanModify) {
     t.nonce = 99;
     return t;
   });
-  ch.send(msg(MessageType::kData, 1));
-  EXPECT_EQ(ch.receive()->nonce, 99u);
+  EXPECT_EQ(ch.transmit(msg(MessageType::kData, 1))->nonce, 99u);
   // The transcript keeps the original.
   EXPECT_EQ(ch.transcript()[0].nonce, 1u);
 }
@@ -48,8 +36,7 @@ TEST(PublicChannel, InterceptorCanModify) {
 TEST(PublicChannel, InterceptorCanDrop) {
   PublicChannel ch;
   ch.set_interceptor([](const Message&) { return std::nullopt; });
-  ch.send(msg(MessageType::kData, 1));
-  EXPECT_EQ(ch.pending(), 0u);
+  EXPECT_FALSE(ch.transmit(msg(MessageType::kData, 1)).has_value());
   EXPECT_EQ(ch.transcript().size(), 1u);
 }
 
@@ -57,15 +44,9 @@ TEST(PublicChannel, ClearInterceptor) {
   PublicChannel ch;
   ch.set_interceptor([](const Message&) { return std::nullopt; });
   ch.set_interceptor(nullptr);
-  ch.send(msg(MessageType::kData, 1));
-  EXPECT_EQ(ch.pending(), 1u);
-}
-
-TEST(PublicChannel, InjectBypassesTranscript) {
-  PublicChannel ch;
-  ch.inject(msg(MessageType::kSyndrome, 5));
-  EXPECT_EQ(ch.pending(), 1u);
-  EXPECT_TRUE(ch.transcript().empty());  // forged, never "sent"
+  const auto delivered = ch.transmit(msg(MessageType::kData, 1));
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_EQ(*delivered, msg(MessageType::kData, 1));
 }
 
 }  // namespace

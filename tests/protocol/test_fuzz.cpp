@@ -142,9 +142,10 @@ std::optional<Message> flip_one_field_bit(Message msg, vkey::Rng& rng) {
   return msg;
 }
 
-/// Deliver `msg` the way run_key_agreement routes it (requests and
-/// confirms to Bob, the rest to Alice) and put the reply, then any frame the
-/// party publishes unprompted (Bob's syndrome), back in flight.
+/// Deliver `msg` by message type, as a single broadcast medium would
+/// (requests and confirms to Bob, the rest to Alice), and put the reply,
+/// then any frame the party publishes unprompted (Bob's syndrome), back in
+/// flight.
 void deliver(const Message& msg, AliceSession& alice, BobSession& bob,
              std::deque<Message>& wire) {
   const bool to_bob = msg.type == MessageType::kKeyGenRequest ||

@@ -79,8 +79,6 @@ TEST(SessionRegistry, EvictionBookkeepingSeparatesIdleFromFailure) {
   reg.rekeyed(1, 10.0);
   reg.rekeyed(1, 12.0);
   EXPECT_DOUBLE_EQ(reg.record(1).last_activity_ms, 12.0);
-  reg.touch(1, 13.0);
-  EXPECT_DOUBLE_EQ(reg.record(1).last_activity_ms, 13.0);
   reg.evict(1, 20.0, EvictReason::kIdle);
 
   const RegistryStats& s = reg.stats();

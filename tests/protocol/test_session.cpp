@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/reconciler.h"
+#include "protocol/reliability.h"
 
 namespace vkey::protocol {
 namespace {
@@ -41,6 +42,17 @@ class SessionTest : public ::testing::Test {
     return out;
   }
 
+  /// One agreement attempt over a fault-free link, under the supervisor
+  /// every workload runs.
+  static AgreementReport agree(const BitVec& ka, const BitVec& kb) {
+    PublicChannel ch;
+    ReliabilityConfig cfg;
+    cfg.max_session_attempts = 1;
+    return run_reliable_key_agreement(
+        ch, *reconciler_, cfg,
+        [&](std::size_t) { return std::make_pair(ka, kb); });
+  }
+
   static core::AutoencoderReconciler* reconciler_;
 };
 
@@ -49,24 +61,20 @@ core::AutoencoderReconciler* SessionTest::reconciler_ = nullptr;
 TEST_F(SessionTest, HappyPathEstablishesSameKey) {
   const BitVec kb = random_key(1);
   const BitVec ka = with_flips(kb, 3, 2);
-  SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, ka);
-  BobSession bob(cfg, *reconciler_, kb);
-  PublicChannel ch;
-  EXPECT_TRUE(run_key_agreement(ch, alice, bob));
-  EXPECT_EQ(alice.state(), SessionState::kEstablished);
-  EXPECT_EQ(bob.state(), SessionState::kEstablished);
-  EXPECT_EQ(alice.final_key(), bob.final_key());
-  EXPECT_EQ(alice.final_key().size(), 128u);
+  const auto report = agree(ka, kb);
+  ASSERT_TRUE(report.established);
+  const AttemptReport& att = report.attempt_log.front();
+  EXPECT_EQ(att.alice_state, SessionState::kEstablished);
+  EXPECT_EQ(att.bob_state, SessionState::kEstablished);
+  // The established key is Bob's raw key, amplified under the session id.
+  EXPECT_EQ(report.key,
+            core::PrivacyAmplifier(kFinalKeyBits).amplify(kb, att.session_id));
+  EXPECT_EQ(report.key.size(), 128u);
 }
 
 TEST_F(SessionTest, IdenticalKeysAlsoWork) {
   const BitVec k = random_key(3);
-  SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, k);
-  BobSession bob(cfg, *reconciler_, k);
-  PublicChannel ch;
-  EXPECT_TRUE(run_key_agreement(ch, alice, bob));
+  EXPECT_TRUE(agree(k, k));
 }
 
 TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
@@ -75,12 +83,11 @@ TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
   // different keys.
   const BitVec kb = random_key(4);
   const BitVec ka = random_key(5);
-  SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, ka);
-  BobSession bob(cfg, *reconciler_, kb);
-  PublicChannel ch;
-  EXPECT_FALSE(run_key_agreement(ch, alice, bob));
-  EXPECT_NE(alice.state(), SessionState::kEstablished);
+  const auto report = agree(ka, kb);
+  EXPECT_FALSE(report);
+  EXPECT_NE(report.attempt_log.front().alice_state,
+            SessionState::kEstablished);
+  EXPECT_TRUE(report.key.empty());
 }
 
 TEST_F(SessionTest, SessionIdMismatchRejected) {
