@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -39,13 +38,16 @@ LoRaPhy::LoRaPhy(const LoRaParams& p) : params_(p) {
   rssi_samples_ = static_cast<int>(std::floor(total_symbols_));
 }
 
-void LoRaPhy::account_airtime(const char* label, std::size_t packets) const {
+void LoRaPhy::account_airtime(AirtimeUse use, std::size_t packets) const {
   if (!metrics::enabled() || packets == 0) return;
-  auto& reg = metrics::Registry::global();
   const double ms = airtime_ * 1000.0 * static_cast<double>(packets);
-  reg.counter("phy.packets").add(packets);
-  reg.gauge("phy.airtime_ms").add(ms);
-  reg.gauge(std::string("phy.airtime_ms.") + label).add(ms);
+  metrics::counter<"phy.packets">().add(packets);
+  metrics::gauge<"phy.airtime_ms">().add(ms);
+  if (use == AirtimeUse::kProbe) {
+    metrics::gauge<"phy.airtime_ms.probe">().add(ms);
+  } else {
+    metrics::gauge<"phy.airtime_ms.wire">().add(ms);
+  }
 }
 
 double LoRaPhy::wavelength() const {

@@ -9,8 +9,15 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace vkey::channel {
+
+/// What a transmission carried, for the per-use airtime breakdown.
+enum class AirtimeUse : std::uint8_t {
+  kProbe,  ///< channel probing ("phy.airtime_ms.probe")
+  kWire,   ///< protocol wire frames ("phy.airtime_ms.wire")
+};
 
 /// Radio/packet configuration. Defaults are the paper's evaluation settings
 /// (BW = 125 kHz, SF = 12, CR = 4/8, f0 = 434 MHz, 16-byte payload).
@@ -64,10 +71,10 @@ class LoRaPhy {
 
   /// Observability hook: account `packets` transmissions of this
   /// configuration in the global metrics registry — total packet count and
-  /// accumulated on-air milliseconds, plus a per-`label` breakdown
-  /// ("phy.airtime_ms.<label>"). Labels distinguish probe traffic from
-  /// protocol wire frames.
-  void account_airtime(const char* label, std::size_t packets = 1) const;
+  /// accumulated on-air milliseconds, plus a per-use breakdown
+  /// ("phy.airtime_ms.probe" / "phy.airtime_ms.wire"). Every gauge is
+  /// looked up once per process, on its first use.
+  void account_airtime(AirtimeUse use, std::size_t packets = 1) const;
 
  private:
   LoRaParams params_;

@@ -240,7 +240,7 @@ struct TraceGenerator::Impl {
 
     now = t2 + airtime + cfg.probe_interval_s;
     // One probe exchange = two packets on the air (probe + response).
-    phy.account_airtime("probe", 2);
+    phy.account_airtime(AirtimeUse::kProbe, 2);
     return round;
   }
 };

@@ -12,8 +12,9 @@
 //                 registration; observations are atomic per bucket.
 //
 // Instruments live for the process lifetime: the registry hands out stable
-// references, so hot paths register once (function-local static) and then
-// pay only an atomic add per event. reset() zeroes values but never
+// references, so hot paths register once (function-local static, or
+// `metrics::counter<"name">()` below, which is one per name) and then pay
+// only an atomic add per event. reset() zeroes values but never
 // invalidates references.
 //
 // The whole subsystem is gated by one flag: the VKEY_METRICS environment
@@ -176,5 +177,35 @@ class Registry {
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
 };
+
+/// A string literal as a template argument: the instrument name of the
+/// cached handles below.
+template <std::size_t N>
+struct Name {
+  constexpr Name(const char (&text)[N]) {  // implicit: counter<"a.b">()
+    for (std::size_t i = 0; i < N; ++i) chars[i] = text[i];
+  }
+  char chars[N]{};
+};
+
+/// The global registry's instrument `name`, looked up on its first use and
+/// cached for the process: a hot path takes the registry's lock and scans
+/// its entries once per name, not once per event. Registration stays lazy
+/// per name, so snapshots list exactly the instruments a run touched.
+template <Name name>
+Counter& counter() {
+  static Counter& c = Registry::global().counter(name.chars);
+  return c;
+}
+template <Name name>
+Gauge& gauge() {
+  static Gauge& g = Registry::global().gauge(name.chars);
+  return g;
+}
+template <Name name>
+Histogram& histogram() {
+  static Histogram& h = Registry::global().histogram(name.chars);
+  return h;
+}
 
 }  // namespace vkey::metrics

@@ -189,18 +189,31 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
   // two dot products) and commits the flip that shrinks ||h|| the most.
   // A pass that cannot shrink the residual terminates the loop, so a wrong
   // greedy step can always be undone but never loops forever.
+  //
+  // Every pass runs in one call-local workspace, sized before the first
+  // pass: two ping-pong activation buffers as wide as the widest layer, and
+  // the shortlist's order vector. A decode allocates the same number of
+  // blocks whether it needs no pass or max_decode_iterations of them.
   const nn::Vec& w_flat = alice_encoder.weights().value;  // code_dim x key_bits
   BitVec work = bloom_.apply(key_alice);
   BitVec delta(cfg_.key_bits);
   std::size_t iters = 0;
   constexpr std::size_t kShortlist = 16;
 
+  const std::size_t width =
+      std::max({cfg_.key_bits, cfg_.code_dim, cfg_.decoder_units});
+  std::vector<double> buffers(2 * width);
+  double* cur = buffers.data();
+  double* next = cur + width;
+  std::vector<std::size_t> order(cfg_.key_bits);
+
   // Current residual h (maintained incrementally after the first pass).
   nn::Vec h(cfg_.code_dim);
-  {
-    const nn::Vec ya = alice_encoder.infer(work.to_doubles());
-    for (std::size_t i = 0; i < h.size(); ++i) h[i] = y_bob[i] - ya[i];
+  for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
+    cur[i] = work.get(i) ? 1.0 : 0.0;
   }
+  alice_encoder.infer_into(cur, next);
+  for (std::size_t i = 0; i < h.size(); ++i) h[i] = y_bob[i] - next[i];
   double h_norm2 = 0.0;
   for (double v : h) h_norm2 += v * v;
   const double initial_norm2 = h_norm2;
@@ -209,17 +222,22 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
 
   while (iters < cfg_.max_decode_iterations && h_norm2 > 1e-9) {
     ++iters;
-    nn::Vec x = h;
-    for (const auto& layer : decoder_) x = layer.infer(x);
+    std::copy(h.begin(), h.end(), cur);
+    for (const auto& layer : decoder_) {
+      layer.infer_into(cur, next);
+      std::swap(cur, next);
+    }
+    const double* x = cur;  // the decoder's logits, key_bits wide
 
     // Shortlist the decoder's top-scored positions.
-    std::vector<std::size_t> order(cfg_.key_bits);
     std::iota(order.begin(), order.end(), 0);
     const std::size_t take = std::min(kShortlist, order.size());
     std::partial_sort(order.begin(),
                       order.begin() + static_cast<std::ptrdiff_t>(take),
                       order.end(),
-                      [&x](std::size_t a, std::size_t b) { return x[a] > x[b]; });
+                      [x](std::size_t a, std::size_t b) {
+                        return x[a] > x[b];
+                      });
 
     // Verify candidates: pick the flip that shrinks ||h|| the most.
     std::size_t best_pos = cfg_.key_bits;

@@ -14,6 +14,11 @@
 //
 // Cost accounting: decode_flops() counts the multiply-accumulates of one
 // reconciliation, the quantity Fig. 11 compares against the CS/OMP decoder.
+//
+// Allocation: decode_mismatch() runs all its greedy passes in one
+// call-local workspace (two ping-pong activation buffers fed through
+// Dense::infer_into, plus the shortlist's order vector), so it allocates a
+// fixed number of blocks per call however many passes it needs.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +96,7 @@ class AutoencoderReconciler {
   };
 
   /// Alice's side: recover the estimated mismatch (in original key space).
+  /// Allocates the same number of blocks for any number of passes.
   DecodeResult decode_mismatch(const BitVec& key_alice,
                                std::span<const double> y_bob) const;
 

@@ -1,5 +1,8 @@
 #include "crypto/hkdf.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/error.h"
 #include "crypto/hmac.h"
 
@@ -7,10 +10,9 @@ namespace vkey::crypto {
 
 SecretBuffer hkdf_extract(std::span<const std::uint8_t> salt,
                           std::span<const std::uint8_t> ikm) {
-  const std::vector<std::uint8_t> zero_salt(
-      salt.empty() ? Sha256::kDigestSize : 0, 0);
+  static constexpr std::array<std::uint8_t, Sha256::kDigestSize> kZeroSalt{};
   auto prk = hmac_sha256(
-      salt.empty() ? std::span<const std::uint8_t>(zero_salt) : salt, ikm);
+      salt.empty() ? std::span<const std::uint8_t>(kZeroSalt) : salt, ikm);
   auto out = SecretBuffer::copy_of(prk);
   secure_wipe(prk.data(), prk.size());
   return out;
@@ -23,30 +25,26 @@ SecretBuffer hkdf_expand(const SecretBuffer& prk,
                "PRK must be at least one hash block");
   VKEY_REQUIRE(length >= 1 && length <= 255 * Sha256::kDigestSize,
                "HKDF output length out of range");
-  std::vector<std::uint8_t> okm;
-  okm.reserve(length + Sha256::kDigestSize);
-  std::vector<std::uint8_t> block;
-  std::size_t t_len = 0;  // bytes of T(i-1) at the front of `block`
+  // T(i) = HMAC(PRK, T(i-1) || info || i), hashed part by part, so the only
+  // buffers are the output itself and T on the stack (wiped on the way out).
+  SecretBuffer okm = SecretBuffer::zeros(length);
+  const std::span<std::uint8_t> out = okm.expose_mut();
+  std::array<std::uint8_t, Sha256::kDigestSize> t{};
+  std::size_t t_len = 0;  // T(0) is empty
   std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    // block = T(i-1) || info || counter
-    block.resize(t_len);
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    auto digest = hmac_sha256(prk, std::span<const std::uint8_t>(block));
-    secure_wipe(block);
-    block.assign(digest.begin(), digest.end());
-    t_len = digest.size();
-    okm.insert(okm.end(), digest.begin(), digest.end());
+  for (std::size_t done = 0; done < length; ++counter) {
+    auto digest = hmac_sha256(prk.expose(), {std::span(t.data(), t_len), info,
+                                             std::span(&counter, 1)});
+    t = digest;
+    t_len = t.size();
     secure_wipe(digest.data(), digest.size());
+    const std::size_t take = std::min(length - done, t.size());
+    std::copy_n(t.begin(), take,
+                out.begin() + static_cast<std::ptrdiff_t>(done));
+    done += take;
   }
-  secure_wipe(block);
-  // Trim to the requested length, wiping the overshoot before release.
-  if (okm.size() > length) {
-    secure_wipe(okm.data() + length, okm.size() - length);
-    okm.resize(length);
-  }
-  return SecretBuffer(std::move(okm));
+  secure_wipe(t.data(), t.size());
+  return okm;
 }
 
 SecretBuffer hkdf(std::span<const std::uint8_t> salt,

@@ -3,7 +3,8 @@
 namespace vkey::crypto {
 
 std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
-    std::span<const std::uint8_t> key, std::span<const std::uint8_t> message) {
+    std::span<const std::uint8_t> key,
+    std::initializer_list<std::span<const std::uint8_t>> parts) {
   constexpr std::size_t kBlockSize = 64;
 
   // Keys longer than the block size are hashed first. `k` and the derived
@@ -28,7 +29,7 @@ std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
 
   Sha256 inner;
   inner.update(ipad.data(), ipad.size());
-  inner.update(message.data(), message.size());
+  for (const auto part : parts) inner.update(part.data(), part.size());
   auto inner_digest = inner.finalize();
 
   Sha256 outer;

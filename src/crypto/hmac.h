@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -20,10 +21,20 @@
 
 namespace vkey::crypto {
 
-/// Compute HMAC-SHA256 over `message` with `key` (borrowed views; the
-/// internal key-derived scratch is wiped before returning).
+/// Compute HMAC-SHA256 over the concatenation of `parts` with `key`
+/// (borrowed views; the internal key-derived scratch is wiped before
+/// returning). The parts are hashed in order, never copied together, so a
+/// caller with a structured message (HKDF's T(i-1) || info || counter)
+/// needs no buffer to assemble it in.
 std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
-    std::span<const std::uint8_t> key, std::span<const std::uint8_t> message);
+    std::span<const std::uint8_t> key,
+    std::initializer_list<std::span<const std::uint8_t>> parts);
+
+/// HMAC-SHA256 over one contiguous `message`.
+inline std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
+    std::span<const std::uint8_t> key, std::span<const std::uint8_t> message) {
+  return hmac_sha256(key, {message});
+}
 
 /// HMAC under a managed secret key without exposing it at the call site.
 inline std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(

@@ -8,10 +8,4 @@ Vec sigmoid_vec(const Vec& x) {
   return y;
 }
 
-Vec tanh_vec(const Vec& x) {
-  Vec y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::tanh(x[i]);
-  return y;
-}
-
 }  // namespace vkey::nn

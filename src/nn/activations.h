@@ -24,7 +24,4 @@ inline double dtanh_from_y(double y) { return 1.0 - y * y; }
 /// Element-wise sigmoid of a vector.
 Vec sigmoid_vec(const Vec& x);
 
-/// Element-wise tanh of a vector.
-Vec tanh_vec(const Vec& x);
-
 }  // namespace vkey::nn

@@ -8,23 +8,6 @@
 
 namespace vkey::nn {
 
-namespace {
-
-// Hot-path FLOP accounting: register once, then one relaxed atomic add per
-// layer pass (multiply+add counted as 2 FLOPs).
-metrics::Counter& dense_flops() {
-  static metrics::Counter& c =
-      metrics::Registry::global().counter("nn.dense.flops");
-  return c;
-}
-metrics::Counter& dense_calls() {
-  static metrics::Counter& c =
-      metrics::Registry::global().counter("nn.dense.forward_calls");
-  return c;
-}
-
-}  // namespace
-
 Dense::Dense(std::size_t in, std::size_t out, vkey::Rng& rng, Activation act)
     : in_(in), out_(out), act_(act), w_(in * out), b_(out) {
   VKEY_REQUIRE(in > 0 && out > 0, "Dense sizes must be positive");
@@ -44,23 +27,37 @@ const QuantizedMatrix& Dense::quant() const {
   return quant_w_;
 }
 
-Vec Dense::affine(const Vec& x, bool quantized) const {
-  // Validate BEFORE counting: a rejected input must not inflate the FLOP /
-  // call counters with work that never ran.
-  VKEY_REQUIRE(x.size() == in_, "Dense input size mismatch");
-  dense_calls().add(1);
-  dense_flops().add(2 * static_cast<std::uint64_t>(in_) * out_);
-  Vec z(out_);
+void Dense::compute(const double* x, double* y, bool quantized) const {
+  // FLOPs count a multiply and an add as two.
+  metrics::counter<"nn.dense.forward_calls">().add(1);
+  metrics::counter<"nn.dense.flops">().add(
+      2 * static_cast<std::uint64_t>(in_) * out_);
   if (quantized) {
     const QuantizedMatrix& qm = quant();
     std::vector<std::int8_t> xq(qm.padded_cols(), 0);
-    const double x_scale =
-        QuantizedMatrix::quantize_input(x.data(), in_, xq.data());
-    qm.matvec(xq.data(), x_scale, b_.value.data(), z.data());
+    const double x_scale = QuantizedMatrix::quantize_input(x, in_, xq.data());
+    qm.matvec(xq.data(), x_scale, b_.value.data(), y);
   } else {
-    packed().matvec(x.data(), b_.value.data(), z.data());
+    packed().matvec(x, b_.value.data(), y);
   }
-  return z;
+  activate(y);
+}
+
+void Dense::activate(double* y) const {
+  switch (act_) {
+    case Activation::kNone:
+      return;
+    case Activation::kSigmoid:
+      for (std::size_t i = 0; i < out_; ++i) y[i] = sigmoid(y[i]);
+      return;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < out_; ++i) y[i] = std::tanh(y[i]);
+      return;
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < out_; ++i) y[i] = y[i] > 0 ? y[i] : 0.0;
+      return;
+  }
+  throw vkey::Error("unknown activation");
 }
 
 Vec Dense::infer_reference(const Vec& x) const {
@@ -72,33 +69,30 @@ Vec Dense::infer_reference(const Vec& x) const {
     for (std::size_t i = 0; i < in_; ++i) s += wrow[i] * x[i];
     z[o] = s;
   }
-  return activate(z);
-}
-
-Vec Dense::activate(const Vec& z) const {
-  switch (act_) {
-    case Activation::kNone:
-      return z;
-    case Activation::kSigmoid:
-      return sigmoid_vec(z);
-    case Activation::kTanh:
-      return tanh_vec(z);
-    case Activation::kRelu: {
-      Vec y(z.size());
-      for (std::size_t i = 0; i < z.size(); ++i) y[i] = z[i] > 0 ? z[i] : 0.0;
-      return y;
-    }
-  }
-  throw vkey::Error("unknown activation");
+  activate(z.data());
+  return z;
 }
 
 Vec Dense::forward(const Vec& x, Cache& cache) const {
+  // Validate BEFORE counting: a rejected input must not inflate the FLOP /
+  // call counters with work that never ran.
+  VKEY_REQUIRE(x.size() == in_, "Dense input size mismatch");
   cache.x = x;
-  cache.y = activate(affine(x, /*quantized=*/false));
+  cache.y.resize(out_);
+  compute(x.data(), cache.y.data(), /*quantized=*/false);
   return cache.y;
 }
 
-Vec Dense::infer(const Vec& x) const { return activate(affine(x, quantized_)); }
+Vec Dense::infer(const Vec& x) const {
+  VKEY_REQUIRE(x.size() == in_, "Dense input size mismatch");
+  Vec y(out_);
+  infer_into(x.data(), y.data());
+  return y;
+}
+
+void Dense::infer_into(const double* x, double* y) const {
+  compute(x, y, quantized_);
+}
 
 std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
   std::vector<Vec> ys(xs.size());
@@ -106,8 +100,9 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
   for (const Vec* x : xs)
     VKEY_REQUIRE(x != nullptr && x->size() == in_,
                  "Dense input size mismatch");
-  dense_calls().add(xs.size());
-  dense_flops().add(2 * static_cast<std::uint64_t>(in_) * out_ * xs.size());
+  metrics::counter<"nn.dense.forward_calls">().add(xs.size());
+  metrics::counter<"nn.dense.flops">().add(
+      2 * static_cast<std::uint64_t>(in_) * out_ * xs.size());
   if (quantized_) {
     // int8 rows stream ~8x less data than float, so the batched panel
     // reuse buys nothing; per-member matvec keeps it simple.
@@ -119,7 +114,7 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
           QuantizedMatrix::quantize_input(xs[i]->data(), in_, xq.data());
       ys[i].resize(out_);
       qm.matvec(xq.data(), x_scale, b_.value.data(), ys[i].data());
-      ys[i] = activate(ys[i]);
+      activate(ys[i].data());
     }
     return ys;
   }
@@ -131,7 +126,7 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
     yp[i] = ys[i].data();
   }
   packed().matvec_batch(xp.data(), xs.size(), b_.value.data(), yp.data());
-  for (auto& y : ys) y = activate(y);
+  for (auto& y : ys) activate(y.data());
   return ys;
 }
 

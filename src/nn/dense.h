@@ -6,6 +6,12 @@
 // core's accumulate_outer / matvec_transposed, bit-identical to the naive
 // per-sample loops), then one optimizer step. forward(x)/backward(grad)
 // are the same bodies over a layer-owned one-member cache.
+//
+// Inference is infer_into(x, y): the affine map written straight into the
+// caller's storage, then the activation in place, so a caller that keeps
+// its own buffers (the reconciler's greedy decode ping-pongs two) allocates
+// nothing per layer. infer() is infer_into() over a fresh vector, and
+// forward() runs the same float body into its cache.
 #pragma once
 
 #include <span>
@@ -41,6 +47,12 @@ class Dense {
 
   /// Forward without caching (inference-only; usable concurrently).
   Vec infer(const Vec& x) const;
+
+  /// infer() into caller storage: `x` holds in_size() values, `y` receives
+  /// out_size(); the two must not overlap. Allocates nothing on the float
+  /// path (the int8 path quantizes `x` into a scratch vector). Bit-equal to
+  /// infer().
+  void infer_into(const double* x, double* y) const;
 
   /// Batched inference: one pass over the packed weights serves the whole
   /// batch (the win for large layers like the BiLSTM prediction head,
@@ -79,8 +91,10 @@ class Dense {
   const Parameter& bias() const { return b_; }
 
  private:
-  Vec affine(const Vec& x, bool quantized) const;
-  Vec activate(const Vec& z) const;
+  /// y = act(W x + b), counted in the nn.dense.* metrics.
+  void compute(const double* x, double* y, bool quantized) const;
+  /// The activation, applied to out_size() values in place.
+  void activate(double* y) const;
   const PackedMatrix& packed() const;
   const QuantizedMatrix& quant() const;
 

@@ -1,6 +1,6 @@
 // Blocked matrix kernels for vkey::nn — the NN inference and training core.
 //
-// Why this exists: the naive per-row dot products in Dense::affine and the
+// Why this exists: the naive per-row dot products in the Dense layer and the
 // LSTM cell accumulate through ONE floating-point chain per row, so the CPU
 // spends almost every cycle waiting on add latency, and the LSTM cell
 // additionally allocated ~8 vectors per time step. The kernels here fix
@@ -54,7 +54,7 @@ inline constexpr std::size_t kPanelRows = 8;
 
 /// Naive reference kernel: y[r] = bias[r] + sum_c w[r*cols + c] * x[c],
 /// one accumulator per row, columns in ascending order. This is the
-/// original Dense::affine / LSTM gate loop, kept as the bit-exactness
+/// original Dense / LSTM gate loop, kept as the bit-exactness
 /// reference for the packed kernels.
 void reference_matvec(const double* w, std::size_t rows, std::size_t cols,
                       const double* x, const double* bias, double* y);

@@ -12,22 +12,6 @@ namespace vkey::nn {
 
 namespace {
 
-metrics::Counter& lstm_flops() {
-  static metrics::Counter& c =
-      metrics::Registry::global().counter("nn.lstm.flops");
-  return c;
-}
-metrics::Counter& lstm_steps() {
-  static metrics::Counter& c =
-      metrics::Registry::global().counter("nn.lstm.cell_steps");
-  return c;
-}
-metrics::Histogram& lstm_infer_ms() {
-  static metrics::Histogram& h =
-      metrics::Registry::global().histogram("nn.lstm.infer_ms");
-  return h;
-}
-
 // One cell step: the 4H x (input + hidden) affine dominates; the gate
 // nonlinearities and elementwise updates add ~10H. The quantized path is
 // charged the same nominal FLOPs (it does the same mathematical work).
@@ -127,8 +111,9 @@ Seq Lstm::forward(const Seq& x, Cache& cache) const {
   VKEY_REQUIRE(t_len > 0, "Lstm forward on empty sequence");
   for (const Vec& xt : x)
     VKEY_REQUIRE(xt.size() == input_, "Lstm input width mismatch");
-  lstm_steps().add(t_len);
-  lstm_flops().add(t_len * step_flops(input_, hidden_));
+  metrics::counter<"nn.lstm.cell_steps">().add(t_len);
+  metrics::counter<"nn.lstm.flops">().add(t_len *
+                                          step_flops(input_, hidden_));
   const std::size_t h = hidden_;
   const std::size_t width = input_ + h;
   cache.steps = t_len;
@@ -166,9 +151,10 @@ void Lstm::infer_impl(const Seq& x, Seq& out, std::size_t offset) const {
   for (const Vec& ot : out)
     VKEY_REQUIRE(ot.size() >= offset + hidden_,
                  "Lstm infer output width mismatch");
-  lstm_steps().add(t_len);
-  lstm_flops().add(t_len * step_flops(input_, hidden_));
-  trace::ScopedTimer timer(lstm_infer_ms());
+  metrics::counter<"nn.lstm.cell_steps">().add(t_len);
+  metrics::counter<"nn.lstm.flops">().add(t_len *
+                                          step_flops(input_, hidden_));
+  trace::ScopedTimer timer(metrics::histogram<"nn.lstm.infer_ms">());
   Scratch s;
   init_scratch(s);
   for (std::size_t step_idx = 0; step_idx < t_len; ++step_idx) {

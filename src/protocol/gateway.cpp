@@ -15,11 +15,6 @@ namespace {
 /// memory).
 constexpr std::size_t kSimBatch = 256;
 
-metrics::Histogram& gw_histogram(const char* name) {
-  return metrics::Registry::global().histogram(std::string("gateway.") +
-                                               name);
-}
-
 /// Session-id space of one device: 16 ids per device leaves room for the
 /// supervisor's per-attempt increments without collisions across devices.
 std::uint64_t session_id_for(std::uint64_t device) {
@@ -160,8 +155,9 @@ void GatewayEngine::on_establishment_done(std::uint64_t device) {
     registry_.established(device, now);
     last_establish_ms_ = now;
     const DeviceRecord& rec = registry_.record(device);
-    gw_histogram("time_to_key_ms").observe(rec.time_to_key_ms());
-    gw_histogram("queue_wait_ms").observe(rec.queue_wait_ms());
+    metrics::histogram<"gateway.time_to_key_ms">().observe(
+        rec.time_to_key_ms());
+    metrics::histogram<"gateway.queue_wait_ms">().observe(rec.queue_wait_ms());
     // The confirmed session's live key state: rekey events ratchet it on
     // the shared timeline until the session idles out.
     schedules_.emplace(device, KeySchedule(out.key, session_id_for(device),
@@ -308,8 +304,8 @@ void register_gateway_metrics() {
   reg.gauge("gateway.inflight_sessions");
   reg.gauge("gateway.queued_sessions");
   reg.gauge("gateway.active_sessions");
-  gw_histogram("time_to_key_ms");
-  gw_histogram("queue_wait_ms");
+  reg.histogram("gateway.time_to_key_ms");
+  reg.histogram("gateway.queue_wait_ms");
   register_protocol_metrics();
 }
 

@@ -1,5 +1,7 @@
 #include "protocol/key_schedule.h"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/error.h"
@@ -19,32 +21,44 @@ void append_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-void append_be64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  append_be32(out, static_cast<std::uint32_t>(v >> 32));
-  append_be32(out, static_cast<std::uint32_t>(v));
+/// The ASCII bytes of a string literal without its terminator: the HKDF
+/// labels and the salt prefix as compile-time byte strings.
+template <std::size_t N>
+constexpr std::array<std::uint8_t, N - 1> ascii(const char (&text)[N]) {
+  std::array<std::uint8_t, N - 1> bytes{};
+  for (std::size_t i = 0; i + 1 < N; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(text[i]);
+  }
+  return bytes;
 }
 
-std::vector<std::uint8_t> label_bytes(const char* label) {
-  const std::string s(label);
-  return {s.begin(), s.end()};
-}
+// The label schedule of the header diagram.
+constexpr auto kSaltPrefix = ascii("vkey/wire/v1");
+constexpr auto kA2bEnc = ascii("vkey v1 a2b enc");
+constexpr auto kA2bMac = ascii("vkey v1 a2b mac");
+constexpr auto kA2bNonce = ascii("vkey v1 a2b nonce");
+constexpr auto kB2aEnc = ascii("vkey v1 b2a enc");
+constexpr auto kB2aMac = ascii("vkey v1 b2a mac");
+constexpr auto kB2aNonce = ascii("vkey v1 b2a nonce");
+constexpr auto kConfirm = ascii("vkey v1 confirm");
+constexpr auto kRatchet = ascii("vkey v1 ratchet");
 
-// Extraction salt: protocol string || session || epoch. Putting the epoch in
-// the salt (not just the expand labels) separates epochs at the extract
-// step, so even identical input secrets yield unrelated PRKs per epoch.
-std::vector<std::uint8_t> epoch_salt(std::uint64_t session_id,
-                                     std::uint32_t epoch) {
-  std::vector<std::uint8_t> salt = label_bytes("vkey/wire/v1");
-  append_be64(salt, session_id);
-  append_be32(salt, epoch);
+/// Extraction salt: protocol string || be64(session) || be32(epoch), 24
+/// bytes. Putting the epoch in the salt (not just the expand labels)
+/// separates epochs at the extract step, so even identical input secrets
+/// yield unrelated PRKs per epoch.
+std::array<std::uint8_t, 24> epoch_salt(std::uint64_t session_id,
+                                        std::uint32_t epoch) {
+  static_assert(kSaltPrefix.size() + 8 + 4 == 24);
+  std::array<std::uint8_t, 24> salt{};
+  std::copy(kSaltPrefix.begin(), kSaltPrefix.end(), salt.begin());
+  for (std::size_t i = 0; i < 8; ++i) {
+    salt[12 + i] = static_cast<std::uint8_t>(session_id >> (56 - 8 * i));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    salt[20 + i] = static_cast<std::uint8_t>(epoch >> (24 - 8 * i));
+  }
   return salt;
-}
-
-crypto::SecretBuffer expand_label(const crypto::SecretBuffer& prk,
-                                  const std::string& label,
-                                  std::size_t length) {
-  return crypto::hkdf_expand(
-      prk, std::vector<std::uint8_t>(label.begin(), label.end()), length);
 }
 
 std::uint32_t read_be32(const std::uint8_t* p) {
@@ -59,14 +73,16 @@ std::uint64_t read_be64(const std::uint8_t* p) {
 }
 
 DirectionKeys derive_direction(const crypto::SecretBuffer& prk,
-                               const std::string& dir) {
+                               std::span<const std::uint8_t> enc_label,
+                               std::span<const std::uint8_t> mac_label,
+                               std::span<const std::uint8_t> nonce_label) {
   DirectionKeys keys;
-  keys.enc = expand_label(prk, "vkey v1 " + dir + " enc", 16);
-  keys.mac = expand_label(prk, "vkey v1 " + dir + " mac", 32);
+  keys.enc = crypto::hkdf_expand(prk, enc_label, 16);
+  keys.mac = crypto::hkdf_expand(prk, mac_label, 32);
   // The nonce base leaves the secret domain by design: it is XORed into
   // the CTR counter block, never exposed on the wire, and 8 bytes of OKM
   // are not key-equivalent for either direction key.
-  const auto nonce = expand_label(prk, "vkey v1 " + dir + " nonce", 8);
+  const auto nonce = crypto::hkdf_expand(prk, nonce_label, 8);
   keys.nonce_base = read_be64(nonce.expose().data());
   return keys;
 }
@@ -92,9 +108,9 @@ EpochKeys derive_epoch_keys(std::span<const std::uint8_t> secret,
       crypto::hkdf_extract(epoch_salt(session_id, epoch), secret);
   EpochKeys keys;
   keys.epoch = epoch;
-  keys.a2b = derive_direction(prk, "a2b");
-  keys.b2a = derive_direction(prk, "b2a");
-  keys.confirm = expand_label(prk, "vkey v1 confirm", 32);
+  keys.a2b = derive_direction(prk, kA2bEnc, kA2bMac, kA2bNonce);
+  keys.b2a = derive_direction(prk, kB2aEnc, kB2aMac, kB2aNonce);
+  keys.confirm = crypto::hkdf_expand(prk, kConfirm, 32);
   return keys;
 }
 
@@ -106,7 +122,7 @@ crypto::SecretBuffer ratchet_secret(std::span<const std::uint8_t> secret,
   // secret, matching the label schedule in the header diagram.
   const auto prk = crypto::hkdf_extract(
       epoch_salt(session_id, next_epoch - 1), secret);
-  return expand_label(prk, "vkey v1 ratchet", 32);
+  return crypto::hkdf_expand(prk, kRatchet, 32);
 }
 
 KeySchedule::KeySchedule(const BitVec& amplified_secret,
@@ -130,11 +146,13 @@ bool KeySchedule::rekey_due(double now_ms) const noexcept {
 }
 
 void KeySchedule::rekey(double now_ms) {
-  previous_ = current_;
-  previous_expires_ms_ = now_ms + policy_.grace_ms;
   const std::uint32_t next = current_.epoch + 1;
   secret_ = ratchet_secret(secret_, session_id_, next);
-  current_ = derive_epoch_keys(secret_, session_id_, next);
+  EpochKeys keys = derive_epoch_keys(secret_, session_id_, next);
+  // The outgoing epoch moves into the grace slot: no key is copied.
+  previous_ = std::move(current_);
+  previous_expires_ms_ = now_ms + policy_.grace_ms;
+  current_ = std::move(keys);
   last_rekey_ms_ = now_ms;
   ++stats_.rekeys;
 }

@@ -1,5 +1,8 @@
 #include "protocol/reliability.h"
 
+#include <array>
+#include <atomic>
+
 #include "common/error.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -10,9 +13,20 @@ namespace vkey::protocol {
 
 namespace {
 
-metrics::Counter& rel_counter(const char* name) {
-  return metrics::Registry::global().counter(std::string("reliability.") +
-                                             name);
+/// reliability.failure.<reason>, looked up once per reason on its first
+/// use (lazily, like metrics::counter<>, so a snapshot lists only the
+/// reasons that occurred).
+metrics::Counter& failure_counter(FailureReason reason) {
+  static std::array<std::atomic<metrics::Counter*>, 6> slots{};
+  std::atomic<metrics::Counter*>& slot =
+      slots.at(static_cast<std::size_t>(reason));
+  metrics::Counter* c = slot.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    c = &metrics::Registry::global().counter("reliability.failure." +
+                                              to_string(reason));
+    slot.store(c, std::memory_order_release);
+  }
+  return *c;
 }
 
 // Runaway guard per attempt: far above anything a sane exchange needs
@@ -111,7 +125,7 @@ AgreementReport run_reliable_key_agreement(
   for (std::size_t attempt = 0; attempt < config.max_session_attempts;
        ++attempt) {
     ++report.attempts;
-    rel_counter("attempts").add(1);
+    metrics::counter<"reliability.attempts">().add(1);
 
     // Fresh session id, probe material, fault stream and jitter stream per
     // attempt: a loss pattern that killed attempt k must not repeat
@@ -126,7 +140,7 @@ AgreementReport run_reliable_key_agreement(
     // Virtual-time span: the timer reads the attempt's SimClock, not the
     // wall clock, so the observed duration is bit-reproducible.
     trace::ScopedTimer attempt_timer(
-        metrics::Registry::global().histogram("reliability.attempt_ms"),
+        metrics::histogram<"reliability.attempt_ms">(),
         [&clock] { return clock.now_ms(); }, "reliability.attempt");
     FaultConfig faults = config.fault;
     faults.seed = hash_combine64(config.fault.seed, attempt);
@@ -134,13 +148,18 @@ AgreementReport run_reliable_key_agreement(
 
     // Per-attempt flight recorder stamped with this attempt's virtual
     // clock; every layer below appends its events to the same timeline.
+    // With recording off (capacity 0) and no trace to mirror into, the
+    // layers stay detached and never format an event detail; the recorder
+    // then counts only the supervisor's two attempt markers.
     FlightRecorder flight(config.flight_capacity,
                           [&clock] { return clock.now_ms(); });
     flight.record(FlightEventKind::kAttemptStart, "supervisor",
                   "attempt=" + std::to_string(attempt + 1), scfg.session_id);
-    link.set_recorder(&flight);
-    alice.set_recorder(&flight, "alice");
-    bob.set_recorder(&flight, "bob");
+    if (config.flight_capacity > 0 || trace::TraceLog::global().enabled()) {
+      link.set_recorder(&flight);
+      alice.set_recorder(&flight, "alice");
+      bob.set_recorder(&flight, "bob");
+    }
 
     ReliableTransport alice_tx(
         clock, ArqConfig{hash_combine64(config.arq.seed, 2 * attempt)}, link,
@@ -209,17 +228,19 @@ AgreementReport run_reliable_key_agreement(
     if (success) {
       report.key = alice.final_key();
     } else {
-      rel_counter(("failure." + to_string(att.failure)).c_str()).add(1);
+      failure_counter(att.failure).add(1);
     }
     report.attempt_log.push_back(std::move(att));
     if (success) {
       report.established = true;
-      rel_counter("established").add(1);
+      metrics::counter<"reliability.established">().add(1);
       establish_hist.observe(report.time_to_establish_ms);
       break;
     }
   }
-  if (!report.established) rel_counter("exhausted").add(1);
+  if (!report.established) {
+    metrics::counter<"reliability.exhausted">().add(1);
+  }
   return report;
 }
 
@@ -235,15 +256,15 @@ void register_protocol_metrics() {
         "duplicated"}) {
     reg.counter(std::string("link.") + n);
   }
-  rel_counter("attempts");
-  rel_counter("established");
-  rel_counter("exhausted");
+  for (const char* n : {"attempts", "established", "exhausted"}) {
+    reg.counter(std::string("reliability.") + n);
+  }
   reg.histogram("reliability.attempt_ms");
   for (const FailureReason r :
        {FailureReason::kRetryExhausted, FailureReason::kMacMismatch,
         FailureReason::kConfirmMismatch, FailureReason::kTimeout,
         FailureReason::kProtocolError}) {
-    rel_counter(("failure." + to_string(r)).c_str());
+    failure_counter(r);
   }
   reg.counter("phy.packets");
   reg.gauge("phy.airtime_ms");

@@ -13,16 +13,6 @@ namespace vkey::protocol {
 
 namespace {
 
-metrics::Counter& arq_counter(const char* name) {
-  return metrics::Registry::global().counter(std::string("arq.") + name);
-}
-
-metrics::Histogram& arq_backoff_hist() {
-  static metrics::Histogram& h =
-      metrics::Registry::global().histogram("arq.backoff_ms");
-  return h;
-}
-
 /// The kAck frame acknowledging `msg`: same (session, nonce), no payload.
 Message ack_for(const Message& msg) {
   Message ack;
@@ -59,7 +49,7 @@ ReliableTransport::ReliableTransport(SimClock& clock, const ArqConfig& config,
 void ReliableTransport::arm_timer(std::uint64_t nonce) {
   auto& entry = inflight_.at(nonce);
   const double backoff = arq_backoff_delay_ms(entry.attempt, rng_);
-  arq_backoff_hist().observe(backoff);
+  metrics::histogram<"arq.backoff_ms">().observe(backoff);
   const double timeout =
       link_.nominal_latency_ms(entry.msg) + ack_latency_ms_ + backoff;
   if (FlightRecorder* rec = link_.recorder()) {
@@ -76,7 +66,7 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   if (it == inflight_.end()) return;  // acked while the event was queued
   if (it->second.attempt >= kMaxRetries) {
     ++stats_.gave_up;
-    arq_counter("gave_up").add(1);
+    metrics::counter<"arq.gave_up">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
       rec->record(FlightEventKind::kGaveUp, to_string(endpoint_),
                   to_string(it->second.msg.type) + " after " +
@@ -89,8 +79,8 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   }
   ++it->second.attempt;
   ++stats_.retransmissions;
-  arq_counter("timeouts").add(1);
-  arq_counter("retransmissions").add(1);
+  metrics::counter<"arq.timeouts">().add(1);
+  metrics::counter<"arq.retransmissions">().add(1);
   if (FlightRecorder* rec = link_.recorder()) {
     rec->record(FlightEventKind::kRetransmit, to_string(endpoint_),
                 "timeout attempt=" + std::to_string(it->second.attempt),
@@ -109,7 +99,7 @@ void ReliableTransport::send(const Message& msg) {
     // Fast retransmit: the session re-elicited this response because the
     // peer asked again, so don't wait for the timer.
     ++stats_.retransmissions;
-    arq_counter("retransmissions").add(1);
+    metrics::counter<"arq.retransmissions">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
       rec->record(FlightEventKind::kRetransmit, to_string(endpoint_), "fast",
                   it->second.msg.session_id, msg.nonce);
@@ -119,7 +109,7 @@ void ReliableTransport::send(const Message& msg) {
   }
   inflight_[msg.nonce] = Pending{msg, 0, 0};
   ++stats_.data_sent;
-  arq_counter("data_sent").add(1);
+  metrics::counter<"arq.data_sent">().add(1);
   link_.send(endpoint_, msg);
   arm_timer(msg.nonce);
 }
@@ -139,7 +129,7 @@ void ReliableTransport::on_wire(const Message& msg) {
     completed_.insert(msg.nonce);
     inflight_.erase(it);
     ++stats_.acks_received;
-    arq_counter("acks_received").add(1);
+    metrics::counter<"arq.acks_received">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
       rec->record(FlightEventKind::kAckRx, to_string(endpoint_), {},
                   msg.session_id, msg.nonce);
@@ -161,7 +151,7 @@ void ReliableTransport::on_wire(const Message& msg) {
   if (verdict == RejectReason::kNone || verdict == RejectReason::kDuplicate) {
     link_.send(endpoint_, ack_for(msg));
     ++stats_.acks_sent;
-    arq_counter("acks_sent").add(1);
+    metrics::counter<"arq.acks_sent">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
       rec->record(FlightEventKind::kAckTx, to_string(endpoint_),
                   "for " + to_string(msg.type), msg.session_id, msg.nonce);

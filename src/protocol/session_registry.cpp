@@ -7,18 +7,6 @@
 
 namespace vkey::protocol {
 
-namespace {
-
-metrics::Counter& gw_counter(const char* name) {
-  return metrics::Registry::global().counter(std::string("gateway.") + name);
-}
-
-metrics::Gauge& gw_gauge(const char* name) {
-  return metrics::Registry::global().gauge(std::string("gateway.") + name);
-}
-
-}  // namespace
-
 std::string to_string(DeviceState s) {
   switch (s) {
     case DeviceState::kQueued: return "queued";
@@ -56,9 +44,12 @@ const DeviceRecord& SessionRegistry::record(std::uint64_t device_id) const {
 }
 
 void SessionRegistry::update_gauges() {
-  gw_gauge("inflight_sessions").set(static_cast<double>(inflight_));
-  gw_gauge("queued_sessions").set(static_cast<double>(queue_.size()));
-  gw_gauge("active_sessions").set(static_cast<double>(confirmed_active_));
+  metrics::gauge<"gateway.inflight_sessions">().set(
+      static_cast<double>(inflight_));
+  metrics::gauge<"gateway.queued_sessions">().set(
+      static_cast<double>(queue_.size()));
+  metrics::gauge<"gateway.active_sessions">().set(
+      static_cast<double>(confirmed_active_));
 }
 
 DeviceRecord& SessionRegistry::arrive(std::uint64_t device_id, double now_ms) {
@@ -75,7 +66,7 @@ DeviceRecord& SessionRegistry::arrive(std::uint64_t device_id, double now_ms) {
   queue_.push_back(device_id);
   ++stats_.arrivals;
   stats_.peak_queued = std::max(stats_.peak_queued, queue_.size());
-  gw_counter("arrivals").add(1);
+  metrics::counter<"gateway.arrivals">().add(1);
   update_gauges();
   return records_.back();
 }
@@ -93,7 +84,7 @@ std::optional<std::uint64_t> SessionRegistry::admit_next(double now_ms) {
   ++inflight_;
   ++stats_.admissions;
   stats_.peak_inflight = std::max(stats_.peak_inflight, inflight_);
-  gw_counter("admissions").add(1);
+  metrics::counter<"gateway.admissions">().add(1);
   update_gauges();
   return id;
 }
@@ -108,7 +99,7 @@ void SessionRegistry::established(std::uint64_t device_id, double now_ms) {
   --inflight_;
   ++confirmed_active_;
   ++stats_.established;
-  gw_counter("keys_established").add(1);
+  metrics::counter<"gateway.keys_established">().add(1);
   update_gauges();
 }
 
@@ -122,7 +113,7 @@ void SessionRegistry::failed(std::uint64_t device_id, double now_ms,
   rec.last_activity_ms = now_ms;
   --inflight_;
   ++stats_.failures;
-  gw_counter("establish_failures").add(1);
+  metrics::counter<"gateway.establish_failures">().add(1);
   update_gauges();
 }
 
@@ -133,7 +124,7 @@ void SessionRegistry::rekeyed(std::uint64_t device_id, double now_ms) {
   ++rec.rekeys;
   rec.last_activity_ms = now_ms;
   ++stats_.rekeys;
-  gw_counter("rekeys").add(1);
+  metrics::counter<"gateway.rekeys">().add(1);
 }
 
 void SessionRegistry::evict(std::uint64_t device_id, double now_ms,
@@ -144,13 +135,13 @@ void SessionRegistry::evict(std::uint64_t device_id, double now_ms,
                  "idle eviction of a device in state " + to_string(rec.state));
     --confirmed_active_;
     ++stats_.evicted_idle;
-    gw_counter("evictions.idle").add(1);
+    metrics::counter<"gateway.evictions.idle">().add(1);
   } else {
     VKEY_REQUIRE(rec.state == DeviceState::kFailed,
                  "failure eviction of a device in state " +
                      to_string(rec.state));
     ++stats_.evicted_failed;
-    gw_counter("evictions.failed").add(1);
+    metrics::counter<"gateway.evictions.failed">().add(1);
   }
   rec.state = DeviceState::kEvicted;
   rec.evicted_ms = now_ms;

@@ -1,5 +1,7 @@
 #include "protocol/sim_clock.h"
 
+#include <algorithm>
+
 namespace vkey::protocol {
 
 SimClock::EventId SimClock::schedule(double delay_ms, Callback fn) {
@@ -10,41 +12,59 @@ SimClock::EventId SimClock::schedule(double delay_ms, Callback fn) {
 SimClock::EventId SimClock::schedule_at(double due_ms, Callback fn) {
   if (due_ms < now_ms_) due_ms = now_ms_;
   const EventId id = next_id_++;
-  queue_.emplace(Key{due_ms, id}, std::move(fn));
-  due_.emplace(id, due_ms);
+  heap_.push_back(Event{due_ms, id, std::move(fn), true});
+  std::push_heap(heap_.begin(), heap_.end(), fires_after);
+  ++live_;
   return id;
 }
 
 std::size_t SimClock::clear() {
-  const std::size_t dropped = queue_.size();
-  queue_.clear();
-  due_.clear();
+  const std::size_t dropped = live_;
+  heap_.clear();  // keeps the capacity for the next attempt
+  live_ = 0;
   return dropped;
 }
 
 bool SimClock::cancel(EventId id) {
-  const auto it = due_.find(id);
-  if (it == due_.end()) return false;
-  queue_.erase(Key{it->second, id});
-  due_.erase(it);
+  const auto it = std::find_if(heap_.begin(), heap_.end(),
+                               [id](const Event& e) { return e.id == id; });
+  if (it == heap_.end() || !it->live) return false;
+  it->live = false;
+  it->fn = nullptr;  // release the captures now, as an erase would
+  --live_;
+  // Tombstones leave the heap when they reach the top. Compact once they
+  // outnumber the live events, so schedule/cancel churn without running
+  // stays bounded in memory.
+  if (heap_.size() > 2 * live_ + 16) {
+    std::erase_if(heap_, [](const Event& e) { return !e.live; });
+    std::make_heap(heap_.begin(), heap_.end(), fires_after);
+  }
   return true;
 }
 
+bool SimClock::pop_tombstones() {
+  while (!heap_.empty() && !heap_.front().live) {
+    std::pop_heap(heap_.begin(), heap_.end(), fires_after);
+    heap_.pop_back();
+  }
+  return !heap_.empty();
+}
+
 bool SimClock::run_next() {
-  if (queue_.empty()) return false;
-  auto head = queue_.begin();
-  const Key key = head->first;
-  Callback fn = std::move(head->second);
-  queue_.erase(head);
-  due_.erase(key.second);
-  now_ms_ = key.first;  // time never moves backwards: due >= schedule time
+  if (!pop_tombstones()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), fires_after);
+  const double due_ms = heap_.back().due_ms;
+  Callback fn = std::move(heap_.back().fn);
+  heap_.pop_back();
+  --live_;
+  now_ms_ = due_ms;  // time never moves backwards: due >= schedule time
   fn();
   return true;
 }
 
 std::size_t SimClock::run_until(double until_ms) {
   std::size_t ran = 0;
-  while (!queue_.empty() && queue_.begin()->first.first <= until_ms) {
+  while (pop_tombstones() && heap_.front().due_ms <= until_ms) {
     run_next();
     ++ran;
   }

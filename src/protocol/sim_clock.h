@@ -15,12 +15,20 @@
 // src/protocol/ is linted: only the gateway engine and the reliability
 // supervisor construct clocks (tools/vkey_lint.py `sim-clock-owner`), so
 // virtual time has a single authority per simulation.
+//
+// Storage: one binary min-heap of (due, id, callback) entries in a vector
+// the clock reuses, so a warm clock schedules and runs without allocating
+// (beyond what a std::function needs for captures too large to store
+// inline). cancel() finds its entry by a linear scan — the clocks that
+// cancel hold a handful of ARQ and rekey timers — and leaves a tombstone:
+// the callback is released at once, the entry leaves the heap when it
+// reaches the top, and the heap is compacted when tombstones outnumber the
+// live events. pending() counts live events only.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <utility>
+#include <vector>
 
 namespace vkey::protocol {
 
@@ -59,7 +67,7 @@ class SimClock {
   /// guard). Returns the number of events run.
   std::size_t run_until_idle(std::size_t max_events = 1u << 20);
 
-  std::size_t pending() const noexcept { return queue_.size(); }
+  std::size_t pending() const noexcept { return live_; }
 
   /// Drop every pending event without running it; returns how many were
   /// discarded. The owner of a torn-down sub-simulation must clear the
@@ -69,12 +77,26 @@ class SimClock {
   std::size_t clear();
 
  private:
-  using Key = std::pair<double, EventId>;  // (due time, insertion order)
+  struct Event {
+    double due_ms;
+    EventId id;  ///< insertion order: breaks ties between equal due times
+    Callback fn;
+    bool live;  ///< false once cancelled (a tombstone)
+  };
+
+  /// Heap order (std::*_heap keep the greatest on top): the event that
+  /// fires later is "greater". Ids are unique, so the order is total.
+  static bool fires_after(const Event& a, const Event& b) {
+    return a.due_ms != b.due_ms ? a.due_ms > b.due_ms : a.id > b.id;
+  }
+
+  /// Drop tombstones off the top; true when a live event remains.
+  bool pop_tombstones();
 
   double now_ms_ = 0.0;
   EventId next_id_ = 1;
-  std::map<Key, Callback> queue_;
-  std::map<EventId, double> due_;  // id -> due time, for cancel()
+  std::vector<Event> heap_;
+  std::size_t live_ = 0;  ///< entries in heap_ that are not tombstones
 };
 
 }  // namespace vkey::protocol

@@ -15,13 +15,6 @@ namespace {
 constexpr double kDupDelayMs = 150.0;
 constexpr double kProcessingDelayMs = 5.0;
 
-metrics::Counter& link_counter(const char* name) {
-  // The handful of link counters are fetched by string; cache each behind a
-  // function-local static at the call sites via this helper being cheap —
-  // the registry scan is a few entries.
-  return metrics::Registry::global().counter(std::string("link.") + name);
-}
-
 }  // namespace
 
 std::string to_string(UnreliableChannel::Endpoint endpoint) {
@@ -80,7 +73,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   // the channel. This is what "steady-state bytes/session" in the gateway
   // report measures.
   stats_.bytes_sent += wire::frame_size(msg);
-  link_counter("sent").add(1);
+  metrics::counter<"link.sent">().add(1);
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kFrameTx, to_string(from),
                       to_string(msg.type), msg.session_id, msg.nonce);
@@ -90,7 +83,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     // survives the channel.
     channel::LoRaParams p = radio_;
     p.payload_bytes = static_cast<int>(wire::frame_size(msg));
-    channel::LoRaPhy(p).account_airtime("wire");
+    channel::LoRaPhy(p).account_airtime(channel::AirtimeUse::kWire);
   }
   const Endpoint to =
       from == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
@@ -102,7 +95,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
 
   if (rng_.bernoulli(faults_.drop_prob)) {
     ++stats_.dropped;
-    link_counter("dropped").add(1);
+    metrics::counter<"link.dropped">().add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kDrop, "link", to_string(msg.type),
                         msg.session_id, msg.nonce);
@@ -122,12 +115,12 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
           static_cast<std::uint8_t>(1u << rng_.uniform_int(8));
     }
     ++stats_.corrupted;
-    link_counter("corrupted").add(1);
+    metrics::counter<"link.corrupted">().add(1);
     wire::WireError err = wire::WireError::kNone;
     auto reparsed = wire::decode_frame(bytes, &err);
     if (!reparsed.has_value()) {
       ++stats_.crc_lost;  // the radio discards the damaged frame
-      link_counter("crc_lost").add(1);
+      metrics::counter<"link.crc_lost">().add(1);
       if (recorder_ != nullptr) {
         recorder_->record(FlightEventKind::kWireReject, "link",
                           wire::to_string(err) + " on " + to_string(msg.type) +
@@ -148,7 +141,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   double delay = nominal_latency_ms(msg);
   if (rng_.bernoulli(faults_.reorder_prob)) {
     ++stats_.reordered;
-    link_counter("reordered").add(1);
+    metrics::counter<"link.reordered">().add(1);
     const double extra = rng_.uniform(0.0, kReorderWindowMs);
     delay += extra;
     if (recorder_ != nullptr) {
@@ -162,7 +155,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
 
   if (rng_.bernoulli(faults_.dup_prob)) {
     ++stats_.duplicated;
-    link_counter("duplicated").add(1);
+    metrics::counter<"link.duplicated">().add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kDuplicate, "link",
                         to_string(msg.type), msg.session_id, msg.nonce);

@@ -145,7 +145,7 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
   w.put_u64(msg.nonce);
   w.put_bytes(msg.payload);
   w.put_bytes(msg.mac);
-  metrics::Registry::global().counter("wire.encoded").add(1);
+  metrics::counter<"wire.encoded">().add(1);
   return std::move(w).finish();
 }
 
@@ -202,7 +202,7 @@ std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
   msg.nonce = nonce;
   msg.payload.assign(payload->begin(), payload->end());
   msg.mac.assign(mac->begin(), mac->end());
-  metrics::Registry::global().counter("wire.decoded").add(1);
+  metrics::counter<"wire.decoded">().add(1);
   return msg;
 }
 

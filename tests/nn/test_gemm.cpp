@@ -301,6 +301,38 @@ TEST(DenseGolden, InferBitEqualsNaiveReference) {
   }
 }
 
+TEST(DenseGolden, InferIntoBitEqualsNaiveReference) {
+  for (auto act : {Activation::kNone, Activation::kSigmoid, Activation::kTanh,
+                   Activation::kRelu}) {
+    vkey::Rng rng(207);
+    Dense d(37, 29, rng, act);
+    vkey::Rng xr(208);
+    // Caller storage with guard cells: infer_into writes out_size() values
+    // and nothing past them.
+    Vec y(29 + 2, -7.0);
+    for (int trial = 0; trial < 4; ++trial) {
+      const Vec x = random_vec(37, xr);
+      d.infer_into(x.data(), y.data());
+      EXPECT_EQ(Vec(y.begin(), y.begin() + 29), d.infer_reference(x));
+      EXPECT_EQ(y[29], -7.0);
+      EXPECT_EQ(y[30], -7.0);
+    }
+  }
+}
+
+TEST(DenseGolden, InferIntoEqualsInferOnTheInt8Path) {
+  vkey::Rng rng(209);
+  Dense d(32, 24, rng, Activation::kTanh);
+  d.set_quantized(true);
+  vkey::Rng xr(210);
+  Vec y(24);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Vec x = random_vec(32, xr);
+    d.infer_into(x.data(), y.data());
+    EXPECT_EQ(y, d.infer(x));
+  }
+}
+
 TEST(DenseGolden, InferBatchBitEqualsSequential) {
   vkey::Rng rng(203);
   Dense d(24, 40, rng, Activation::kTanh);

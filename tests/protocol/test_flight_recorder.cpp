@@ -225,7 +225,13 @@ TEST_F(FlightReliabilityTest, ZeroFlightCapacityDisablesTheTimeline) {
       base, *reconciler_, cfg,
       [&](std::size_t) { return std::make_pair(kb, kb); });
   ASSERT_FALSE(report.established);
-  EXPECT_EQ(report.attempt_log.back().flight.size(), 0u);
+  const FlightRecorder& flight = report.attempt_log.back().flight;
+  EXPECT_EQ(flight.size(), 0u);
+  // The layers stay detached: nothing but the supervisor's attempt-start
+  // and attempt-end markers ever reached the recorder, although the ARQ
+  // burned its whole retry budget on dropped frames.
+  EXPECT_EQ(flight.total(), 2u);
+  EXPECT_GT(report.attempt_log.back().alice_transport.retransmissions, 0u);
   EXPECT_TRUE(report.failure_dump().empty());
 }
 

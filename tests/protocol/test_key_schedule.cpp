@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "crypto/hkdf.h"
+#include "crypto/sha256.h"
 #include "protocol/channel.h"
 #include "protocol/sim_clock.h"
 #include "protocol/unreliable_channel.h"
@@ -81,6 +86,83 @@ TEST(KeyScheduleDerive, RatchetIsDeterministicAndOneWayLooking) {
   EXPECT_FALSE(crypto::constant_time_equal(next.expose(),
                                            std::span<const std::uint8_t>(secret)));
   EXPECT_FALSE(same(ratchet_secret(secret, kSession, 2), next));
+}
+
+// ---------------------------------------------------------- known answers
+
+// A fixed secret, session and epoch. Every test above compares one party
+// with the other, so a label or salt typo both share would pass them all;
+// these pin the derived bytes themselves.
+std::vector<std::uint8_t> kat_secret() {
+  std::vector<std::uint8_t> secret(16);
+  for (std::size_t i = 0; i < secret.size(); ++i) {
+    secret[i] = static_cast<std::uint8_t>(0xa0 + i);
+  }
+  return secret;
+}
+constexpr std::uint64_t kKatSession = 0x0123456789abcdefULL;
+constexpr std::uint32_t kKatEpoch = 7;
+
+std::string hex(const crypto::SecretBuffer& b) {
+  const auto bytes = b.expose();
+  return crypto::to_hex(bytes.data(), bytes.size());
+}
+
+TEST(KeyScheduleDerive, KnownAnswerVectors) {
+  const EpochKeys k = derive_epoch_keys(kat_secret(), kKatSession, kKatEpoch);
+  EXPECT_EQ(k.epoch, kKatEpoch);
+  EXPECT_EQ(hex(k.a2b.enc), "8eb840d6ff60b253f9720b70ce745c4b");
+  EXPECT_EQ(hex(k.a2b.mac),
+            "d52494f0e5dd466542728b66d58d918a"
+            "3c4e53211471b2f3f4cc7db9687de5b2");
+  EXPECT_EQ(k.a2b.nonce_base, 0x784daaa8105a97cfULL);
+  EXPECT_EQ(hex(k.b2a.enc), "4a78358de68defc2541554a5e9d34b10");
+  EXPECT_EQ(hex(k.b2a.mac),
+            "0893bc83f3a4e08bf16a3a03f16ef5ab"
+            "c1a070aa21a4262d27d312e32efc7651");
+  EXPECT_EQ(k.b2a.nonce_base, 0x48559381a4bea154ULL);
+  EXPECT_EQ(hex(k.confirm),
+            "352a83966f60646d09fca1a328c9e75d"
+            "4889e01703fe631913a51968797dae05");
+  EXPECT_EQ(hex(ratchet_secret(kat_secret(), kKatSession, kKatEpoch + 1)),
+            "418d9a5162f2d3533fe73b5ef0807989"
+            "ff9d79b94ff977d2ff179e459984ea7e");
+}
+
+TEST(KeyScheduleDerive, MatchesTheHeaderDiagramRecomputedWithHkdf) {
+  // salt = "vkey/wire/v1" || be64(session) || be32(epoch), then one
+  // HKDF-Expand per label of the diagram in key_schedule.h.
+  const std::string prefix = "vkey/wire/v1";
+  std::vector<std::uint8_t> salt(prefix.begin(), prefix.end());
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    salt.push_back(static_cast<std::uint8_t>(kKatSession >> shift));
+  }
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    salt.push_back(static_cast<std::uint8_t>(kKatEpoch >> shift));
+  }
+  ASSERT_EQ(salt.size(), 24u);
+  const auto prk = crypto::hkdf_extract(salt, kat_secret());
+  const auto expand = [&prk](const std::string& label, std::size_t len) {
+    const std::vector<std::uint8_t> info(label.begin(), label.end());
+    return crypto::hkdf_expand(prk, info, len);
+  };
+  const auto be64 = [](const crypto::SecretBuffer& b) {
+    std::uint64_t v = 0;
+    for (const std::uint8_t byte : b.expose()) v = (v << 8) | byte;
+    return v;
+  };
+
+  const EpochKeys k = derive_epoch_keys(kat_secret(), kKatSession, kKatEpoch);
+  EXPECT_TRUE(same(k.a2b.enc, expand("vkey v1 a2b enc", 16)));
+  EXPECT_TRUE(same(k.a2b.mac, expand("vkey v1 a2b mac", 32)));
+  EXPECT_EQ(k.a2b.nonce_base, be64(expand("vkey v1 a2b nonce", 8)));
+  EXPECT_TRUE(same(k.b2a.enc, expand("vkey v1 b2a enc", 16)));
+  EXPECT_TRUE(same(k.b2a.mac, expand("vkey v1 b2a mac", 32)));
+  EXPECT_EQ(k.b2a.nonce_base, be64(expand("vkey v1 b2a nonce", 8)));
+  EXPECT_TRUE(same(k.confirm, expand("vkey v1 confirm", 32)));
+  // Epoch e's PRK yields epoch e+1's secret.
+  EXPECT_TRUE(same(ratchet_secret(kat_secret(), kKatSession, kKatEpoch + 1),
+                   expand("vkey v1 ratchet", 32)));
 }
 
 // ------------------------------------------------------------- seal / open
