@@ -12,9 +12,7 @@
 // below urban and V2I below V2V.
 #include <vector>
 
-#include "baselines/gao.h"
-#include "baselines/han.h"
-#include "baselines/lorakey.h"
+#include "baselines/baseline.h"
 #include "channel/trace.h"
 #include "common/bench_io.h"
 #include "common/table.h"
@@ -68,9 +66,9 @@ int main(int argc, char** argv) {
     const double dur = gen.round_duration();
 
     const Row vk = run_vehicle_key(report, kind, seed);
-    const auto lk = baselines::LoRaKey().run(rounds, dur);
-    const auto han = baselines::HanV2V().run(rounds, dur);
-    const auto gao = baselines::GaoModel().run(rounds, dur);
+    const auto lk = baselines::lora_key(rounds, dur);
+    const auto han = baselines::han_v2v(rounds, dur);
+    const auto gao = baselines::gao_model(rounds, dur);
 
     kar_table.add_row(
         {to_string(kind),

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   BenchReport report("fig16_eve_trace", argc, argv);
   std::printf("Fig. 16: arRSSI traces of Alice, Bob and Eve (Eve follows "
               "Alice's route, %0.0f m offset)\n\n",
-              TraceConfig{}.eve_offset_m);
+              kEveOffsetM);
   Table corr({"scenario", "raw alice-bob", "raw alice-eve",
               "small-scale alice-bob", "small-scale alice-eve"});
   const std::size_t rounds = report.scaled(120, 40);

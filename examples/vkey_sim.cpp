@@ -64,6 +64,10 @@
 // When the reliable-link phase fails blocks, up to three failed sessions'
 // flight-recorder timelines are printed for post-mortem (then "N more
 // failed blocks suppressed").
+//
+// Exit status: 0 on success, 1 when an output file cannot be written, 2 on
+// a bad flag or a value the library rejects (e.g. `--hidden 1`), with one
+// "vkey_sim: <reason>" line on stderr.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -73,6 +77,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/table.h"
@@ -150,9 +155,7 @@ ScenarioKind parse_scenario(const std::string& s, const char* argv0) {
   usage(argv0);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int sim_main(int argc, char** argv) {
   ScenarioKind kind = ScenarioKind::kV2VUrban;
   double speed = 50.0;
   std::size_t train_rounds = 600, test_rounds = 400;
@@ -508,4 +511,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A size the library rejects (a 1-unit BiLSTM, a 0-unit decoder, too few
+  // rounds for one key block) is a bad flag value: report it like one.
+  try {
+    return sim_main(argc, argv);
+  } catch (const vkey::Error& e) {
+    std::fprintf(stderr, "vkey_sim: %s\n", e.what());
+    return 2;
+  }
 }

@@ -12,6 +12,10 @@ namespace vkey::baselines {
 
 namespace {
 
+/// The interaction budget: parity messages exchanged before Cascade stops
+/// (see the header).
+constexpr std::size_t kMaxMessages = 200;
+
 /// Positions of one iteration laid out in permuted order, partitioned into
 /// blocks of `block_len` (last block may be shorter).
 struct IterationLayout {
@@ -59,7 +63,7 @@ CascadeResult cascade_reconcile(const BitVec& alice, const BitVec& bob,
 
   std::vector<IterationLayout> layouts;
 
-  auto budget_left = [&] { return result.messages < cfg.max_messages; };
+  auto budget_left = [&] { return result.messages < kMaxMessages; };
 
   auto block_parity_diff = [&](const std::vector<std::size_t>& blk) {
     std::uint8_t diff = 0;

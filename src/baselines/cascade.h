@@ -10,6 +10,9 @@
 // interaction: every parity Bob discloses is one message and one leaked bit
 // (leaked bits are subtracted from the net key rate; the multi-round
 // interaction is the communication-overhead drawback the paper cites).
+// LoRa's duty-cycled, tens-of-bps uplink cannot carry unbounded parity
+// traffic, so the protocol stops after 200 parity messages and leaves any
+// remaining mismatches uncorrected.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +24,6 @@ namespace vkey::baselines {
 struct CascadeConfig {
   std::size_t initial_block = 3;  ///< k (paper's Han et al. setting: 3)
   std::size_t iterations = 4;     ///< paper's setting: 4
-  /// Interaction budget: LoRa's duty-cycled, tens-of-bps uplink cannot
-  /// carry unbounded parity traffic (the overhead the paper criticizes
-  /// Cascade for). Once this many parity messages have been exchanged the
-  /// protocol stops, leaving any remaining mismatches uncorrected.
-  std::size_t max_messages = 200;
   std::uint64_t seed = 33;        ///< shared permutation seed
 };
 

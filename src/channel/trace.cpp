@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.h"
 #include "common/stats.h"
 
 namespace vkey::channel {
 
 namespace {
 constexpr double kSpeedOfLight = 299792458.0;
+/// Idle gap between the end of one exchange and the next probe [s].
+constexpr double kProbeIntervalS = 0.05;
 
 /// Quantize an RSSI reading to the register step and clamp to the SX127x
 /// reporting range.
@@ -81,10 +82,10 @@ struct TraceGenerator::Impl {
                 vkey::Rng(vkey::hash_combine64(c.seed, 0x06))),
         shadow_ab(c.scenario.shadow_sigma_db, c.scenario.shadow_decorr_m,
                   vkey::Rng(vkey::hash_combine64(c.seed, 0x07))),
-        shadow_ea(std::exp(-c.eve_offset_m / c.scenario.shadow_decorr_m),
+        shadow_ea(std::exp(-kEveOffsetM / c.scenario.shadow_decorr_m),
                   c.scenario.shadow_sigma_db, c.scenario.shadow_decorr_m,
                   vkey::Rng(vkey::hash_combine64(c.seed, 0x08))),
-        shadow_eb(std::exp(-c.eve_offset_m / c.scenario.shadow_decorr_m),
+        shadow_eb(std::exp(-kEveOffsetM / c.scenario.shadow_decorr_m),
                   c.scenario.shadow_sigma_db, c.scenario.shadow_decorr_m,
                   vkey::Rng(vkey::hash_combine64(c.seed, 0x09))),
         rng_noise(vkey::hash_combine64(c.seed, 0x0a)),
@@ -180,7 +181,7 @@ struct TraceGenerator::Impl {
             // Eve trails Alice at a fixed small offset: short, stable link.
             const double dt = std::max(0.0, t - last_fade_t_ea);
             last_fade_t_ea = t;
-            gain_db += -path_loss_db(cfg.eve_offset_m,
+            gain_db += -path_loss_db(kEveOffsetM,
                                      cfg.scenario.path_loss_exponent,
                                     cfg.scenario.ref_path_loss_db) +
                       s_ea + fade_ea.advance_db(dt, fd_a, 0.0, 0.0);
@@ -191,7 +192,7 @@ struct TraceGenerator::Impl {
             // follows Alice's route), offset laterally.
             const double dt = std::max(0.0, t - last_fade_t_eb);
             last_fade_t_eb = t;
-            const double d_eb = std::hypot(d_ab, cfg.eve_offset_m);
+            const double d_eb = std::hypot(d_ab, kEveOffsetM);
             gain_db += -path_loss_db(d_eb, cfg.scenario.path_loss_exponent,
                                      cfg.scenario.ref_path_loss_db) +
                        s_eb + fade_eb.advance_db(dt, fd_a, fd_b, fd_los);
@@ -238,7 +239,7 @@ struct TraceGenerator::Impl {
          Listener{Link::kEveBob, &cfg.device_eve, hw_eve + interf_eve,
                   &round.eve_rx_bob_tx}});
 
-    now = t2 + airtime + cfg.probe_interval_s;
+    now = t2 + airtime + kProbeIntervalS;
     // One probe exchange = two packets on the air (probe + response).
     phy.account_airtime(AirtimeUse::kProbe, 2);
     return round;
@@ -246,11 +247,7 @@ struct TraceGenerator::Impl {
 };
 
 TraceGenerator::TraceGenerator(const TraceConfig& config)
-    : impl_(std::make_unique<Impl>(config)) {
-  VKEY_REQUIRE(config.probe_interval_s >= 0.0,
-               "probe interval must be non-negative");
-  VKEY_REQUIRE(config.eve_offset_m > 0.0, "Eve offset must be positive");
-}
+    : impl_(std::make_unique<Impl>(config)) {}
 
 TraceGenerator::~TraceGenerator() = default;
 TraceGenerator::TraceGenerator(TraceGenerator&&) noexcept = default;
@@ -268,8 +265,7 @@ std::vector<ProbeRound> TraceGenerator::generate(std::size_t n) {
 
 double TraceGenerator::round_duration() const {
   return 2.0 * impl_->phy.airtime() +
-         impl_->cfg.device_bob.turnaround_delay_s +
-         impl_->cfg.probe_interval_s;
+         impl_->cfg.device_bob.turnaround_delay_s + kProbeIntervalS;
 }
 
 const LoRaPhy& TraceGenerator::phy() const { return impl_->phy; }

@@ -49,18 +49,17 @@ struct ProbeRound {
   double distance_m = 0.0;           ///< Alice-Bob separation at round start
 };
 
+/// Eve's lateral offset from Alice [m]; sets her shadowing correlation
+/// with the legitimate link (exp(-offset/decorr)) and her Eve-Alice
+/// distance. > lambda/2, so her small-scale fading is independent.
+inline constexpr double kEveOffsetM = 15.0;
+
 struct TraceConfig {
   ScenarioConfig scenario;
   LoRaParams phy;
   DeviceModel device_alice = dragino_lora_shield();
   DeviceModel device_bob = dragino_lora_shield();
   DeviceModel device_eve = dragino_lora_shield();
-  /// Idle gap between the end of one exchange and the next probe [s].
-  double probe_interval_s = 0.05;
-  /// Eve's lateral offset from Alice [m]; sets her shadowing correlation
-  /// with the legitimate link (exp(-offset/decorr)) and her Eve-Alice
-  /// distance. > lambda/2, so her small-scale fading is independent.
-  double eve_offset_m = 15.0;
   std::uint64_t seed = 1;
 };
 
@@ -78,8 +77,9 @@ class TraceGenerator {
   /// Produce `n` consecutive rounds.
   std::vector<ProbeRound> generate(std::size_t n);
 
-  /// Wall-clock duration of one complete exchange including the probe
-  /// interval [s] — the denominator of every key-generation-rate figure.
+  /// Wall-clock duration of one complete exchange including the 50 ms idle
+  /// gap before the next probe [s] — the denominator of every
+  /// key-generation-rate figure.
   double round_duration() const;
 
   const LoRaPhy& phy() const;

@@ -30,8 +30,6 @@ class ArRssiExtractor {
   /// rRSSI sample count (paper optimum: 0.10).
   explicit ArRssiExtractor(double window_fraction = 0.10);
 
-  double window_fraction() const { return window_fraction_; }
-
   /// Window length in samples for a packet with `samples_per_packet` rRSSIs.
   std::size_t window_len(std::size_t samples_per_packet) const;
 

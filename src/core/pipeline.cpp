@@ -272,11 +272,11 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   // Key generation rate (the convention of the LoRa key-generation
   // literature): net secret bits produced per second of channel use —
   // matched post-reconciliation bits, minus the public-syndrome leakage
-  // (code_dim values leak at most code_dim bits; privacy amplification
+  // (kCodeDim values leak at most kCodeDim bits; privacy amplification
   // discounts them). The same accounting is applied to every baseline.
   const double net_bits_per_block =
       std::max(0.0, static_cast<double>(cfg_.reconciler.key_bits) -
-                        static_cast<double>(cfg_.reconciler.code_dim));
+                        static_cast<double>(kCodeDim));
   // Guard the division: a zero-duration trace (degenerate PHY/interval
   // configuration) must not push inf/nan into the JSON exporters.
   m.kgr_bits_per_s = m.test_duration_s > 0.0

@@ -13,17 +13,25 @@
 namespace vkey::core {
 
 namespace {
+
+constexpr double kTheta = 0.9;  ///< joint-loss weight (paper, Eq. 3)
+constexpr double kLearningRate = 2e-3;
+constexpr std::size_t kBatchSize = 16;
+/// Period of the phase input feature (see predictor.h).
+constexpr std::size_t kPhasePeriod = 4;
+
 /// Per-step input: [value, phase within the mirror pairing, progress].
-nn::Seq to_seq(const nn::Vec& v, std::size_t phase_period) {
+nn::Seq to_seq(const nn::Vec& v) {
   nn::Seq s(v.size());
   const double n = static_cast<double>(v.size());
-  const double period = static_cast<double>(std::max<std::size_t>(1, phase_period));
+  const double period = static_cast<double>(kPhasePeriod);
   for (std::size_t t = 0; t < v.size(); ++t) {
-    s[t] = {v[t], static_cast<double>(t % phase_period) / period,
+    s[t] = {v[t], static_cast<double>(t % kPhasePeriod) / period,
             static_cast<double>(t) / n};
   }
   return s;
 }
+
 }  // namespace
 
 PredictorQuantizer::PredictorQuantizer(const PredictorConfig& config)
@@ -34,9 +42,6 @@ PredictorQuantizer::PredictorQuantizer(const PredictorConfig& config)
       quant_head_(config.seq_len, config.key_bits, rng_) {
   VKEY_REQUIRE(config.seq_len >= 4, "sequence too short");
   VKEY_REQUIRE(config.hidden >= 2, "hidden size too small");
-  VKEY_REQUIRE(config.theta >= 0.0 && config.theta <= 1.0,
-               "theta must be in [0,1]");
-  VKEY_REQUIRE(config.batch_size >= 1, "batch size must be >= 1");
   if (config.quantized) set_quantized(true);
 }
 
@@ -64,14 +69,14 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
     VKEY_REQUIRE(s.bob_bits.size() == cfg_.key_bits,
                  "sample bits width mismatch");
   }
-  nn::Adam opt(parameters(), cfg_.learning_rate);
+  nn::Adam opt(parameters(), kLearningRate);
 
   std::vector<std::size_t> order(samples.size());
   std::iota(order.begin(), order.end(), 0);
 
   // One mini-batch's state, reused across batches: every member's forward
   // activations, then the gradients flowing back layer by layer.
-  const std::size_t batch = std::min(cfg_.batch_size, samples.size());
+  const std::size_t batch = std::min(kBatchSize, samples.size());
   std::vector<nn::BiLstm::Cache> lstm_caches(batch);
   std::vector<nn::Dense::Cache> pred_caches(batch), quant_caches(batch);
   std::vector<nn::Vec> dlogits(batch), mse_grads(batch);
@@ -90,8 +95,7 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
       // Forward every member; the loss sums in member order.
       for (std::size_t m = 0; m < bs; ++m) {
         const TrainingSample& s = samples[order[start + m]];
-        const nn::Seq h = bilstm_.forward(
-            to_seq(s.alice_seq, cfg_.phase_period), lstm_caches[m]);
+        const nn::Seq h = bilstm_.forward(to_seq(s.alice_seq), lstm_caches[m]);
         nn::Vec flat;
         flat.reserve(cfg_.seq_len * width);
         for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
@@ -101,10 +105,10 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
         // Joint loss.
         auto mse = nn::mse_loss(y_hat, s.bob_seq);
         const auto bce = nn::bce_with_logits(logits, s.bob_bits.to_doubles());
-        epoch_loss += cfg_.theta * mse.loss + (1.0 - cfg_.theta) * bce.loss;
+        epoch_loss += kTheta * mse.loss + (1.0 - kTheta) * bce.loss;
         dlogits[m].resize(bce.grad.size());
         for (std::size_t i = 0; i < bce.grad.size(); ++i) {
-          dlogits[m][i] = (1.0 - cfg_.theta) * bce.grad[i];
+          dlogits[m][i] = (1.0 - kTheta) * bce.grad[i];
         }
         mse_grads[m] = std::move(mse.grad);
       }
@@ -117,7 +121,7 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
           true);
       for (std::size_t m = 0; m < bs; ++m) {
         for (std::size_t i = 0; i < dy[m].size(); ++i) {
-          dy[m][i] += cfg_.theta * mse_grads[m][i];
+          dy[m][i] += kTheta * mse_grads[m][i];
         }
       }
       const std::vector<nn::Vec> dflat =
@@ -144,7 +148,7 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
 PredictorQuantizer::Output PredictorQuantizer::infer(
     const nn::Vec& alice_seq) const {
   VKEY_REQUIRE(alice_seq.size() == cfg_.seq_len, "input seq_len mismatch");
-  const nn::Seq h = bilstm_.infer(to_seq(alice_seq, cfg_.phase_period));
+  const nn::Seq h = bilstm_.infer(to_seq(alice_seq));
   nn::Vec flat;
   flat.reserve(cfg_.seq_len * 2 * cfg_.hidden);
   for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
@@ -168,7 +172,7 @@ std::vector<PredictorQuantizer::Output> PredictorQuantizer::infer_batch(
   // member exactly as in infer().
   std::vector<nn::Vec> flats(windows.size());
   for (std::size_t m = 0; m < windows.size(); ++m) {
-    const nn::Seq h = bilstm_.infer(to_seq(windows[m], cfg_.phase_period));
+    const nn::Seq h = bilstm_.infer(to_seq(windows[m]));
     auto& flat = flats[m];
     flat.reserve(cfg_.seq_len * 2 * cfg_.hidden);
     for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
@@ -206,7 +210,7 @@ double PredictorQuantizer::evaluate_loss(
       const double p = std::clamp(o.probabilities[i], 1e-12, 1.0 - 1e-12);
       bce += -(z[i] * std::log(p) + (1.0 - z[i]) * std::log(1.0 - p));
     }
-    total += cfg_.theta * mse.loss + (1.0 - cfg_.theta) * bce;
+    total += kTheta * mse.loss + (1.0 - kTheta) * bce;
   }
   return total / static_cast<double>(samples.size());
 }

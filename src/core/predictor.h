@@ -10,6 +10,14 @@
 // head into the prediction head and the BiLSTM, so the two tasks are
 // optimized together.
 //
+// Fixed training settings (constants in predictor.cpp, not options):
+//  * theta = 0.9, the paper's joint-loss weight (Eq. 3);
+//  * Adam at learning rate 2e-3 over mini-batches of 16;
+//  * a phase input feature of period 4. Mirrored reciprocal-zone pairing
+//    (see dataset.h) gives stream index j a lag of (2*(j mod k)+1)
+//    windows; feeding the phase j mod k lets the BiLSTM learn per-lag
+//    compensation.
+//
 // Only Alice (or a power-rich RSU) runs this model; Bob uses the
 // conventional multi-bit quantizer on his own measurements.
 #pragma once
@@ -30,13 +38,6 @@ struct PredictorConfig {
   std::size_t hidden = 32;    ///< BiLSTM hidden units (paper: 128; see
                               ///< DESIGN.md "NN sizing" for the default)
   std::size_t key_bits = 64;  ///< quantization head width (paper value)
-  double theta = 0.9;         ///< joint-loss weight (paper value)
-  double learning_rate = 2e-3;
-  std::size_t batch_size = 16;  ///< >= 1
-  /// Period of the phase input feature. Mirrored reciprocal-zone pairing
-  /// (see dataset.h) gives stream index j a lag of (2*(j mod k)+1) windows;
-  /// feeding the phase j mod k lets the BiLSTM learn per-lag compensation.
-  std::size_t phase_period = 4;
   std::uint64_t seed = 7;
   /// Route inference through the int8 fused kernels with polynomial gate
   /// activations (gemm.h). Training always stays float; the float infer
@@ -57,7 +58,7 @@ class PredictorQuantizer {
   const PredictorConfig& config() const { return cfg_; }
 
   /// Train for `epochs` (>= 1) epochs over the samples: Adam over
-  /// batch_size mini-batches of a per-epoch shuffle. Each batch forwards
+  /// 16-sample mini-batches of a per-epoch shuffle. Each batch forwards
   /// every member, then runs backward layer by layer (Dense::backward_batch,
   /// then each member's BiLSTM BPTT), adding every member's gradients in
   /// member order — the same sums, bit for bit, as one sample at a time.

@@ -29,8 +29,6 @@ class PrivacyAmplifier {
   std::array<std::uint8_t, 16> aes_key(const BitVec& raw,
                                        std::uint64_t session_salt = 0) const;
 
-  std::size_t out_bits() const { return out_bits_; }
-
  private:
   std::size_t out_bits_ = 0;
 };

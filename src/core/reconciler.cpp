@@ -15,23 +15,30 @@
 
 namespace vkey::core {
 
+namespace {
+
+constexpr std::size_t kDecoderLayers = 3;  ///< tanh layers of g (paper)
+constexpr double kLearningRate = 2e-3;
+constexpr std::size_t kBatchSize = 32;
+/// Bit-disagreement rates of the synthetic training pairs (uniform).
+constexpr double kTrainBerLo = 0.0;
+constexpr double kTrainBerHi = 0.20;
+/// Greedy decoding budget (see decode_mismatch in the header).
+constexpr std::size_t kMaxDecodeIterations = 40;
+constexpr std::uint64_t kBloomSeed = 0x5e551011;  ///< public Bloom parameters
+
+}  // namespace
+
 AutoencoderReconciler::AutoencoderReconciler(const ReconcilerConfig& config)
     : cfg_(config),
       rng_(config.seed),
-      bloom_(config.key_bits, config.session_seed),
-      f1_(config.key_bits, config.code_dim, rng_),
-      f2_(config.key_bits, config.code_dim, rng_) {
+      bloom_(config.key_bits, kBloomSeed),
+      f1_(config.key_bits, kCodeDim, rng_),
+      f2_(config.key_bits, kCodeDim, rng_) {
   VKEY_REQUIRE(config.key_bits >= 8, "key too short");
-  VKEY_REQUIRE(config.code_dim >= 2, "code dimension too small");
-  VKEY_REQUIRE(config.decoder_layers >= 1, "need at least one decoder layer");
-  VKEY_REQUIRE(config.batch_size >= 1, "batch size must be >= 1");
-  VKEY_REQUIRE(config.train_ber_lo >= 0.0 &&
-                   config.train_ber_hi <= 0.5 &&
-                   config.train_ber_lo <= config.train_ber_hi,
-               "bad training BER range");
 
-  std::size_t in = cfg_.code_dim;
-  for (std::size_t l = 0; l < cfg_.decoder_layers; ++l) {
+  std::size_t in = kCodeDim;
+  for (std::size_t l = 0; l < kDecoderLayers; ++l) {
     decoder_.emplace_back(in, cfg_.decoder_units, rng_,
                           nn::Activation::kTanh);
     in = cfg_.decoder_units;
@@ -60,7 +67,7 @@ std::vector<nn::Parameter*> AutoencoderReconciler::parameters() {
 double AutoencoderReconciler::train(std::size_t num_samples,
                                     std::size_t epochs) {
   VKEY_REQUIRE(num_samples >= 1 && epochs >= 1, "nothing to train on");
-  nn::Adam opt(parameters(), cfg_.learning_rate);
+  nn::Adam opt(parameters(), kLearningRate);
 
   // Pre-generate the synthetic pair set so epochs revisit the same data.
   // Each pair draws from its own hash-derived stream, making generation
@@ -74,7 +81,7 @@ double AutoencoderReconciler::train(std::size_t num_samples,
         for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
           kb.set(i, rng.bernoulli(0.5));
         }
-        const double ber = rng.uniform(cfg_.train_ber_lo, cfg_.train_ber_hi);
+        const double ber = rng.uniform(kTrainBerLo, kTrainBerHi);
         BitVec ka = kb;
         for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
           if (rng.bernoulli(ber)) ka.flip(i);
@@ -85,7 +92,7 @@ double AutoencoderReconciler::train(std::size_t num_samples,
 
   // One mini-batch's state, reused across batches: every member's forward
   // activations per layer, its loss and its dL/dlogits.
-  const std::size_t batch = std::min(cfg_.batch_size, pairs.size());
+  const std::size_t batch = std::min(kBatchSize, pairs.size());
   const bool train_encoder = !cfg_.freeze_encoder;
   std::vector<nn::Dense::Cache> f1_caches(batch), f2_caches(batch);
   std::vector<std::vector<nn::Dense::Cache>> dec_caches(
@@ -100,7 +107,7 @@ double AutoencoderReconciler::train(std::size_t num_samples,
     const BitVec kb = bloom_.apply(key_bob);
     const BitVec ka = bloom_.apply(key_alice);
     const BitVec e = kb ^ ka;
-    nn::Vec h(cfg_.code_dim);
+    nn::Vec h(kCodeDim);
     if (cfg_.tie_encoders) {
       // Tied linear encoders: h = f(K'_B) - f(K'_A) = W (K'_B - K'_A); the
       // bias cancels, so training on the difference vector is exactly the
@@ -177,7 +184,7 @@ std::vector<double> AutoencoderReconciler::encode_bob(
 AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
     const BitVec& key_alice, std::span<const double> y_bob) const {
   VKEY_REQUIRE(key_alice.size() == cfg_.key_bits, "key width mismatch");
-  VKEY_REQUIRE(y_bob.size() == cfg_.code_dim, "syndrome width mismatch");
+  VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
   const nn::Dense& alice_encoder = cfg_.tie_encoders ? f1_ : f2_;
 
   // Greedy decoding. The syndrome travels as data (not over a noisy analog
@@ -193,22 +200,22 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
   // Every pass runs in one call-local workspace, sized before the first
   // pass: two ping-pong activation buffers as wide as the widest layer, and
   // the shortlist's order vector. A decode allocates the same number of
-  // blocks whether it needs no pass or max_decode_iterations of them.
-  const nn::Vec& w_flat = alice_encoder.weights().value;  // code_dim x key_bits
+  // blocks whether it needs no pass or kMaxDecodeIterations of them.
+  const nn::Vec& w_flat = alice_encoder.weights().value;  // kCodeDim x key_bits
   BitVec work = bloom_.apply(key_alice);
   BitVec delta(cfg_.key_bits);
   std::size_t iters = 0;
   constexpr std::size_t kShortlist = 16;
 
   const std::size_t width =
-      std::max({cfg_.key_bits, cfg_.code_dim, cfg_.decoder_units});
+      std::max({cfg_.key_bits, kCodeDim, cfg_.decoder_units});
   std::vector<double> buffers(2 * width);
   double* cur = buffers.data();
   double* next = cur + width;
   std::vector<std::size_t> order(cfg_.key_bits);
 
   // Current residual h (maintained incrementally after the first pass).
-  nn::Vec h(cfg_.code_dim);
+  nn::Vec h(kCodeDim);
   for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
     cur[i] = work.get(i) ? 1.0 : 0.0;
   }
@@ -220,7 +227,7 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
   BitVec best_delta = delta;
   double best_norm2 = h_norm2;
 
-  while (iters < cfg_.max_decode_iterations && h_norm2 > 1e-9) {
+  while (iters < kMaxDecodeIterations && h_norm2 > 1e-9) {
     ++iters;
     std::copy(h.begin(), h.end(), cur);
     for (const auto& layer : decoder_) {
@@ -249,7 +256,7 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
       // h' = h - (1 - 2 w_i) * W_col_i.
       const double s = work.get(i) ? -1.0 : 1.0;
       double dot_hw = 0.0, w_norm2 = 0.0;
-      for (std::size_t r = 0; r < cfg_.code_dim; ++r) {
+      for (std::size_t r = 0; r < kCodeDim; ++r) {
         const double wv = w_flat[r * cfg_.key_bits + i];
         dot_hw += h[r] * wv;
         w_norm2 += wv * wv;
@@ -263,7 +270,7 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
     }
     if (best_pos == cfg_.key_bits) break;  // no flip improves the residual
 
-    for (std::size_t r = 0; r < cfg_.code_dim; ++r) {
+    for (std::size_t r = 0; r < kCodeDim; ++r) {
       h[r] -= best_sign * w_flat[r * cfg_.key_bits + best_pos];
     }
     h_norm2 = pick_norm2;
@@ -295,11 +302,11 @@ BitVec AutoencoderReconciler::reconcile(const BitVec& key_alice,
 BitVec AutoencoderReconciler::reconcile_one_shot(
     const BitVec& key_alice, std::span<const double> y_bob) const {
   VKEY_REQUIRE(key_alice.size() == cfg_.key_bits, "key width mismatch");
-  VKEY_REQUIRE(y_bob.size() == cfg_.code_dim, "syndrome width mismatch");
+  VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
   const nn::Dense& alice_encoder = cfg_.tie_encoders ? f1_ : f2_;
   const nn::Vec ya =
       alice_encoder.infer(bloom_.apply(key_alice).to_doubles());
-  nn::Vec h(cfg_.code_dim);
+  nn::Vec h(kCodeDim);
   for (std::size_t i = 0; i < h.size(); ++i) h[i] = y_bob[i] - ya[i];
   nn::Vec x = h;
   for (const auto& layer : decoder_) x = layer.infer(x);
@@ -310,9 +317,9 @@ BitVec AutoencoderReconciler::reconcile_one_shot(
 
 std::size_t AutoencoderReconciler::decode_flops() const {
   // Alice: f2 (N x M) + decoder stack.
-  std::size_t flops = cfg_.key_bits * cfg_.code_dim;
-  std::size_t in = cfg_.code_dim;
-  for (std::size_t l = 0; l < cfg_.decoder_layers; ++l) {
+  std::size_t flops = cfg_.key_bits * kCodeDim;
+  std::size_t in = kCodeDim;
+  for (std::size_t l = 0; l < kDecoderLayers; ++l) {
     flops += in * cfg_.decoder_units;
     in = cfg_.decoder_units;
   }
@@ -321,7 +328,7 @@ std::size_t AutoencoderReconciler::decode_flops() const {
 }
 
 std::size_t AutoencoderReconciler::encode_flops() const {
-  return cfg_.key_bits * cfg_.code_dim;
+  return cfg_.key_bits * kCodeDim;
 }
 
 }  // namespace vkey::core

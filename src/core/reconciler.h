@@ -12,6 +12,17 @@
 // is || delta_x - e ||^2 in the mapped domain (Eq. 6, realized as BCE on
 // logits which shares the same minimizer and trains more stably).
 //
+// Fixed settings (kCodeDim below; the rest are constants in
+// reconciler.cpp, not options):
+//  * M = 32, the paper's "32 units" encoder output, which is also the
+//    syndrome width every session checks;
+//  * three tanh decoder layers, as the paper draws g;
+//  * Adam at learning rate 2e-3 over mini-batches of 32;
+//  * training bit-disagreement rates drawn uniformly from [0, 0.20], which
+//    covers the channel's pre-reconciliation rates;
+//  * at most 40 greedy decode passes (see decode_mismatch);
+//  * Bloom parameters from the public seed 0x5e551011.
+//
 // Cost accounting: decode_flops() counts the multiply-accumulates of one
 // reconciliation, the quantity Fig. 11 compares against the CS/OMP decoder.
 //
@@ -32,16 +43,13 @@
 
 namespace vkey::core {
 
+/// M: the encoder output width ("32 units"), so the width of the public
+/// syndrome y_Bob.
+inline constexpr std::size_t kCodeDim = 32;
+
 struct ReconcilerConfig {
   std::size_t key_bits = 64;     ///< N (one BiLSTM fragment)
-  std::size_t code_dim = 32;     ///< M: encoder output ("32 units")
   std::size_t decoder_units = 64;///< hidden width of the 3 decoder layers
-  std::size_t decoder_layers = 3;
-  double learning_rate = 2e-3;
-  std::size_t batch_size = 32;  ///< >= 1
-  /// Bit-disagreement rates sampled during training (uniform over range).
-  double train_ber_lo = 0.0;
-  double train_ber_hi = 0.20;
   /// Share one encoder between the two parties (f1 == f2). With untied
   /// linear encoders the code difference h = f1(K'_B) - f2(K'_A) contains a
   /// nuisance term (W1 - W2) K'_A that the decoder cannot observe; tying
@@ -54,16 +62,7 @@ struct ReconcilerConfig {
   /// marginal prediction. Mirrors the random-sensing + learned-decoder
   /// design of the CS-autoencoder the paper builds on [24].
   bool freeze_encoder = true;
-  /// Greedy decoding budget: the decoder is applied iteratively — each pass
-  /// flips the single most confident mismatch in Alice's working key and
-  /// re-encodes (Alice-side only, no extra communication). One-shot MLP
-  /// support recovery from an M-dimensional code is unreliable; the greedy
-  /// loop only ever needs the *argmax* to be a true mismatch, which is a far
-  /// easier decision (the same reason OMP's first iteration succeeds where
-  /// full recovery fails).
-  std::size_t max_decode_iterations = 40;
   std::uint64_t seed = 11;
-  std::uint64_t session_seed = 0x5e551011;  ///< Bloom parameters
   /// Worker lanes for training (synthetic-pair generation and each
   /// mini-batch's member forward passes). 0 = process default. Training is
   /// bit-reproducible for every value: each synthetic pair draws from its
@@ -81,7 +80,7 @@ class AutoencoderReconciler {
   const ReconcilerConfig& config() const { return cfg_; }
 
   /// Train on `num_samples` synthetic key pairs for `epochs` epochs (Adam
-  /// over batch_size mini-batches: forward every member, then
+  /// over 32-pair mini-batches: forward every member, then
   /// Dense::backward_batch layer by layer). Returns the final mean
   /// training loss.
   double train(std::size_t num_samples, std::size_t epochs);
@@ -96,7 +95,14 @@ class AutoencoderReconciler {
   };
 
   /// Alice's side: recover the estimated mismatch (in original key space).
-  /// Allocates the same number of blocks for any number of passes.
+  /// The decoder runs greedily, at most 40 passes: each pass flips the
+  /// single most confident mismatch in Alice's working key and re-encodes
+  /// (Alice-side only, no extra communication). One-shot MLP support
+  /// recovery from an M-dimensional code is unreliable; the greedy loop
+  /// only ever needs the *argmax* to be a true mismatch, which is a far
+  /// easier decision (the same reason OMP's first iteration succeeds where
+  /// full recovery fails). Allocates the same number of blocks for any
+  /// number of passes.
   DecodeResult decode_mismatch(const BitVec& key_alice,
                                std::span<const double> y_bob) const;
 

@@ -130,12 +130,6 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
   return ys;
 }
 
-Vec Dense::backward(const Vec& grad_out) {
-  return std::move(
-      backward_batch(std::span<const Cache>(&last_, 1),
-                     std::span<const Vec>(&grad_out, 1), true)[0]);
-}
-
 std::vector<Vec> Dense::backward_batch(std::span<const Cache> caches,
                                        std::span<const Vec> grad_outs,
                                        bool input_grad) {

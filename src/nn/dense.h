@@ -4,8 +4,7 @@
 // then one backward_batch() over the members, which adds their weight and
 // bias gradients into the parameters in member order (through the gemm
 // core's accumulate_outer / matvec_transposed, bit-identical to the naive
-// per-sample loops), then one optimizer step. forward(x)/backward(grad)
-// are the same bodies over a layer-owned one-member cache.
+// per-sample loops), then one optimizer step.
 //
 // Inference is infer_into(x, y): the affine map written straight into the
 // caller's storage, then the activation in place, so a caller that keeps
@@ -39,9 +38,6 @@ class Dense {
     Vec y;  ///< post-activation output
   };
 
-  /// Forward pass into the layer-owned cache read by backward(grad_out).
-  Vec forward(const Vec& x) { return forward(x, last_); }
-
   /// Thread-safe forward writing the activations into `cache`.
   Vec forward(const Vec& x, Cache& cache) const;
 
@@ -68,11 +64,6 @@ class Dense {
   /// The original naive affine + activation, retained as the bit-exactness
   /// oracle for the packed kernels (tests only; no metrics, no cache).
   Vec infer_reference(const Vec& x) const;
-
-  /// Backward pass for the most recent forward(x): backward_batch() over
-  /// that one member. Accumulates into the parameter gradients and
-  /// returns dL/dx.
-  Vec backward(const Vec& grad_out);
 
   /// Backward over a mini-batch: member m's forward(x, caches[m]) pass and
   /// output gradient grad_outs[m]. Adds every member's weight and bias
@@ -104,7 +95,6 @@ class Dense {
   bool quantized_ = false;
   Parameter w_;  // out x in, row-major
   Parameter b_;  // out
-  Cache last_;  // forward(x)'s activations, read by backward(grad_out)
   // Lazily repacked weight layouts, keyed on w_.revision (see gemm.h).
   mutable PackedMatrix packed_w_;
   mutable QuantizedMatrix quant_w_;

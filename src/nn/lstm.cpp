@@ -326,13 +326,6 @@ Seq BiLstm::infer_reference(const Seq& x) const {
   return out;
 }
 
-std::vector<Seq> BiLstm::infer_batch(std::span<const Seq> xs) const {
-  std::vector<Seq> out;
-  out.reserve(xs.size());
-  for (const Seq& x : xs) out.push_back(infer(x));
-  return out;
-}
-
 void BiLstm::set_quantized(bool quantized) {
   fwd_.set_quantized(quantized);
   bwd_.set_quantized(quantized);

@@ -14,11 +14,9 @@
 //
 // Training follows Dense's mini-batch shape: forward(x, cache) per member
 // into a caller-owned Cache, then backward(cache, grad_out) per member in
-// member order. forward(x)/backward(grad_out) are the same bodies over a
-// layer-owned cache.
+// member order.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,12 +45,8 @@ class Lstm {
     Vec tanh_c;  ///< steps x hidden
   };
 
-  /// Forward over a sequence into the layer-owned cache read by
-  /// backward(grad_out); returns hidden states in *time* order regardless
-  /// of processing direction.
-  Seq forward(const Seq& x) { return forward(x, cache_); }
-
-  /// Forward writing the BPTT intermediates into `cache`.
+  /// Forward writing the BPTT intermediates into `cache`; returns hidden
+  /// states in *time* order regardless of processing direction.
   Seq forward(const Seq& x, Cache& cache) const;
 
   /// Inference-only forward (no caching).
@@ -72,9 +66,6 @@ class Lstm {
   /// activations (forward()/backward() stay float). NOT bit-exact.
   void set_quantized(bool quantized) { quantized_ = quantized; }
   bool quantized() const { return quantized_; }
-
-  /// BPTT for the most recent forward(x).
-  Seq backward(const Seq& grad_out) { return backward(cache_, grad_out); }
 
   /// BPTT for a forward(x, cache) pass. `grad_out` is dL/dh in time order;
   /// returns dL/dx in time order. Only the dh/dc recurrence runs per step;
@@ -121,7 +112,6 @@ class Lstm {
   Parameter wx_;  // 4H x input
   Parameter wh_;  // 4H x hidden
   Parameter b_;   // 4H  (forget-gate bias initialized to 1)
-  Cache cache_;   // forward(x)'s activations, read by backward(grad_out)
   Vec dz_;        // backward's per-step gate gradients (steps x 4H)
   // Fused [Wx | Wh] packed layouts, keyed on the parameter revisions
   // (see gemm.h; the key is the revision sum, monotone under bump()).
@@ -143,19 +133,11 @@ class BiLstm {
     Lstm::Cache bwd;
   };
 
-  Seq forward(const Seq& x) { return forward(x, cache_); }
   Seq forward(const Seq& x, Cache& cache) const;
   Seq infer(const Seq& x) const;
-  /// Batched inference over independent sequences; bit-identical to
-  /// calling infer() per element, in order. (The LSTM weights are small
-  /// enough to stay cache-resident, so the batch win lives in the Dense
-  /// heads downstream — this entry point exists so whole-pipeline callers
-  /// can hand a batch through one call.)
-  std::vector<Seq> infer_batch(std::span<const Seq> xs) const;
   /// Naive-reference BiLSTM inference (per-direction reference cells plus
   /// the original concat loop) — the bit-exactness oracle for infer().
   Seq infer_reference(const Seq& x) const;
-  Seq backward(const Seq& grad_out) { return backward(cache_, grad_out); }
   /// BPTT through both directions of a forward(x, cache) pass; returns the
   /// summed dL/dx.
   Seq backward(const Cache& cache, const Seq& grad_out);
@@ -173,7 +155,6 @@ class BiLstm {
   std::size_t hidden_ = 0;
   Lstm fwd_;
   Lstm bwd_;
-  Cache cache_;  // forward(x)'s activations, read by backward(grad_out)
 };
 
 }  // namespace vkey::nn

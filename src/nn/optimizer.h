@@ -22,9 +22,6 @@ class Adam {
 
   void step(std::size_t batch_size = 1);
 
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
-
  private:
   std::vector<Parameter*> params_;
   double lr_ = 0.0;

@@ -13,7 +13,6 @@ std::string to_string(FlightEventKind k) {
     case FlightEventKind::kFrameRx: return "frame-rx";
     case FlightEventKind::kDrop: return "drop";
     case FlightEventKind::kCorrupt: return "corrupt";
-    case FlightEventKind::kCrcLost: return "crc-lost";
     case FlightEventKind::kWireReject: return "wire-reject";
     case FlightEventKind::kReorder: return "reorder";
     case FlightEventKind::kDuplicate: return "duplicate";

@@ -42,8 +42,8 @@ enum class FlightEventKind : std::uint8_t {
   kFrameRx,       ///< frame delivered to the far endpoint
   kDrop,          ///< fault injector lost the frame
   kCorrupt,       ///< fault injector flipped bits (frame still parsed)
-  kCrcLost,       ///< corruption beyond parsing; radio CRC discarded it
-  kWireReject,    ///< frame codec rejected the bytes (detail: WireError)
+  kWireReject,    ///< frame codec rejected the bytes (detail: WireError);
+                  ///< the radio CRC discards such a frame
   kReorder,       ///< fault injector added reordering delay
   kDuplicate,     ///< fault injector scheduled an echo copy
   kRetransmit,    ///< ARQ resent a frame (detail: "timeout ..." or "fast")

@@ -15,6 +15,12 @@ namespace {
 /// memory).
 constexpr std::size_t kSimBatch = 256;
 
+/// A confirmed session idle this long after its last activity is evicted.
+constexpr double kIdleTimeoutMs = 30'000.0;
+
+/// Failed sessions re-simulated for a post-mortem timeline, at most.
+constexpr std::size_t kFailureDumpLimit = 3;
+
 /// Session-id space of one device: 16 ids per device leaves room for the
 /// supervisor's per-attempt increments without collisions across devices.
 std::uint64_t session_id_for(std::uint64_t device) {
@@ -39,8 +45,8 @@ GatewayEngine::GatewayEngine(const GatewayConfig& config,
       registry_(config.max_inflight),
       outcomes_(config.sessions) {
   VKEY_REQUIRE(cfg_.sessions >= 1, "gateway needs at least one session");
-  VKEY_REQUIRE(cfg_.arrival_interval_ms >= 0.0 && cfg_.idle_timeout_ms > 0.0,
-               "arrival spacing must be >= 0 and idle timeout positive");
+  VKEY_REQUIRE(cfg_.arrival_interval_ms >= 0.0,
+               "arrival spacing must be >= 0");
   VKEY_REQUIRE(static_cast<bool>(material_), "probe material source required");
 }
 
@@ -187,11 +193,11 @@ void GatewayEngine::on_rekey(std::uint64_t device, std::size_t ordinal) {
 
 void GatewayEngine::arm_idle_eviction(std::uint64_t device) {
   const double due =
-      registry_.record(device).last_activity_ms + cfg_.idle_timeout_ms;
+      registry_.record(device).last_activity_ms + kIdleTimeoutMs;
   clock_.schedule_at(due, [this, device] {
     const DeviceRecord& rec = registry_.record(device);
     if (rec.state != DeviceState::kConfirmed) return;
-    if (clock_.now_ms() >= rec.last_activity_ms + cfg_.idle_timeout_ms) {
+    if (clock_.now_ms() >= rec.last_activity_ms + kIdleTimeoutMs) {
       schedules_.erase(device);
       registry_.evict(device, clock_.now_ms(), EvictReason::kIdle);
     } else {
@@ -219,7 +225,7 @@ GatewayReport GatewayEngine::run() {
     // quiesce check below, never silently.
     const double span_bound =
         cfg_.arrival_interval_ms * static_cast<double>(cfg_.sessions) +
-        cfg_.idle_timeout_ms * 4.0 +
+        kIdleTimeoutMs * 4.0 +
         cfg_.rekey_interval_ms * static_cast<double>(cfg_.max_rekeys) +
         60'000.0;
     cap += static_cast<std::size_t>(span_bound / cfg_.tick_interval_ms) + 64;
@@ -282,7 +288,7 @@ GatewayReport GatewayEngine::finalize() {
   for (std::uint64_t d = 0; d < cfg_.sessions; ++d) {
     if (outcomes_[d].established) continue;
     ++failed_seen;
-    if (rep.failure_dumps.size() >= cfg_.failure_dump_limit) continue;
+    if (rep.failure_dumps.size() >= kFailureDumpLimit) continue;
     const std::size_t capacity = cfg_.reliability.flight_capacity > 0
                                      ? cfg_.reliability.flight_capacity
                                      : 512;

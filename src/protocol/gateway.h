@@ -55,8 +55,6 @@ struct GatewayConfig {
   std::size_t max_inflight = 256;  ///< admission control: concurrent
                                    ///< establishments; the rest queue FIFO
   double arrival_interval_ms = 5.0;  ///< inter-arrival spacing (virtual)
-  double idle_timeout_ms = 30'000.0;  ///< evict confirmed sessions idle this
-                                      ///< long after their last activity
   double rekey_interval_ms = 10'000.0;  ///< per-session scheduled rekey
                                         ///< period (0 disables rekeying)
   std::size_t max_rekeys = 2;  ///< rekeys per session before it idles out
@@ -65,12 +63,10 @@ struct GatewayConfig {
   /// Fault model, ARQ, radio and retry budget of every session's exchange.
   /// `fault.seed`/`arq.seed` are re-derived per device from `seed`;
   /// `flight_capacity` is forced to 0 during the scale run (see
-  /// failure_dump_limit) so 100k sessions do not hold 100k event rings.
+  /// GatewayReport::failure_dumps) so 100k sessions do not hold 100k event
+  /// rings.
   ReliabilityConfig reliability;
   std::uint64_t seed = 1;
-  /// Post-run flight-recorder timelines regenerated for at most this many
-  /// failed sessions (deterministic re-simulation with recording enabled).
-  std::size_t failure_dump_limit = 3;
   /// Period of the observer tick on the shared timeline (0 disables). Each
   /// tick invokes the set_tick() callback at a virtual-time grid point —
   /// the hook the telemetry sampler uses to take lane-invariant samples
@@ -111,8 +107,9 @@ struct GatewayReport {
   double mean_queue_wait_ms = 0.0;
   double mean_attempts = 0.0;
   double bytes_per_session = 0.0;  ///< wire bytes per *established* session
-  /// Bounded post-mortems: up to failure_dump_limit re-simulated failed
-  /// sessions' timelines, each prefixed with its device id.
+  /// Bounded post-mortems: the first three failed sessions' timelines,
+  /// regenerated by deterministic re-simulation with recording enabled,
+  /// each prefixed with its device id.
   std::vector<std::string> failure_dumps;
   std::size_t failures_suppressed = 0;  ///< failed sessions beyond the cap
 };
@@ -158,9 +155,6 @@ class GatewayEngine {
   GatewayReport run();
 
   const SessionRegistry& registry() const noexcept { return registry_; }
-  /// The shared gateway timeline ("clock" would shadow the lint's
-  /// wall-clock patterns; the name also reads better at call sites).
-  const SimClock& timeline() const noexcept { return clock_; }
   /// Per-device RF outcomes (valid for devices simulated so far).
   const std::vector<SessionOutcome>& outcomes() const noexcept {
     return outcomes_;

@@ -279,7 +279,6 @@ void RekeyTimer::stop() {
 void RekeyTimer::arm(double delay_ms) {
   pending_ = clock_.schedule(delay_ms, [this] {
     if (!running_) return;
-    ++fired_;
     const double now = clock_.now_ms();
     if (schedule_.rekey_due(now)) {
       schedule_.rekey(now);

@@ -201,7 +201,6 @@ class RekeyTimer {
 
   void start();
   void stop();
-  std::size_t fired() const noexcept { return fired_; }
 
  private:
   void arm(double delay_ms);
@@ -211,7 +210,6 @@ class RekeyTimer {
   std::function<void(std::uint32_t)> on_rekey_;
   SimClock::EventId pending_ = 0;
   bool running_ = false;
-  std::size_t fired_ = 0;
 };
 
 /// Outcome of driving the confirmation round trip over a lossy link.

@@ -39,7 +39,7 @@ inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kRekey);
 
 /// Hard bounds the wire codec enforces on length fields *before* trusting
-/// them. The largest honest payload is the syndrome (code_dim doubles, well
+/// them. The largest honest payload is the syndrome (kCodeDim doubles, well
 /// under 4 KiB at every configuration the repo ships); the largest MAC is
 /// HMAC-SHA256 (32 bytes, bounded at 64 for agility). Anything bigger is an
 /// attack or corruption, and must be rejected without allocating.

@@ -276,7 +276,7 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
       } catch (const vkey::Error&) {
         return reject(RejectReason::kMalformed);
       }
-      if (y_bob.size() != reconciler_.config().code_dim) {
+      if (y_bob.size() != core::kCodeDim) {
         return reject(RejectReason::kMalformed);
       }
       key_ = reconciler_.reconcile(key_, y_bob);

@@ -54,10 +54,7 @@ TEST(Predictor, ConfigValidated) {
   bad.seq_len = 2;
   EXPECT_THROW(PredictorQuantizer{bad}, vkey::Error);
   bad = tiny_config();
-  bad.theta = 1.5;
-  EXPECT_THROW(PredictorQuantizer{bad}, vkey::Error);
-  bad = tiny_config();
-  bad.batch_size = 0;
+  bad.hidden = 1;
   EXPECT_THROW(PredictorQuantizer{bad}, vkey::Error);
 }
 
@@ -138,6 +135,21 @@ TEST(Predictor, TrainRequiresSamples) {
   EXPECT_THROW(p.train({}, 1), vkey::Error);
   EXPECT_THROW(p.train(synthetic_samples(tiny_config(), 4, 18), 0),
                vkey::Error);
+}
+
+// Exact epoch losses of a short run, each double to the last bit. They pin
+// the fixed training settings (theta = 0.9, Adam at 2e-3, mini-batches of
+// 16, so 40 samples make two full batches and a partial one, and the phase
+// feature's period of 4) and the order of every sum in the joint loss.
+TEST(PredictorGolden, EpochLossesOnSmallFixedInputs) {
+  const PredictorConfig cfg = tiny_config();
+  PredictorQuantizer p(cfg);
+  const auto report = p.train(synthetic_samples(cfg, 40, 19), 3);
+  ASSERT_EQ(report.epoch_loss.size(), 3u);
+  EXPECT_EQ(report.epoch_loss[0], 1.3987105776424724);
+  EXPECT_EQ(report.epoch_loss[1], 1.237162523403315);
+  EXPECT_EQ(report.epoch_loss[2], 1.1635946810598017);
+  EXPECT_EQ(report.final_loss, report.epoch_loss[2]);
 }
 
 TEST(Predictor, SampleShapeChecked) {

@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
 #include "nn/loss.h"
 
 namespace vkey::nn {
 namespace {
+
+/// backward_batch() over one member: its forward(x, cache) pass and output
+/// gradient. Returns dL/dx.
+Vec backward_one(Dense& d, const Dense::Cache& cache, const Vec& grad_out) {
+  return d.backward_batch(std::span(&cache, 1), std::span(&grad_out, 1),
+                          true)[0];
+}
 
 TEST(Dense, OutputShape) {
   vkey::Rng rng(1);
@@ -27,7 +35,10 @@ TEST(Dense, ForwardMatchesInfer) {
   vkey::Rng rng(2);
   Dense d(4, 4, rng, Activation::kTanh);
   const Vec x{0.5, -0.2, 0.1, 0.9};
-  EXPECT_EQ(d.forward(x), d.infer(x));
+  Dense::Cache cache;
+  EXPECT_EQ(d.forward(x, cache), d.infer(x));
+  EXPECT_EQ(cache.x, x);
+  EXPECT_EQ(cache.y, d.infer(x));
 }
 
 TEST(Dense, LinearLayerIsAffine) {
@@ -65,7 +76,7 @@ TEST(Dense, SigmoidBounded) {
 TEST(Dense, BackwardBeforeForwardThrows) {
   vkey::Rng rng(6);
   Dense d(2, 2, rng);
-  EXPECT_THROW(d.backward({1.0, 1.0}), vkey::Error);
+  EXPECT_THROW(backward_one(d, Dense::Cache{}, {1.0, 1.0}), vkey::Error);
 }
 
 // Numerical gradient check: perturb each parameter and compare the measured
@@ -82,9 +93,9 @@ void check_gradients() {
   };
 
   // Analytic gradients.
-  const Vec y = d.forward(x);
-  const auto l = mse_loss(y, target);
-  d.backward(l.grad);
+  Dense::Cache cache;
+  const auto l = mse_loss(d.forward(x, cache), target);
+  backward_one(d, cache, l.grad);
 
   const double eps = 1e-6;
   for (Parameter* p : d.parameters()) {
@@ -117,9 +128,9 @@ TEST(Dense, InputGradientCheck) {
   Dense d(3, 2, rng, Activation::kTanh);
   Vec x{0.3, -0.7, 0.5};
   const Vec target{0.2, 0.8};
-  const Vec y = d.forward(x);
-  const auto l = mse_loss(y, target);
-  const Vec dx = d.backward(l.grad);
+  Dense::Cache cache;
+  const auto l = mse_loss(d.forward(x, cache), target);
+  const Vec dx = backward_one(d, cache, l.grad);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -137,11 +148,12 @@ TEST(Dense, GradAccumulatesAcrossSamples) {
   vkey::Rng rng(9);
   Dense d(1, 1, rng);
   const Vec x{1.0};
-  d.forward(x);
-  d.backward({1.0});
+  Dense::Cache cache;
+  d.forward(x, cache);
+  backward_one(d, cache, {1.0});
   const double g1 = d.parameters()[0]->grad[0];
-  d.forward(x);
-  d.backward({1.0});
+  d.forward(x, cache);
+  backward_one(d, cache, {1.0});
   EXPECT_NEAR(d.parameters()[0]->grad[0], 2.0 * g1, 1e-12);
 }
 

@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -370,8 +371,10 @@ TEST(DenseGolden, OptimizerStepRepacksCache) {
   Dense d(6, 6, rng);
   const Vec x = random_vec(6, rng);
   (void)d.infer(x);  // warm the packed cache
-  d.forward(x);
-  d.backward(Vec(6, 1.0));
+  Dense::Cache cache;
+  (void)d.forward(x, cache);
+  const Vec grad(6, 1.0);
+  (void)d.backward_batch(std::span(&cache, 1), std::span(&grad, 1), false);
   Adam opt(d.parameters(), 0.1);
   opt.step(1);
   EXPECT_EQ(d.infer(x), d.infer_reference(x));
@@ -481,19 +484,6 @@ TEST(BiLstmGolden, InferBitEqualsNaiveReference) {
   EXPECT_EQ(bi.infer(x), bi.infer_reference(x));
 }
 
-TEST(BiLstmGolden, InferBatchBitEqualsSequential) {
-  vkey::Rng rng(307);
-  BiLstm bi(2, 6, rng);
-  vkey::Rng xr(308);
-  std::vector<Seq> xs;
-  for (int b = 0; b < 3; ++b) xs.push_back(random_seq(5, 2, xr));
-  const auto batched = bi.infer_batch(xs);
-  ASSERT_EQ(batched.size(), xs.size());
-  for (std::size_t b = 0; b < xs.size(); ++b) {
-    EXPECT_EQ(batched[b], bi.infer(xs[b]));
-  }
-}
-
 // Test-local naive LSTM: the per-step forward of infer_reference with every
 // intermediate kept, and the per-step BPTT the layer started with, reading
 // the weights through parameters() = {Wx, Wh, b}.
@@ -601,23 +591,17 @@ TEST(LstmGolden, BackwardBitEqualsNaiveBptt) {
       Vec gwx(p[0]->size(), 0.0), gwh(p[1]->size(), 0.0),
           gb(p[2]->size(), 0.0);
       vkey::Rng xr(310);
-      // Two members through external caches, then one through forward(x):
-      // each member's gradients add onto the earlier members'.
-      std::vector<Lstm::Cache> caches(2);
+      // Three members, each through its own cache: each member's
+      // gradients add onto the earlier members'.
+      std::vector<Lstm::Cache> caches(3);
       for (std::size_t m = 0; m < 3; ++m) {
         const Seq x = random_seq(9, 3, xr);
         const Seq grad = random_seq(9, hidden, xr);
         const auto steps = naive_lstm_forward(lstm, reverse, x);
         const Seq want_dx =
             naive_lstm_backward(lstm, reverse, steps, grad, gwx, gwh, gb);
-        Seq dx;
-        if (m < 2) {
-          (void)lstm.forward(x, caches[m]);
-          dx = lstm.backward(caches[m], grad);
-        } else {
-          (void)lstm.forward(x);
-          dx = lstm.backward(grad);
-        }
+        (void)lstm.forward(x, caches[m]);
+        const Seq dx = lstm.backward(caches[m], grad);
         const std::string what = std::string(reverse ? "reverse" : "forward") +
                                  " H=" + std::to_string(hidden) + " member " +
                                  std::to_string(m);
@@ -829,7 +813,8 @@ TEST(Accounting, LstmCountersUnchangedOnInvalidInput) {
   EXPECT_THROW(lstm.infer({}), vkey::Error);               // empty
   EXPECT_THROW(lstm.infer({{1.0}}), vkey::Error);          // wrong width
   EXPECT_THROW(lstm.infer({{1.0, 2.0}, {1.0}}), vkey::Error);  // mid-seq
-  EXPECT_THROW(lstm.forward({{1.0}}), vkey::Error);
+  Lstm::Cache cache;
+  EXPECT_THROW(lstm.forward({{1.0}}, cache), vkey::Error);
   EXPECT_EQ(flops.value(), f0);
   EXPECT_EQ(steps.value(), s0);
   (void)lstm.infer({{1.0, 2.0}, {0.5, -0.5}});
@@ -841,22 +826,24 @@ TEST(Accounting, LstmCountersUnchangedOnInvalidInput) {
 TEST(BiLstmGuards, BackwardOnEmptyGradientThrows) {
   vkey::Rng rng(601);
   BiLstm bi(1, 3, rng);
-  EXPECT_THROW(bi.backward({}), vkey::Error);
+  EXPECT_THROW(bi.backward(BiLstm::Cache{}, {}), vkey::Error);
 }
 
 TEST(BiLstmGuards, BackwardLengthMismatchThrows) {
   vkey::Rng rng(602);
   BiLstm bi(1, 3, rng);
   Seq x(4, Vec{0.5});
-  (void)bi.forward(x);
+  BiLstm::Cache cache;
+  (void)bi.forward(x, cache);
   Seq wrong_len(3, Vec(6, 0.0));  // forward cached 4 steps
-  EXPECT_THROW(bi.backward(wrong_len), vkey::Error);
+  EXPECT_THROW(bi.backward(cache, wrong_len), vkey::Error);
 }
 
 TEST(BiLstmGuards, BackwardBeforeForwardThrows) {
   vkey::Rng rng(603);
   BiLstm bi(1, 3, rng);
-  EXPECT_THROW(bi.backward(Seq(2, Vec(6, 0.0))), vkey::Error);
+  EXPECT_THROW(bi.backward(BiLstm::Cache{}, Seq(2, Vec(6, 0.0))),
+               vkey::Error);
 }
 
 }  // namespace

@@ -98,13 +98,16 @@ TEST(Adam, TrainsXorWithHiddenLayer) {
   const std::vector<std::pair<Vec, double>> data = {
       {{0.0, 0.0}, 0.0}, {{0.0, 1.0}, 1.0}, {{1.0, 0.0}, 1.0},
       {{1.0, 1.0}, 0.0}};
+  // One mini-batch of all four points per step.
+  std::vector<Dense::Cache> c1(data.size()), c2(data.size());
+  std::vector<Vec> grads(data.size());
   for (int epoch = 0; epoch < 400; ++epoch) {
-    for (const auto& [x, y] : data) {
-      const Vec h = l1.forward(x);
-      const Vec logits = l2.forward(h);
-      const auto l = bce_with_logits(logits, {y});
-      l1.backward(l2.backward(l.grad));
+    for (std::size_t m = 0; m < data.size(); ++m) {
+      const auto& [x, y] = data[m];
+      const Vec logits = l2.forward(l1.forward(x, c1[m]), c2[m]);
+      grads[m] = bce_with_logits(logits, {y}).grad;
     }
+    l1.backward_batch(c1, l2.backward_batch(c2, grads, true), false);
     opt.step(data.size());
   }
   for (const auto& [x, y] : data) {

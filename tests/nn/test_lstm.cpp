@@ -40,7 +40,9 @@ TEST(Lstm, ForwardMatchesInfer) {
   vkey::Rng rng(4);
   Lstm lstm(1, 6, rng);
   const Seq x = make_seq({0.5, -0.5, 0.25, 0.0});
-  EXPECT_EQ(lstm.forward(x), lstm.infer(x));
+  Lstm::Cache cache;
+  EXPECT_EQ(lstm.forward(x, cache), lstm.infer(x));
+  EXPECT_EQ(cache.steps, x.size());
 }
 
 TEST(Lstm, ReverseProcessesBackwards) {
@@ -86,11 +88,12 @@ TEST(Lstm, GradientCheck) {
     return mse_loss(h.back(), target).loss;
   };
 
-  const Seq h = lstm.forward(x);
+  Lstm::Cache cache;
+  const Seq h = lstm.forward(x, cache);
   const auto l = mse_loss(h.back(), target);
   Seq dout(x.size(), Vec(3, 0.0));
   dout.back() = l.grad;
-  lstm.backward(dout);
+  lstm.backward(cache, dout);
 
   const double eps = 1e-6;
   for (Parameter* p : lstm.parameters()) {
@@ -117,11 +120,12 @@ TEST(Lstm, InputGradientCheck) {
   Lstm lstm(1, 3, rng);
   Seq x = make_seq({0.3, -0.6, 0.2});
   const Vec target{0.5, 0.5, -0.5};
-  const Seq h = lstm.forward(x);
+  Lstm::Cache cache;
+  const Seq h = lstm.forward(x, cache);
   const auto l = mse_loss(h.back(), target);
   Seq dout(x.size(), Vec(3, 0.0));
   dout.back() = l.grad;
-  const Seq dx = lstm.backward(dout);
+  const Seq dx = lstm.backward(cache, dout);
 
   const double eps = 1e-6;
   for (std::size_t t = 0; t < x.size(); ++t) {
@@ -170,11 +174,12 @@ TEST(BiLstm, GradientCheck) {
     return mse_loss(bi.infer(x)[1], target).loss;
   };
 
-  const Seq h = bi.forward(x);
+  BiLstm::Cache cache;
+  const Seq h = bi.forward(x, cache);
   const auto l = mse_loss(h[1], target);
   Seq dout(x.size(), Vec(4, 0.0));
   dout[1] = l.grad;
-  bi.backward(dout);
+  bi.backward(cache, dout);
 
   const double eps = 1e-6;
   for (Parameter* p : bi.parameters()) {

@@ -153,7 +153,6 @@ class GatewayTest : public ::testing::Test {
     cfg.arrival_interval_ms = 5.0;
     cfg.rekey_interval_ms = 2000.0;
     cfg.max_rekeys = 2;
-    cfg.idle_timeout_ms = 5000.0;
     cfg.reliability.radio = fast_radio();
     cfg.reliability.max_session_attempts = 6;
     return cfg;
@@ -259,22 +258,22 @@ TEST_F(GatewayTest, FailedSessionsEvictWithBoundedPostMortems) {
         }
         return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
       };
-  GatewayConfig cfg = small_config(20, 4);
-  cfg.failure_dump_limit = 2;
-  GatewayEngine engine(cfg, *reconciler_, mixed);
+  GatewayEngine engine(small_config(20, 4), *reconciler_, mixed);
   const GatewayReport rep = engine.run();
 
   EXPECT_EQ(rep.failed, 4u);  // devices 0, 5, 10, 15
   EXPECT_EQ(rep.established, 16u);
   EXPECT_EQ(rep.evicted_failed, 4u);
   EXPECT_EQ(rep.evicted_idle, 16u);
-  ASSERT_EQ(rep.failure_dumps.size(), 2u);
-  EXPECT_EQ(rep.failures_suppressed, 2u);
+  // The first three failures get a post-mortem; the fourth is counted.
+  ASSERT_EQ(rep.failure_dumps.size(), 3u);
+  EXPECT_EQ(rep.failures_suppressed, 1u);
   // Dumps are regenerated deterministically and carry the device id plus a
   // flight-recorder timeline of the failing attempts.
   EXPECT_NE(rep.failure_dumps[0].find("device 0:"), std::string::npos);
   EXPECT_NE(rep.failure_dumps[0].find("attempt"), std::string::npos);
   EXPECT_NE(rep.failure_dumps[1].find("device 5:"), std::string::npos);
+  EXPECT_NE(rep.failure_dumps[2].find("device 10:"), std::string::npos);
   for (const std::uint64_t d : {0u, 5u, 10u, 15u}) {
     EXPECT_EQ(engine.registry().record(d).state, DeviceState::kEvicted);
     EXPECT_EQ(*engine.registry().record(d).evict_reason, EvictReason::kFailed);
