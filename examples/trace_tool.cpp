@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "channel/trace_io.h"
@@ -174,7 +175,15 @@ int cmd_analyze(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
-  if (std::strcmp(argv[1], "generate") == 0) return cmd_generate(argc, argv);
-  if (std::strcmp(argv[1], "analyze") == 0) return cmd_analyze(argc, argv);
+  // A file the reader rejects (missing, malformed row) or a round count no
+  // vector can hold is bad input: report it in one line. std::exception
+  // covers both the reader's vkey::Error and the vector's std::length_error.
+  try {
+    if (std::strcmp(argv[1], "generate") == 0) return cmd_generate(argc, argv);
+    if (std::strcmp(argv[1], "analyze") == 0) return cmd_analyze(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_tool: %s\n", e.what());
+    return 2;
+  }
   usage(argv[0]);
 }

@@ -72,12 +72,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/table.h"
@@ -517,10 +517,12 @@ int sim_main(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // A size the library rejects (a 1-unit BiLSTM, a 0-unit decoder, too few
-  // rounds for one key block) is a bad flag value: report it like one.
+  // rounds for one key block) or no vector can hold (--test-rounds or
+  // --gateway near 2^64) is a bad flag value: report it like one.
+  // std::exception covers both vkey::Error and std::length_error.
   try {
     return sim_main(argc, argv);
-  } catch (const vkey::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "vkey_sim: %s\n", e.what());
     return 2;
   }

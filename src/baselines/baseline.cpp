@@ -26,8 +26,6 @@ constexpr std::uint64_t kLoRaKeySensingSeed = 17;
 constexpr core::QuantizerConfig kHanQuantizer{
     .bits_per_sample = 2, .block_size = 16, .guard_band_ratio = 0.0};
 constexpr std::size_t kHanBlockBits = 256;  ///< Cascade block length
-constexpr std::size_t kHanGroupLength = 3;  ///< Cascade's k
-constexpr std::size_t kHanPasses = 4;
 constexpr std::uint64_t kHanCascadeSeed = 41;
 
 constexpr std::size_t kGaoInterval = 20;  ///< probe exchanges per round
@@ -164,11 +162,8 @@ BaselineMetrics han_v2v(const std::vector<channel::ProbeRound>& rounds,
   for (std::size_t b = 0; b < nblocks; ++b) {
     const BitVec ka = bits_a.slice(b * kHanBlockBits, kHanBlockBits);
     const BitVec kb = bits_b.slice(b * kHanBlockBits, kHanBlockBits);
-    const auto rec = cascade_reconcile(
-        ka, kb,
-        {.initial_block = kHanGroupLength,
-         .iterations = kHanPasses,
-         .seed = hash_combine64(kHanCascadeSeed, b)});
+    const auto rec =
+        cascade_reconcile(ka, kb, hash_combine64(kHanCascadeSeed, b));
     s.kar.push_back(rec.corrected.agreement(kb));
     s.leaked_bits += rec.leaked_bits;
     if (rec.corrected == kb) ++s.exact;

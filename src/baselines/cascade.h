@@ -21,20 +21,16 @@
 
 namespace vkey::baselines {
 
-struct CascadeConfig {
-  std::size_t initial_block = 3;  ///< k (paper's Han et al. setting: 3)
-  std::size_t iterations = 4;     ///< paper's setting: 4
-  std::uint64_t seed = 33;        ///< shared permutation seed
-};
-
 struct CascadeResult {
   BitVec corrected;        ///< Alice's key after reconciliation
   std::size_t messages = 0;     ///< parity-exchange messages
   std::size_t leaked_bits = 0;  ///< parity bits disclosed to the channel
 };
 
-/// Reconcile `alice` toward `bob` (sizes must match).
+/// Reconcile `alice` toward `bob` (sizes must match) at Han et al.'s
+/// setting: initial block length k = 3, doubled on each of 4 passes.
+/// `seed` is the permutation seed both sides share.
 CascadeResult cascade_reconcile(const BitVec& alice, const BitVec& bob,
-                                const CascadeConfig& config = {});
+                                std::uint64_t seed = 33);
 
 }  // namespace vkey::baselines

@@ -102,9 +102,6 @@ class ShadowingProcess {
   /// Advance the position by `delta_pos_m` >= 0 metres and return S [dB].
   double advance(double delta_pos_m);
 
-  double current() const { return value_db_; }
-  double sigma_db() const { return sigma_db_; }
-
  private:
   double sigma_db_ = 0.0;
   double decorr_m_ = 0.0;

@@ -8,7 +8,7 @@
 
 namespace vkey::channel {
 
-LoRaPhy::LoRaPhy(const LoRaParams& p) : params_(p) {
+LoRaPhy::LoRaPhy(const LoRaParams& p) {
   VKEY_REQUIRE(p.spreading_factor >= 6 && p.spreading_factor <= 12,
                "SF must be in 6..12");
   VKEY_REQUIRE(p.bandwidth_hz > 0, "bandwidth must be positive");
@@ -48,11 +48,6 @@ void LoRaPhy::account_airtime(AirtimeUse use, std::size_t packets) const {
   } else {
     metrics::gauge<"phy.airtime_ms.wire">().add(ms);
   }
-}
-
-double LoRaPhy::wavelength() const {
-  constexpr double kC = 299792458.0;
-  return kC / params_.carrier_hz;
 }
 
 LoRaParams LoRaPhy::params_for_bitrate(double target_bps) {

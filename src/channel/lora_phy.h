@@ -37,8 +37,6 @@ class LoRaPhy {
  public:
   explicit LoRaPhy(const LoRaParams& params);
 
-  const LoRaParams& params() const { return params_; }
-
   /// Chirp symbol duration: 2^SF / BW [s].
   double symbol_time() const { return symbol_time_; }
 
@@ -61,9 +59,6 @@ class LoRaPhy {
   /// continuously while the packet is being received).
   int rssi_samples_per_packet() const { return rssi_samples_; }
 
-  /// Carrier wavelength [m] (69.12 cm at 434 MHz).
-  double wavelength() const;
-
   /// Pick an SF/BW/CR configuration whose bit rate is closest to
   /// `target_bps`, searching SF 7..12, BW {15.6k, 31.25k, 62.5k, 125k} and
   /// CR denominators 5..8. Used by the Fig. 2(a) data-rate sweep.
@@ -77,7 +72,6 @@ class LoRaPhy {
   void account_airtime(AirtimeUse use, std::size_t packets = 1) const;
 
  private:
-  LoRaParams params_;
   double symbol_time_ = 0.0;
   double bit_rate_ = 0.0;
   int payload_symbols_ = 0;

@@ -27,8 +27,6 @@ class SpeedProcess {
   /// return the speed [m/s]. Speeds are clamped at >= 0.
   double at(double t);
 
-  double base_mps() const { return base_mps_; }
-
  private:
   double base_mps_ = 0.0;
   double sigma_mps_ = 0.0;

@@ -76,7 +76,6 @@ class BenchReport {
   /// true when a snapshot file was written.
   bool write();
 
-  const std::string& json_path() const { return path_; }
   const std::string& trace_path() const { return trace_path_; }
   const std::string& telemetry_path() const { return telemetry_path_; }
   /// --telemetry-all: sample every metric family, not just the

@@ -42,7 +42,6 @@ class Value {
   static Value array() { Value v; v.type_ = Type::kArray; return v; }
   static Value object() { Value v; v.type_ = Type::kObject; return v; }
 
-  Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
 
   /// Typed accessors; throw vkey::Error on type mismatch.

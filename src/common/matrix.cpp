@@ -19,12 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   VKEY_REQUIRE(r < rows_ && c < cols_, "Matrix index out of range");
   return data_[r * cols_ + c];
@@ -57,30 +51,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return out;
 }
 
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  VKEY_REQUIRE(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-               "Matrix add shape mismatch");
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = data_[i] + rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  VKEY_REQUIRE(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-               "Matrix subtract shape mismatch");
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = data_[i] - rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::scaled(double s) const {
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] * s;
-  return out;
-}
-
 std::vector<double> Matrix::mul_vec(const std::vector<double>& v) const {
   VKEY_REQUIRE(v.size() == cols_, "Matrix * vector shape mismatch");
   std::vector<double> out(rows_, 0.0);
@@ -89,13 +59,6 @@ std::vector<double> Matrix::mul_vec(const std::vector<double>& v) const {
     for (std::size_t c = 0; c < cols_; ++c) s += (*this)(r, c) * v[c];
     out[r] = s;
   }
-  return out;
-}
-
-std::vector<double> Matrix::column(std::size_t c) const {
-  VKEY_REQUIRE(c < cols_, "Matrix column out of range");
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
   return out;
 }
 
@@ -144,13 +107,6 @@ double norm2(const std::vector<double>& v) {
   double s = 0.0;
   for (double x : v) s += x * x;
   return std::sqrt(s);
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  VKEY_REQUIRE(a.size() == b.size(), "dot size mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
 }
 
 }  // namespace vkey

@@ -23,8 +23,6 @@ class Matrix {
   /// From nested initializer lists (all rows must have equal length).
   Matrix(std::initializer_list<std::initializer_list<double>> init);
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
@@ -41,15 +39,9 @@ class Matrix {
 
   Matrix transpose() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix scaled(double s) const;
 
   /// Matrix-vector product (vector length must equal cols()).
   std::vector<double> mul_vec(const std::vector<double>& v) const;
-
-  /// Extract a column as a vector.
-  std::vector<double> column(std::size_t c) const;
 
   /// Solve A x = b via Gaussian elimination with partial pivoting.
   /// A must be square and non-singular (throws vkey::Error otherwise).
@@ -71,8 +63,5 @@ class Matrix {
 
 /// Euclidean norm of a vector.
 double norm2(const std::vector<double>& v);
-
-/// Dot product (sizes must match).
-double dot(const std::vector<double>& a, const std::vector<double>& b);
 
 }  // namespace vkey

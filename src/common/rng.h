@@ -98,11 +98,6 @@ class Rng {
   /// Bernoulli(p) draw.
   bool bernoulli(double p) { return uniform() < p; }
 
-  /// Derive an independent child generator (for per-component streams).
-  Rng fork(std::uint64_t stream_id) {
-    return Rng(hash_combine64(next_u64(), stream_id));
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

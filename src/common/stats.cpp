@@ -66,15 +66,6 @@ double median(std::span<const double> x) {
   return (n % 2 == 1) ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-std::vector<double> zscore(std::span<const double> x) {
-  const double m = mean(x);
-  const double sd = stddev(x);
-  std::vector<double> out(x.size());
-  if (sd == 0.0) return out;  // constant series -> all zeros
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - m) / sd;
-  return out;
-}
-
 std::vector<double> minmax01(std::span<const double> x) {
   const double lo = min(x);
   const double hi = max(x);
@@ -84,18 +75,6 @@ std::vector<double> minmax01(std::span<const double> x) {
     return out;
   }
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - lo) / (hi - lo);
-  return out;
-}
-
-std::vector<double> moving_average(std::span<const double> x, std::size_t w) {
-  VKEY_REQUIRE(w >= 1, "moving_average window must be >= 1");
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = (i + 1 >= w) ? i + 1 - w : 0;
-    double s = 0.0;
-    for (std::size_t j = lo; j <= i; ++j) s += x[j];
-    out[i] = s / static_cast<double>(i - lo + 1);
-  }
   return out;
 }
 

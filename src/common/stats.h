@@ -33,14 +33,7 @@ double max(std::span<const double> x);
 /// Median (copies and sorts); requires non-empty input.
 double median(std::span<const double> x);
 
-/// Z-score normalization: (x - mean) / stddev. A constant series maps to 0s.
-std::vector<double> zscore(std::span<const double> x);
-
 /// Min-max normalization into [0,1]. A constant series maps to 0.5.
 std::vector<double> minmax01(std::span<const double> x);
-
-/// Simple moving average with window w >= 1 (output has same length; the
-/// window is truncated at the edges).
-std::vector<double> moving_average(std::span<const double> x, std::size_t w);
 
 }  // namespace vkey::stats

@@ -54,20 +54,6 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ",";
-      out << row[c];
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 json::Value Table::to_json() const {
   json::Value t = json::Value::object();
   json::Value headers = json::Value::array();
@@ -81,10 +67,6 @@ json::Value Table::to_json() const {
   }
   t.set("rows", std::move(rows));
   return t;
-}
-
-std::string Table::to_markdown() const {
-  return markdown_from_json(to_json());
 }
 
 std::string Table::markdown_from_json(const json::Value& table) {

@@ -1,8 +1,9 @@
-// Console table / CSV rendering for the benchmark harness.
+// Console table rendering for the benchmark harness.
 //
 // Every bench binary reproduces a paper table or figure by printing rows; this
-// helper keeps the output format consistent (aligned columns, optional CSV for
-// downstream plotting).
+// helper keeps the output format consistent (aligned columns on the console,
+// the same cells as JSON in a snapshot, and markdown from that JSON for
+// EXPERIMENTS.md).
 #pragma once
 
 #include <string>
@@ -28,25 +29,18 @@ class Table {
   /// Render with aligned columns and a separator under the header.
   std::string to_string() const;
 
-  /// Render as CSV (comma-separated, no quoting of commas — callers avoid
-  /// commas in cells).
-  std::string to_csv() const;
-
   /// {"headers": [...], "rows": [[...], ...]} — cells stay the formatted
   /// strings the console shows, so a table regenerated from the JSON is
   /// byte-identical to the printed one.
   json::Value to_json() const;
 
-  /// GitHub-flavored markdown rendering (pipe table), used by bench_runner
-  /// to splice measured tables into EXPERIMENTS.md.
-  std::string to_markdown() const;
-  /// Same, from a to_json()-shaped value.
+  /// GitHub-flavored markdown rendering (pipe table) of a to_json()-shaped
+  /// value, used by bench_runner to splice measured tables into
+  /// EXPERIMENTS.md.
   static std::string markdown_from_json(const json::Value& table);
 
   /// Print to stdout with an optional caption line above.
   void print(const std::string& caption = "") const;
-
-  std::size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

@@ -31,14 +31,4 @@ BitVec PrivacyAmplifier::amplify(const BitVec& raw,
   return out;
 }
 
-std::array<std::uint8_t, 16> PrivacyAmplifier::aes_key(
-    const BitVec& raw, std::uint64_t session_salt) const {
-  VKEY_REQUIRE(out_bits_ == 128, "aes_key requires 128-bit output");
-  auto bytes = amplify(raw, session_salt).to_bytes();
-  std::array<std::uint8_t, 16> key{};
-  std::copy(bytes.begin(), bytes.begin() + 16, key.begin());
-  crypto::secure_wipe(bytes);
-  return key;
-}
-
 }  // namespace vkey::core

@@ -8,7 +8,6 @@
 // independent keys.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/bitvec.h"
@@ -23,11 +22,6 @@ class PrivacyAmplifier {
   /// Hash the agreed raw bits (with an optional session salt) down to the
   /// configured output width.
   BitVec amplify(const BitVec& raw, std::uint64_t session_salt = 0) const;
-
-  /// Convenience: amplified key as 16-byte AES-128 key material
-  /// (requires out_bits == 128).
-  std::array<std::uint8_t, 16> aes_key(const BitVec& raw,
-                                       std::uint64_t session_salt = 0) const;
 
  private:
   std::size_t out_bits_ = 0;

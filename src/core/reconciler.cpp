@@ -327,8 +327,4 @@ std::size_t AutoencoderReconciler::decode_flops() const {
   return flops;
 }
 
-std::size_t AutoencoderReconciler::encode_flops() const {
-  return cfg_.key_bits * kCodeDim;
-}
-
 }  // namespace vkey::core

@@ -123,9 +123,6 @@ class AutoencoderReconciler {
   /// the Fig. 11 computation-cost metric.
   std::size_t decode_flops() const;
 
-  /// Multiply-accumulate count of Bob's side (encoder f1 only).
-  std::size_t encode_flops() const;
-
   std::vector<nn::Parameter*> parameters();
 
  private:

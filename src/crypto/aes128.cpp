@@ -8,11 +8,10 @@ namespace vkey::crypto {
 
 namespace {
 
-// S-box and inverse S-box computed once at startup from the AES definition
-// (multiplicative inverse in GF(2^8) followed by the affine transform).
+// S-box computed once at startup from the AES definition (multiplicative
+// inverse in GF(2^8) followed by the affine transform).
 struct SBoxes {
   std::uint8_t sbox[256];
-  std::uint8_t inv_sbox[256];
 
   SBoxes() {
     // Build GF(2^8) inverse table via exp/log tables over generator 3.
@@ -45,7 +44,6 @@ struct SBoxes {
       // 0x63 then XOR the parity bits in, which equals the standard formula.
       sbox[i] = res;
     }
-    for (int i = 0; i < 256; ++i) inv_sbox[sbox[i]] = static_cast<std::uint8_t>(i);
   }
 };
 
@@ -56,16 +54,6 @@ const SBoxes& boxes() {
 
 inline std::uint8_t xtime(std::uint8_t a) {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
-}
-
-inline std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8 && b; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
 }
 
 }  // namespace
@@ -140,51 +128,6 @@ void Aes128::encrypt_block(std::uint8_t s[kBlockSize]) const {
   sub_bytes();
   shift_rows();
   add_round_key(10);
-}
-
-void Aes128::decrypt_block(std::uint8_t s[kBlockSize]) const {
-  const auto& isb = boxes().inv_sbox;
-  auto add_round_key = [&](std::size_t round) {
-    for (std::size_t i = 0; i < 16; ++i) s[i] ^= round_keys_[round * 16 + i];
-  };
-  auto inv_sub_bytes = [&] {
-    for (int i = 0; i < 16; ++i) s[i] = isb[s[i]];
-  };
-  auto inv_shift_rows = [&] {
-    std::uint8_t t;
-    // Row 1: shift right by 1.
-    t = s[13]; s[13] = s[9]; s[9] = s[5]; s[5] = s[1]; s[1] = t;
-    // Row 2: shift right by 2.
-    std::swap(s[2], s[10]);
-    std::swap(s[6], s[14]);
-    // Row 3: shift right by 3.
-    t = s[3]; s[3] = s[7]; s[7] = s[11]; s[11] = s[15]; s[15] = t;
-  };
-  auto inv_mix_columns = [&] {
-    for (int c = 0; c < 4; ++c) {
-      std::uint8_t* col = s + 4 * c;
-      const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      col[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                         gmul(a2, 13) ^ gmul(a3, 9));
-      col[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                         gmul(a2, 11) ^ gmul(a3, 13));
-      col[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                         gmul(a2, 14) ^ gmul(a3, 11));
-      col[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                         gmul(a2, 9) ^ gmul(a3, 14));
-    }
-  };
-
-  add_round_key(10);
-  for (std::size_t round = 9; round >= 1; --round) {
-    inv_shift_rows();
-    inv_sub_bytes();
-    add_round_key(round);
-    inv_mix_columns();
-  }
-  inv_shift_rows();
-  inv_sub_bytes();
-  add_round_key(0);
 }
 
 std::vector<std::uint8_t> Aes128::ctr_crypt(

@@ -1,11 +1,12 @@
-// AES-128 (FIPS 197) block cipher with CTR mode, implemented from scratch.
+// AES-128 (FIPS 197) encryption core with CTR mode, implemented from scratch.
 //
 // The final Vehicle-Key session key drives AES-128 for payload protection
 // (paper Sec. IV-C: "the final keys can be used by symmetric key encryption
-// algorithms such as AES-128"). CTR mode is provided because IoV payloads are
-// short and variable-length. This is a straightforward table-free
-// implementation (computed S-box, xtime multiplication); fine for simulation
-// use, not hardened against cache side channels.
+// algorithms such as AES-128"). CTR mode is used because IoV payloads are
+// short and variable-length; it runs the block cipher forward in both
+// directions, so only encryption is implemented. This is a straightforward
+// table-free implementation (computed S-box, xtime multiplication); fine for
+// simulation use, not hardened against cache side channels.
 #pragma once
 
 #include <array>
@@ -41,9 +42,8 @@ class Aes128 {
   Aes128(Aes128&&) = default;
   Aes128& operator=(Aes128&&) = default;
 
-  /// Encrypt / decrypt one 16-byte block in place.
+  /// Encrypt one 16-byte block in place.
   void encrypt_block(std::uint8_t block[kBlockSize]) const;
-  void decrypt_block(std::uint8_t block[kBlockSize]) const;
 
   /// CTR-mode keystream XOR: encryption and decryption are the same
   /// operation. `nonce` forms the upper 8 bytes of the counter block; the

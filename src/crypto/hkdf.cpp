@@ -47,16 +47,4 @@ SecretBuffer hkdf_expand(const SecretBuffer& prk,
   return okm;
 }
 
-SecretBuffer hkdf(std::span<const std::uint8_t> salt,
-                  std::span<const std::uint8_t> ikm,
-                  std::span<const std::uint8_t> info, std::size_t length) {
-  return hkdf_expand(hkdf_extract(salt, ikm), info, length);
-}
-
-SecretBuffer derive_subkey(std::span<const std::uint8_t> session_secret,
-                           const std::string& label, std::size_t length) {
-  const std::vector<std::uint8_t> info(label.begin(), label.end());
-  return hkdf({}, session_secret, info, length);
-}
-
 }  // namespace vkey::crypto

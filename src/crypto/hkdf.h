@@ -1,10 +1,10 @@
 // HKDF (RFC 5869) — HMAC-based key derivation.
 //
 // The privacy-amplified session key is a single 128-bit secret; protecting
-// traffic needs *independent* keys for encryption and authentication (and,
-// with group keys, per-purpose subkeys). HKDF's extract-then-expand
-// construction derives any number of cryptographically separated subkeys
-// from the session secret with domain-separating info labels.
+// traffic needs *independent* keys for encryption and authentication. The
+// key schedule (protocol/key_schedule.h) extracts one PRK per epoch and
+// expands it into cryptographically separated subkeys with
+// domain-separating info labels.
 //
 // Everything HKDF touches or returns is key material, so the API speaks
 // SecretBuffer: PRKs and output key material come back zeroizing, and
@@ -15,8 +15,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "crypto/secret_buffer.h"
 
@@ -36,19 +34,5 @@ inline SecretBuffer hkdf_extract(std::span<const std::uint8_t> salt,
 SecretBuffer hkdf_expand(const SecretBuffer& prk,
                          std::span<const std::uint8_t> info,
                          std::size_t length);
-
-/// One-shot extract+expand.
-SecretBuffer hkdf(std::span<const std::uint8_t> salt,
-                  std::span<const std::uint8_t> ikm,
-                  std::span<const std::uint8_t> info, std::size_t length);
-
-/// Convenience: derive a subkey from a session secret with a string label.
-SecretBuffer derive_subkey(std::span<const std::uint8_t> session_secret,
-                           const std::string& label, std::size_t length);
-inline SecretBuffer derive_subkey(const SecretBuffer& session_secret,
-                                  const std::string& label,
-                                  std::size_t length) {
-  return derive_subkey(session_secret.expose(), label, length);
-}
 
 }  // namespace vkey::crypto

@@ -1,7 +1,5 @@
 #include "nist/nist.h"
 
-#include <array>
-#include <utility>
 #include <algorithm>
 #include <cmath>
 
@@ -308,205 +306,6 @@ double linear_complexity_test(const BitVec& bits, std::size_t block_len) {
     chi2 += d * d / expect;
   }
   return igamc(3.0, chi2 / 2.0);
-}
-
-namespace {
-// psi-squared statistic over overlapping m-bit patterns (wrap-around).
-double psi_squared(const BitVec& bits, std::size_t m) {
-  if (m == 0) return 0.0;
-  const std::size_t n = bits.size();
-  const std::size_t patterns = 1u << m;
-  std::vector<std::size_t> counts(patterns, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t idx = 0;
-    for (std::size_t j = 0; j < m; ++j) idx = (idx << 1) | bits.get((i + j) % n);
-    ++counts[idx];
-  }
-  double s = 0.0;
-  for (std::size_t c : counts) {
-    s += static_cast<double>(c) * static_cast<double>(c);
-  }
-  return s * static_cast<double>(patterns) / static_cast<double>(n) -
-         static_cast<double>(n);
-}
-}  // namespace
-
-std::pair<double, double> serial_test(const BitVec& bits, std::size_t m) {
-  const std::size_t n = bits.size();
-  VKEY_REQUIRE(n >= 128, "serial test needs n >= 128");
-  VKEY_REQUIRE(m >= 2 && (1u << (m + 1)) < n, "pattern length too large");
-  const double psi_m = psi_squared(bits, m);
-  const double psi_m1 = psi_squared(bits, m - 1);
-  const double psi_m2 = psi_squared(bits, m - 2);
-  const double d1 = psi_m - psi_m1;
-  const double d2 = psi_m - 2.0 * psi_m1 + psi_m2;
-  const double p1 =
-      igamc(std::pow(2.0, static_cast<double>(m) - 2.0), d1 / 2.0);
-  const double p2 =
-      igamc(std::pow(2.0, static_cast<double>(m) - 3.0), d2 / 2.0);
-  return {p1, p2};
-}
-
-double overlapping_template_test(const BitVec& bits, std::size_t m) {
-  const std::size_t n = bits.size();
-  VKEY_REQUIRE(m == 9, "standard parameterization uses the 9-ones template");
-  constexpr std::size_t kBlockLen = 1032;  // SP 800-22 reference M
-  const std::size_t num_blocks = n / kBlockLen;
-  VKEY_REQUIRE(num_blocks >= 1,
-               "overlapping template needs n >= 1032");
-
-  // Category probabilities for m = 9, M = 1032 (SP 800-22 rev 1a,
-  // section 2.8.4 / reference implementation constants).
-  static const double kPi[6] = {0.364091, 0.185659, 0.139381,
-                                0.100571, 0.070432, 0.139865};
-
-  std::vector<std::size_t> counts(6, 0);
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i + m <= kBlockLen; ++i) {
-      bool match = true;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (!bits.get(b * kBlockLen + i + j)) {
-          match = false;
-          break;
-        }
-      }
-      hits += match;
-    }
-    ++counts[std::min<std::size_t>(hits, 5)];
-  }
-  double chi2 = 0.0;
-  for (std::size_t u = 0; u < 6; ++u) {
-    const double expect = static_cast<double>(num_blocks) * kPi[u];
-    const double d = static_cast<double>(counts[u]) - expect;
-    chi2 += d * d / expect;
-  }
-  return igamc(2.5, chi2 / 2.0);
-}
-
-double universal_test(const BitVec& bits) {
-  // Standard parameterization: L = 6, Q = 10 * 2^L initialization blocks.
-  constexpr std::size_t kL = 6;
-  constexpr std::size_t kQ = 10 * (1u << kL);
-  const std::size_t n = bits.size();
-  const std::size_t blocks = n / kL;
-  VKEY_REQUIRE(blocks > kQ + 2000,
-               "universal test needs many more blocks (n >= ~387840)");
-  const std::size_t kK = blocks - kQ;
-
-  std::vector<std::size_t> last(1u << kL, 0);
-  auto block_value = [&](std::size_t b) {
-    std::size_t v = 0;
-    for (std::size_t j = 0; j < kL; ++j) v = (v << 1) | bits.get(b * kL + j);
-    return v;
-  };
-  for (std::size_t b = 0; b < kQ; ++b) last[block_value(b)] = b + 1;
-
-  double sum = 0.0;
-  for (std::size_t b = kQ; b < blocks; ++b) {
-    const std::size_t v = block_value(b);
-    VKEY_REQUIRE(last[v] != 0 || true, "unreachable");
-    const double dist = last[v] == 0
-                            ? static_cast<double>(b + 1)
-                            : static_cast<double>(b + 1 - last[v]);
-    sum += std::log2(dist);
-    last[v] = b + 1;
-  }
-  const double fn = sum / static_cast<double>(kK);
-  // Reference mean/variance for L = 6 (SP 800-22 table 2-4).
-  const double expected = 5.2177052;
-  const double variance = 2.954;
-  const double c = 0.7 - 0.8 / kL +
-                   (4.0 + 32.0 / kL) *
-                       std::pow(static_cast<double>(kK), -3.0 / kL) / 15.0;
-  const double sigma = c * std::sqrt(variance / static_cast<double>(kK));
-  return erfc(std::fabs(fn - expected) / (std::sqrt(2.0) * sigma));
-}
-
-namespace {
-// Zero-crossing cycles of the +-1 random walk; shared by the two random
-// excursions tests. Returns per-cycle visit counts for states -9..9.
-struct Excursions {
-  std::vector<std::array<std::size_t, 19>> cycles;  // index = state + 9
-};
-
-Excursions build_excursions(const BitVec& bits) {
-  Excursions e;
-  std::array<std::size_t, 19> current{};
-  long long s = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    s += bits.get(i) ? 1 : -1;
-    if (s == 0) {
-      e.cycles.push_back(current);
-      current = {};
-    } else if (s >= -9 && s <= 9) {
-      ++current[static_cast<std::size_t>(s + 9)];
-    }
-  }
-  // Terminal partial cycle counts as one (per the spec the walk is closed).
-  e.cycles.push_back(current);
-  return e;
-}
-}  // namespace
-
-std::vector<double> random_excursions_test(const BitVec& bits,
-                                           std::size_t min_cycles) {
-  const auto exc = build_excursions(bits);
-  const std::size_t cycles = exc.cycles.size();
-  VKEY_REQUIRE(cycles >= min_cycles,
-               "random excursions: not enough zero-crossing cycles");
-
-  // pi_k(x): probability a cycle visits state x exactly k times (k = 0..4,
-  // >= 5 pooled), per SP 800-22 closed forms.
-  auto pi_of = [](int x, int k) {
-    const double ax = std::fabs(static_cast<double>(x));
-    if (k == 0) return 1.0 - 1.0 / (2.0 * ax);
-    const double p_stay = 1.0 - 1.0 / (2.0 * ax);
-    if (k < 5) {
-      return (1.0 / (4.0 * ax * ax)) * std::pow(p_stay, k - 1);
-    }
-    return (1.0 / (2.0 * ax)) * std::pow(p_stay, 4);
-  };
-
-  std::vector<double> p_values;
-  for (int x : {-4, -3, -2, -1, 1, 2, 3, 4}) {
-    std::array<std::size_t, 6> counts{};
-    for (const auto& cyc : exc.cycles) {
-      const std::size_t visits = cyc[static_cast<std::size_t>(x + 9)];
-      ++counts[std::min<std::size_t>(visits, 5)];
-    }
-    double chi2 = 0.0;
-    for (int k = 0; k <= 5; ++k) {
-      const double expect = static_cast<double>(cycles) * pi_of(x, k);
-      if (expect <= 0.0) continue;
-      const double d = static_cast<double>(counts[static_cast<std::size_t>(k)]) - expect;
-      chi2 += d * d / expect;
-    }
-    p_values.push_back(igamc(2.5, chi2 / 2.0));
-  }
-  return p_values;
-}
-
-std::vector<double> random_excursions_variant_test(const BitVec& bits,
-                                                   std::size_t min_cycles) {
-  const auto exc = build_excursions(bits);
-  const std::size_t cycles = exc.cycles.size();
-  VKEY_REQUIRE(cycles >= min_cycles,
-               "random excursions variant: not enough cycles");
-  std::vector<double> p_values;
-  for (int x = -9; x <= 9; ++x) {
-    if (x == 0) continue;
-    std::size_t total = 0;
-    for (const auto& cyc : exc.cycles) {
-      total += cyc[static_cast<std::size_t>(x + 9)];
-    }
-    const double j = static_cast<double>(cycles);
-    const double denom =
-        std::sqrt(2.0 * j * (4.0 * std::fabs(static_cast<double>(x)) - 2.0));
-    p_values.push_back(
-        erfc(std::fabs(static_cast<double>(total) - j) / denom));
-  }
-  return p_values;
 }
 
 std::vector<TestResult> run_suite(const BitVec& bits) {

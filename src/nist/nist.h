@@ -1,5 +1,7 @@
 // NIST SP 800-22 statistical randomness tests (the subset reported in the
-// paper's Table II, plus the Runs test).
+// paper's Table II, plus the Runs test). The rest of the battery (serial,
+// overlapping template, universal, random excursions) is not implemented:
+// nothing in the evaluation reports it.
 //
 // Each test returns a p-value; the randomness hypothesis is rejected when
 // p < 0.01 (the paper's threshold). Implementations follow the formulas in
@@ -13,7 +15,6 @@
 #pragma once
 
 #include <optional>
-#include <utility>
 #include <string>
 #include <vector>
 
@@ -57,29 +58,6 @@ double linear_complexity_test(const BitVec& bits, std::size_t block_len = 500);
 /// Berlekamp-Massey: linear complexity of a binary sequence (exposed for
 /// testing).
 std::size_t berlekamp_massey(const std::vector<std::uint8_t>& s);
-
-// --- remainder of the SP 800-22 battery (beyond the paper's Table II) ---
-
-/// Serial test (overlapping m-bit pattern frequencies); returns the two
-/// p-values (nabla psi^2_m and nabla^2 psi^2_m).
-std::pair<double, double> serial_test(const BitVec& bits, std::size_t m = 5);
-
-/// Overlapping template matching (template of `m` ones, default 9).
-double overlapping_template_test(const BitVec& bits, std::size_t m = 9);
-
-/// Maurer's universal statistical test. Requires n >= 387840 for the
-/// standard L = 6 parameterization; smaller inputs throw.
-double universal_test(const BitVec& bits);
-
-/// Random excursions test: returns the 8 p-values for states
-/// x in {-4..-1, +1..+4}. Requires at least `min_cycles` zero-crossing
-/// cycles (500 by default per the spec); throws otherwise.
-std::vector<double> random_excursions_test(const BitVec& bits,
-                                           std::size_t min_cycles = 500);
-
-/// Random excursions variant: 18 p-values for x in {-9..-1, 1..9}.
-std::vector<double> random_excursions_variant_test(
-    const BitVec& bits, std::size_t min_cycles = 500);
 
 struct TestResult {
   std::string name;

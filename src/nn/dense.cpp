@@ -47,14 +47,8 @@ void Dense::activate(double* y) const {
   switch (act_) {
     case Activation::kNone:
       return;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < out_; ++i) y[i] = sigmoid(y[i]);
-      return;
     case Activation::kTanh:
       for (std::size_t i = 0; i < out_; ++i) y[i] = std::tanh(y[i]);
-      return;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < out_; ++i) y[i] = y[i] > 0 ? y[i] : 0.0;
       return;
   }
   throw vkey::Error("unknown activation");
@@ -148,15 +142,8 @@ std::vector<Vec> Dense::backward_batch(std::span<const Cache> caches,
     switch (act_) {
       case Activation::kNone:
         break;
-      case Activation::kSigmoid:
-        for (std::size_t o = 0; o < out_; ++o) d[o] *= dsigmoid_from_y(y[o]);
-        break;
       case Activation::kTanh:
         for (std::size_t o = 0; o < out_; ++o) d[o] *= dtanh_from_y(y[o]);
-        break;
-      case Activation::kRelu:
-        for (std::size_t o = 0; o < out_; ++o)
-          if (y[o] <= 0.0) d[o] = 0.0;
         break;
     }
     dzp[m] = d.data();

@@ -22,7 +22,10 @@
 
 namespace vkey::nn {
 
-enum class Activation { kNone, kSigmoid, kTanh, kRelu };
+/// Output activation. Library layers are linear (prediction heads, the
+/// reconciler's encoders and decoder output) or tanh (its decoder's hidden
+/// layers).
+enum class Activation { kNone, kTanh };
 
 class Dense {
  public:

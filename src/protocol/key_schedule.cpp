@@ -9,6 +9,7 @@
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "protocol/unreliable_channel.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
 
@@ -61,17 +62,6 @@ std::array<std::uint8_t, 24> epoch_salt(std::uint64_t session_id,
   return salt;
 }
 
-std::uint32_t read_be32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-std::uint64_t read_be64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(read_be32(p)) << 32) | read_be32(p + 4);
-}
-
 DirectionKeys derive_direction(const crypto::SecretBuffer& prk,
                                std::span<const std::uint8_t> enc_label,
                                std::span<const std::uint8_t> mac_label,
@@ -83,7 +73,7 @@ DirectionKeys derive_direction(const crypto::SecretBuffer& prk,
   // the CTR counter block, never exposed on the wire, and 8 bytes of OKM
   // are not key-equivalent for either direction key.
   const auto nonce = crypto::hkdf_expand(prk, nonce_label, 8);
-  keys.nonce_base = read_be64(nonce.expose().data());
+  wire::FrameReader(nonce.expose()).read_u64(keys.nonce_base);
   return keys;
 }
 
@@ -175,8 +165,10 @@ bool KeySchedule::verify_confirm(const Message& msg) const {
                                         ? MessageType::kKeyConfirm
                                         : MessageType::kKeyConfirmAck;
   if (msg.type != expected_type || msg.session_id != session_id_) return false;
-  if (msg.payload.size() != 4 ||
-      read_be32(msg.payload.data()) != current_.epoch) {
+  wire::FrameReader reader(msg.payload);
+  std::uint32_t epoch = 0;
+  if (!reader.read_u32(epoch) || reader.remaining() != 0 ||
+      epoch != current_.epoch) {
     return false;
   }
   return crypto::constant_time_equal(msg.mac, confirm_tag(current_, msg, peer));
@@ -201,12 +193,12 @@ Message KeySchedule::seal(std::uint64_t nonce,
 
 std::optional<std::vector<std::uint8_t>> KeySchedule::open(const Message& msg,
                                                            double now_ms) {
+  std::uint32_t epoch = 0;
   if (msg.type != MessageType::kData || msg.session_id != session_id_ ||
-      msg.payload.size() < 4) {
+      !wire::FrameReader(msg.payload).read_u32(epoch)) {
     ++stats_.malformed;
     return std::nullopt;
   }
-  const std::uint32_t epoch = read_be32(msg.payload.data());
 
   const EpochKeys* keys = nullptr;
   bool grace = false;

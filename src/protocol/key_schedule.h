@@ -127,8 +127,6 @@ class KeySchedule {
 
   std::uint32_t epoch() const noexcept { return current_.epoch; }
   const EpochKeys& keys() const noexcept { return current_; }
-  std::uint64_t session_id() const noexcept { return session_id_; }
-  Role role() const noexcept { return role_; }
   const Policy& policy() const noexcept { return policy_; }
   const Stats& stats() const noexcept { return stats_; }
 

@@ -28,15 +28,12 @@ enum class MessageType : std::uint8_t {
   kData = 6,            ///< AES-CTR protected payload
   kAck = 7,             ///< transport-level delivery acknowledgement (ARQ);
                         ///< nonce = the nonce of the frame being acked
-  kRekey = 8,           ///< key-schedule epoch announcement (key_schedule.h):
-                        ///< payload = be32(epoch) || HMAC under the new
-                        ///< epoch's confirmation key
 };
 
 /// Highest MessageType value a parser may accept; anything outside
 /// [1, kMaxMessageType] is malformed.
 inline constexpr std::uint8_t kMaxMessageType =
-    static_cast<std::uint8_t>(MessageType::kRekey);
+    static_cast<std::uint8_t>(MessageType::kAck);
 
 /// Hard bounds the wire codec enforces on length fields *before* trusting
 /// them. The largest honest payload is the syndrome (kCodeDim doubles, well

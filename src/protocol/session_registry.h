@@ -119,7 +119,6 @@ class SessionRegistry {
   std::size_t establishing() const noexcept { return inflight_; }
   /// Confirmed sessions not yet evicted (the gateway's active key table).
   std::size_t confirmed_active() const noexcept { return confirmed_active_; }
-  std::size_t max_inflight() const noexcept { return max_inflight_; }
   bool slot_free() const noexcept { return inflight_ < max_inflight_; }
   const RegistryStats& stats() const noexcept { return stats_; }
 

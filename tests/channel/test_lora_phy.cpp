@@ -63,12 +63,6 @@ TEST(LoRaPhy, RssiSamplesMatchSymbolCount) {
   EXPECT_GT(phy.rssi_samples_per_packet(), 40);
 }
 
-TEST(LoRaPhy, WavelengthAt434MHz) {
-  // Paper: lambda = 69.12 cm at 434 MHz.
-  LoRaPhy phy(LoRaParams{});
-  EXPECT_NEAR(phy.wavelength(), 0.6912, 0.001);
-}
-
 TEST(LoRaPhy, ParamsForBitrateApproximatesTarget) {
   for (double target : {23.0, 46.0, 91.0, 183.0, 293.0, 586.0, 1172.0}) {
     const LoRaParams p = LoRaPhy::params_for_bitrate(target);

@@ -98,16 +98,6 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(29);
-  Rng child = a.fork(1);
-  // The fork must not replay the parent's stream.
-  Rng b(29);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += child.next_u64() == b.next_u64();
-  EXPECT_LT(same, 2);
-}
-
 TEST(Splitmix64, KnownSequenceIsStable) {
   std::uint64_t s = 0;
   const std::uint64_t first = splitmix64(s);

@@ -68,17 +68,6 @@ TEST(Stats, MinMaxMedian) {
   EXPECT_DOUBLE_EQ(median(even), 2.5);
 }
 
-TEST(Stats, ZscoreHasZeroMeanUnitStd) {
-  const auto z = zscore(kSeries);
-  EXPECT_NEAR(mean(z), 0.0, 1e-12);
-  EXPECT_NEAR(stddev(z), 1.0, 1e-12);
-}
-
-TEST(Stats, ZscoreConstantSeriesIsZeros) {
-  const auto z = zscore(std::vector<double>{3.0, 3.0, 3.0});
-  for (double v : z) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
 TEST(Stats, MinMax01MapsToUnitInterval) {
   const auto m = minmax01(kSeries);
   EXPECT_DOUBLE_EQ(m.front(), 0.0);
@@ -90,24 +79,6 @@ TEST(Stats, MinMax01ConstantSeriesIsHalf) {
   const auto m = minmax01(std::vector<double>{7.0, 7.0});
   EXPECT_DOUBLE_EQ(m[0], 0.5);
   EXPECT_DOUBLE_EQ(m[1], 0.5);
-}
-
-TEST(Stats, MovingAverageIdentityForWindowOne) {
-  const auto m = moving_average(kSeries, 1);
-  for (std::size_t i = 0; i < kSeries.size(); ++i) {
-    EXPECT_DOUBLE_EQ(m[i], kSeries[i]);
-  }
-}
-
-TEST(Stats, MovingAverageWindowThree) {
-  const auto m = moving_average(kSeries, 3);
-  EXPECT_DOUBLE_EQ(m[0], 1.0);
-  EXPECT_DOUBLE_EQ(m[1], 1.5);
-  EXPECT_DOUBLE_EQ(m[4], 4.0);
-}
-
-TEST(Stats, MovingAverageZeroWindowThrows) {
-  EXPECT_THROW(moving_average(kSeries, 0), vkey::Error);
 }
 
 }  // namespace

@@ -25,12 +25,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("| longer | 2.50 |"), std::string::npos);
 }
 
-TEST(Table, CsvFormat) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, FmtPrecision) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(3.0, 0), "3");
@@ -39,13 +33,6 @@ TEST(Table, FmtPrecision) {
 TEST(Table, PctFormatsFraction) {
   EXPECT_EQ(Table::pct(0.9887), "98.87%");
   EXPECT_EQ(Table::pct(0.5, 1), "50.0%");
-}
-
-TEST(Table, RowCount) {
-  Table t({"a"});
-  EXPECT_EQ(t.row_count(), 0u);
-  t.add_row({"x"});
-  EXPECT_EQ(t.row_count(), 1u);
 }
 
 }  // namespace

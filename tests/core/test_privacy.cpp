@@ -55,17 +55,6 @@ TEST(PrivacyAmplifier, MatchingInputsMatchOutputs) {
   EXPECT_EQ(amp.amplify(raw, 9), amp.amplify(copy, 9));
 }
 
-TEST(PrivacyAmplifier, AesKeyMaterial) {
-  PrivacyAmplifier amp(128);
-  const auto key = amp.aes_key(random_bits(64, 6));
-  // 16 bytes, not all zero.
-  int nonzero = 0;
-  for (auto b : key) nonzero += b != 0;
-  EXPECT_GT(nonzero, 4);
-  PrivacyAmplifier amp64(64);
-  EXPECT_THROW(amp64.aes_key(random_bits(64, 6)), vkey::Error);
-}
-
 TEST(PrivacyAmplifier, ConfigValidated) {
   EXPECT_THROW(PrivacyAmplifier(0), vkey::Error);
   EXPECT_THROW(PrivacyAmplifier(100), vkey::Error);  // not multiple of 8

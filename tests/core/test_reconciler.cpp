@@ -139,7 +139,6 @@ TEST(Reconciler, FlopAccounting) {
   // Alice: encoder 64*32 + decoder 32*64 + 64*64 + 64*64 + 64*64.
   const std::size_t expect = 64 * 32 + 32 * 64 + 64 * 64 + 64 * 64 + 64 * 64;
   EXPECT_EQ(r.decode_flops(), expect);
-  EXPECT_EQ(r.encode_flops(), 64u * 32u);
 }
 
 TEST(Reconciler, ConfigValidated) {

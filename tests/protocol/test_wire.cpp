@@ -187,18 +187,21 @@ TEST(Wire, FlippedPayloadBitFailsTheCrc) {
 }
 
 TEST(Wire, CrcValidFrameWithUnknownTypeIsBadType) {
-  // Forge type=99 and restamp the CRC: structurally perfect, semantically
-  // meaningless — the one reject that fires *after* the CRC gate.
-  Message m = sample_message();
-  auto bytes = encode_frame(m);
-  bytes[6] = 99;
-  bytes.resize(bytes.size() - kCrcBytes);
-  const std::uint32_t crc = crc32(bytes);
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 24));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 16));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
-  bytes.push_back(static_cast<std::uint8_t>(crc));
-  EXPECT_EQ(decode_error(bytes), WireError::kBadType);
+  // Forge a type outside [1, kMaxMessageType] and restamp the CRC:
+  // structurally perfect, semantically meaningless — the one reject that
+  // fires *after* the CRC gate. Type 8 is the first value past kAck.
+  for (const int type : {0, 8, 99}) {
+    Message m = sample_message();
+    auto bytes = encode_frame(m);
+    bytes[6] = static_cast<std::uint8_t>(type);
+    bytes.resize(bytes.size() - kCrcBytes);
+    const std::uint32_t crc = crc32(bytes);
+    bytes.push_back(static_cast<std::uint8_t>(crc >> 24));
+    bytes.push_back(static_cast<std::uint8_t>(crc >> 16));
+    bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
+    bytes.push_back(static_cast<std::uint8_t>(crc));
+    EXPECT_EQ(decode_error(bytes), WireError::kBadType) << "type " << type;
+  }
 }
 
 TEST(Wire, EncodeRefusesMessagesThatViolateWireBounds) {

@@ -39,12 +39,14 @@ raw-thread
 
 bounded-reader
     No raw byte parsing in the protocol layer (`src/protocol/`): no
-    `reinterpret_cast` and no `.data() + offset` pointer arithmetic. Wire
-    bytes are parsed exclusively through the bounds-checked
-    `wire::FrameReader` / built through `wire::FrameWriter`; hand-rolled
-    pointer walks are how length-field bugs become buffer overruns. The
-    codec itself (`src/protocol/wire.*`) is the single sanctioned owner of
-    raw byte access.
+    `reinterpret_cast` and no `.data()` at all. A raw pointer into a buffer
+    is how `read(p)` / `read(p + 4)` helpers walk past a short payload, and
+    `.data() + offset` is only one spelling of it. Wire bytes are parsed
+    exclusively through the bounds-checked `wire::FrameReader` / built
+    through `wire::FrameWriter`; hand-rolled pointer walks are how
+    length-field bugs become buffer overruns. The codec itself
+    (`src/protocol/wire.*`) is the single sanctioned owner of raw byte
+    access.
 
 sim-clock-owner
     No `SimClock` construction in the protocol layer (`src/protocol/`)
@@ -177,12 +179,12 @@ RANDOM_PATTERNS = [
 # as `std::thread::hardware_concurrency()`.
 RAW_THREAD_PATTERN = re.compile(r"std\s*::\s*j?thread\b(?!\s*::)")
 
-# Raw byte access in protocol code: type-punning casts and pointer
-# arithmetic off a buffer's .data(). Scoped to src/protocol/ (see
+# Raw byte access in protocol code: type-punning casts and any raw pointer
+# taken from a buffer's .data(). Scoped to src/protocol/ (see
 # BOUNDED_READER_SCOPE); the wire codec is allowlisted.
 BOUNDED_READER_PATTERNS = [
     re.compile(r"(?<![\w:])reinterpret_cast\s*<"),
-    re.compile(r"\.data\s*\(\s*\)\s*\+"),
+    re.compile(r"\.data\s*\(\s*\)"),
 ]
 BOUNDED_READER_SCOPE = "src/protocol/"
 
