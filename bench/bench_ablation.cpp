@@ -32,6 +32,7 @@ namespace {
 std::vector<ProbeRound> make_trace(std::uint64_t seed, std::size_t rounds) {
   TraceConfig cfg;
   cfg.scenario = make_scenario(ScenarioKind::kV2VUrban, 50.0);
+  cfg.device_eve = dragino_lora_shield();
   cfg.seed = seed;
   TraceGenerator gen(cfg);
   return gen.generate(rounds);

@@ -25,6 +25,7 @@ void dump(ScenarioKind kind, std::uint64_t seed, std::size_t rounds_n,
           Table& corr) {
   TraceConfig cfg;
   cfg.scenario = make_scenario(kind, 50.0);
+  cfg.device_eve = dragino_lora_shield();
   cfg.seed = seed;
   TraceGenerator gen(cfg);
   const auto rounds = gen.generate(rounds_n);

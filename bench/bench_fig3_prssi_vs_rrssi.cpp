@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   for (const auto kind : order) {
     TraceConfig cfg;
     cfg.scenario = make_scenario(kind, 50.0);
+    cfg.device_eve = dragino_lora_shield();  // the Eve column reads her
     cfg.seed = 31;
     TraceGenerator gen(cfg);
     std::vector<double> pa, pb, aa, ab, ae;

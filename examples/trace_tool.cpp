@@ -95,6 +95,7 @@ int cmd_generate(int argc, char** argv) {
 
   TraceConfig cfg;
   cfg.scenario = make_scenario(kind, speed);
+  cfg.device_eve = dragino_lora_shield();  // the CSV keeps Eve's rows
   cfg.seed = seed;
   TraceGenerator gen(cfg);
   const auto trace = gen.generate(rounds);
@@ -147,16 +148,8 @@ int cmd_analyze(int argc, char** argv) {
 
   // Key-material view: mirrored reciprocal-zone stream.
   DatasetConfig dc;
-  ArRssiStreams st;
-  if (has_eve) {
-    st = extract_streams(rounds, dc.extractor, dc.reciprocal_windows);
-  } else {
-    // Build Alice/Bob streams only; reuse Bob's as a stand-in for Eve so
-    // extract_streams' alignment logic applies (Eve stats suppressed).
-    auto with_eve = rounds;
-    for (auto& r : with_eve) r.eve_rx_bob_tx = r.bob_rx;
-    st = extract_streams(with_eve, dc.extractor, dc.reciprocal_windows);
-  }
+  const ArRssiStreams st =
+      extract_streams(rounds, dc.extractor, dc.reciprocal_windows);
   t.add_row({"key-stream correlation (mirrored pairing)",
              Table::fmt(stats::pearson(st.alice, st.bob), 3)});
   MultiBitQuantizer q(dc.quantizer);

@@ -1,7 +1,9 @@
 #include "channel/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 
 #include "common/stats.h"
 
@@ -18,6 +20,12 @@ double quantize_rssi(double rssi_dbm, double step_db) {
   const double q = std::round(rssi_dbm / step_db) * step_db;
   return std::clamp(q, -137.0, 0.0);
 }
+
+/// One link's small-scale fading configuration under scenario `s`.
+SmallScaleConfig small_scale(const ScenarioConfig& s) {
+  return SmallScaleConfig{s.sos_rays, s.rician_k_db, s.slow_doppler_scale,
+                          s.fast_fading_weight};
+}
 }  // namespace
 
 double PacketObservation::prssi() const {
@@ -25,6 +33,17 @@ double PacketObservation::prssi() const {
 }
 
 struct TraceGenerator::Impl {
+  /// Eve's links, built only when the config places her. Each process runs
+  /// on a stream of its own, so leaving them out moves no other sample.
+  struct Eve {
+    SmallScaleFading fade_ea;  // Eve-Alice channel
+    SmallScaleFading fade_eb;  // Eve-Bob channel
+    CorrelatedShadowing shadow_ea;
+    CorrelatedShadowing shadow_eb;
+    double last_fade_t_ea = 0.0;
+    double last_fade_t_eb = 0.0;
+  };
+
   TraceConfig cfg;
   LoRaPhy phy;
 
@@ -33,11 +52,8 @@ struct TraceGenerator::Impl {
   DistanceProcess distance;
 
   SmallScaleFading fade_ab;   // the reciprocal Alice-Bob channel
-  SmallScaleFading fade_ea;   // Eve-Alice channel
-  SmallScaleFading fade_eb;   // Eve-Bob channel
   ShadowingProcess shadow_ab;
-  CorrelatedShadowing shadow_ea;
-  CorrelatedShadowing shadow_eb;
+  std::optional<Eve> eve;
 
   // Per-receiver slowly-varying interference offsets (asymmetric between
   // directions: Sec. II-A cause 4).
@@ -55,8 +71,6 @@ struct TraceGenerator::Impl {
 
   double now = 0.0;
   double last_fade_t_ab = 0.0;
-  double last_fade_t_ea = 0.0;
-  double last_fade_t_eb = 0.0;
   double last_shadow_pos = 0.0;
 
   explicit Impl(const TraceConfig& c)
@@ -68,32 +82,32 @@ struct TraceGenerator::Impl {
                 c.scenario.speed_b_kmh > 0 ? c.scenario.speed_jitter_kmh : 0.0,
                 30.0, vkey::Rng(vkey::hash_combine64(c.seed, 0x02))),
         distance(c.scenario, vkey::Rng(vkey::hash_combine64(c.seed, 0x03))),
-        fade_ab(SmallScaleConfig{c.scenario.sos_rays, c.scenario.rician_k_db,
-                                 c.scenario.slow_doppler_scale,
-                                 c.scenario.fast_fading_weight},
+        fade_ab(small_scale(c.scenario),
                 vkey::Rng(vkey::hash_combine64(c.seed, 0x04))),
-        fade_ea(SmallScaleConfig{c.scenario.sos_rays, c.scenario.rician_k_db,
-                                 c.scenario.slow_doppler_scale,
-                                 c.scenario.fast_fading_weight},
-                vkey::Rng(vkey::hash_combine64(c.seed, 0x05))),
-        fade_eb(SmallScaleConfig{c.scenario.sos_rays, c.scenario.rician_k_db,
-                                 c.scenario.slow_doppler_scale,
-                                 c.scenario.fast_fading_weight},
-                vkey::Rng(vkey::hash_combine64(c.seed, 0x06))),
         shadow_ab(c.scenario.shadow_sigma_db, c.scenario.shadow_decorr_m,
                   vkey::Rng(vkey::hash_combine64(c.seed, 0x07))),
-        shadow_ea(std::exp(-kEveOffsetM / c.scenario.shadow_decorr_m),
-                  c.scenario.shadow_sigma_db, c.scenario.shadow_decorr_m,
-                  vkey::Rng(vkey::hash_combine64(c.seed, 0x08))),
-        shadow_eb(std::exp(-kEveOffsetM / c.scenario.shadow_decorr_m),
-                  c.scenario.shadow_sigma_db, c.scenario.shadow_decorr_m,
-                  vkey::Rng(vkey::hash_combine64(c.seed, 0x09))),
         rng_noise(vkey::hash_combine64(c.seed, 0x0a)),
         rng_interf(vkey::hash_combine64(c.seed, 0x0b)) {
+    if (c.device_eve) {
+      const double rho = std::exp(-kEveOffsetM / c.scenario.shadow_decorr_m);
+      eve.emplace(Eve{
+          SmallScaleFading(small_scale(c.scenario),
+                           vkey::Rng(vkey::hash_combine64(c.seed, 0x05))),
+          SmallScaleFading(small_scale(c.scenario),
+                           vkey::Rng(vkey::hash_combine64(c.seed, 0x06))),
+          CorrelatedShadowing(rho, c.scenario.shadow_sigma_db,
+                              c.scenario.shadow_decorr_m,
+                              vkey::Rng(vkey::hash_combine64(c.seed, 0x08))),
+          CorrelatedShadowing(rho, c.scenario.shadow_sigma_db,
+                              c.scenario.shadow_decorr_m,
+                              vkey::Rng(vkey::hash_combine64(c.seed, 0x09)))});
+    }
     vkey::Rng hw_rng(vkey::hash_combine64(c.seed, 0x0c));
     hw_alice = hw_rng.gaussian(0.0, c.device_alice.gain_offset_sigma_db);
     hw_bob = hw_rng.gaussian(0.0, c.device_bob.gain_offset_sigma_db);
-    hw_eve = hw_rng.gaussian(0.0, c.device_eve.gain_offset_sigma_db);
+    // Drawn with or without Eve, like all her shared-stream draws.
+    hw_eve = hw_rng.gaussian(
+        0.0, c.device_eve ? c.device_eve->gain_offset_sigma_db : 0.0);
   }
 
   double doppler_hz(double speed_mps) const {
@@ -111,37 +125,57 @@ struct TraceGenerator::Impl {
     interf_eve = kRho * interf_eve + w * rng_interf.gaussian();
   }
 
-  enum class Link { kAliceBob, kEveAlice, kEveBob };
-
-  /// One receiver of a transmission window.
+  /// One receiver of a transmission window and its per-packet state.
   struct Listener {
-    Link link;
-    const DeviceModel* rx_dev;
+    const DeviceModel* dev;  ///< nullptr: Eve, not simulated
     double offset_db;  ///< rx hardware gain offset + current interference
     PacketObservation* out;
+    double drift_db = 0.0;  ///< per-packet receiver gain drift
+    double floor_mw = 0.0;  ///< noise-floor power, once per packet
   };
 
-  /// Sample one transmission window of `n_sym` symbols starting at `t0` for
-  /// all listeners simultaneously. Geometry (speeds, separation, shadowing
-  /// position) advances exactly once per symbol instant; each link's fading
-  /// process advances by its own elapsed time, so the same window can be
-  /// observed through several statistically distinct links.
+  /// Start `l`'s reception of a window at `t0`. Draws its per-packet gain
+  /// drift (see DeviceModel::gain_drift_db_per_s15) — an Eve who is not
+  /// simulated still makes the draw, and nothing else.
+  void open(Listener& l, double t0, int n_sym) {
+    if (l.dev == nullptr) {
+      (void)rng_noise.gaussian();
+      return;
+    }
+    l.out->t_start = t0;
+    l.out->t_end = t0 + phy.airtime();
+    l.out->rrssi.clear();
+    l.out->rrssi.reserve(static_cast<std::size_t>(n_sym));
+    l.drift_db = rng_noise.gaussian(
+        0.0, l.dev->gain_drift_db_per_s15 * std::pow(phy.airtime(), 1.5));
+    l.floor_mw = std::pow(10.0, l.dev->noise_floor_dbm / 10.0);
+  }
+
+  /// Latch one register sample of `l` for a channel gain of `gain_db`.
+  void latch(const Listener& l, double tx_power_dbm, double gain_db) {
+    const double noise = rng_noise.gaussian(0.0, l.dev->rssi_noise_sigma_db);
+    const double rssi_signal = tx_power_dbm + gain_db + noise + l.offset_db;
+    // The register reports signal + thermal floor power: deep fades are
+    // soft-clamped at the receiver noise floor.
+    const double rssi =
+        10.0 * std::log10(std::pow(10.0, rssi_signal / 10.0) + l.floor_mw);
+    l.out->rrssi.push_back(quantize_rssi(rssi, l.dev->rssi_quant_step_db));
+  }
+
+  /// Sample one transmission window of `n_sym` symbols starting at `t0`:
+  /// the legitimate receiver (`rx[0]`) over the reciprocal link, and Eve
+  /// (`rx[1]`) over her link to the transmitter (Eve-Alice when `alice_tx`,
+  /// else Eve-Bob). Geometry (speeds, separation, shadowing position)
+  /// advances exactly once per symbol instant; each link's fading process
+  /// advances by its own elapsed time, so the same window is observed
+  /// through statistically distinct links.
   void transmit_phase(double t0, double tx_power_dbm,
-                      std::initializer_list<Listener> listeners) {
+                      std::array<Listener, 2> rx, bool alice_tx) {
     const int n_sym = phy.rssi_samples_per_packet();
     const double tsym = phy.symbol_time();
-    // Per-packet receiver gain drift (see DeviceModel::gain_drift...).
-    std::vector<double> drift;
-    drift.reserve(listeners.size());
-    for (const Listener& l : listeners) {
-      l.out->t_start = t0;
-      l.out->t_end = t0 + phy.airtime();
-      l.out->rrssi.clear();
-      l.out->rrssi.reserve(static_cast<std::size_t>(n_sym));
-      drift.push_back(rng_noise.gaussian(
-          0.0, l.rx_dev->gain_drift_db_per_s15 *
-                   std::pow(phy.airtime(), 1.5)));
-    }
+    for (Listener& l : rx) open(l, t0, n_sym);
+    const Listener& legit = rx[0];
+    const Listener& ev = rx[1];
 
     for (int i = 0; i < n_sym; ++i) {
       const double t = t0 + (i + 0.5) * tsym;
@@ -159,57 +193,44 @@ struct TraceGenerator::Impl {
       const double fd_los = doppler_hz(std::fabs(distance.radial_speed())) *
                             cfg.scenario.slow_doppler_scale * 10.0;
 
-      // The legitimate link's shadowing advances at every sample instant;
-      // Eve's processes blend their own component with it.
+      // The legitimate link's shadowing advances at every sample instant.
       const double s_ab = shadow_ab.advance(dpos);
-      const double s_ea = shadow_ea.advance(dpos, s_ab);
-      const double s_eb = shadow_eb.advance(dpos, s_ab);
-
-      std::size_t listener_idx = 0;
-      for (const Listener& l : listeners) {
-        double gain_db = drift[listener_idx++];
-        switch (l.link) {
-          case Link::kAliceBob: {
-            const double dt = std::max(0.0, t - last_fade_t_ab);
-            last_fade_t_ab = t;
-            gain_db += -path_loss_db(d_ab, cfg.scenario.path_loss_exponent,
-                                     cfg.scenario.ref_path_loss_db) +
-                       s_ab + fade_ab.advance_db(dt, fd_a, fd_b, fd_los);
-            break;
-          }
-          case Link::kEveAlice: {
-            // Eve trails Alice at a fixed small offset: short, stable link.
-            const double dt = std::max(0.0, t - last_fade_t_ea);
-            last_fade_t_ea = t;
-            gain_db += -path_loss_db(kEveOffsetM,
-                                     cfg.scenario.path_loss_exponent,
-                                    cfg.scenario.ref_path_loss_db) +
-                      s_ea + fade_ea.advance_db(dt, fd_a, 0.0, 0.0);
-            break;
-          }
-          case Link::kEveBob: {
-            // Eve-Bob separation tracks the Alice-Bob separation (she
-            // follows Alice's route), offset laterally.
-            const double dt = std::max(0.0, t - last_fade_t_eb);
-            last_fade_t_eb = t;
-            const double d_eb = std::hypot(d_ab, kEveOffsetM);
-            gain_db += -path_loss_db(d_eb, cfg.scenario.path_loss_exponent,
-                                     cfg.scenario.ref_path_loss_db) +
-                       s_eb + fade_eb.advance_db(dt, fd_a, fd_b, fd_los);
-            break;
-          }
-        }
-        const double noise =
-            rng_noise.gaussian(0.0, l.rx_dev->rssi_noise_sigma_db);
-        const double rssi_signal = tx_power_dbm + gain_db + noise + l.offset_db;
-        // The register reports signal + thermal floor power: deep fades are
-        // soft-clamped at the receiver noise floor.
-        const double rssi = 10.0 * std::log10(
-            std::pow(10.0, rssi_signal / 10.0) +
-            std::pow(10.0, l.rx_dev->noise_floor_dbm / 10.0));
-        l.out->rrssi.push_back(
-            quantize_rssi(rssi, l.rx_dev->rssi_quant_step_db));
+      {
+        const double dt = std::max(0.0, t - last_fade_t_ab);
+        last_fade_t_ab = t;
+        double gain_db = legit.drift_db;
+        gain_db += -path_loss_db(d_ab, cfg.scenario.path_loss_exponent,
+                                 cfg.scenario.ref_path_loss_db) +
+                   s_ab + fade_ab.advance_db(dt, fd_a, fd_b, fd_los);
+        latch(legit, tx_power_dbm, gain_db);
       }
+      if (!eve) {
+        (void)rng_noise.gaussian();  // Eve's sample noise
+        continue;
+      }
+      // Both of Eve's processes blend their own component with the
+      // legitimate link's shadowing, at every sample instant.
+      const double s_ea = eve->shadow_ea.advance(dpos, s_ab);
+      const double s_eb = eve->shadow_eb.advance(dpos, s_ab);
+      double gain_db = ev.drift_db;
+      if (alice_tx) {
+        // Eve trails Alice at a fixed small offset: short, stable link.
+        const double dt = std::max(0.0, t - eve->last_fade_t_ea);
+        eve->last_fade_t_ea = t;
+        gain_db += -path_loss_db(kEveOffsetM, cfg.scenario.path_loss_exponent,
+                                 cfg.scenario.ref_path_loss_db) +
+                   s_ea + eve->fade_ea.advance_db(dt, fd_a, 0.0, 0.0);
+      } else {
+        // Eve-Bob separation tracks the Alice-Bob separation (she follows
+        // Alice's route), offset laterally.
+        const double dt = std::max(0.0, t - eve->last_fade_t_eb);
+        eve->last_fade_t_eb = t;
+        const double d_eb = std::hypot(d_ab, kEveOffsetM);
+        gain_db += -path_loss_db(d_eb, cfg.scenario.path_loss_exponent,
+                                 cfg.scenario.ref_path_loss_db) +
+                   s_eb + eve->fade_eb.advance_db(dt, fd_a, fd_b, fd_los);
+      }
+      latch(ev, tx_power_dbm, gain_db);
     }
   }
 
@@ -220,24 +241,23 @@ struct TraceGenerator::Impl {
     round.distance_m = distance.at(now);
 
     const double airtime = phy.airtime();
+    const DeviceModel* eve_dev = cfg.device_eve ? &*cfg.device_eve : nullptr;
 
     // Phase 1: Alice transmits; Bob and Eve listen.
     const double t1 = now;
     transmit_phase(
         t1, cfg.device_alice.tx_power_dbm,
-        {Listener{Link::kAliceBob, &cfg.device_bob, hw_bob + interf_bob,
-                  &round.bob_rx},
-         Listener{Link::kEveAlice, &cfg.device_eve, hw_eve + interf_eve,
-                  &round.eve_rx_alice_tx}});
+        {Listener{&cfg.device_bob, hw_bob + interf_bob, &round.bob_rx},
+         Listener{eve_dev, hw_eve + interf_eve, &round.eve_rx_alice_tx}},
+        /*alice_tx=*/true);
 
     // Phase 2: Bob turns around and responds; Alice and Eve listen.
     const double t2 = t1 + airtime + cfg.device_bob.turnaround_delay_s;
     transmit_phase(
         t2, cfg.device_bob.tx_power_dbm,
-        {Listener{Link::kAliceBob, &cfg.device_alice,
-                  hw_alice + interf_alice, &round.alice_rx},
-         Listener{Link::kEveBob, &cfg.device_eve, hw_eve + interf_eve,
-                  &round.eve_rx_bob_tx}});
+        {Listener{&cfg.device_alice, hw_alice + interf_alice, &round.alice_rx},
+         Listener{eve_dev, hw_eve + interf_eve, &round.eve_rx_bob_tx}},
+        /*alice_tx=*/false);
 
     now = t2 + airtime + kProbeIntervalS;
     // One probe exchange = two packets on the air (probe + response).

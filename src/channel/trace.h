@@ -14,10 +14,18 @@
 // the boundary samples (end of Bob's window, start of Alice's window, only a
 // turnaround delay apart) remain inside the coherence time — exactly the
 // asymmetry Vehicle-Key exploits.
+//
+// Eve is simulated only when TraceConfig::device_eve places her; otherwise
+// her observations stay empty and none of her links is built. Either way
+// she makes the same draws from the random streams she shares with Alice
+// and Bob (per-packet gain drift and per-sample noise, interference, the
+// hardware offsets), so every legitimate sample is bit-identical with or
+// without her.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "channel/device.h"
@@ -46,6 +54,7 @@ struct ProbeRound {
   PacketObservation alice_rx;        ///< Alice's view of Bob's response
   PacketObservation eve_rx_alice_tx;  ///< Eve overhears the probe
   PacketObservation eve_rx_bob_tx;   ///< Eve overhears the response
+                                     ///< (both empty without Eve)
   double distance_m = 0.0;           ///< Alice-Bob separation at round start
 };
 
@@ -59,7 +68,9 @@ struct TraceConfig {
   LoRaParams phy;
   DeviceModel device_alice = dragino_lora_shield();
   DeviceModel device_bob = dragino_lora_shield();
-  DeviceModel device_eve = dragino_lora_shield();
+  /// Eve's radio. Empty (the default) simulates no eavesdropper: her
+  /// observations stay empty and only her shared-stream draws are made.
+  std::optional<DeviceModel> device_eve;
   std::uint64_t seed = 1;
 };
 

@@ -41,6 +41,9 @@ class BitVec {
   /// Append a single bit.
   void push_back(bool v) { bits_.push_back(v ? 1 : 0); }
 
+  /// Room for `n` bits, so appending up to `n` allocates at most once.
+  void reserve(std::size_t n) { bits_.reserve(n); }
+
   /// Append all bits of `other`.
   void append(const BitVec& other);
 

@@ -44,16 +44,22 @@ double ArRssiExtractor::eve_boundary(const channel::ProbeRound& round) const {
 
 std::vector<double> ArRssiExtractor::sequence(
     const channel::PacketObservation& obs) const {
+  std::vector<double> out;
+  sequence_into(obs, out);
+  return out;
+}
+
+void ArRssiExtractor::sequence_into(const channel::PacketObservation& obs,
+                                    std::vector<double>& out) const {
   const auto& r = obs.rrssi;
   VKEY_REQUIRE(!r.empty(), "empty packet observation");
   const std::size_t w = window_len(r.size());
-  std::vector<double> out;
+  out.clear();
   out.reserve(r.size() / w);
   for (std::size_t i = 0; i + w <= r.size(); i += w) {
     out.push_back(
         vkey::stats::mean(std::span<const double>(r.data() + i, w)));
   }
-  return out;
 }
 
 std::size_t ArRssiExtractor::values_per_packet(std::size_t n) const {

@@ -52,6 +52,11 @@ class ArRssiExtractor {
   /// (any trailing partial window is dropped).
   std::vector<double> sequence(const channel::PacketObservation& obs) const;
 
+  /// sequence() into caller storage: `out` is overwritten and keeps its
+  /// capacity, so a loop over packets allocates once.
+  void sequence_into(const channel::PacketObservation& obs,
+                     std::vector<double>& out) const;
+
   /// Number of arRSSI values sequence() yields for a packet of `n` samples.
   std::size_t values_per_packet(std::size_t n) const;
 

@@ -1,6 +1,7 @@
 #include "core/dataset.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -11,22 +12,37 @@ ArRssiStreams extract_streams(const std::vector<channel::ProbeRound>& rounds,
                               const ArRssiExtractor& extractor,
                               std::size_t reciprocal_windows) {
   ArRssiStreams s;
+  if (rounds.empty()) return s;
+  const bool with_eve = !rounds.front().eve_rx_bob_tx.rrssi.empty();
+  std::vector<double> a, b, e;  // one round's sequences, reused
   for (const auto& r : rounds) {
-    const auto a = extractor.sequence(r.alice_rx);
-    const auto b = extractor.sequence(r.bob_rx);
-    const auto e = extractor.sequence(r.eve_rx_bob_tx);
+    VKEY_REQUIRE(r.eve_rx_bob_tx.rrssi.empty() != with_eve,
+                 "trace mixes rounds with and without Eve");
+    extractor.sequence_into(r.alice_rx, a);
+    extractor.sequence_into(r.bob_rx, b);
     // Keep the streams index-aligned even if sample counts differ by one
     // (defensive; packets share the same PHY so counts normally match).
-    const std::size_t n = std::min({a.size(), b.size(), e.size()});
+    std::size_t n = std::min(a.size(), b.size());
+    if (with_eve) {
+      extractor.sequence_into(r.eve_rx_bob_tx, e);
+      n = std::min(n, e.size());
+    }
     if (n == 0) continue;
     const std::size_t k =
         reciprocal_windows == 0 ? n : std::min(reciprocal_windows, n);
+    if (s.alice.empty()) {
+      // Packets share one PHY: the first round's count sizes the streams.
+      const std::size_t capacity = rounds.size() * k;
+      s.alice.reserve(capacity);
+      s.bob.reserve(capacity);
+      if (with_eve) s.eve.reserve(capacity);
+    }
     for (std::size_t j = 0; j < k; ++j) {
       // Alice: head of her reception window; Bob: tail of his, mirrored so
       // that index-aligned values are the temporally closest pairs.
       s.alice.push_back(a[j]);
       s.bob.push_back(b[n - 1 - j]);
-      s.eve.push_back(e[j]);
+      if (with_eve) s.eve.push_back(e[j]);
     }
   }
   return s;
@@ -42,31 +58,32 @@ nn::Vec normalize_window(const std::vector<double>& raw, std::size_t pos,
 std::vector<TrainingSample> make_samples(const ArRssiStreams& streams,
                                          const DatasetConfig& cfg) {
   VKEY_REQUIRE(cfg.seq_len >= 4, "sequence length too short");
-  VKEY_REQUIRE(streams.alice.size() == streams.bob.size() &&
-                   streams.alice.size() == streams.eve.size(),
+  const std::size_t len = streams.alice.size();
+  VKEY_REQUIRE(streams.bob.size() == len &&
+                   (streams.eve.empty() || streams.eve.size() == len),
                "misaligned streams");
   const std::size_t stride = cfg.stride == 0 ? cfg.seq_len : cfg.stride;
 
+  // Bob quantizes his raw (unnormalized) window; the quantizer is
+  // block-adaptive so scale does not matter, but we pass raw values to
+  // mirror the real protocol. Guard bands are disabled for Bob inside
+  // Vehicle-Key (the BiLSTM head replaces index reconciliation).
+  QuantizerConfig qc = cfg.quantizer;
+  qc.guard_band_ratio = 0.0;
+  qc.block_size = std::min(qc.block_size, cfg.seq_len);
+  const MultiBitQuantizer q(qc);
+  const std::span<const double> bob_raw(streams.bob);
+
   std::vector<TrainingSample> samples;
-  for (std::size_t pos = 0; pos + cfg.seq_len <= streams.alice.size();
-       pos += stride) {
+  if (len >= cfg.seq_len) samples.reserve((len - cfg.seq_len) / stride + 1);
+  for (std::size_t pos = 0; pos + cfg.seq_len <= len; pos += stride) {
     TrainingSample s;
     s.alice_seq = normalize_window(streams.alice, pos, cfg.seq_len);
     s.bob_seq = normalize_window(streams.bob, pos, cfg.seq_len);
-    s.eve_seq = normalize_window(streams.eve, pos, cfg.seq_len);
-
-    // Bob quantizes his raw (unnormalized) window; the quantizer is
-    // block-adaptive so scale does not matter, but we pass raw values to
-    // mirror the real protocol. Guard bands are disabled for Bob inside
-    // Vehicle-Key (the BiLSTM head replaces index reconciliation).
-    QuantizerConfig qc = cfg.quantizer;
-    qc.guard_band_ratio = 0.0;
-    qc.block_size = std::min(qc.block_size, cfg.seq_len);
-    MultiBitQuantizer q(qc);
-    std::vector<double> bob_raw(
-        streams.bob.begin() + static_cast<std::ptrdiff_t>(pos),
-        streams.bob.begin() + static_cast<std::ptrdiff_t>(pos + cfg.seq_len));
-    s.bob_bits = q.quantize(bob_raw).bits;
+    if (!streams.eve.empty()) {
+      s.eve_seq = normalize_window(streams.eve, pos, cfg.seq_len);
+    }
+    s.bob_bits = q.quantize(bob_raw.subspan(pos, cfg.seq_len)).bits;
     samples.push_back(std::move(s));
   }
   return samples;

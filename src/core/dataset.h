@@ -10,6 +10,13 @@
 //
 // Normalization is per-window min-max to [0,1], computed independently by
 // each party from its own values (no information exchange is needed).
+//
+// Eve is optional: a trace whose rounds carry no Eve observation (the
+// generator's default, or a two-radio hardware capture) yields an empty
+// Eve stream and samples with an empty eve_seq; a trace that mixes rounds
+// with and without her is rejected. Extraction reuses one buffer per
+// observer across rounds, and make_samples allocates a fixed number of
+// blocks per window.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +34,8 @@ struct TrainingSample {
   nn::Vec alice_seq;  ///< normalized, length = seq_len
   nn::Vec bob_seq;    ///< normalized, length = seq_len
   BitVec bob_bits;    ///< quantized target, length = seq_len * bits_per_sample
-  nn::Vec eve_seq;    ///< Eve's imitation window (normalized), for security eval
+  nn::Vec eve_seq;    ///< Eve's imitation window (normalized), for security
+                      ///< eval; empty when the trace has no Eve
 };
 
 struct DatasetConfig {
@@ -54,7 +62,8 @@ struct DatasetConfig {
 struct ArRssiStreams {
   std::vector<double> alice;
   std::vector<double> bob;
-  std::vector<double> eve;  ///< Eve's imitation stream (Eve-Bob channel)
+  std::vector<double> eve;  ///< Eve's imitation stream (Eve-Bob channel);
+                            ///< empty when the trace has no Eve
 };
 
 /// Concatenate per-round arRSSI sequences into index-aligned streams using
@@ -66,8 +75,10 @@ struct ArRssiStreams {
 /// then separated by only (turnaround + (2j+1) * window) seconds — inside or
 /// near the channel coherence time for small j — instead of a full packet
 /// airtime. Eve's stream mirrors Alice's construction (she hears Bob's
-/// response through her own Eve-Bob channel at the same instants).
-/// `reciprocal_windows` = 0 uses every window of the packet.
+/// response through her own Eve-Bob channel at the same instants); it is
+/// empty when no round carries her, and rounds that disagree on her
+/// presence are rejected. `reciprocal_windows` = 0 uses every window of
+/// the packet.
 ArRssiStreams extract_streams(const std::vector<channel::ProbeRound>& rounds,
                               const ArRssiExtractor& extractor,
                               std::size_t reciprocal_windows = 4);

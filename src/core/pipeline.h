@@ -26,7 +26,9 @@
 namespace vkey::core {
 
 struct PipelineConfig {
-  channel::TraceConfig trace;
+  /// The pipeline always evaluates Eve, so its trace places her.
+  channel::TraceConfig trace{
+      .scenario = {}, .phy = {}, .device_eve = channel::dragino_lora_shield()};
   DatasetConfig dataset;
   PredictorConfig predictor;
   ReconcilerConfig reconciler;

@@ -19,17 +19,40 @@ constexpr double kLearningRate = 2e-3;
 constexpr std::size_t kBatchSize = 16;
 /// Period of the phase input feature (see predictor.h).
 constexpr std::size_t kPhasePeriod = 4;
+/// Per-step input width (see write_inputs).
+constexpr std::size_t kInputWidth = 3;
 
-/// Per-step input: [value, phase within the mirror pairing, progress].
-nn::Seq to_seq(const nn::Vec& v) {
-  nn::Seq s(v.size());
+/// Per-step input: [value, phase within the mirror pairing, progress],
+/// written as v.size() rows of kInputWidth values.
+void write_inputs(const nn::Vec& v, double* x) {
   const double n = static_cast<double>(v.size());
   const double period = static_cast<double>(kPhasePeriod);
   for (std::size_t t = 0; t < v.size(); ++t) {
-    s[t] = {v[t], static_cast<double>(t % kPhasePeriod) / period,
-            static_cast<double>(t) / n};
+    double* row = x + t * kInputWidth;
+    row[0] = v[t];
+    row[1] = static_cast<double>(t % kPhasePeriod) / period;
+    row[2] = static_cast<double>(t) / n;
+  }
+}
+
+/// write_inputs() as the per-step sequence BiLstm::forward trains on.
+nn::Seq to_seq(const nn::Vec& v) {
+  nn::Vec flat(v.size() * kInputWidth);
+  write_inputs(v, flat.data());
+  nn::Seq s(v.size());
+  for (std::size_t t = 0; t < v.size(); ++t) {
+    const auto row =
+        flat.begin() + static_cast<std::ptrdiff_t>(t * kInputWidth);
+    s[t].assign(row, row + static_cast<std::ptrdiff_t>(kInputWidth));
   }
   return s;
+}
+
+/// Turn the quantization head's logits, left in out.probabilities, into
+/// probabilities in place, and threshold them into the bits.
+void finish(PredictorQuantizer::Output& out) {
+  for (double& p : out.probabilities) p = nn::sigmoid(p);
+  out.bits = BitVec::from_doubles_threshold(out.probabilities);
 }
 
 }  // namespace
@@ -37,7 +60,7 @@ nn::Seq to_seq(const nn::Vec& v) {
 PredictorQuantizer::PredictorQuantizer(const PredictorConfig& config)
     : cfg_(config),
       rng_(config.seed),
-      bilstm_(3, config.hidden, rng_),
+      bilstm_(kInputWidth, config.hidden, rng_),
       pred_head_(config.seq_len * 2 * config.hidden, config.seq_len, rng_),
       quant_head_(config.seq_len, config.key_bits, rng_) {
   VKEY_REQUIRE(config.seq_len >= 4, "sequence too short");
@@ -148,15 +171,21 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
 PredictorQuantizer::Output PredictorQuantizer::infer(
     const nn::Vec& alice_seq) const {
   VKEY_REQUIRE(alice_seq.size() == cfg_.seq_len, "input seq_len mismatch");
-  const nn::Seq h = bilstm_.infer(to_seq(alice_seq));
-  nn::Vec flat;
-  flat.reserve(cfg_.seq_len * 2 * cfg_.hidden);
-  for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
+  // One call-local workspace: the BiLSTM's inputs, its flattened outputs
+  // (the prediction head's input) and its cell scratch.
+  const std::size_t x_len = cfg_.seq_len * kInputWidth;
+  const std::size_t h_len = cfg_.seq_len * bilstm_.output_size();
+  nn::Vec ws(x_len + h_len + bilstm_.workspace_size());
+  double* x = ws.data();
+  double* h = x + x_len;
+  write_inputs(alice_seq, x);
+  bilstm_.infer_into(x, cfg_.seq_len, h, h + h_len);
   Output out;
-  out.predicted_seq = pred_head_.infer(flat);
-  const nn::Vec logits = quant_head_.infer(out.predicted_seq);
-  out.probabilities = nn::sigmoid_vec(logits);
-  out.bits = BitVec::from_doubles_threshold(out.probabilities);
+  out.predicted_seq.resize(cfg_.seq_len);
+  out.probabilities.resize(cfg_.key_bits);
+  pred_head_.infer_into(h, out.predicted_seq.data());
+  quant_head_.infer_into(out.predicted_seq.data(), out.probabilities.data());
+  finish(out);
   return out;
 }
 
@@ -165,33 +194,38 @@ std::vector<PredictorQuantizer::Output> PredictorQuantizer::infer_batch(
   for (const auto& w : windows) {
     VKEY_REQUIRE(w.size() == cfg_.seq_len, "input seq_len mismatch");
   }
-  std::vector<Output> outs(windows.size());
-  if (windows.empty()) return outs;
+  const std::size_t n = windows.size();
+  std::vector<Output> outs(n);
+  if (n == 0) return outs;
 
-  // BiLSTM per window (its weights stay cache-resident), flattened per
-  // member exactly as in infer().
-  std::vector<nn::Vec> flats(windows.size());
-  for (std::size_t m = 0; m < windows.size(); ++m) {
-    const nn::Seq h = bilstm_.infer(to_seq(windows[m]));
-    auto& flat = flats[m];
-    flat.reserve(cfg_.seq_len * 2 * cfg_.hidden);
-    for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
+  // One call-local workspace: every member's flattened BiLSTM output, then
+  // one window's inputs and the cell scratch, reused member after member.
+  const std::size_t x_len = cfg_.seq_len * kInputWidth;
+  const std::size_t h_len = cfg_.seq_len * bilstm_.output_size();
+  nn::Vec ws(n * h_len + x_len + bilstm_.workspace_size());
+  double* x = ws.data() + n * h_len;
+  std::vector<const double*> xs(n);
+  std::vector<double*> ys(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    write_inputs(windows[m], x);
+    double* h = ws.data() + m * h_len;
+    bilstm_.infer_into(x, cfg_.seq_len, h, x + x_len);
+    xs[m] = h;
+    outs[m].predicted_seq.resize(cfg_.seq_len);
+    ys[m] = outs[m].predicted_seq.data();
   }
 
   // One blocked pass per Dense head over the whole batch: the prediction
   // head's weight panels stream through cache once per batch instead of
   // once per window.
-  std::vector<const nn::Vec*> xs(windows.size());
-  for (std::size_t m = 0; m < windows.size(); ++m) xs[m] = &flats[m];
-  std::vector<nn::Vec> y_hats = pred_head_.infer_batch(xs);
-  for (std::size_t m = 0; m < windows.size(); ++m) xs[m] = &y_hats[m];
-  std::vector<nn::Vec> logits = quant_head_.infer_batch(xs);
-
-  for (std::size_t m = 0; m < windows.size(); ++m) {
-    outs[m].predicted_seq = std::move(y_hats[m]);
-    outs[m].probabilities = nn::sigmoid_vec(logits[m]);
-    outs[m].bits = BitVec::from_doubles_threshold(outs[m].probabilities);
+  pred_head_.infer_batch_into(xs.data(), n, ys.data());
+  for (std::size_t m = 0; m < n; ++m) {
+    xs[m] = outs[m].predicted_seq.data();
+    outs[m].probabilities.resize(cfg_.key_bits);
+    ys[m] = outs[m].probabilities.data();
   }
+  quant_head_.infer_batch_into(xs.data(), n, ys.data());
+  for (Output& out : outs) finish(out);
   return outs;
 }
 

@@ -18,6 +18,11 @@
 //    windows; feeding the phase j mod k lets the BiLSTM learn per-lag
 //    compensation.
 //
+// Inference runs the BiLSTM over flat buffers (BiLstm::infer_into) in one
+// call-local workspace and writes both heads straight into the Output, so
+// infer() allocates four blocks whatever the sequence length: the
+// workspace and the Output's three vectors.
+//
 // Only Alice (or a power-rich RSU) runs this model; Bob uses the
 // conventional multi-bit quantizer on his own measurements.
 #pragma once
@@ -78,7 +83,9 @@ class PredictorQuantizer {
   /// cache-resident), then both Dense heads run one blocked pass over the
   /// whole batch — the prediction head's weights (~2 MB at the default
   /// sizing) stream through cache once per batch instead of once per
-  /// window. Bit-identical to calling infer() per window, in order.
+  /// window. Bit-identical to calling infer() per window, in order; one
+  /// workspace holds every window's BiLSTM output, so a batch allocates
+  /// each Output's three vectors plus four blocks.
   std::vector<Output> infer_batch(std::span<const nn::Vec> windows) const;
 
   /// Toggle the int8 inference path at runtime (see PredictorConfig).

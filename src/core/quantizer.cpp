@@ -16,25 +16,17 @@ MultiBitQuantizer::MultiBitQuantizer(const QuantizerConfig& config)
                "guard band ratio must be in [0,1)");
 }
 
-std::vector<std::uint8_t> MultiBitQuantizer::gray_code(std::size_t level,
-                                                       int bits) {
-  const std::size_t gray = level ^ (level >> 1);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(bits));
-  for (int i = 0; i < bits; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((gray >> (bits - 1 - i)) & 1u);
-  }
-  return out;
-}
-
 namespace {
 
-/// Quantile thresholds splitting `sorted` into `levels` equal-mass bins
-/// (levels-1 thresholds).
-std::vector<double> quantile_thresholds(std::vector<double> sorted,
-                                        std::size_t levels) {
+/// Quantile thresholds splitting `block` into `levels` equal-mass bins
+/// (levels-1 thresholds) into `th`; `sorted` is scratch. Both keep their
+/// capacity, so a quantizer pass allocates them once.
+void quantile_thresholds(std::span<const double> block, std::size_t levels,
+                         std::vector<double>& sorted,
+                         std::vector<double>& th) {
+  sorted.assign(block.begin(), block.end());
   std::sort(sorted.begin(), sorted.end());
-  std::vector<double> th(levels - 1);
+  th.resize(levels - 1);
   const std::size_t n = sorted.size();
   for (std::size_t k = 1; k < levels; ++k) {
     const double pos = static_cast<double>(k) * static_cast<double>(n) /
@@ -42,13 +34,18 @@ std::vector<double> quantile_thresholds(std::vector<double> sorted,
     const auto idx = static_cast<std::size_t>(pos);
     th[k - 1] = sorted[std::min(idx, n - 1)];
   }
-  return th;
 }
 
 std::size_t level_of(double v, const std::vector<double>& th) {
   std::size_t level = 0;
   while (level < th.size() && v >= th[level]) ++level;
   return level;
+}
+
+/// Append the `width`-bit Gray code of `level`, most significant bit first.
+void push_gray(BitVec& bits, std::size_t level, int width) {
+  const std::size_t gray = MultiBitQuantizer::gray_code(level);
+  for (int i = width - 1; i >= 0; --i) bits.push_back(((gray >> i) & 1u) != 0);
 }
 
 }  // namespace
@@ -59,6 +56,10 @@ QuantizationResult MultiBitQuantizer::quantize(
                "need at least one full block");
   const std::size_t levels = 1u << cfg_.bits_per_sample;
   QuantizationResult out;
+  out.bits.reserve(values.size() *
+                   static_cast<std::size_t>(cfg_.bits_per_sample));
+  out.kept.reserve(values.size());
+  std::vector<double> sorted, th;
 
   std::size_t start = 0;
   while (start < values.size()) {
@@ -68,10 +69,8 @@ QuantizationResult MultiBitQuantizer::quantize(
     if (remaining > 0 && remaining < cfg_.block_size / 2) {
       len += remaining;
     }
-    std::vector<double> block(values.begin() + static_cast<std::ptrdiff_t>(start),
-                              values.begin() +
-                                  static_cast<std::ptrdiff_t>(start + len));
-    const auto th = quantile_thresholds(block, levels);
+    const std::span<const double> block = values.subspan(start, len);
+    quantile_thresholds(block, levels, sorted, th);
 
     // Guard band half-width: alpha * mean adjacent-threshold gap / 2.
     double guard = 0.0;
@@ -99,10 +98,7 @@ QuantizationResult MultiBitQuantizer::quantize(
         }
         if (in_guard) continue;
       }
-      const std::size_t level = level_of(v, th);
-      for (std::uint8_t b : gray_code(level, cfg_.bits_per_sample)) {
-        out.bits.push_back(b != 0);
-      }
+      push_gray(out.bits, level_of(v, th), cfg_.bits_per_sample);
       out.kept.push_back(start + i);
     }
     start += len;
@@ -116,6 +112,8 @@ BitVec MultiBitQuantizer::quantize_at(
   VKEY_REQUIRE(!indices.empty(), "no indices to quantize");
   const std::size_t levels = 1u << cfg_.bits_per_sample;
   BitVec out;
+  out.reserve(indices.size() * static_cast<std::size_t>(cfg_.bits_per_sample));
+  std::vector<double> block, sorted, th;
 
   std::size_t start = 0;
   while (start < indices.size()) {
@@ -123,18 +121,15 @@ BitVec MultiBitQuantizer::quantize_at(
     const std::size_t remaining = indices.size() - start - len;
     if (remaining > 0 && remaining < cfg_.block_size / 2) len += remaining;
 
-    std::vector<double> block(len);
+    block.resize(len);
     for (std::size_t i = 0; i < len; ++i) {
       const std::size_t idx = indices[start + i];
       VKEY_REQUIRE(idx < values.size(), "index out of range");
       block[i] = values[idx];
     }
-    const auto th = quantile_thresholds(block, levels);
+    quantile_thresholds(block, levels, sorted, th);
     for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t level = level_of(block[i], th);
-      for (std::uint8_t b : gray_code(level, cfg_.bits_per_sample)) {
-        out.push_back(b != 0);
-      }
+      push_gray(out, level_of(block[i], th), cfg_.bits_per_sample);
     }
     start += len;
   }

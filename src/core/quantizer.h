@@ -49,8 +49,11 @@ class MultiBitQuantizer {
   BitVec quantize_at(std::span<const double> values,
                      std::span<const std::size_t> indices) const;
 
-  /// Gray code of `level` using `bits` bits (exposed for tests).
-  static std::vector<std::uint8_t> gray_code(std::size_t level, int bits);
+  /// Gray code of `level`; quantize() emits its low bits_per_sample bits
+  /// most significant first (exposed for tests).
+  static std::size_t gray_code(std::size_t level) {
+    return level ^ (level >> 1);
+  }
 
  private:
   QuantizerConfig cfg_;

@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "nn/param.h"
 
 namespace vkey::nn {
 
@@ -20,8 +19,5 @@ inline double sigmoid(double x) {
 inline double dsigmoid_from_y(double y) { return y * (1.0 - y); }
 
 inline double dtanh_from_y(double y) { return 1.0 - y * y; }
-
-/// Element-wise sigmoid of a vector.
-Vec sigmoid_vec(const Vec& x);
 
 }  // namespace vkey::nn

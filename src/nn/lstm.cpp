@@ -20,6 +20,28 @@ std::uint64_t step_flops(std::size_t input, std::size_t hidden) {
          10 * static_cast<std::uint64_t>(hidden);
 }
 
+/// Row-major copy of a sequence of `width`-wide steps, checked first: an
+/// empty or ragged sequence is rejected before any work is counted.
+Vec flat_inputs(const Seq& x, std::size_t width) {
+  VKEY_REQUIRE(!x.empty(), "Lstm infer on empty sequence");
+  for (const Vec& xt : x)
+    VKEY_REQUIRE(xt.size() == width, "Lstm input width mismatch");
+  Vec flat;
+  flat.reserve(x.size() * width);
+  for (const Vec& xt : x) flat.insert(flat.end(), xt.begin(), xt.end());
+  return flat;
+}
+
+/// The rows of a row-major `steps x width` buffer as a sequence.
+Seq rows(const Vec& flat, std::size_t steps, std::size_t width) {
+  Seq out(steps);
+  for (std::size_t t = 0; t < steps; ++t) {
+    const auto row = flat.begin() + static_cast<std::ptrdiff_t>(t * width);
+    out[t].assign(row, row + static_cast<std::ptrdiff_t>(width));
+  }
+  return out;
+}
+
 }  // namespace
 
 Lstm::Lstm(std::size_t input, std::size_t hidden, vkey::Rng& rng,
@@ -57,15 +79,6 @@ const QuantizedMatrix& Lstm::quant() const {
   return quant_w_;
 }
 
-void Lstm::init_scratch(Scratch& s) const {
-  s.xh.assign(input_ + hidden_, 0.0);
-  s.z.assign(4 * hidden_, 0.0);
-  s.h.assign(hidden_, 0.0);
-  s.c.assign(hidden_, 0.0);
-  s.tc.assign(hidden_, 0.0);
-  if (quantized_) s.xq.assign(quant().padded_cols(), 0);
-}
-
 // One fused cell step. xh holds [x_t ; h_prev]; the single packed matvec
 // computes all 4H gate pre-activations in the exact accumulation order of
 // the naive cell (bias, then Wx columns, then Wh columns — see
@@ -88,20 +101,19 @@ void Lstm::step_fused(const double* xh, double* z, const double* c_prev,
 
 // The int8 variant: quantized fused affine plus polynomial gate
 // activations (see gemm.h). Same dataflow, not bit-exact.
-void Lstm::step_quantized(Scratch& s) const {
+void Lstm::step_quantized(const double* xh, std::int8_t* xq, double* z,
+                          double* c, double* tc, double* hv) const {
   const std::size_t h = hidden_;
   const QuantizedMatrix& qm = quant();
-  const double x_scale = QuantizedMatrix::quantize_input(
-      s.xh.data(), s.xh.size(), s.xq.data());
-  qm.matvec(s.xq.data(), x_scale, b_.value.data(), s.z.data());
-  double* z = s.z.data();
+  const double x_scale = QuantizedMatrix::quantize_input(xh, input_ + h, xq);
+  qm.matvec(xq, x_scale, b_.value.data(), z);
   sigmoid_approx(z, 2 * h, z);
   tanh_approx(z + 2 * h, h, z + 2 * h);
   sigmoid_approx(z + 3 * h, h, z + 3 * h);
   for (std::size_t k = 0; k < h; ++k)
-    s.c[k] = z[h + k] * s.c[k] + z[k] * z[2 * h + k];
-  tanh_approx(s.c.data(), h, s.tc.data());
-  for (std::size_t k = 0; k < h; ++k) s.h[k] = z[3 * h + k] * s.tc[k];
+    c[k] = z[h + k] * c[k] + z[k] * z[2 * h + k];
+  tanh_approx(c, h, tc);
+  for (std::size_t k = 0; k < h; ++k) hv[k] = z[3 * h + k] * tc[k];
 }
 
 Seq Lstm::forward(const Seq& x, Cache& cache) const {
@@ -142,45 +154,41 @@ Seq Lstm::forward(const Seq& x, Cache& cache) const {
   return out;
 }
 
-void Lstm::infer_impl(const Seq& x, Seq& out, std::size_t offset) const {
-  const std::size_t t_len = x.size();
-  VKEY_REQUIRE(t_len > 0, "Lstm infer on empty sequence");
-  for (const Vec& xt : x)
-    VKEY_REQUIRE(xt.size() == input_, "Lstm input width mismatch");
-  VKEY_REQUIRE(out.size() == t_len, "Lstm infer output length mismatch");
-  for (const Vec& ot : out)
-    VKEY_REQUIRE(ot.size() >= offset + hidden_,
-                 "Lstm infer output width mismatch");
-  metrics::counter<"nn.lstm.cell_steps">().add(t_len);
-  metrics::counter<"nn.lstm.flops">().add(t_len *
+void Lstm::infer_into(const double* x, std::size_t steps, double* out,
+                      std::size_t out_stride, double* ws) const {
+  VKEY_REQUIRE(steps > 0, "Lstm infer on empty sequence");
+  metrics::counter<"nn.lstm.cell_steps">().add(steps);
+  metrics::counter<"nn.lstm.flops">().add(steps *
                                           step_flops(input_, hidden_));
   trace::ScopedTimer timer(metrics::histogram<"nn.lstm.infer_ms">());
-  Scratch s;
-  init_scratch(s);
-  for (std::size_t step_idx = 0; step_idx < t_len; ++step_idx) {
-    const std::size_t t = reverse_ ? t_len - 1 - step_idx : step_idx;
-    std::copy(x[t].begin(), x[t].end(), s.xh.begin());
-    std::copy(s.h.begin(), s.h.end(),
-              s.xh.begin() + static_cast<std::ptrdiff_t>(input_));
+  const std::size_t h = hidden_;
+  double* xh = ws;               // [x_t ; h_prev]
+  double* z = xh + input_ + h;   // fused 4H gate pre-activations
+  double* hv = z + 4 * h;        // running hidden state
+  double* c = hv + h;            // running cell state
+  double* tc = c + h;            // tanh(c)
+  std::fill(hv, c + h, 0.0);     // h and c start at zero
+  std::vector<std::int8_t> xq;   // quantized xh (int8 path)
+  if (quantized_) xq.assign(quant().padded_cols(), 0);
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::size_t t = reverse_ ? steps - 1 - step : step;
+    std::copy(x + t * input_, x + (t + 1) * input_, xh);
+    std::copy(hv, hv + h, xh + input_);
     if (quantized_) {
-      step_quantized(s);
+      step_quantized(xh, xq.data(), z, c, tc, hv);
     } else {
-      step_fused(s.xh.data(), s.z.data(), s.c.data(), s.c.data(),
-                 s.tc.data(), s.h.data());
+      step_fused(xh, z, c, c, tc, hv);
     }
-    std::copy(s.h.begin(), s.h.end(),
-              out[t].begin() + static_cast<std::ptrdiff_t>(offset));
+    std::copy(hv, hv + h, out + t * out_stride);
   }
 }
 
 Seq Lstm::infer(const Seq& x) const {
-  Seq out(x.size(), Vec(hidden_));
-  infer_impl(x, out, 0);
-  return out;
-}
-
-void Lstm::infer_into(const Seq& x, Seq& out, std::size_t offset) const {
-  infer_impl(x, out, offset);
+  const Vec flat = flat_inputs(x, input_);
+  Vec out(x.size() * hidden_);
+  Vec ws(workspace_size());
+  infer_into(flat.data(), x.size(), out.data(), hidden_, ws.data());
+  return rows(out, x.size(), hidden_);
 }
 
 Seq Lstm::infer_reference(const Seq& x) const {
@@ -306,12 +314,19 @@ Seq BiLstm::forward(const Seq& x, Cache& cache) const {
 }
 
 Seq BiLstm::infer(const Seq& x) const {
-  // Each direction writes its half of the concatenated output directly —
-  // no per-direction temporaries, no concat copy.
-  Seq out(x.size(), Vec(2 * hidden_));
-  fwd_.infer_into(x, out, 0);
-  bwd_.infer_into(x, out, hidden_);
-  return out;
+  const Vec flat = flat_inputs(x, fwd_.input_size());
+  Vec out(x.size() * 2 * hidden_);
+  Vec ws(workspace_size());
+  infer_into(flat.data(), x.size(), out.data(), ws.data());
+  return rows(out, x.size(), 2 * hidden_);
+}
+
+void BiLstm::infer_into(const double* x, std::size_t steps, double* out,
+                        double* ws) const {
+  // Each direction writes its half of every output row directly — no
+  // per-direction temporaries, no concat copy.
+  fwd_.infer_into(x, steps, out, 2 * hidden_, ws);
+  bwd_.infer_into(x, steps, out + hidden_, 2 * hidden_, ws);
 }
 
 Seq BiLstm::infer_reference(const Seq& x) const {

@@ -7,10 +7,16 @@
 // trains on a single CPU core (see DESIGN.md "NN sizing").
 //
 // The cell's 4H-gate affine runs on the fused packed matrix [Wx | Wh]
-// (one blocked pass per step over a preallocated [x_t ; h_prev] scratch —
-// see gemm.h and DESIGN.md "NN kernel core"); the float path is
-// bit-identical to the retained naive reference (infer_reference), and an
-// optional int8 path trades exactness for speed behind set_quantized().
+// (one blocked pass per step over a [x_t ; h_prev] scratch row — see
+// gemm.h and DESIGN.md "NN kernel core"); the float path is bit-identical
+// to the retained naive reference (infer_reference), and an optional int8
+// path trades exactness for speed behind set_quantized().
+//
+// Inference has one body, infer_into(), over flat row-major buffers: the
+// inputs, the hidden states and a caller-owned workspace of
+// workspace_size() doubles, so a caller that keeps its buffers allocates
+// nothing per step or per call on the float path. infer(Seq) is a thin
+// wrapper over it for callers and tests that hold sequences.
 //
 // Training follows Dense's mini-batch shape: forward(x, cache) per member
 // into a caller-owned Cache, then backward(cache, grad_out) per member in
@@ -49,14 +55,20 @@ class Lstm {
   /// states in *time* order regardless of processing direction.
   Seq forward(const Seq& x, Cache& cache) const;
 
-  /// Inference-only forward (no caching).
+  /// Inference-only forward (no caching): infer_into() over copies.
   Seq infer(const Seq& x) const;
 
-  /// Inference writing each step's hidden state into
-  /// out[t][offset, offset + hidden) of a caller-sized sequence — lets
-  /// BiLstm fill both halves of its concatenated output without a copy.
-  /// Same arithmetic as infer(), bit for bit.
-  void infer_into(const Seq& x, Seq& out, std::size_t offset) const;
+  /// Inference over flat buffers: `x` holds `steps` >= 1 rows of
+  /// input_size() values; step t's hidden state is written to
+  /// out[t * out_stride, t * out_stride + hidden). `ws` is
+  /// workspace_size() doubles of scratch. Allocates nothing on the float
+  /// path (the int8 path quantizes into one scratch vector per call).
+  void infer_into(const double* x, std::size_t steps, double* out,
+                  std::size_t out_stride, double* ws) const;
+
+  /// Scratch doubles infer_into() needs: [x_t ; h_prev], the 4H gates, and
+  /// the running h, c and tanh(c).
+  std::size_t workspace_size() const { return input_ + 8 * hidden_; }
 
   /// The original per-step naive loops, retained as the bit-exactness
   /// oracle for the fused packed cell (tests only; no metrics, no timer).
@@ -81,26 +93,15 @@ class Lstm {
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
  private:
-  /// Preallocated per-sequence scratch for the inference cell (one
-  /// allocation per call instead of ~8 per step).
-  struct Scratch {
-    Vec xh;   ///< [x_t ; h_prev], input_ + hidden_ wide
-    Vec z;    ///< fused 4H gate pre-activations
-    Vec h;    ///< running hidden state
-    Vec c;    ///< running cell state
-    Vec tc;   ///< tanh(c)
-    std::vector<std::int8_t> xq;  ///< quantized xh (int8 path)
-  };
-
-  void init_scratch(Scratch& s) const;
   /// One fused cell step from xh = [x_t ; h_prev]: gates into z (4H,
   /// in place), c = f * c_prev + i * g (c may alias c_prev), tc = tanh(c),
   /// h = o * tc.
   void step_fused(const double* xh, double* z, const double* c_prev,
                   double* c, double* tc, double* h) const;
-  void step_quantized(Scratch& s) const;
-  /// Shared full-sequence driver for infer()/infer_into().
-  void infer_impl(const Seq& x, Seq& out, std::size_t offset) const;
+  /// The int8 step: xh quantized into xq, then the same dataflow with c
+  /// updated in place.
+  void step_quantized(const double* xh, std::int8_t* xq, double* z,
+                      double* c, double* tc, double* h) const;
   const PackedMatrix& packed() const;
   const QuantizedMatrix& quant() const;
 
@@ -134,7 +135,14 @@ class BiLstm {
   };
 
   Seq forward(const Seq& x, Cache& cache) const;
+  /// Inference-only forward: infer_into() over copies.
   Seq infer(const Seq& x) const;
+  /// Flat inference, both directions through Lstm::infer_into(): row t of
+  /// `out` (output_size() values) receives [forward h_t ; backward h_t].
+  /// `ws` is workspace_size() doubles, shared by the two directions.
+  void infer_into(const double* x, std::size_t steps, double* out,
+                  double* ws) const;
+  std::size_t workspace_size() const { return fwd_.workspace_size(); }
   /// Naive-reference BiLSTM inference (per-direction reference cells plus
   /// the original concat loop) — the bit-exactness oracle for infer().
   Seq infer_reference(const Seq& x) const;

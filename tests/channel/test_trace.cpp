@@ -18,14 +18,60 @@ TraceConfig default_config(ScenarioKind kind = ScenarioKind::kV2VUrban,
   return cfg;
 }
 
+/// default_config() with Eve placed, for the tests that read her.
+TraceConfig eve_config() {
+  TraceConfig cfg = default_config();
+  cfg.device_eve = dragino_lora_shield();
+  return cfg;
+}
+
 TEST(TraceGenerator, RoundHasAllObservations) {
-  TraceGenerator gen(default_config());
+  TraceGenerator gen(eve_config());
   const ProbeRound round = gen.next_round();
   const auto n = static_cast<std::size_t>(gen.phy().rssi_samples_per_packet());
   EXPECT_EQ(round.bob_rx.rrssi.size(), n);
   EXPECT_EQ(round.alice_rx.rrssi.size(), n);
   EXPECT_EQ(round.eve_rx_alice_tx.rrssi.size(), n);
   EXPECT_EQ(round.eve_rx_bob_tx.rrssi.size(), n);
+}
+
+TEST(TraceGenerator, EveNeverMovesTheLegitimateLink) {
+  // Eve observes, she does not perturb: an Eve who is not simulated still
+  // makes her draws from the streams she shares with Alice and Bob, so
+  // every legitimate sample, timestamp and distance is bit-identical with
+  // or without her.
+  for (const ScenarioKind kind :
+       {ScenarioKind::kV2IUrban, ScenarioKind::kV2IRural,
+        ScenarioKind::kV2VUrban, ScenarioKind::kV2VRural}) {
+    for (const int sf : {7, 12}) {
+      for (const std::uint64_t seed : {3u, 17u}) {
+        TraceConfig without = default_config(kind, 50.0, seed);
+        without.phy.spreading_factor = sf;
+        TraceConfig with = without;
+        with.device_eve = dragino_lora_shield();
+        ASSERT_FALSE(without.device_eve.has_value());
+        const auto a = TraceGenerator(with).generate(64);
+        const auto b = TraceGenerator(without).generate(64);
+        for (std::size_t r = 0; r < a.size(); ++r) {
+          SCOPED_TRACE(to_string(kind) + " SF" + std::to_string(sf) +
+                       " seed " + std::to_string(seed) + " round " +
+                       std::to_string(r));
+          for (const auto obs : {&ProbeRound::alice_rx, &ProbeRound::bob_rx}) {
+            const PacketObservation& x = a[r].*obs;
+            const PacketObservation& y = b[r].*obs;
+            EXPECT_EQ(x.rrssi, y.rrssi);
+            EXPECT_EQ(x.t_start, y.t_start);
+            EXPECT_EQ(x.t_end, y.t_end);
+          }
+          EXPECT_EQ(a[r].distance_m, b[r].distance_m);
+          EXPECT_EQ(a[r].t_round_start, b[r].t_round_start);
+          EXPECT_FALSE(a[r].eve_rx_bob_tx.rrssi.empty());
+          EXPECT_TRUE(b[r].eve_rx_alice_tx.rrssi.empty());
+          EXPECT_TRUE(b[r].eve_rx_bob_tx.rrssi.empty());
+        }
+      }
+    }
+  }
 }
 
 TEST(TraceGenerator, TimelineIsOrdered) {
@@ -137,7 +183,7 @@ TEST(TraceProperties, CorrelationDropsWithAirtime) {
 TEST(TraceProperties, EveBoundaryDecorrelated) {
   // Eve is > lambda/2 from both parties: her small-scale fading is
   // independent, so her boundary arRSSI barely correlates with Alice's.
-  TraceGenerator gen(default_config());
+  TraceGenerator gen(eve_config());
   const auto rounds = gen.generate(250);
   std::vector<double> aa, ae;
   const core::ArRssiExtractor ex(0.10);
@@ -172,7 +218,7 @@ TEST(TraceGenerator, V2IStaticEndpointWorks) {
 TEST(TraceProperties, EveObservationsDifferFromBobs) {
   // Even though Eve overhears the very same transmissions, her register
   // readings go through her own link and never equal Bob's.
-  TraceGenerator gen(default_config());
+  TraceGenerator gen(eve_config());
   const auto round = gen.next_round();
   EXPECT_NE(round.eve_rx_alice_tx.rrssi, round.bob_rx.rrssi);
   EXPECT_NE(round.eve_rx_bob_tx.rrssi, round.alice_rx.rrssi);

@@ -1,8 +1,9 @@
 // Allocation budgets of the per-attempt hot path, counted through the
-// interposed allocator this binary links: a decode allocates a fixed number
-// of blocks however many greedy passes it runs, a key schedule's build and
-// rekeys stay under a fixed bound, and a warm SimClock cycle allocates
-// nothing.
+// interposed allocator this binary links: an Eve-less probe, its
+// extraction and a prediction each stay under a fixed bound, a decode
+// allocates a fixed number of blocks however many greedy passes it runs, a
+// key schedule's build and rekeys stay under a fixed bound, and a warm
+// SimClock cycle allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,9 @@
 #include "common/alloc_stats.h"
 #include "common/bitvec.h"
 #include "common/rng.h"
+#include "channel/trace.h"
+#include "core/dataset.h"
+#include "core/predictor.h"
 #include "core/reconciler.h"
 #include "protocol/key_schedule.h"
 #include "protocol/sim_clock.h"
@@ -30,6 +34,41 @@ std::uint64_t allocations_of(Fn&& fn) {
   const alloc_stats::PhaseScope phase;
   fn();
   return phase.delta().allocations;
+}
+
+TEST(AllocBudget, ProbeExtractPredictStayUnderFixedBounds) {
+  if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
+  // One probe of an Eve-less SF12 drive is 16 rounds: one 64-value window.
+  channel::TraceConfig tc;
+  tc.scenario = channel::make_scenario(channel::ScenarioKind::kV2VUrban, 50.0);
+  tc.seed = 1;
+  channel::TraceGenerator gen(tc);
+  (void)gen.generate(16);  // warm-up: registers the PHY's airtime metrics
+  std::vector<channel::ProbeRound> rounds;
+  // The round vector plus one rRSSI vector per legitimate reception: 33.
+  EXPECT_LE(allocations_of([&] { rounds = gen.generate(16); }), 40u);
+
+  const core::DatasetConfig ds;
+  std::vector<core::TrainingSample> samples;
+  EXPECT_LE(allocations_of([&] {
+              samples = core::make_samples(
+                  core::extract_streams(rounds, ds.extractor,
+                                        ds.reciprocal_windows),
+                  ds);
+            }),
+            40u);
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_TRUE(samples[0].eve_seq.empty());
+
+  const core::PredictorQuantizer predictor{core::PredictorConfig{}};
+  const nn::Vec& window = samples[0].alice_seq;
+  (void)predictor.infer(window);  // warm-up: packs the weights
+  // The workspace plus the Output's three vectors: 4, whatever seq_len.
+  EXPECT_LE(allocations_of([&] { (void)predictor.infer(window); }), 6u);
+  const std::vector<nn::Vec> windows(16, window);
+  (void)predictor.infer_batch(windows);
+  EXPECT_LE(allocations_of([&] { (void)predictor.infer_batch(windows); }),
+            6u * windows.size() + 8u);
 }
 
 TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {

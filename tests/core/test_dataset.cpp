@@ -15,8 +15,26 @@ channel::TraceConfig trace_config() {
   return cfg;
 }
 
+/// trace_config() with Eve placed, for the tests that read her stream.
+channel::TraceConfig eve_trace_config() {
+  channel::TraceConfig cfg = trace_config();
+  cfg.device_eve = channel::dragino_lora_shield();
+  return cfg;
+}
+
+/// The rounds with every Eve observation cleared, as a two-radio capture
+/// would record them.
+std::vector<channel::ProbeRound> strip_eve(
+    std::vector<channel::ProbeRound> rounds) {
+  for (auto& r : rounds) {
+    r.eve_rx_alice_tx = {};
+    r.eve_rx_bob_tx = {};
+  }
+  return rounds;
+}
+
 TEST(Dataset, StreamsAreIndexAligned) {
-  channel::TraceGenerator gen(trace_config());
+  channel::TraceGenerator gen(eve_trace_config());
   const auto rounds = gen.generate(10);
   const ArRssiExtractor ex(0.04);
   const auto st = extract_streams(rounds, ex, 4);
@@ -59,7 +77,7 @@ TEST(Dataset, MirroredPairingImprovesCorrelation) {
 }
 
 TEST(Dataset, SamplesHaveConsistentShapes) {
-  channel::TraceGenerator gen(trace_config());
+  channel::TraceGenerator gen(eve_trace_config());
   const auto rounds = gen.generate(100);
   DatasetConfig cfg;
   const auto samples =
@@ -75,6 +93,46 @@ TEST(Dataset, SamplesHaveConsistentShapes) {
               cfg.seq_len * static_cast<std::size_t>(
                                 cfg.quantizer.bits_per_sample));
   }
+}
+
+TEST(Dataset, EveLessTraceGivesTheSameLegitimateStreams) {
+  // Stripping Eve from a trace leaves Alice's and Bob's streams, windows and
+  // bits exactly as they were; only Eve's stream and windows go empty.
+  channel::TraceGenerator gen(eve_trace_config());
+  const auto rounds = gen.generate(40);
+  const DatasetConfig cfg;
+  const auto with = extract_streams(rounds, cfg.extractor,
+                                    cfg.reciprocal_windows);
+  const auto without = extract_streams(strip_eve(rounds), cfg.extractor,
+                                       cfg.reciprocal_windows);
+  EXPECT_EQ(without.alice, with.alice);
+  EXPECT_EQ(without.bob, with.bob);
+  EXPECT_EQ(with.eve.size(), with.alice.size());
+  EXPECT_TRUE(without.eve.empty());
+
+  const auto s_with = make_samples(with, cfg);
+  const auto s_without = make_samples(without, cfg);
+  ASSERT_EQ(s_without.size(), s_with.size());
+  ASSERT_FALSE(s_with.empty());
+  for (std::size_t i = 0; i < s_with.size(); ++i) {
+    EXPECT_EQ(s_without[i].alice_seq, s_with[i].alice_seq);
+    EXPECT_EQ(s_without[i].bob_seq, s_with[i].bob_seq);
+    EXPECT_EQ(s_without[i].bob_bits, s_with[i].bob_bits);
+    EXPECT_EQ(s_with[i].eve_seq.size(), cfg.seq_len);
+    EXPECT_TRUE(s_without[i].eve_seq.empty());
+  }
+}
+
+TEST(Dataset, TraceMixingRoundsWithAndWithoutEveRejected) {
+  channel::TraceGenerator gen(eve_trace_config());
+  const auto rounds = gen.generate(6);
+  const ArRssiExtractor ex(0.04);
+  auto mixed = rounds;
+  mixed[3].eve_rx_bob_tx = {};
+  EXPECT_THROW(extract_streams(mixed, ex, 4), vkey::Error);
+  auto mixed_first = strip_eve(rounds);
+  mixed_first[5] = rounds[5];
+  EXPECT_THROW(extract_streams(mixed_first, ex, 4), vkey::Error);
 }
 
 TEST(Dataset, StrideControlsOverlap) {
@@ -118,6 +176,9 @@ TEST(Dataset, MisalignedStreamsRejected) {
   st.alice = {1.0, 2.0};
   st.bob = {1.0};
   st.eve = {1.0, 2.0};
+  EXPECT_THROW(make_samples(st, DatasetConfig{}), vkey::Error);
+  st.bob = {1.0, 2.0};
+  st.eve = {1.0};  // an Eve stream is either empty or aligned
   EXPECT_THROW(make_samples(st, DatasetConfig{}), vkey::Error);
 }
 

@@ -76,6 +76,38 @@ TEST(Predictor, InputSizeChecked) {
   EXPECT_THROW(p.infer(nn::Vec(3, 0.0)), vkey::Error);
 }
 
+TEST(Predictor, InferBatchBitEqualsInfer) {
+  // The batched path runs the Dense heads in one blocked pass over the
+  // batch; every member must still equal its own infer() bit for bit, on
+  // the float and the int8 path, for any batch size.
+  PredictorConfig cfg = tiny_config();
+  cfg.seq_len = 32;
+  cfg.hidden = 8;
+  cfg.key_bits = 32;
+  PredictorQuantizer p(cfg);
+  p.train(synthetic_samples(cfg, 16, 21), 1);  // move off the initial weights
+  vkey::Rng rng(22);
+  for (const bool quantized : {false, true}) {
+    p.set_quantized(quantized);
+    for (const std::size_t n : {1u, 16u, 37u}) {
+      std::vector<nn::Vec> windows(n, nn::Vec(cfg.seq_len));
+      for (auto& w : windows) {
+        for (double& v : w) v = rng.uniform();
+      }
+      const auto batch = p.infer_batch(windows);
+      ASSERT_EQ(batch.size(), n);
+      for (std::size_t m = 0; m < n; ++m) {
+        SCOPED_TRACE("quantized " + std::to_string(quantized) + " batch " +
+                     std::to_string(n) + " member " + std::to_string(m));
+        const auto one = p.infer(windows[m]);
+        EXPECT_EQ(batch[m].predicted_seq, one.predicted_seq);
+        EXPECT_EQ(batch[m].probabilities, one.probabilities);
+        EXPECT_EQ(batch[m].bits, one.bits);
+      }
+    }
+  }
+}
+
 TEST(Predictor, TrainingReducesLoss) {
   const PredictorConfig cfg = tiny_config();
   PredictorQuantizer p(cfg);

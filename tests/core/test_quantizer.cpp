@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/error.h"
@@ -19,24 +20,20 @@ std::vector<double> gaussian_series(std::size_t n, std::uint64_t seed,
 }
 
 TEST(GrayCode, KnownCodes) {
-  EXPECT_EQ(MultiBitQuantizer::gray_code(0, 2),
-            (std::vector<std::uint8_t>{0, 0}));
-  EXPECT_EQ(MultiBitQuantizer::gray_code(1, 2),
-            (std::vector<std::uint8_t>{0, 1}));
-  EXPECT_EQ(MultiBitQuantizer::gray_code(2, 2),
-            (std::vector<std::uint8_t>{1, 1}));
-  EXPECT_EQ(MultiBitQuantizer::gray_code(3, 2),
-            (std::vector<std::uint8_t>{1, 0}));
+  EXPECT_EQ(MultiBitQuantizer::gray_code(0), 0b00u);
+  EXPECT_EQ(MultiBitQuantizer::gray_code(1), 0b01u);
+  EXPECT_EQ(MultiBitQuantizer::gray_code(2), 0b11u);
+  EXPECT_EQ(MultiBitQuantizer::gray_code(3), 0b10u);
 }
 
 TEST(GrayCode, AdjacentLevelsDifferInOneBit) {
   for (int bits = 1; bits <= 4; ++bits) {
     for (std::size_t level = 0; level + 1 < (1u << bits); ++level) {
-      const auto a = MultiBitQuantizer::gray_code(level, bits);
-      const auto b = MultiBitQuantizer::gray_code(level + 1, bits);
-      int diff = 0;
-      for (int i = 0; i < bits; ++i) diff += a[static_cast<std::size_t>(i)] != b[static_cast<std::size_t>(i)];
-      EXPECT_EQ(diff, 1) << "bits=" << bits << " level=" << level;
+      const std::size_t diff = MultiBitQuantizer::gray_code(level) ^
+                               MultiBitQuantizer::gray_code(level + 1);
+      EXPECT_EQ(std::popcount(diff), 1)
+          << "bits=" << bits << " level=" << level;
+      EXPECT_LT(MultiBitQuantizer::gray_code(level + 1), 1u << bits);
     }
   }
 }

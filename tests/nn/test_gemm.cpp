@@ -337,11 +337,15 @@ TEST(DenseGolden, InferBatchBitEqualsSequential) {
   Dense d(24, 40, rng, Activation::kTanh);
   vkey::Rng xr(204);
   std::vector<Vec> xs;
-  std::vector<const Vec*> ptrs;
   for (int b = 0; b < 5; ++b) xs.push_back(random_vec(24, xr));
-  for (const auto& x : xs) ptrs.push_back(&x);
-  const auto batched = d.infer_batch(ptrs);
-  ASSERT_EQ(batched.size(), xs.size());
+  std::vector<Vec> batched(xs.size(), Vec(40));
+  std::vector<const double*> xp;
+  std::vector<double*> yp;
+  for (std::size_t b = 0; b < xs.size(); ++b) {
+    xp.push_back(xs[b].data());
+    yp.push_back(batched[b].data());
+  }
+  d.infer_batch_into(xp.data(), xs.size(), yp.data());
   for (std::size_t b = 0; b < xs.size(); ++b) {
     EXPECT_EQ(batched[b], d.infer(xs[b])) << "member " << b;
   }

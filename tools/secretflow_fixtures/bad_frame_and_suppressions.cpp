@@ -12,14 +12,14 @@ void leak_frame(wire::FrameWriter& writer) {
 }
 
 void suppression_without_reason() {
-  const auto okm = hkdf(salt, ikm, info, 32);
+  const auto okm = hkdf_expand(hkdf_extract(salt, ikm), info, 32);
   // A bare allow() is fail-closed: the finding still fires AND the
   // suppression itself is flagged.
   std::cout << okm.expose()[0];  // vkey-secret: allow(secret-to-stream) // expect: secret-to-stream, suppression-missing-reason
 }
 
 void suppression_with_reason() {
-  const auto okm = hkdf(salt, ikm, info, 32);
+  const auto okm = hkdf_expand(hkdf_extract(salt, ikm), info, 32);
   // vkey-secret: allow(secret-to-stream) -- fixture: demonstrates a
   // documented declassification; silences the finding below.
   std::cout << okm.expose().size();

@@ -6,7 +6,7 @@
 namespace fixture {
 
 void leak_json(json::Value& snapshot) {
-  const auto okm = hkdf(salt, ikm, info, 32);
+  const auto okm = hkdf_expand(hkdf_extract(salt, ikm), info, 32);
   snapshot["key"] = json::Value(to_hex(okm));  // expect: secret-to-json
   snapshot["len"] = json::Value(32);  // length only: silent
 }

@@ -6,7 +6,7 @@
 namespace fixture {
 
 void leak_recorder(FlightRecorder* recorder) {
-  const auto mac_key = derive_subkey(prk, "mac", 32);
+  const auto mac_key = hkdf_expand(prk, "mac", 32);
   recorder->record(kTx, "alice", to_hex(mac_key));  // expect: secret-to-flight-recorder
   recorder->record(kTx, "alice", "mac verified");  // outcome only: silent
 }

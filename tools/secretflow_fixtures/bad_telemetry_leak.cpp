@@ -14,7 +14,7 @@ void leak_annotation(telemetry::Sampler& sampler) {
 }
 
 void leak_via_pointer(telemetry::Sampler* sampler) {
-  const auto okm = derive_subkey(prk, "telemetry", 16);
+  const auto okm = hkdf_expand(prk, "telemetry", 16);
   sampler->annotate("okm", std::string(okm.expose(), 16));  // expect: secret-to-telemetry
 }
 

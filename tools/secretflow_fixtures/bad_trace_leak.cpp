@@ -8,7 +8,7 @@
 namespace fixture {
 
 void leak_span_attr(trace::ScopedTimer& t, const SecretBuffer& session_key) {
-  const auto okm = hkdf(salt, ikm, info, 32);
+  const auto okm = hkdf_expand(hkdf_extract(salt, ikm), info, 32);
   t.attr("okm0", okm.expose()[0]);  // expect: secret-to-trace
   auto head = session_key.expose()[0];
   t.attr("head", head);  // expect: secret-to-trace
@@ -16,7 +16,7 @@ void leak_span_attr(trace::ScopedTimer& t, const SecretBuffer& session_key) {
 }
 
 void leak_instant(trace::TraceLog& log, double t_ms) {
-  const auto confirm_key = derive_subkey(prk, "confirm", 16);
+  const auto confirm_key = hkdf_expand(prk, "confirm", 16);
   log.instant("confirm", t_ms, confirm_key);  // expect: secret-to-trace
 }
 

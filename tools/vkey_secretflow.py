@@ -23,9 +23,8 @@ the probe failed rather than silently degrading.
 Taint model (tokenizer backend)
 -------------------------------
 sources
-    * calls: hkdf / hkdf_extract / hkdf_expand / derive_subkey /
-      ratchet_secret / derive_epoch_keys / amplify / aes_key / expose /
-      expose_mut
+    * calls: hkdf_extract / hkdf_expand / ratchet_secret /
+      derive_epoch_keys / amplify / expose / expose_mut
     * declarations of `SecretBuffer` variables
     * identifiers whose name marks them as key material (secret, prk, okm,
       ikm, ipad, opad, keystream, round_keys, *_key / key_bytes families)
@@ -107,8 +106,8 @@ ALLOWLIST = {
 # hatch. `expose` keeps the taint: leaving the container is not leaving the
 # secret domain.
 SOURCE_CALL = re.compile(
-    r"(?:\b(?:hkdf|hkdf_extract|hkdf_expand|derive_subkey|ratchet_secret|"
-    r"derive_epoch_keys|amplify|aes_key)\s*\()"
+    r"(?:\b(?:hkdf_extract|hkdf_expand|ratchet_secret|derive_epoch_keys|"
+    r"amplify)\s*\()"
     r"|(?:\.\s*expose(?:_mut)?\s*\(\s*\))"
 )
 
