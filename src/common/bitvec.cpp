@@ -20,7 +20,7 @@ BitVec BitVec::from_string(const std::string& s) {
   return out;
 }
 
-BitVec BitVec::from_bytes(const std::vector<std::uint8_t>& bytes,
+BitVec BitVec::from_bytes(std::span<const std::uint8_t> bytes,
                           std::size_t nbits) {
   VKEY_REQUIRE(nbits <= bytes.size() * 8, "not enough bytes for nbits");
   BitVec out;
@@ -88,11 +88,23 @@ double BitVec::agreement(const BitVec& rhs) const {
 }
 
 std::vector<std::uint8_t> BitVec::to_bytes() const {
-  std::vector<std::uint8_t> out((bits_.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (bits_[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - (i % 8)));
-  }
+  std::vector<std::uint8_t> out((bits_.size() + 7) / 8);
+  pack_bytes(0, out);
   return out;
+}
+
+void BitVec::pack_bytes(std::size_t first_byte,
+                        std::span<std::uint8_t> out) const {
+  VKEY_REQUIRE(first_byte + out.size() <= (bits_.size() + 7) / 8,
+               "byte range beyond the packed bits");
+  for (std::size_t b = 0; b < out.size(); ++b) {
+    const std::size_t bit0 = 8 * (first_byte + b);
+    std::uint8_t byte = 0;
+    for (std::size_t i = 0; i < 8 && bit0 + i < bits_.size(); ++i) {
+      if (bits_[bit0 + i]) byte |= static_cast<std::uint8_t>(1u << (7 - i));
+    }
+    out[b] = byte;
+  }
 }
 
 std::string BitVec::to_string() const {

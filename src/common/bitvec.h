@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +28,12 @@ class BitVec {
   static BitVec from_string(const std::string& s);
 
   /// Unpack from bytes, MSB-first within each byte, taking `nbits` bits.
-  static BitVec from_bytes(const std::vector<std::uint8_t>& bytes,
+  static BitVec from_bytes(std::span<const std::uint8_t> bytes,
                            std::size_t nbits);
+  static BitVec from_bytes(const std::vector<std::uint8_t>& bytes,
+                           std::size_t nbits) {
+    return from_bytes(std::span<const std::uint8_t>(bytes), nbits);
+  }
 
   std::size_t size() const noexcept { return bits_.size(); }
   bool empty() const noexcept { return bits_.empty(); }
@@ -71,6 +76,11 @@ class BitVec {
 
   /// Pack MSB-first into bytes (last byte zero-padded).
   std::vector<std::uint8_t> to_bytes() const;
+
+  /// Bytes [first_byte, first_byte + out.size()) of to_bytes(), written
+  /// into `out` without allocating (callers that hash or MAC a key pack it
+  /// into a stack block they wipe). The range must lie within to_bytes().
+  void pack_bytes(std::size_t first_byte, std::span<std::uint8_t> out) const;
 
   /// Render as a '0'/'1' string.
   std::string to_string() const;

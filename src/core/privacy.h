@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bitvec.h"
 
@@ -22,6 +23,12 @@ class PrivacyAmplifier {
   /// Hash the agreed raw bits (with an optional session salt) down to the
   /// configured output width.
   BitVec amplify(const BitVec& raw, std::uint64_t session_salt = 0) const;
+
+  /// amplify() as packed bytes (MSB-first, out_bits / 8 of them) written
+  /// into `out` without allocating: the raw bits are packed into a wiped
+  /// stack block as they are hashed.
+  void amplify_into(const BitVec& raw, std::uint64_t session_salt,
+                    std::span<std::uint8_t> out) const;
 
  private:
   std::size_t out_bits_ = 0;

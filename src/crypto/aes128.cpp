@@ -130,9 +130,10 @@ void Aes128::encrypt_block(std::uint8_t s[kBlockSize]) const {
   add_round_key(10);
 }
 
-std::vector<std::uint8_t> Aes128::ctr_crypt(
-    const std::vector<std::uint8_t>& data, std::uint64_t nonce) const {
-  std::vector<std::uint8_t> out(data.size());
+void Aes128::ctr_crypt(std::span<const std::uint8_t> data,
+                       std::uint64_t nonce,
+                       std::span<std::uint8_t> out) const {
+  VKEY_REQUIRE(out.size() == data.size(), "CTR output must match the input");
   std::uint8_t counter_block[kBlockSize];
   std::uint8_t keystream[kBlockSize];
   for (std::size_t off = 0; off < data.size(); off += kBlockSize) {
@@ -152,7 +153,6 @@ std::vector<std::uint8_t> Aes128::ctr_crypt(
   // The residual keystream block is key-derived; known keystream bytes
   // reveal plaintext of any message reusing this (nonce, counter) pair.
   secure_wipe(keystream, sizeof(keystream));
-  return out;
 }
 
 }  // namespace vkey::crypto

@@ -47,9 +47,19 @@ class Aes128 {
 
   /// CTR-mode keystream XOR: encryption and decryption are the same
   /// operation. `nonce` forms the upper 8 bytes of the counter block; the
-  /// lower 8 bytes count blocks starting from 0.
+  /// lower 8 bytes count blocks starting from 0. Writes `data` XOR the
+  /// keystream into `out`, which must be as long as `data` (it may be the
+  /// same storage).
+  void ctr_crypt(std::span<const std::uint8_t> data, std::uint64_t nonce,
+                 std::span<std::uint8_t> out) const;
+
+  /// ctr_crypt() into a fresh vector.
   std::vector<std::uint8_t> ctr_crypt(const std::vector<std::uint8_t>& data,
-                                      std::uint64_t nonce) const;
+                                      std::uint64_t nonce) const {
+    std::vector<std::uint8_t> out(data.size());
+    ctr_crypt(data, nonce, out);
+    return out;
+  }
 
  private:
   // 11 round keys of 16 bytes each.

@@ -46,6 +46,11 @@ void secure_wipe(void* p, std::size_t len) noexcept;
 /// clears; capacity may survive but holds only zeros).
 void secure_wipe(std::vector<std::uint8_t>& v) noexcept;
 
+/// Wipe fixed storage (a stack block or array member that held a key).
+inline void secure_wipe(std::span<std::uint8_t> bytes) noexcept {
+  secure_wipe(bytes.data(), bytes.size());
+}
+
 class SecretBuffer {
  public:
   SecretBuffer() = default;

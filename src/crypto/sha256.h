@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ class Sha256 {
 
   /// Absorb `len` bytes.
   void update(const std::uint8_t* data, std::size_t len);
-  void update(const std::vector<std::uint8_t>& data) {
+  void update(std::span<const std::uint8_t> data) {
     update(data.data(), data.size());
   }
 

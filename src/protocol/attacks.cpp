@@ -21,13 +21,11 @@ BitVec eavesdrop_attack(const core::AutoencoderReconciler& reconciler,
 }
 
 void install_syndrome_tamper(PublicChannel& channel) {
-  channel.set_interceptor([](const Message& msg) -> std::optional<Message> {
-    if (msg.type != MessageType::kSyndrome || msg.payload.empty()) {
-      return msg;
+  channel.set_interceptor([](Message& msg) {
+    if (msg.type == MessageType::kSyndrome && !msg.payload.empty()) {
+      msg.payload[msg.payload.size() / 2] ^= 0x80;
     }
-    Message tampered = msg;
-    tampered.payload[tampered.payload.size() / 2] ^= 0x80;
-    return tampered;
+    return true;
   });
 }
 

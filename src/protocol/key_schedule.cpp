@@ -15,11 +15,11 @@ namespace vkey::protocol {
 
 namespace {
 
-void append_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+/// The 4-byte epoch prefix every confirm and data payload starts with.
+std::array<std::uint8_t, 4> be32(std::uint32_t v) {
+  return {static_cast<std::uint8_t>(v >> 24),
+          static_cast<std::uint8_t>(v >> 16),
+          static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
 }
 
 /// The ASCII bytes of a string literal without its terminator: the HKDF
@@ -77,17 +77,17 @@ DirectionKeys derive_direction(const crypto::SecretBuffer& prk,
   return keys;
 }
 
-/// Tag = HMAC(confirm_key, mac_input(frame) || role byte). mac_input covers
-/// type|session|nonce|payload, so the tag binds the whole confirm frame; the
-/// role byte rules out reflection even if the types were ever unified. The
-/// tag itself is public (it rides the frame); only the key is secret.
-std::vector<std::uint8_t> confirm_tag(const EpochKeys& keys,
-                                      const Message& msg,
-                                      KeySchedule::Role role) {
-  std::vector<std::uint8_t> input = mac_input(msg);
-  input.push_back(static_cast<std::uint8_t>(role));
-  const auto tag = crypto::hmac_sha256(keys.confirm, input);
-  return {tag.begin(), tag.end()};
+/// Tag = HMAC(confirm_key, mac_header(frame) || payload || role byte). The
+/// header covers type|session|nonce|payload length, so the tag binds the
+/// whole confirm frame; the role byte rules out reflection even if the
+/// types were ever unified. The tag itself is public (it rides the frame);
+/// only the key is secret.
+std::array<std::uint8_t, 32> confirm_tag(const EpochKeys& keys,
+                                         const Message& msg,
+                                         KeySchedule::Role role) {
+  const auto role_byte = static_cast<std::uint8_t>(role);
+  return frame_mac(keys.confirm, msg,
+                   std::span<const std::uint8_t>(&role_byte, 1));
 }
 
 }  // namespace
@@ -149,13 +149,19 @@ void KeySchedule::rekey(double now_ms) {
 
 Message KeySchedule::make_confirm(std::uint64_t nonce) const {
   Message msg;
-  msg.type = role_ == Role::kInitiator ? MessageType::kKeyConfirm
-                                       : MessageType::kKeyConfirmAck;
-  msg.session_id = session_id_;
-  msg.nonce = nonce;
-  append_be32(msg.payload, current_.epoch);
-  msg.mac = confirm_tag(current_, msg, role_);
+  make_confirm(nonce, msg);
   return msg;
+}
+
+void KeySchedule::make_confirm(std::uint64_t nonce, Message& out) const {
+  out.type = role_ == Role::kInitiator ? MessageType::kKeyConfirm
+                                       : MessageType::kKeyConfirmAck;
+  out.session_id = session_id_;
+  out.nonce = nonce;
+  const auto epoch = be32(current_.epoch);
+  out.payload.assign(epoch.begin(), epoch.end());
+  const auto tag = confirm_tag(current_, out, role_);
+  out.mac.assign(tag.begin(), tag.end());
 }
 
 bool KeySchedule::verify_confirm(const Message& msg) const {
@@ -181,11 +187,13 @@ Message KeySchedule::seal(std::uint64_t nonce,
   msg.type = MessageType::kData;
   msg.session_id = session_id_;
   msg.nonce = nonce;
-  append_be32(msg.payload, current_.epoch);
-  const auto cipher =
-      crypto::Aes128(tx.enc).ctr_crypt(plain, tx.nonce_base ^ nonce);
-  msg.payload.insert(msg.payload.end(), cipher.begin(), cipher.end());
-  const auto tag = crypto::hmac_sha256(tx.mac, mac_input(msg));
+  const auto epoch = be32(current_.epoch);
+  msg.payload.resize(epoch.size() + plain.size());
+  std::copy(epoch.begin(), epoch.end(), msg.payload.begin());
+  crypto::Aes128(tx.enc).ctr_crypt(
+      plain, tx.nonce_base ^ nonce,
+      std::span<std::uint8_t>(msg.payload).subspan(epoch.size()));
+  const auto tag = frame_mac(tx.mac, msg);
   msg.mac.assign(tag.begin(), tag.end());
   ++stats_.sealed;
   return msg;
@@ -214,8 +222,7 @@ std::optional<std::vector<std::uint8_t>> KeySchedule::open(const Message& msg,
     // epoch number alone must not move the schedule.
     auto next_secret = ratchet_secret(secret_, session_id_, epoch);
     EpochKeys candidate = derive_epoch_keys(next_secret, session_id_, epoch);
-    const auto tag =
-        crypto::hmac_sha256(recv_keys(candidate).mac, mac_input(msg));
+    const auto tag = frame_mac(recv_keys(candidate).mac, msg);
     if (!crypto::constant_time_equal(msg.mac, tag)) {
       ++stats_.mac_rejects;
       return std::nullopt;
@@ -236,16 +243,17 @@ std::optional<std::vector<std::uint8_t>> KeySchedule::open(const Message& msg,
   // The fast-forward path verified once already; verifying again here keeps
   // a single authenticate-then-decrypt sequence for every route.
   const DirectionKeys& rx = recv_keys(*keys);
-  const auto tag = crypto::hmac_sha256(rx.mac, mac_input(msg));
+  const auto tag = frame_mac(rx.mac, msg);
   if (!crypto::constant_time_equal(msg.mac, tag)) {
     ++stats_.mac_rejects;
     return std::nullopt;
   }
 
-  std::vector<std::uint8_t> cipher(msg.payload.begin() + 4,
-                                   msg.payload.end());
-  auto plain = crypto::Aes128(rx.enc).ctr_crypt(cipher, rx.nonce_base ^
-                                                            msg.nonce);
+  // Decrypt straight from the frame: the ciphertext follows the 4-byte
+  // epoch prefix read above.
+  const auto cipher = std::span<const std::uint8_t>(msg.payload).subspan(4);
+  std::vector<std::uint8_t> plain(cipher.size());
+  crypto::Aes128(rx.enc).ctr_crypt(cipher, rx.nonce_base ^ msg.nonce, plain);
   ++stats_.opened;
   if (grace) ++stats_.grace_opens;
   return plain;
@@ -294,43 +302,65 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
   using Endpoint = UnreliableChannel::Endpoint;
   VKEY_REQUIRE(max_transmissions >= 1, "need at least one transmission");
 
-  ConfirmReport report;
-  const double t0 = clock.now_ms();
-  double done_at = t0;
-  bool done = false;
-  std::uint64_t ack_nonce = nonce_base + 500'000;
+  // The round trip in one object: every handler and timer captures only a
+  // pointer to it, which std::function stores inline, and each role
+  // rewrites its one frame in place for every transmission.
+  struct Round {
+    SimClock& clock;
+    UnreliableChannel& link;
+    const KeySchedule& initiator;
+    const KeySchedule& responder;
+    std::size_t max_transmissions;
+    std::uint64_t nonce_base;
+    double timeout_ms = 0.0;
+    std::size_t transmissions = 0;
+    std::uint64_t ack_nonce = 0;
+    bool done = false;
+    double done_at = 0.0;
+    Message confirm{};  ///< the initiator's frame
+    Message ack{};      ///< the responder's frame
 
-  // The responder is stateless: every authentic confirm earns a fresh ack,
-  // so a lost ack heals on the initiator's next retransmission.
-  link.set_handler(Endpoint::kBob, [&](const Message& msg) {
-    if (msg.type == MessageType::kKeyConfirm &&
-        responder.verify_confirm(msg)) {
-      link.send(Endpoint::kBob, responder.make_confirm(ack_nonce++));
+    void transmit() {
+      if (done || transmissions >= max_transmissions) return;
+      ++transmissions;
+      initiator.make_confirm(nonce_base + transmissions, confirm);
+      link.send(Endpoint::kAlice, confirm);
+      clock.schedule(timeout_ms, [this] { transmit(); });
     }
-  });
-  link.set_handler(Endpoint::kAlice, [&](const Message& msg) {
-    if (!done && msg.type == MessageType::kKeyConfirmAck &&
-        initiator.verify_confirm(msg)) {
-      done = true;
-      done_at = clock.now_ms();
+    // The responder is stateless: every authentic confirm earns a fresh
+    // ack, so a lost ack heals on the initiator's next retransmission.
+    void at_responder(const Message& msg) {
+      if (msg.type == MessageType::kKeyConfirm &&
+          responder.verify_confirm(msg)) {
+        responder.make_confirm(ack_nonce++, ack);
+        link.send(Endpoint::kBob, ack);
+      }
     }
-  });
+    void at_initiator(const Message& msg) {
+      if (!done && msg.type == MessageType::kKeyConfirmAck &&
+          initiator.verify_confirm(msg)) {
+        done = true;
+        done_at = clock.now_ms();
+      }
+    }
+  } round{clock, link, initiator, responder, max_transmissions, nonce_base};
+  const double t0 = clock.now_ms();
+  round.done_at = t0;
+  round.ack_nonce = nonce_base + 500'000;
+
+  link.set_handler(Endpoint::kBob,
+                   [&round](const Message& msg) { round.at_responder(msg); });
+  link.set_handler(Endpoint::kAlice,
+                   [&round](const Message& msg) { round.at_initiator(msg); });
 
   // Retransmit on a flat timeout of ~2 RTT plus slack for reordering and
   // duplicate echoes. All virtual time, so the choice only affects how much
-  // simulated air the retries consume.
-  const Message probe = initiator.make_confirm(nonce_base);
-  const double timeout_ms =
-      4.0 * link.nominal_latency_ms(probe) + kReorderWindowMs + 100.0;
+  // simulated air the retries consume. Every confirm frame has one size.
+  initiator.make_confirm(nonce_base, round.confirm);
+  round.timeout_ms =
+      4.0 * link.nominal_latency_ms(round.confirm) + kReorderWindowMs + 100.0;
 
-  std::function<void()> attempt = [&] {
-    if (done || report.transmissions >= max_transmissions) return;
-    ++report.transmissions;
-    link.send(Endpoint::kAlice,
-              initiator.make_confirm(nonce_base + report.transmissions));
-    clock.schedule(timeout_ms, attempt);
-  };
-  attempt();
+  round.transmit();
   clock.run_until_idle();
 
   // The handlers capture locals of this frame; leave inert ones behind so a
@@ -338,8 +368,10 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
   link.set_handler(Endpoint::kAlice, [](const Message&) {});
   link.set_handler(Endpoint::kBob, [](const Message&) {});
 
-  report.confirmed = done;
-  report.duration_ms = (done ? done_at : clock.now_ms()) - t0;
+  ConfirmReport report;
+  report.confirmed = round.done;
+  report.transmissions = round.transmissions;
+  report.duration_ms = (round.done ? round.done_at : clock.now_ms()) - t0;
   return report;
 }
 

@@ -30,7 +30,11 @@
 // transcript || role), the responder verifies and answers kKeyConfirmAck
 // under its own role tag. Both tags bind the epoch, session id and frame
 // header, so confirming proves live possession of this epoch's schedule —
-// not a replay of an earlier one.
+// not a replay of an earlier one. Every tag (confirm, seal, open) is
+// frame_mac() over the frame's fixed header array and its payload span
+// (message.h), so a MAC assembles no input; open() decrypts straight from
+// the frame, and run_key_confirmation() rewrites one frame per role in
+// place for each transmission.
 //
 // Rekeying is driven by virtual time (RekeyTimer on the SimClock — wall
 // clocks are banned in library code). Old-epoch keys stay valid for a
@@ -146,6 +150,8 @@ class KeySchedule {
   // role byte), so neither side can reflect the other's tag back.
 
   Message make_confirm(std::uint64_t nonce) const;
+  /// make_confirm() into `out`, reusing its payload and MAC storage.
+  void make_confirm(std::uint64_t nonce, Message& out) const;
   /// Verify the *peer's* confirmation frame for the current epoch.
   bool verify_confirm(const Message& msg) const;
 

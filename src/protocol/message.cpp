@@ -3,14 +3,15 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "crypto/hmac.h"
 
 namespace vkey::protocol {
 
 namespace {
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (56 - 8 * i)));
+void put_u64(std::span<std::uint8_t, 8> out, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
   }
 }
 
@@ -29,14 +30,21 @@ std::string to_string(MessageType t) {
   return "?";
 }
 
-std::vector<std::uint8_t> mac_input(const Message& msg) {
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(msg.type));
-  put_u64(out, msg.session_id);
-  put_u64(out, msg.nonce);
-  put_u64(out, msg.payload.size());
-  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
+std::array<std::uint8_t, kMacHeaderBytes> mac_header(const Message& msg) {
+  std::array<std::uint8_t, kMacHeaderBytes> out{};
+  out[0] = static_cast<std::uint8_t>(msg.type);
+  const std::span<std::uint8_t> rest = std::span(out).subspan(1);
+  put_u64(rest.subspan<0, 8>(), msg.session_id);
+  put_u64(rest.subspan<8, 8>(), msg.nonce);
+  put_u64(rest.subspan<16, 8>(), msg.payload.size());
   return out;
+}
+
+std::array<std::uint8_t, 32> frame_mac(std::span<const std::uint8_t> key,
+                                       const Message& msg,
+                                       std::span<const std::uint8_t> suffix) {
+  const auto header = mac_header(msg);
+  return crypto::hmac_sha256(key, {header, msg.payload, suffix});
 }
 
 // Both copies move whole, size-matched spans (out is sized from the input,
@@ -51,8 +59,17 @@ std::vector<double> unpack_doubles(std::span<const std::uint8_t> bytes) {
   VKEY_REQUIRE(bytes.size() % sizeof(double) == 0,
                "payload is not a double vector");
   std::vector<double> out(bytes.size() / sizeof(double));
-  std::memcpy(out.data(), bytes.data(), bytes.size());  // vkey-lint: allow(bounded-reader)
+  unpack_doubles(bytes, out);
   return out;
+}
+
+bool unpack_doubles(std::span<const std::uint8_t> bytes,
+                    std::span<double> out) {
+  if (bytes.size() != out.size() * sizeof(double)) return false;
+  if (!bytes.empty()) {
+    std::memcpy(out.data(), bytes.data(), bytes.size());  // vkey-lint: allow(bounded-reader)
+  }
+  return true;
 }
 
 }  // namespace vkey::protocol

@@ -1,8 +1,8 @@
 // Messages of the Vehicle-Key agreement protocol (Sec. IV-C): type, session
 // id, nonce, payload and MAC. This header defines the logical message, the
-// length bounds every parser enforces, the byte string a MAC covers and the
-// payload packing helpers; the one on-air encoding is the framed codec in
-// protocol/wire.h.
+// length bounds every parser enforces, the byte string a MAC covers (and
+// the part-wise MAC over it) and the payload packing helpers; the one
+// on-air encoding is the framed codec in protocol/wire.h.
 //
 // Only reconciliation and confirmation need explicit messages (probing is
 // radio-level and carried by the channel simulator). Every message carries a
@@ -12,10 +12,13 @@
 // modification (Sec. IV-C), while nonces + session ids defeat replay.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "crypto/secret_buffer.h"
 
 namespace vkey::protocol {
 
@@ -59,14 +62,35 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
-/// The byte string a MAC covers: type | be64 session | be64 nonce |
-/// be64 payload length | payload — everything except the mac field itself.
-/// Deterministic, and independent of the wire framing.
-std::vector<std::uint8_t> mac_input(const Message& msg);
+/// The byte string a MAC covers is mac_header(msg) || payload: type |
+/// be64 session | be64 nonce | be64 payload length | payload — everything
+/// except the mac field itself. Deterministic, and independent of the wire
+/// framing.
+inline constexpr std::size_t kMacHeaderBytes = 25;
+std::array<std::uint8_t, kMacHeaderBytes> mac_header(const Message& msg);
+
+/// HMAC-SHA256 under `key` of mac_header(msg) || payload || `suffix`,
+/// hashed part by part so the input is never assembled (the key schedule's
+/// confirm tags append their role byte as `suffix`). The tag is public: it
+/// rides the frame.
+std::array<std::uint8_t, 32> frame_mac(
+    std::span<const std::uint8_t> key, const Message& msg,
+    std::span<const std::uint8_t> suffix = {});
+/// frame_mac() under a managed secret key without exposing it at the call
+/// site.
+inline std::array<std::uint8_t, 32> frame_mac(
+    const crypto::SecretBuffer& key, const Message& msg,
+    std::span<const std::uint8_t> suffix = {}) {
+  return frame_mac(key.expose(), msg, suffix);
+}
 
 /// Pack a vector of doubles into the payload (little-endian IEEE754) and
 /// back (the syndrome y_Bob is a real vector).
 std::vector<std::uint8_t> pack_doubles(std::span<const double> values);
 std::vector<double> unpack_doubles(std::span<const std::uint8_t> bytes);
+/// Unpack into `out`; false (and `out` untouched) unless `bytes` holds
+/// exactly out.size() doubles.
+bool unpack_doubles(std::span<const std::uint8_t> bytes,
+                    std::span<double> out);
 
 }  // namespace vkey::protocol

@@ -1,5 +1,6 @@
 #include "protocol/reliability.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 
@@ -112,9 +113,16 @@ AgreementReport run_reliable_key_agreement(
   VKEY_REQUIRE(config.max_session_attempts >= 1, "need at least one attempt");
   AgreementReport report;
 
-  // This agreement's private timeline. Attempts run on it back to back:
-  // clear() drops a torn-down attempt's events but never rewinds time.
+  // The agreement's workspace, reused by every attempt: its private
+  // timeline (attempts run on it back to back; clear() drops a torn-down
+  // attempt's events but never rewinds time, and its heap stays warm) and
+  // one link, whose frame slots stay warm too. Each attempt restarts the
+  // link's fault stream and builds fresh sessions and transports.
   SimClock clock;  // vkey-lint: allow(sim-clock-owner)
+  UnreliableChannel link(clock, base, config.fault, config.radio);
+  // Room for the usual handful of attempts up front.
+  report.attempt_log.reserve(
+      std::min<std::size_t>(config.max_session_attempts, 8));
 
   // Virtual time-to-establish across the whole agreement (all attempts),
   // accumulated from the per-attempt spans.
@@ -142,9 +150,7 @@ AgreementReport run_reliable_key_agreement(
     trace::ScopedTimer attempt_timer(
         metrics::histogram<"reliability.attempt_ms">(),
         [&clock] { return clock.now_ms(); }, "reliability.attempt");
-    FaultConfig faults = config.fault;
-    faults.seed = hash_combine64(config.fault.seed, attempt);
-    UnreliableChannel link(clock, base, faults, config.radio);
+    link.reset(hash_combine64(config.fault.seed, attempt));
 
     // Per-attempt flight recorder stamped with this attempt's virtual
     // clock; every layer below appends its events to the same timeline.
@@ -201,7 +207,7 @@ AgreementReport run_reliable_key_agreement(
     att.bob_transport = bob_tx.stats();
     att.alice_duplicates_suppressed = alice.duplicates_suppressed();
     att.bob_duplicates_suppressed = bob.duplicates_suppressed();
-    att.established = established() && alice.final_key() == bob.final_key();
+    att.established = alice.agrees_with(bob);
     att.failure = att.established
                       ? FailureReason::kNone
                       : classify_failure(alice, bob,
@@ -217,8 +223,8 @@ AgreementReport run_reliable_key_agreement(
     att.flight = std::move(flight);
 
     // Tear down the attempt's residue: un-fired ARQ timers and in-flight
-    // deliveries hold closures over the link, transports and sessions that
-    // die with this scope.
+    // deliveries hold closures over the transports and sessions that die
+    // with this scope (and clearing frees the link's slots).
     clock.clear();
 
     report.time_to_establish_ms += att.duration_ms;

@@ -13,6 +13,10 @@ namespace vkey::protocol {
 
 namespace {
 
+/// A session publishes at most three distinct frames (Bob: accept,
+/// syndrome, confirm-ack): the frame table's size.
+constexpr std::size_t kMaxTrackedFrames = 3;
+
 /// The kAck frame acknowledging `msg`: same (session, nonce), no payload.
 Message ack_for(const Message& msg) {
   Message ack;
@@ -46,12 +50,18 @@ ReliableTransport::ReliableTransport(SimClock& clock, const ArqConfig& config,
   link_.set_handler(endpoint_, [this](const Message& m) { on_wire(m); });
 }
 
-void ReliableTransport::arm_timer(std::uint64_t nonce) {
-  auto& entry = inflight_.at(nonce);
+std::vector<ReliableTransport::Tracked>::iterator ReliableTransport::find(
+    std::uint64_t nonce) {
+  return std::find_if(frames_.begin(), frames_.end(),
+                      [nonce](const Tracked& t) { return t.msg.nonce == nonce; });
+}
+
+void ReliableTransport::arm_timer(Tracked& entry) {
   const double backoff = arq_backoff_delay_ms(entry.attempt, rng_);
   metrics::histogram<"arq.backoff_ms">().observe(backoff);
   const double timeout =
       link_.nominal_latency_ms(entry.msg) + ack_latency_ms_ + backoff;
+  const std::uint64_t nonce = entry.msg.nonce;
   if (FlightRecorder* rec = link_.recorder()) {
     rec->record(FlightEventKind::kBackoff, to_string(endpoint_),
                 "attempt=" + std::to_string(entry.attempt) +
@@ -62,62 +72,74 @@ void ReliableTransport::arm_timer(std::uint64_t nonce) {
 }
 
 void ReliableTransport::on_timeout(std::uint64_t nonce) {
-  const auto it = inflight_.find(nonce);
-  if (it == inflight_.end()) return;  // acked while the event was queued
-  if (it->second.attempt >= kMaxRetries) {
+  const auto entry = find(nonce);
+  if (entry == frames_.end() || entry->acked) return;  // acked while queued
+  if (entry->attempt >= kMaxRetries) {
     ++stats_.gave_up;
     metrics::counter<"arq.gave_up">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
       rec->record(FlightEventKind::kGaveUp, to_string(endpoint_),
-                  to_string(it->second.msg.type) + " after " +
+                  to_string(entry->msg.type) + " after " +
                       std::to_string(kMaxRetries) + " retries",
-                  it->second.msg.session_id, nonce);
+                  entry->msg.session_id, nonce);
     }
     exhausted_ = true;
-    inflight_.erase(it);
+    frames_.erase(entry);
     return;
   }
-  ++it->second.attempt;
+  ++entry->attempt;
   ++stats_.retransmissions;
   metrics::counter<"arq.timeouts">().add(1);
   metrics::counter<"arq.retransmissions">().add(1);
   if (FlightRecorder* rec = link_.recorder()) {
     rec->record(FlightEventKind::kRetransmit, to_string(endpoint_),
-                "timeout attempt=" + std::to_string(it->second.attempt),
-                it->second.msg.session_id, nonce);
+                "timeout attempt=" + std::to_string(entry->attempt),
+                entry->msg.session_id, nonce);
   }
-  link_.send(endpoint_, it->second.msg);
-  arm_timer(nonce);
+  link_.send(endpoint_, entry->msg);
+  arm_timer(*entry);
 }
 
 void ReliableTransport::send(const Message& msg) {
+  if (!resend(msg)) track(msg);
+}
+
+void ReliableTransport::send(Message&& msg) {
+  if (!resend(msg)) track(std::move(msg));
+}
+
+bool ReliableTransport::resend(const Message& msg) {
   VKEY_REQUIRE(msg.type != MessageType::kAck,
                "acks are transport-internal; send() takes protocol frames");
-  if (completed_.count(msg.nonce) > 0) return;  // peer already acked it
-  const auto it = inflight_.find(msg.nonce);
-  if (it != inflight_.end()) {
-    // Fast retransmit: the session re-elicited this response because the
-    // peer asked again, so don't wait for the timer.
-    ++stats_.retransmissions;
-    metrics::counter<"arq.retransmissions">().add(1);
-    if (FlightRecorder* rec = link_.recorder()) {
-      rec->record(FlightEventKind::kRetransmit, to_string(endpoint_), "fast",
-                  it->second.msg.session_id, msg.nonce);
-    }
-    link_.send(endpoint_, it->second.msg);
-    return;
+  const auto entry = find(msg.nonce);
+  if (entry == frames_.end()) return false;
+  if (entry->acked) return true;  // peer already acked it
+  // Fast retransmit: the session re-elicited this response because the
+  // peer asked again, so don't wait for the timer.
+  ++stats_.retransmissions;
+  metrics::counter<"arq.retransmissions">().add(1);
+  if (FlightRecorder* rec = link_.recorder()) {
+    rec->record(FlightEventKind::kRetransmit, to_string(endpoint_), "fast",
+                entry->msg.session_id, msg.nonce);
   }
-  inflight_[msg.nonce] = Pending{msg, 0, 0};
+  link_.send(endpoint_, entry->msg);
+  return true;
+}
+
+void ReliableTransport::track(Message msg) {
+  if (frames_.empty()) frames_.reserve(kMaxTrackedFrames);
+  Tracked& entry = frames_.emplace_back();
+  entry.msg = std::move(msg);
   ++stats_.data_sent;
   metrics::counter<"arq.data_sent">().add(1);
-  link_.send(endpoint_, msg);
-  arm_timer(msg.nonce);
+  link_.send(endpoint_, entry.msg);
+  arm_timer(entry);
 }
 
 void ReliableTransport::on_wire(const Message& msg) {
   if (msg.type == MessageType::kAck) {
-    const auto it = inflight_.find(msg.nonce);
-    if (it == inflight_.end()) {
+    const auto entry = find(msg.nonce);
+    if (entry == frames_.end() || entry->acked) {
       ++stats_.stale_acks;
       if (FlightRecorder* rec = link_.recorder()) {
         rec->record(FlightEventKind::kStaleAck, to_string(endpoint_), {},
@@ -125,9 +147,8 @@ void ReliableTransport::on_wire(const Message& msg) {
       }
       return;
     }
-    clock_.cancel(it->second.timer);
-    completed_.insert(msg.nonce);
-    inflight_.erase(it);
+    clock_.cancel(entry->timer);
+    entry->acked = true;
     ++stats_.acks_received;
     metrics::counter<"arq.acks_received">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
@@ -137,13 +158,12 @@ void ReliableTransport::on_wire(const Message& msg) {
     return;
   }
 
-  auto response = session_.handle(msg);
+  const Message* response = session_.respond(msg);
   if (auto unprompted = session_.take_unprompted()) {
     // A frame the session publishes on its own (Bob's syndrome once he
     // accepts) goes out one event later, after the response sent below.
-    clock_.schedule(0.0, [this, frame = std::move(*unprompted)] {
-      send(frame);
-    });
+    unprompted_ = std::move(*unprompted);
+    clock_.schedule(0.0, [this] { send(std::move(unprompted_)); });
   }
   // Gated ACK: only frames the session accepted or recognized as benign
   // duplicates; a state-rejected frame waits for its retransmission.
@@ -157,7 +177,7 @@ void ReliableTransport::on_wire(const Message& msg) {
                   "for " + to_string(msg.type), msg.session_id, msg.nonce);
     }
   }
-  if (response.has_value()) send(*response);
+  if (response != nullptr) send(*response);
 }
 
 }  // namespace vkey::protocol

@@ -27,11 +27,16 @@
 //
 // Retransmissions, backoff arming, ack traffic and exhaustion are logged to
 // the link's flight recorder under the endpoint's name ("alice"/"bob").
+//
+// Frame ownership: the transport keeps one copy of every frame it tracks
+// (moved in when the caller hands over an rvalue) in a small flat table —
+// a session publishes at most three distinct frames — and an acked frame
+// stays there, marked, so a retransmission, a fast resend or an ack
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "protocol/message.h"
@@ -83,8 +88,10 @@ class ReliableTransport {
   /// Reliable send: transmit now and retransmit on timeout until acked or
   /// the retry budget is exhausted. Re-sending a frame already in flight
   /// (a session re-eliciting its cached response) triggers an immediate
-  /// fast retransmission instead of a new tracking entry.
+  /// fast retransmission instead of a new tracking entry; re-sending an
+  /// acked one does nothing. Only a new frame is copied (or moved) in.
   void send(const Message& msg);
+  void send(Message&& msg);
 
   /// True once any frame ran out of retries (the session attempt is dead).
   bool exhausted() const { return exhausted_; }
@@ -92,14 +99,23 @@ class ReliableTransport {
   const TransportStats& stats() const { return stats_; }
 
  private:
-  struct Pending {
+  struct Tracked {
     Message msg;
     std::size_t attempt = 0;
     SimClock::EventId timer = 0;
+    bool acked = false;  ///< the peer acknowledged it: no longer in flight
   };
 
+  /// The tracked frame with this nonce, in flight or acked (end() when
+  /// untracked: never sent, or given up).
+  std::vector<Tracked>::iterator find(std::uint64_t nonce);
+  /// send() of a frame already tracked: fast retransmission while it is in
+  /// flight, nothing once acked. False when `msg` is new.
+  bool resend(const Message& msg);
+  /// First transmission of a new frame.
+  void track(Message msg);
   void on_wire(const Message& msg);
-  void arm_timer(std::uint64_t nonce);
+  void arm_timer(Tracked& entry);
   void on_timeout(std::uint64_t nonce);
 
   SimClock& clock_;
@@ -108,8 +124,8 @@ class ReliableTransport {
   SessionEndpoint& session_;
   double ack_latency_ms_;  ///< one-way latency of an ack frame
   vkey::Rng rng_;
-  std::map<std::uint64_t, Pending> inflight_;  // keyed by frame nonce
-  std::set<std::uint64_t> completed_;          // acked frame nonces
+  std::vector<Tracked> frames_;  ///< one per nonce
+  Message unprompted_;  ///< the session's unprompted frame, sent next event
   TransportStats stats_;
   bool exhausted_ = false;
 };

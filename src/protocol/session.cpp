@@ -1,9 +1,9 @@
 #include "protocol/session.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
-#include "crypto/hmac.h"
 #include "crypto/secret_buffer.h"
 #include "crypto/sha256.h"
 #include "protocol/flight_recorder.h"
@@ -12,33 +12,20 @@ namespace vkey::protocol {
 
 namespace {
 
-std::vector<std::uint8_t> hmac_of(const BitVec& key, const Message& msg) {
-  // The serialized key bytes are a transient secret; wipe them as soon as
-  // the compression function has absorbed them. The tag itself is public
-  // (it rides the frame).
-  auto key_bytes = key.to_bytes();
-  auto tag = crypto::hmac_sha256(std::span<const std::uint8_t>(key_bytes),
-                                 mac_input(msg));
-  crypto::secure_wipe(key_bytes);
-  return {tag.begin(), tag.end()};
-}
+/// A session accepts at most three frames (Alice: accept, syndrome,
+/// confirm-ack; Bob: request, confirm): the duplicate cache's size.
+constexpr std::size_t kMaxAcceptedFrames = 3;
 
-std::vector<std::uint8_t> confirm_digest(const BitVec& final_key,
-                                         std::uint64_t session_id,
-                                         const char* role) {
-  crypto::Sha256 h;
-  auto kb = final_key.to_bytes();
-  h.update(kb);
-  crypto::secure_wipe(kb);
-  std::uint8_t sid[8];
-  for (int i = 0; i < 8; ++i) {
-    sid[i] = static_cast<std::uint8_t>(session_id >> (56 - 8 * i));
-  }
-  h.update(sid, sizeof(sid));
-  const std::uint8_t role_byte = static_cast<std::uint8_t>(role[0]);
-  h.update(&role_byte, 1);
-  const auto d = h.finalize();
-  return {d.begin(), d.end()};
+/// The syndrome MAC: frame_mac() keyed by the packed bytes of `key`, staged
+/// in a stack block that is wiped as soon as the MAC has absorbed it.
+std::array<std::uint8_t, 32> syndrome_mac(const BitVec& key,
+                                          const Message& msg) {
+  std::array<std::uint8_t, kMaxRawKeyBits / 8> key_bytes{};
+  const auto packed = std::span(key_bytes).first((key.size() + 7) / 8);
+  key.pack_bytes(0, packed);
+  const auto tag = frame_mac(packed, msg);
+  crypto::secure_wipe(key_bytes);
+  return tag;
 }
 
 }  // namespace
@@ -72,27 +59,34 @@ std::string to_string(RejectReason r) {
 
 // --------------------------------------------------------------- InboundGuard
 
+const InboundGuard::Entry* InboundGuard::find(std::uint64_t nonce) const {
+  const auto it =
+      std::find_if(processed_.begin(), processed_.end(),
+                   [nonce](const Entry& e) { return e.inbound.nonce == nonce; });
+  return it == processed_.end() ? nullptr : &*it;
+}
+
 InboundGuard::Verdict InboundGuard::classify(const Message& msg) const {
-  const auto it = processed_.find(msg.nonce);
-  if (it != processed_.end()) {
-    return it->second.inbound == msg ? Verdict::kDuplicate : Verdict::kReplay;
+  if (const Entry* e = find(msg.nonce)) {
+    return e->inbound == msg ? Verdict::kDuplicate : Verdict::kReplay;
   }
   if (saw_any_nonce_ && msg.nonce <= highest_nonce_) return Verdict::kReplay;
   return Verdict::kFresh;
 }
 
-void InboundGuard::accept(const Message& msg,
-                          const std::optional<Message>& response) {
+const Message* InboundGuard::accept(const Message& msg,
+                                    std::optional<Message> response) {
   highest_nonce_ = saw_any_nonce_ ? std::max(highest_nonce_, msg.nonce)
                                   : msg.nonce;
   saw_any_nonce_ = true;
-  processed_[msg.nonce] = Entry{msg, response};
+  if (processed_.empty()) processed_.reserve(kMaxAcceptedFrames);
+  const Entry& e = processed_.emplace_back(Entry{msg, std::move(response)});
+  return e.response.has_value() ? &*e.response : nullptr;
 }
 
-std::optional<Message> InboundGuard::response_for(std::uint64_t nonce) const {
-  const auto it = processed_.find(nonce);
-  if (it == processed_.end()) return std::nullopt;
-  return it->second.response;
+const Message* InboundGuard::response_for(std::uint64_t nonce) const {
+  const Entry* e = find(nonce);
+  return e != nullptr && e->response.has_value() ? &*e->response : nullptr;
 }
 
 // ------------------------------------------------------------ SessionEndpoint
@@ -106,12 +100,18 @@ SessionEndpoint::SessionEndpoint(const SessionConfig& config,
       amplifier_(kFinalKeyBits) {
   VKEY_REQUIRE(key_.size() == reconciler.config().key_bits,
                "session key width must match the reconciler");
+  VKEY_REQUIRE(key_.size() <= kMaxRawKeyBits,
+               "session key wider than one HMAC block");
 }
 
-std::optional<Message> SessionEndpoint::handle(const Message& msg) {
+SessionEndpoint::~SessionEndpoint() {
+  crypto::secure_wipe(amplified_key_);
+}
+
+const Message* SessionEndpoint::respond(const Message& msg) {
   const SessionState before = state_;
   last_reject_ = RejectReason::kNone;
-  std::optional<Message> response;
+  const Message* response = nullptr;
   if (msg.session_id != cfg_.session_id) {
     last_reject_ = RejectReason::kBadSession;
     guard_.count_reject();
@@ -128,19 +128,26 @@ std::optional<Message> SessionEndpoint::handle(const Message& msg) {
         last_reject_ = RejectReason::kReplayedNonce;
         guard_.count_reject();
         break;
-      case InboundGuard::Verdict::kFresh:
+      case InboundGuard::Verdict::kFresh: {
         next_nonce_ = std::max(next_nonce_, msg.nonce + 1);
-        response = dispatch(msg);
+        std::optional<Message> fresh = dispatch(msg);
         if (last_reject_ == RejectReason::kNone) {
-          guard_.accept(msg, response);
+          response = guard_.accept(msg, std::move(fresh));
         } else {
           guard_.count_reject();
         }
         break;
+      }
     }
   }
   note(before, last_reject_, msg);
   return response;
+}
+
+std::optional<Message> SessionEndpoint::handle(const Message& msg) {
+  const Message* response = respond(msg);
+  if (response == nullptr) return std::nullopt;
+  return *response;
 }
 
 std::optional<Message> SessionEndpoint::take_unprompted() {
@@ -156,7 +163,13 @@ void SessionEndpoint::set_recorder(FlightRecorder* recorder,
 BitVec SessionEndpoint::final_key() const {
   VKEY_REQUIRE(state_ == SessionState::kEstablished,
                "session not established");
-  return amplified_key();
+  return BitVec::from_bytes(amplified_key_, kFinalKeyBits);
+}
+
+bool SessionEndpoint::agrees_with(const SessionEndpoint& peer) const {
+  return state_ == SessionState::kEstablished &&
+         peer.state_ == SessionState::kEstablished &&
+         crypto::constant_time_equal(amplified_key_, peer.amplified_key_);
 }
 
 std::nullopt_t SessionEndpoint::reject(RejectReason reason) {
@@ -177,8 +190,21 @@ Message SessionEndpoint::next_frame(MessageType type) {
   return msg;
 }
 
-BitVec SessionEndpoint::amplified_key() const {
-  return amplifier_.amplify(key_, cfg_.session_id);
+void SessionEndpoint::fix_final_key() {
+  amplifier_.amplify_into(key_, cfg_.session_id, amplified_key_);
+}
+
+std::array<std::uint8_t, 32> SessionEndpoint::confirm_digest(
+    char role) const {
+  crypto::Sha256 h;
+  h.update(amplified_key_);
+  std::array<std::uint8_t, 9> tail{};  // be64 session || role
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[i] = static_cast<std::uint8_t>(cfg_.session_id >> (56 - 8 * i));
+  }
+  tail[8] = static_cast<std::uint8_t>(role);
+  h.update(tail);
+  return h.finalize();
 }
 
 // One kReject per rejected frame (reason + offending message type) and one
@@ -221,14 +247,14 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
       if (state_ != SessionState::kAwaitConfirm) {
         return reject(RejectReason::kBadState);
       }
-      const BitVec key = amplified_key();
-      if (!crypto::constant_time_equal(
-              msg.payload, confirm_digest(key, cfg_.session_id, "A"))) {
+      fix_final_key();
+      if (!crypto::constant_time_equal(msg.payload, confirm_digest('A'))) {
         return fail(RejectReason::kConfirmMismatch);
       }
       state_ = SessionState::kEstablished;
       Message ack = next_frame(MessageType::kKeyConfirmAck);
-      ack.payload = confirm_digest(key, cfg_.session_id, "B");
+      const auto digest = confirm_digest('B');
+      ack.payload.assign(digest.begin(), digest.end());
       return ack;
     }
     default:
@@ -239,7 +265,8 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
 Message BobSession::make_syndrome() {
   Message msg = next_frame(MessageType::kSyndrome);
   msg.payload = pack_doubles(reconciler_.encode_bob(key_));
-  msg.mac = hmac_of(key_, msg);
+  const auto tag = syndrome_mac(key_, msg);
+  msg.mac.assign(tag.begin(), tag.end());
   return msg;
 }
 
@@ -270,33 +297,28 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
       if (state_ != SessionState::kAwaitSyndrome) {
         return reject(RejectReason::kBadState);
       }
-      std::vector<double> y_bob;
-      try {
-        y_bob = unpack_doubles(msg.payload);
-      } catch (const vkey::Error&) {
-        return reject(RejectReason::kMalformed);
-      }
-      if (y_bob.size() != core::kCodeDim) {
+      std::array<double, core::kCodeDim> y_bob{};
+      if (!unpack_doubles(msg.payload, y_bob)) {
         return reject(RejectReason::kMalformed);
       }
       key_ = reconciler_.reconcile(key_, y_bob);
       // MAC check: verifies only when the corrected key equals K_Bob, so an
       // in-flight modification (MITM) or a failed correction aborts here.
-      if (!crypto::constant_time_equal(msg.mac, hmac_of(key_, msg))) {
+      if (!crypto::constant_time_equal(msg.mac, syndrome_mac(key_, msg))) {
         return fail(RejectReason::kMacMismatch);
       }
+      fix_final_key();
       state_ = SessionState::kAwaitConfirmAck;
       Message confirm = next_frame(MessageType::kKeyConfirm);
-      confirm.payload = confirm_digest(amplified_key(), cfg_.session_id, "A");
+      const auto digest = confirm_digest('A');
+      confirm.payload.assign(digest.begin(), digest.end());
       return confirm;
     }
     case MessageType::kKeyConfirmAck:
       if (state_ != SessionState::kAwaitConfirmAck) {
         return reject(RejectReason::kBadState);
       }
-      if (!crypto::constant_time_equal(
-              msg.payload,
-              confirm_digest(amplified_key(), cfg_.session_id, "B"))) {
+      if (!crypto::constant_time_equal(msg.payload, confirm_digest('B'))) {
         return fail(RejectReason::kConfirmMismatch);
       }
       state_ = SessionState::kEstablished;

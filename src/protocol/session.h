@@ -14,12 +14,22 @@
 // After confirmation both sides hold the privacy-amplified 128-bit session
 // key; KeySchedule (key_schedule.h) derives the directional AES-128-CTR +
 // HMAC traffic keys from it.
+//
+// Frame ownership: a session reads inbound frames where the link holds
+// them and copies an accepted one, with the response it elicited, into its
+// duplicate cache — a small flat table (a session accepts at most three
+// frames), so retransmissions and duplicates cost no copy. The syndrome MAC
+// key, its tag and the confirmation digests live in fixed arrays; key
+// bytes are wiped after use. Each side privacy-amplifies its key once, when
+// the key is final, into wiped storage that the digests and final_key()
+// read.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "core/privacy.h"
@@ -62,6 +72,10 @@ std::string to_string(RejectReason r);
 /// the secret KeySchedule derives traffic keys from.
 inline constexpr std::size_t kFinalKeyBits = 128;
 
+/// Widest raw key a session takes: its packed bytes key the syndrome MAC
+/// from one HMAC block on the stack.
+inline constexpr std::size_t kMaxRawKeyBits = 512;
+
 struct SessionConfig {
   std::uint64_t session_id = 1;
 };
@@ -79,14 +93,17 @@ class InboundGuard {
 
   Verdict classify(const Message& msg) const;
 
-  /// Remember an accepted frame and the response it elicited, and advance
-  /// the replay window. Rejected frames are deliberately *not* recorded so
-  /// an out-of-order frame can still be accepted when retransmitted later.
-  void accept(const Message& msg, const std::optional<Message>& response);
+  /// Remember a copy of an accepted frame and the response it elicited
+  /// (taken by move), and advance the replay window. Returns the stored
+  /// response (nullptr when there is none), valid until the next accept().
+  /// Rejected frames are deliberately *not* recorded so an out-of-order
+  /// frame can still be accepted when retransmitted later.
+  const Message* accept(const Message& msg, std::optional<Message> response);
 
   /// The response originally elicited by the frame with this nonce
-  /// (nullopt when it produced none, or the nonce was never accepted).
-  std::optional<Message> response_for(std::uint64_t nonce) const;
+  /// (nullptr when it produced none, or the nonce was never accepted),
+  /// valid until the next accept().
+  const Message* response_for(std::uint64_t nonce) const;
 
   void count_duplicate() { ++duplicates_suppressed_; }
   void count_reject() { ++rejects_; }
@@ -99,7 +116,9 @@ class InboundGuard {
     Message inbound;
     std::optional<Message> response;
   };
-  std::map<std::uint64_t, Entry> processed_;
+  const Entry* find(std::uint64_t nonce) const;
+
+  std::vector<Entry> processed_;  ///< accepted frames, one per nonce
   std::uint64_t highest_nonce_ = 0;
   bool saw_any_nonce_ = false;
   std::size_t duplicates_suppressed_ = 0;
@@ -113,7 +132,12 @@ class InboundGuard {
 /// in-session frames, and the frames it originates.
 class SessionEndpoint {
  public:
-  /// Feed an inbound message; returns the response to transmit, if any.
+  /// Feed an inbound message. Returns the response to transmit, if any:
+  /// the session's own copy in its duplicate cache, valid until the next
+  /// call (a transport copies what it sends).
+  const Message* respond(const Message& msg);
+
+  /// respond(), with the response copied out (harnesses and tests).
   std::optional<Message> handle(const Message& msg);
 
   /// A frame the session publishes on its own rather than in response:
@@ -138,12 +162,19 @@ class SessionEndpoint {
   /// Final kFinalKeyBits-wide key; valid once state() == kEstablished.
   BitVec final_key() const;
 
+  /// True when both sides are established with the same final key
+  /// (compared in constant time, without materializing either key).
+  bool agrees_with(const SessionEndpoint& peer) const;
+
  protected:
   /// `raw_key` is this side's quantized key material (reconciler.key_bits
-  /// wide).
+  /// wide, at most kMaxRawKeyBits).
   SessionEndpoint(const SessionConfig& config,
                   const core::AutoencoderReconciler& reconciler,
                   BitVec raw_key);
+  ~SessionEndpoint();
+  SessionEndpoint(const SessionEndpoint&) = delete;
+  SessionEndpoint& operator=(const SessionEndpoint&) = delete;
 
   /// Handle a fresh in-session frame. Refuse it through reject() or fail().
   virtual std::optional<Message> dispatch(const Message& msg) = 0;
@@ -157,8 +188,14 @@ class SessionEndpoint {
   /// The next outbound frame of `type` in this session.
   Message next_frame(MessageType type);
 
-  /// Privacy-amplified key_ (the final key, before any state check).
-  BitVec amplified_key() const;
+  /// Privacy-amplify key_ into the final key once, when this side's key is
+  /// final: Bob when the confirm arrives, Alice once the syndrome MAC
+  /// verifies.
+  void fix_final_key();
+
+  /// The digest a confirmation frame carries for `role` ('A' or 'B'):
+  /// SHA-256(final key || be64 session || role), after fix_final_key().
+  std::array<std::uint8_t, 32> confirm_digest(char role) const;
 
   /// Log a transition and/or rejection to the attached recorder.
   void note(SessionState before, RejectReason reason,
@@ -174,6 +211,9 @@ class SessionEndpoint {
 
  private:
   core::PrivacyAmplifier amplifier_;
+  /// The final key's packed bytes once fix_final_key() ran; wiped on
+  /// destruction.
+  std::array<std::uint8_t, kFinalKeyBits / 8> amplified_key_{};
   RejectReason last_reject_ = RejectReason::kNone;
   std::uint64_t next_nonce_ = 0;
   InboundGuard guard_;

@@ -22,6 +22,7 @@ std::size_t SimClock::clear() {
   const std::size_t dropped = live_;
   heap_.clear();  // keeps the capacity for the next attempt
   live_ = 0;
+  ++clears_;
   return dropped;
 }
 

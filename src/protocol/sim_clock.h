@@ -76,6 +76,11 @@ class SimClock {
   /// never rewinds.
   std::size_t clear();
 
+  /// How many times clear() has run: an event scheduled while this read n
+  /// can no longer fire once it reads more (the link frees the slots of
+  /// such deliveries).
+  std::uint64_t clears() const noexcept { return clears_; }
+
  private:
   struct Event {
     double due_ms;
@@ -95,6 +100,7 @@ class SimClock {
 
   double now_ms_ = 0.0;
   EventId next_id_ = 1;
+  std::uint64_t clears_ = 0;
   std::vector<Event> heap_;
   std::size_t live_ = 0;  ///< entries in heap_ that are not tombstones
 };

@@ -37,6 +37,13 @@ UnreliableChannel::UnreliableChannel(SimClock& clock, PublicChannel& base,
                "fault probabilities must be in [0, 1]");
 }
 
+void UnreliableChannel::reset(std::uint64_t seed) {
+  faults_.seed = seed;
+  rng_ = vkey::Rng(seed);
+  stats_ = {};
+  recorder_ = nullptr;
+}
+
 void UnreliableChannel::set_handler(Endpoint endpoint, Handler handler) {
   handlers_[static_cast<int>(endpoint)] = std::move(handler);
 }
@@ -53,18 +60,47 @@ double UnreliableChannel::nominal_latency_ms(const Message& msg) const {
   return airtime_ms(msg) + kProcessingDelayMs;
 }
 
-void UnreliableChannel::deliver(Endpoint to, const Message& msg,
-                                double delay_ms) {
-  Handler& handler = handlers_[static_cast<int>(to)];
-  VKEY_REQUIRE(static_cast<bool>(handler), "endpoint handler not installed");
-  clock_.schedule(delay_ms, [this, to, msg] {
-    ++stats_.delivered;
-    if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kFrameRx, to_string(to),
-                        to_string(msg.type), msg.session_id, msg.nonce);
+std::size_t UnreliableChannel::acquire_slot() {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    if (s.readers == 0 &&
+        (s.deliveries == 0 || s.clears != clock_.clears())) {
+      s.deliveries = 0;
+      return i;
     }
-    handlers_[static_cast<int>(to)](msg);
-  });
+  }
+  slots_.emplace_back();
+  return slots_.size() - 1;
+}
+
+void UnreliableChannel::deliver(Endpoint to, std::size_t slot,
+                                double delay_ms) {
+  VKEY_REQUIRE(static_cast<bool>(handlers_[static_cast<int>(to)]),
+               "endpoint handler not installed");
+  Slot& s = slots_[slot];
+  s.clears = clock_.clears();
+  ++s.deliveries;
+  // Slot and endpoint in one word: with `this`, two words of capture.
+  const std::uint64_t ref = (std::uint64_t{slot} << 1) |
+                            static_cast<std::uint64_t>(to);
+  clock_.schedule(delay_ms, [this, ref] { on_delivery(ref); });
+}
+
+void UnreliableChannel::on_delivery(std::uint64_t ref) {
+  const auto to = static_cast<Endpoint>(ref & 1u);
+  Slot& slot = slots_[ref >> 1];
+  ++stats_.delivered;
+  if (recorder_ != nullptr) {
+    recorder_->record(FlightEventKind::kFrameRx, to_string(to),
+                      to_string(slot.msg.type), slot.msg.session_id,
+                      slot.msg.nonce);
+  }
+  // The frame is the handler's until it returns: a slot being read is not
+  // handed out again, even when the handler clears the clock and sends.
+  ++slot.readers;
+  handlers_[static_cast<int>(to)](slot.msg);
+  --slot.readers;
+  --slot.deliveries;
 }
 
 void UnreliableChannel::send(Endpoint from, const Message& msg) {
@@ -88,10 +124,13 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   const Endpoint to =
       from == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
 
+  // The frame's slot owns it from here until its deliveries have run.
+  const std::size_t slot = acquire_slot();
+  Message& in_flight = slots_[slot].msg;
+  in_flight = msg;
   // Through the base channel first: keeps the eavesdropper transcript and
   // lets an installed MITM interceptor rewrite or drop the frame.
-  auto in_flight = base_.transmit(msg);
-  if (!in_flight.has_value()) return;  // intercepted and dropped
+  if (!base_.transmit(in_flight)) return;  // intercepted and dropped
 
   if (rng_.bernoulli(faults_.drop_prob)) {
     ++stats_.dropped;
@@ -108,17 +147,16 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     // the air — so the frame CRC catches almost all damage (typed reject,
     // frame lost like a radio CRC drop) and the rare CRC-colliding flip
     // must still get past the protocol-layer MAC.
-    auto bytes = wire::encode_frame(*in_flight);
+    wire::encode_frame(in_flight, frame_bytes_);
     const int flips = 1 + static_cast<int>(rng_.uniform_int(3));
     for (int f = 0; f < flips; ++f) {
-      bytes[rng_.uniform_int(bytes.size())] ^=
+      frame_bytes_[rng_.uniform_int(frame_bytes_.size())] ^=
           static_cast<std::uint8_t>(1u << rng_.uniform_int(8));
     }
     ++stats_.corrupted;
     metrics::counter<"link.corrupted">().add(1);
     wire::WireError err = wire::WireError::kNone;
-    auto reparsed = wire::decode_frame(bytes, &err);
-    if (!reparsed.has_value()) {
+    if (!wire::decode_frame(frame_bytes_, in_flight, &err)) {
       ++stats_.crc_lost;  // the radio discards the damaged frame
       metrics::counter<"link.crc_lost">().add(1);
       if (recorder_ != nullptr) {
@@ -135,7 +173,6 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
                             std::to_string(flips),
                         msg.session_id, msg.nonce);
     }
-    in_flight = std::move(reparsed);
   }
 
   double delay = nominal_latency_ms(msg);
@@ -151,7 +188,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
                         msg.session_id, msg.nonce);
     }
   }
-  deliver(to, *in_flight, delay);
+  deliver(to, slot, delay);
 
   if (rng_.bernoulli(faults_.dup_prob)) {
     ++stats_.duplicated;
@@ -160,7 +197,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       recorder_->record(FlightEventKind::kDuplicate, "link",
                         to_string(msg.type), msg.session_id, msg.nonce);
     }
-    deliver(to, *in_flight, delay + kDupDelayMs);
+    deliver(to, slot, delay + kDupDelayMs);
   }
 }
 

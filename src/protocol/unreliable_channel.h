@@ -22,11 +22,25 @@
 //                  probability reorder_prob, letting later frames overtake;
 //   * duplication: a second copy delivered 150 ms later with
 //                  probability dup_prob.
+//
+// Frame ownership: send() copies the frame into a slot of the link's slot
+// table, and the slot owns it until its last delivery has run; the handler
+// reads it there as a `const Message&`, valid for the call. A delivery
+// event captures only the link and a packed (slot, endpoint) word, so it
+// fits std::function's inline storage, and the slots keep their payload
+// and MAC capacity, so a warm link moves frames without allocating. The
+// corruption path re-encodes into one reused byte buffer and decodes back
+// into the slot. A slot is free once its deliveries have run, or once the
+// clock was cleared after they were scheduled (SimClock::clears()), so an
+// owner that tears an exchange down by clearing the clock leaks nothing —
+// but never while a handler is reading it.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "channel/lora_phy.h"
 #include "common/rng.h"
@@ -63,7 +77,8 @@ struct LinkStats {
 
 /// A two-endpoint lossy link. Endpoint 0 is Alice's radio, endpoint 1 Bob's;
 /// send(from, msg) delivers to the opposite endpoint's handler via the
-/// virtual clock.
+/// virtual clock. Deliveries capture the link: its owner clears the clock
+/// before the link goes.
 class UnreliableChannel {
  public:
   enum class Endpoint : int { kAlice = 0, kBob = 1 };
@@ -72,7 +87,18 @@ class UnreliableChannel {
   UnreliableChannel(SimClock& clock, PublicChannel& base,
                     const FaultConfig& faults,
                     const channel::LoRaParams& radio);
+  UnreliableChannel(const UnreliableChannel&) = delete;
+  UnreliableChannel& operator=(const UnreliableChannel&) = delete;
 
+  /// Start over as a fresh link whose fault stream is seeded with `seed`:
+  /// zeroed stats and no recorder, but the same handlers and the warm slot
+  /// table. Call it after clearing the clock (frames still queued would
+  /// otherwise arrive in the fresh link); the supervisor reuses one link
+  /// across an agreement's attempts this way.
+  void reset(std::uint64_t seed);
+
+  /// The handler runs inside a delivery event. It may send, but must not
+  /// replace its own endpoint's handler while it runs.
   void set_handler(Endpoint endpoint, Handler handler);
 
   /// Attach a flight recorder: every tx/rx and every injected fault is
@@ -94,7 +120,18 @@ class UnreliableChannel {
   const LinkStats& stats() const { return stats_; }
 
  private:
-  void deliver(Endpoint to, const Message& msg, double delay_ms);
+  struct Slot {
+    Message msg;
+    std::uint64_t clears = 0;  ///< clock.clears() when its deliveries were
+                               ///< scheduled
+    int deliveries = 0;        ///< scheduled deliveries still to run
+    int readers = 0;           ///< handlers reading msg right now
+  };
+
+  /// Index of a free slot, appending one when every slot holds a frame.
+  std::size_t acquire_slot();
+  void deliver(Endpoint to, std::size_t slot, double delay_ms);
+  void on_delivery(std::uint64_t ref);
 
   SimClock& clock_;
   PublicChannel& base_;
@@ -104,6 +141,10 @@ class UnreliableChannel {
   Handler handlers_[2];
   LinkStats stats_;
   FlightRecorder* recorder_ = nullptr;
+  /// In-flight frames; a deque, so a slot stays put while a handler reads
+  /// it and sends (which may append slots).
+  std::deque<Slot> slots_;
+  std::vector<std::uint8_t> frame_bytes_;  ///< corruption path's reused bytes
 };
 
 /// "alice" / "bob": the endpoint's actor name in flight-recorder timelines.

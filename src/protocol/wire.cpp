@@ -21,14 +21,78 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+/// wire.reject.<reason>: one cached handle per reason, so a reject builds
+/// no name.
 metrics::Counter& reject_counter(WireError e) {
-  return metrics::Registry::global().counter("wire.reject." + to_string(e));
+  VKEY_REQUIRE(e != WireError::kNone, "kNone is not a reject reason");
+  switch (e) {
+    case WireError::kTruncated:
+      return metrics::counter<"wire.reject.truncated">();
+    case WireError::kBadMagic: return metrics::counter<"wire.reject.magic">();
+    case WireError::kBadVersion:
+      return metrics::counter<"wire.reject.version">();
+    case WireError::kOversizedPayload:
+      return metrics::counter<"wire.reject.payload-len">();
+    case WireError::kOversizedMac:
+      return metrics::counter<"wire.reject.mac-len">();
+    case WireError::kTrailingBytes:
+      return metrics::counter<"wire.reject.trailing">();
+    case WireError::kBadCrc: return metrics::counter<"wire.reject.crc">();
+    case WireError::kNone:  // refused above
+    case WireError::kBadType: break;
+  }
+  return metrics::counter<"wire.reject.type">();
 }
 
-std::optional<Message> reject(WireError e, WireError* error) {
-  if (error != nullptr) *error = e;
-  reject_counter(e).add(1);
-  return std::nullopt;
+/// Validate `bytes` as one v1 frame and, only when every gate passes,
+/// write it into `out`. Counts nothing: decode_frame() does.
+WireError parse_frame(std::span<const std::uint8_t> bytes, Message& out) {
+  FrameReader r(bytes);
+
+  // Structural gates, cheapest first. A buffer shorter than the fixed
+  // header cannot even be classified further.
+  std::uint16_t magic = 0;
+  std::uint8_t version = 0;
+  std::uint16_t payload_len = 0;
+  std::uint8_t mac_len = 0;
+  std::uint8_t type = 0;
+  std::uint64_t session = 0;
+  std::uint64_t nonce = 0;
+  if (!r.read_u16(magic) || !r.read_u8(version) || !r.read_u16(payload_len) ||
+      !r.read_u8(mac_len) || !r.read_u8(type) || !r.read_u64(session) ||
+      !r.read_u64(nonce)) {
+    return WireError::kTruncated;
+  }
+  if (magic != kMagic) return WireError::kBadMagic;
+  if (version != kWireVersion) return WireError::kBadVersion;
+  if (payload_len > kMaxPayloadBytes) return WireError::kOversizedPayload;
+  if (mac_len > kMaxMacBytes) return WireError::kOversizedMac;
+
+  const std::size_t want =
+      static_cast<std::size_t>(payload_len) + mac_len + kCrcBytes;
+  if (r.remaining() < want) return WireError::kTruncated;
+  if (r.remaining() > want) return WireError::kTrailingBytes;
+
+  const auto payload = r.read_bytes(payload_len);
+  const auto mac = r.read_bytes(mac_len);
+  std::uint32_t stored_crc = 0;
+  const bool crc_ok = r.read_u32(stored_crc);
+  VKEY_REQUIRE(payload.has_value() && mac.has_value() && crc_ok,
+               "bounded reader out of sync with the length checks");
+  if (crc32(bytes.first(bytes.size() - kCrcBytes)) != stored_crc) {
+    return WireError::kBadCrc;
+  }
+
+  // Semantic gate last: the frame is structurally sound and CRC-clean, so a
+  // bad type here is a protocol-level forgery, not line noise.
+  if (type < 1 || type > kMaxMessageType) return WireError::kBadType;
+
+  out.type = static_cast<MessageType>(type);
+  out.session_id = session;
+  out.nonce = nonce;
+  out.payload.assign(payload->begin(), payload->end());
+  out.mac.assign(mac->begin(), mac->end());
+  return WireError::kNone;
 }
 
 }  // namespace
@@ -119,10 +183,8 @@ void FrameWriter::put_bytes(std::span<const std::uint8_t> bytes) {
   out_.insert(out_.end(), bytes.begin(), bytes.end());
 }
 
-std::vector<std::uint8_t> FrameWriter::finish() && {
-  const std::uint32_t c = crc32(out_);
-  put_u32(c);
-  return std::move(out_);
+void FrameWriter::finish() && {
+  put_u32(crc32(std::span<const std::uint8_t>(out_).subspan(start_)));
 }
 
 // --------------------------------------------------------------- encode/decode
@@ -131,11 +193,11 @@ std::size_t frame_size(const Message& msg) {
   return kMinFrameBytes + msg.payload.size() + msg.mac.size();
 }
 
-std::vector<std::uint8_t> encode_frame(const Message& msg) {
+void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
   VKEY_REQUIRE(msg.payload.size() <= kMaxPayloadBytes,
                "payload exceeds the wire bound");
   VKEY_REQUIRE(msg.mac.size() <= kMaxMacBytes, "MAC exceeds the wire bound");
-  FrameWriter w;
+  FrameWriter w(out);
   w.put_u16(kMagic);
   w.put_u8(kWireVersion);
   w.put_u16(static_cast<std::uint16_t>(msg.payload.size()));
@@ -145,65 +207,62 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
   w.put_u64(msg.nonce);
   w.put_bytes(msg.payload);
   w.put_bytes(msg.mac);
+  std::move(w).finish();
+}
+
+void encode_frame(const Message& msg, std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(frame_size(msg));
+  append_frame(msg, out);
   metrics::counter<"wire.encoded">().add(1);
-  return std::move(w).finish();
+}
+
+std::vector<std::uint8_t> encode_frame(const Message& msg) {
+  std::vector<std::uint8_t> out;
+  encode_frame(msg, out);
+  return out;
+}
+
+bool decode_frame(std::span<const std::uint8_t> bytes, Message& out,
+                  WireError* error) {
+  const WireError e = parse_frame(bytes, out);
+  if (error != nullptr) *error = e;
+  if (e != WireError::kNone) {
+    reject_counter(e).add(1);
+    return false;
+  }
+  metrics::counter<"wire.decoded">().add(1);
+  return true;
 }
 
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     WireError* error) {
-  if (error != nullptr) *error = WireError::kNone;
-  FrameReader r(bytes);
-
-  // Structural gates, cheapest first. A buffer shorter than the fixed
-  // header cannot even be classified further.
-  std::uint16_t magic = 0;
-  std::uint8_t version = 0;
-  std::uint16_t payload_len = 0;
-  std::uint8_t mac_len = 0;
-  std::uint8_t type = 0;
-  std::uint64_t session = 0;
-  std::uint64_t nonce = 0;
-  if (!r.read_u16(magic) || !r.read_u8(version) || !r.read_u16(payload_len) ||
-      !r.read_u8(mac_len) || !r.read_u8(type) || !r.read_u64(session) ||
-      !r.read_u64(nonce)) {
-    return reject(WireError::kTruncated, error);
-  }
-  if (magic != kMagic) return reject(WireError::kBadMagic, error);
-  if (version != kWireVersion) return reject(WireError::kBadVersion, error);
-  if (payload_len > kMaxPayloadBytes) {
-    return reject(WireError::kOversizedPayload, error);
-  }
-  if (mac_len > kMaxMacBytes) return reject(WireError::kOversizedMac, error);
-
-  const std::size_t want =
-      static_cast<std::size_t>(payload_len) + mac_len + kCrcBytes;
-  if (r.remaining() < want) return reject(WireError::kTruncated, error);
-  if (r.remaining() > want) return reject(WireError::kTrailingBytes, error);
-
-  const auto payload = r.read_bytes(payload_len);
-  const auto mac = r.read_bytes(mac_len);
-  std::uint32_t stored_crc = 0;
-  const bool crc_ok = r.read_u32(stored_crc);
-  VKEY_REQUIRE(payload.has_value() && mac.has_value() && crc_ok,
-               "bounded reader out of sync with the length checks");
-  if (crc32(bytes.first(bytes.size() - kCrcBytes)) != stored_crc) {
-    return reject(WireError::kBadCrc, error);
-  }
-
-  // Semantic gate last: the frame is structurally sound and CRC-clean, so a
-  // bad type here is a protocol-level forgery, not line noise.
-  if (type < 1 || type > kMaxMessageType) {
-    return reject(WireError::kBadType, error);
-  }
-
   Message msg;
-  msg.type = static_cast<MessageType>(type);
-  msg.session_id = session;
-  msg.nonce = nonce;
-  msg.payload.assign(payload->begin(), payload->end());
-  msg.mac.assign(mac->begin(), mac->end());
-  metrics::counter<"wire.decoded">().add(1);
+  if (!decode_frame(bytes, msg, error)) return std::nullopt;
   return msg;
+}
+
+std::vector<Message> parse_frames(std::span<const std::uint8_t> log) {
+  std::vector<Message> out;
+  while (!log.empty()) {
+    // The header's two length fields give the frame's extent.
+    FrameReader r(log);
+    std::uint16_t magic = 0;
+    std::uint8_t version = 0;
+    std::uint16_t payload_len = 0;
+    std::uint8_t mac_len = 0;
+    VKEY_REQUIRE(r.read_u16(magic) && r.read_u8(version) &&
+                     r.read_u16(payload_len) && r.read_u8(mac_len),
+                 "frame log ends inside a header");
+    const std::size_t size =
+        kMinFrameBytes + static_cast<std::size_t>(payload_len) + mac_len;
+    VKEY_REQUIRE(size <= log.size(), "frame log ends inside a frame");
+    VKEY_REQUIRE(parse_frame(log.first(size), out.emplace_back()) ==
+                     WireError::kNone,
+                 "frame log holds a damaged frame");
+    log = log.subspan(size);
+  }
+  return out;
 }
 
 void register_wire_metrics() {
@@ -214,7 +273,7 @@ void register_wire_metrics() {
        {WireError::kTruncated, WireError::kBadMagic, WireError::kBadVersion,
         WireError::kOversizedPayload, WireError::kOversizedMac,
         WireError::kTrailingBytes, WireError::kBadCrc, WireError::kBadType}) {
-    reg.counter("wire.reject." + to_string(e));
+    reject_counter(e);
   }
 }
 

@@ -99,39 +99,57 @@ class FrameReader {
   std::size_t off_ = 0;
 };
 
-/// Big-endian frame builder; finish() stamps the CRC over everything
-/// appended so far and returns the completed frame.
+/// Big-endian frame builder that appends to a caller's buffer; finish()
+/// stamps the CRC over everything this writer appended.
 class FrameWriter {
  public:
+  explicit FrameWriter(std::vector<std::uint8_t>& out)
+      : out_(out), start_(out.size()) {}
+
   void put_u8(std::uint8_t v);
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void put_bytes(std::span<const std::uint8_t> bytes);
 
-  /// Append crc32(everything so far) and hand the buffer out.
-  std::vector<std::uint8_t> finish() &&;
+  /// Append crc32(everything this writer appended).
+  void finish() &&;
 
  private:
-  std::vector<std::uint8_t> out_;
+  std::vector<std::uint8_t>& out_;
+  std::size_t start_;
 };
 
 /// Exact on-air size of `msg` framed: kMinFrameBytes + payload + mac.
 /// (Computed without encoding; used for airtime math on the hot path.)
 std::size_t frame_size(const Message& msg);
 
-/// Pack a Message into a v1 frame. Throws vkey::Error when the message
-/// violates the wire bounds (oversized payload or MAC) — an honest sender
-/// never does.
+/// Append the v1 frame of `msg` to `out`. Throws vkey::Error when the
+/// message violates the wire bounds (oversized payload or MAC) — an honest
+/// sender never does. Not counted: a log that keeps frames (the public
+/// transcript) is not radio traffic.
+void append_frame(const Message& msg, std::vector<std::uint8_t>& out);
+
+/// Pack a Message into a v1 frame in `out` (its contents replaced, its
+/// capacity reused) and count it in "wire.encoded". Throws like
+/// append_frame().
+void encode_frame(const Message& msg, std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> encode_frame(const Message& msg);
 
-/// Parse a frame. On success returns the Message; on failure returns
-/// nullopt and stores the typed reason in *error (when non-null) and bumps
-/// the matching "wire.reject.<reason>" counter. Accepted frames bump
-/// "wire.decoded"; re-encoding an accepted frame reproduces the input
-/// byte-for-byte.
+/// Parse a frame into `out`, reusing its payload and MAC storage. On
+/// failure returns false, leaves `out` untouched, stores the typed reason
+/// in *error (when non-null) and bumps the matching "wire.reject.<reason>"
+/// counter. Accepted frames bump "wire.decoded"; re-encoding an accepted
+/// frame reproduces the input byte-for-byte.
+bool decode_frame(std::span<const std::uint8_t> bytes, Message& out,
+                  WireError* error = nullptr);
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     WireError* error = nullptr);
+
+/// The messages of a log of frames written back to back by append_frame(),
+/// oldest first. Not counted, like append_frame(). Throws vkey::Error on a
+/// log that no append_frame() sequence could have written.
+std::vector<Message> parse_frames(std::span<const std::uint8_t> log);
 
 /// Eagerly register every wire.* instrument so metric snapshots carry the
 /// full reject taxonomy (at zero) even for runs that never reject a frame —

@@ -3,10 +3,15 @@
 // extraction and a prediction each stay under a fixed bound, a decode
 // allocates a fixed number of blocks however many greedy passes it runs, a
 // key schedule's build and rekeys stay under a fixed bound, and a warm
-// SimClock cycle allocates nothing.
+// SimClock cycle allocates nothing. On the protocol side, an agreement
+// attempt allocates the same handful of blocks however many frames it
+// sends, retransmits, drops or duplicates; so do a key confirmation and a
+// seal+open pair; and each session amplifies its key once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/alloc_stats.h"
@@ -15,9 +20,14 @@
 #include "channel/trace.h"
 #include "core/dataset.h"
 #include "core/predictor.h"
+#include "core/privacy.h"
 #include "core/reconciler.h"
+#include "crypto/sha256.h"
 #include "protocol/key_schedule.h"
+#include "protocol/reliability.h"
+#include "protocol/session.h"
 #include "protocol/sim_clock.h"
+#include "protocol/unreliable_channel.h"
 
 namespace vkey {
 namespace {
@@ -109,6 +119,186 @@ TEST(AllocBudget, KeyScheduleBuildAndTwoRekeysStayUnderABound) {
   // One block per HKDF output (eight per epoch, two per ratchet) plus the
   // initial secret: 29, with a margin.
   EXPECT_LE(allocations_of(build_and_rekey), 40u);
+}
+
+// ------------------------------------------------------------- protocol
+
+channel::LoRaParams sf7() {
+  channel::LoRaParams p;
+  p.spreading_factor = 7;
+  return p;
+}
+
+/// One agreement attempt between sessions holding the same 64-bit key (so
+/// even an untrained reconciler establishes), over a link with `faults`;
+/// flight recording off, as at gateway scale.
+struct AttemptCost {
+  std::uint64_t allocations = 0;
+  std::size_t frames = 0;
+  std::size_t retransmissions = 0;
+  bool established = false;
+};
+
+AttemptCost one_attempt(const core::AutoencoderReconciler& reconciler,
+                        const protocol::FaultConfig& faults) {
+  const BitVec key = random_bits(64, 3);
+  protocol::ReliabilityConfig cfg;
+  cfg.fault = faults;
+  cfg.radio = sf7();
+  cfg.max_session_attempts = 1;
+  cfg.flight_capacity = 0;
+  protocol::PublicChannel base;
+  protocol::AgreementReport report;
+  AttemptCost cost;
+  cost.allocations = allocations_of([&] {
+    report = protocol::run_reliable_key_agreement(
+        base, reconciler, cfg,
+        [&key](std::size_t) { return std::make_pair(key, key); });
+  });
+  cost.frames = report.link.sent;
+  const auto& att = report.attempt_log.front();
+  cost.retransmissions =
+      att.alice_transport.retransmissions + att.bob_transport.retransmissions;
+  cost.established = report.established;
+  return cost;
+}
+
+TEST(AllocBudget, AgreementAttemptDoesNotGrowWithFramesSent) {
+  if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
+  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  protocol::register_protocol_metrics();
+  (void)one_attempt(reconciler, {});  // warm-up: packs weights, metrics
+  const AttemptCost lossless = one_attempt(reconciler, {});
+  ASSERT_TRUE(lossless.established);
+  ASSERT_EQ(lossless.retransmissions, 0u);
+
+  // A lossy attempt may hold more frames and events in flight at once (one
+  // more link slot, one more doubling of the clock's heap), which is all a
+  // fault may add: nothing is allocated per frame sent, retransmitted,
+  // dropped, duplicated or corrupted. (Before frames stopped being copied,
+  // these attempts allocated 9-69 blocks more than the lossless one.)
+  constexpr std::uint64_t kInFlightSlack = 8;
+  std::size_t most_frames = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    protocol::FaultConfig faults;
+    faults.drop_prob = 0.3;
+    faults.dup_prob = 0.2;
+    faults.reorder_prob = 0.2;
+    faults.corrupt_prob = 0.1;
+    faults.seed = seed;
+    const AttemptCost lossy = one_attempt(reconciler, faults);
+    ASSERT_TRUE(lossy.established) << "seed " << seed;
+    most_frames = std::max(most_frames, lossy.frames);
+    EXPECT_LE(lossy.allocations, lossless.allocations + kInFlightSlack)
+        << "seed " << seed << ": " << lossy.frames << " frames, "
+        << lossy.retransmissions << " retransmissions";
+  }
+  EXPECT_GE(most_frames, 3 * lossless.frames);
+}
+
+TEST(AllocBudget, LosslessAgreementAttemptStaysUnderABound) {
+  if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
+  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  protocol::register_protocol_metrics();
+  (void)one_attempt(reconciler, {});
+  const AttemptCost cost = one_attempt(reconciler, {});
+  ASSERT_TRUE(cost.established);
+  // 40: the material pair, Bob's encoding and Alice's decode (17), the
+  // agreement's link, transcript and attempt log (4), the clock's heap,
+  // the four frames that carry a payload, one copy of each in the link's
+  // slots and in the sessions' and transports' tables, and the final key
+  // (120 when every frame was copied per hop).
+  EXPECT_LE(cost.allocations, 48u);
+}
+
+TEST(AllocBudget, KeyConfirmationStaysUnderABound) {
+  if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
+  const BitVec secret = random_bits(128, 4);
+  using Role = protocol::KeySchedule::Role;
+  const auto confirm_over = [&](double drop, std::uint64_t& allocs) {
+    protocol::KeySchedule initiator(secret, 0x77, Role::kInitiator);
+    protocol::KeySchedule responder(secret, 0x77, Role::kResponder);
+    protocol::SimClock clock;
+    protocol::PublicChannel base;
+    protocol::FaultConfig faults;
+    faults.drop_prob = drop;
+    faults.seed = 5;
+    protocol::UnreliableChannel link(clock, base, faults, sf7());
+    protocol::ConfirmReport report;
+    allocs = allocations_of([&] {
+      report =
+          protocol::run_key_confirmation(clock, link, initiator, responder);
+    });
+    return report;
+  };
+  std::uint64_t allocs = 0;
+  (void)confirm_over(0.0, allocs);  // warm-up: registers link/PHY metrics
+  std::size_t most_transmissions = 0;
+  for (const double drop : {0.0, 0.5, 0.7}) {
+    const protocol::ConfirmReport report = confirm_over(drop, allocs);
+    ASSERT_TRUE(report.confirmed) << "drop " << drop;
+    most_transmissions = std::max(most_transmissions, report.transmissions);
+    // 11: one frame per role and one link slot per role (payload and MAC
+    // each), the clock's heap and the transcript; retransmissions rewrite
+    // the same frames (70, 86 and 117 for 1, 2 and 4 transmissions when
+    // each built a frame and a heap closure).
+    EXPECT_LE(allocs, 14u) << "drop " << drop << ", "
+                           << report.transmissions << " transmissions";
+  }
+  EXPECT_GE(most_transmissions, 3u);
+}
+
+TEST(AllocBudget, SealOpenPairStaysUnderABound) {
+  if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
+  const BitVec secret = random_bits(128, 4);
+  using Role = protocol::KeySchedule::Role;
+  protocol::KeySchedule a(secret, 0x78, Role::kInitiator);
+  protocol::KeySchedule b(secret, 0x78, Role::kResponder);
+  const std::vector<std::uint8_t> plain(40, 0x5a);
+  std::optional<std::vector<std::uint8_t>> opened;
+  const std::uint64_t allocs = allocations_of([&] {
+    const protocol::Message frame = a.seal(1, plain);
+    opened = b.open(frame, 0.0);
+  });
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, plain);
+  // The frame's payload and MAC, and the opened plaintext (22 when each
+  // MAC assembled its input and open copied the ciphertext).
+  EXPECT_LE(allocs, 3u);
+}
+
+TEST(AllocBudget, FinalKeyIsAmplifiedOncePerSide) {
+  if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
+  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  const BitVec key = random_bits(64, 6);
+  protocol::SessionConfig cfg;
+  cfg.session_id = 0x5e55;
+  protocol::AliceSession alice(cfg, reconciler, key);
+  protocol::BobSession bob(cfg, reconciler, key);
+  const auto accept = bob.handle(alice.start());
+  const auto syndrome = bob.take_unprompted();
+  ASSERT_TRUE(accept.has_value() && syndrome.has_value());
+  EXPECT_FALSE(alice.handle(*accept).has_value());
+  const auto confirm = alice.handle(*syndrome);
+  ASSERT_TRUE(confirm.has_value());
+  const auto ack = bob.handle(*confirm);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(alice.handle(*ack).has_value());
+  ASSERT_EQ(alice.state(), protocol::SessionState::kEstablished);
+  ASSERT_EQ(bob.state(), protocol::SessionState::kEstablished);
+  EXPECT_TRUE(alice.agrees_with(bob));
+
+  BitVec final_key;
+  // The returned BitVec only: the amplification ran when each side's key
+  // was fixed (3 blocks per call when every call re-amplified).
+  EXPECT_LE(allocations_of([&] { final_key = alice.final_key(); }), 1u);
+  EXPECT_EQ(final_key, bob.final_key());
+  EXPECT_EQ(final_key,
+            core::PrivacyAmplifier(protocol::kFinalKeyBits)
+                .amplify(key, cfg.session_id));
+  const auto bytes = final_key.to_bytes();
+  EXPECT_EQ(crypto::to_hex(bytes.data(), bytes.size()),
+            "955b1e7d50791dabb37e77a46bc711ae");
 }
 
 TEST(AllocBudget, WarmSimClockCycleAllocatesNothing) {

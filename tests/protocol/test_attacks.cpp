@@ -135,9 +135,9 @@ TEST_F(AttackTest, TamperInterceptorPassesOtherTraffic) {
   req.type = MessageType::kKeyGenRequest;
   req.session_id = 1;
   req.nonce = 1;
-  const auto got = ch.transmit(req);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, req);  // untouched
+  Message in_flight = req;
+  ASSERT_TRUE(ch.transmit(in_flight));
+  EXPECT_EQ(in_flight, req);  // untouched
 }
 
 }  // namespace

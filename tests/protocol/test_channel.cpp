@@ -15,38 +15,47 @@ Message msg(MessageType type, std::uint64_t nonce) {
 
 TEST(PublicChannel, TranscriptRecordsEverything) {
   PublicChannel ch;
-  EXPECT_EQ(ch.transmit(msg(MessageType::kKeyGenRequest, 1))->nonce, 1u);
-  EXPECT_EQ(ch.transmit(msg(MessageType::kSyndrome, 2))->nonce, 2u);
-  ASSERT_EQ(ch.transcript().size(), 2u);
-  EXPECT_EQ(ch.transcript()[1].type, MessageType::kSyndrome);
+  Message request = msg(MessageType::kKeyGenRequest, 1);
+  Message syndrome = msg(MessageType::kSyndrome, 2);
+  syndrome.payload = {1, 2, 3};
+  syndrome.mac = {4, 5};
+  EXPECT_TRUE(ch.transmit(request));
+  EXPECT_TRUE(ch.transmit(syndrome));
+  EXPECT_EQ(request.nonce, 1u);  // no interceptor: delivered as sent
+  const auto transcript = ch.transcript();
+  ASSERT_EQ(transcript.size(), 2u);
+  EXPECT_EQ(transcript[0], request);
+  EXPECT_EQ(transcript[1], syndrome);
 }
 
 TEST(PublicChannel, InterceptorCanModify) {
   PublicChannel ch;
-  ch.set_interceptor([](const Message& m) {
-    Message t = m;
-    t.nonce = 99;
-    return t;
+  ch.set_interceptor([](Message& m) {
+    m.nonce = 99;
+    return true;
   });
-  EXPECT_EQ(ch.transmit(msg(MessageType::kData, 1))->nonce, 99u);
+  Message in_flight = msg(MessageType::kData, 1);
+  EXPECT_TRUE(ch.transmit(in_flight));
+  EXPECT_EQ(in_flight.nonce, 99u);
   // The transcript keeps the original.
   EXPECT_EQ(ch.transcript()[0].nonce, 1u);
 }
 
 TEST(PublicChannel, InterceptorCanDrop) {
   PublicChannel ch;
-  ch.set_interceptor([](const Message&) { return std::nullopt; });
-  EXPECT_FALSE(ch.transmit(msg(MessageType::kData, 1)).has_value());
+  ch.set_interceptor([](Message&) { return false; });
+  Message in_flight = msg(MessageType::kData, 1);
+  EXPECT_FALSE(ch.transmit(in_flight));
   EXPECT_EQ(ch.transcript().size(), 1u);
 }
 
 TEST(PublicChannel, ClearInterceptor) {
   PublicChannel ch;
-  ch.set_interceptor([](const Message&) { return std::nullopt; });
+  ch.set_interceptor([](Message&) { return false; });
   ch.set_interceptor(nullptr);
-  const auto delivered = ch.transmit(msg(MessageType::kData, 1));
-  ASSERT_TRUE(delivered.has_value());
-  EXPECT_EQ(*delivered, msg(MessageType::kData, 1));
+  Message in_flight = msg(MessageType::kData, 1);
+  ASSERT_TRUE(ch.transmit(in_flight));
+  EXPECT_EQ(in_flight, msg(MessageType::kData, 1));
 }
 
 }  // namespace

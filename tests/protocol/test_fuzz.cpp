@@ -8,9 +8,12 @@
 
 #include "common/rng.h"
 #include "core/reconciler.h"
+#include "protocol/channel.h"
 #include "protocol/flight_recorder.h"
 #include "protocol/message.h"
 #include "protocol/session.h"
+#include "protocol/sim_clock.h"
+#include "protocol/unreliable_channel.h"
 #include "protocol/wire.h"
 
 namespace vkey::protocol {
@@ -96,6 +99,111 @@ TEST(Fuzz, HundredThousandMutatedFramesRejectTypedOrRoundTrip) {
   EXPECT_GT(reject_reasons[size_t(wire::WireError::kOversizedPayload)], 0u);
   EXPECT_GT(reject_reasons[size_t(wire::WireError::kOversizedMac)], 0u);
   EXPECT_GT(reject_reasons[size_t(wire::WireError::kBadCrc)], 0u);
+}
+
+// ---------------------------------------------------- link slot lifetime fuzz
+//
+// The link owns every in-flight frame in a reused slot until its
+// deliveries have run. Seeded random traffic under every fault, with
+// handler swaps while frames are queued (as run_key_confirmation does),
+// clock teardowns while deliveries are pending (as the supervisor does
+// between attempts), and handlers that send — or tear down and send — from
+// inside a delivery. Invariants, checked under ASan in CI: a delivered
+// frame is byte-for-byte a frame sent since the last teardown, it reaches
+// the handler installed when it arrives, it stays intact for the whole
+// handler call, and nothing sent before a teardown arrives after it.
+
+/// Frame `nonce` of teardown epoch `epoch`: its payload (whose length
+/// varies with the nonce) and MAC are functions of both, so a recycled
+/// slot or a stale frame cannot pass for it.
+Message link_frame(std::uint64_t epoch, std::uint64_t nonce) {
+  Message m;
+  m.type = static_cast<MessageType>(1 + nonce % kMaxMessageType);
+  m.session_id = epoch;
+  m.nonce = nonce;
+  m.payload.resize(nonce % 300);
+  for (std::size_t i = 0; i < m.payload.size(); ++i) {
+    m.payload[i] = static_cast<std::uint8_t>(nonce * 31 + epoch * 7 + i);
+  }
+  if (nonce % 3 == 0) m.mac.assign(32, static_cast<std::uint8_t>(nonce));
+  return m;
+}
+
+TEST(Fuzz, LinkFramesSurviveHandlerSwapAndTeardown) {
+  using Endpoint = UnreliableChannel::Endpoint;
+  std::size_t delivered = 0, teardowns_with_queued = 0, swaps = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    vkey::Rng rng(hash_combine64(seed, 0x5107));
+    SimClock clock;
+    PublicChannel base;
+    FaultConfig faults;
+    faults.drop_prob = 0.2;
+    faults.dup_prob = 0.3;
+    faults.corrupt_prob = 0.2;
+    faults.reorder_prob = 0.3;
+    faults.seed = seed;
+    channel::LoRaParams radio;
+    radio.spreading_factor = 7;
+    UnreliableChannel link(clock, base, faults, radio);
+
+    std::uint64_t epoch = 0;
+    std::uint64_t next_nonce = 1;
+    std::uint64_t installed[2] = {0, 0};  // generation per endpoint
+    const auto teardown = [&] {
+      if (clock.pending() > 0) ++teardowns_with_queued;
+      clock.clear();
+      ++epoch;
+    };
+    const auto send_from = [&](Endpoint from) {
+      link.send(from, link_frame(epoch, next_nonce++));
+    };
+    const auto install = [&](Endpoint at) {
+      const int e = static_cast<int>(at);
+      const std::uint64_t generation = ++installed[e];
+      link.set_handler(at, [&, at, e, generation](const Message& m) {
+        EXPECT_EQ(generation, installed[e]) << "an old handler got a frame";
+        EXPECT_EQ(m.session_id, epoch) << "a frame outlived its teardown";
+        const Message expected = link_frame(m.session_id, m.nonce);
+        EXPECT_EQ(m, expected);
+        ++delivered;
+        const Endpoint back =
+            at == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
+        const double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.05) {
+          teardown();  // from inside a delivery: the slot stays readable
+          send_from(back);
+        } else if (roll < 0.4) {
+          send_from(back);  // may append slots while this one is read
+        }
+        EXPECT_EQ(m, expected) << "the frame changed under its handler";
+      });
+    };
+    install(Endpoint::kAlice);
+    install(Endpoint::kBob);
+
+    for (int op = 0; op < 300; ++op) {
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < 0.45) {
+        send_from(rng.bernoulli(0.5) ? Endpoint::kAlice : Endpoint::kBob);
+      } else if (roll < 0.75) {
+        for (std::uint64_t k = rng.uniform_int(4); k > 0; --k) {
+          clock.run_next();
+        }
+      } else if (roll < 0.87) {
+        install(rng.bernoulli(0.5) ? Endpoint::kAlice : Endpoint::kBob);
+        ++swaps;
+      } else if (roll < 0.93) {
+        teardown();
+      } else {
+        clock.run_until(clock.now_ms() + rng.uniform(0.0, 500.0));
+      }
+    }
+    clock.run_until_idle();
+    EXPECT_EQ(clock.pending(), 0u);
+  }
+  EXPECT_GT(delivered, 1000u);
+  EXPECT_GT(teardowns_with_queued, 100u);
+  EXPECT_GT(swaps, 100u);
 }
 
 // ------------------------------------------------- session interleaving fuzz

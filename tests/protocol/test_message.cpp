@@ -22,9 +22,12 @@ TEST(Message, MacInputExcludesMac) {
   Message a = sample_message();
   Message b = a;
   b.mac = {0xde, 0xad};
-  EXPECT_EQ(mac_input(a), mac_input(b));
+  EXPECT_EQ(mac_header(a), mac_header(b));
+  const std::vector<std::uint8_t> key = {7, 7, 7};
+  EXPECT_EQ(frame_mac(key, a), frame_mac(key, b));
   b.nonce += 1;
-  EXPECT_NE(mac_input(a), mac_input(b));
+  EXPECT_NE(mac_header(a), mac_header(b));
+  EXPECT_NE(frame_mac(key, a), frame_mac(key, b));
 }
 
 TEST(Message, AcceptsTheMaximumBoundedSizes) {

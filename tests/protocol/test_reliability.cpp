@@ -6,13 +6,16 @@
 #include <cmath>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/reconciler.h"
+#include "crypto/sha256.h"
 #include "protocol/reliability.h"
 #include "protocol/reliable_transport.h"
 #include "protocol/session.h"
 #include "protocol/sim_clock.h"
 #include "protocol/unreliable_channel.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
 namespace {
@@ -228,8 +231,7 @@ TEST(UnreliableChannel, DeliversTheFrameItWasGivenWhateverTheBaseHolds) {
   clock.run_until_idle();
   EXPECT_EQ(at_bob, (std::vector<std::uint64_t>{1}));
 
-  base.set_interceptor(
-      [](const Message&) -> std::optional<Message> { return std::nullopt; });
+  base.set_interceptor([](Message&) { return false; });
   frame.nonce = 2;
   link.send(UnreliableChannel::Endpoint::kAlice, frame);
   clock.run_until_idle();
@@ -379,16 +381,13 @@ TEST_F(ReliabilityTest, RecoversWithFreshSessionAfterTamperedAttempt) {
   PublicChannel base;
   ReliabilityConfig cfg = config_for(0.0, 5);
   const std::uint64_t doomed = cfg.base_session_id;
-  base.set_interceptor(
-      [doomed](const Message& msg) -> std::optional<Message> {
-        if (msg.type != MessageType::kSyndrome ||
-            msg.session_id != doomed || msg.payload.empty()) {
-          return msg;
-        }
-        Message tampered = msg;
-        tampered.payload[0] ^= 0x80;
-        return tampered;
-      });
+  base.set_interceptor([doomed](Message& msg) {
+    if (msg.type == MessageType::kSyndrome && msg.session_id == doomed &&
+        !msg.payload.empty()) {
+      msg.payload[0] ^= 0x80;
+    }
+    return true;
+  });
   const auto report =
       run_reliable_key_agreement(base, *reconciler_, cfg, material_for(5));
   ASSERT_TRUE(report.established);
@@ -410,6 +409,108 @@ TEST_F(ReliabilityTest, ReportsRetryExhaustionOnHopelessLink) {
   EXPECT_EQ(report.attempts, 2u);
   EXPECT_EQ(report.failure, FailureReason::kRetryExhausted);
   EXPECT_TRUE(report.key.empty());
+}
+
+// ------------------------------------------------------- event-order pin
+//
+// Every counter of every attempt, the digest of Eve's transcript (each frame
+// re-encoded as v1 bytes) and the digest of the failure dump, for seeded
+// agreements under drop, duplication, reordering and corruption. The
+// expected values were captured before the link, ARQ and sessions stopped
+// copying frames; any reordered event or extra RNG draw moves one of them.
+
+std::string counters_of(const AgreementReport& r) {
+  const auto tx = [](const TransportStats& t) {
+    return std::to_string(t.data_sent) + "," +
+           std::to_string(t.retransmissions) + "," +
+           std::to_string(t.acks_sent) + "," +
+           std::to_string(t.acks_received) + "," +
+           std::to_string(t.stale_acks) + "," + std::to_string(t.gave_up);
+  };
+  const LinkStats& l = r.link;
+  std::string out =
+      "attempts=" + std::to_string(r.attempts) +
+      " ttk=" + json::format_number(r.time_to_establish_ms) + " link=" +
+      std::to_string(l.sent) + "," + std::to_string(l.bytes_sent) + "," +
+      std::to_string(l.delivered) + "," + std::to_string(l.dropped) + "," +
+      std::to_string(l.corrupted) + "," + std::to_string(l.crc_lost) + "," +
+      std::to_string(l.duplicated) + "," + std::to_string(l.reordered) + "\n";
+  for (const AttemptReport& a : r.attempt_log) {
+    out += "sid=" + std::to_string(a.session_id) +
+           " est=" + std::to_string(a.established) + " " +
+           to_string(a.failure) + " alice=" + to_string(a.alice_state) + "/" +
+           to_string(a.alice_reject) + " bob=" + to_string(a.bob_state) +
+           "/" + to_string(a.bob_reject) +
+           " ms=" + json::format_number(a.duration_ms) +
+           " atx=" + tx(a.alice_transport) + " btx=" + tx(a.bob_transport) +
+           " dups=" + std::to_string(a.alice_duplicates_suppressed) + "," +
+           std::to_string(a.bob_duplicates_suppressed) +
+           " flight=" + std::to_string(a.flight.total()) + "," +
+           std::to_string(a.flight.size()) + "\n";
+  }
+  return out;
+}
+
+std::string sha256_hex(const std::string& text) {
+  const auto d = crypto::Sha256::digest(text);
+  return crypto::to_hex(d.data(), d.size());
+}
+
+std::string transcript_digest(const PublicChannel& base) {
+  std::string bytes;
+  for (const Message& m : base.transcript()) {
+    const auto frame = wire::encode_frame(m);
+    bytes.append(frame.begin(), frame.end());
+  }
+  return std::to_string(bytes.size()) + ":" + sha256_hex(bytes);
+}
+
+TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
+  ReliabilityConfig cfg = config_for(0.25, 31);
+  cfg.fault.dup_prob = 0.2;
+  cfg.fault.reorder_prob = 0.2;
+  cfg.fault.corrupt_prob = 0.2;
+  cfg.max_session_attempts = 4;
+  PublicChannel base;
+  const auto report =
+      run_reliable_key_agreement(base, *reconciler_, cfg, material_for(31));
+  EXPECT_EQ(counters_of(report),
+            "attempts=1 ttk=3669.212999956156 link=22,1938,12,5,3,3,1,5\n"
+            "sid=1 est=1 none alice=established/none "
+            "bob=established/duplicate ms=3669.212999956156 "
+            "atx=2,5,3,1,2,0 btx=3,4,5,1,0,0 dups=0,3 flight=93,93\n");
+  EXPECT_EQ(transcript_digest(base),
+            "1938:bd4c0b4ac95b7b0213ec7cd2faa7be469a18b0bb06ad04f8bfcdeaf5b68"
+            "d77b6");
+
+  // A link too lossy to finish: every attempt fails and leaves a dump.
+  ReliabilityConfig lossy = config_for(0.8, 32);
+  lossy.fault.dup_prob = 0.25;
+  lossy.fault.reorder_prob = 0.25;
+  lossy.fault.corrupt_prob = 0.25;
+  lossy.max_session_attempts = 3;
+  PublicChannel eve;
+  const auto failed =
+      run_reliable_key_agreement(eve, *reconciler_, lossy, material_for(32));
+  ASSERT_FALSE(failed.established);
+  EXPECT_EQ(counters_of(failed),
+            "attempts=3 ttk=37476.41731994929 link=55,4653,8,45,4,4,2,5\n"
+            "sid=1 est=0 retry-exhausted alice=await-syndrome/none "
+            "bob=await-confirm/none ms=12607.15728566181 atx=1,8,1,0,0,1 "
+            "btx=2,8,1,0,0,0 dups=0,0 flight=86,86\n"
+            "sid=2 est=0 retry-exhausted alice=await-accept/none "
+            "bob=idle/none ms=13696.002607303932 atx=1,8,0,0,0,1 "
+            "btx=0,0,0,0,0,0 dups=0,0 flight=39,39\n"
+            "sid=3 est=0 retry-exhausted alice=await-syndrome/duplicate "
+            "bob=await-confirm/duplicate ms=11173.257426983546 "
+            "atx=1,2,3,1,0,0 btx=2,15,2,0,0,1 dups=2,1 flight=109,109\n");
+  EXPECT_EQ(transcript_digest(eve),
+            "4653:fb6805050d4016d34e53d2b95e0ca2fce84eca81826f746fd7612dbddf"
+            "149d66");
+  const std::string dump = failed.failure_dump();
+  EXPECT_EQ(std::to_string(dump.size()) + ":" + sha256_hex(dump),
+            "17913:c2a1cdac82df51a059ab912de8c06ad4a52329907566c9e4470acb3b55"
+            "954ee3");
 }
 
 // ------------------------------------------- structured agreement results
