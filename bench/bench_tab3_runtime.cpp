@@ -34,7 +34,6 @@ struct Fixture {
   PredictorQuantizer predictor_int8;  ///< same weights, int8 infer path
   AutoencoderReconciler reconciler;
   nn::Vec alice_seq;
-  std::vector<nn::Vec> batch_windows;  ///< 16 windows for the batched stage
   std::vector<double> bob_seq_raw;
   BitVec key_alice;
   BitVec key_bob;
@@ -61,10 +60,6 @@ struct Fixture {
       alice_seq[i] = rng.uniform();
       bob_seq_raw[i] = -80.0 + 5.0 * rng.gaussian();
     }
-    batch_windows.assign(16, nn::Vec(64));
-    for (auto& w : batch_windows) {
-      for (double& v : w) v = rng.uniform();
-    }
     key_bob = BitVec(64);
     for (std::size_t i = 0; i < 64; ++i) key_bob.set(i, rng.bernoulli(0.5));
     key_alice = key_bob;
@@ -86,17 +81,6 @@ void BM_Alice_PredictionAndQuantization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Alice_PredictionAndQuantization);
-
-/// Batched float prediction: 16 windows per iteration through one blocked
-/// pass over the Dense heads (bit-identical to 16 sequential infer calls).
-void BM_Alice_PredictionAndQuantization_Batch16(benchmark::State& state) {
-  auto& f = fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.predictor.infer_batch(f.batch_windows));
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_Alice_PredictionAndQuantization_Batch16);
 
 /// The int8 fast path (PredictorConfig::quantized) — NOT bit-exact with
 /// the float rows; bench_ablation table A6 reports its KAR cost.

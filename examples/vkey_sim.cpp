@@ -392,11 +392,11 @@ int sim_main(int argc, char** argv) {
           return std::make_pair(b.alice_raw, b.bob_key);
         });
     if (cfg.use_prediction) {
-      // Batched attempt-0 prefetch: one blocked predictor pass per
-      // simulation batch regenerates, live, the same bits the per-attempt
-      // source reads out of the cached evaluation blocks (infer_batch is
-      // bit-identical per member to the infer() calls that produced those
-      // blocks, so the two sources agree as BatchMaterialFn requires).
+      // Attempt-0 prefetch: one infer_batch per simulation batch
+      // regenerates, live, the same bits the per-attempt source reads out
+      // of the cached evaluation blocks (infer_batch runs infer() per
+      // window, the path that produced those blocks, so the two sources
+      // agree as BatchMaterialFn requires).
       const auto& samples = pipeline.test_samples();
       const std::size_t wpb = cfg.reconciler.key_bits / cfg.predictor.key_bits;
       const std::size_t n_blocks = blocks.size();

@@ -135,14 +135,13 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   };
   std::vector<Fragment> fragments;
   if (cfg_.use_prediction) {
-    // Chunked, batched prediction: windows are grouped into fixed-size
-    // chunks and each chunk runs through PredictorQuantizer::infer_batch
-    // so the Dense heads make one blocked pass per chunk. The chunk
-    // geometry depends only on the sample count — never on the lane
-    // count — and the batched path is bit-identical per member to
-    // sequential infer(), so the output stays byte-stable for any
-    // `threads` value (see DESIGN.md "Parallel execution & determinism
-    // contract").
+    // Chunked prediction: windows are grouped into fixed-size chunks, the
+    // pool's unit of work and one pipeline.predict_chunk span each, and
+    // each chunk runs through PredictorQuantizer::infer_batch (infer() per
+    // window over one workspace). The chunk geometry depends only on the
+    // sample count — never on the lane count — so the output stays
+    // byte-stable for any `threads` value (see DESIGN.md "Parallel
+    // execution & determinism contract").
     constexpr std::size_t kPredictChunk = 16;
     const std::size_t n = test_samples.size();
     const std::size_t n_chunks = (n + kPredictChunk - 1) / kPredictChunk;

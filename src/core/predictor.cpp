@@ -48,13 +48,6 @@ nn::Seq to_seq(const nn::Vec& v) {
   return s;
 }
 
-/// Turn the quantization head's logits, left in out.probabilities, into
-/// probabilities in place, and threshold them into the bits.
-void finish(PredictorQuantizer::Output& out) {
-  for (double& p : out.probabilities) p = nn::sigmoid(p);
-  out.bits = BitVec::from_doubles_threshold(out.probabilities);
-}
-
 }  // namespace
 
 PredictorQuantizer::PredictorQuantizer(const PredictorConfig& config)
@@ -168,24 +161,33 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
   return report;
 }
 
-PredictorQuantizer::Output PredictorQuantizer::infer(
-    const nn::Vec& alice_seq) const {
-  VKEY_REQUIRE(alice_seq.size() == cfg_.seq_len, "input seq_len mismatch");
-  // One call-local workspace: the BiLSTM's inputs, its flattened outputs
-  // (the prediction head's input) and its cell scratch.
-  const std::size_t x_len = cfg_.seq_len * kInputWidth;
+std::size_t PredictorQuantizer::workspace_size() const {
+  return cfg_.seq_len * (kInputWidth + bilstm_.output_size()) +
+         bilstm_.workspace_size();
+}
+
+void PredictorQuantizer::infer_window(const nn::Vec& alice_seq, double* ws,
+                                      Output& out) const {
   const std::size_t h_len = cfg_.seq_len * bilstm_.output_size();
-  nn::Vec ws(x_len + h_len + bilstm_.workspace_size());
-  double* x = ws.data();
-  double* h = x + x_len;
+  double* x = ws;
+  double* h = x + cfg_.seq_len * kInputWidth;
   write_inputs(alice_seq, x);
   bilstm_.infer_into(x, cfg_.seq_len, h, h + h_len);
-  Output out;
   out.predicted_seq.resize(cfg_.seq_len);
   out.probabilities.resize(cfg_.key_bits);
   pred_head_.infer_into(h, out.predicted_seq.data());
+  // The quantization head's logits become probabilities in place.
   quant_head_.infer_into(out.predicted_seq.data(), out.probabilities.data());
-  finish(out);
+  for (double& p : out.probabilities) p = nn::sigmoid(p);
+  out.bits = BitVec::from_doubles_threshold(out.probabilities);
+}
+
+PredictorQuantizer::Output PredictorQuantizer::infer(
+    const nn::Vec& alice_seq) const {
+  VKEY_REQUIRE(alice_seq.size() == cfg_.seq_len, "input seq_len mismatch");
+  nn::Vec ws(workspace_size());
+  Output out;
+  infer_window(alice_seq, ws.data(), out);
   return out;
 }
 
@@ -194,38 +196,12 @@ std::vector<PredictorQuantizer::Output> PredictorQuantizer::infer_batch(
   for (const auto& w : windows) {
     VKEY_REQUIRE(w.size() == cfg_.seq_len, "input seq_len mismatch");
   }
-  const std::size_t n = windows.size();
-  std::vector<Output> outs(n);
-  if (n == 0) return outs;
-
-  // One call-local workspace: every member's flattened BiLSTM output, then
-  // one window's inputs and the cell scratch, reused member after member.
-  const std::size_t x_len = cfg_.seq_len * kInputWidth;
-  const std::size_t h_len = cfg_.seq_len * bilstm_.output_size();
-  nn::Vec ws(n * h_len + x_len + bilstm_.workspace_size());
-  double* x = ws.data() + n * h_len;
-  std::vector<const double*> xs(n);
-  std::vector<double*> ys(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    write_inputs(windows[m], x);
-    double* h = ws.data() + m * h_len;
-    bilstm_.infer_into(x, cfg_.seq_len, h, x + x_len);
-    xs[m] = h;
-    outs[m].predicted_seq.resize(cfg_.seq_len);
-    ys[m] = outs[m].predicted_seq.data();
+  std::vector<Output> outs(windows.size());
+  if (outs.empty()) return outs;
+  nn::Vec ws(workspace_size());
+  for (std::size_t m = 0; m < outs.size(); ++m) {
+    infer_window(windows[m], ws.data(), outs[m]);
   }
-
-  // One blocked pass per Dense head over the whole batch: the prediction
-  // head's weight panels stream through cache once per batch instead of
-  // once per window.
-  pred_head_.infer_batch_into(xs.data(), n, ys.data());
-  for (std::size_t m = 0; m < n; ++m) {
-    xs[m] = outs[m].predicted_seq.data();
-    outs[m].probabilities.resize(cfg_.key_bits);
-    ys[m] = outs[m].probabilities.data();
-  }
-  quant_head_.infer_batch_into(xs.data(), n, ys.data());
-  for (Output& out : outs) finish(out);
   return outs;
 }
 

@@ -18,10 +18,12 @@
 //    windows; feeding the phase j mod k lets the BiLSTM learn per-lag
 //    compensation.
 //
-// Inference runs the BiLSTM over flat buffers (BiLstm::infer_into) in one
-// call-local workspace and writes both heads straight into the Output, so
-// infer() allocates four blocks whatever the sequence length: the
-// workspace and the Output's three vectors.
+// Inference has one body, infer_window(): the BiLSTM over flat buffers
+// (BiLstm::infer_into) in a caller's workspace, then both heads straight
+// into the Output. infer() runs it in a call-local workspace, so it
+// allocates four blocks whatever the sequence length: the workspace and the
+// Output's three vectors. infer_batch() runs it window after window in one
+// shared workspace.
 //
 // Only Alice (or a power-rich RSU) runs this model; Bob uses the
 // conventional multi-bit quantizer on his own measurements.
@@ -79,13 +81,9 @@ class PredictorQuantizer {
   /// Inference on one normalized arRSSI window.
   Output infer(const nn::Vec& alice_seq) const;
 
-  /// Batched inference: the BiLSTM runs per window (its weights are
-  /// cache-resident), then both Dense heads run one blocked pass over the
-  /// whole batch — the prediction head's weights (~2 MB at the default
-  /// sizing) stream through cache once per batch instead of once per
-  /// window. Bit-identical to calling infer() per window, in order; one
-  /// workspace holds every window's BiLSTM output, so a batch allocates
-  /// each Output's three vectors plus four blocks.
+  /// infer() on each window, in order, over one shared workspace: a batch
+  /// allocates each Output's three vectors plus two blocks (the Output
+  /// vector and the workspace).
   std::vector<Output> infer_batch(std::span<const nn::Vec> windows) const;
 
   /// Toggle the int8 inference path at runtime (see PredictorConfig).
@@ -99,6 +97,13 @@ class PredictorQuantizer {
   double evaluate_loss(std::span<const TrainingSample> samples) const;
 
  private:
+  /// Doubles of one window's workspace: the BiLSTM's inputs, its flattened
+  /// outputs (the prediction head's input) and its cell scratch.
+  std::size_t workspace_size() const;
+  /// The inference body: one seq_len window through the BiLSTM and both
+  /// heads into `out`, over workspace_size() doubles at `ws`.
+  void infer_window(const nn::Vec& alice_seq, double* ws, Output& out) const;
+
   PredictorConfig cfg_;
   vkey::Rng rng_;
   nn::BiLstm bilstm_;

@@ -1,6 +1,8 @@
 #include "core/reconciler.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -297,6 +299,33 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
 BitVec AutoencoderReconciler::reconcile(const BitVec& key_alice,
                                         std::span<const double> y_bob) const {
   return key_alice ^ decode_mismatch(key_alice, y_bob).mismatch;
+}
+
+std::vector<std::uint8_t> AutoencoderReconciler::syndrome(
+    const BitVec& key_bob) const {
+  const std::vector<double> y_bob = encode_bob(key_bob);
+  std::vector<std::uint8_t> bytes(y_bob.size() * 8);
+  for (std::size_t i = 0; i < y_bob.size(); ++i) {
+    const auto v = std::bit_cast<std::uint64_t>(y_bob[i]);
+    for (std::size_t b = 0; b < 8; ++b) {
+      bytes[8 * i + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  }
+  return bytes;
+}
+
+std::optional<BitVec> AutoencoderReconciler::correct(
+    const BitVec& key_alice, std::span<const std::uint8_t> syndrome) const {
+  if (syndrome.size() != kCodeDim * 8) return std::nullopt;
+  std::array<double, kCodeDim> y_bob{};
+  for (std::size_t i = 0; i < kCodeDim; ++i) {
+    std::uint64_t v = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      v |= std::uint64_t{syndrome[8 * i + b]} << (8 * b);
+    }
+    y_bob[i] = std::bit_cast<double>(v);
+  }
+  return reconcile(key_alice, y_bob);
 }
 
 BitVec AutoencoderReconciler::reconcile_one_shot(

@@ -23,6 +23,11 @@
 //  * at most 40 greedy decode passes (see decode_mismatch);
 //  * Bloom parameters from the public seed 0x5e551011.
 //
+// The protocol carries the syndrome as bytes: syndrome() is Bob's y_Bob as
+// kCodeDim little-endian IEEE-754 doubles, and correct() is Alice's
+// reconcile() against those bytes, refusing any other length. Sessions and
+// attacks use only these two; the bytes are this class's to define.
+//
 // Cost accounting: decode_flops() counts the multiply-accumulates of one
 // reconciliation, the quantity Fig. 11 compares against the CS/OMP decoder.
 //
@@ -33,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -110,6 +116,15 @@ class AutoencoderReconciler {
   /// K_Bob whenever the decoder recovered every flip.
   BitVec reconcile(const BitVec& key_alice,
                    std::span<const double> y_bob) const;
+
+  /// encode_bob() as the syndrome frame's payload: each of y_Bob's kCodeDim
+  /// doubles as 8 little-endian IEEE-754 bytes.
+  std::vector<std::uint8_t> syndrome(const BitVec& key_bob) const;
+
+  /// reconcile() against syndrome() bytes; nullopt unless `syndrome` holds
+  /// exactly kCodeDim doubles.
+  std::optional<BitVec> correct(const BitVec& key_alice,
+                                std::span<const std::uint8_t> syndrome) const;
 
   /// Single decoder pass (the paper's original inference: one forward pass
   /// of g, logits thresholded at 0.5). Used by the security analysis to

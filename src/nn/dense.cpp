@@ -88,30 +88,6 @@ void Dense::infer_into(const double* x, double* y) const {
   compute(x, y, quantized_);
 }
 
-void Dense::infer_batch_into(const double* const* xs, std::size_t n,
-                             double* const* ys) const {
-  if (n == 0) return;
-  metrics::counter<"nn.dense.forward_calls">().add(n);
-  metrics::counter<"nn.dense.flops">().add(
-      2 * static_cast<std::uint64_t>(in_) * out_ * n);
-  if (quantized_) {
-    // int8 rows stream ~8x less data than float, so the batched panel
-    // reuse buys nothing; per-member matvec keeps it simple.
-    const QuantizedMatrix& qm = quant();
-    std::vector<std::int8_t> xq(qm.padded_cols());
-    for (std::size_t i = 0; i < n; ++i) {
-      std::fill(xq.begin(), xq.end(), static_cast<std::int8_t>(0));
-      const double x_scale =
-          QuantizedMatrix::quantize_input(xs[i], in_, xq.data());
-      qm.matvec(xq.data(), x_scale, b_.value.data(), ys[i]);
-      activate(ys[i]);
-    }
-    return;
-  }
-  packed().matvec_batch(xs, n, b_.value.data(), ys);
-  for (std::size_t i = 0; i < n; ++i) activate(ys[i]);
-}
-
 std::vector<Vec> Dense::backward_batch(std::span<const Cache> caches,
                                        std::span<const Vec> grad_outs,
                                        bool input_grad) {

@@ -10,8 +10,7 @@
 // caller's storage, then the activation in place, so a caller that keeps
 // its own buffers (the reconciler's greedy decode ping-pongs two) allocates
 // nothing per layer. infer() is infer_into() over a fresh vector, and
-// forward() runs the same float body into its cache. Batched inference,
-// infer_batch_into(), writes through caller pointers the same way.
+// forward() runs the same float body into its cache.
 #pragma once
 
 #include <span>
@@ -54,17 +53,7 @@ class Dense {
   /// infer().
   void infer_into(const double* x, double* y) const;
 
-  /// Batched inference into caller storage: member m reads in_size()
-  /// values at xs[m] and writes out_size() values to ys[m] (no x may
-  /// overlap a y). One pass over the packed weights serves the whole batch
-  /// (the win for large layers like the BiLSTM prediction head, whose
-  /// weight matrix exceeds the per-core cache). Bit-identical to calling
-  /// infer() per member, in order. Allocates nothing on the float path
-  /// (the int8 path quantizes into one scratch vector).
-  void infer_batch_into(const double* const* xs, std::size_t n,
-                        double* const* ys) const;
-
-  /// Route infer()/infer_batch_into() through the int8 path (training and
+  /// Route infer()/infer_into() through the int8 path (training and
   /// forward() stay float). NOT bit-exact with the float path; see gemm.h.
   void set_quantized(bool quantized) { quantized_ = quantized; }
   bool quantized() const { return quantized_; }

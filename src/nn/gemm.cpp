@@ -347,70 +347,6 @@ void PackedMatrix::matvec(const double* x, const double* bias,
   }
 }
 
-void PackedMatrix::matvec_batch(const double* const* xs, std::size_t batch,
-                                const double* bias,
-                                double* const* ys) const {
-  const std::size_t cols = cols_;
-  // Panel-outer / member-inner: one pass over each packed panel (the large
-  // operand — the prediction head is ~2 MB) serves the whole batch while
-  // the panel is cache-hot. Members are processed four at a time so each
-  // panel load feeds eight independent accumulator chains. Per-member
-  // arithmetic matches matvec exactly.
-  for (std::size_t p = 0; p < panels_; ++p) {
-    const std::size_t row0 = p * kPanelRows;
-    const std::size_t live = std::min(kPanelRows, rows_ - row0);
-    const double* panel = &data_[p * cols * kPanelRows];
-    std::size_t b = 0;
-#if defined(__AVX2__)
-    if (live == kPanelRows) {
-      for (; b + 4 <= batch; b += 4) {
-        const double* x0 = xs[b];
-        const double* x1 = xs[b + 1];
-        const double* x2 = xs[b + 2];
-        const double* x3 = xs[b + 3];
-        __m256d blo;
-        __m256d bhi;
-        if (bias != nullptr) {
-          blo = _mm256_loadu_pd(bias + row0);
-          bhi = _mm256_loadu_pd(bias + row0 + 4);
-        } else {
-          blo = bhi = _mm256_setzero_pd();
-        }
-        __m256d a0 = blo, a1 = bhi, a2 = blo, a3 = bhi;
-        __m256d a4 = blo, a5 = bhi, a6 = blo, a7 = bhi;
-        for (std::size_t c = 0; c < cols; ++c) {
-          const std::size_t o = c * kPanelRows;
-          const __m256d wlo = _mm256_loadu_pd(panel + o);
-          const __m256d whi = _mm256_loadu_pd(panel + o + 4);
-          const __m256d c0 = _mm256_set1_pd(x0[c]);
-          const __m256d c1 = _mm256_set1_pd(x1[c]);
-          const __m256d c2 = _mm256_set1_pd(x2[c]);
-          const __m256d c3 = _mm256_set1_pd(x3[c]);
-          a0 = _mm256_add_pd(a0, _mm256_mul_pd(wlo, c0));
-          a1 = _mm256_add_pd(a1, _mm256_mul_pd(whi, c0));
-          a2 = _mm256_add_pd(a2, _mm256_mul_pd(wlo, c1));
-          a3 = _mm256_add_pd(a3, _mm256_mul_pd(whi, c1));
-          a4 = _mm256_add_pd(a4, _mm256_mul_pd(wlo, c2));
-          a5 = _mm256_add_pd(a5, _mm256_mul_pd(whi, c2));
-          a6 = _mm256_add_pd(a6, _mm256_mul_pd(wlo, c3));
-          a7 = _mm256_add_pd(a7, _mm256_mul_pd(whi, c3));
-        }
-        _mm256_storeu_pd(ys[b] + row0, a0);
-        _mm256_storeu_pd(ys[b] + row0 + 4, a1);
-        _mm256_storeu_pd(ys[b + 1] + row0, a2);
-        _mm256_storeu_pd(ys[b + 1] + row0 + 4, a3);
-        _mm256_storeu_pd(ys[b + 2] + row0, a4);
-        _mm256_storeu_pd(ys[b + 2] + row0 + 4, a5);
-        _mm256_storeu_pd(ys[b + 3] + row0, a6);
-        _mm256_storeu_pd(ys[b + 3] + row0 + 4, a7);
-      }
-    }
-#endif
-    for (; b < batch; ++b)
-      panel_matvec(panel, row0, live, cols, xs[b], bias, ys[b]);
-  }
-}
-
 namespace {
 // int8 columns processed per SIMD iteration (and the padded-column unit).
 constexpr std::size_t kQuantStride = 16;

@@ -121,15 +121,6 @@ class PackedMatrix {
   /// Bit-identical to reference_matvec on the same inputs.
   void matvec(const double* x, const double* bias, double* y) const;
 
-  /// Batched matvec: ys[b][r] = bias[r] + sum_c w[r][c] * xs[b][c] for each
-  /// of the `batch` input/output pointer pairs. The panel (not the batch
-  /// member) is the outer loop, so one pass over the packed weights serves
-  /// the whole batch while the panel is cache-hot; every member's
-  /// arithmetic is identical to matvec, so results are bit-equal to
-  /// `batch` sequential matvec calls.
-  void matvec_batch(const double* const* xs, std::size_t batch,
-                    const double* bias, double* const* ys) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

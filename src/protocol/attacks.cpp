@@ -1,5 +1,7 @@
 #include "protocol/attacks.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "protocol/message.h"
 
@@ -16,8 +18,9 @@ BitVec eavesdrop_attack(const core::AutoencoderReconciler& reconciler,
                         const BitVec& eve_key, const Message& syndrome) {
   VKEY_REQUIRE(syndrome.type == MessageType::kSyndrome,
                "message is not a syndrome");
-  const auto y_bob = unpack_doubles(syndrome.payload);
-  return reconciler.reconcile(eve_key, y_bob);
+  std::optional<BitVec> guess = reconciler.correct(eve_key, syndrome.payload);
+  VKEY_REQUIRE(guess.has_value(), "malformed syndrome payload");
+  return std::move(*guess);
 }
 
 void install_syndrome_tamper(PublicChannel& channel) {

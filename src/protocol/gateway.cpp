@@ -1,6 +1,7 @@
 #include "protocol/gateway.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -73,7 +74,7 @@ void GatewayEngine::on_tick() {
 
 SessionOutcome GatewayEngine::simulate(
     std::uint64_t device, std::size_t flight_capacity, std::string* dump,
-    const std::pair<BitVec, BitVec>* attempt0) const {
+    std::pair<BitVec, BitVec>* attempt0) const {
   ReliabilityConfig rcfg = cfg_.reliability;
   // Per-device fault/backoff streams: device k's loss pattern must be
   // independent of device j's and of the lane that simulates it.
@@ -89,7 +90,7 @@ SessionOutcome GatewayEngine::simulate(
       [this, device, attempt0](std::size_t attempt) {
         // Recovery attempts (and post-mortem re-simulation, which passes no
         // prefetch) fall back to the per-attempt source.
-        if (attempt == 0 && attempt0 != nullptr) return *attempt0;
+        if (attempt == 0 && attempt0 != nullptr) return std::move(*attempt0);
         return material_(device, attempt);
       });
 
@@ -110,8 +111,7 @@ void GatewayEngine::ensure_outcome(std::uint64_t device) {
     const std::size_t end =
         std::min(cfg_.sessions, begin + kSimBatch);
     // Batched attempt-0 prefetch (when installed) runs on this thread once
-    // per batch, so a predictor-backed source amortizes its blocked
-    // batch inference across the whole batch before the pool fans out.
+    // per batch, before the pool fans out.
     std::vector<std::pair<BitVec, BitVec>> prefetched;
     if (batch_material_) {
       prefetched = batch_material_(begin, end - begin);

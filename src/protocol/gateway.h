@@ -126,8 +126,8 @@ class GatewayEngine {
   /// Optional batched prefetch of *attempt-0* material for a contiguous
   /// device range [first_device, first_device + count). Called on the
   /// lifecycle thread immediately before each simulation batch's pool
-  /// fan-out (256 arrivals), so a predictor-backed source can run one
-  /// blocked batch inference per batch instead of one per session. Must
+  /// fan-out (256 arrivals), so a predictor-backed source can make one
+  /// batch inference call per batch instead of one per session. Must
   /// return exactly `count` pairs, and each pair MUST equal
   /// material(device, 0) — recovery attempts (>= 1) and post-run failure
   /// re-simulation still go through MaterialFn, and the determinism
@@ -171,10 +171,11 @@ class GatewayEngine {
   /// an outcome.
   void ensure_outcome(std::uint64_t device);
   /// `attempt0` (optional) overrides material for attempt 0 only — the slot
-  /// a BatchMaterialFn prefetched for this device.
+  /// a BatchMaterialFn prefetched for this device, moved from: each slot
+  /// serves its device's one scale-run simulation.
   SessionOutcome simulate(std::uint64_t device, std::size_t flight_capacity,
                           std::string* dump,
-                          const std::pair<BitVec, BitVec>* attempt0) const;
+                          std::pair<BitVec, BitVec>* attempt0) const;
   GatewayReport finalize();
 
   GatewayConfig cfg_;

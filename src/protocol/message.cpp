@@ -1,8 +1,5 @@
 #include "protocol/message.h"
 
-#include <cstring>
-
-#include "common/error.h"
 #include "crypto/hmac.h"
 
 namespace vkey::protocol {
@@ -45,31 +42,6 @@ std::array<std::uint8_t, 32> frame_mac(std::span<const std::uint8_t> key,
                                        std::span<const std::uint8_t> suffix) {
   const auto header = mac_header(msg);
   return crypto::hmac_sha256(key, {header, msg.payload, suffix});
-}
-
-// Both copies move whole, size-matched spans (out is sized from the input,
-// and unpack checks the length first), so no offset is ever taken.
-std::vector<std::uint8_t> pack_doubles(std::span<const double> values) {
-  std::vector<std::uint8_t> out(values.size() * sizeof(double));
-  std::memcpy(out.data(), values.data(), out.size());  // vkey-lint: allow(bounded-reader)
-  return out;
-}
-
-std::vector<double> unpack_doubles(std::span<const std::uint8_t> bytes) {
-  VKEY_REQUIRE(bytes.size() % sizeof(double) == 0,
-               "payload is not a double vector");
-  std::vector<double> out(bytes.size() / sizeof(double));
-  unpack_doubles(bytes, out);
-  return out;
-}
-
-bool unpack_doubles(std::span<const std::uint8_t> bytes,
-                    std::span<double> out) {
-  if (bytes.size() != out.size() * sizeof(double)) return false;
-  if (!bytes.empty()) {
-    std::memcpy(out.data(), bytes.data(), bytes.size());  // vkey-lint: allow(bounded-reader)
-  }
-  return true;
 }
 
 }  // namespace vkey::protocol

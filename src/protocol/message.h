@@ -1,8 +1,9 @@
 // Messages of the Vehicle-Key agreement protocol (Sec. IV-C): type, session
 // id, nonce, payload and MAC. This header defines the logical message, the
-// length bounds every parser enforces, the byte string a MAC covers (and
-// the part-wise MAC over it) and the payload packing helpers; the one
-// on-air encoding is the framed codec in protocol/wire.h.
+// length bounds every parser enforces and the byte string a MAC covers (and
+// the part-wise MAC over it); the one on-air encoding is the framed codec
+// in protocol/wire.h. A syndrome's payload bytes are the reconciler's
+// (core::AutoencoderReconciler::syndrome and correct).
 //
 // Only reconciliation and confirmation need explicit messages (probing is
 // radio-level and carried by the channel simulator). Every message carries a
@@ -83,14 +84,5 @@ inline std::array<std::uint8_t, 32> frame_mac(
     std::span<const std::uint8_t> suffix = {}) {
   return frame_mac(key.expose(), msg, suffix);
 }
-
-/// Pack a vector of doubles into the payload (little-endian IEEE754) and
-/// back (the syndrome y_Bob is a real vector).
-std::vector<std::uint8_t> pack_doubles(std::span<const double> values);
-std::vector<double> unpack_doubles(std::span<const std::uint8_t> bytes);
-/// Unpack into `out`; false (and `out` untouched) unless `bytes` holds
-/// exactly out.size() doubles.
-bool unpack_doubles(std::span<const std::uint8_t> bytes,
-                    std::span<double> out);
 
 }  // namespace vkey::protocol

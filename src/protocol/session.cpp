@@ -264,7 +264,7 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
 
 Message BobSession::make_syndrome() {
   Message msg = next_frame(MessageType::kSyndrome);
-  msg.payload = pack_doubles(reconciler_.encode_bob(key_));
+  msg.payload = reconciler_.syndrome(key_);
   const auto tag = syndrome_mac(key_, msg);
   msg.mac.assign(tag.begin(), tag.end());
   return msg;
@@ -297,11 +297,9 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
       if (state_ != SessionState::kAwaitSyndrome) {
         return reject(RejectReason::kBadState);
       }
-      std::array<double, core::kCodeDim> y_bob{};
-      if (!unpack_doubles(msg.payload, y_bob)) {
-        return reject(RejectReason::kMalformed);
-      }
-      key_ = reconciler_.reconcile(key_, y_bob);
+      std::optional<BitVec> corrected = reconciler_.correct(key_, msg.payload);
+      if (!corrected) return reject(RejectReason::kMalformed);
+      key_ = std::move(*corrected);
       // MAC check: verifies only when the corrected key equals K_Bob, so an
       // in-flight modification (MITM) or a failed correction aborts here.
       if (!crypto::constant_time_equal(msg.mac, syndrome_mac(key_, msg))) {

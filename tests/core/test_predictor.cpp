@@ -77,9 +77,10 @@ TEST(Predictor, InputSizeChecked) {
 }
 
 TEST(Predictor, InferBatchBitEqualsInfer) {
-  // The batched path runs the Dense heads in one blocked pass over the
-  // batch; every member must still equal its own infer() bit for bit, on
-  // the float and the int8 path, for any batch size.
+  // infer_batch runs infer()'s body window after window in one shared
+  // workspace; every member must equal its own infer() bit for bit, on the
+  // float and the int8 path, for any batch size, so nothing may carry over
+  // from one window to the next.
   PredictorConfig cfg = tiny_config();
   cfg.seq_len = 32;
   cfg.hidden = 8;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -110,6 +115,38 @@ TEST_F(ReconcilerTest, UncorrelatedKeyGainsNothingOneShot) {
 TEST_F(ReconcilerTest, SyndromeHasCodeDim) {
   vkey::Rng rng(6);
   EXPECT_EQ(reconciler_->encode_bob(random_key(64, rng)).size(), 32u);
+}
+
+TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
+  vkey::Rng rng(12);
+  for (int flips = 0; flips < 8; ++flips) {
+    const BitVec kb = random_key(64, rng);
+    BitVec ka = kb;
+    for (int f = 0; f < flips; ++f) {
+      ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
+    }
+    const std::vector<double> y = reconciler_->encode_bob(kb);
+    const std::vector<std::uint8_t> bytes = reconciler_->syndrome(kb);
+    // y_Bob's doubles as 8 little-endian IEEE-754 bytes each.
+    ASSERT_EQ(bytes.size(), y.size() * 8);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      const auto v = std::bit_cast<std::uint64_t>(y[i]);
+      for (std::size_t b = 0; b < 8; ++b) {
+        ASSERT_EQ(bytes[8 * i + b], static_cast<std::uint8_t>(v >> (8 * b)))
+            << "double " << i << " byte " << b;
+      }
+    }
+    const std::optional<BitVec> fixed = reconciler_->correct(ka, bytes);
+    ASSERT_TRUE(fixed.has_value());
+    EXPECT_EQ(*fixed, reconciler_->reconcile(ka, y)) << flips << " flips";
+  }
+  // Anything but exactly kCodeDim doubles is refused, not decoded.
+  const BitVec k = random_key(64, rng);
+  for (const std::size_t n : {0u, 255u, 264u}) {
+    EXPECT_FALSE(
+        reconciler_->correct(k, std::vector<std::uint8_t>(n)).has_value())
+        << n << " bytes";
+  }
 }
 
 TEST_F(ReconcilerTest, IterationsReported) {

@@ -2,11 +2,10 @@
 //
 // The contract under test (DESIGN.md "NN kernel core"): the packed float
 // kernels are BIT-identical to the retained naive reference on every shape
-// the layers use — including ragged panel tails — and the batched entry
-// points are bit-identical to their sequential counterparts. The training
-// kernels and the layers' backward passes are held to the same contract
-// against naive loops, compared as bit patterns so that -0.0 and +0.0
-// differ. The int8 path is checked against explicit error bounds instead.
+// the layers use — including ragged panel tails. The training kernels and
+// the layers' backward passes are held to the same contract against naive
+// loops, compared as bit patterns so that -0.0 and +0.0 differ. The int8
+// path is checked against explicit error bounds instead.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
@@ -111,33 +110,6 @@ TEST(PackedMatrix, PackPairMatchesColumnConcatenation) {
   whole.matvec(x.data(), bias.data(), want.data());
   paired.matvec(x.data(), bias.data(), got.data());
   EXPECT_EQ(want, got);
-}
-
-TEST(PackedMatrix, BatchedMatvecBitEqualsSequential) {
-  vkey::Rng rng(104);
-  // Batch sizes around the member-quad boundary (1..6) on a ragged shape.
-  const std::size_t rows = 37, cols = 19;
-  const auto w = random_vec(rows * cols, rng);
-  const auto bias = random_vec(rows, rng);
-  PackedMatrix pm;
-  pm.pack(w.data(), rows, cols);
-  for (std::size_t batch = 1; batch <= 6; ++batch) {
-    std::vector<std::vector<double>> xs(batch), seq(batch), bat(batch);
-    std::vector<const double*> xp(batch);
-    std::vector<double*> yp(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      xs[b] = random_vec(cols, rng);
-      seq[b].resize(rows);
-      bat[b].resize(rows);
-      pm.matvec(xs[b].data(), bias.data(), seq[b].data());
-      xp[b] = xs[b].data();
-      yp[b] = bat[b].data();
-    }
-    pm.matvec_batch(xp.data(), batch, bias.data(), yp.data());
-    for (std::size_t b = 0; b < batch; ++b) {
-      EXPECT_EQ(seq[b], bat[b]) << "batch " << batch << " member " << b;
-    }
-  }
 }
 
 // --- training kernels: bit patterns, not ==, so a -0.0 cannot pass as +0.0
@@ -329,25 +301,6 @@ TEST(DenseGolden, InferIntoEqualsInferOnTheInt8Path) {
     const Vec x = random_vec(32, xr);
     d.infer_into(x.data(), y.data());
     EXPECT_EQ(y, d.infer(x));
-  }
-}
-
-TEST(DenseGolden, InferBatchBitEqualsSequential) {
-  vkey::Rng rng(203);
-  Dense d(24, 40, rng, Activation::kTanh);
-  vkey::Rng xr(204);
-  std::vector<Vec> xs;
-  for (int b = 0; b < 5; ++b) xs.push_back(random_vec(24, xr));
-  std::vector<Vec> batched(xs.size(), Vec(40));
-  std::vector<const double*> xp;
-  std::vector<double*> yp;
-  for (std::size_t b = 0; b < xs.size(); ++b) {
-    xp.push_back(xs[b].data());
-    yp.push_back(batched[b].data());
-  }
-  d.infer_batch_into(xp.data(), xs.size(), yp.data());
-  for (std::size_t b = 0; b < xs.size(); ++b) {
-    EXPECT_EQ(batched[b], d.infer(xs[b])) << "member " << b;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/reconciler.h"
 #include "protocol/wire.h"
 
 namespace vkey::protocol {
@@ -43,13 +48,53 @@ TEST(Message, AcceptsTheMaximumBoundedSizes) {
   EXPECT_EQ(*back, m);
 }
 
+// The syndrome's payload bytes are the reconciler's; these two check them as
+// a message carries them. An untrained reconciler is enough: the bytes and
+// their refusal do not depend on the weights.
+core::AutoencoderReconciler small_reconciler() {
+  core::ReconcilerConfig cfg;
+  cfg.key_bits = 64;
+  cfg.decoder_units = 16;
+  cfg.seed = 5;
+  return core::AutoencoderReconciler(cfg);
+}
+
+BitVec random_key(vkey::Rng& rng) {
+  BitVec k(64);
+  for (std::size_t i = 0; i < k.size(); ++i) k.set(i, rng.bernoulli(0.5));
+  return k;
+}
+
 TEST(Message, PackUnpackDoubles) {
-  const std::vector<double> v{1.5, -2.25, 3.125, 0.0};
-  EXPECT_EQ(unpack_doubles(pack_doubles(v)), v);
+  const core::AutoencoderReconciler rec = small_reconciler();
+  vkey::Rng rng(3);
+  const BitVec kb = random_key(rng);
+  const BitVec ka = random_key(rng);
+  Message m = sample_message();
+  m.payload = rec.syndrome(kb);
+  ASSERT_EQ(m.payload.size(), core::kCodeDim * 8);
+  wire::WireError err = wire::WireError::kNone;
+  const auto back = wire::decode_frame(wire::encode_frame(m), &err);
+  ASSERT_TRUE(back.has_value()) << wire::to_string(err);
+  EXPECT_EQ(back->payload, m.payload);
+  const std::optional<BitVec> fixed = rec.correct(ka, back->payload);
+  ASSERT_TRUE(fixed.has_value());
+  EXPECT_EQ(*fixed, rec.reconcile(ka, rec.encode_bob(kb)));
 }
 
 TEST(Message, UnpackRejectsMisaligned) {
-  EXPECT_THROW(unpack_doubles(std::vector<std::uint8_t>(7)), vkey::Error);
+  const core::AutoencoderReconciler rec = small_reconciler();
+  vkey::Rng rng(4);
+  const BitVec k = random_key(rng);
+  const std::size_t n = core::kCodeDim * 8;
+  for (const std::size_t size : {std::size_t{7}, n - 1, n + 1}) {
+    Message m = sample_message();
+    m.payload.assign(size, 0x3c);
+    const auto back = wire::decode_frame(wire::encode_frame(m));
+    ASSERT_TRUE(back.has_value()) << size << " bytes";
+    EXPECT_FALSE(rec.correct(k, back->payload).has_value()) << size
+                                                            << " bytes";
+  }
 }
 
 }  // namespace

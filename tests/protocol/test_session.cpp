@@ -161,6 +161,40 @@ TEST_F(SessionTest, SyndromeRequiresAcceptedSession) {
   EXPECT_FALSE(bob.take_unprompted().has_value());
 }
 
+TEST_F(SessionTest, MalformedSyndromeIsRejectedAndTheIntactOneEstablishes) {
+  const BitVec kb = random_key(10);
+  const BitVec ka = with_flips(kb, 2, 11);
+  SessionConfig cfg;
+  AliceSession alice(cfg, *reconciler_, ka);
+  BobSession bob(cfg, *reconciler_, kb);
+  const auto accept = bob.handle(alice.start());
+  ASSERT_TRUE(accept.has_value());
+  EXPECT_FALSE(alice.handle(*accept).has_value());
+  ASSERT_EQ(alice.state(), SessionState::kAwaitSyndrome);
+  const auto syndrome = bob.take_unprompted();
+  ASSERT_TRUE(syndrome.has_value());
+
+  // Bob's syndrome frame with its payload cut to 255 bytes: not a whole
+  // number of doubles, so Alice refuses it before decoding or checking the
+  // MAC, and keeps waiting.
+  Message cut = *syndrome;
+  cut.payload.resize(255);
+  EXPECT_FALSE(alice.handle(cut).has_value());
+  EXPECT_EQ(alice.last_reject(), RejectReason::kMalformed);
+  EXPECT_EQ(alice.state(), SessionState::kAwaitSyndrome);
+
+  // A refused frame does not advance the nonce window, so the intact
+  // syndrome delivered next is fresh and the handshake completes.
+  const auto confirm = alice.handle(*syndrome);
+  ASSERT_TRUE(confirm.has_value());
+  const auto ack = bob.handle(*confirm);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_FALSE(alice.handle(*ack).has_value());
+  EXPECT_EQ(alice.state(), SessionState::kEstablished);
+  EXPECT_EQ(bob.state(), SessionState::kEstablished);
+  EXPECT_EQ(alice.final_key(), bob.final_key());
+}
+
 TEST_F(SessionTest, FinalKeyBeforeEstablishmentThrows) {
   const BitVec k = random_key(9);
   SessionConfig cfg;
