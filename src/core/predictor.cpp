@@ -35,17 +35,17 @@ void write_inputs(const nn::Vec& v, double* x) {
   }
 }
 
-/// write_inputs() as the per-step sequence BiLstm::forward trains on.
-nn::Seq to_seq(const nn::Vec& v) {
-  nn::Vec flat(v.size() * kInputWidth);
-  write_inputs(v, flat.data());
-  nn::Seq s(v.size());
-  for (std::size_t t = 0; t < v.size(); ++t) {
-    const auto row =
-        flat.begin() + static_cast<std::ptrdiff_t>(t * kInputWidth);
-    s[t].assign(row, row + static_cast<std::ptrdiff_t>(kInputWidth));
+/// Rejects an empty sample set and any sample whose shapes disagree with
+/// the model's, before any work runs.
+void check_samples(std::span<const TrainingSample> samples,
+                   const PredictorConfig& cfg) {
+  VKEY_REQUIRE(!samples.empty(), "no samples");
+  for (const TrainingSample& s : samples) {
+    VKEY_REQUIRE(s.alice_seq.size() == cfg.seq_len, "sample seq_len mismatch");
+    VKEY_REQUIRE(s.bob_seq.size() == cfg.seq_len, "sample target mismatch");
+    VKEY_REQUIRE(s.bob_bits.size() == cfg.key_bits,
+                 "sample bits width mismatch");
   }
-  return s;
 }
 
 }  // namespace
@@ -76,15 +76,8 @@ std::vector<nn::Parameter*> PredictorQuantizer::parameters() {
 
 TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
                                       std::size_t epochs) {
-  VKEY_REQUIRE(!samples.empty(), "no training samples");
+  check_samples(samples, cfg_);
   VKEY_REQUIRE(epochs >= 1, "need at least one training epoch");
-  for (const TrainingSample& s : samples) {
-    VKEY_REQUIRE(s.alice_seq.size() == cfg_.seq_len,
-                 "sample seq_len mismatch");
-    VKEY_REQUIRE(s.bob_seq.size() == cfg_.seq_len, "sample target mismatch");
-    VKEY_REQUIRE(s.bob_bits.size() == cfg_.key_bits,
-                 "sample bits width mismatch");
-  }
   nn::Adam opt(parameters(), kLearningRate);
 
   std::vector<std::size_t> order(samples.size());
@@ -96,7 +89,10 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
   std::vector<nn::BiLstm::Cache> lstm_caches(batch);
   std::vector<nn::Dense::Cache> pred_caches(batch), quant_caches(batch);
   std::vector<nn::Vec> dlogits(batch), mse_grads(batch);
-  const std::size_t width = 2 * cfg_.hidden;
+  // One member's BiLSTM input rows and output rows; the output rows, one
+  // [forward h_t ; backward h_t] per step, are the prediction head's input.
+  nn::Vec x(cfg_.seq_len * kInputWidth);
+  nn::Vec h(cfg_.seq_len * bilstm_.output_size());
 
   TrainReport report;
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -111,11 +107,9 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
       // Forward every member; the loss sums in member order.
       for (std::size_t m = 0; m < bs; ++m) {
         const TrainingSample& s = samples[order[start + m]];
-        const nn::Seq h = bilstm_.forward(to_seq(s.alice_seq), lstm_caches[m]);
-        nn::Vec flat;
-        flat.reserve(cfg_.seq_len * width);
-        for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
-        const nn::Vec y_hat = pred_head_.forward(flat, pred_caches[m]);
+        write_inputs(s.alice_seq, x.data());
+        bilstm_.forward(x, cfg_.seq_len, h, lstm_caches[m]);
+        const nn::Vec y_hat = pred_head_.forward(h, pred_caches[m]);
         const nn::Vec logits = quant_head_.forward(y_hat, quant_caches[m]);
 
         // Joint loss.
@@ -140,17 +134,10 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
           dy[m][i] += kTheta * mse_grads[m][i];
         }
       }
-      const std::vector<nn::Vec> dflat =
+      const std::vector<nn::Vec> dh =
           pred_head_.backward_batch(std::span(pred_caches).first(bs), dy, true);
-      nn::Seq dh(cfg_.seq_len, nn::Vec(width));
       for (std::size_t m = 0; m < bs; ++m) {
-        for (std::size_t t = 0; t < cfg_.seq_len; ++t) {
-          const auto from =
-              dflat[m].begin() + static_cast<std::ptrdiff_t>(t * width);
-          std::copy(from, from + static_cast<std::ptrdiff_t>(width),
-                    dh[t].begin());
-        }
-        bilstm_.backward(lstm_caches[m], dh);
+        bilstm_.backward(lstm_caches[m], dh[m]);
       }
       opt.step(bs);
     }
@@ -172,7 +159,8 @@ void PredictorQuantizer::infer_window(const nn::Vec& alice_seq, double* ws,
   double* x = ws;
   double* h = x + cfg_.seq_len * kInputWidth;
   write_inputs(alice_seq, x);
-  bilstm_.infer_into(x, cfg_.seq_len, h, h + h_len);
+  bilstm_.infer_into({x, cfg_.seq_len * kInputWidth}, cfg_.seq_len,
+                     {h, h_len}, {h + h_len, bilstm_.workspace_size()});
   out.predicted_seq.resize(cfg_.seq_len);
   out.probabilities.resize(cfg_.key_bits);
   pred_head_.infer_into(h, out.predicted_seq.data());
@@ -207,7 +195,7 @@ std::vector<PredictorQuantizer::Output> PredictorQuantizer::infer_batch(
 
 double PredictorQuantizer::evaluate_loss(
     std::span<const TrainingSample> samples) const {
-  VKEY_REQUIRE(!samples.empty(), "no samples");
+  check_samples(samples, cfg_);
   double total = 0.0;
   for (const auto& s : samples) {
     const Output o = infer(s.alice_seq);

@@ -23,7 +23,9 @@
 // into the Output. infer() runs it in a call-local workspace, so it
 // allocates four blocks whatever the sequence length: the workspace and the
 // Output's three vectors. infer_batch() runs it window after window in one
-// shared workspace.
+// shared workspace. Training runs the same flat rows: the BiLSTM's output
+// rows are the prediction head's flattened input, and its BPTT reads dL/dh
+// straight from the head's input gradient, so nothing is copied per step.
 //
 // Only Alice (or a power-rich RSU) runs this model; Bob uses the
 // conventional multi-bit quantizer on his own measurements.
@@ -93,7 +95,8 @@ class PredictorQuantizer {
   /// All trainable parameters (for snapshot/restore and fine-tuning).
   std::vector<nn::Parameter*> parameters();
 
-  /// Joint loss on a sample set without updating weights.
+  /// Joint loss on a sample set, checked as train() checks it, without
+  /// updating weights.
   double evaluate_loss(std::span<const TrainingSample> samples) const;
 
  private:

@@ -12,17 +12,18 @@
 // to the retained naive reference (infer_reference), and an optional int8
 // path trades exactness for speed behind set_quantized().
 //
-// Inference has one body, infer_into(), over flat row-major buffers: the
-// inputs, the hidden states and a caller-owned workspace of
-// workspace_size() doubles, so a caller that keeps its buffers allocates
-// nothing per step or per call on the float path. infer(Seq) is a thin
-// wrapper over it for callers and tests that hold sequences.
-//
-// Training follows Dense's mini-batch shape: forward(x, cache) per member
-// into a caller-owned Cache, then backward(cache, grad_out) per member in
-// member order.
+// Training (forward) and inference (infer_into) share one step loop over
+// flat row-major buffers: `steps` input rows in, one hidden-state row per
+// step out at a caller-given stride, so a BiLSTM's directions fill the
+// halves of one [forward h_t ; backward h_t] row per step. forward keeps
+// each step's activations in a caller-owned Cache; infer_into rolls them
+// through a workspace and allocates nothing on the float path. Training
+// follows Dense's mini-batch shape: forward per member, then backward per
+// member in member order, forming the parameter gradients only (the BiLSTM
+// is the model's first layer, so nothing reads an input gradient).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,9 +31,6 @@
 #include "nn/param.h"
 
 namespace vkey::nn {
-
-/// Sequence of feature vectors, outer index = time step.
-using Seq = std::vector<Vec>;
 
 /// Unidirectional LSTM layer (optionally processing the sequence reversed).
 class Lstm {
@@ -51,41 +49,39 @@ class Lstm {
     Vec tanh_c;  ///< steps x hidden
   };
 
-  /// Forward writing the BPTT intermediates into `cache`; returns hidden
-  /// states in *time* order regardless of processing direction.
-  Seq forward(const Seq& x, Cache& cache) const;
+  /// Training forward: `x` holds `steps` >= 1 rows of input_size() values;
+  /// step t's hidden state goes to h[t * h_stride, + hidden), its BPTT
+  /// intermediates into `cache`.
+  void forward(std::span<const double> x, std::size_t steps,
+               std::span<double> h, std::size_t h_stride, Cache& cache) const;
 
-  /// Inference-only forward (no caching): infer_into() over copies.
-  Seq infer(const Seq& x) const;
-
-  /// Inference over flat buffers: `x` holds `steps` >= 1 rows of
-  /// input_size() values; step t's hidden state is written to
-  /// out[t * out_stride, t * out_stride + hidden). `ws` is
-  /// workspace_size() doubles of scratch. Allocates nothing on the float
-  /// path (the int8 path quantizes into one scratch vector per call).
-  void infer_into(const double* x, std::size_t steps, double* out,
-                  std::size_t out_stride, double* ws) const;
+  /// forward() without a cache, over `ws` (workspace_size() doubles). The
+  /// int8 path quantizes into one scratch vector per call.
+  void infer_into(std::span<const double> x, std::size_t steps,
+                  std::span<double> h, std::size_t h_stride,
+                  std::span<double> ws) const;
 
   /// Scratch doubles infer_into() needs: [x_t ; h_prev], the 4H gates, and
-  /// the running h, c and tanh(c).
-  std::size_t workspace_size() const { return input_ + 8 * hidden_; }
+  /// the running c and tanh(c).
+  std::size_t workspace_size() const { return input_ + 7 * hidden_; }
 
-  /// The original per-step naive loops, retained as the bit-exactness
-  /// oracle for the fused packed cell (tests only; no metrics, no timer).
-  Seq infer_reference(const Seq& x) const;
+  /// The original per-step naive loops over the same input rows, returning
+  /// steps x hidden rows: the bit-exactness oracle for the fused packed
+  /// cell (tests only; no metrics, no timer).
+  Vec infer_reference(std::span<const double> x, std::size_t steps) const;
 
   /// Route infer paths through the int8 fused cell with polynomial gate
   /// activations (forward()/backward() stay float). NOT bit-exact.
   void set_quantized(bool quantized) { quantized_ = quantized; }
   bool quantized() const { return quantized_; }
 
-  /// BPTT for a forward(x, cache) pass. `grad_out` is dL/dh in time order;
-  /// returns dL/dx in time order. Only the dh/dc recurrence runs per step;
+  /// BPTT for a forward() pass, dL/dh of step t read from
+  /// dh[t * dh_stride, + hidden). Only the dh/dc recurrence runs per step;
   /// the Wx, Wh and bias gradients are then added with one
   /// accumulate_outer each, steps in the order BPTT visits them (last
-  /// processed first), and every step's dx comes from one
-  /// matvec_transposed — bit-identical to per-step accumulation.
-  Seq backward(const Cache& cache, const Seq& grad_out);
+  /// processed first) — bit-identical to per-step accumulation.
+  void backward(const Cache& cache, std::span<const double> dh,
+                std::size_t dh_stride);
 
   std::size_t input_size() const { return input_; }
   std::size_t hidden_size() const { return hidden_; }
@@ -93,15 +89,16 @@ class Lstm {
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
  private:
-  /// One fused cell step from xh = [x_t ; h_prev]: gates into z (4H,
-  /// in place), c = f * c_prev + i * g (c may alias c_prev), tc = tanh(c),
-  /// h = o * tc.
-  void step_fused(const double* xh, double* z, const double* c_prev,
-                  double* c, double* tc, double* h) const;
-  /// The int8 step: xh quantized into xq, then the same dataflow with c
-  /// updated in place.
-  void step_quantized(const double* xh, std::int8_t* xq, double* z,
-                      double* c, double* tc, double* h) const;
+  /// Validates a pass BEFORE the step/FLOP counters move: a rejected pass
+  /// must not account for work that never ran.
+  void check_rows(std::span<const double> x, std::size_t steps,
+                  std::span<const double> h, std::size_t h_stride) const;
+  /// The one step loop: step s's [x_t ; h_prev], gates, c and tanh(c) go
+  /// to row s of xh, z, c (row s + 1; row 0 the zeros) and tc when `keep`
+  /// is set, else every step reuses row 0 (infer_into's workspace).
+  void run(const double* x, std::size_t steps, double* h,
+           std::size_t h_stride, double* xh, double* z, double* c,
+           double* tc, bool keep) const;
   const PackedMatrix& packed() const;
   const QuantizedMatrix& quant() const;
 
@@ -113,7 +110,8 @@ class Lstm {
   Parameter wx_;  // 4H x input
   Parameter wh_;  // 4H x hidden
   Parameter b_;   // 4H  (forget-gate bias initialized to 1)
-  Vec dz_;        // backward's per-step gate gradients (steps x 4H)
+  // backward's scratch: the gate gradients (steps x 4H), then dh and dc.
+  Vec dz_;
   // Fused [Wx | Wh] packed layouts, keyed on the parameter revisions
   // (see gemm.h; the key is the revision sum, monotone under bump()).
   mutable PackedMatrix packed_w_;
@@ -122,8 +120,8 @@ class Lstm {
   mutable PackGuard quant_guard_;
 };
 
-/// Bidirectional LSTM: forward and backward passes concatenated per step,
-/// output width = 2 * hidden.
+/// Bidirectional LSTM: row t of its output (output_size() values) is
+/// [forward h_t ; backward h_t].
 class BiLstm {
  public:
   BiLstm(std::size_t input, std::size_t hidden, vkey::Rng& rng);
@@ -134,21 +132,19 @@ class BiLstm {
     Lstm::Cache bwd;
   };
 
-  Seq forward(const Seq& x, Cache& cache) const;
-  /// Inference-only forward: infer_into() over copies.
-  Seq infer(const Seq& x) const;
-  /// Flat inference, both directions through Lstm::infer_into(): row t of
-  /// `out` (output_size() values) receives [forward h_t ; backward h_t].
-  /// `ws` is workspace_size() doubles, shared by the two directions.
-  void infer_into(const double* x, std::size_t steps, double* out,
-                  double* ws) const;
+  /// Lstm::forward, both directions into `out` (steps x output_size()).
+  void forward(std::span<const double> x, std::size_t steps,
+               std::span<double> out, Cache& cache) const;
+  /// Lstm::infer_into, both directions into `out`, sharing `ws`.
+  void infer_into(std::span<const double> x, std::size_t steps,
+                  std::span<double> out, std::span<double> ws) const;
   std::size_t workspace_size() const { return fwd_.workspace_size(); }
   /// Naive-reference BiLSTM inference (per-direction reference cells plus
-  /// the original concat loop) — the bit-exactness oracle for infer().
-  Seq infer_reference(const Seq& x) const;
-  /// BPTT through both directions of a forward(x, cache) pass; returns the
-  /// summed dL/dx.
-  Seq backward(const Cache& cache, const Seq& grad_out);
+  /// the original concat loop) — the bit-exactness oracle for infer_into().
+  Vec infer_reference(std::span<const double> x, std::size_t steps) const;
+  /// BPTT through both directions; `grad_out` is dL/dout of the cached
+  /// forward pass, steps x output_size().
+  void backward(const Cache& cache, std::span<const double> grad_out);
 
   /// Propagates to both directions (infer paths only; see Lstm).
   void set_quantized(bool quantized);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/error.h"
+#include "crypto/sha256.h"
 #include "nn/serialize.h"
 
 namespace vkey::core {
@@ -170,19 +174,39 @@ TEST(Predictor, TrainRequiresSamples) {
                vkey::Error);
 }
 
-// Exact epoch losses of a short run, each double to the last bit. They pin
+/// SHA-256 (hex) of the bytes of `v`'s doubles, so two digests agree only
+/// when every value does bit for bit.
+std::string bits_digest(const std::vector<double>& v) {
+  crypto::Sha256 h;
+  h.update(reinterpret_cast<const std::uint8_t*>(v.data()),
+           v.size() * sizeof(double));
+  const auto d = h.finalize();
+  return crypto::to_hex(d.data(), d.size());
+}
+
+// Exact epoch losses of a short run, each double to the last bit, and the
+// bits of every trained weight and of one infer() output after it. They pin
 // the fixed training settings (theta = 0.9, Adam at 2e-3, mini-batches of
 // 16, so 40 samples make two full batches and a partial one, and the phase
-// feature's period of 4) and the order of every sum in the joint loss.
+// feature's period of 4), the order of every sum in the joint loss and in
+// every gradient, and the inference body.
 TEST(PredictorGolden, EpochLossesOnSmallFixedInputs) {
   const PredictorConfig cfg = tiny_config();
   PredictorQuantizer p(cfg);
-  const auto report = p.train(synthetic_samples(cfg, 40, 19), 3);
+  const auto samples = synthetic_samples(cfg, 40, 19);
+  const auto report = p.train(samples, 3);
   ASSERT_EQ(report.epoch_loss.size(), 3u);
   EXPECT_EQ(report.epoch_loss[0], 1.3987105776424724);
   EXPECT_EQ(report.epoch_loss[1], 1.237162523403315);
   EXPECT_EQ(report.epoch_loss[2], 1.1635946810598017);
   EXPECT_EQ(report.final_loss, report.epoch_loss[2]);
+  EXPECT_EQ(bits_digest(nn::snapshot(p.parameters())),
+            "052b0697f5b2f64ea1cf79f69263dd83377bc0f54488b7d7576ce8d8ae671071");
+  const auto out = p.infer(samples[0].alice_seq);
+  std::vector<double> both = out.predicted_seq;
+  both.insert(both.end(), out.probabilities.begin(), out.probabilities.end());
+  EXPECT_EQ(bits_digest(both),
+            "52f16807dfcd5100655b109bf308722bd4a34f05e1a49a5a22fc0075c92b6eac");
 }
 
 TEST(Predictor, SampleShapeChecked) {
@@ -193,6 +217,17 @@ TEST(Predictor, SampleShapeChecked) {
   bad.bob_seq.assign(cfg.seq_len, 0.0);
   bad.bob_bits = BitVec(cfg.key_bits);
   EXPECT_THROW(p.train(std::vector<TrainingSample>{bad}, 1), vkey::Error);
+  EXPECT_THROW(p.evaluate_loss(std::vector<TrainingSample>{bad}),
+               vkey::Error);
+  // evaluate_loss scores every bit of bob_bits against the predictor's
+  // key_bits outputs: a wider or narrower target is rejected, as in train().
+  for (const std::size_t bits : {cfg.key_bits + 8, cfg.key_bits - 1}) {
+    TrainingSample s = synthetic_samples(cfg, 1, 20)[0];
+    s.bob_bits = BitVec(bits);
+    const std::vector<TrainingSample> one{s};
+    EXPECT_THROW(p.train(one, 1), vkey::Error) << bits << " bits";
+    EXPECT_THROW(p.evaluate_loss(one), vkey::Error) << bits << " bits";
+  }
 }
 
 }  // namespace

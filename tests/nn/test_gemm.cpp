@@ -400,10 +400,17 @@ TEST(DenseGolden, BackwardBatchBitEqualsNaiveLoops) {
 
 // --- LSTM / BiLSTM golden vectors ---
 
-Seq random_seq(std::size_t t_len, std::size_t width, vkey::Rng& rng) {
-  Seq s(t_len);
-  for (auto& step : s) step = random_vec(width, rng);
-  return s;
+/// The layer's hidden-state rows through infer_into, fresh workspace.
+Vec infer(const Lstm& lstm, const Vec& x, std::size_t steps) {
+  Vec h(steps * lstm.hidden_size()), ws(lstm.workspace_size());
+  lstm.infer_into(x, steps, h, lstm.hidden_size(), ws);
+  return h;
+}
+
+Vec infer(const BiLstm& bi, const Vec& x, std::size_t steps) {
+  Vec h(steps * bi.output_size()), ws(bi.workspace_size());
+  bi.infer_into(x, steps, h, ws);
+  return h;
 }
 
 TEST(LstmGolden, FusedInferBitEqualsNaiveReference) {
@@ -411,8 +418,8 @@ TEST(LstmGolden, FusedInferBitEqualsNaiveReference) {
   Lstm lstm(3, 13, rng);  // 4H = 52: ragged panel tail
   vkey::Rng xr(302);
   for (std::size_t t_len : {1u, 2u, 9u}) {
-    const Seq x = random_seq(t_len, 3, xr);
-    EXPECT_EQ(lstm.infer(x), lstm.infer_reference(x));
+    const Vec x = random_vec(t_len * 3, xr);
+    EXPECT_EQ(infer(lstm, x, t_len), lstm.infer_reference(x, t_len));
   }
 }
 
@@ -420,16 +427,21 @@ TEST(LstmGolden, ReverseFusedInferBitEqualsNaiveReference) {
   vkey::Rng rng(303);
   Lstm lstm(2, 5, rng, /*reverse=*/true);
   vkey::Rng xr(304);
-  const Seq x = random_seq(6, 2, xr);
-  EXPECT_EQ(lstm.infer(x), lstm.infer_reference(x));
+  const Vec x = random_vec(6 * 2, xr);
+  EXPECT_EQ(infer(lstm, x, 6), lstm.infer_reference(x, 6));
 }
 
 TEST(BiLstmGolden, InferBitEqualsNaiveReference) {
   vkey::Rng rng(305);
   BiLstm bi(3, 8, rng);
   vkey::Rng xr(306);
-  const Seq x = random_seq(7, 3, xr);
-  EXPECT_EQ(bi.infer(x), bi.infer_reference(x));
+  const Vec x = random_vec(7 * 3, xr);
+  EXPECT_EQ(infer(bi, x, 7), bi.infer_reference(x, 7));
+  // forward() runs the same cells: its rows equal infer_into()'s.
+  BiLstm::Cache cache;
+  Vec h(7 * bi.output_size());
+  bi.forward(x, 7, h, cache);
+  EXPECT_EQ(h, bi.infer_reference(x, 7));
 }
 
 // Test-local naive LSTM: the per-step forward of infer_reference with every
@@ -440,19 +452,18 @@ struct NaiveStep {
 };
 
 std::vector<NaiveStep> naive_lstm_forward(Lstm& l, bool reverse,
-                                          const Seq& x) {
+                                          const Vec& x, std::size_t t_len) {
   const auto p = l.parameters();
   const Vec& wx = p[0]->value;
   const Vec& wh = p[1]->value;
   const Vec& b = p[2]->value;
   const std::size_t in = l.input_size(), h = l.hidden_size();
-  const std::size_t t_len = x.size();
   std::vector<NaiveStep> steps(t_len);
   Vec hv(h, 0.0), cv(h, 0.0);
   for (std::size_t step = 0; step < t_len; ++step) {
     const std::size_t t = reverse ? t_len - 1 - step : step;
     NaiveStep& st = steps[step];
-    st.x = x[t];
+    st.x.assign(&x[t * in], &x[t * in] + in);
     st.h_prev = hv;
     st.c_prev = cv;
     st.i.resize(h);
@@ -462,7 +473,7 @@ std::vector<NaiveStep> naive_lstm_forward(Lstm& l, bool reverse,
     st.tanh_c.resize(h);
     for (std::size_t j = 0; j < 4 * h; ++j) {
       double sum = b[j];
-      for (std::size_t k = 0; k < in; ++k) sum += wx[j * in + k] * x[t][k];
+      for (std::size_t k = 0; k < in; ++k) sum += wx[j * in + k] * st.x[k];
       for (std::size_t k = 0; k < h; ++k) sum += wh[j * h + k] * hv[k];
       const std::size_t gate = j / h, k = j % h;
       if (gate == 0) st.i[k] = sigmoid(sum);
@@ -479,21 +490,22 @@ std::vector<NaiveStep> naive_lstm_forward(Lstm& l, bool reverse,
   return steps;
 }
 
-Seq naive_lstm_backward(Lstm& l, bool reverse,
-                        const std::vector<NaiveStep>& steps,
-                        const Seq& grad_out, Vec& gwx, Vec& gwh, Vec& gb) {
+/// BPTT adding the parameter gradients into gwx, gwh and gb; dL/dh of step
+/// t is grad_out[t * stride, + hidden).
+void naive_lstm_backward(Lstm& l, bool reverse,
+                         const std::vector<NaiveStep>& steps,
+                         const double* grad_out, std::size_t stride, Vec& gwx,
+                         Vec& gwh, Vec& gb) {
   const auto p = l.parameters();
-  const Vec& wx = p[0]->value;
   const Vec& wh = p[1]->value;
   const std::size_t in = l.input_size(), h = l.hidden_size();
   const std::size_t t_len = steps.size();
-  Seq dx(t_len, Vec(in, 0.0));
   Vec dh_rec(h, 0.0), dc_rec(h, 0.0), dz(4 * h);
   for (std::size_t step = t_len; step-- > 0;) {
     const std::size_t t = reverse ? t_len - 1 - step : step;
     const NaiveStep& cc = steps[step];
     for (std::size_t k = 0; k < h; ++k) {
-      const double dh = grad_out[t][k] + dh_rec[k];
+      const double dh = grad_out[t * stride + k] + dh_rec[k];
       const double d_o = dh * cc.tanh_c[k];
       const double dc =
           dh * cc.o[k] * (1.0 - cc.tanh_c[k] * cc.tanh_c[k]) + dc_rec[k];
@@ -510,24 +522,13 @@ Seq naive_lstm_backward(Lstm& l, bool reverse,
     for (std::size_t j = 0; j < 4 * h; ++j) {
       const double g = dz[j];
       gb[j] += g;
-      for (std::size_t k = 0; k < in; ++k) {
-        gwx[j * in + k] += g * cc.x[k];
-        dx[t][k] += g * wx[j * in + k];
-      }
+      for (std::size_t k = 0; k < in; ++k) gwx[j * in + k] += g * cc.x[k];
       for (std::size_t k = 0; k < h; ++k) {
         gwh[j * h + k] += g * cc.h_prev[k];
         dh_rec[k] += g * wh[j * h + k];
       }
     }
   }
-  return dx;
-}
-
-void expect_seq_bits_eq(const Seq& want, const Seq& got,
-                        const std::string& what) {
-  ASSERT_EQ(want.size(), got.size()) << what;
-  for (std::size_t t = 0; t < want.size(); ++t)
-    expect_bits_eq(want[t], got[t], what + " t=" + std::to_string(t));
 }
 
 TEST(LstmGolden, BackwardBitEqualsNaiveBptt) {
@@ -542,18 +543,18 @@ TEST(LstmGolden, BackwardBitEqualsNaiveBptt) {
       // Three members, each through its own cache: each member's
       // gradients add onto the earlier members'.
       std::vector<Lstm::Cache> caches(3);
+      Vec h(9 * hidden);
       for (std::size_t m = 0; m < 3; ++m) {
-        const Seq x = random_seq(9, 3, xr);
-        const Seq grad = random_seq(9, hidden, xr);
-        const auto steps = naive_lstm_forward(lstm, reverse, x);
-        const Seq want_dx =
-            naive_lstm_backward(lstm, reverse, steps, grad, gwx, gwh, gb);
-        (void)lstm.forward(x, caches[m]);
-        const Seq dx = lstm.backward(caches[m], grad);
+        const Vec x = random_vec(9 * 3, xr);
+        const Vec grad = random_vec(9 * hidden, xr);
+        const auto steps = naive_lstm_forward(lstm, reverse, x, 9);
+        naive_lstm_backward(lstm, reverse, steps, grad.data(), hidden, gwx,
+                            gwh, gb);
+        lstm.forward(x, 9, h, hidden, caches[m]);
+        lstm.backward(caches[m], grad, hidden);
         const std::string what = std::string(reverse ? "reverse" : "forward") +
                                  " H=" + std::to_string(hidden) + " member " +
                                  std::to_string(m);
-        expect_seq_bits_eq(want_dx, dx, what + " dx");
         expect_bits_eq(gwx, p[0]->grad, what + " Wx gradient");
         expect_bits_eq(gwh, p[1]->grad, what + " Wh gradient");
         expect_bits_eq(gb, p[2]->grad, what + " bias gradient");
@@ -570,8 +571,9 @@ TEST(BiLstmGolden, BackwardBitEqualsNaiveBptt) {
   for (const Parameter* q : p) want.emplace_back(q->size(), 0.0);
   vkey::Rng xr(312);
   std::vector<BiLstm::Cache> caches(2);
+  Vec h(7 * 16);
   for (std::size_t m = 0; m < 2; ++m)
-    (void)bi.forward(random_seq(7, 3, xr), caches[m]);
+    bi.forward(random_vec(7 * 3, xr), 7, h, caches[m]);
 
   // Rebuild the two directions' weights as standalone layers for the
   // naive passes (same values, same direction).
@@ -584,26 +586,14 @@ TEST(BiLstmGolden, BackwardBitEqualsNaiveBptt) {
   }
   vkey::Rng xr2(312);
   for (std::size_t m = 0; m < 2; ++m) {
-    const Seq x = random_seq(7, 3, xr2);
-    const Seq grad = random_seq(7, 16, xr);
-    Seq gf(7, Vec(8)), gbk(7, Vec(8));
-    for (std::size_t t = 0; t < 7; ++t) {
-      std::copy(grad[t].begin(), grad[t].begin() + 8, gf[t].begin());
-      std::copy(grad[t].begin() + 8, grad[t].end(), gbk[t].begin());
-    }
-    const Seq dxf = naive_lstm_backward(fwd, false,
-                                        naive_lstm_forward(fwd, false, x), gf,
-                                        want[0], want[1], want[2]);
-    const Seq dxb = naive_lstm_backward(bwd, true,
-                                        naive_lstm_forward(bwd, true, x), gbk,
-                                        want[3], want[4], want[5]);
-    const Seq dx = bi.backward(caches[m], grad);
-    ASSERT_EQ(dx.size(), 7u);
-    for (std::size_t t = 0; t < 7; ++t) {
-      Vec sum(3);
-      for (std::size_t k = 0; k < 3; ++k) sum[k] = dxf[t][k] + dxb[t][k];
-      expect_bits_eq(sum, dx[t], "dx t=" + std::to_string(t));
-    }
+    const Vec x = random_vec(7 * 3, xr2);
+    // Row t of the gradient is [forward dL/dh_t ; backward dL/dh_t].
+    const Vec grad = random_vec(7 * 16, xr);
+    naive_lstm_backward(fwd, false, naive_lstm_forward(fwd, false, x, 7),
+                        grad.data(), 16, want[0], want[1], want[2]);
+    naive_lstm_backward(bwd, true, naive_lstm_forward(bwd, true, x, 7),
+                        grad.data() + 8, 16, want[3], want[4], want[5]);
+    bi.backward(caches[m], grad);
     for (std::size_t k = 0; k < p.size(); ++k)
       expect_bits_eq(want[k], p[k]->grad, "parameter " + std::to_string(k));
   }
@@ -690,13 +680,12 @@ TEST(QuantizedLstm, InferTracksFloatPath) {
   bi.set_quantized(true);
   EXPECT_TRUE(bi.quantized());
   vkey::Rng xr(406);
-  const Seq x = random_seq(6, 3, xr);
-  const Seq qh = bi.infer(x);
-  const Seq fh = bi.infer_reference(x);
-  for (std::size_t t = 0; t < x.size(); ++t) {
-    for (std::size_t k = 0; k < qh[t].size(); ++k) {
-      EXPECT_NEAR(qh[t][k], fh[t][k], 0.05) << "t=" << t << " k=" << k;
-    }
+  const Vec x = random_vec(6 * 3, xr);
+  const Vec qh = infer(bi, x, 6);
+  const Vec fh = bi.infer_reference(x, 6);
+  ASSERT_EQ(qh.size(), fh.size());
+  for (std::size_t i = 0; i < qh.size(); ++i) {
+    EXPECT_NEAR(qh[i], fh[i], 0.05) << "t=" << i / 16 << " k=" << i % 16;
   }
 }
 
@@ -754,18 +743,30 @@ TEST(Accounting, LstmCountersUnchangedOnInvalidInput) {
   if (!metrics::enabled()) GTEST_SKIP() << "metrics disabled";
   vkey::Rng rng(502);
   Lstm lstm(2, 4, rng);
+  BiLstm bi(2, 4, rng);
   auto& flops = metrics::Registry::global().counter("nn.lstm.flops");
   auto& steps = metrics::Registry::global().counter("nn.lstm.cell_steps");
   const auto f0 = flops.value();
   const auto s0 = steps.value();
-  EXPECT_THROW(lstm.infer({}), vkey::Error);               // empty
-  EXPECT_THROW(lstm.infer({{1.0}}), vkey::Error);          // wrong width
-  EXPECT_THROW(lstm.infer({{1.0, 2.0}, {1.0}}), vkey::Error);  // mid-seq
+  Vec h(2 * 4), ws(lstm.workspace_size());
+  const Vec one{1.0}, ragged{1.0, 2.0, 1.0};
+  EXPECT_THROW(lstm.infer_into({}, 0, h, 4, ws), vkey::Error);   // empty
+  EXPECT_THROW(lstm.infer_into(one, 1, h, 4, ws), vkey::Error);  // width
+  EXPECT_THROW(lstm.infer_into(ragged, 2, h, 4, ws), vkey::Error);  // ragged
   Lstm::Cache cache;
-  EXPECT_THROW(lstm.forward({{1.0}}, cache), vkey::Error);
+  EXPECT_THROW(lstm.forward(one, 1, h, 4, cache), vkey::Error);
+  const Vec x{1.0, 2.0, 0.5, -0.5};
+  EXPECT_THROW(lstm.forward(x, 2, std::span(h).first(7), 4, cache),
+               vkey::Error);  // no room for the second row
+  // The backward direction's rows are short only when the whole output
+  // is: the BiLSTM rejects it before either direction runs.
+  Vec bh(2 * 8 - 1);
+  BiLstm::Cache bcache;
+  EXPECT_THROW(bi.forward(x, 2, bh, bcache), vkey::Error);
+  EXPECT_THROW(bi.infer_into(x, 2, bh, ws), vkey::Error);
   EXPECT_EQ(flops.value(), f0);
   EXPECT_EQ(steps.value(), s0);
-  (void)lstm.infer({{1.0, 2.0}, {0.5, -0.5}});
+  lstm.infer_into(x, 2, h, 4, ws);
   EXPECT_EQ(steps.value(), s0 + 2);
 }
 
@@ -780,18 +781,21 @@ TEST(BiLstmGuards, BackwardOnEmptyGradientThrows) {
 TEST(BiLstmGuards, BackwardLengthMismatchThrows) {
   vkey::Rng rng(602);
   BiLstm bi(1, 3, rng);
-  Seq x(4, Vec{0.5});
+  const Vec x(4, 0.5);
   BiLstm::Cache cache;
-  (void)bi.forward(x, cache);
-  Seq wrong_len(3, Vec(6, 0.0));  // forward cached 4 steps
+  Vec h(4 * 6);
+  bi.forward(x, 4, h, cache);
+  EXPECT_THROW(bi.backward(cache, {}), vkey::Error);
+  const Vec wrong_len(3 * 6, 0.0);  // forward cached 4 steps
   EXPECT_THROW(bi.backward(cache, wrong_len), vkey::Error);
+  const Vec one_long(4 * 6 + 1, 0.0);
+  EXPECT_THROW(bi.backward(cache, one_long), vkey::Error);
 }
 
 TEST(BiLstmGuards, BackwardBeforeForwardThrows) {
   vkey::Rng rng(603);
   BiLstm bi(1, 3, rng);
-  EXPECT_THROW(bi.backward(BiLstm::Cache{}, Seq(2, Vec(6, 0.0))),
-               vkey::Error);
+  EXPECT_THROW(bi.backward(BiLstm::Cache{}, Vec(2 * 6, 0.0)), vkey::Error);
 }
 
 }  // namespace
