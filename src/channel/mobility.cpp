@@ -32,16 +32,15 @@ double SpeedProcess::at(double t) {
 }
 
 DistanceProcess::DistanceProcess(const ScenarioConfig& cfg, vkey::Rng rng)
-    : min_m_(cfg.min_distance_m),
-      max_m_(cfg.max_distance_m),
+    : max_m_(cfg.max_distance_m),
       nominal_m_(cfg.initial_distance_m),
       sigma_m_(cfg.distance_sigma_m),
       tau_s_(cfg.distance_tau_s),
       distance_m_(cfg.initial_distance_m),
       env_speed_mps_((cfg.speed_a_kmh + cfg.speed_b_kmh) / 3.6 / 2.0),
       rng_(rng) {
-  VKEY_REQUIRE(min_m_ > 0.0 && max_m_ > min_m_, "bad distance bounds");
-  VKEY_REQUIRE(distance_m_ >= min_m_ && distance_m_ <= max_m_,
+  VKEY_REQUIRE(max_m_ > kMinDistanceM, "bad distance bounds");
+  VKEY_REQUIRE(distance_m_ >= kMinDistanceM && distance_m_ <= max_m_,
                "initial distance outside bounds");
   VKEY_REQUIRE(sigma_m_ >= 0.0 && tau_s_ > 0.0, "bad OU parameters");
 }
@@ -71,8 +70,8 @@ double DistanceProcess::at(double t) {
     radial_speed_mps_ -= (distance_m_ - nominal_m_) / (tau_s_ * tau_s_) * dt;
     distance_m_ += radial_speed_mps_ * dt;
   }
-  if (distance_m_ < min_m_ || distance_m_ > max_m_) {
-    distance_m_ = std::clamp(distance_m_, min_m_, max_m_);
+  if (distance_m_ < kMinDistanceM || distance_m_ > max_m_) {
+    distance_m_ = std::clamp(distance_m_, kMinDistanceM, max_m_);
     radial_speed_mps_ = -radial_speed_mps_;  // bounce off the bound
   }
 

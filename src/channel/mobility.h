@@ -54,7 +54,6 @@ class DistanceProcess {
   double radial_speed() const { return radial_speed_mps_; }
 
  private:
-  double min_m_ = 0.0;
   double max_m_ = 0.0;
   double nominal_m_ = 0.0;
   double sigma_m_ = 0.0;

@@ -28,15 +28,29 @@ inline constexpr ScenarioKind kAllScenarios[] = {
     ScenarioKind::kV2IUrban, ScenarioKind::kV2IRural,
     ScenarioKind::kV2VUrban, ScenarioKind::kV2VRural};
 
+// What every scenario shares.
+/// Slow random speed variation amplitude [km/h].
+inline constexpr double kSpeedJitterKmh = 5.0;
+inline constexpr double kMinDistanceM = 100.0;  ///< closest separation [m]
+/// PL at d0 = 1 m: free-space 20*log10(4*pi*d0/lambda) = 25.2 dB at
+/// 434 MHz (lambda = 69.12 cm).
+inline constexpr double kRefPathLossDb = 25.2;
+inline constexpr int kSosRays = 24;  ///< sum-of-sinusoids rays per mobile end
+/// Fraction of diffuse power in the fast component. Kept small: because
+/// envelope-power correlation is the squared field correlation, even a
+/// 10% fast-power share caps the reciprocal-window correlation near 0.8.
+inline constexpr double kFastFadingWeight = 0.005;
+/// Asymmetric interference power std-dev [dB] (differs per direction;
+/// Sec. II-A item 4).
+inline constexpr double kInterferenceAsymSigmaDb = 0.4;
+
 struct ScenarioConfig {
   ScenarioKind kind = ScenarioKind::kV2VUrban;
 
   // --- mobility ---
   double speed_a_kmh = 50.0;  ///< Alice (always a vehicle)
   double speed_b_kmh = 50.0;  ///< Bob (0 for V2I infrastructure)
-  double speed_jitter_kmh = 5.0;  ///< slow random speed variation amplitude
   double initial_distance_m = 800.0;
-  double min_distance_m = 100.0;
   double max_distance_m = 4000.0;
   /// The separation is mean-reverting around initial_distance_m (two
   /// vehicles holding a varying gap / a vehicle circling an RSU):
@@ -46,17 +60,12 @@ struct ScenarioConfig {
 
   // --- large-scale propagation ---
   double path_loss_exponent = 3.2;
-  /// PL at d0 = 1 m: free-space 20*log10(4*pi*d0/lambda) = 25.2 dB at
-  /// 434 MHz (lambda = 69.12 cm).
-  double ref_path_loss_db = 25.2;
   double shadow_sigma_db = 6.0;     ///< log-normal shadowing std-dev
   double shadow_decorr_m = 30.0;    ///< Gudmundson decorrelation distance
 
   // --- small-scale propagation ---
   /// Rician K-factor [dB]; -infinity (use <= -40) means pure Rayleigh.
   double rician_k_db = -100.0;
-  /// Number of sum-of-sinusoids rays per mobile end.
-  int sos_rays = 24;
   /// The diffuse field is split into a fast component at the geometric
   /// Doppler v/lambda (drives the packet-airtime decorrelation of Fig. 2)
   /// and a slow component from large, distant scatterers whose aspect angle
@@ -65,14 +74,6 @@ struct ScenarioConfig {
   /// observer more than lambda/2 away — and carries the reciprocal entropy
   /// Vehicle-Key hashes into keys.
   double slow_doppler_scale = 0.005;
-  /// Fraction of diffuse power in the fast component. Kept small: because
-  /// envelope-power correlation is the squared field correlation, even a
-  /// 10% fast-power share caps the reciprocal-window correlation near 0.8.
-  double fast_fading_weight = 0.005;
-
-  // --- non-reciprocity sources (Sec. II-A items 3 and 4) ---
-  /// Asymmetric interference power std-dev [dB] (differs per direction).
-  double interference_asym_sigma_db = 0.4;
 
   bool is_v2v() const {
     return kind == ScenarioKind::kV2VUrban || kind == ScenarioKind::kV2VRural;

@@ -23,8 +23,8 @@ double quantize_rssi(double rssi_dbm, double step_db) {
 
 /// One link's small-scale fading configuration under scenario `s`.
 SmallScaleConfig small_scale(const ScenarioConfig& s) {
-  return SmallScaleConfig{s.sos_rays, s.rician_k_db, s.slow_doppler_scale,
-                          s.fast_fading_weight};
+  return SmallScaleConfig{kSosRays, s.rician_k_db, s.slow_doppler_scale,
+                          kFastFadingWeight};
 }
 }  // namespace
 
@@ -76,11 +76,11 @@ struct TraceGenerator::Impl {
   explicit Impl(const TraceConfig& c)
       : cfg(c),
         phy(c.phy),
-        speed_a(c.scenario.speed_a_kmh, c.scenario.speed_jitter_kmh, 30.0,
+        speed_a(c.scenario.speed_a_kmh, kSpeedJitterKmh, 30.0,
                 vkey::Rng(vkey::hash_combine64(c.seed, 0x01))),
         speed_b(c.scenario.speed_b_kmh,
-                c.scenario.speed_b_kmh > 0 ? c.scenario.speed_jitter_kmh : 0.0,
-                30.0, vkey::Rng(vkey::hash_combine64(c.seed, 0x02))),
+                c.scenario.speed_b_kmh > 0 ? kSpeedJitterKmh : 0.0, 30.0,
+                vkey::Rng(vkey::hash_combine64(c.seed, 0x02))),
         distance(c.scenario, vkey::Rng(vkey::hash_combine64(c.seed, 0x03))),
         fade_ab(small_scale(c.scenario),
                 vkey::Rng(vkey::hash_combine64(c.seed, 0x04))),
@@ -116,10 +116,8 @@ struct TraceGenerator::Impl {
 
   /// Advance the slowly varying interference offsets once per round.
   void advance_interference() {
-    const double s = cfg.scenario.interference_asym_sigma_db;
-    if (s <= 0.0) return;
     constexpr double kRho = 0.9;  // round-to-round correlation
-    const double w = std::sqrt(1.0 - kRho * kRho) * s;
+    const double w = std::sqrt(1.0 - kRho * kRho) * kInterferenceAsymSigmaDb;
     interf_alice = kRho * interf_alice + w * rng_interf.gaussian();
     interf_bob = kRho * interf_bob + w * rng_interf.gaussian();
     interf_eve = kRho * interf_eve + w * rng_interf.gaussian();
@@ -200,7 +198,7 @@ struct TraceGenerator::Impl {
         last_fade_t_ab = t;
         double gain_db = legit.drift_db;
         gain_db += -path_loss_db(d_ab, cfg.scenario.path_loss_exponent,
-                                 cfg.scenario.ref_path_loss_db) +
+                                 kRefPathLossDb) +
                    s_ab + fade_ab.advance_db(dt, fd_a, fd_b, fd_los);
         latch(legit, tx_power_dbm, gain_db);
       }
@@ -218,7 +216,7 @@ struct TraceGenerator::Impl {
         const double dt = std::max(0.0, t - eve->last_fade_t_ea);
         eve->last_fade_t_ea = t;
         gain_db += -path_loss_db(kEveOffsetM, cfg.scenario.path_loss_exponent,
-                                 cfg.scenario.ref_path_loss_db) +
+                                 kRefPathLossDb) +
                    s_ea + eve->fade_ea.advance_db(dt, fd_a, 0.0, 0.0);
       } else {
         // Eve-Bob separation tracks the Alice-Bob separation (she follows
@@ -227,7 +225,7 @@ struct TraceGenerator::Impl {
         eve->last_fade_t_eb = t;
         const double d_eb = std::hypot(d_ab, kEveOffsetM);
         gain_db += -path_loss_db(d_eb, cfg.scenario.path_loss_exponent,
-                                 cfg.scenario.ref_path_loss_db) +
+                                 kRefPathLossDb) +
                    s_eb + eve->fade_eb.advance_db(dt, fd_a, fd_b, fd_los);
       }
       latch(ev, tx_power_dbm, gain_db);

@@ -83,16 +83,21 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
   std::vector<std::size_t> order(samples.size());
   std::iota(order.begin(), order.end(), 0);
 
-  // One mini-batch's state, reused across batches: every member's forward
-  // activations, then the gradients flowing back layer by layer.
+  // One set of rows per call, row m of each being batch member m's. The
+  // BiLSTM writes its [forward h_t ; backward h_t] rows straight into the
+  // prediction head's input row, and reads dL/dh back from that row's
+  // gradient.
   const std::size_t batch = std::min(kBatchSize, samples.size());
+  const std::size_t n = cfg_.seq_len, k = cfg_.key_bits;
+  const std::size_t h_len = n * bilstm_.output_size();
   std::vector<nn::BiLstm::Cache> lstm_caches(batch);
-  std::vector<nn::Dense::Cache> pred_caches(batch), quant_caches(batch);
-  std::vector<nn::Vec> dlogits(batch), mse_grads(batch);
-  // One member's BiLSTM input rows and output rows; the output rows, one
-  // [forward h_t ; backward h_t] per step, are the prediction head's input.
-  nn::Vec x(cfg_.seq_len * kInputWidth);
-  nn::Vec h(cfg_.seq_len * bilstm_.output_size());
+  nn::Vec x(n * kInputWidth), z(k);  // one member's inputs and bit targets
+  nn::Vec h(batch * h_len), dh(batch * h_len);
+  nn::Vec y_hat(batch * n), dy(batch * n), mse_grad(batch * n);
+  nn::Vec logits(batch * k), dlogits(batch * k);
+  const auto row = [](nn::Vec& v, std::size_t m, std::size_t width) {
+    return std::span(v).subspan(m * width, width);
+  };
 
   TrainReport report;
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -108,36 +113,33 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
       for (std::size_t m = 0; m < bs; ++m) {
         const TrainingSample& s = samples[order[start + m]];
         write_inputs(s.alice_seq, x.data());
-        bilstm_.forward(x, cfg_.seq_len, h, lstm_caches[m]);
-        const nn::Vec y_hat = pred_head_.forward(h, pred_caches[m]);
-        const nn::Vec logits = quant_head_.forward(y_hat, quant_caches[m]);
+        bilstm_.forward(x, n, row(h, m, h_len), lstm_caches[m]);
+        pred_head_.forward(row(h, m, h_len), row(y_hat, m, n));
+        quant_head_.forward(row(y_hat, m, n), row(logits, m, k));
 
         // Joint loss.
-        auto mse = nn::mse_loss(y_hat, s.bob_seq);
-        const auto bce = nn::bce_with_logits(logits, s.bob_bits.to_doubles());
-        epoch_loss += kTheta * mse.loss + (1.0 - kTheta) * bce.loss;
-        dlogits[m].resize(bce.grad.size());
-        for (std::size_t i = 0; i < bce.grad.size(); ++i) {
-          dlogits[m][i] = (1.0 - kTheta) * bce.grad[i];
-        }
-        mse_grads[m] = std::move(mse.grad);
+        for (std::size_t i = 0; i < k; ++i) z[i] = s.bob_bits.get(i);
+        const double mse =
+            nn::mse_loss(row(y_hat, m, n), s.bob_seq, row(mse_grad, m, n));
+        const auto dl = row(dlogits, m, k);
+        const double bce = nn::bce_with_logits(row(logits, m, k), z, dl);
+        epoch_loss += kTheta * mse + (1.0 - kTheta) * bce;
+        for (double& g : dl) g = (1.0 - kTheta) * g;
       }
 
       // Backward: BCE through the quantization head into y_hat, plus the
       // MSE gradient directly on y_hat, then the prediction head and the
       // BiLSTM, each member's gradients added in member order.
-      std::vector<nn::Vec> dy = quant_head_.backward_batch(
-          std::span(quant_caches).first(bs), std::span(dlogits).first(bs),
-          true);
+      const auto first = [batch, bs](nn::Vec& v) {
+        return std::span(v).first(v.size() / batch * bs);
+      };
+      quant_head_.backward_batch(bs, first(y_hat), first(logits),
+                                 first(dlogits), first(dy));
+      for (std::size_t i = 0; i < bs * n; ++i) dy[i] += kTheta * mse_grad[i];
+      pred_head_.backward_batch(bs, first(h), first(y_hat), first(dy),
+                                first(dh));
       for (std::size_t m = 0; m < bs; ++m) {
-        for (std::size_t i = 0; i < dy[m].size(); ++i) {
-          dy[m][i] += kTheta * mse_grads[m][i];
-        }
-      }
-      const std::vector<nn::Vec> dh =
-          pred_head_.backward_batch(std::span(pred_caches).first(bs), dy, true);
-      for (std::size_t m = 0; m < bs; ++m) {
-        bilstm_.backward(lstm_caches[m], dh[m]);
+        bilstm_.backward(lstm_caches[m], row(dh, m, h_len));
       }
       opt.step(bs);
     }
@@ -197,9 +199,10 @@ double PredictorQuantizer::evaluate_loss(
     std::span<const TrainingSample> samples) const {
   check_samples(samples, cfg_);
   double total = 0.0;
+  nn::Vec mse_grad(cfg_.seq_len);  // unread
   for (const auto& s : samples) {
     const Output o = infer(s.alice_seq);
-    const auto mse = nn::mse_loss(o.predicted_seq, s.bob_seq);
+    const double mse = nn::mse_loss(o.predicted_seq, s.bob_seq, mse_grad);
     // Recompute BCE from probabilities (logits not retained): use the
     // numerically-safe clipped form.
     double bce = 0.0;
@@ -208,7 +211,7 @@ double PredictorQuantizer::evaluate_loss(
       const double p = std::clamp(o.probabilities[i], 1e-12, 1.0 - 1e-12);
       bce += -(z[i] * std::log(p) + (1.0 - z[i]) * std::log(1.0 - p));
     }
-    total += kTheta * mse.loss + (1.0 - kTheta) * bce;
+    total += kTheta * mse + (1.0 - kTheta) * bce;
   }
   return total / static_cast<double>(samples.size());
 }

@@ -23,9 +23,9 @@
 // into the Output. infer() runs it in a call-local workspace, so it
 // allocates four blocks whatever the sequence length: the workspace and the
 // Output's three vectors. infer_batch() runs it window after window in one
-// shared workspace. Training runs the same flat rows: the BiLSTM's output
-// rows are the prediction head's flattened input, and its BPTT reads dL/dh
-// straight from the head's input gradient, so nothing is copied per step.
+// shared workspace. Training runs flat rows too, one per batch member and
+// sized once per train(): the BiLSTM writes straight into the prediction
+// head's input row, and BPTT reads dL/dh from that row's gradient.
 //
 // Only Alice (or a power-rich RSU) runs this model; Bob uses the
 // conventional multi-bit quantizer on his own measurements.

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -71,7 +72,8 @@ double AutoencoderReconciler::train(std::size_t num_samples,
   VKEY_REQUIRE(num_samples >= 1 && epochs >= 1, "nothing to train on");
   nn::Adam opt(parameters(), kLearningRate);
 
-  // Pre-generate the synthetic pair set so epochs revisit the same data.
+  // Pre-generate the synthetic pair set so epochs revisit the same data,
+  // Bloom-mapped once here: a pair's mapping depends only on the pair.
   // Each pair draws from its own hash-derived stream, making generation
   // order-free: any lane can produce pair s and the result is identical.
   const std::uint64_t pair_seed = hash_combine64(cfg_.seed, 0x70616972ULL);
@@ -88,49 +90,55 @@ double AutoencoderReconciler::train(std::size_t num_samples,
         for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
           if (rng.bernoulli(ber)) ka.flip(i);
         }
-        return std::pair<BitVec, BitVec>(std::move(kb), std::move(ka));
+        return std::pair<BitVec, BitVec>(bloom_.apply(kb), bloom_.apply(ka));
       },
       cfg_.threads);
 
-  // One mini-batch's state, reused across batches: every member's forward
-  // activations per layer, its loss and its dL/dlogits.
+  // One set of rows per call, row j of each being batch member j's: act[0]
+  // is the code difference h, act[l + 1] decoder layer l's output and
+  // grad[l] dL/d act[l]. The encoders read `in_b` and `in_a`; untied ones
+  // write `y_b` and `y_a`, a tied one h itself.
   const std::size_t batch = std::min(kBatchSize, pairs.size());
+  const std::size_t n = cfg_.key_bits;
   const bool train_encoder = !cfg_.freeze_encoder;
-  std::vector<nn::Dense::Cache> f1_caches(batch), f2_caches(batch);
-  std::vector<std::vector<nn::Dense::Cache>> dec_caches(
-      decoder_.size(), std::vector<nn::Dense::Cache>(batch));
-  std::vector<nn::Vec> grads(batch);
+  nn::Vec in_b(batch * n), in_a(batch * n), target(batch * n);
+  nn::Vec y_b(batch * kCodeDim), y_a(batch * kCodeDim);
+  std::vector<nn::Vec> act;
+  for (const auto& layer : decoder_) act.emplace_back(batch * layer.in_size());
+  act.emplace_back(batch * n);
+  std::vector<nn::Vec> grad = act;
   std::vector<double> losses(batch);
+  const auto row = [batch](nn::Vec& v, std::size_t j) {
+    return std::span(v).subspan(j * v.size() / batch, v.size() / batch);
+  };
 
-  // Member j's forward pass. Members are independent, so they fan out over
-  // the lanes; each writes only its own slots.
-  auto forward = [&](std::size_t j, const BitVec& key_bob,
-                     const BitVec& key_alice) {
-    const BitVec kb = bloom_.apply(key_bob);
-    const BitVec ka = bloom_.apply(key_alice);
-    const BitVec e = kb ^ ka;
-    nn::Vec h(kCodeDim);
-    if (cfg_.tie_encoders) {
+  // Member j's forward pass, on pair start + j. Members are independent,
+  // so they fan out over the lanes; each writes only its own rows.
+  std::size_t start = 0;
+  auto forward = [&](std::size_t j) {
+    const auto& [kb, ka] = pairs[start + j];
+    const auto b = row(in_b, j), a = row(in_a, j), e = row(target, j);
+    const auto h = row(act[0], j), yb = row(y_b, j), ya = row(y_a, j);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double db = kb.get(i), da = ka.get(i);
       // Tied linear encoders: h = f(K'_B) - f(K'_A) = W (K'_B - K'_A); the
       // bias cancels, so training on the difference vector is exactly the
       // weight-shared gradient (g x kb - g x ka = g x diff).
-      const auto db = kb.to_doubles();
-      const auto da = ka.to_doubles();
-      nn::Vec diff(db.size());
-      for (std::size_t i = 0; i < diff.size(); ++i) diff[i] = db[i] - da[i];
-      h = f1_.forward(diff, f1_caches[j]);
+      b[i] = cfg_.tie_encoders ? db - da : db;
+      a[i] = da;
+      e[i] = kb.get(i) ^ ka.get(i);
+    }
+    if (cfg_.tie_encoders) {
+      f1_.forward(b, h);
     } else {
-      const nn::Vec yb = f1_.forward(kb.to_doubles(), f1_caches[j]);
-      const nn::Vec ya = f2_.forward(ka.to_doubles(), f2_caches[j]);
-      for (std::size_t i = 0; i < h.size(); ++i) h[i] = yb[i] - ya[i];
+      f1_.forward(b, yb);
+      f2_.forward(a, ya);
+      for (std::size_t i = 0; i < kCodeDim; ++i) h[i] = yb[i] - ya[i];
     }
-    nn::Vec x = h;
     for (std::size_t l = 0; l < decoder_.size(); ++l) {
-      x = decoder_[l].forward(x, dec_caches[l][j]);
+      decoder_[l].forward(row(act[l], j), row(act[l + 1], j));
     }
-    auto bce = nn::bce_with_logits(x, e.to_doubles());
-    losses[j] = bce.loss;
-    grads[j] = std::move(bce.grad);
+    losses[j] = nn::bce_with_logits(row(act.back(), j), e, row(grad.back(), j));
   };
 
   double last_epoch_loss = 0.0;
@@ -142,32 +150,30 @@ double AutoencoderReconciler::train(std::size_t num_samples,
                 pairs[static_cast<std::size_t>(rng_.uniform_int(i))]);
     }
     double epoch_loss = 0.0;
-    for (std::size_t start = 0; start < pairs.size(); start += batch) {
+    for (start = 0; start < pairs.size(); start += batch) {
       const std::size_t bs = std::min(batch, pairs.size() - start);
-      parallel::parallel_for(
-          bs,
-          [&](std::size_t j) {
-            forward(j, pairs[start + j].first, pairs[start + j].second);
-          },
-          cfg_.threads);
+      // By reference: a batch on one lane then allocates nothing.
+      parallel::parallel_for(bs, std::ref(forward), cfg_.threads);
       for (std::size_t j = 0; j < bs; ++j) epoch_loss += losses[j];
 
       // Backward layer by layer; each layer adds its members' gradients in
       // member order, so the double sums do not depend on the lane count.
-      std::vector<nn::Vec> g(grads.begin(),
-                             grads.begin() + static_cast<std::ptrdiff_t>(bs));
+      const auto first = [batch, bs](nn::Vec& v) {
+        return std::span(v).first(v.size() / batch * bs);
+      };
       for (std::size_t l = decoder_.size(); l-- > 0;) {
-        g = decoder_[l].backward_batch(std::span(dec_caches[l]).first(bs), g,
-                                       l > 0 || train_encoder);
+        decoder_[l].backward_batch(
+            bs, first(act[l]), first(act[l + 1]), first(grad[l + 1]),
+            l > 0 || train_encoder ? first(grad[l]) : std::span<double>());
       }
       if (train_encoder) {
-        f1_.backward_batch(std::span(f1_caches).first(bs), g, false);
+        const auto g = first(grad[0]);
+        f1_.backward_batch(bs, first(in_b),
+                           first(cfg_.tie_encoders ? act[0] : y_b), g, {});
         if (!cfg_.tie_encoders) {
           // h = yb - ya: the gradient splits with opposite signs.
-          for (nn::Vec& gj : g) {
-            for (double& v : gj) v = -v;
-          }
-          f2_.backward_batch(std::span(f2_caches).first(bs), g, false);
+          for (double& v : g) v = -v;
+          f2_.backward_batch(bs, first(in_a), first(y_a), g, {});
         }
       }
       opt.step(bs);

@@ -85,10 +85,10 @@ class AutoencoderReconciler {
 
   const ReconcilerConfig& config() const { return cfg_; }
 
-  /// Train on `num_samples` synthetic key pairs for `epochs` epochs (Adam
-  /// over 32-pair mini-batches: forward every member, then
-  /// Dense::backward_batch layer by layer). Returns the final mean
-  /// training loss.
+  /// Train on `num_samples` synthetic key pairs, Bloom-mapped once, for
+  /// `epochs` epochs (Adam over 32-pair mini-batches of rows sized once per
+  /// call: forward every member, then Dense::backward_batch layer by
+  /// layer). Returns the final mean training loss.
   double train(std::size_t num_samples, std::size_t epochs);
 
   /// Bob's side: Bloom-map the key and encode; the returned vector is the

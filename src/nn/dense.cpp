@@ -67,14 +67,12 @@ Vec Dense::infer_reference(const Vec& x) const {
   return z;
 }
 
-Vec Dense::forward(const Vec& x, Cache& cache) const {
+void Dense::forward(std::span<const double> x, std::span<double> y) const {
   // Validate BEFORE counting: a rejected input must not inflate the FLOP /
   // call counters with work that never ran.
-  VKEY_REQUIRE(x.size() == in_, "Dense input size mismatch");
-  cache.x = x;
-  cache.y.resize(out_);
-  compute(x.data(), cache.y.data(), /*quantized=*/false);
-  return cache.y;
+  VKEY_REQUIRE(x.size() == in_ && y.size() == out_,
+               "Dense forward size mismatch");
+  compute(x.data(), y.data(), /*quantized=*/false);
 }
 
 Vec Dense::infer(const Vec& x) const {
@@ -88,46 +86,34 @@ void Dense::infer_into(const double* x, double* y) const {
   compute(x, y, quantized_);
 }
 
-std::vector<Vec> Dense::backward_batch(std::span<const Cache> caches,
-                                       std::span<const Vec> grad_outs,
-                                       bool input_grad) {
-  VKEY_REQUIRE(caches.size() == grad_outs.size(),
-               "Dense backward batch size mismatch");
-  const std::size_t n = caches.size();
+void Dense::backward_batch(std::size_t n, std::span<const double> x,
+                           std::span<const double> y, std::span<double> grad,
+                           std::span<double> dx) {
+  VKEY_REQUIRE(x.size() == n * in_ && y.size() == n * out_ &&
+                   grad.size() == n * out_ &&
+                   (dx.empty() || dx.size() == n * in_),
+               "Dense backward rows mismatch");
   // Fold the activation derivative into each member's output gradient.
-  std::vector<Vec> dz(grad_outs.begin(), grad_outs.end());
-  std::vector<const double*> dzp(n), xp(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    const Vec& y = caches[m].y;
-    Vec& d = dz[m];
-    VKEY_REQUIRE(d.size() == out_, "Dense grad size mismatch");
-    VKEY_REQUIRE(caches[m].x.size() == in_ && y.size() == out_,
-                 "Dense backward before forward");
-    switch (act_) {
-      case Activation::kNone:
-        break;
-      case Activation::kTanh:
-        for (std::size_t o = 0; o < out_; ++o) d[o] *= dtanh_from_y(y[o]);
-        break;
-    }
-    dzp[m] = d.data();
-    xp[m] = caches[m].x.data();
+  switch (act_) {
+    case Activation::kNone:
+      break;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < grad.size(); ++i) {
+        grad[i] *= dtanh_from_y(y[i]);
+      }
+      break;
   }
 
-  // The bias gradient is the outer product with a ones column: dz * 1.0 is
-  // exactly dz, so it sums like the weights, in member order.
+  // The bias gradient is the outer product with a ones column (stride 0):
+  // dz * 1.0 is exactly dz, so it sums like the weights, in member order.
   static constexpr double kOne = 1.0;
-  const std::vector<const double*> ones(n, &kOne);
-  accumulate_outer(dzp.data(), xp.data(), n, out_, in_, w_.grad.data());
-  accumulate_outer(dzp.data(), ones.data(), n, out_, 1, b_.grad.data());
-
-  std::vector<Vec> dx;
-  if (!input_grad) return dx;
-  dx.assign(n, Vec(in_));
-  std::vector<double*> dxp(n);
-  for (std::size_t m = 0; m < n; ++m) dxp[m] = dx[m].data();
-  matvec_transposed(w_.value.data(), out_, in_, dzp.data(), n, dxp.data());
-  return dx;
+  const Rows<const double> dz{grad.data(), static_cast<std::ptrdiff_t>(out_)};
+  const auto in = static_cast<std::ptrdiff_t>(in_);
+  accumulate_outer(dz, {x.data(), in}, n, out_, in_, w_.grad.data());
+  accumulate_outer(dz, {&kOne, 0}, n, out_, 1, b_.grad.data());
+  if (!dx.empty()) {
+    matvec_transposed(w_.value.data(), out_, in_, dz, n, {dx.data(), in});
+  }
 }
 
 }  // namespace vkey::nn

@@ -1,16 +1,16 @@
 // Fully connected layer: y = W x + b.
 //
-// Training takes one mini-batch shape: forward(x, cache) for every member,
-// then one backward_batch() over the members, which adds their weight and
-// bias gradients into the parameters in member order (through the gemm
-// core's accumulate_outer / matvec_transposed, bit-identical to the naive
-// per-sample loops), then one optimizer step.
+// Training runs over caller-owned batch rows: forward(x, y) per member
+// (infer_into()'s float body), then one backward_batch() over the members'
+// rows, which adds their weight and bias gradients into the parameters in
+// member order (through the gemm core's accumulate_outer /
+// matvec_transposed, bit-identical to the naive per-sample loops) and
+// writes their input-gradient rows, then one optimizer step.
 //
 // Inference is infer_into(x, y): the affine map written straight into the
 // caller's storage, then the activation in place, so a caller that keeps
 // its own buffers (the reconciler's greedy decode ping-pongs two) allocates
-// nothing per layer. infer() is infer_into() over a fresh vector, and
-// forward() runs the same float body into its cache.
+// nothing per layer. infer() is infer_into() over a fresh vector.
 #pragma once
 
 #include <span>
@@ -33,18 +33,11 @@ class Dense {
   Dense(std::size_t in, std::size_t out, vkey::Rng& rng,
         Activation act = Activation::kNone);
 
-  /// One member's forward activations, owned by the caller so a batch's
-  /// members (on any number of threads) can run forward(x, cache) against
-  /// the same weights before one backward_batch().
-  struct Cache {
-    Vec x;  ///< layer input
-    Vec y;  ///< post-activation output
-  };
+  /// Training forward of one member (float path, thread-safe): `x` holds
+  /// in_size() values, `y` receives out_size(); lengths checked first.
+  void forward(std::span<const double> x, std::span<double> y) const;
 
-  /// Thread-safe forward writing the activations into `cache`.
-  Vec forward(const Vec& x, Cache& cache) const;
-
-  /// Forward without caching (inference-only; usable concurrently).
+  /// Inference forward into a fresh vector (usable concurrently).
   Vec infer(const Vec& x) const;
 
   /// infer() into caller storage: `x` holds in_size() values, `y` receives
@@ -59,17 +52,17 @@ class Dense {
   bool quantized() const { return quantized_; }
 
   /// The original naive affine + activation, retained as the bit-exactness
-  /// oracle for the packed kernels (tests only; no metrics, no cache).
+  /// oracle for the packed kernels (tests only; no metrics).
   Vec infer_reference(const Vec& x) const;
 
-  /// Backward over a mini-batch: member m's forward(x, caches[m]) pass and
-  /// output gradient grad_outs[m]. Adds every member's weight and bias
-  /// gradient straight into the parameter gradients, in member order, and
-  /// returns each member's dL/dx — or nothing when `input_grad` is false
-  /// (no trainable layer upstream).
-  std::vector<Vec> backward_batch(std::span<const Cache> caches,
-                                  std::span<const Vec> grad_outs,
-                                  bool input_grad);
+  /// Backward over `n` members' rows: `x` their inputs, `y` their outputs
+  /// and `grad` dL/dy, into which the activation derivative is folded in
+  /// place. Adds the weight and bias gradients in member order and writes
+  /// each member's dL/dx into row m of `dx`, or nothing when `dx` is empty
+  /// (no trainable layer upstream). Lengths are checked first.
+  void backward_batch(std::size_t n, std::span<const double> x,
+                      std::span<const double> y, std::span<double> grad,
+                      std::span<double> dx);
 
   std::size_t in_size() const { return in_; }
   std::size_t out_size() const { return out_; }

@@ -37,10 +37,9 @@ void reference_matvec_transposed(const double* w, std::size_t rows,
   }
 }
 
-void reference_accumulate_outer(const double* const* dz,
-                                const double* const* x, std::size_t n,
-                                std::size_t rows, std::size_t cols,
-                                double* grad) {
+void reference_accumulate_outer(Rows<const double> dz, Rows<const double> x,
+                                std::size_t n, std::size_t rows,
+                                std::size_t cols, double* grad) {
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t r = 0; r < rows; ++r) {
       double* grow = grad + r * cols;
@@ -66,7 +65,7 @@ void transposed_cols(const double* w, std::size_t rows, std::size_t cols,
 }
 
 // grad[r][c] summed over all n terms.
-void outer_element(const double* const* dz, const double* const* x,
+void outer_element(Rows<const double> dz, Rows<const double> x,
                    std::size_t n, std::size_t r, std::size_t c, double* g) {
   double acc = *g;
   for (std::size_t s = 0; s < n; ++s) acc += dz[s][r] * x[s][c];
@@ -99,8 +98,7 @@ void transposed_tile(const double* w, std::size_t rows, std::size_t cols,
 // Four members, columns [c, c + 8): each weight load feeds four members,
 // so a weight matrix too large for the cache streams once per four.
 void transposed_quad(const double* w, std::size_t rows, std::size_t cols,
-                     std::size_t c, const double* const* dz,
-                     double* const* dx) {
+                     std::size_t c, Rows<const double> dz, Rows<double> dx) {
   __m256d acc[8];
   for (auto& a : acc) a = _mm256_setzero_pd();
   for (std::size_t r = 0; r < rows; ++r) {
@@ -119,25 +117,9 @@ void transposed_quad(const double* w, std::size_t rows, std::size_t cols,
   }
 }
 
-// Four members, one column c: the members are the vector lanes (a narrow
-// matrix, e.g. every LSTM step's dx through the 3-column Wx).
-void transposed_quad_column(const double* w, std::size_t rows,
-                            std::size_t cols, std::size_t c,
-                            const double* const* dz, double* const* dx) {
-  __m256d acc = _mm256_setzero_pd();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const __m256d d = _mm256_set_pd(dz[3][r], dz[2][r], dz[1][r], dz[0][r]);
-    acc = _mm256_add_pd(acc,
-                        _mm256_mul_pd(d, _mm256_set1_pd(w[r * cols + c])));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (std::size_t k = 0; k < 4; ++k) dx[k][c] = lane[k];
-}
-
 // Row r, columns [c, c + 4K): vectorized over columns.
 template <std::size_t K>
-void outer_cols_tile(const double* const* dz, const double* const* x,
+void outer_cols_tile(Rows<const double> dz, Rows<const double> x,
                      std::size_t n, std::size_t r, std::size_t c, double* g) {
   __m256d acc[K];
   for (std::size_t k = 0; k < K; ++k) acc[k] = _mm256_loadu_pd(g + 4 * k);
@@ -153,7 +135,7 @@ void outer_cols_tile(const double* const* dz, const double* const* x,
 
 // Column c, rows [r0, r0 + 4K): vectorized over rows (narrow matrices).
 template <std::size_t K>
-void outer_rows_tile(const double* const* dz, const double* const* x,
+void outer_rows_tile(Rows<const double> dz, Rows<const double> x,
                      std::size_t n, std::size_t r0, std::size_t c,
                      std::size_t cols, double* grad) {
   alignas(32) double g[4 * K];
@@ -176,16 +158,15 @@ void outer_rows_tile(const double* const* dz, const double* const* x,
 }  // namespace
 
 void matvec_transposed(const double* w, std::size_t rows, std::size_t cols,
-                       const double* const* dz, std::size_t n,
-                       double* const* dx) {
+                       Rows<const double> dz, std::size_t n, Rows<double> dx) {
   std::size_t m = 0;
 #if defined(__AVX2__)
   for (; m + 4 <= n; m += 4) {
     std::size_t c = 0;
     for (; c + 8 <= cols; c += 8)
       transposed_quad(w, rows, cols, c, dz + m, dx + m);
-    for (; c < cols; ++c)
-      transposed_quad_column(w, rows, cols, c, dz + m, dx + m);
+    for (std::size_t k = m; k < m + 4; ++k)
+      transposed_cols(w, rows, cols, c, dz[k], dx[k]);
   }
 #endif
   for (; m < n; ++m) {
@@ -200,7 +181,7 @@ void matvec_transposed(const double* w, std::size_t rows, std::size_t cols,
   }
 }
 
-void accumulate_outer(const double* const* dz, const double* const* x,
+void accumulate_outer(Rows<const double> dz, Rows<const double> x,
                       std::size_t n, std::size_t rows, std::size_t cols,
                       double* grad) {
   if (cols < 8) {

@@ -32,7 +32,8 @@
 // summed over a mini-batch's members or an LSTM's steps in order) keep the
 // reference accumulation order per output element, so trained weights are
 // bit-identical to the naive backward loops (DESIGN.md "NN kernel core",
-// "Training kernels").
+// "Training kernels"). Operands are `Rows` at a signed stride: negative for
+// BPTT's steps (last first, as BLAS allows), zero for a bias's ones column.
 //
 // `QuantizedMatrix` plus the *_approx activations are the optional int8
 // path (per-row weight scales, per-vector dynamic input scale, exact int32
@@ -42,6 +43,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -59,6 +61,17 @@ inline constexpr std::size_t kPanelRows = 8;
 void reference_matvec(const double* w, std::size_t rows, std::size_t cols,
                       const double* x, const double* bias, double* y);
 
+/// Rows at a signed stride: row s starts at base + s * stride; + m skips m.
+template <typename T>
+struct Rows {
+  T* base;
+  std::ptrdiff_t stride;
+  T* operator[](std::size_t s) const {
+    return base + static_cast<std::ptrdiff_t>(s) * stride;
+  }
+  Rows operator+(std::size_t m) const { return {(*this)[m], stride}; }
+};
+
 /// Naive reference: dx[c] = sum_r dz[r] * w[r*cols + c], one accumulator
 /// per column starting at 0.0, rows in ascending order — the input-gradient
 /// loop the layers' backward passes started with.
@@ -67,30 +80,28 @@ void reference_matvec_transposed(const double* w, std::size_t rows,
                                  double* dx);
 
 /// dx[m] = W^T dz[m] for each of `n` members and a row-major `rows x cols`
-/// W: every layer's input gradient (a mini-batch's members, or an LSTM's
-/// steps). Register tiles span columns and, four at a time, members, so one
-/// pass over W serves four members; each column's sum still starts at 0.0
-/// and adds rows in ascending order, so every dx[m] is bit-identical to
-/// reference_matvec_transposed on dz[m].
+/// W: every Dense layer's input gradient over a mini-batch's rows, and each
+/// LSTM step's recurrent dh (n = 1). Register tiles span columns and, four
+/// at a time, members, so one pass over W serves four members; each
+/// column's sum still starts at 0.0 and adds rows in ascending order, so
+/// every dx[m] is bit-identical to reference_matvec_transposed on dz[m].
 void matvec_transposed(const double* w, std::size_t rows, std::size_t cols,
-                       const double* const* dz, std::size_t n,
-                       double* const* dx);
+                       Rows<const double> dz, std::size_t n, Rows<double> dx);
 
 /// Naive reference: grad[r*cols + c] += dz[s][r] * x[s][c] for
 /// s = 0 ... n-1 in order, one read-modify-write per term.
-void reference_accumulate_outer(const double* const* dz,
-                                const double* const* x, std::size_t n,
-                                std::size_t rows, std::size_t cols,
-                                double* grad);
+void reference_accumulate_outer(Rows<const double> dz, Rows<const double> x,
+                                std::size_t n, std::size_t rows,
+                                std::size_t cols, double* grad);
 
 /// Weight-gradient accumulation: grad[r][c] += dz[s][r] * x[s][c] for
-/// s = 0 ... n-1 in order (a mini-batch's members, or an LSTM's steps). Each
-/// element is held in a register across all n terms and added in the same
-/// order as the reference, so the result is bit-identical to
-/// reference_accumulate_outer. Wide shapes vectorize over columns; narrow
-/// ones (cols < 8: the LSTM's input weights, a bias as a ones column)
-/// vectorize over rows.
-void accumulate_outer(const double* const* dz, const double* const* x,
+/// s = 0 ... n-1 in order (a mini-batch's members, or an LSTM's steps at a
+/// negative stride, last processed first). Each element is held in a
+/// register across all n terms and added in the same order as the
+/// reference, so the result is bit-identical to reference_accumulate_outer.
+/// Wide shapes vectorize over columns; narrow ones (cols < 8: the LSTM's
+/// input weights, a bias as a ones column at stride 0) vectorize over rows.
+void accumulate_outer(Rows<const double> dz, Rows<const double> x,
                       std::size_t n, std::size_t rows, std::size_t cols,
                       double* grad);
 

@@ -1,5 +1,6 @@
 #include "nn/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -7,36 +8,37 @@
 
 namespace vkey::nn {
 
-MseResult mse_loss(const Vec& pred, const Vec& target) {
-  VKEY_REQUIRE(pred.size() == target.size() && !pred.empty(),
+double mse_loss(std::span<const double> pred, std::span<const double> target,
+                std::span<double> grad) {
+  VKEY_REQUIRE(pred.size() == target.size() && !pred.empty() &&
+                   grad.size() == pred.size(),
                "mse_loss size mismatch");
-  MseResult r{0.0, Vec(pred.size())};
+  double loss = 0.0;
   const double n = static_cast<double>(pred.size());
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const double d = pred[i] - target[i];
-    r.loss += d * d;
-    r.grad[i] = 2.0 * d / n;
+    loss += d * d;
+    grad[i] = 2.0 * d / n;
   }
-  r.loss /= n;
-  return r;
+  return loss / n;
 }
 
-BceResult bce_with_logits(const Vec& logits, const Vec& target) {
-  VKEY_REQUIRE(logits.size() == target.size() && !logits.empty(),
+double bce_with_logits(std::span<const double> logits,
+                       std::span<const double> target, std::span<double> grad) {
+  VKEY_REQUIRE(logits.size() == target.size() && !logits.empty() &&
+                   grad.size() == logits.size(),
                "bce_with_logits size mismatch");
-  BceResult r{0.0, Vec(logits.size()), Vec(logits.size())};
+  double loss = 0.0;
   for (std::size_t i = 0; i < logits.size(); ++i) {
     VKEY_REQUIRE(target[i] >= 0.0 && target[i] <= 1.0,
                  "BCE target must be in [0,1]");
     const double x = logits[i];
     const double z = target[i];
     // Stable form: max(x,0) - x*z + log(1 + exp(-|x|)).
-    r.loss += std::max(x, 0.0) - x * z + std::log1p(std::exp(-std::fabs(x)));
-    const double p = sigmoid(x);
-    r.probability[i] = p;
-    r.grad[i] = p - z;
+    loss += std::max(x, 0.0) - x * z + std::log1p(std::exp(-std::fabs(x)));
+    grad[i] = sigmoid(x) - z;
   }
-  return r;
+  return loss;
 }
 
 }  // namespace vkey::nn

@@ -6,24 +6,19 @@
 // the logit is simply (sigmoid(logit) - target).
 #pragma once
 
-#include "nn/param.h"
+#include <span>
 
 namespace vkey::nn {
 
-/// Mean squared error and its gradient.
-struct MseResult {
-  double loss = 0.0;
-  Vec grad;  ///< dL/dpred
-};
-MseResult mse_loss(const Vec& pred, const Vec& target);
+/// Mean squared error of `pred` against `target`; writes dL/dpred into
+/// `grad` (pred.size() values) and returns the loss.
+double mse_loss(std::span<const double> pred, std::span<const double> target,
+                std::span<double> grad);
 
-/// Binary cross entropy on logits (sigmoid applied internally), plus the
-/// gradient w.r.t. the logits. Targets must be in [0,1].
-struct BceResult {
-  double loss = 0.0;
-  Vec grad;        ///< dL/dlogit = sigmoid(logit) - target
-  Vec probability;  ///< sigmoid(logit), exposed to avoid recomputation
-};
-BceResult bce_with_logits(const Vec& logits, const Vec& target);
+/// Binary cross entropy on logits (sigmoid applied internally); targets
+/// must be in [0,1]. Writes dL/dlogit = sigmoid(logit) - target into `grad`
+/// (logits.size() values) and returns the loss.
+double bce_with_logits(std::span<const double> logits,
+                       std::span<const double> target, std::span<double> grad);
 
 }  // namespace vkey::nn

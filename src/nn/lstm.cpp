@@ -232,26 +232,23 @@ void Lstm::backward(const Cache& cache, std::span<const double> dh,
       dz[3 * h + k] = d_o * dsigmoid_from_y(go[k]);
     }
     if (step > 0) {  // the first processed step has no predecessor
-      matvec_transposed(wh_.value.data(), 4 * h, h, &dz, 1, &dh_rec);
+      matvec_transposed(wh_.value.data(), 4 * h, h, {dz, 0}, 1, {dh_rec, 0});
     }
   }
 
   // Parameter gradients, one accumulation per matrix over the steps in the
-  // order the recurrence visited them (last processed step first) — the
-  // order per-step accumulation used.
-  std::vector<const double*> dzp(t_len), xp(t_len), hp(t_len);
-  for (std::size_t s = 0; s < t_len; ++s) {
-    const std::size_t step = t_len - 1 - s;
-    dzp[s] = &dz_[step * 4 * h];
-    xp[s] = &cache.xh[step * width];
-    hp[s] = xp[s] + input_;
-  }
+  // order the recurrence visited them (last processed step first: a
+  // negative stride) — the order per-step accumulation used.
   static constexpr double kOne = 1.0;
-  const std::vector<const double*> ones(t_len, &kOne);
-  accumulate_outer(dzp.data(), xp.data(), t_len, 4 * h, input_,
+  const Rows<const double> dz{&dz_[(t_len - 1) * 4 * h],
+                              -static_cast<std::ptrdiff_t>(4 * h)};
+  const double* xh_last = &cache.xh[(t_len - 1) * width];
+  const auto back = -static_cast<std::ptrdiff_t>(width);
+  accumulate_outer(dz, {xh_last, back}, t_len, 4 * h, input_,
                    wx_.grad.data());
-  accumulate_outer(dzp.data(), hp.data(), t_len, 4 * h, h, wh_.grad.data());
-  accumulate_outer(dzp.data(), ones.data(), t_len, 4 * h, 1, b_.grad.data());
+  accumulate_outer(dz, {xh_last + input_, back}, t_len, 4 * h, h,
+                   wh_.grad.data());
+  accumulate_outer(dz, {&kOne, 0}, t_len, 4 * h, 1, b_.grad.data());
 }
 
 BiLstm::BiLstm(std::size_t input, std::size_t hidden, vkey::Rng& rng)

@@ -79,7 +79,8 @@ class Lstm {
   /// dh[t * dh_stride, + hidden). Only the dh/dc recurrence runs per step;
   /// the Wx, Wh and bias gradients are then added with one
   /// accumulate_outer each, steps in the order BPTT visits them (last
-  /// processed first) — bit-identical to per-step accumulation.
+  /// processed first: the cached rows at a negative stride, the bias's
+  /// ones column at stride 0) — bit-identical to per-step accumulation.
   void backward(const Cache& cache, std::span<const double> dh,
                 std::size_t dh_stride);
 

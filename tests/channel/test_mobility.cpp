@@ -52,7 +52,7 @@ TEST(DistanceProcess, StaysWithinBounds) {
   DistanceProcess dp(cfg, vkey::Rng(2));
   for (int i = 1; i <= 20000; ++i) {
     const double d = dp.at(i * 0.1);
-    EXPECT_GE(d, cfg.min_distance_m);
+    EXPECT_GE(d, kMinDistanceM);
     EXPECT_LE(d, cfg.max_distance_m);
   }
 }

@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "bits_digest.h"
 #include "common/error.h"
-#include "crypto/sha256.h"
 #include "nn/serialize.h"
 
 namespace vkey::core {
@@ -172,16 +172,6 @@ TEST(Predictor, TrainRequiresSamples) {
   EXPECT_THROW(p.train({}, 1), vkey::Error);
   EXPECT_THROW(p.train(synthetic_samples(tiny_config(), 4, 18), 0),
                vkey::Error);
-}
-
-/// SHA-256 (hex) of the bytes of `v`'s doubles, so two digests agree only
-/// when every value does bit for bit.
-std::string bits_digest(const std::vector<double>& v) {
-  crypto::Sha256 h;
-  h.update(reinterpret_cast<const std::uint8_t*>(v.data()),
-           v.size() * sizeof(double));
-  const auto d = h.finalize();
-  return crypto::to_hex(d.data(), d.size());
 }
 
 // Exact epoch losses of a short run, each double to the last bit, and the

@@ -5,10 +5,13 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "bits_digest.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "nn/serialize.h"
 
 namespace vkey::core {
 namespace {
@@ -184,15 +187,39 @@ TEST(Reconciler, ConfigValidated) {
   EXPECT_THROW(AutoencoderReconciler{bad}, vkey::Error);
 }
 
-// The exact final loss of a short run, to the last bit. It pins the fixed
-// settings (32-unit code, three decoder layers, Adam at 2e-3, mini-batches
-// of 32, so 200 pairs end on a partial batch, training BERs in
-// [0, 0.20], the Bloom seed) and the order of every sum in training.
+// The exact final loss of a short run, to the last bit, and the bits of
+// every trained parameter, in each tie x freeze configuration the ablations
+// train. It pins the fixed settings (32-unit code, three decoder layers,
+// Adam at 2e-3, mini-batches of 32, so 200 pairs end on a partial batch,
+// training BERs in [0, 0.20], the Bloom seed) and the order of every sum in
+// training: a trained encoder adds its own backward pass, an untied one a
+// second encoder fed the negated gradient.
 TEST(ReconcilerGolden, FinalLossOnSmallFixedInputs) {
-  ReconcilerConfig cfg = fast_config();
-  cfg.decoder_units = 16;
-  AutoencoderReconciler r(cfg);
-  EXPECT_EQ(r.train(200, 2), 43.499017862167065);
+  struct Want {
+    bool tie, freeze;
+    double loss;
+    const char* digest;
+  };
+  for (const Want& w : {
+           Want{true, true, 43.499017862167065,
+                "03873001fd32a7cb5a59e2b20f54c7d85aaae1e21a59fff317548206414d0753"},
+           Want{true, false, 43.4003174085374,
+                "871d1146a7f01325e348f41f1a9c0c0cc7f99a612be24d39e260193b02c739dc"},
+           Want{false, true, 41.064769490901845,
+                "58b18f5677dbaae15343e1253383765cb84707b2ef69455f21f659327f2fbef6"},
+           Want{false, false, 39.86127631307241,
+                "24ea5eb018c5ad8e4b1b05bf6cc06d9bf4df485f58c10dd3c59ad3d6f4c3de25"},
+       }) {
+    SCOPED_TRACE(std::string(w.tie ? "tied" : "untied") +
+                 (w.freeze ? " + frozen" : " + trained"));
+    ReconcilerConfig cfg = fast_config();
+    cfg.decoder_units = 16;
+    cfg.tie_encoders = w.tie;
+    cfg.freeze_encoder = w.freeze;
+    AutoencoderReconciler r(cfg);
+    EXPECT_EQ(r.train(200, 2), w.loss);
+    EXPECT_EQ(bits_digest(nn::snapshot(r.parameters())), w.digest);
+  }
 }
 
 TEST(Reconciler, MoreUnitsMoreFlops) {

@@ -11,11 +11,28 @@
 namespace vkey::nn {
 namespace {
 
-/// backward_batch() over one member: its forward(x, cache) pass and output
-/// gradient. Returns dL/dx.
-Vec backward_one(Dense& d, const Dense::Cache& cache, const Vec& grad_out) {
-  return d.backward_batch(std::span(&cache, 1), std::span(&grad_out, 1),
-                          true)[0];
+/// One member's training pass: forward(x) into its output row, then
+/// backward_batch() over that one row with output gradient `grad_out`.
+/// Returns dL/dx.
+Vec backward_one(Dense& d, const Vec& x, Vec grad_out) {
+  Vec y(d.out_size()), dx(d.in_size());
+  d.forward(x, y);
+  d.backward_batch(1, x, y, grad_out, dx);
+  return dx;
+}
+
+/// dL/dy of the MSE against `target` at x's output.
+Vec mse_grad(const Dense& d, const Vec& x, const Vec& target) {
+  Vec y(d.out_size()), grad(d.out_size());
+  d.forward(x, y);
+  mse_loss(y, target, grad);
+  return grad;
+}
+
+/// The MSE against `target` at x's output, through infer().
+double mse_of(const Dense& d, const Vec& x, const Vec& target) {
+  Vec unused(target.size());
+  return mse_loss(d.infer(x), target, unused);
 }
 
 TEST(Dense, OutputShape) {
@@ -35,10 +52,14 @@ TEST(Dense, ForwardMatchesInfer) {
   vkey::Rng rng(2);
   Dense d(4, 4, rng, Activation::kTanh);
   const Vec x{0.5, -0.2, 0.1, 0.9};
-  Dense::Cache cache;
-  EXPECT_EQ(d.forward(x, cache), d.infer(x));
-  EXPECT_EQ(cache.x, x);
-  EXPECT_EQ(cache.y, d.infer(x));
+  Vec y(4);
+  d.forward(x, y);
+  EXPECT_EQ(y, d.infer(x));
+  // Rows of any other length are rejected.
+  Vec short_y(3), long_y(5);
+  EXPECT_THROW(d.forward(x, short_y), vkey::Error);
+  EXPECT_THROW(d.forward(x, long_y), vkey::Error);
+  EXPECT_THROW(d.forward(Vec{0.5, -0.2, 0.1}, y), vkey::Error);
 }
 
 TEST(Dense, LinearLayerIsAffine) {
@@ -56,9 +77,22 @@ TEST(Dense, LinearLayerIsAffine) {
 }
 
 TEST(Dense, BackwardBeforeForwardThrows) {
+  // A member with no forward rows, and rows of the wrong length for the
+  // batch, are rejected before any gradient moves.
   vkey::Rng rng(6);
   Dense d(2, 2, rng);
-  EXPECT_THROW(backward_one(d, Dense::Cache{}, {1.0, 1.0}), vkey::Error);
+  const Vec x{1.0, 2.0}, y{0.5, 0.5};
+  Vec grad{1.0, 1.0}, dx(2);
+  EXPECT_THROW(d.backward_batch(1, {}, {}, grad, dx), vkey::Error);
+  EXPECT_THROW(d.backward_batch(2, x, y, grad, dx), vkey::Error);
+  EXPECT_THROW(d.backward_batch(1, x, y, std::span(grad).first(1), dx),
+               vkey::Error);
+  EXPECT_THROW(d.backward_batch(1, x, y, grad, std::span(dx).first(1)),
+               vkey::Error);
+  for (const Parameter* p : d.parameters()) {
+    for (double g : p->grad) EXPECT_EQ(g, 0.0);
+  }
+  EXPECT_EQ(grad, (Vec{1.0, 1.0}));
 }
 
 // Numerical gradient check: perturb each parameter and compare the measured
@@ -70,14 +104,10 @@ void check_gradients() {
   const Vec x{0.3, -0.7, 0.5};
   const Vec target{0.2, 0.8};
 
-  auto loss_of = [&] {
-    return mse_loss(d.infer(x), target).loss;
-  };
+  auto loss_of = [&] { return mse_of(d, x, target); };
 
   // Analytic gradients.
-  Dense::Cache cache;
-  const auto l = mse_loss(d.forward(x, cache), target);
-  backward_one(d, cache, l.grad);
+  backward_one(d, x, mse_grad(d, x, target));
 
   const double eps = 1e-6;
   for (Parameter* p : d.parameters()) {
@@ -107,17 +137,15 @@ TEST(Dense, InputGradientCheck) {
   Dense d(3, 2, rng, Activation::kTanh);
   Vec x{0.3, -0.7, 0.5};
   const Vec target{0.2, 0.8};
-  Dense::Cache cache;
-  const auto l = mse_loss(d.forward(x, cache), target);
-  const Vec dx = backward_one(d, cache, l.grad);
+  const Vec dx = backward_one(d, x, mse_grad(d, x, target));
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double saved = x[i];
     x[i] = saved + eps;
-    const double up = mse_loss(d.infer(x), target).loss;
+    const double up = mse_of(d, x, target);
     x[i] = saved - eps;
-    const double down = mse_loss(d.infer(x), target).loss;
+    const double down = mse_of(d, x, target);
     x[i] = saved;
     EXPECT_NEAR(dx[i], (up - down) / (2.0 * eps), 1e-5);
   }
@@ -127,12 +155,9 @@ TEST(Dense, GradAccumulatesAcrossSamples) {
   vkey::Rng rng(9);
   Dense d(1, 1, rng);
   const Vec x{1.0};
-  Dense::Cache cache;
-  d.forward(x, cache);
-  backward_one(d, cache, {1.0});
+  backward_one(d, x, {1.0});
   const double g1 = d.parameters()[0]->grad[0];
-  d.forward(x, cache);
-  backward_one(d, cache, {1.0});
+  backward_one(d, x, {1.0});
   EXPECT_NEAR(d.parameters()[0]->grad[0], 2.0 * g1, 1e-12);
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -135,30 +136,44 @@ const Shape kTrainShapes[] = {{32, 3},   {32, 8},   {128, 3},  {128, 32},
                               {5, 9},    {100, 7},  {7, 100},  {33, 41}};
 const std::size_t kTrainBatches[] = {1, 16, 32, 64};
 
+/// `n` rows of `width` values at `v`, in order or, reversed, last row first
+/// at a negative stride (the way BPTT hands over its steps).
+template <typename T>
+Rows<T> rows_of(T* v, std::size_t width, std::size_t n, bool reversed) {
+  const auto stride = static_cast<std::ptrdiff_t>(width);
+  return reversed ? Rows<T>{v + (n - 1) * width, -stride} : Rows<T>{v, stride};
+}
+
+/// Row m of `v`'s `width`-wide rows, as a vector.
+std::vector<double> row_of(const std::vector<double>& v, std::size_t m,
+                           std::size_t width) {
+  const auto first = v.begin() + static_cast<std::ptrdiff_t>(m * width);
+  return {first, first + static_cast<std::ptrdiff_t>(width)};
+}
+
+std::string shape_name(const Shape& sh, std::size_t n, bool reversed) {
+  return std::to_string(sh.rows) + "x" + std::to_string(sh.cols) +
+         " n=" + std::to_string(n) + (reversed ? " reversed" : "");
+}
+
 TEST(TrainingKernels, MatvecTransposedBitEqualsReference) {
   vkey::Rng rng(111);
   for (const auto& sh : kTrainShapes) {
     const auto w = random_vec(sh.rows * sh.cols, rng);
     for (std::size_t n : kTrainBatches) {
-      std::vector<std::vector<double>> dz(n), want(n), got(n);
-      std::vector<const double*> dzp(n);
-      std::vector<double*> gotp(n);
+      const auto dz = random_vec(n * sh.rows, rng);  // member m's at row m
+      std::vector<double> want(n * sh.cols);
       for (std::size_t m = 0; m < n; ++m) {
-        dz[m] = random_vec(sh.rows, rng);
-        want[m].resize(sh.cols);
-        got[m].assign(sh.cols, 99.0);  // overwritten, never accumulated into
-        reference_matvec_transposed(w.data(), sh.rows, sh.cols, dz[m].data(),
-                                    want[m].data());
-        dzp[m] = dz[m].data();
-        gotp[m] = got[m].data();
+        reference_matvec_transposed(w.data(), sh.rows, sh.cols,
+                                    &dz[m * sh.rows], &want[m * sh.cols]);
       }
-      matvec_transposed(w.data(), sh.rows, sh.cols, dzp.data(), n,
-                        gotp.data());
-      for (std::size_t m = 0; m < n; ++m) {
-        expect_bits_eq(want[m], got[m],
-                       std::to_string(sh.rows) + "x" + std::to_string(sh.cols) +
-                           " n=" + std::to_string(n) + " member " +
-                           std::to_string(m));
+      for (const bool reversed : {false, true}) {
+        // Overwritten, never accumulated into.
+        std::vector<double> got(n * sh.cols, 99.0);
+        matvec_transposed(w.data(), sh.rows, sh.cols,
+                          rows_of(dz.data(), sh.rows, n, reversed), n,
+                          rows_of(got.data(), sh.cols, n, reversed));
+        expect_bits_eq(want, got, shape_name(sh, n, reversed));
       }
     }
   }
@@ -166,26 +181,32 @@ TEST(TrainingKernels, MatvecTransposedBitEqualsReference) {
 
 TEST(TrainingKernels, AccumulateOuterBitEqualsReference) {
   vkey::Rng rng(112);
+  static constexpr double kOne = 1.0;
   for (const auto& sh : kTrainShapes) {
     for (std::size_t n : kTrainBatches) {
-      std::vector<std::vector<double>> dz(n), x(n);
-      std::vector<const double*> dzp(n), xp(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        dz[s] = random_vec(sh.rows, rng);
-        x[s] = random_vec(sh.cols, rng);
-        dzp[s] = dz[s].data();
-        xp[s] = x[s].data();
+      const auto dz = random_vec(n * sh.rows, rng);
+      const auto x = random_vec(n * sh.cols, rng);
+      const std::vector<double> ones(n, 1.0);
+      // Accumulate onto gradients that already hold earlier terms.
+      const auto start = random_vec(sh.rows * sh.cols, rng);
+      const auto bias_start = random_vec(sh.rows, rng);
+      for (const bool reversed : {false, true}) {
+        const std::string what = shape_name(sh, n, reversed);
+        const auto dzr = rows_of(dz.data(), sh.rows, n, reversed);
+        auto want = start, got = start;
+        reference_accumulate_outer(dzr, rows_of(x.data(), sh.cols, n, reversed),
+                                   n, sh.rows, sh.cols, want.data());
+        accumulate_outer(dzr, rows_of(x.data(), sh.cols, n, reversed), n,
+                         sh.rows, sh.cols, got.data());
+        expect_bits_eq(want, got, what);
+        // A bias: the ones column at stride 0 against an explicit ones
+        // matrix.
+        auto want_b = bias_start, got_b = bias_start;
+        reference_accumulate_outer(dzr, {ones.data(), 1}, n, sh.rows, 1,
+                                   want_b.data());
+        accumulate_outer(dzr, {&kOne, 0}, n, sh.rows, 1, got_b.data());
+        expect_bits_eq(want_b, got_b, what + " ones column");
       }
-      // Accumulate onto a gradient that already holds earlier terms.
-      auto want = random_vec(sh.rows * sh.cols, rng);
-      auto got = want;
-      reference_accumulate_outer(dzp.data(), xp.data(), n, sh.rows, sh.cols,
-                                 want.data());
-      accumulate_outer(dzp.data(), xp.data(), n, sh.rows, sh.cols,
-                       got.data());
-      expect_bits_eq(want, got,
-                     std::to_string(sh.rows) + "x" + std::to_string(sh.cols) +
-                         " n=" + std::to_string(n));
     }
   }
 }
@@ -213,47 +234,42 @@ TEST(TrainingKernels, SignedZeroProductsIntoPositiveZero) {
     for (std::size_t c = 0; c < cols; ++c)
       w[r * cols + c] = negative_col(c) ? -1.5 : pick();
   }
-  std::vector<std::vector<double>> dz(n, std::vector<double>(rows)),
-      x(n, std::vector<double>(cols));
-  std::vector<const double*> dzp(n), xp(n);
+  // Member s's dz and x are row s of each.
+  std::vector<double> dz(n * rows), x(n * cols);
   for (std::size_t s = 0; s < n; ++s) {
-    for (double& v : dz[s]) v = s % 2 == 0 ? 0.0 : pick();
+    for (std::size_t r = 0; r < rows; ++r)
+      dz[s * rows + r] = s % 2 == 0 ? 0.0 : pick();
     for (std::size_t c = 0; c < cols; ++c)
-      x[s][c] = negative_col(c) ? -1.5 : pick();
-    dzp[s] = dz[s].data();
-    xp[s] = x[s].data();
+      x[s * cols + c] = negative_col(c) ? -1.5 : pick();
   }
+  const Rows<const double> dzr{dz.data(), rows}, xr{x.data(), cols};
 
   // Input gradients, through both the four-member and the one-member tiles.
-  std::vector<std::vector<double>> want(n, std::vector<double>(cols)),
-      got(n, std::vector<double>(cols, 99.0));
-  std::vector<double*> gotp(n);
+  std::vector<double> want(n * cols), got(n * cols, 99.0);
   for (std::size_t s = 0; s < n; ++s) {
-    reference_matvec_transposed(w.data(), rows, cols, dzp[s],
-                                want[s].data());
-    gotp[s] = got[s].data();
+    reference_matvec_transposed(w.data(), rows, cols, dzr[s],
+                                &want[s * cols]);
   }
-  matvec_transposed(w.data(), rows, cols, dzp.data(), n, gotp.data());
+  matvec_transposed(w.data(), rows, cols, dzr, n, {got.data(), cols});
+  expect_bits_eq(want, got, "members");
   for (std::size_t s = 0; s < n; ++s) {
-    expect_bits_eq(want[s], got[s], "member " + std::to_string(s));
     std::vector<double> one(cols, 99.0);
-    double* onep = one.data();
-    matvec_transposed(w.data(), rows, cols, &dzp[s], 1, &onep);
-    expect_bits_eq(want[s], one, "single member " + std::to_string(s));
+    matvec_transposed(w.data(), rows, cols, dzr + s, 1, {one.data(), 0});
+    expect_bits_eq(row_of(want, s, cols), one,
+                   "single member " + std::to_string(s));
   }
-  EXPECT_EQ(bits(want[0][0]), bits(0.0));  // all -0.0 products: +0.0
+  EXPECT_EQ(bits(want[0]), bits(0.0));  // all -0.0 products: +0.0
 
   // Weight gradients from a +0 start, all-zero members included.
   std::vector<double> ref(rows * cols, 0.0), acc(rows * cols, 0.0);
-  reference_accumulate_outer(dzp.data(), xp.data(), n, rows, cols,
-                             ref.data());
-  accumulate_outer(dzp.data(), xp.data(), n, rows, cols, acc.data());
+  reference_accumulate_outer(dzr, xr, n, rows, cols, ref.data());
+  accumulate_outer(dzr, xr, n, rows, cols, acc.data());
   expect_bits_eq(ref, acc, "accumulate_outer");
 
   std::vector<double> folded(rows * cols, 0.0), sink(rows * cols);
   for (std::size_t s = 0; s < n; ++s) {
     std::fill(sink.begin(), sink.end(), 0.0);
-    reference_accumulate_outer(&dzp[s], &xp[s], 1, rows, cols, sink.data());
+    reference_accumulate_outer(dzr + s, xr + s, 1, rows, cols, sink.data());
     for (std::size_t i = 0; i < sink.size(); ++i) folded[i] += sink[i];
   }
   expect_bits_eq(folded, acc, "zeroed sink + fold");
@@ -326,10 +342,9 @@ TEST(DenseGolden, OptimizerStepRepacksCache) {
   Dense d(6, 6, rng);
   const Vec x = random_vec(6, rng);
   (void)d.infer(x);  // warm the packed cache
-  Dense::Cache cache;
-  (void)d.forward(x, cache);
-  const Vec grad(6, 1.0);
-  (void)d.backward_batch(std::span(&cache, 1), std::span(&grad, 1), false);
+  Vec y(6), grad(6, 1.0);
+  d.forward(x, y);
+  d.backward_batch(1, x, y, grad, {});
   Adam opt(d.parameters(), 0.1);
   opt.step(1);
   EXPECT_EQ(d.infer(x), d.infer_reference(x));
@@ -370,29 +385,42 @@ TEST(DenseGolden, BackwardBatchBitEqualsNaiveLoops) {
     Dense d(37, 21, rng, act);
     vkey::Rng xr(208);
     const std::size_t n = 6;
-    std::vector<Dense::Cache> caches(n);
-    std::vector<Vec> grads(n);
+    // Member m's input, output and output gradient are row m of each.
+    Vec x(n * 37), y(n * 21), grads(n * 21);
     Vec gw(d.weights().value.size(), 0.0), gb(d.bias().value.size(), 0.0);
     std::vector<Vec> want_dx(n);
     for (std::size_t m = 0; m < n; ++m) {
-      (void)d.forward(random_vec(37, xr), caches[m]);
-      grads[m] = random_vec(21, xr);
-      want_dx[m] = naive_dense_backward(d, act, caches[m].x, caches[m].y,
-                                        grads[m], gw, gb);
+      const Vec xm = random_vec(37, xr);
+      std::copy(xm.begin(), xm.end(), &x[m * 37]);
+      d.forward(xm, std::span(y).subspan(m * 21, 21));
+      const Vec gm = random_vec(21, xr);
+      std::copy(gm.begin(), gm.end(), &grads[m * 21]);
+      want_dx[m] =
+          naive_dense_backward(d, act, xm, row_of(y, m, 21), gm, gw, gb);
     }
-    const std::vector<Vec> dx = d.backward_batch(caches, grads, true);
-    ASSERT_EQ(dx.size(), n);
-    for (std::size_t m = 0; m < n; ++m)
-      expect_bits_eq(want_dx[m], dx[m], "dx member " + std::to_string(m));
+    Vec grad = grads, dx(n * 37, 99.0);
+    d.backward_batch(n, x, y, grad, dx);
+    for (std::size_t m = 0; m < n; ++m) {
+      expect_bits_eq(want_dx[m], row_of(dx, m, 37),
+                     "dx member " + std::to_string(m));
+    }
     expect_bits_eq(gw, d.weights().grad, "weight gradient");
     expect_bits_eq(gb, d.bias().grad, "bias gradient");
+    // The gradient rows now hold dL/dz: the activation derivative folded
+    // in place.
+    Vec dz = grads;
+    if (act == Activation::kTanh) {
+      for (std::size_t i = 0; i < dz.size(); ++i) dz[i] *= 1.0 - y[i] * y[i];
+    }
+    expect_bits_eq(dz, grad, "folded gradient rows");
 
     // Without an upstream layer to train: same gradients, no dx.
     for (std::size_t m = 0; m < n; ++m) {
-      (void)naive_dense_backward(d, act, caches[m].x, caches[m].y, grads[m],
-                                 gw, gb);
+      (void)naive_dense_backward(d, act, row_of(x, m, 37), row_of(y, m, 21),
+                                 row_of(grads, m, 21), gw, gb);
     }
-    EXPECT_TRUE(d.backward_batch(caches, grads, false).empty());
+    grad = grads;
+    d.backward_batch(n, x, y, grad, {});
     expect_bits_eq(gw, d.weights().grad, "weight gradient, second batch");
     expect_bits_eq(gb, d.bias().grad, "bias gradient, second batch");
   }
@@ -732,11 +760,21 @@ TEST(Accounting, DenseCountersUnchangedOnInvalidInput) {
   const auto f0 = flops.value();
   const auto c0 = calls.value();
   EXPECT_THROW(d.infer({1.0, 2.0}), vkey::Error);  // wrong width
+  // Training's forward: a short input, and an output row of each wrong
+  // length.
+  Vec y(3), short_y(2), long_y(4);
+  const Vec x{1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(d.forward(std::span(x).first(3), y), vkey::Error);
+  EXPECT_THROW(d.forward(x, short_y), vkey::Error);
+  EXPECT_THROW(d.forward(x, long_y), vkey::Error);
   EXPECT_EQ(flops.value(), f0);
   EXPECT_EQ(calls.value(), c0);
-  (void)d.infer({1.0, 2.0, 3.0, 4.0});
+  (void)d.infer(x);
   EXPECT_EQ(calls.value(), c0 + 1);
   EXPECT_EQ(flops.value(), f0 + 2u * 4u * 3u);
+  d.forward(x, y);  // counted exactly as infer() is
+  EXPECT_EQ(calls.value(), c0 + 2);
+  EXPECT_EQ(flops.value(), f0 + 2u * 2u * 4u * 3u);
 }
 
 TEST(Accounting, LstmCountersUnchangedOnInvalidInput) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/error.h"
 #include "nn/loss.h"
@@ -124,16 +125,17 @@ TEST(Lstm, GradientCheck) {
   const Vec x{0.2, -0.1, 0.5, 0.3, -0.4, 0.8};  // three steps
   const Vec target{0.1, -0.2, 0.3};
 
+  Vec unused(3);
   auto loss_of = [&] {
-    return mse_loss(row(infer(lstm, x), 2, 3), target).loss;
+    return mse_loss(row(infer(lstm, x), 2, 3), target, unused);
   };
 
   Lstm::Cache cache;
   Vec h(3 * 3);
   lstm.forward(x, 3, h, 3, cache);
-  const auto l = mse_loss(row(h, 2, 3), target);
+  // The loss reads the last step only: its gradient fills dL/dh's last row.
   Vec dout(3 * 3, 0.0);
-  std::copy(l.grad.begin(), l.grad.end(), dout.begin() + 6);
+  mse_loss(row(h, 2, 3), target, std::span(dout).subspan(6));
   lstm.backward(cache, dout, 3);
 
   const double eps = 1e-6;
@@ -199,16 +201,17 @@ TEST(BiLstm, GradientCheck) {
   const Vec x{0.4, -0.2, 0.6};
   const Vec target{0.1, 0.2, 0.3, 0.4};
 
+  Vec unused(4);
   auto loss_of = [&] {
-    return mse_loss(row(infer(bi, x, 3), 1, 4), target).loss;
+    return mse_loss(row(infer(bi, x, 3), 1, 4), target, unused);
   };
 
   BiLstm::Cache cache;
   Vec h(3 * 4);
   bi.forward(x, 3, h, cache);
-  const auto l = mse_loss(row(h, 1, 4), target);
+  // The loss reads step 1 only: its gradient fills dL/dh's row 1.
   Vec dout(3 * 4, 0.0);
-  std::copy(l.grad.begin(), l.grad.end(), dout.begin() + 4);
+  mse_loss(row(h, 1, 4), target, std::span(dout).subspan(4, 4));
   bi.backward(cache, dout);
 
   const double eps = 1e-6;
