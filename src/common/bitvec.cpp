@@ -4,8 +4,8 @@
 
 namespace vkey {
 
-BitVec::BitVec(std::vector<std::uint8_t> bits) : bits_(std::move(bits)) {
-  for (auto& b : bits_) {
+BitVec::BitVec(std::span<const std::uint8_t> bits) : bits_(bits) {
+  for (auto b : bits_) {
     VKEY_REQUIRE(b == 0 || b == 1, "BitVec elements must be 0 or 1");
   }
 }
@@ -47,15 +47,12 @@ void BitVec::flip(std::size_t i) {
   bits_[i] ^= 1u;
 }
 
-void BitVec::append(const BitVec& other) {
-  bits_.insert(bits_.end(), other.bits_.begin(), other.bits_.end());
-}
+void BitVec::append(const BitVec& other) { bits_.append(other.bits_); }
 
 BitVec BitVec::slice(std::size_t pos, std::size_t len) const {
   VKEY_REQUIRE(pos + len <= bits_.size(), "BitVec slice out of range");
   BitVec out;
-  out.bits_.assign(bits_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   bits_.begin() + static_cast<std::ptrdiff_t>(pos + len));
+  out.bits_.assign(std::span<const std::uint8_t>(bits_).subspan(pos, len));
   return out;
 }
 

@@ -4,6 +4,12 @@
 // Bloom mapping, reconciliation (XOR algebra) and privacy amplification.
 // BitVec provides exactly the operations those stages need: indexed access,
 // XOR, Hamming distance/weight, byte (de)serialization and pretty printing.
+//
+// Storage: one byte per bit in a SmallBuffer that keeps kInlineBits bits
+// inside the object, which covers every raw, Bloom-mapped and final key
+// (64 and 128 bits), so building, copying or XORing a key allocates
+// nothing; longer vectors (key streams, quantizer outputs) use one heap
+// block.
 #pragma once
 
 #include <cstddef>
@@ -12,17 +18,22 @@
 #include <string>
 #include <vector>
 
+#include "common/small_buffer.h"
+
 namespace vkey {
 
 class BitVec {
  public:
+  /// Bits held without a heap block.
+  static constexpr std::size_t kInlineBits = 128;
+
   BitVec() = default;
 
   /// All-zero vector of `n` bits.
   explicit BitVec(std::size_t n) : bits_(n, 0) {}
 
   /// From an explicit 0/1 sequence.
-  explicit BitVec(std::vector<std::uint8_t> bits);
+  explicit BitVec(std::span<const std::uint8_t> bits);
 
   /// Parse from a string of '0'/'1' characters (other chars are rejected).
   static BitVec from_string(const std::string& s);
@@ -92,10 +103,8 @@ class BitVec {
   static BitVec from_doubles_threshold(const std::vector<double>& v,
                                        double threshold = 0.5);
 
-  const std::vector<std::uint8_t>& raw() const noexcept { return bits_; }
-
  private:
-  std::vector<std::uint8_t> bits_;  // one byte per bit; values 0 or 1
+  SmallBuffer<std::uint8_t, kInlineBits> bits_;  // one byte per bit: 0 or 1
 };
 
 }  // namespace vkey

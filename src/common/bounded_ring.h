@@ -5,8 +5,10 @@
 // push overwrites the oldest entry in place and counts it as dropped, so the
 // ring always holds the newest `capacity` entries and exports can be honest
 // about what fell off. A capacity of 0 keeps nothing and counts every push
-// as dropped. Storage grows by push_back until full (no up-front
-// reservation), then never reallocates.
+// as dropped. The first push reserves a first block of
+// min(capacity, kFirstBlock) entries, so a ring that stays within it (a
+// flight recorder's usual attempt) allocates once; past it, storage grows
+// by push_back until full, then never reallocates.
 //
 // Not thread-safe: TraceLog wraps its ring in a mutex; the flight recorder
 // and the sampler are single-writer by design.
@@ -22,6 +24,9 @@ namespace vkey {
 template <typename T>
 class BoundedRing {
  public:
+  /// Entries the first push reserves room for (capped at the capacity).
+  static constexpr std::size_t kFirstBlock = 64;
+
   explicit BoundedRing(std::size_t capacity) : capacity_(capacity) {}
 
   std::size_t capacity() const noexcept { return capacity_; }
@@ -32,6 +37,9 @@ class BoundedRing {
     if (capacity_ == 0) {
       ++dropped_;
     } else if (items_.size() < capacity_) {
+      if (items_.capacity() == 0) {
+        items_.reserve(std::min(capacity_, kFirstBlock));
+      }
       items_.push_back(std::move(item));
     } else {
       items_[head_] = std::move(item);

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -107,16 +108,20 @@ std::string escape(const std::string& s) {
 }
 
 std::string format_number(double v) {
+  std::array<char, kNumberChars> buf{};
+  return std::string(buf.data(), format_number(v, buf));
+}
+
+std::size_t format_number(double v, std::span<char, kNumberChars> out) {
   VKEY_REQUIRE(std::isfinite(v), "json numbers must be finite");
+  char* const first = out.data();
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
     const auto [p, ec] =
-        std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v));
-    return std::string(buf, p);
+        std::to_chars(first, first + out.size(), static_cast<std::int64_t>(v));
+    return static_cast<std::size_t>(p - first);
   }
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, p);
+  const auto [p, ec] = std::to_chars(first, first + out.size(), v);
+  return static_cast<std::size_t>(p - first);
 }
 
 void Value::dump_to(std::string& out, int indent, int depth) const {

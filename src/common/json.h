@@ -12,7 +12,9 @@
 // emits (parse accepts them for ASCII code points).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -93,5 +95,12 @@ std::string escape(const std::string& s);
 /// instead normalizes a non-finite number to null so a degenerate metric can
 /// never produce a document that downstream parsers reject.
 std::string format_number(double v);
+
+/// Room format_number()'s text always fits in.
+inline constexpr std::size_t kNumberChars = 40;
+
+/// format_number() into `out` without building a std::string; returns the
+/// number of characters written.
+std::size_t format_number(double v, std::span<char, kNumberChars> out);
 
 }  // namespace vkey::json

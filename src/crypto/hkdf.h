@@ -10,7 +10,10 @@
 // SecretBuffer: PRKs and output key material come back zeroizing, and
 // input secrets are taken as SecretBuffer (or a borrowed span for callers
 // that hold the bytes in other wiped storage). Salt and info are public
-// protocol constants and stay plain spans.
+// protocol constants and stay plain spans. A PRK, and an output of up to
+// kInlineSecretBytes (every key the schedule derives), lives inside its
+// SecretBuffer, so extract and expand allocate nothing; a longer output
+// (RFC 5869's 82-byte case) takes one heap block.
 #pragma once
 
 #include <cstdint>

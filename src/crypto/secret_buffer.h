@@ -7,10 +7,12 @@
 // enforces three invariants the analyzer then only has to *check* at its
 // boundaries instead of proving everywhere:
 //
-//   1. Zeroize-on-destruct. The backing bytes are wiped through
+//   1. Zeroize-on-destruct. The bytes live inline (up to
+//      kInlineSecretBytes, which every key-schedule secret fits) or in one
+//      heap block beyond that, and wherever they sit they are wiped through
 //      secure_wipe() (compiler-barrier protected, cannot be optimized out)
-//      before the storage is released — including when the buffer is moved
-//      from, shrunk, or reassigned.
+//      before the storage is released or abandoned — on destruction,
+//      clear(), reassignment, and when the buffer is moved from.
 //   2. Redaction by construction. Streaming (`operator<<`) and JSON
 //      conversion are deleted, so a SecretBuffer cannot reach the trace /
 //      metrics / snapshot sinks without going through expose() — which is
@@ -30,6 +32,8 @@
 #include <iosfwd>
 #include <span>
 #include <vector>
+
+#include "common/small_buffer.h"
 
 namespace vkey::json {
 class Value;
@@ -51,27 +55,38 @@ inline void secure_wipe(std::span<std::uint8_t> bytes) noexcept {
   secure_wipe(bytes.data(), bytes.size());
 }
 
+/// Bytes a SecretBuffer keeps inline: every PRK, HKDF output and ratchet
+/// secret of the key schedule (32 bytes at most) fits, so none allocates.
+inline constexpr std::size_t kInlineSecretBytes = 64;
+
 class SecretBuffer {
  public:
   SecretBuffer() = default;
 
-  /// Take ownership of secret bytes. The moved-from vector's storage is
-  /// adopted, not copied, so no unwiped duplicate is left behind.
-  explicit SecretBuffer(std::vector<std::uint8_t>&& bytes) noexcept
-      : bytes_(std::move(bytes)) {}
+  /// Take the secret bytes out of `bytes`: they are copied in, and the
+  /// vector is wiped and cleared, so no unwiped duplicate is left behind.
+  explicit SecretBuffer(std::vector<std::uint8_t>&& bytes)
+      : bytes_(std::span<const std::uint8_t>(bytes)) {
+    secure_wipe(bytes);
+  }
 
   /// Copy secret bytes out of storage this buffer does not own (e.g. a
   /// std::array digest the caller will wipe itself).
   static SecretBuffer copy_of(std::span<const std::uint8_t> bytes) {
-    return SecretBuffer(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+    SecretBuffer out;
+    out.bytes_.assign(bytes);
+    return out;
   }
 
-  /// An all-zero secret of `len` bytes (HKDF's default salt block).
+  /// An all-zero secret of `len` bytes, to be filled in place through
+  /// expose_mut() (HKDF's output, a packed key).
   static SecretBuffer zeros(std::size_t len) {
-    return SecretBuffer(std::vector<std::uint8_t>(len, 0));
+    SecretBuffer out;
+    out.bytes_.assign(len, 0);
+    return out;
   }
 
-  ~SecretBuffer() { secure_wipe(bytes_); }
+  ~SecretBuffer() { wipe(); }
 
   /// Copies are permitted — both sides stay zeroizing buffers (the epoch
   /// grace window genuinely needs two live key generations). Copying *out*
@@ -80,23 +95,24 @@ class SecretBuffer {
   SecretBuffer(const SecretBuffer&) = default;
   SecretBuffer& operator=(const SecretBuffer& other) {
     if (this != &other) {
-      secure_wipe(bytes_);
+      wipe();
       bytes_ = other.bytes_;
     }
     return *this;
   }
 
   /// Moves wipe the source: after `b = std::move(a)`, `a` holds no secret
-  /// residue (its storage was either adopted by `b` or zeroized).
+  /// residue (its heap block was adopted by `b`, or its inline bytes were
+  /// copied and then zeroized).
   SecretBuffer(SecretBuffer&& other) noexcept
       : bytes_(std::move(other.bytes_)) {
-    secure_wipe(other.bytes_);
+    other.wipe();
   }
   SecretBuffer& operator=(SecretBuffer&& other) noexcept {
     if (this != &other) {
-      secure_wipe(bytes_);
+      wipe();
       bytes_ = std::move(other.bytes_);
-      secure_wipe(other.bytes_);
+      other.wipe();
     }
     return *this;
   }
@@ -108,24 +124,28 @@ class SecretBuffer {
   /// bytes, valid until the buffer is mutated or destroyed. Consume
   /// immediately; never store, print, or serialize the result (enforced by
   /// vkey_secretflow.py's sink rules).
-  std::span<const std::uint8_t> expose() const noexcept {
-    return {bytes_.data(), bytes_.size()};
-  }
+  std::span<const std::uint8_t> expose() const noexcept { return bytes_; }
 
   /// Writable view for in-place derivation (HKDF output assembly). Same
   /// contract as expose().
-  std::span<std::uint8_t> expose_mut() noexcept {
-    return {bytes_.data(), bytes_.size()};
-  }
+  std::span<std::uint8_t> expose_mut() noexcept { return bytes_; }
 
   /// Wipe and release the secret now instead of at destruction.
-  void clear() noexcept { secure_wipe(bytes_); }
+  void clear() noexcept { wipe(); }
 
   /// Content equality is a timing side channel; use constant_time_equal().
   bool operator==(const SecretBuffer&) const = delete;
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  /// Zero the whole storage, not just the live bytes, then empty the
+  /// buffer (which frees a heap block). A SecretBuffer never grows in
+  /// place, so its inline bytes hold a secret only while it is inline.
+  void wipe() noexcept {
+    secure_wipe(bytes_.data(), bytes_.capacity());
+    bytes_.clear();
+  }
+
+  SmallBuffer<std::uint8_t, kInlineSecretBytes> bytes_;
 };
 
 /// Constant-time equality over raw byte views (length leak only). This is

@@ -1,9 +1,33 @@
 #include "protocol/flight_recorder.h"
 
+#include <array>
+#include <charconv>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <utility>
 
+#include "common/json.h"
+
 namespace vkey::protocol {
+
+FlightDetail& FlightDetail::operator<<(std::string_view text) {
+  text_.append(std::span(text));
+  return *this;
+}
+
+FlightDetail& FlightDetail::operator<<(std::uint64_t n) {
+  char digits[20] = {};
+  const auto [end, ec] = std::to_chars(std::begin(digits), std::end(digits), n);
+  return *this << std::string_view(std::begin(digits), end);
+}
+
+FlightDetail& FlightDetail::number(double v) {
+  std::array<char, json::kNumberChars> text{};
+  const std::size_t n = json::format_number(v, text);
+  text_.append(std::span<const char>(text).first(n));
+  return *this;
+}
 
 std::string to_string(FlightEventKind k) {
   switch (k) {
@@ -32,15 +56,23 @@ std::string to_string(FlightEventKind k) {
 FlightRecorder::FlightRecorder(std::size_t capacity, trace::NowFn now)
     : now_(std::move(now)), ring_(capacity) {}
 
-void FlightRecorder::record(FlightEventKind kind, std::string actor,
-                            std::string detail, std::uint64_t session_id,
+void FlightRecorder::record(FlightEventKind kind, std::string_view actor,
+                            std::string_view detail, std::uint64_t session_id,
                             std::uint64_t nonce) {
+  FlightDetail text;
+  text << detail;
+  record(kind, actor, text, session_id, nonce);
+}
+
+void FlightRecorder::record(FlightEventKind kind, std::string_view actor,
+                            const FlightDetail& detail,
+                            std::uint64_t session_id, std::uint64_t nonce) {
   FlightEvent ev;
   ev.seq = next_seq_++;
   ev.t_ms = now_ ? now_() : static_cast<double>(ev.seq);
   ev.kind = kind;
-  ev.actor = std::move(actor);
-  ev.detail = std::move(detail);
+  ev.actor = actor;
+  ev.detail = detail;
   ev.session_id = session_id;
   ev.nonce = nonce;
 
@@ -48,7 +80,9 @@ void FlightRecorder::record(FlightEventKind kind, std::string actor,
   if (log.enabled()) {
     std::vector<trace::Attr> attrs;
     attrs.emplace_back("actor", ev.actor);
-    if (!ev.detail.empty()) attrs.emplace_back("detail", ev.detail);
+    if (!ev.detail.empty()) {
+      attrs.emplace_back("detail", std::string(ev.detail.str()));
+    }
     if (ev.session_id != 0) attrs.emplace_back("session", ev.session_id);
     attrs.emplace_back("nonce", ev.nonce);
     log.instant("flight." + to_string(kind), ev.t_ms, trace::Domain::kVirtual,
@@ -74,7 +108,7 @@ std::string FlightRecorder::dump() const {
     out += ev.actor;
     if (!ev.detail.empty()) {
       out += ' ';
-      out += ev.detail;
+      out += ev.detail.str();
     }
     if (ev.session_id != 0) {
       out += " session=" + std::to_string(ev.session_id);

@@ -21,6 +21,12 @@
 // single-writer by design — the protocol stack runs inside one SimClock
 // event loop — so there is no lock.
 //
+// Storage: an event keeps its detail inline (a FlightDetail, formatted in
+// place from text and numbers; every detail the stack writes fits its
+// kInlineDetailChars), and the ring reserves its first block on the first
+// event, so an attempt's timeline costs one allocation until it outgrows
+// that block — recording builds no std::string per event.
+//
 // When the global TraceLog is enabled each event is mirrored as a
 // virtual-domain instant span ("flight.<kind>"), so `vkey_sim --trace-out`
 // interleaves link-level events with the reliability spans in Perfetto.
@@ -28,9 +34,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bounded_ring.h"
+#include "common/small_buffer.h"
 #include "common/trace.h"
 
 namespace vkey::protocol {
@@ -59,12 +67,38 @@ enum class FlightEventKind : std::uint8_t {
 
 std::string to_string(FlightEventKind k);
 
+/// Detail characters an event keeps inline: the longest the stack writes
+/// is a wire reject or a reorder note, under 50.
+inline constexpr std::size_t kInlineDetailChars = 56;
+
+/// A flight event's detail text, formatted in place: text and numbers are
+/// appended into inline storage, so no std::string is built on the way.
+///   FlightDetail d;
+///   (d << "attempt=" << attempt << " delay_ms=").number(timeout);
+class FlightDetail {
+ public:
+  FlightDetail& operator<<(std::string_view text);
+  FlightDetail& operator<<(std::uint64_t n);
+  /// `v` as json::format_number() writes it (shortest round trip).
+  FlightDetail& number(double v);
+
+  std::string_view str() const noexcept { return text_.str(); }
+  bool empty() const noexcept { return text_.empty(); }
+
+  friend bool operator==(const FlightDetail& d, std::string_view s) noexcept {
+    return d.str() == s;
+  }
+
+ private:
+  SmallBuffer<char, kInlineDetailChars> text_;
+};
+
 struct FlightEvent {
   double t_ms = 0.0;       ///< virtual time; the ordinal when no clock is set
   std::uint64_t seq = 0;   ///< per-recorder insertion ordinal (0-based)
   FlightEventKind kind = FlightEventKind::kAttemptStart;
   std::string actor;       ///< "alice" | "bob" | "link" | "supervisor" | ...
-  std::string detail;      ///< kind-specific context, may be empty
+  FlightDetail detail;     ///< kind-specific context, may be empty
   std::uint64_t session_id = 0;
   std::uint64_t nonce = 0;
 };
@@ -82,8 +116,13 @@ class FlightRecorder {
   std::size_t dropped() const noexcept { return ring_.dropped(); }
   std::uint64_t total() const noexcept { return next_seq_; }
 
-  void record(FlightEventKind kind, std::string actor, std::string detail = {},
-              std::uint64_t session_id = 0, std::uint64_t nonce = 0);
+  void record(FlightEventKind kind, std::string_view actor,
+              const FlightDetail& detail, std::uint64_t session_id = 0,
+              std::uint64_t nonce = 0);
+  /// record() with a plain-text detail.
+  void record(FlightEventKind kind, std::string_view actor,
+              std::string_view detail = {}, std::uint64_t session_id = 0,
+              std::uint64_t nonce = 0);
 
   /// Events oldest -> newest.
   std::vector<FlightEvent> events() const { return ring_.to_vector(); }

@@ -124,7 +124,9 @@ KeySchedule::KeySchedule(const BitVec& amplified_secret,
     : session_id_(session_id),
       role_(role),
       policy_(policy),
-      secret_(crypto::SecretBuffer(amplified_secret.to_bytes())) {
+      secret_(crypto::SecretBuffer::zeros((amplified_secret.size() + 7) / 8)) {
+  // Packed straight into the zeroizing buffer: no unwiped copy on the way.
+  amplified_secret.pack_bytes(0, secret_.expose_mut());
   VKEY_REQUIRE(!secret_.empty(), "amplified secret must be non-empty");
   VKEY_REQUIRE(policy_.rekey_interval_ms > 0.0 && policy_.grace_ms >= 0.0,
                "rekey interval must be positive, grace non-negative");
@@ -159,9 +161,9 @@ void KeySchedule::make_confirm(std::uint64_t nonce, Message& out) const {
   out.session_id = session_id_;
   out.nonce = nonce;
   const auto epoch = be32(current_.epoch);
-  out.payload.assign(epoch.begin(), epoch.end());
+  out.payload.assign(epoch);
   const auto tag = confirm_tag(current_, out, role_);
-  out.mac.assign(tag.begin(), tag.end());
+  out.mac.assign(tag);
 }
 
 bool KeySchedule::verify_confirm(const Message& msg) const {
@@ -194,7 +196,7 @@ Message KeySchedule::seal(std::uint64_t nonce,
       plain, tx.nonce_base ^ nonce,
       std::span<std::uint8_t>(msg.payload).subspan(epoch.size()));
   const auto tag = frame_mac(tx.mac, msg);
-  msg.mac.assign(tag.begin(), tag.end());
+  msg.mac.assign(tag);
   ++stats_.sealed;
   return msg;
 }

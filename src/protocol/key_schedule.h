@@ -21,9 +21,11 @@
 // extraction with the epoch in the salt cryptographically separates
 // generations; the ratchet discards the old secret at each rekey, so a
 // compromise of epoch e keys does not unwind earlier epochs. The labels and
-// the salt prefix are constexpr byte strings and the salt a 24-byte array,
-// so a derivation allocates only its SecretBuffer outputs; a rekey moves
-// the outgoing epoch into the grace slot rather than copying it.
+// the salt prefix are constexpr byte strings, the salt a 24-byte array, and
+// every PRK, HKDF output and ratchet secret fits a SecretBuffer's inline
+// storage, so building a schedule, deriving an epoch and rekeying allocate
+// nothing; a rekey moves the outgoing epoch into the grace slot rather than
+// copying it.
 //
 // Key confirmation is an explicit frame round trip over the wire codec: the
 // initiator sends a kKeyConfirm frame tagged with HMAC(confirm_key,

@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "common/small_buffer.h"
 #include "crypto/secret_buffer.h"
 
 namespace vkey::protocol {
@@ -47,18 +47,27 @@ inline constexpr std::uint8_t kMaxMessageType =
 inline constexpr std::size_t kMaxPayloadBytes = 8192;
 inline constexpr std::size_t kMaxMacBytes = 64;
 
+/// Payload bytes a Message keeps inline: the syndrome (kCodeDim doubles,
+/// 256 bytes at the shipped configuration), the largest agreement frame.
+/// Only larger kData payloads take a heap block.
+inline constexpr std::size_t kInlinePayloadBytes = 256;
+
 /// Short wire name ("key-gen-request", "ack", ...) for logs and the
 /// flight recorder.
 std::string to_string(MessageType t);
 
 /// One protocol message as the sessions see it; wire::encode_frame /
-/// decode_frame carry it over the air.
+/// decode_frame carry it over the air. Payload and MAC live inside the
+/// message (the MAC always, the payload up to kInlinePayloadBytes), so
+/// building, copying or decoding an agreement frame allocates nothing.
 struct Message {
   MessageType type = MessageType::kKeyGenRequest;
   std::uint64_t session_id = 0;
   std::uint64_t nonce = 0;
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> mac;  ///< empty when the type is unauthenticated
+  SmallBuffer<std::uint8_t, kInlinePayloadBytes> payload;
+  /// Empty when the type is unauthenticated; the wire bound keeps it
+  /// inline.
+  SmallBuffer<std::uint8_t, kMaxMacBytes> mac;
 
   bool operator==(const Message&) const = default;
 };

@@ -159,8 +159,10 @@ AgreementReport run_reliable_key_agreement(
     // then counts only the supervisor's two attempt markers.
     FlightRecorder flight(config.flight_capacity,
                           [&clock] { return clock.now_ms(); });
-    flight.record(FlightEventKind::kAttemptStart, "supervisor",
-                  "attempt=" + std::to_string(attempt + 1), scfg.session_id);
+    FlightDetail start;
+    start << "attempt=" << attempt + 1;
+    flight.record(FlightEventKind::kAttemptStart, "supervisor", start,
+                  scfg.session_id);
     if (config.flight_capacity > 0 || trace::TraceLog::global().enabled()) {
       link.set_recorder(&flight);
       alice.set_recorder(&flight, "alice");

@@ -49,11 +49,14 @@ struct ReliabilityConfig {
   /// Flight-recorder ring size per attempt (0 disables recording). Every
   /// attempt gets its own recorder, attached to the link (the transports on
   /// its ends log there too) and both sessions, stamped with the
-  /// agreement's SimClock. At 0 the recorder stays detached from the link
-  /// and the sessions, so no layer formats an event detail, unless the
-  /// global TraceLog is enabled (its `flight.*` instants still need every
-  /// event); the recorder then counts only the supervisor's attempt-start
-  /// and attempt-end markers.
+  /// agreement's SimClock. Recording formats each event's detail in place
+  /// and reserves the ring's first block (64 events) once per attempt, so
+  /// it adds one allocation to an attempt that stays within that block.
+  /// At 0 the recorder stays detached from the link and the sessions, so
+  /// no layer formats an event detail, unless the global TraceLog is
+  /// enabled (its `flight.*` instants still need every event); the
+  /// recorder then counts only the supervisor's attempt-start and
+  /// attempt-end markers.
   std::size_t flight_capacity = 512;
 };
 

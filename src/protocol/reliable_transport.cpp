@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "common/metrics.h"
 #include "protocol/flight_recorder.h"
 #include "protocol/session.h"
@@ -12,10 +12,6 @@
 namespace vkey::protocol {
 
 namespace {
-
-/// A session publishes at most three distinct frames (Bob: accept,
-/// syndrome, confirm-ack): the frame table's size.
-constexpr std::size_t kMaxTrackedFrames = 3;
 
 /// The kAck frame acknowledging `msg`: same (session, nonce), no payload.
 Message ack_for(const Message& msg) {
@@ -50,10 +46,12 @@ ReliableTransport::ReliableTransport(SimClock& clock, const ArqConfig& config,
   link_.set_handler(endpoint_, [this](const Message& m) { on_wire(m); });
 }
 
-std::vector<ReliableTransport::Tracked>::iterator ReliableTransport::find(
-    std::uint64_t nonce) {
-  return std::find_if(frames_.begin(), frames_.end(),
-                      [nonce](const Tracked& t) { return t.msg.nonce == nonce; });
+ReliableTransport::Tracked* ReliableTransport::find(std::uint64_t nonce) {
+  const auto in_use = std::span(frames_).first(tracked_);
+  const auto it =
+      std::find_if(in_use.begin(), in_use.end(),
+                   [nonce](const Tracked& t) { return t.msg.nonce == nonce; });
+  return it == in_use.end() ? nullptr : &*it;
 }
 
 void ReliableTransport::arm_timer(Tracked& entry) {
@@ -63,28 +61,32 @@ void ReliableTransport::arm_timer(Tracked& entry) {
       link_.nominal_latency_ms(entry.msg) + ack_latency_ms_ + backoff;
   const std::uint64_t nonce = entry.msg.nonce;
   if (FlightRecorder* rec = link_.recorder()) {
-    rec->record(FlightEventKind::kBackoff, to_string(endpoint_),
-                "attempt=" + std::to_string(entry.attempt) +
-                    " delay_ms=" + json::format_number(timeout),
+    FlightDetail detail;
+    (detail << "attempt=" << entry.attempt << " delay_ms=").number(timeout);
+    rec->record(FlightEventKind::kBackoff, to_string(endpoint_), detail,
                 entry.msg.session_id, nonce);
   }
   entry.timer = clock_.schedule(timeout, [this, nonce] { on_timeout(nonce); });
 }
 
 void ReliableTransport::on_timeout(std::uint64_t nonce) {
-  const auto entry = find(nonce);
-  if (entry == frames_.end() || entry->acked) return;  // acked while queued
+  Tracked* const entry = find(nonce);
+  if (entry == nullptr || entry->acked) return;  // acked while queued
   if (entry->attempt >= kMaxRetries) {
     ++stats_.gave_up;
     metrics::counter<"arq.gave_up">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
-      rec->record(FlightEventKind::kGaveUp, to_string(endpoint_),
-                  to_string(entry->msg.type) + " after " +
-                      std::to_string(kMaxRetries) + " retries",
+      FlightDetail detail;
+      detail << to_string(entry->msg.type) << " after " << kMaxRetries
+             << " retries";
+      rec->record(FlightEventKind::kGaveUp, to_string(endpoint_), detail,
                   entry->msg.session_id, nonce);
     }
     exhausted_ = true;
-    frames_.erase(entry);
+    // Untrack it: later frames move up one entry.
+    const auto at = frames_.begin() + (entry - &frames_[0]);
+    std::move(at + 1, frames_.begin() + tracked_, at);
+    --tracked_;
     return;
   }
   ++entry->attempt;
@@ -92,8 +94,9 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   metrics::counter<"arq.timeouts">().add(1);
   metrics::counter<"arq.retransmissions">().add(1);
   if (FlightRecorder* rec = link_.recorder()) {
-    rec->record(FlightEventKind::kRetransmit, to_string(endpoint_),
-                "timeout attempt=" + std::to_string(entry->attempt),
+    FlightDetail detail;
+    detail << "timeout attempt=" << entry->attempt;
+    rec->record(FlightEventKind::kRetransmit, to_string(endpoint_), detail,
                 entry->msg.session_id, nonce);
   }
   link_.send(endpoint_, entry->msg);
@@ -111,8 +114,8 @@ void ReliableTransport::send(Message&& msg) {
 bool ReliableTransport::resend(const Message& msg) {
   VKEY_REQUIRE(msg.type != MessageType::kAck,
                "acks are transport-internal; send() takes protocol frames");
-  const auto entry = find(msg.nonce);
-  if (entry == frames_.end()) return false;
+  const Tracked* const entry = find(msg.nonce);
+  if (entry == nullptr) return false;
   if (entry->acked) return true;  // peer already acked it
   // Fast retransmit: the session re-elicited this response because the
   // peer asked again, so don't wait for the timer.
@@ -127,9 +130,10 @@ bool ReliableTransport::resend(const Message& msg) {
 }
 
 void ReliableTransport::track(Message msg) {
-  if (frames_.empty()) frames_.reserve(kMaxTrackedFrames);
-  Tracked& entry = frames_.emplace_back();
-  entry.msg = std::move(msg);
+  VKEY_REQUIRE(tracked_ < kMaxTrackedFrames,
+               "a session publishes at most three distinct frames");
+  Tracked& entry = frames_[tracked_++];
+  entry = Tracked{std::move(msg)};
   ++stats_.data_sent;
   metrics::counter<"arq.data_sent">().add(1);
   link_.send(endpoint_, entry.msg);
@@ -138,11 +142,11 @@ void ReliableTransport::track(Message msg) {
 
 void ReliableTransport::on_wire(const Message& msg) {
   if (msg.type == MessageType::kAck) {
-    const auto entry = find(msg.nonce);
-    if (entry == frames_.end() || entry->acked) {
+    Tracked* const entry = find(msg.nonce);
+    if (entry == nullptr || entry->acked) {
       ++stats_.stale_acks;
       if (FlightRecorder* rec = link_.recorder()) {
-        rec->record(FlightEventKind::kStaleAck, to_string(endpoint_), {},
+        rec->record(FlightEventKind::kStaleAck, to_string(endpoint_), "",
                     msg.session_id, msg.nonce);
       }
       return;
@@ -152,7 +156,7 @@ void ReliableTransport::on_wire(const Message& msg) {
     ++stats_.acks_received;
     metrics::counter<"arq.acks_received">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
-      rec->record(FlightEventKind::kAckRx, to_string(endpoint_), {},
+      rec->record(FlightEventKind::kAckRx, to_string(endpoint_), "",
                   msg.session_id, msg.nonce);
     }
     return;
@@ -173,8 +177,10 @@ void ReliableTransport::on_wire(const Message& msg) {
     ++stats_.acks_sent;
     metrics::counter<"arq.acks_sent">().add(1);
     if (FlightRecorder* rec = link_.recorder()) {
-      rec->record(FlightEventKind::kAckTx, to_string(endpoint_),
-                  "for " + to_string(msg.type), msg.session_id, msg.nonce);
+      FlightDetail detail;
+      detail << "for " << to_string(msg.type);
+      rec->record(FlightEventKind::kAckTx, to_string(endpoint_), detail,
+                  msg.session_id, msg.nonce);
     }
   }
   if (response != nullptr) send(*response);

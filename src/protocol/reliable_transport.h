@@ -29,14 +29,15 @@
 // the link's flight recorder under the endpoint's name ("alice"/"bob").
 //
 // Frame ownership: the transport keeps one copy of every frame it tracks
-// (moved in when the caller hands over an rvalue) in a small flat table —
-// a session publishes at most three distinct frames — and an acked frame
-// stays there, marked, so a retransmission, a fast resend or an ack
-// allocates nothing.
+// (moved in when the caller hands over an rvalue) in a fixed table of
+// three entries inside the transport — a session publishes at most three
+// distinct frames, and a fourth is refused — and an acked frame stays
+// there, marked, so tracking, retransmitting, fast-resending or acking a
+// frame allocates nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "protocol/message.h"
@@ -106,9 +107,13 @@ class ReliableTransport {
     bool acked = false;  ///< the peer acknowledged it: no longer in flight
   };
 
-  /// The tracked frame with this nonce, in flight or acked (end() when
+  /// A session publishes at most three distinct frames (Bob: accept,
+  /// syndrome, confirm-ack): the frame table's size.
+  static constexpr std::size_t kMaxTrackedFrames = 3;
+
+  /// The tracked frame with this nonce, in flight or acked (nullptr when
   /// untracked: never sent, or given up).
-  std::vector<Tracked>::iterator find(std::uint64_t nonce);
+  Tracked* find(std::uint64_t nonce);
   /// send() of a frame already tracked: fast retransmission while it is in
   /// flight, nothing once acked. False when `msg` is new.
   bool resend(const Message& msg);
@@ -124,7 +129,8 @@ class ReliableTransport {
   SessionEndpoint& session_;
   double ack_latency_ms_;  ///< one-way latency of an ack frame
   vkey::Rng rng_;
-  std::vector<Tracked> frames_;  ///< one per nonce
+  std::array<Tracked, kMaxTrackedFrames> frames_{};  ///< one per nonce
+  std::size_t tracked_ = 0;  ///< frames_[0, tracked_) are in use
   Message unprompted_;  ///< the session's unprompted frame, sent next event
   TransportStats stats_;
   bool exhausted_ = false;

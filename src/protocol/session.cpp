@@ -1,6 +1,8 @@
 #include "protocol/session.h"
 
 #include <algorithm>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/error.h"
@@ -11,10 +13,6 @@
 namespace vkey::protocol {
 
 namespace {
-
-/// A session accepts at most three frames (Alice: accept, syndrome,
-/// confirm-ack; Bob: request, confirm): the duplicate cache's size.
-constexpr std::size_t kMaxAcceptedFrames = 3;
 
 /// The syndrome MAC: frame_mac() keyed by the packed bytes of `key`, staged
 /// in a stack block that is wiped as soon as the MAC has absorbed it.
@@ -28,9 +26,9 @@ std::array<std::uint8_t, 32> syndrome_mac(const BitVec& key,
   return tag;
 }
 
-}  // namespace
-
-std::string to_string(SessionState s) {
+// The names to_string() returns, as views: flight notes format them in
+// place, and a name past std::string's short-string size would allocate.
+std::string_view name(SessionState s) {
   switch (s) {
     case SessionState::kIdle: return "idle";
     case SessionState::kAwaitAccept: return "await-accept";
@@ -43,7 +41,7 @@ std::string to_string(SessionState s) {
   return "?";
 }
 
-std::string to_string(RejectReason r) {
+std::string_view name(RejectReason r) {
   switch (r) {
     case RejectReason::kNone: return "none";
     case RejectReason::kBadSession: return "bad-session";
@@ -57,13 +55,20 @@ std::string to_string(RejectReason r) {
   return "?";
 }
 
+}  // namespace
+
+std::string to_string(SessionState s) { return std::string(name(s)); }
+
+std::string to_string(RejectReason r) { return std::string(name(r)); }
+
 // --------------------------------------------------------------- InboundGuard
 
 const InboundGuard::Entry* InboundGuard::find(std::uint64_t nonce) const {
+  const auto accepted = std::span(processed_).first(accepted_);
   const auto it =
-      std::find_if(processed_.begin(), processed_.end(),
+      std::find_if(accepted.begin(), accepted.end(),
                    [nonce](const Entry& e) { return e.inbound.nonce == nonce; });
-  return it == processed_.end() ? nullptr : &*it;
+  return it == accepted.end() ? nullptr : &*it;
 }
 
 InboundGuard::Verdict InboundGuard::classify(const Message& msg) const {
@@ -76,11 +81,14 @@ InboundGuard::Verdict InboundGuard::classify(const Message& msg) const {
 
 const Message* InboundGuard::accept(const Message& msg,
                                     std::optional<Message> response) {
+  VKEY_REQUIRE(accepted_ < kMaxAcceptedFrames,
+               "a session accepts at most three frames");
   highest_nonce_ = saw_any_nonce_ ? std::max(highest_nonce_, msg.nonce)
                                   : msg.nonce;
   saw_any_nonce_ = true;
-  if (processed_.empty()) processed_.reserve(kMaxAcceptedFrames);
-  const Entry& e = processed_.emplace_back(Entry{msg, std::move(response)});
+  Entry& e = processed_[accepted_++];
+  e.inbound = msg;
+  e.response = std::move(response);
   return e.response.has_value() ? &*e.response : nullptr;
 }
 
@@ -213,13 +221,15 @@ void SessionEndpoint::note(SessionState before, RejectReason reason,
                            const Message& msg) const {
   if (recorder_ == nullptr) return;
   if (reason != RejectReason::kNone) {
-    recorder_->record(FlightEventKind::kReject, actor_,
-                      to_string(reason) + " on " + to_string(msg.type),
+    FlightDetail detail;
+    detail << name(reason) << " on " << to_string(msg.type);
+    recorder_->record(FlightEventKind::kReject, actor_, detail,
                       msg.session_id, msg.nonce);
   }
   if (state_ != before) {
-    recorder_->record(FlightEventKind::kStateChange, actor_,
-                      to_string(before) + "->" + to_string(state_),
+    FlightDetail detail;
+    detail << name(before) << "->" << name(state_);
+    recorder_->record(FlightEventKind::kStateChange, actor_, detail,
                       msg.session_id, msg.nonce);
   }
 }
@@ -254,7 +264,7 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
       state_ = SessionState::kEstablished;
       Message ack = next_frame(MessageType::kKeyConfirmAck);
       const auto digest = confirm_digest('B');
-      ack.payload.assign(digest.begin(), digest.end());
+      ack.payload.assign(digest);
       return ack;
     }
     default:
@@ -266,7 +276,7 @@ Message BobSession::make_syndrome() {
   Message msg = next_frame(MessageType::kSyndrome);
   msg.payload = reconciler_.syndrome(key_);
   const auto tag = syndrome_mac(key_, msg);
-  msg.mac.assign(tag.begin(), tag.end());
+  msg.mac.assign(tag);
   return msg;
 }
 
@@ -309,7 +319,7 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
       state_ = SessionState::kAwaitConfirmAck;
       Message confirm = next_frame(MessageType::kKeyConfirm);
       const auto digest = confirm_digest('A');
-      confirm.payload.assign(digest.begin(), digest.end());
+      confirm.payload.assign(digest);
       return confirm;
     }
     case MessageType::kKeyConfirmAck:

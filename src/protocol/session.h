@@ -17,8 +17,9 @@
 //
 // Frame ownership: a session reads inbound frames where the link holds
 // them and copies an accepted one, with the response it elicited, into its
-// duplicate cache — a small flat table (a session accepts at most three
-// frames), so retransmissions and duplicates cost no copy. The syndrome MAC
+// duplicate cache — a fixed table of three entries inside the session (a
+// session accepts at most three frames, and a fourth is refused), so
+// accepting, re-eliciting and suppressing frames allocates nothing. The syndrome MAC
 // key, its tag and the confirmation digests live in fixed arrays; key
 // bytes are wiped after use. Each side privacy-amplifies its key once, when
 // the key is final, into wiped storage that the digests and final_key()
@@ -29,7 +30,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/bitvec.h"
 #include "core/privacy.h"
@@ -116,9 +116,15 @@ class InboundGuard {
     Message inbound;
     std::optional<Message> response;
   };
+  /// A session accepts at most three frames (Alice: accept, syndrome,
+  /// confirm-ack; Bob: request, confirm): the duplicate cache's size.
+  static constexpr std::size_t kMaxAcceptedFrames = 3;
+
   const Entry* find(std::uint64_t nonce) const;
 
-  std::vector<Entry> processed_;  ///< accepted frames, one per nonce
+  /// Accepted frames, one per nonce: processed_[0, accepted_).
+  std::array<Entry, kMaxAcceptedFrames> processed_{};
+  std::size_t accepted_ = 0;
   std::uint64_t highest_nonce_ = 0;
   bool saw_any_nonce_ = false;
   std::size_t duplicates_suppressed_ = 0;

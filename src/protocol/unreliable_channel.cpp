@@ -1,7 +1,6 @@
 #include "protocol/unreliable_channel.h"
 
 #include "common/error.h"
-#include "common/json.h"
 #include "common/metrics.h"
 #include "protocol/flight_recorder.h"
 #include "protocol/message.h"
@@ -60,24 +59,30 @@ double UnreliableChannel::nominal_latency_ms(const Message& msg) const {
   return airtime_ms(msg) + kProcessingDelayMs;
 }
 
+UnreliableChannel::Slot& UnreliableChannel::slot_at(std::size_t i) {
+  return i < kInlineSlots ? inline_slots_[i] : *extra_slots_[i - kInlineSlots];
+}
+
 std::size_t UnreliableChannel::acquire_slot() {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
+  for (std::size_t i = 0; i < slot_count_; ++i) {
+    Slot& s = slot_at(i);
     if (s.readers == 0 &&
         (s.deliveries == 0 || s.clears != clock_.clears())) {
       s.deliveries = 0;
       return i;
     }
   }
-  slots_.emplace_back();
-  return slots_.size() - 1;
+  if (slot_count_ >= kInlineSlots) {
+    extra_slots_.push_back(std::make_unique<Slot>());
+  }
+  return slot_count_++;
 }
 
 void UnreliableChannel::deliver(Endpoint to, std::size_t slot,
                                 double delay_ms) {
   VKEY_REQUIRE(static_cast<bool>(handlers_[static_cast<int>(to)]),
                "endpoint handler not installed");
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.clears = clock_.clears();
   ++s.deliveries;
   // Slot and endpoint in one word: with `this`, two words of capture.
@@ -88,7 +93,7 @@ void UnreliableChannel::deliver(Endpoint to, std::size_t slot,
 
 void UnreliableChannel::on_delivery(std::uint64_t ref) {
   const auto to = static_cast<Endpoint>(ref & 1u);
-  Slot& slot = slots_[ref >> 1];
+  Slot& slot = slot_at(ref >> 1);
   ++stats_.delivered;
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kFrameRx, to_string(to),
@@ -126,7 +131,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
 
   // The frame's slot owns it from here until its deliveries have run.
   const std::size_t slot = acquire_slot();
-  Message& in_flight = slots_[slot].msg;
+  Message& in_flight = slot_at(slot).msg;
   in_flight = msg;
   // Through the base channel first: keeps the eavesdropper transcript and
   // lets an installed MITM interceptor rewrite or drop the frame.
@@ -160,17 +165,19 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       ++stats_.crc_lost;  // the radio discards the damaged frame
       metrics::counter<"link.crc_lost">().add(1);
       if (recorder_ != nullptr) {
-        recorder_->record(FlightEventKind::kWireReject, "link",
-                          wire::to_string(err) + " on " + to_string(msg.type) +
-                              " flips=" + std::to_string(flips),
+        FlightDetail detail;
+        detail << wire::to_string(err) << " on " << to_string(msg.type)
+               << " flips=" << static_cast<std::uint64_t>(flips);
+        recorder_->record(FlightEventKind::kWireReject, "link", detail,
                           msg.session_id, msg.nonce);
       }
       return;
     }
     if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kCorrupt, "link",
-                        to_string(msg.type) + " flips=" +
-                            std::to_string(flips),
+      FlightDetail detail;
+      detail << to_string(msg.type) << " flips="
+             << static_cast<std::uint64_t>(flips);
+      recorder_->record(FlightEventKind::kCorrupt, "link", detail,
                         msg.session_id, msg.nonce);
     }
   }
@@ -182,9 +189,9 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     const double extra = rng_.uniform(0.0, kReorderWindowMs);
     delay += extra;
     if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kReorder, "link",
-                        to_string(msg.type) + " extra_ms=" +
-                            json::format_number(extra),
+      FlightDetail detail;
+      (detail << to_string(msg.type) << " extra_ms=").number(extra);
+      recorder_->record(FlightEventKind::kReorder, "link", detail,
                         msg.session_id, msg.nonce);
     }
   }

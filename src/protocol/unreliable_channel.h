@@ -27,18 +27,21 @@
 // table, and the slot owns it until its last delivery has run; the handler
 // reads it there as a `const Message&`, valid for the call. A delivery
 // event captures only the link and a packed (slot, endpoint) word, so it
-// fits std::function's inline storage, and the slots keep their payload
-// and MAC capacity, so a warm link moves frames without allocating. The
-// corruption path re-encodes into one reused byte buffer and decodes back
-// into the slot. A slot is free once its deliveries have run, or once the
+// fits std::function's inline storage. The first kInlineSlots slots live
+// inside the link (enough for every frame an agreement or a confirmation
+// holds in flight at once) and an agreement frame lives inside its slot,
+// so a link moves frames without allocating; a burst beyond those slots
+// takes one heap slot each, kept for the link's life. The corruption path
+// re-encodes into one reused byte buffer and decodes back into the slot. A slot is free once its deliveries have run, or once the
 // clock was cleared after they were scheduled (SimClock::clears()), so an
 // owner that tears an exchange down by clearing the clock leaks nothing —
 // but never while a handler is reading it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,8 +131,12 @@ class UnreliableChannel {
     int readers = 0;           ///< handlers reading msg right now
   };
 
-  /// Index of a free slot, appending one when every slot holds a frame.
+  /// Slots inside the link; more come from the heap, one at a time.
+  static constexpr std::size_t kInlineSlots = 8;
+
+  /// Index of a free slot, adding one when every slot holds a frame.
   std::size_t acquire_slot();
+  Slot& slot_at(std::size_t i);
   void deliver(Endpoint to, std::size_t slot, double delay_ms);
   void on_delivery(std::uint64_t ref);
 
@@ -141,9 +148,12 @@ class UnreliableChannel {
   Handler handlers_[2];
   LinkStats stats_;
   FlightRecorder* recorder_ = nullptr;
-  /// In-flight frames; a deque, so a slot stays put while a handler reads
-  /// it and sends (which may append slots).
-  std::deque<Slot> slots_;
+  /// In-flight frames: slot i is inline_slots_[i], then extra_slots_. A
+  /// slot never moves, so it stays put while a handler reads it and sends
+  /// (which may add slots).
+  std::array<Slot, kInlineSlots> inline_slots_{};
+  std::vector<std::unique_ptr<Slot>> extra_slots_;
+  std::size_t slot_count_ = 0;  ///< slots handed out so far
   std::vector<std::uint8_t> frame_bytes_;  ///< corruption path's reused bytes
 };
 

@@ -90,8 +90,8 @@ WireError parse_frame(std::span<const std::uint8_t> bytes, Message& out) {
   out.type = static_cast<MessageType>(type);
   out.session_id = session;
   out.nonce = nonce;
-  out.payload.assign(payload->begin(), payload->end());
-  out.mac.assign(mac->begin(), mac->end());
+  out.payload.assign(*payload);
+  out.mac.assign(*mac);
   return WireError::kNone;
 }
 

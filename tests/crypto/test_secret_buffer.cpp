@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -106,6 +108,62 @@ TEST(SecretBuffer, ExposeMutSupportsInPlaceDerivation) {
     w[i] = static_cast<std::uint8_t>(i);
   }
   EXPECT_EQ(sb.expose()[3], 3u);
+}
+
+/// True when the object representation of `sb` (its inline storage and
+/// bookkeeping) holds `secret` anywhere, whole or as a 4-byte run of it.
+bool leaves_residue(const SecretBuffer& sb,
+                    const std::vector<std::uint8_t>& secret) {
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(&sb);
+  const std::vector<std::uint8_t> repr(raw, raw + sizeof(SecretBuffer));
+  for (std::size_t at = 0; at + 4 <= secret.size(); ++at) {
+    const auto run = std::span(secret).subspan(at, 4);
+    if (std::search(repr.begin(), repr.end(), run.begin(), run.end()) !=
+        repr.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// A secret of `n` distinct, non-zero bytes.
+std::vector<std::uint8_t> secret_of(std::size_t n) {
+  std::vector<std::uint8_t> s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = static_cast<std::uint8_t>(0x80 + (i * 37) % 127);
+  }
+  return s;
+}
+
+TEST(SecretBuffer, NoSecretByteSurvivesAMoveOrClear) {
+  // 32 bytes live inline, 82 (RFC 5869 case 2's OKM) in a heap block.
+  const std::size_t sizes[] = {32, kInlineSecretBytes, 82};
+  for (const std::size_t n : sizes) {
+    const auto secret = secret_of(n);
+    SecretBuffer moved_from = SecretBuffer::copy_of(secret);
+    ASSERT_TRUE(leaves_residue(moved_from, secret) == (n <= kInlineSecretBytes))
+        << n << ": the probe must see an inline secret";
+    const SecretBuffer taken(std::move(moved_from));
+    EXPECT_TRUE(constant_time_equal(taken, secret)) << n;
+    // NOLINTNEXTLINE(bugprone-use-after-move): the wipe is the contract
+    EXPECT_FALSE(leaves_residue(moved_from, secret)) << n;
+
+    SecretBuffer assigned_from = SecretBuffer::copy_of(secret);
+    SecretBuffer target = SecretBuffer::copy_of(secret_of(4));
+    target = std::move(assigned_from);
+    EXPECT_TRUE(constant_time_equal(target, secret)) << n;
+    // NOLINTNEXTLINE(bugprone-use-after-move): the wipe is the contract
+    EXPECT_FALSE(leaves_residue(assigned_from, secret)) << n;
+
+    SecretBuffer cleared = SecretBuffer::copy_of(secret);
+    cleared.clear();
+    EXPECT_TRUE(cleared.empty());
+    EXPECT_FALSE(leaves_residue(cleared, secret)) << n;
+
+    SecretBuffer reassigned = SecretBuffer::copy_of(secret);
+    reassigned = SecretBuffer::copy_of(secret_of(2));
+    EXPECT_FALSE(leaves_residue(reassigned, secret)) << n;
+  }
 }
 
 // The redaction guards are compile-time properties; assert them as such so

@@ -46,6 +46,10 @@ TEST(Message, AcceptsTheMaximumBoundedSizes) {
   const auto back = wire::decode_frame(wire::encode_frame(m), &err);
   ASSERT_TRUE(back.has_value()) << wire::to_string(err);
   EXPECT_EQ(*back, m);
+  // An 8 KiB payload is the one that leaves the frame for a heap block;
+  // the largest MAC still fits inline.
+  EXPECT_FALSE(back->payload.is_inline());
+  EXPECT_TRUE(back->mac.is_inline());
 }
 
 // The syndrome's payload bytes are the reconciler's; these two check them as

@@ -11,6 +11,16 @@ void leak_recorder(FlightRecorder* recorder) {
   recorder->record(kTx, "alice", "mac verified");  // outcome only: silent
 }
 
+void leak_formatted_detail(FlightRecorder* recorder) {
+  const auto enc_key = hkdf_expand(prk, "enc", 16);
+  FlightDetail note;
+  note << "first byte " << enc_key.expose()[0];
+  recorder->record(kTx, "alice", note);  // expect: secret-to-flight-recorder
+  FlightDetail outcome;
+  (outcome << "attempt=" << attempt).number(delay_ms);
+  recorder->record(kTx, "alice", outcome);  // outcome only: silent
+}
+
 void leak_metrics(metrics::Histogram& hist) {
   const auto epoch_key = ratchet_secret(prev, 1);
   hist.observe(static_cast<double>(epoch_key.expose()[0]));  // expect: secret-to-metrics

@@ -31,7 +31,9 @@ sources
 propagation
     assignment and declaration-with-initializer: if the right-hand side
     mentions a tainted identifier or a source call, the left-hand side is
-    tainted. Taint is scoped by brace depth (function-local).
+    tainted. Stream insertion (`detail << x`, how a FlightDetail is
+    formatted) propagates the same way into the identifier it starts
+    from. Taint is scoped by brace depth (function-local).
 sinks (rule ids)
     secret-to-trace             ScopedTimer::attr, TraceLog::instant/record
     secret-to-flight-recorder   FlightRecorder::record
@@ -126,6 +128,10 @@ SECRET_NAME = re.compile(
 # Assignment / declaration-with-init: capture the variable the value lands
 # in. Handles `auto x = ...`, `dir.enc = ...`, `type x = ...`.
 ASSIGN = re.compile(r"(?:^|[;{(,])\s*(?:[\w:<>,&*\s]+?\s)?([\w.]+)\s*=(?!=)\s*(.+)")
+
+# Stream insertion into a local at the start of a statement: `detail <<
+# ...` (a FlightDetail being formatted) carries whatever is inserted.
+INSERT = re.compile(r"(?:^|[;{])\s*\(*\s*([\w.]+)\s*<<(?!=)\s*(.+)")
 
 SINKS = [
     ("secret-to-trace", re.compile(r"\.\s*attr\s*\("),
@@ -296,6 +302,14 @@ def scan_text(text, rel):
             elif lhs in taint and not is_secret_name(lhs):
                 # Clean reassignment: the old secret value is gone.
                 del taint[lhs]
+        im = INSERT.search(code)
+        if im:
+            rhs = im.group(2).split(";")[0]
+            if SOURCE_CALL.search(rhs) or any(
+                    ident in taint or is_secret_name(ident)
+                    for ident in IDENT.findall(rhs) if ident not in NEUTRAL):
+                taint[im.group(1).split(".")[-1]] = (
+                    depth, "formatted from tainted value")
 
         # -- sinks -------------------------------------------------------
         for rule, pat, why in SINKS:
