@@ -11,6 +11,7 @@
 // and excluded, as in the paper.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,7 @@ struct Fixture {
   std::vector<double> bob_seq_raw;
   BitVec key_alice;
   BitVec key_bob;
-  std::vector<double> y_bob;
+  std::array<double, kCodeDim> y_bob;
 
   Fixture()
       : predictor([] {

@@ -1,21 +1,24 @@
-// Small-buffer byte container: values whose size the protocol bounds live
+// Small-buffer container: values whose size the protocol bounds live
 // inside their owner instead of in a heap block of their own.
 //
-// SmallBuffer<T, N> holds up to N one-byte elements inline and moves them
-// to one heap block only when it must hold more. Keys (BitVec), secrets
-// (crypto::SecretBuffer), frame payloads and MACs (protocol::Message) and
-// flight-event details are all bounded by the protocol, so an N that
-// covers the bound makes them cost no allocation; larger contents (a long
-// key stream, an 8 KiB data frame, a harness's long note) still work.
+// SmallBuffer<T, N> holds up to N trivially copyable elements inline and
+// moves them to one heap block only when it must hold more. Keys (BitVec),
+// secrets (crypto::SecretBuffer), frame payloads and MACs
+// (protocol::Message), opened plaintexts, flight-event details and the
+// reconciler's per-key-bit scratch are all bounded by the protocol, so an
+// N that covers the bound makes them cost no allocation; larger contents
+// (a long key stream, an 8 KiB data frame, a harness's long note) still
+// work.
 //
 // It offers the part of std::vector's interface its callers use: size,
 // data, iterators, indexing, assign, resize, reserve, push_back, append,
-// clear and equality, over contiguous storage, so it converts to std::span
-// as a vector does. Where the bytes live:
+// clear and equality (with another SmallBuffer or any contiguous range of
+// T, such as a std::vector), over contiguous storage, so it converts to
+// std::span as a vector does. Where the elements live:
 //   * growing beyond N (resize, reserve, push_back, append) moves them to
 //     the heap, growing geometrically; shrinking in place keeps the block;
 //   * replacing the whole content (assign, copy assignment, clear) puts a
-//     content of at most N bytes back inline and frees the block;
+//     content of at most N elements back inline and frees the block;
 //   * a move takes the source's heap block as it is or copies its inline
 //     bytes, and leaves the source empty and inline. The source's inline
 //     bytes are not cleared: an owner of secrets wipes them (SecretBuffer
@@ -34,8 +37,8 @@ namespace vkey {
 
 template <typename T, std::size_t N>
 class SmallBuffer {
-  static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>,
-                "SmallBuffer holds bytes");
+  static_assert(std::is_trivially_copyable_v<T>,
+                "SmallBuffer copies its elements as bytes");
   static_assert(N > 0, "SmallBuffer needs inline room");
 
  public:
@@ -77,7 +80,7 @@ class SmallBuffer {
   std::size_t capacity() const noexcept {
     return heap_ != nullptr ? heap_capacity_ : N;
   }
-  /// True while the bytes live inside the object.
+  /// True while the elements live inside the object.
   bool is_inline() const noexcept { return heap_ == nullptr; }
 
   T* data() noexcept { return heap_ != nullptr ? heap_ : inline_; }
@@ -131,7 +134,7 @@ class SmallBuffer {
     size_ = n;
   }
 
-  /// Room for `n` bytes, so growing up to `n` allocates at most once.
+  /// Room for `n` elements, so growing up to `n` allocates at most once.
   void reserve(std::size_t n) {
     if (n > capacity()) grow(n);
   }
@@ -169,13 +172,17 @@ class SmallBuffer {
   friend bool operator==(const SmallBuffer& a, const SmallBuffer& b) noexcept {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
+  friend bool operator==(const SmallBuffer& a, std::span<const T> b) noexcept {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
 
  private:
-  /// memmove() that accepts an empty range at a null pointer.
+  /// memmove() of `n` elements that accepts an empty range at a null
+  /// pointer.
   static void copy_bytes(T* to, const T* from, std::size_t n) noexcept {
-    if (n != 0) std::memmove(to, from, n);
+    if (n != 0) std::memmove(to, from, n * sizeof(T));
   }
-  /// Move the content into a heap block of `n` >= size() bytes.
+  /// Move the content into a heap block of `n` >= size() elements.
   void grow(std::size_t n) {
     T* const block = new T[n];
     copy_bytes(block, data(), size_);

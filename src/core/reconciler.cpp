@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/small_buffer.h"
 #include "nn/activations.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -28,7 +29,114 @@ constexpr double kTrainBerLo = 0.0;
 constexpr double kTrainBerHi = 0.20;
 /// Greedy decoding budget (see decode_mismatch in the header).
 constexpr std::size_t kMaxDecodeIterations = 40;
+/// Flips a decoder-guided pass scores (see decode_guided in the header).
+constexpr std::size_t kShortlist = 16;
 constexpr std::uint64_t kBloomSeed = 0x5e551011;  ///< public Bloom parameters
+
+/// Per-key-bit doubles, inline for every key a BitVec holds inline.
+using KeyScratch = SmallBuffer<double, BitVec::kInlineBits>;
+
+/// `bits` as 0.0 / 1.0 encoder inputs.
+void load_bits(const BitVec& bits, KeyScratch& out) {
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    out[i] = bits.get(i) ? 1.0 : 0.0;
+  }
+}
+
+void check_widths(std::size_t key_bits, const BitVec& key_alice,
+                  std::span<const double> y_bob) {
+  VKEY_REQUIRE(key_alice.size() == key_bits, "key width mismatch");
+  VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
+}
+
+/// The greedy loop both decodes run; `candidates(h, score)` calls score(i)
+/// for each flip position i a pass considers, in order, and is the only
+/// difference between them.
+///
+/// The syndrome travels as data (not over a noisy analog channel), so
+/// h = y_Bob - f(K'_work) vanishes exactly when the working key matches
+/// Bob's. Alice holds the public linear encoder: flipping bit i of the
+/// working key changes h by -(1 - 2 w_i) * W_col_i, so the post-flip
+/// residual is ||h||^2 - 2 s_i <h, W_col_i> + ||W_col_i||^2, one dot
+/// product given the column norms, which are worked out once per call.
+/// Each pass works out every column's dot product in one sweep over W,
+/// then commits the considered flip that shrinks ||h|| the most (the first
+/// of equals). A pass that cannot shrink the residual ends the loop, so a
+/// wrong greedy step can be undone but never loops forever.
+template <typename Candidates>
+AutoencoderReconciler::DecodeResult greedy_decode(
+    const nn::Dense& encoder, const PositionPreservingBloom& bloom,
+    const BitVec& key_alice, std::span<const double> y_bob,
+    Candidates&& candidates) {
+  const std::size_t n = key_alice.size();
+  const double* w = encoder.weights().value.data();  // kCodeDim x n
+  BitVec work = bloom.apply(key_alice);
+  BitVec delta(n);
+
+  // The residual h of Alice's encoding; `dots` first holds the encoder's
+  // input, then each pass's <h, W_col_i>.
+  KeyScratch norms(n), dots(n);
+  load_bits(work, dots);
+  std::array<double, kCodeDim> h{};
+  encoder.infer_into(dots.data(), h.data());
+  double h_norm2 = 0.0;
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    h[r] = y_bob[r] - h[r];
+    h_norm2 += h[r] * h[r];
+  }
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    const double* row = w + r * n;
+    for (std::size_t i = 0; i < n; ++i) norms[i] += row[i] * row[i];
+  }
+  const double initial_norm2 = h_norm2;
+  BitVec best_delta = delta;
+  double best_norm2 = h_norm2;
+  std::size_t iters = 0;
+
+  while (iters < kMaxDecodeIterations && h_norm2 > 1e-9) {
+    ++iters;
+    std::fill(dots.begin(), dots.end(), 0.0);
+    for (std::size_t r = 0; r < kCodeDim; ++r) {
+      const double* row = w + r * n;
+      for (std::size_t i = 0; i < n; ++i) dots[i] += h[r] * row[i];
+    }
+    std::size_t best_pos = n;
+    double pick_norm2 = h_norm2 - 1e-12;
+    double best_sign = 0.0;
+    candidates(std::span<const double>(h), [&](std::size_t i) {
+      const double s = work.get(i) ? -1.0 : 1.0;  // 1 - 2 w_i
+      const double cand_norm2 = h_norm2 - 2.0 * s * dots[i] + norms[i];
+      if (cand_norm2 < pick_norm2) {
+        pick_norm2 = cand_norm2;
+        best_pos = i;
+        best_sign = s;
+      }
+    });
+    if (best_pos == n) break;  // no flip improves the residual
+
+    for (std::size_t r = 0; r < kCodeDim; ++r) {
+      h[r] -= best_sign * w[r * n + best_pos];
+    }
+    h_norm2 = pick_norm2;
+    work.flip(best_pos);
+    delta.flip(best_pos);
+    // Track the best state reached (used if we fail to fully converge).
+    if (h_norm2 < best_norm2) {
+      best_norm2 = h_norm2;
+      best_delta = delta;
+    }
+  }
+
+  // Convergence gate: a mismatch inside the design radius drives the
+  // residual to (near) zero — the syndrome is exact. If the residual never
+  // collapsed, the mismatch was denser than the code can localize (e.g. an
+  // eavesdropper running the public decode with uncorrelated key
+  // material): report reconciliation failure by applying no correction.
+  if (best_norm2 > 0.25 * initial_norm2) {
+    return {BitVec(n), iters};
+  }
+  return {bloom.map_mismatch_back(best_delta), iters};
+}
 
 }  // namespace
 
@@ -101,6 +209,7 @@ double AutoencoderReconciler::train(std::size_t num_samples,
   const std::size_t batch = std::min(kBatchSize, pairs.size());
   const std::size_t n = cfg_.key_bits;
   const bool train_encoder = !cfg_.freeze_encoder;
+  nn::Parameter* const tied_bias = f1_.parameters()[1];
   nn::Vec in_b(batch * n), in_a(batch * n), target(batch * n);
   nn::Vec y_b(batch * kCodeDim), y_a(batch * kCodeDim);
   std::vector<nn::Vec> act;
@@ -170,7 +279,11 @@ double AutoencoderReconciler::train(std::size_t num_samples,
         const auto g = first(grad[0]);
         f1_.backward_batch(bs, first(in_b),
                            first(cfg_.tie_encoders ? act[0] : y_b), g, {});
-        if (!cfg_.tie_encoders) {
+        if (cfg_.tie_encoders) {
+          // The tied bias is no parameter (see parameters()): drop the
+          // gradient backward_batch formed for it, or it grows unread.
+          tied_bias->zero_grad();
+        } else {
           // h = yb - ya: the gradient splits with opposite signs.
           for (double& v : g) v = -v;
           f2_.backward_batch(bs, first(in_a), first(y_a), g, {});
@@ -183,123 +296,55 @@ double AutoencoderReconciler::train(std::size_t num_samples,
   return last_epoch_loss;
 }
 
-std::vector<double> AutoencoderReconciler::encode_bob(
+std::array<double, kCodeDim> AutoencoderReconciler::encode_bob(
     const BitVec& key_bob) const {
   VKEY_REQUIRE(key_bob.size() == cfg_.key_bits, "key width mismatch");
-  return f1_.infer(bloom_.apply(key_bob).to_doubles());
+  KeyScratch x(cfg_.key_bits);
+  load_bits(bloom_.apply(key_bob), x);
+  std::array<double, kCodeDim> y_bob{};
+  f1_.infer_into(x.data(), y_bob.data());
+  return y_bob;
 }
 
 AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
     const BitVec& key_alice, std::span<const double> y_bob) const {
-  VKEY_REQUIRE(key_alice.size() == cfg_.key_bits, "key width mismatch");
-  VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
-  const nn::Dense& alice_encoder = cfg_.tie_encoders ? f1_ : f2_;
+  check_widths(cfg_.key_bits, key_alice, y_bob);
+  const std::size_t n = cfg_.key_bits;
+  return greedy_decode(alice_encoder(), bloom_, key_alice, y_bob,
+                       [n](std::span<const double>, auto&& score) {
+                         for (std::size_t i = 0; i < n; ++i) score(i);
+                       });
+}
 
-  // Greedy decoding. The syndrome travels as data (not over a noisy analog
-  // channel), so h = y_Bob - f(K'_work) vanishes exactly when the working
-  // key matches Bob's. Each pass the decoder MLP scores candidate mismatch
-  // positions; Alice — who holds the public encoder — verifies the
-  // shortlisted flips algebraically (with a tied linear encoder a flip of
-  // bit i changes h by -(1-2w_i) * W_col_i, so the post-flip residual costs
-  // two dot products) and commits the flip that shrinks ||h|| the most.
-  // A pass that cannot shrink the residual terminates the loop, so a wrong
-  // greedy step can always be undone but never loops forever.
-  //
-  // Every pass runs in one call-local workspace, sized before the first
-  // pass: two ping-pong activation buffers as wide as the widest layer, and
-  // the shortlist's order vector. A decode allocates the same number of
-  // blocks whether it needs no pass or kMaxDecodeIterations of them.
-  const nn::Vec& w_flat = alice_encoder.weights().value;  // kCodeDim x key_bits
-  BitVec work = bloom_.apply(key_alice);
-  BitVec delta(cfg_.key_bits);
-  std::size_t iters = 0;
-  constexpr std::size_t kShortlist = 16;
-
+AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_guided(
+    const BitVec& key_alice, std::span<const double> y_bob) const {
+  check_widths(cfg_.key_bits, key_alice, y_bob);
+  // Each pass runs the decoder on h through two ping-pong activation
+  // buffers and shortlists its top-scored positions, highest logit first.
   const std::size_t width =
       std::max({cfg_.key_bits, kCodeDim, cfg_.decoder_units});
   std::vector<double> buffers(2 * width);
-  double* cur = buffers.data();
-  double* next = cur + width;
   std::vector<std::size_t> order(cfg_.key_bits);
-
-  // Current residual h (maintained incrementally after the first pass).
-  nn::Vec h(kCodeDim);
-  for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
-    cur[i] = work.get(i) ? 1.0 : 0.0;
-  }
-  alice_encoder.infer_into(cur, next);
-  for (std::size_t i = 0; i < h.size(); ++i) h[i] = y_bob[i] - next[i];
-  double h_norm2 = 0.0;
-  for (double v : h) h_norm2 += v * v;
-  const double initial_norm2 = h_norm2;
-  BitVec best_delta = delta;
-  double best_norm2 = h_norm2;
-
-  while (iters < kMaxDecodeIterations && h_norm2 > 1e-9) {
-    ++iters;
-    std::copy(h.begin(), h.end(), cur);
-    for (const auto& layer : decoder_) {
-      layer.infer_into(cur, next);
-      std::swap(cur, next);
-    }
-    const double* x = cur;  // the decoder's logits, key_bits wide
-
-    // Shortlist the decoder's top-scored positions.
-    std::iota(order.begin(), order.end(), 0);
-    const std::size_t take = std::min(kShortlist, order.size());
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(take),
-                      order.end(),
-                      [x](std::size_t a, std::size_t b) {
-                        return x[a] > x[b];
-                      });
-
-    // Verify candidates: pick the flip that shrinks ||h|| the most.
-    std::size_t best_pos = cfg_.key_bits;
-    double pick_norm2 = h_norm2 - 1e-12;
-    double best_sign = 0.0;
-    for (std::size_t c = 0; c < take; ++c) {
-      const std::size_t i = order[c];
-      // Flipping work_i changes the encoder input by (1 - 2 w_i), so
-      // h' = h - (1 - 2 w_i) * W_col_i.
-      const double s = work.get(i) ? -1.0 : 1.0;
-      double dot_hw = 0.0, w_norm2 = 0.0;
-      for (std::size_t r = 0; r < kCodeDim; ++r) {
-        const double wv = w_flat[r * cfg_.key_bits + i];
-        dot_hw += h[r] * wv;
-        w_norm2 += wv * wv;
-      }
-      const double cand_norm2 = h_norm2 - 2.0 * s * dot_hw + w_norm2;
-      if (cand_norm2 < pick_norm2) {
-        pick_norm2 = cand_norm2;
-        best_pos = i;
-        best_sign = s;
-      }
-    }
-    if (best_pos == cfg_.key_bits) break;  // no flip improves the residual
-
-    for (std::size_t r = 0; r < kCodeDim; ++r) {
-      h[r] -= best_sign * w_flat[r * cfg_.key_bits + best_pos];
-    }
-    h_norm2 = pick_norm2;
-    work.flip(best_pos);
-    delta.flip(best_pos);
-    // Track the best state reached (used if we fail to fully converge).
-    if (h_norm2 < best_norm2) {
-      best_norm2 = h_norm2;
-      best_delta = delta;
-    }
-  }
-
-  // Convergence gate: a mismatch inside the design radius drives the
-  // residual to (near) zero — the syndrome is exact. If the residual never
-  // collapsed, the mismatch was denser than the code can localize (e.g. an
-  // eavesdropper misusing the public decoder with uncorrelated key
-  // material): report reconciliation failure by applying no correction.
-  if (best_norm2 > 0.25 * initial_norm2) {
-    return DecodeResult{BitVec(cfg_.key_bits), iters};
-  }
-  return DecodeResult{bloom_.map_mismatch_back(best_delta), iters};
+  return greedy_decode(
+      alice_encoder(), bloom_, key_alice, y_bob,
+      [&](std::span<const double> h, auto&& score) {
+        double* cur = buffers.data();
+        double* next = cur + width;
+        std::copy(h.begin(), h.end(), cur);
+        for (const auto& layer : decoder_) {
+          layer.infer_into(cur, next);
+          std::swap(cur, next);
+        }
+        const double* x = cur;  // the decoder's logits, key_bits wide
+        std::iota(order.begin(), order.end(), 0);
+        const std::size_t take = std::min(kShortlist, order.size());
+        std::partial_sort(order.begin(),
+                          order.begin() + static_cast<std::ptrdiff_t>(take),
+                          order.end(), [x](std::size_t a, std::size_t b) {
+                            return x[a] > x[b];
+                          });
+        for (std::size_t c = 0; c < take; ++c) score(order[c]);
+      });
 }
 
 BitVec AutoencoderReconciler::reconcile(const BitVec& key_alice,
@@ -307,22 +352,21 @@ BitVec AutoencoderReconciler::reconcile(const BitVec& key_alice,
   return key_alice ^ decode_mismatch(key_alice, y_bob).mismatch;
 }
 
-std::vector<std::uint8_t> AutoencoderReconciler::syndrome(
-    const BitVec& key_bob) const {
-  const std::vector<double> y_bob = encode_bob(key_bob);
-  std::vector<std::uint8_t> bytes(y_bob.size() * 8);
+void AutoencoderReconciler::syndrome(const BitVec& key_bob,
+                                     std::span<std::uint8_t> out) const {
+  VKEY_REQUIRE(out.size() == kSyndromeBytes, "syndrome buffer width mismatch");
+  const std::array<double, kCodeDim> y_bob = encode_bob(key_bob);
   for (std::size_t i = 0; i < y_bob.size(); ++i) {
     const auto v = std::bit_cast<std::uint64_t>(y_bob[i]);
     for (std::size_t b = 0; b < 8; ++b) {
-      bytes[8 * i + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      out[8 * i + b] = static_cast<std::uint8_t>(v >> (8 * b));
     }
   }
-  return bytes;
 }
 
 std::optional<BitVec> AutoencoderReconciler::correct(
     const BitVec& key_alice, std::span<const std::uint8_t> syndrome) const {
-  if (syndrome.size() != kCodeDim * 8) return std::nullopt;
+  if (syndrome.size() != kSyndromeBytes) return std::nullopt;
   std::array<double, kCodeDim> y_bob{};
   for (std::size_t i = 0; i < kCodeDim; ++i) {
     std::uint64_t v = 0;
@@ -336,11 +380,9 @@ std::optional<BitVec> AutoencoderReconciler::correct(
 
 BitVec AutoencoderReconciler::reconcile_one_shot(
     const BitVec& key_alice, std::span<const double> y_bob) const {
-  VKEY_REQUIRE(key_alice.size() == cfg_.key_bits, "key width mismatch");
-  VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
-  const nn::Dense& alice_encoder = cfg_.tie_encoders ? f1_ : f2_;
+  check_widths(cfg_.key_bits, key_alice, y_bob);
   const nn::Vec ya =
-      alice_encoder.infer(bloom_.apply(key_alice).to_doubles());
+      alice_encoder().infer(bloom_.apply(key_alice).to_doubles());
   nn::Vec h(kCodeDim);
   for (std::size_t i = 0; i < h.size(); ++i) h[i] = y_bob[i] - ya[i];
   nn::Vec x = h;

@@ -3,9 +3,16 @@
 // Both keys pass through the position-preserving Bloom map. Two MLP encoders
 // compress the mapped keys into M-dimensional code vectors; Bob publishes
 // y_Bob (plus a MAC). Alice computes h = y_Bob - y_Alice — a condensed
-// expression of the mismatch — and feeds it to a decoder MLP that outputs
-// the estimated mismatch vector delta_x. Alice corrects K'_Alice ^ delta_x,
-// inverts the Bloom map, and both sides privacy-amplify.
+// expression of the mismatch. In the paper she feeds h to a decoder MLP
+// that outputs the estimated mismatch vector delta_x. The protocol's decode
+// (decode_mismatch) instead solves for delta_x against Alice's own, public
+// encoder: a greedy loop that scores every single-bit flip of her working
+// key against the residual on each pass and commits the best one, so no
+// decoder layer runs. The decoder MLP is still trained, and decode_guided()
+// lets it shortlist the flips each pass instead: the decode Fig. 11 sweeps
+// over decoder widths, which no protocol path runs. Alice corrects
+// K'_Alice ^ delta_x, inverts the Bloom map, and both sides
+// privacy-amplify.
 //
 // Training is offline and synthetic: pairs (K_B, K_A = K_B ^ e) with sparse
 // random error patterns e at the channel's bit-disagreement rates; the loss
@@ -20,23 +27,34 @@
 //  * Adam at learning rate 2e-3 over mini-batches of 32;
 //  * training bit-disagreement rates drawn uniformly from [0, 0.20], which
 //    covers the channel's pre-reconciliation rates;
-//  * at most 40 greedy decode passes (see decode_mismatch);
+//  * at most 40 greedy decode passes, and a decode that leaves more than a
+//    quarter of the initial residual energy reports no correction (see
+//    decode_mismatch);
+//  * a decoder-guided pass shortlists the decoder's 16 top-scored flips;
 //  * Bloom parameters from the public seed 0x5e551011.
 //
-// The protocol carries the syndrome as bytes: syndrome() is Bob's y_Bob as
-// kCodeDim little-endian IEEE-754 doubles, and correct() is Alice's
+// The protocol carries the syndrome as bytes: syndrome() writes Bob's y_Bob
+// as kCodeDim little-endian IEEE-754 doubles into the caller's
+// kSyndromeBytes (a frame's inline payload), and correct() is Alice's
 // reconcile() against those bytes, refusing any other length. Sessions and
 // attacks use only these two; the bytes are this class's to define.
 //
-// Cost accounting: decode_flops() counts the multiply-accumulates of one
-// reconciliation, the quantity Fig. 11 compares against the CS/OMP decoder.
+// Cost accounting: decode_mismatch() encodes Alice's key once (N x M
+// multiply-accumulates), works out the encoder's N column norms once
+// (N x M) and spends one M-term dot product per flip per pass (N x M), so
+// a decode of I passes costs (2 + I) x N x M. decode_flops() counts one
+// decoder-guided pass (encoder + decoder g), the quantity Fig. 11 compares
+// across decoder widths and against the CS/OMP decoder.
 //
-// Allocation: decode_mismatch() runs all its greedy passes in one
-// call-local workspace (two ping-pong activation buffers fed through
-// Dense::infer_into, plus the shortlist's order vector), so it allocates a
-// fixed number of blocks per call however many passes it needs.
+// Allocation: encode_bob() and decode_mismatch() work in fixed-size
+// scratch: y_Bob and the residual are kCodeDim arrays, and the per-key-bit
+// doubles (the mapped key as encoder input, the column norms, each pass's
+// dot products) live in SmallBuffers that hold BitVec::kInlineBits of them
+// inline, so neither allocates at key widths up to 128 bits, whatever the
+// number of passes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -52,6 +70,8 @@ namespace vkey::core {
 /// M: the encoder output width ("32 units"), so the width of the public
 /// syndrome y_Bob.
 inline constexpr std::size_t kCodeDim = 32;
+/// The syndrome frame's payload: y_Bob's kCodeDim doubles, 8 bytes each.
+inline constexpr std::size_t kSyndromeBytes = kCodeDim * 8;
 
 struct ReconcilerConfig {
   std::size_t key_bits = 64;     ///< N (one BiLSTM fragment)
@@ -91,38 +111,48 @@ class AutoencoderReconciler {
   /// layer). Returns the final mean training loss.
   double train(std::size_t num_samples, std::size_t epochs);
 
-  /// Bob's side: Bloom-map the key and encode; the returned vector is the
-  /// public syndrome y_Bob.
-  std::vector<double> encode_bob(const BitVec& key_bob) const;
+  /// Bob's side: Bloom-map the key and encode; the result is the public
+  /// syndrome y_Bob.
+  std::array<double, kCodeDim> encode_bob(const BitVec& key_bob) const;
 
   struct DecodeResult {
     BitVec mismatch;         ///< estimated flips, original key space
     std::size_t iterations = 0;  ///< greedy passes used
   };
 
-  /// Alice's side: recover the estimated mismatch (in original key space).
-  /// The decoder runs greedily, at most 40 passes: each pass flips the
-  /// single most confident mismatch in Alice's working key and re-encodes
-  /// (Alice-side only, no extra communication). One-shot MLP support
-  /// recovery from an M-dimensional code is unreliable; the greedy loop
-  /// only ever needs the *argmax* to be a true mismatch, which is a far
-  /// easier decision (the same reason OMP's first iteration succeeds where
-  /// full recovery fails). Allocates the same number of blocks for any
-  /// number of passes.
+  /// Alice's side, the protocol's decode: recover the estimated mismatch
+  /// (in original key space). A greedy loop of at most 40 passes: each pass
+  /// scores every single-bit flip of Alice's working key by the residual
+  /// ||h'|| it would leave (with a linear encoder, flipping bit i moves h by
+  /// -(1 - 2 w_i) W_col_i, one M-term dot product given the column norms)
+  /// and commits the flip that shrinks it most (Alice-side only, no extra
+  /// communication). A pass that cannot shrink the residual ends the loop;
+  /// the best state reached is kept, and a decode whose residual never fell
+  /// below a quarter of its initial energy reports no correction. Reads the
+  /// encoder only: training the decoder cannot change its result. Allocates
+  /// nothing up to 128-bit keys.
   DecodeResult decode_mismatch(const BitVec& key_alice,
                                std::span<const double> y_bob) const;
+
+  /// decode_mismatch()'s loop with the decoder MLP choosing the candidates:
+  /// each pass runs g on the residual and scores only its 16 top-scored
+  /// flips. Fig. 11's AE-16..AE-128 rows and ablation A5 run it to compare
+  /// decoder widths; no protocol path does.
+  DecodeResult decode_guided(const BitVec& key_alice,
+                             std::span<const double> y_bob) const;
 
   /// Alice's side, full correction: returns K_Alice ^ mismatch, which equals
   /// K_Bob whenever the decoder recovered every flip.
   BitVec reconcile(const BitVec& key_alice,
                    std::span<const double> y_bob) const;
 
-  /// encode_bob() as the syndrome frame's payload: each of y_Bob's kCodeDim
-  /// doubles as 8 little-endian IEEE-754 bytes.
-  std::vector<std::uint8_t> syndrome(const BitVec& key_bob) const;
+  /// encode_bob() as the syndrome frame's payload, written into `out`
+  /// (exactly kSyndromeBytes): each of y_Bob's kCodeDim doubles as 8
+  /// little-endian IEEE-754 bytes.
+  void syndrome(const BitVec& key_bob, std::span<std::uint8_t> out) const;
 
   /// reconcile() against syndrome() bytes; nullopt unless `syndrome` holds
-  /// exactly kCodeDim doubles.
+  /// exactly kSyndromeBytes.
   std::optional<BitVec> correct(const BitVec& key_alice,
                                 std::span<const std::uint8_t> syndrome) const;
 
@@ -133,14 +163,19 @@ class AutoencoderReconciler {
   BitVec reconcile_one_shot(const BitVec& key_alice,
                             std::span<const double> y_bob) const;
 
-  /// Multiply-accumulate count of one decoder pass (encoder + decoder g);
-  /// total reconciliation cost is this times DecodeResult::iterations —
-  /// the Fig. 11 computation-cost metric.
+  /// Multiply-accumulate count of one decoder-guided pass (encoder +
+  /// decoder g); Fig. 11 charges decode_guided() this times
+  /// DecodeResult::iterations.
   std::size_t decode_flops() const;
 
   std::vector<nn::Parameter*> parameters();
 
  private:
+  /// The encoder Alice's side runs: f1 itself when the encoders are tied.
+  const nn::Dense& alice_encoder() const {
+    return cfg_.tie_encoders ? f1_ : f2_;
+  }
+
   ReconcilerConfig cfg_;
   vkey::Rng rng_;
   PositionPreservingBloom bloom_;

@@ -201,8 +201,8 @@ Message KeySchedule::seal(std::uint64_t nonce,
   return msg;
 }
 
-std::optional<std::vector<std::uint8_t>> KeySchedule::open(const Message& msg,
-                                                           double now_ms) {
+std::optional<KeySchedule::Plaintext> KeySchedule::open(const Message& msg,
+                                                        double now_ms) {
   std::uint32_t epoch = 0;
   if (msg.type != MessageType::kData || msg.session_id != session_id_ ||
       !wire::FrameReader(msg.payload).read_u32(epoch)) {
@@ -254,7 +254,7 @@ std::optional<std::vector<std::uint8_t>> KeySchedule::open(const Message& msg,
   // Decrypt straight from the frame: the ciphertext follows the 4-byte
   // epoch prefix read above.
   const auto cipher = std::span<const std::uint8_t>(msg.payload).subspan(4);
-  std::vector<std::uint8_t> plain(cipher.size());
+  Plaintext plain(cipher.size());
   crypto::Aes128(rx.enc).ctr_crypt(cipher, rx.nonce_base ^ msg.nonce, plain);
   ++stats_.opened;
   if (grace) ++stats_.grace_opens;

@@ -35,8 +35,8 @@
 // not a replay of an earlier one. Every tag (confirm, seal, open) is
 // frame_mac() over the frame's fixed header array and its payload span
 // (message.h), so a MAC assembles no input; open() decrypts straight from
-// the frame, and run_key_confirmation() rewrites one frame per role in
-// place for each transmission.
+// the frame into inline storage, and run_key_confirmation() rewrites one
+// frame per role in place for each transmission.
 //
 // Rekeying is driven by virtual time (RekeyTimer on the SimClock — wall
 // clocks are banned in library code). Old-epoch keys stay valid for a
@@ -164,13 +164,16 @@ class KeySchedule {
   /// the full header+payload.
   Message seal(std::uint64_t nonce, const std::vector<std::uint8_t>& plain);
 
+  /// An opened frame's plaintext: inline up to kInlinePayloadBytes, like
+  /// the frame's payload, so opening a frame that size allocates nothing.
+  using Plaintext = SmallBuffer<std::uint8_t, kInlinePayloadBytes>;
+
   /// Authenticate and decrypt. Routes by the epoch prefix: current epoch,
   /// previous epoch within the grace window, or — when the peer rekeyed
   /// first — the next epoch, adopted only after the frame authenticates
   /// under the candidate keys (a forged epoch number cannot wedge the
   /// schedule). Returns nullopt on any reject, counted in stats().
-  std::optional<std::vector<std::uint8_t>> open(const Message& msg,
-                                                double now_ms);
+  std::optional<Plaintext> open(const Message& msg, double now_ms);
 
  private:
   const DirectionKeys& send_keys(const EpochKeys& e) const noexcept {

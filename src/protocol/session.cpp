@@ -274,7 +274,8 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
 
 Message BobSession::make_syndrome() {
   Message msg = next_frame(MessageType::kSyndrome);
-  msg.payload = reconciler_.syndrome(key_);
+  msg.payload.resize(core::kSyndromeBytes);
+  reconciler_.syndrome(key_, msg.payload);
   const auto tag = syndrome_mac(key_, msg);
   msg.mac.assign(tag);
   return msg;

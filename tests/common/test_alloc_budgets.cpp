@@ -2,13 +2,13 @@
 // interposed allocator this binary links: an Eve-less probe, its
 // extraction and a prediction each stay under a fixed bound, a warm
 // training epoch of the predictor or the reconciler allocates nothing per
-// sample or pair, a decode allocates a fixed number of blocks however many
+// sample or pair, Bob's encoding and a decode allocate nothing however many
 // greedy passes it runs, a key schedule's build and rekeys allocate
 // nothing, and a warm SimClock cycle allocates nothing. On the protocol
 // side, an agreement attempt allocates the same handful of blocks however
 // many frames it sends, retransmits, drops or duplicates, and flight
 // recording adds one block however many events it records; a key
-// confirmation and a seal+open pair allocate a block or a few; and each
+// confirmation allocates a few blocks and a seal+open pair none; and each
 // session amplifies its key once, into storage final_key() reads without
 // allocating.
 #include <gtest/gtest.h>
@@ -159,14 +159,16 @@ TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
   const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
   const BitVec bob = random_bits(64, 1);
-  const std::vector<double> y_bob = reconciler.encode_bob(bob);
-  // A dense mismatch: even the untrained decoder's shortlist keeps
-  // finding flips that shrink the residual, pass after pass.
+  // Warm-up: the first encoding packs the encoder's weights and registers
+  // the nn.dense metrics.
+  auto y_bob = reconciler.encode_bob(bob);
+  // y_Bob and the mapped key's doubles live on the stack (2 blocks while
+  // BitVec::to_doubles and Dense::infer returned vectors).
+  EXPECT_EQ(allocations_of([&] { y_bob = reconciler.encode_bob(bob); }), 0u);
+  // A dense mismatch: the decode keeps finding flips that shrink the
+  // residual, pass after pass.
   BitVec noisy = bob;
   for (std::size_t i = 0; i < 64; i += 2) noisy.flip(i);
-  // Warm-up: the first decode packs the layers' weights and registers the
-  // nn.dense metrics.
-  (void)reconciler.decode_mismatch(noisy, y_bob);
 
   core::AutoencoderReconciler::DecodeResult clean, many;
   const std::uint64_t clean_allocs = allocations_of(
@@ -176,9 +178,11 @@ TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {
   EXPECT_EQ(clean.iterations, 0u);
   EXPECT_GE(many.iterations, 8u);
   EXPECT_EQ(many_allocs, clean_allocs);
-  // The workspace's two activation buffers and the shortlist's order; the
-  // Bloom-mapped key and the mismatch live inline (7 while they did not).
-  EXPECT_LE(clean_allocs, 3u);
+  // The residual is an array and the per-bit scratch, the Bloom-mapped key
+  // and the mismatch live inline (3 while the decoder's activation buffers
+  // and the shortlist's order took blocks, 7 before the keys lived
+  // inline).
+  EXPECT_EQ(clean_allocs, 0u);
 }
 
 TEST(AllocBudget, KeyScheduleBuildAndTwoRekeysStayUnderABound) {
@@ -288,11 +292,13 @@ TEST(AllocBudget, LosslessAgreementAttemptStaysUnderABound) {
   (void)one_attempt(reconciler, {});
   const AttemptCost cost = one_attempt(reconciler, {});
   ASSERT_TRUE(cost.established);
-  // 12: Bob's encoding and syndrome (3), Alice's decode (3), the clock's
-  // heap (4), the transcript and the attempt log. Keys, frames, the link's
-  // slots and the sessions' and transports' tables live inline (40 when
-  // each of those took a block; 120 when every frame was copied per hop).
-  EXPECT_LE(cost.allocations, 12u);
+  // 6: the clock's heap (4), the transcript and the attempt log. Bob's
+  // encoding and syndrome, Alice's decode, keys, frames, the link's slots
+  // and the sessions' and transports' tables live inline or on the stack
+  // (12 while the encoding, the syndrome and the decode took 6 blocks; 40
+  // when keys, frames and tables took one each; 120 when every frame was
+  // copied per hop).
+  EXPECT_LE(cost.allocations, 6u);
 }
 
 TEST(AllocBudget, FlightRecordingCostsOneBlockPerAttempt) {
@@ -371,17 +377,18 @@ TEST(AllocBudget, SealOpenPairStaysUnderABound) {
   protocol::KeySchedule a(secret, 0x78, Role::kInitiator);
   protocol::KeySchedule b(secret, 0x78, Role::kResponder);
   const std::vector<std::uint8_t> plain(40, 0x5a);
-  std::optional<std::vector<std::uint8_t>> opened;
+  std::optional<protocol::KeySchedule::Plaintext> opened;
   const std::uint64_t allocs = allocations_of([&] {
     const protocol::Message frame = a.seal(1, plain);
     opened = b.open(frame, 0.0);
   });
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, plain);
-  // The opened plaintext: the frame's payload and MAC live inline (3 while
-  // they did not; 22 when each MAC assembled its input and open copied the
+  // The frame's payload and MAC and the opened plaintext live inline (1
+  // while the plaintext was a vector; 3 while the payload and MAC were
+  // too; 22 when each MAC assembled its input and open copied the
   // ciphertext).
-  EXPECT_LE(allocs, 1u);
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(AllocBudget, FinalKeyIsAmplifiedOncePerSide) {

@@ -1,6 +1,7 @@
-// SmallBuffer: bytes stay inline up to N, move to one heap block beyond,
-// and come back inline when a whole-content replacement fits again;
-// copies, moves and self-assignment keep the content in every state.
+// SmallBuffer: elements stay inline up to N, move to one heap block
+// beyond, and come back inline when a whole-content replacement fits
+// again; copies, moves and self-assignment keep the content in every
+// state, for bytes and for wider elements alike.
 #include "common/small_buffer.h"
 
 #include <gtest/gtest.h>
@@ -140,6 +141,26 @@ TEST(SmallBuffer, CopyMoveAndSelfAssignmentInEveryState) {
   }
 }
 
+TEST(SmallBuffer, WiderElementsMoveWholeValues) {
+  // Elements wider than a byte: every copy moves size() * sizeof(T) bytes.
+  using Doubles = SmallBuffer<double, 4>;
+  Doubles d(3, 0.5);
+  d.push_back(-1.25);
+  EXPECT_TRUE(d.is_inline());
+  const std::array<double, 3> tail = {1e300, 2.0, 3.0};
+  d.append(tail);  // past the inline room: all seven values move
+  EXPECT_FALSE(d.is_inline());
+  const std::vector<double> want = {0.5, 0.5, 0.5, -1.25, 1e300, 2.0, 3.0};
+  EXPECT_TRUE(d == want);
+  const Doubles copy = d;
+  EXPECT_TRUE(copy == want);
+  Doubles moved = std::move(d);
+  EXPECT_TRUE(moved == want);
+  moved.assign(std::span(tail));  // fits again: back inline
+  EXPECT_TRUE(moved.is_inline());
+  EXPECT_TRUE(moved == tail);
+}
+
 TEST(SmallBuffer, InitializerListsAndEquality) {
   const Bytes a{1, 2, 3};
   Bytes b = {1, 2, 3};
@@ -150,6 +171,9 @@ TEST(SmallBuffer, InitializerListsAndEquality) {
   EXPECT_FALSE(a == b);
   const Bytes empty = {};
   EXPECT_TRUE(empty.empty());
+  // Any contiguous range of the element type compares, a vector included.
+  EXPECT_TRUE(a == std::vector<std::uint8_t>({1, 2, 3}));
+  EXPECT_FALSE(a == std::vector<std::uint8_t>({1, 2}));
 
   SmallBuffer<char, 4> text;
   text.append(std::span(std::string_view("longer than four")));

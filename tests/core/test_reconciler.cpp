@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bits_digest.h"
@@ -115,6 +116,26 @@ TEST_F(ReconcilerTest, UncorrelatedKeyGainsNothingOneShot) {
   EXPECT_NEAR(agree / trials, 0.5, 0.1);
 }
 
+TEST_F(ReconcilerTest, VerifyingEveryFlipBeatsTheDecoderShortlist) {
+  // 17% BER is the channel's pre-reconciliation disagreement (kar_pre ~
+  // 0.833): scoring all 64 flips each pass recovers far more blocks exactly
+  // than scoring the trained decoder's 16 top-scored ones.
+  vkey::Rng rng(13);
+  int every = 0, guided = 0;
+  const int trials = 500;
+  for (int trial = 0; trial < trials; ++trial) {
+    const BitVec kb = random_key(64, rng);
+    BitVec ka = kb;
+    for (std::size_t i = 0; i < 64; ++i) {
+      if (rng.bernoulli(0.17)) ka.flip(i);
+    }
+    const auto y = reconciler_->encode_bob(kb);
+    every += (ka ^ reconciler_->decode_mismatch(ka, y).mismatch) == kb;
+    guided += (ka ^ reconciler_->decode_guided(ka, y).mismatch) == kb;
+  }
+  EXPECT_GE(every - guided, trials / 10) << every << " vs " << guided;
+}
+
 TEST_F(ReconcilerTest, SyndromeHasCodeDim) {
   vkey::Rng rng(6);
   EXPECT_EQ(reconciler_->encode_bob(random_key(64, rng)).size(), 32u);
@@ -128,8 +149,9 @@ TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
     for (int f = 0; f < flips; ++f) {
       ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
     }
-    const std::vector<double> y = reconciler_->encode_bob(kb);
-    const std::vector<std::uint8_t> bytes = reconciler_->syndrome(kb);
+    const auto y = reconciler_->encode_bob(kb);
+    std::vector<std::uint8_t> bytes(kSyndromeBytes);
+    reconciler_->syndrome(kb, bytes);
     // y_Bob's doubles as 8 little-endian IEEE-754 bytes each.
     ASSERT_EQ(bytes.size(), y.size() * 8);
     for (std::size_t i = 0; i < y.size(); ++i) {
@@ -179,6 +201,51 @@ TEST(Reconciler, FlopAccounting) {
   // Alice: encoder 64*32 + decoder 32*64 + 64*64 + 64*64 + 64*64.
   const std::size_t expect = 64 * 32 + 32 * 64 + 64 * 64 + 64 * 64 + 64 * 64;
   EXPECT_EQ(r.decode_flops(), expect);
+}
+
+TEST(Reconciler, DecodeReadsNoDecoderWeight) {
+  // The default tied, frozen reconciler: training moves only the decoder,
+  // which the protocol's decode never runs.
+  AutoencoderReconciler r{ReconcilerConfig{}};
+  vkey::Rng rng(14);
+  std::vector<std::pair<BitVec, BitVec>> pairs;
+  for (int trial = 0; trial < 20; ++trial) {
+    const BitVec kb = random_key(64, rng);
+    BitVec ka = kb;
+    for (std::size_t i = 0; i < 64; ++i) {
+      if (rng.bernoulli(0.12)) ka.flip(i);
+    }
+    pairs.emplace_back(kb, ka);
+  }
+  std::vector<AutoencoderReconciler::DecodeResult> before;
+  for (const auto& [kb, ka] : pairs) {
+    before.push_back(r.decode_mismatch(ka, r.encode_bob(kb)));
+  }
+  r.train(300, 3);
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const auto& [kb, ka] = pairs[t];
+    const auto after = r.decode_mismatch(ka, r.encode_bob(kb));
+    EXPECT_EQ(after.mismatch, before[t].mismatch) << "pair " << t;
+    EXPECT_EQ(after.iterations, before[t].iterations) << "pair " << t;
+  }
+}
+
+TEST(Reconciler, EverySingleBitErrorIsFixedInOnePass) {
+  // No training: one pass scores every flip, and the true one leaves a
+  // zero residual.
+  const AutoencoderReconciler r{ReconcilerConfig{}};
+  vkey::Rng rng(15);
+  for (int key = 0; key < 20; ++key) {
+    const BitVec kb = random_key(64, rng);
+    const auto y = r.encode_bob(kb);
+    for (std::size_t i = 0; i < 64; ++i) {
+      BitVec ka = kb;
+      ka.flip(i);
+      const auto d = r.decode_mismatch(ka, y);
+      EXPECT_EQ(d.iterations, 1u) << "key " << key << " bit " << i;
+      EXPECT_EQ(ka ^ d.mismatch, kb) << "key " << key << " bit " << i;
+    }
+  }
 }
 
 TEST(Reconciler, ConfigValidated) {

@@ -75,7 +75,8 @@ TEST(Message, PackUnpackDoubles) {
   const BitVec kb = random_key(rng);
   const BitVec ka = random_key(rng);
   Message m = sample_message();
-  m.payload = rec.syndrome(kb);
+  m.payload.resize(core::kSyndromeBytes);
+  rec.syndrome(kb, m.payload);
   ASSERT_EQ(m.payload.size(), core::kCodeDim * 8);
   wire::WireError err = wire::WireError::kNone;
   const auto back = wire::decode_frame(wire::encode_frame(m), &err);

@@ -54,7 +54,7 @@ HIST_KEYS = {"dcount", "p50", "p90", "p99", "overflow", "max"}
 # establishment-tail amortization) additionally carry a "cross" band used
 # when the fresh and baseline runs are at different scales (their `quick`
 # flags differ — the CI shape: quick fresh vs committed full baseline).
-# The cross band brackets the measured quick/full ratio (0.78 for keys/s,
+# The cross band brackets the measured quick/full ratio (0.82 for keys/s,
 # 0.15 for the 25%-drop p99); landing outside it means one of the lanes
 # moved — including an improvement big enough that the committed baseline
 # is stale and should be regenerated (see docs/OPERATIONS.md section 9).
