@@ -58,10 +58,7 @@ SecurityRow evaluate(const BenchReport& report, ScenarioKind kind,
 /// untouched, so neither gives an attacker a foothold.
 void print_replay_diagnostics(BenchReport& report) {
   using namespace vkey::protocol;
-  ReconcilerConfig rcfg;
-  rcfg.key_bits = 64;
-  rcfg.decoder_units = 16;  // never invoked on this code path
-  const AutoencoderReconciler reconciler(rcfg);
+  const SyndromeCode reconciler(64, 11);
   vkey::Rng rng(0x515);
   BitVec k(64);
   for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));

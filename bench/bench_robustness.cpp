@@ -75,7 +75,7 @@ struct SweepRow {
   double mean_attempts = 0.0;
 };
 
-SweepRow sweep(double drop, const core::AutoencoderReconciler& reconciler,
+SweepRow sweep(double drop, const core::SyndromeCode& reconciler,
                int trials) {
   SweepRow row;
   int successes = 0;
@@ -122,7 +122,7 @@ struct WireRow {
   double grace_opens_per_trial = 0.0;
 };
 
-WireRow wire_sweep(double corrupt, const core::AutoencoderReconciler& reconciler,
+WireRow wire_sweep(double corrupt, const core::SyndromeCode& reconciler,
                    int trials) {
   WireRow row;
   int established = 0, continuous = 0;
@@ -223,7 +223,7 @@ WireRow wire_sweep(double corrupt, const core::AutoencoderReconciler& reconciler
 /// core's own arithmetic, which shares no code with the sessions: attempt 0
 /// establishes iff Alice's reconciliation recovers Bob's key, and its key
 /// is Bob's, amplified under the attempt's session id.
-bool control_matches_seed_path(const core::AutoencoderReconciler& reconciler) {
+bool control_matches_seed_path(const core::SyndromeCode& reconciler) {
   const core::PrivacyAmplifier amplifier(kFinalKeyBits);
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     const auto material = material_for(trial);
@@ -263,12 +263,8 @@ bool control_matches_seed_path(const core::AutoencoderReconciler& reconciler) {
 int main(int argc, char** argv) {
   BenchReport report("robustness", argc, argv);
   const int trials = static_cast<int>(report.scaled(200, 40));
-  std::printf("training the shared reconciler...\n");
-  core::ReconcilerConfig rcfg;
-  rcfg.key_bits = 64;
-  rcfg.decoder_units = 64;
-  core::AutoencoderReconciler reconciler(rcfg);
-  reconciler.train(report.scaled(2500, 600), report.scaled(25, 6));
+  // The sessions' public syndrome code: 64-bit keys, the default seed.
+  const core::SyndromeCode reconciler(64, 11);
 
   Table t({"drop rate", "success rate", "median time-to-key [virt ms]",
            "frames / establishment", "retx / trial", "mean attempts"});

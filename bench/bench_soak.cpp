@@ -147,12 +147,8 @@ int main(int argc, char** argv) {
       sessions_override > 0 ? sessions_override : report.scaled(20'000, 2'000);
   const std::size_t warmup = std::min(kPatternLen, rounds - 1);
 
-  std::printf("training the shared reconciler...\n");
-  core::ReconcilerConfig rcfg;
-  rcfg.key_bits = 64;
-  rcfg.decoder_units = 64;
-  core::AutoencoderReconciler reconciler(rcfg);
-  reconciler.train(2500, 25);
+  // The sessions' public syndrome code: 64-bit keys, the default seed.
+  const core::SyndromeCode reconciler(64, 11);
 
   // Everything lazily registered outside the per-round lifecycle is pulled
   // in before the measurement loop so round deltas measure the engine, not
@@ -186,9 +182,9 @@ int main(int argc, char** argv) {
   report.set_telemetry(&sampler);
   const bool sampling = !report.telemetry_path().empty();
 
-  // By this point the reconciler training above has churned the heap
-  // thousands of times, so the interposed allocator (if linked) has
-  // certainly reported.
+  // By this point the set-up above (argument vectors, the syndrome code's
+  // Bloom tables, the metric registry, the sampler) has allocated, so the
+  // interposed allocator (if linked) has certainly reported.
   const bool hooks = alloc_stats::hooks_installed();
   std::printf("allocation hooks: %s\n",
               hooks ? "installed (zero-growth gate armed)" : "ABSENT");

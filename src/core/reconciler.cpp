@@ -54,17 +54,17 @@ void check_widths(std::size_t key_bits, const BitVec& key_alice,
 /// difference between them.
 ///
 /// The syndrome travels as data (not over a noisy analog channel), so
-/// h = y_Bob - f(K'_work) vanishes exactly when the working key matches
-/// Bob's. Alice holds the public linear encoder: flipping bit i of the
-/// working key changes h by -(1 - 2 w_i) * W_col_i, so the post-flip
-/// residual is ||h||^2 - 2 s_i <h, W_col_i> + ||W_col_i||^2, one dot
-/// product given the column norms, which are worked out once per call.
+/// h = y_Bob - f1(K'_work) vanishes exactly when the working key matches
+/// Bob's. f1 is public and linear: flipping bit i of the working key
+/// changes h by -(1 - 2 w_i) * W_col_i, so the post-flip residual is
+/// ||h||^2 - 2 s_i <h, W_col_i> + ||W_col_i||^2, one dot product given the
+/// column norms, which are worked out once per call.
 /// Each pass works out every column's dot product in one sweep over W,
 /// then commits the considered flip that shrinks ||h|| the most (the first
 /// of equals). A pass that cannot shrink the residual ends the loop, so a
 /// wrong greedy step can be undone but never loops forever.
 template <typename Candidates>
-AutoencoderReconciler::DecodeResult greedy_decode(
+SyndromeCode::DecodeResult greedy_decode(
     const nn::Dense& encoder, const PositionPreservingBloom& bloom,
     const BitVec& key_alice, std::span<const double> y_bob,
     Candidates&& candidates) {
@@ -140,14 +140,68 @@ AutoencoderReconciler::DecodeResult greedy_decode(
 
 }  // namespace
 
-AutoencoderReconciler::AutoencoderReconciler(const ReconcilerConfig& config)
-    : cfg_(config),
-      rng_(config.seed),
-      bloom_(config.key_bits, kBloomSeed),
-      f1_(config.key_bits, kCodeDim, rng_),
-      f2_(config.key_bits, kCodeDim, rng_) {
-  VKEY_REQUIRE(config.key_bits >= 8, "key too short");
+SyndromeCode::SyndromeCode(std::size_t key_bits, std::uint64_t seed)
+    : rng_(seed),
+      bloom_(key_bits, kBloomSeed),
+      f1_(key_bits, kCodeDim, rng_) {
+  VKEY_REQUIRE(key_bits >= 8, "key too short");
+}
 
+std::array<double, kCodeDim> SyndromeCode::encode_bob(
+    const BitVec& key_bob) const {
+  VKEY_REQUIRE(key_bob.size() == key_bits(), "key width mismatch");
+  KeyScratch x(key_bits());
+  load_bits(bloom_.apply(key_bob), x);
+  std::array<double, kCodeDim> y_bob{};
+  f1_.infer_into(x.data(), y_bob.data());
+  return y_bob;
+}
+
+SyndromeCode::DecodeResult SyndromeCode::decode_mismatch(
+    const BitVec& key_alice, std::span<const double> y_bob) const {
+  const std::size_t n = key_bits();
+  check_widths(n, key_alice, y_bob);
+  return greedy_decode(f1_, bloom_, key_alice, y_bob,
+                       [n](std::span<const double>, auto&& score) {
+                         for (std::size_t i = 0; i < n; ++i) score(i);
+                       });
+}
+
+BitVec SyndromeCode::reconcile(const BitVec& key_alice,
+                               std::span<const double> y_bob) const {
+  return key_alice ^ decode_mismatch(key_alice, y_bob).mismatch;
+}
+
+void SyndromeCode::syndrome(const BitVec& key_bob,
+                            std::span<std::uint8_t> out) const {
+  VKEY_REQUIRE(out.size() == kSyndromeBytes, "syndrome buffer width mismatch");
+  const std::array<double, kCodeDim> y_bob = encode_bob(key_bob);
+  for (std::size_t i = 0; i < y_bob.size(); ++i) {
+    const auto v = std::bit_cast<std::uint64_t>(y_bob[i]);
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[8 * i + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  }
+}
+
+std::optional<BitVec> SyndromeCode::correct(
+    const BitVec& key_alice, std::span<const std::uint8_t> syndrome) const {
+  if (syndrome.size() != kSyndromeBytes) return std::nullopt;
+  std::array<double, kCodeDim> y_bob{};
+  for (std::size_t i = 0; i < kCodeDim; ++i) {
+    std::uint64_t v = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      v |= std::uint64_t{syndrome[8 * i + b]} << (8 * b);
+    }
+    y_bob[i] = std::bit_cast<double>(v);
+  }
+  return reconcile(key_alice, y_bob);
+}
+
+AutoencoderReconciler::AutoencoderReconciler(const ReconcilerConfig& config)
+    : SyndromeCode(config.key_bits, config.seed),
+      cfg_(config),
+      f2_(config.key_bits, kCodeDim, rng_) {
   std::size_t in = kCodeDim;
   for (std::size_t l = 0; l < kDecoderLayers; ++l) {
     decoder_.emplace_back(in, cfg_.decoder_units, rng_,
@@ -296,29 +350,9 @@ double AutoencoderReconciler::train(std::size_t num_samples,
   return last_epoch_loss;
 }
 
-std::array<double, kCodeDim> AutoencoderReconciler::encode_bob(
-    const BitVec& key_bob) const {
-  VKEY_REQUIRE(key_bob.size() == cfg_.key_bits, "key width mismatch");
-  KeyScratch x(cfg_.key_bits);
-  load_bits(bloom_.apply(key_bob), x);
-  std::array<double, kCodeDim> y_bob{};
-  f1_.infer_into(x.data(), y_bob.data());
-  return y_bob;
-}
-
-AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_mismatch(
-    const BitVec& key_alice, std::span<const double> y_bob) const {
-  check_widths(cfg_.key_bits, key_alice, y_bob);
-  const std::size_t n = cfg_.key_bits;
-  return greedy_decode(alice_encoder(), bloom_, key_alice, y_bob,
-                       [n](std::span<const double>, auto&& score) {
-                         for (std::size_t i = 0; i < n; ++i) score(i);
-                       });
-}
-
 AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_guided(
     const BitVec& key_alice, std::span<const double> y_bob) const {
-  check_widths(cfg_.key_bits, key_alice, y_bob);
+  check_widths(key_bits(), key_alice, y_bob);
   // Each pass runs the decoder on h through two ping-pong activation
   // buffers and shortlists its top-scored positions, highest logit first.
   const std::size_t width =
@@ -326,7 +360,7 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_guided(
   std::vector<double> buffers(2 * width);
   std::vector<std::size_t> order(cfg_.key_bits);
   return greedy_decode(
-      alice_encoder(), bloom_, key_alice, y_bob,
+      f1_, bloom_, key_alice, y_bob,
       [&](std::span<const double> h, auto&& score) {
         double* cur = buffers.data();
         double* next = cur + width;
@@ -347,42 +381,11 @@ AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_guided(
       });
 }
 
-BitVec AutoencoderReconciler::reconcile(const BitVec& key_alice,
-                                        std::span<const double> y_bob) const {
-  return key_alice ^ decode_mismatch(key_alice, y_bob).mismatch;
-}
-
-void AutoencoderReconciler::syndrome(const BitVec& key_bob,
-                                     std::span<std::uint8_t> out) const {
-  VKEY_REQUIRE(out.size() == kSyndromeBytes, "syndrome buffer width mismatch");
-  const std::array<double, kCodeDim> y_bob = encode_bob(key_bob);
-  for (std::size_t i = 0; i < y_bob.size(); ++i) {
-    const auto v = std::bit_cast<std::uint64_t>(y_bob[i]);
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[8 * i + b] = static_cast<std::uint8_t>(v >> (8 * b));
-    }
-  }
-}
-
-std::optional<BitVec> AutoencoderReconciler::correct(
-    const BitVec& key_alice, std::span<const std::uint8_t> syndrome) const {
-  if (syndrome.size() != kSyndromeBytes) return std::nullopt;
-  std::array<double, kCodeDim> y_bob{};
-  for (std::size_t i = 0; i < kCodeDim; ++i) {
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      v |= std::uint64_t{syndrome[8 * i + b]} << (8 * b);
-    }
-    y_bob[i] = std::bit_cast<double>(v);
-  }
-  return reconcile(key_alice, y_bob);
-}
-
 BitVec AutoencoderReconciler::reconcile_one_shot(
     const BitVec& key_alice, std::span<const double> y_bob) const {
-  check_widths(cfg_.key_bits, key_alice, y_bob);
-  const nn::Vec ya =
-      alice_encoder().infer(bloom_.apply(key_alice).to_doubles());
+  check_widths(key_bits(), key_alice, y_bob);
+  const nn::Dense& alice_encoder = cfg_.tie_encoders ? f1_ : f2_;
+  const nn::Vec ya = alice_encoder.infer(bloom_.apply(key_alice).to_doubles());
   nn::Vec h(kCodeDim);
   for (std::size_t i = 0; i < h.size(); ++i) h[i] = y_bob[i] - ya[i];
   nn::Vec x = h;
@@ -393,7 +396,7 @@ BitVec AutoencoderReconciler::reconcile_one_shot(
 }
 
 std::size_t AutoencoderReconciler::decode_flops() const {
-  // Alice: f2 (N x M) + decoder stack.
+  // Alice: her encoder (N x M) + decoder stack.
   std::size_t flops = cfg_.key_bits * kCodeDim;
   std::size_t in = kCodeDim;
   for (std::size_t l = 0; l < kDecoderLayers; ++l) {

@@ -1,18 +1,24 @@
-// Autoencoder-based reconciliation (paper Sec. IV-C, Fig. 7).
+// Autoencoder-based reconciliation (paper Sec. IV-C, Fig. 7), in two halves.
 //
-// Both keys pass through the position-preserving Bloom map. Two MLP encoders
+// Both keys pass through the position-preserving Bloom map. MLP encoders
 // compress the mapped keys into M-dimensional code vectors; Bob publishes
 // y_Bob (plus a MAC). Alice computes h = y_Bob - y_Alice — a condensed
 // expression of the mismatch. In the paper she feeds h to a decoder MLP
-// that outputs the estimated mismatch vector delta_x. The protocol's decode
-// (decode_mismatch) instead solves for delta_x against Alice's own, public
-// encoder: a greedy loop that scores every single-bit flip of her working
-// key against the residual on each pass and commits the best one, so no
-// decoder layer runs. The decoder MLP is still trained, and decode_guided()
-// lets it shortlist the flips each pass instead: the decode Fig. 11 sweeps
-// over decoder widths, which no protocol path runs. Alice corrects
+// that outputs the estimated mismatch vector delta_x. Alice corrects
 // K'_Alice ^ delta_x, inverts the Bloom map, and both sides
 // privacy-amplify.
+//
+// SyndromeCode is the half the protocol runs, all of it public: the Bloom
+// map, Bob's encoder f1 (frozen at its random start) and decode_mismatch,
+// which solves for delta_x against f1 itself: a greedy loop that scores
+// every single-bit flip of Alice's working key against the residual on
+// each pass and commits the best one. No decoder layer runs and nothing is
+// trained. Sessions, the supervisor, the gateway and attacks take one.
+//
+// AutoencoderReconciler adds what the paper's figures use: Alice's encoder
+// f2, the decoder MLP g and its training, decode_guided() (g shortlists
+// each pass's flips: Fig. 11's decoder-width sweep, ablation A5) and
+// reconcile_one_shot() (one pass of g: the paper's inference, Fig. 15).
 //
 // Training is offline and synthetic: pairs (K_B, K_A = K_B ^ e) with sparse
 // random error patterns e at the channel's bit-disagreement rates; the loss
@@ -37,7 +43,7 @@
 // as kCodeDim little-endian IEEE-754 doubles into the caller's
 // kSyndromeBytes (a frame's inline payload), and correct() is Alice's
 // reconcile() against those bytes, refusing any other length. Sessions and
-// attacks use only these two; the bytes are this class's to define.
+// attacks use only these two; the bytes are SyndromeCode's to define.
 //
 // Cost accounting: decode_mismatch() encodes Alice's key once (N x M
 // multiply-accumulates), works out the encoder's N column norms once
@@ -73,43 +79,14 @@ inline constexpr std::size_t kCodeDim = 32;
 /// The syndrome frame's payload: y_Bob's kCodeDim doubles, 8 bytes each.
 inline constexpr std::size_t kSyndromeBytes = kCodeDim * 8;
 
-struct ReconcilerConfig {
-  std::size_t key_bits = 64;     ///< N (one BiLSTM fragment)
-  std::size_t decoder_units = 64;///< hidden width of the 3 decoder layers
-  /// Share one encoder between the two parties (f1 == f2). With untied
-  /// linear encoders the code difference h = f1(K'_B) - f2(K'_A) contains a
-  /// nuisance term (W1 - W2) K'_A that the decoder cannot observe; tying
-  /// removes it so h depends only on the mismatch pattern. The paper draws
-  /// two encoder MLPs; tying is the weight-shared special case.
-  bool tie_encoders = true;
-  /// Keep the encoder frozen at its random initialization. A random
-  /// projection is a near-optimal sensing matrix (the same reason CS uses
-  /// one), and joint training tends to trade RIP quality for easier
-  /// marginal prediction. Mirrors the random-sensing + learned-decoder
-  /// design of the CS-autoencoder the paper builds on [24].
-  bool freeze_encoder = true;
-  std::uint64_t seed = 11;
-  /// Worker lanes for training (synthetic-pair generation and each
-  /// mini-batch's member forward passes). 0 = process default. Training is
-  /// bit-reproducible for every value: each synthetic pair draws from its
-  /// own hash_combine64(seed, index)-derived stream, members' forward
-  /// passes are independent, and the backward runs on the calling lane,
-  /// adding every member's gradients in member order (see DESIGN.md
-  /// "Parallel execution & determinism contract").
-  std::size_t threads = 0;
-};
-
-class AutoencoderReconciler {
+/// The public half the protocol runs; it holds no decoder.
+class SyndromeCode {
  public:
-  explicit AutoencoderReconciler(const ReconcilerConfig& config);
+  /// An N = `key_bits` code (N >= 8) whose encoder is the first draw from
+  /// Rng(seed): the f1 of an AutoencoderReconciler with that seed.
+  SyndromeCode(std::size_t key_bits, std::uint64_t seed);
 
-  const ReconcilerConfig& config() const { return cfg_; }
-
-  /// Train on `num_samples` synthetic key pairs, Bloom-mapped once, for
-  /// `epochs` epochs (Adam over 32-pair mini-batches of rows sized once per
-  /// call: forward every member, then Dense::backward_batch layer by
-  /// layer). Returns the final mean training loss.
-  double train(std::size_t num_samples, std::size_t epochs);
+  std::size_t key_bits() const { return bloom_.size(); }
 
   /// Bob's side: Bloom-map the key and encode; the result is the public
   /// syndrome y_Bob.
@@ -128,21 +105,14 @@ class AutoencoderReconciler {
   /// and commits the flip that shrinks it most (Alice-side only, no extra
   /// communication). A pass that cannot shrink the residual ends the loop;
   /// the best state reached is kept, and a decode whose residual never fell
-  /// below a quarter of its initial energy reports no correction. Reads the
-  /// encoder only: training the decoder cannot change its result. Allocates
-  /// nothing up to 128-bit keys.
+  /// below a quarter of its initial energy reports no correction. Inverts
+  /// f1, the encoder that produced y_Bob. Allocates nothing up to 128-bit
+  /// keys.
   DecodeResult decode_mismatch(const BitVec& key_alice,
                                std::span<const double> y_bob) const;
 
-  /// decode_mismatch()'s loop with the decoder MLP choosing the candidates:
-  /// each pass runs g on the residual and scores only its 16 top-scored
-  /// flips. Fig. 11's AE-16..AE-128 rows and ablation A5 run it to compare
-  /// decoder widths; no protocol path does.
-  DecodeResult decode_guided(const BitVec& key_alice,
-                             std::span<const double> y_bob) const;
-
   /// Alice's side, full correction: returns K_Alice ^ mismatch, which equals
-  /// K_Bob whenever the decoder recovered every flip.
+  /// K_Bob whenever the decode recovered every flip.
   BitVec reconcile(const BitVec& key_alice,
                    std::span<const double> y_bob) const;
 
@@ -156,10 +126,65 @@ class AutoencoderReconciler {
   std::optional<BitVec> correct(const BitVec& key_alice,
                                 std::span<const std::uint8_t> syndrome) const;
 
+ protected:
+  /// The stream f1 was drawn from, where that draw left it: the trained
+  /// half draws f2, its decoder and its epochs' shuffles from here.
+  vkey::Rng rng_;
+  PositionPreservingBloom bloom_;
+  nn::Dense f1_;  ///< Bob's encoder, and Alice's when tied
+};
+
+struct ReconcilerConfig {
+  std::size_t key_bits = 64;     ///< N (one BiLSTM fragment)
+  std::size_t decoder_units = 64;///< hidden width of the 3 decoder layers
+  /// Share one encoder between the two parties (f1 == f2). With untied
+  /// linear encoders the decoder's input h = f1(K'_B) - f2(K'_A) contains
+  /// a nuisance term (W1 - W2) K'_A that it cannot observe; tying removes
+  /// it. The greedy decodes always invert f1, which produced y_Bob. The
+  /// paper draws two encoder MLPs; tying is the weight-shared special case.
+  bool tie_encoders = true;
+  /// Keep the encoder frozen at its random initialization. A random
+  /// projection is a near-optimal sensing matrix (the same reason CS uses
+  /// one), and joint training tends to trade RIP quality for easier
+  /// marginal prediction. Mirrors the random-sensing + learned-decoder
+  /// design of the CS-autoencoder the paper builds on [24].
+  bool freeze_encoder = true;
+  std::uint64_t seed = 11;
+  /// Worker lanes for training (synthetic-pair generation and each
+  /// mini-batch's member forward passes). 0 = process default. Training is
+  /// bit-reproducible for every value: each synthetic pair draws from its
+  /// own hash_combine64(seed, index)-derived stream, members' forward
+  /// passes are independent, and the backward runs on the calling lane,
+  /// adding every member's gradients in member order (see DESIGN.md
+  /// "Parallel execution & determinism contract").
+  std::size_t threads = 0;
+};
+
+/// The paper's trained half: a SyndromeCode plus f2 and the decoder g.
+class AutoencoderReconciler : public SyndromeCode {
+ public:
+  explicit AutoencoderReconciler(const ReconcilerConfig& config);
+
+  const ReconcilerConfig& config() const { return cfg_; }
+
+  /// Train on `num_samples` synthetic key pairs, Bloom-mapped once, for
+  /// `epochs` epochs (Adam over 32-pair mini-batches of rows sized once per
+  /// call: forward every member, then Dense::backward_batch layer by
+  /// layer). Returns the final mean training loss.
+  double train(std::size_t num_samples, std::size_t epochs);
+
+  /// decode_mismatch()'s loop with the decoder MLP choosing the candidates:
+  /// each pass runs g on the residual and scores only its 16 top-scored
+  /// flips. Fig. 11's AE-16..AE-128 rows and ablation A5 run it to compare
+  /// decoder widths; no protocol path does.
+  DecodeResult decode_guided(const BitVec& key_alice,
+                             std::span<const double> y_bob) const;
+
   /// Single decoder pass (the paper's original inference: one forward pass
-  /// of g, logits thresholded at 0.5). Used by the security analysis to
-  /// reproduce Fig. 15's eavesdropping attack exactly; the iterative
-  /// reconcile() is strictly stronger for the legitimate party.
+  /// of g on y_Bob - f2(K'_Alice), logits thresholded at 0.5). Used by the
+  /// security analysis to reproduce Fig. 15's eavesdropping attack exactly;
+  /// the iterative reconcile() is strictly stronger for the legitimate
+  /// party.
   BitVec reconcile_one_shot(const BitVec& key_alice,
                             std::span<const double> y_bob) const;
 
@@ -171,16 +196,8 @@ class AutoencoderReconciler {
   std::vector<nn::Parameter*> parameters();
 
  private:
-  /// The encoder Alice's side runs: f1 itself when the encoders are tied.
-  const nn::Dense& alice_encoder() const {
-    return cfg_.tie_encoders ? f1_ : f2_;
-  }
-
   ReconcilerConfig cfg_;
-  vkey::Rng rng_;
-  PositionPreservingBloom bloom_;
-  nn::Dense f1_;                    ///< Bob's encoder
-  nn::Dense f2_;                    ///< Alice's encoder
+  nn::Dense f2_;                    ///< Alice's encoder when untied
   std::vector<nn::Dense> decoder_;  ///< hidden layers + output (logits)
 };
 

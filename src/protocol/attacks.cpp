@@ -14,7 +14,7 @@ std::optional<Message> find_syndrome(const PublicChannel& channel) {
   return std::nullopt;
 }
 
-BitVec eavesdrop_attack(const core::AutoencoderReconciler& reconciler,
+BitVec eavesdrop_attack(const core::SyndromeCode& reconciler,
                         const BitVec& eve_key, const Message& syndrome) {
   VKEY_REQUIRE(syndrome.type == MessageType::kSyndrome,
                "message is not a syndrome");

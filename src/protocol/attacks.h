@@ -27,8 +27,8 @@ namespace vkey::protocol {
 std::optional<Message> find_syndrome(const PublicChannel& channel);
 
 /// Eavesdropping attack: Eve decodes y_Bob with her own key material using
-/// the public reconciler. Returns her corrected-key guess.
-BitVec eavesdrop_attack(const core::AutoencoderReconciler& reconciler,
+/// the public syndrome code. Returns her corrected-key guess.
+BitVec eavesdrop_attack(const core::SyndromeCode& reconciler,
                         const BitVec& eve_key, const Message& syndrome);
 
 /// Install a MITM interceptor that perturbs every syndrome payload in

@@ -38,7 +38,7 @@ double percentile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 GatewayEngine::GatewayEngine(const GatewayConfig& config,
-                             const core::AutoencoderReconciler& reconciler,
+                             const core::SyndromeCode& reconciler,
                              MaterialFn material)
     : cfg_(config),
       reconciler_(reconciler),

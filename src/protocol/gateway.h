@@ -117,7 +117,7 @@ struct GatewayReport {
 class GatewayEngine {
  public:
   /// Probe material for (device, recovery attempt): the (alice_raw, bob_raw)
-  /// pair, each reconciler.key_bits wide. Called from pool lanes — must be
+  /// pair, each reconciler.key_bits() wide. Called from pool lanes — must be
   /// pure per device (read-only shared state, no shared Rng).
   using MaterialFn =
       std::function<std::pair<BitVec, BitVec>(std::uint64_t device,
@@ -137,7 +137,7 @@ class GatewayEngine {
       std::uint64_t first_device, std::size_t count)>;
 
   GatewayEngine(const GatewayConfig& config,
-                const core::AutoencoderReconciler& reconciler,
+                const core::SyndromeCode& reconciler,
                 MaterialFn material);
 
   /// Install the batched attempt-0 prefetch (see BatchMaterialFn). Must be
@@ -179,7 +179,7 @@ class GatewayEngine {
   GatewayReport finalize();
 
   GatewayConfig cfg_;
-  const core::AutoencoderReconciler& reconciler_;
+  const core::SyndromeCode& reconciler_;
   MaterialFn material_;
   BatchMaterialFn batch_material_;  ///< optional attempt-0 prefetch
   std::function<void(double)> tick_;  ///< optional observer tick

@@ -3,7 +3,7 @@
 // length bounds every parser enforces and the byte string a MAC covers (and
 // the part-wise MAC over it); the one on-air encoding is the framed codec
 // in protocol/wire.h. A syndrome's payload bytes are the reconciler's
-// (core::AutoencoderReconciler::syndrome and correct).
+// (core::SyndromeCode::syndrome and correct).
 //
 // Only reconciliation and confirmation need explicit messages (probing is
 // radio-level and carried by the channel simulator). Every message carries a

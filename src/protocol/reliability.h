@@ -106,7 +106,7 @@ struct AgreementReport {
 };
 
 /// Fresh probe material for attempt k: (alice_raw, bob_raw), each
-/// reconciler.key_bits wide. Recovery re-probes the channel, so successive
+/// reconciler.key_bits() wide. Recovery re-probes the channel, so successive
 /// attempts should return different material.
 using ProbeMaterialFn =
     std::function<std::pair<BitVec, BitVec>(std::size_t attempt)>;
@@ -115,7 +115,7 @@ using ProbeMaterialFn =
 /// virtual clock of its own. `base` keeps the eavesdropper transcript across
 /// attempts and may carry a MITM interceptor.
 AgreementReport run_reliable_key_agreement(
-    PublicChannel& base, const core::AutoencoderReconciler& reconciler,
+    PublicChannel& base, const core::SyndromeCode& reconciler,
     const ReliabilityConfig& config, const ProbeMaterialFn& material);
 
 /// Eagerly register every instrument the session/ARQ/link/reliability stack

@@ -100,13 +100,13 @@ const Message* InboundGuard::response_for(std::uint64_t nonce) const {
 // ------------------------------------------------------------ SessionEndpoint
 
 SessionEndpoint::SessionEndpoint(const SessionConfig& config,
-                                 const core::AutoencoderReconciler& reconciler,
+                                 const core::SyndromeCode& reconciler,
                                  BitVec raw_key)
     : cfg_(config),
       reconciler_(reconciler),
       key_(std::move(raw_key)),
       amplifier_(kFinalKeyBits) {
-  VKEY_REQUIRE(key_.size() == reconciler.config().key_bits,
+  VKEY_REQUIRE(key_.size() == reconciler.key_bits(),
                "session key width must match the reconciler");
   VKEY_REQUIRE(key_.size() <= kMaxRawKeyBits,
                "session key wider than one HMAC block");
@@ -237,7 +237,7 @@ void SessionEndpoint::note(SessionState before, RejectReason reason,
 // ---------------------------------------------------------------- BobSession
 
 BobSession::BobSession(const SessionConfig& config,
-                       const core::AutoencoderReconciler& reconciler,
+                       const core::SyndromeCode& reconciler,
                        BitVec raw_key)
     : SessionEndpoint(config, reconciler, std::move(raw_key)) {}
 
@@ -284,7 +284,7 @@ Message BobSession::make_syndrome() {
 // -------------------------------------------------------------- AliceSession
 
 AliceSession::AliceSession(const SessionConfig& config,
-                           const core::AutoencoderReconciler& reconciler,
+                           const core::SyndromeCode& reconciler,
                            BitVec raw_key)
     : SessionEndpoint(config, reconciler, std::move(raw_key)) {}
 

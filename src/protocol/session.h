@@ -173,10 +173,10 @@ class SessionEndpoint {
   bool agrees_with(const SessionEndpoint& peer) const;
 
  protected:
-  /// `raw_key` is this side's quantized key material (reconciler.key_bits
+  /// `raw_key` is this side's quantized key material (reconciler.key_bits()
   /// wide, at most kMaxRawKeyBits).
   SessionEndpoint(const SessionConfig& config,
-                  const core::AutoencoderReconciler& reconciler,
+                  const core::SyndromeCode& reconciler,
                   BitVec raw_key);
   ~SessionEndpoint();
   SessionEndpoint(const SessionEndpoint&) = delete;
@@ -208,7 +208,7 @@ class SessionEndpoint {
             const Message& msg) const;
 
   SessionConfig cfg_;
-  const core::AutoencoderReconciler& reconciler_;
+  const core::SyndromeCode& reconciler_;
   /// The side's key: its raw key, which Alice replaces with her reconciled
   /// key when the syndrome arrives.
   BitVec key_;
@@ -230,7 +230,7 @@ class SessionEndpoint {
 class BobSession final : public SessionEndpoint {
  public:
   BobSession(const SessionConfig& config,
-             const core::AutoencoderReconciler& reconciler, BitVec raw_key);
+             const core::SyndromeCode& reconciler, BitVec raw_key);
 
  private:
   std::optional<Message> dispatch(const Message& msg) override;
@@ -242,7 +242,7 @@ class BobSession final : public SessionEndpoint {
 class AliceSession final : public SessionEndpoint {
  public:
   AliceSession(const SessionConfig& config,
-               const core::AutoencoderReconciler& reconciler, BitVec raw_key);
+               const core::SyndromeCode& reconciler, BitVec raw_key);
 
   /// Kick off the exchange.
   Message start();

@@ -157,7 +157,7 @@ TEST(AllocBudget, ReconcilerTrainingAllocatesNothingPerPair) {
 
 TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  const core::SyndromeCode reconciler(64, 11);
   const BitVec bob = random_bits(64, 1);
   // Warm-up: the first encoding packs the encoder's weights and registers
   // the nn.dense metrics.
@@ -170,7 +170,7 @@ TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {
   BitVec noisy = bob;
   for (std::size_t i = 0; i < 64; i += 2) noisy.flip(i);
 
-  core::AutoencoderReconciler::DecodeResult clean, many;
+  core::SyndromeCode::DecodeResult clean, many;
   const std::uint64_t clean_allocs = allocations_of(
       [&] { clean = reconciler.decode_mismatch(bob, y_bob); });
   const std::uint64_t many_allocs = allocations_of(
@@ -210,7 +210,7 @@ channel::LoRaParams sf7() {
 }
 
 /// One agreement attempt between sessions holding the same 64-bit key (so
-/// even an untrained reconciler establishes), over a link with `faults`;
+/// the decode has nothing to correct), over a link with `faults`;
 /// flight recording off by default, as at gateway scale.
 struct AttemptCost {
   std::uint64_t allocations = 0;
@@ -220,7 +220,7 @@ struct AttemptCost {
   bool established = false;
 };
 
-AttemptCost one_attempt(const core::AutoencoderReconciler& reconciler,
+AttemptCost one_attempt(const core::SyndromeCode& reconciler,
                         const protocol::FaultConfig& faults,
                         std::size_t flight_capacity = 0) {
   const BitVec key = random_bits(64, 3);
@@ -259,7 +259,7 @@ protocol::FaultConfig lossy_faults(std::uint64_t seed) {
 
 TEST(AllocBudget, AgreementAttemptDoesNotGrowWithFramesSent) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  const core::SyndromeCode reconciler(64, 11);
   protocol::register_protocol_metrics();
   (void)one_attempt(reconciler, {});  // warm-up: packs weights, metrics
   const AttemptCost lossless = one_attempt(reconciler, {});
@@ -287,7 +287,7 @@ TEST(AllocBudget, AgreementAttemptDoesNotGrowWithFramesSent) {
 
 TEST(AllocBudget, LosslessAgreementAttemptStaysUnderABound) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  const core::SyndromeCode reconciler(64, 11);
   protocol::register_protocol_metrics();
   (void)one_attempt(reconciler, {});
   const AttemptCost cost = one_attempt(reconciler, {});
@@ -303,7 +303,7 @@ TEST(AllocBudget, LosslessAgreementAttemptStaysUnderABound) {
 
 TEST(AllocBudget, FlightRecordingCostsOneBlockPerAttempt) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  const core::SyndromeCode reconciler(64, 11);
   protocol::register_protocol_metrics();
   (void)one_attempt(reconciler, {}, 512);
   const AttemptCost quiet = one_attempt(reconciler, {});
@@ -393,7 +393,7 @@ TEST(AllocBudget, SealOpenPairStaysUnderABound) {
 
 TEST(AllocBudget, FinalKeyIsAmplifiedOncePerSide) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const core::AutoencoderReconciler reconciler{core::ReconcilerConfig{}};
+  const core::SyndromeCode reconciler(64, 11);
   const BitVec key = random_bits(64, 6);
   protocol::SessionConfig cfg;
   cfg.session_id = 0x5e55;

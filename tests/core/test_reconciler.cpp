@@ -204,46 +204,71 @@ TEST(Reconciler, FlopAccounting) {
 }
 
 TEST(Reconciler, DecodeReadsNoDecoderWeight) {
-  // The default tied, frozen reconciler: training moves only the decoder,
-  // which the protocol's decode never runs.
-  AutoencoderReconciler r{ReconcilerConfig{}};
-  vkey::Rng rng(14);
-  std::vector<std::pair<BitVec, BitVec>> pairs;
-  for (int trial = 0; trial < 20; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.12)) ka.flip(i);
+  // The protocol's decode is the SyndromeCode's: an AutoencoderReconciler
+  // with the same seed (the default tied, frozen encoder) gives the same
+  // syndrome bytes and decodes, before and after training moves its
+  // decoder.
+  for (const std::uint64_t seed : {11u, 21u}) {
+    const SyndromeCode code(64, seed);
+    ReconcilerConfig cfg;
+    cfg.seed = seed;
+    AutoencoderReconciler r(cfg);
+    vkey::Rng rng(seed);
+    std::vector<std::pair<BitVec, BitVec>> pairs;
+    for (int ber_pct = 0; ber_pct <= 20; ++ber_pct) {
+      const BitVec kb = random_key(64, rng);
+      BitVec ka = kb;
+      for (std::size_t i = 0; i < 64; ++i) {
+        if (rng.bernoulli(ber_pct / 100.0)) ka.flip(i);
+      }
+      pairs.emplace_back(kb, ka);
     }
-    pairs.emplace_back(kb, ka);
-  }
-  std::vector<AutoencoderReconciler::DecodeResult> before;
-  for (const auto& [kb, ka] : pairs) {
-    before.push_back(r.decode_mismatch(ka, r.encode_bob(kb)));
-  }
-  r.train(300, 3);
-  for (std::size_t t = 0; t < pairs.size(); ++t) {
-    const auto& [kb, ka] = pairs[t];
-    const auto after = r.decode_mismatch(ka, r.encode_bob(kb));
-    EXPECT_EQ(after.mismatch, before[t].mismatch) << "pair " << t;
-    EXPECT_EQ(after.iterations, before[t].iterations) << "pair " << t;
+    const auto expect_same = [&](const char* when) {
+      for (std::size_t t = 0; t < pairs.size(); ++t) {
+        SCOPED_TRACE(std::string(when) + ", seed " + std::to_string(seed) +
+                     ", " + std::to_string(t) + "% BER");
+        const auto& [kb, ka] = pairs[t];
+        std::vector<std::uint8_t> want(kSyndromeBytes), got(kSyndromeBytes);
+        code.syndrome(kb, want);
+        r.syndrome(kb, got);
+        EXPECT_EQ(got, want);
+        const auto expected = code.decode_mismatch(ka, code.encode_bob(kb));
+        const auto decoded = r.decode_mismatch(ka, r.encode_bob(kb));
+        EXPECT_EQ(decoded.mismatch, expected.mismatch);
+        EXPECT_EQ(decoded.iterations, expected.iterations);
+      }
+    };
+    expect_same("untrained");
+    r.train(300, 3);
+    expect_same("trained");
   }
 }
 
 TEST(Reconciler, EverySingleBitErrorIsFixedInOnePass) {
-  // No training: one pass scores every flip, and the true one leaves a
-  // zero residual.
-  const AutoencoderReconciler r{ReconcilerConfig{}};
-  vkey::Rng rng(15);
-  for (int key = 0; key < 20; ++key) {
-    const BitVec kb = random_key(64, rng);
-    const auto y = r.encode_bob(kb);
-    for (std::size_t i = 0; i < 64; ++i) {
-      BitVec ka = kb;
-      ka.flip(i);
-      const auto d = r.decode_mismatch(ka, y);
-      EXPECT_EQ(d.iterations, 1u) << "key " << key << " bit " << i;
-      EXPECT_EQ(ka ^ d.mismatch, kb) << "key " << key << " bit " << i;
+  // One pass scores every flip, and the true one leaves a zero residual:
+  // on the untrained code, and with untied encoders both trained (the
+  // paper's Fig. 7), whose decode still inverts f1, the encoder y_Bob
+  // came from.
+  ReconcilerConfig untied;
+  untied.tie_encoders = false;
+  untied.freeze_encoder = false;
+  AutoencoderReconciler trained(untied);
+  trained.train(300, 3);
+  const SyndromeCode fresh(64, 11);
+  const std::vector<const SyndromeCode*> codes{&fresh, &trained};
+  for (const SyndromeCode* r : codes) {
+    SCOPED_TRACE(r == &fresh ? "untrained code" : "untied + trained");
+    vkey::Rng rng(15);
+    for (int key = 0; key < 20; ++key) {
+      const BitVec kb = random_key(64, rng);
+      const auto y = r->encode_bob(kb);
+      for (std::size_t i = 0; i < 64; ++i) {
+        BitVec ka = kb;
+        ka.flip(i);
+        const auto d = r->decode_mismatch(ka, y);
+        EXPECT_EQ(d.iterations, 1u) << "key " << key << " bit " << i;
+        EXPECT_EQ(ka ^ d.mismatch, kb) << "key " << key << " bit " << i;
+      }
     }
   }
 }

@@ -12,18 +12,6 @@ namespace {
 
 class AttackTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    core::ReconcilerConfig cfg;
-    cfg.key_bits = 64;
-    cfg.decoder_units = 64;
-    reconciler_ = new core::AutoencoderReconciler(cfg);
-    reconciler_->train(2500, 25);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-
   static BitVec random_key(std::uint64_t seed) {
     vkey::Rng rng(seed);
     BitVec k(64);
@@ -38,14 +26,12 @@ class AttackTest : public ::testing::Test {
     ReliabilityConfig cfg;
     cfg.max_session_attempts = 1;
     return run_reliable_key_agreement(
-        ch, *reconciler_, cfg,
+        ch, reconciler_, cfg,
         [&](std::size_t) { return std::make_pair(ka, kb); });
   }
 
-  static core::AutoencoderReconciler* reconciler_;
+  static inline const core::SyndromeCode reconciler_{64, 11};
 };
-
-core::AutoencoderReconciler* AttackTest::reconciler_ = nullptr;
 
 TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
   const BitVec kb = random_key(1);
@@ -60,7 +46,7 @@ TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
 
   // Her key material is uncorrelated: decoding gets her nowhere near K_Bob.
   const BitVec ke = random_key(99);
-  const BitVec guess = eavesdrop_attack(*reconciler_, ke, *syndrome);
+  const BitVec guess = eavesdrop_attack(reconciler_, ke, *syndrome);
   EXPECT_LT(guess.agreement(kb), 0.75);
   EXPECT_GT(guess.agreement(kb), 0.25);
 }
@@ -73,7 +59,7 @@ TEST_F(AttackTest, NoSyndromeInEmptyTranscript) {
 TEST_F(AttackTest, EavesdropAttackValidatesMessageType) {
   Message not_syndrome;
   not_syndrome.type = MessageType::kKeyGenRequest;
-  EXPECT_THROW(eavesdrop_attack(*reconciler_, random_key(2), not_syndrome),
+  EXPECT_THROW(eavesdrop_attack(reconciler_, random_key(2), not_syndrome),
                vkey::Error);
 }
 
@@ -96,8 +82,8 @@ TEST_F(AttackTest, ReplayedSyndromeCannotDisturbTheSession) {
   BitVec ka = kb;
   ka.flip(11);
   SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, ka);
-  BobSession bob(cfg, *reconciler_, kb);
+  AliceSession alice(cfg, reconciler_, ka);
+  BobSession bob(cfg, reconciler_, kb);
   // Step the five frames by hand, so the established session stays live:
   // request, accept, syndrome, confirm, ack.
   const auto accept = bob.handle(alice.start());

@@ -124,18 +124,6 @@ TEST(FlightRecorder, ChannelWiringRecordsInjectedFaults) {
 
 class FlightReliabilityTest : public ::testing::Test {
  public:
-  static void SetUpTestSuite() {
-    core::ReconcilerConfig cfg;
-    cfg.key_bits = 64;
-    cfg.decoder_units = 64;
-    reconciler_ = new core::AutoencoderReconciler(cfg);
-    reconciler_->train(2500, 25);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-
   static BitVec random_key(std::uint64_t seed) {
     vkey::Rng rng(seed);
     BitVec k(64);
@@ -143,10 +131,8 @@ class FlightReliabilityTest : public ::testing::Test {
     return k;
   }
 
-  static core::AutoencoderReconciler* reconciler_;
+  static inline const core::SyndromeCode reconciler_{64, 11};
 };
-
-core::AutoencoderReconciler* FlightReliabilityTest::reconciler_ = nullptr;
 
 TEST_F(FlightReliabilityTest, AttemptTimelineTravelsWithTheReport) {
   ReliabilityConfig cfg;
@@ -156,7 +142,7 @@ TEST_F(FlightReliabilityTest, AttemptTimelineTravelsWithTheReport) {
   PublicChannel base;
   const BitVec kb = random_key(33);
   const auto report = run_reliable_key_agreement(
-      base, *reconciler_, cfg, [&](std::size_t) {
+      base, reconciler_, cfg, [&](std::size_t) {
         return std::make_pair(kb, kb);  // identical keys: reconciles cleanly
       });
   ASSERT_TRUE(report.established);
@@ -182,7 +168,7 @@ TEST_F(FlightReliabilityTest, FailureDumpNamesTheInjectedFault) {
   PublicChannel base;
   const BitVec kb = random_key(44);
   const auto report = run_reliable_key_agreement(
-      base, *reconciler_, cfg,
+      base, reconciler_, cfg,
       [&](std::size_t) { return std::make_pair(kb, kb); });
   ASSERT_FALSE(report.established);
 
@@ -203,7 +189,7 @@ TEST_F(FlightReliabilityTest, SameSeedYieldsByteIdenticalDumps) {
     PublicChannel base;
     const BitVec kb = random_key(44);
     const auto report = run_reliable_key_agreement(
-        base, *reconciler_, cfg,
+        base, reconciler_, cfg,
         [&](std::size_t) { return std::make_pair(kb, kb); });
     return report.failure_dump();
   };
@@ -222,7 +208,7 @@ TEST_F(FlightReliabilityTest, ZeroFlightCapacityDisablesTheTimeline) {
   PublicChannel base;
   const BitVec kb = random_key(44);
   const auto report = run_reliable_key_agreement(
-      base, *reconciler_, cfg,
+      base, reconciler_, cfg,
       [&](std::size_t) { return std::make_pair(kb, kb); });
   ASSERT_FALSE(report.established);
   const FlightRecorder& flight = report.attempt_log.back().flight;

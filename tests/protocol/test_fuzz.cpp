@@ -265,27 +265,13 @@ void deliver(const Message& msg, AliceSession& alice, BobSession& bob,
 
 class SessionFuzz : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    core::ReconcilerConfig cfg;
-    cfg.key_bits = 64;
-    cfg.decoder_units = 48;
-    reconciler_ = new core::AutoencoderReconciler(cfg);
-    reconciler_->train(1500, 15);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-
   static int rank(SessionState s) { return static_cast<int>(s); }
   static bool terminal(SessionState s) {
     return s == SessionState::kEstablished || s == SessionState::kFailed;
   }
 
-  static core::AutoencoderReconciler* reconciler_;
+  static inline const core::SyndromeCode reconciler_{64, 11};
 };
-
-core::AutoencoderReconciler* SessionFuzz::reconciler_ = nullptr;
 
 TEST_F(SessionFuzz, RandomInterleavingsNeverCrashOrDisagree) {
   constexpr int kTrials = 2000;
@@ -302,8 +288,8 @@ TEST_F(SessionFuzz, RandomInterleavingsNeverCrashOrDisagree) {
     }
 
     SessionConfig cfg;
-    AliceSession alice(cfg, *reconciler_, ka);
-    BobSession bob(cfg, *reconciler_, kb);
+    AliceSession alice(cfg, reconciler_, ka);
+    BobSession bob(cfg, reconciler_, kb);
 
     std::deque<Message> wire;
     wire.push_back(alice.start());
@@ -370,8 +356,8 @@ TEST_F(SessionFuzz, WireRejectedFramesLeaveNoPayloadResidueInSessionState) {
   BitVec kb(64);
   for (std::size_t i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
   SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, kb);
-  BobSession bob(cfg, *reconciler_, kb);
+  AliceSession alice(cfg, reconciler_, kb);
+  BobSession bob(cfg, reconciler_, kb);
   FlightRecorder alice_rec(256), bob_rec(256);
   alice.set_recorder(&alice_rec, "alice");
   bob.set_recorder(&bob_rec, "bob");
@@ -455,8 +441,8 @@ TEST_F(SessionFuzz, FailedFuzzedSessionDumpsTimelineNamingTheInjectedFault) {
     }
 
     SessionConfig cfg;
-    AliceSession alice(cfg, *reconciler_, ka);
-    BobSession bob(cfg, *reconciler_, kb);
+    AliceSession alice(cfg, reconciler_, ka);
+    BobSession bob(cfg, reconciler_, kb);
     FlightRecorder rec(256);  // no clock: ordinals order the timeline
     alice.set_recorder(&rec, "alice");
     bob.set_recorder(&rec, "bob");

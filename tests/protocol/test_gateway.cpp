@@ -107,18 +107,6 @@ TEST(SessionRegistry, StateAndReasonStringsAreHumanReadable) {
 
 class GatewayTest : public ::testing::Test {
  public:
-  static void SetUpTestSuite() {
-    core::ReconcilerConfig cfg;
-    cfg.key_bits = 64;
-    cfg.decoder_units = 64;
-    reconciler_ = new core::AutoencoderReconciler(cfg);
-    reconciler_->train(2500, 25);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-
   static BitVec random_key(std::uint64_t seed) {
     vkey::Rng rng(seed);
     BitVec k(64);
@@ -158,13 +146,11 @@ class GatewayTest : public ::testing::Test {
     return cfg;
   }
 
-  static core::AutoencoderReconciler* reconciler_;
+  static inline const core::SyndromeCode reconciler_{64, 11};
 };
 
-core::AutoencoderReconciler* GatewayTest::reconciler_ = nullptr;
-
 TEST_F(GatewayTest, LosslessRunDrivesEverySessionToIdleEviction) {
-  GatewayEngine engine(small_config(50, 8), *reconciler_, material());
+  GatewayEngine engine(small_config(50, 8), reconciler_, material());
   const GatewayReport rep = engine.run();
 
   EXPECT_EQ(rep.sessions, 50u);
@@ -198,7 +184,7 @@ TEST_F(GatewayTest, LosslessRunDrivesEverySessionToIdleEviction) {
 TEST_F(GatewayTest, AdmissionQueuePreservesArrivalOrderUnderContention) {
   GatewayConfig cfg = small_config(40, 4);
   cfg.arrival_interval_ms = 1.0;  // arrivals outpace the 4 slots
-  GatewayEngine engine(cfg, *reconciler_, material());
+  GatewayEngine engine(cfg, reconciler_, material());
   const GatewayReport rep = engine.run();
 
   EXPECT_EQ(rep.established, 40u);
@@ -216,7 +202,7 @@ TEST_F(GatewayTest, ThousandSessionRunIsIdenticalAcrossLaneCounts) {
   const auto run_with = [](std::size_t threads) {
     GatewayConfig cfg = small_config(1000, 64);
     cfg.threads = threads;
-    GatewayEngine engine(cfg, *reconciler_, material());
+    GatewayEngine engine(cfg, reconciler_, material());
     return std::make_pair(engine.run(), engine.outcomes());
   };
   const auto [rep1, out1] = run_with(1);
@@ -258,7 +244,7 @@ TEST_F(GatewayTest, FailedSessionsEvictWithBoundedPostMortems) {
         }
         return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
       };
-  GatewayEngine engine(small_config(20, 4), *reconciler_, mixed);
+  GatewayEngine engine(small_config(20, 4), reconciler_, mixed);
   const GatewayReport rep = engine.run();
 
   EXPECT_EQ(rep.failed, 4u);  // devices 0, 5, 10, 15
@@ -297,9 +283,8 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
     ReliableTransport alice_tx;
     ReliableTransport bob_tx;
 
-    Pair(SimClock& clk, std::uint64_t id,
-         const core::AutoencoderReconciler& rec, BitVec alice_raw,
-         BitVec bob_raw, const SessionConfig& scfg)
+    Pair(SimClock& clk, std::uint64_t id, const core::SyndromeCode& rec,
+         BitVec alice_raw, BitVec bob_raw, const SessionConfig& scfg)
         : link(clk, base, dup_faults(id), fast_radio()),
           alice(scfg, rec, std::move(alice_raw)),
           bob(scfg, rec, std::move(bob_raw)),
@@ -333,8 +318,8 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
   scfg0.session_id = 17;
   SessionConfig scfg1;
   scfg1.session_id = 33;
-  Pair p0(clock, 0, *reconciler_, with_flips(kb0, 2, 910), kb0, scfg0);
-  Pair p1(clock, 1, *reconciler_, with_flips(kb1, 2, 911), kb1, scfg1);
+  Pair p0(clock, 0, reconciler_, with_flips(kb0, 2, 910), kb0, scfg0);
+  Pair p1(clock, 1, reconciler_, with_flips(kb1, 2, 911), kb1, scfg1);
 
   // Stagger the starts so the two exchanges interleave mid-flight on the
   // shared timeline instead of running in lockstep.
@@ -365,7 +350,7 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
 TEST_F(GatewayTest, LifecycleTicksLandOnTheGridAndCoverTheWholeRun) {
   GatewayConfig cfg = small_config(30, 8);
   cfg.tick_interval_ms = 1000.0;
-  GatewayEngine engine(cfg, *reconciler_, material());
+  GatewayEngine engine(cfg, reconciler_, material());
   std::vector<double> ticks;
   engine.set_tick([&ticks](double now_ms) { ticks.push_back(now_ms); });
   const GatewayReport rep = engine.run();
@@ -386,7 +371,7 @@ TEST_F(GatewayTest, LifecycleTicksLandOnTheGridAndCoverTheWholeRun) {
 
   // The same run without ticks produces identical session outcomes; only
   // the makespan differs, by less than one tick interval of grid rounding.
-  GatewayEngine plain(small_config(30, 8), *reconciler_, material());
+  GatewayEngine plain(small_config(30, 8), reconciler_, material());
   const GatewayReport prep = plain.run();
   EXPECT_EQ(prep.established, rep.established);
   EXPECT_EQ(prep.rekeys, rep.rekeys);
@@ -399,7 +384,7 @@ TEST_F(GatewayTest, LifecycleTicksLandOnTheGridAndCoverTheWholeRun) {
 TEST_F(GatewayTest, TickObserverIsInertWithoutAnInterval) {
   // tick_interval_ms stays at its 0.0 default: the observer must never fire
   // and the run must behave exactly like an unobserved one.
-  GatewayEngine engine(small_config(10, 4), *reconciler_, material());
+  GatewayEngine engine(small_config(10, 4), reconciler_, material());
   std::size_t fired = 0;
   engine.set_tick([&fired](double) { ++fired; });
   const GatewayReport rep = engine.run();

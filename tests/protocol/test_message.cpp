@@ -52,17 +52,8 @@ TEST(Message, AcceptsTheMaximumBoundedSizes) {
   EXPECT_TRUE(back->mac.is_inline());
 }
 
-// The syndrome's payload bytes are the reconciler's; these two check them as
-// a message carries them. An untrained reconciler is enough: the bytes and
-// their refusal do not depend on the weights.
-core::AutoencoderReconciler small_reconciler() {
-  core::ReconcilerConfig cfg;
-  cfg.key_bits = 64;
-  cfg.decoder_units = 16;
-  cfg.seed = 5;
-  return core::AutoencoderReconciler(cfg);
-}
-
+// The syndrome's payload bytes are the syndrome code's; these two check
+// them as a message carries them.
 BitVec random_key(vkey::Rng& rng) {
   BitVec k(64);
   for (std::size_t i = 0; i < k.size(); ++i) k.set(i, rng.bernoulli(0.5));
@@ -70,7 +61,7 @@ BitVec random_key(vkey::Rng& rng) {
 }
 
 TEST(Message, PackUnpackDoubles) {
-  const core::AutoencoderReconciler rec = small_reconciler();
+  const core::SyndromeCode rec(64, 5);
   vkey::Rng rng(3);
   const BitVec kb = random_key(rng);
   const BitVec ka = random_key(rng);
@@ -88,7 +79,7 @@ TEST(Message, PackUnpackDoubles) {
 }
 
 TEST(Message, UnpackRejectsMisaligned) {
-  const core::AutoencoderReconciler rec = small_reconciler();
+  const core::SyndromeCode rec(64, 5);
   vkey::Rng rng(4);
   const BitVec k = random_key(rng);
   const std::size_t n = core::kCodeDim * 8;

@@ -243,18 +243,6 @@ TEST(UnreliableChannel, DeliversTheFrameItWasGivenWhateverTheBaseHolds) {
 
 class ReliabilityTest : public ::testing::Test {
  public:  // helpers are shared with the free-standing drop-sweep driver
-  static void SetUpTestSuite() {
-    core::ReconcilerConfig cfg;
-    cfg.key_bits = 64;
-    cfg.decoder_units = 64;
-    reconciler_ = new core::AutoencoderReconciler(cfg);
-    reconciler_->train(2500, 25);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-
   static BitVec random_key(std::uint64_t seed) {
     vkey::Rng rng(seed);
     BitVec k(64);
@@ -290,23 +278,21 @@ class ReliabilityTest : public ::testing::Test {
     return cfg;
   }
 
-  static core::AutoencoderReconciler* reconciler_;
+  static inline const core::SyndromeCode reconciler_{64, 11};
 };
-
-core::AutoencoderReconciler* ReliabilityTest::reconciler_ = nullptr;
 
 TEST_F(ReliabilityTest, FaultFreeRunMatchesSeedPathAndNeverRetransmits) {
   const BitVec kb = random_key(100);
   const BitVec ka = with_flips(kb, 3, 101);
 
   // Seed path, from core alone: Alice's reconciliation recovers Bob's key.
-  ASSERT_EQ(reconciler_->reconcile(ka, reconciler_->encode_bob(kb)), kb);
+  ASSERT_EQ(reconciler_.reconcile(ka, reconciler_.encode_bob(kb)), kb);
 
   // Reliability layer with zero faults on the same material.
   PublicChannel base;
   ReliabilityConfig cfg = config_for(0.0, 1);
   const auto report = run_reliable_key_agreement(
-      base, *reconciler_, cfg,
+      base, reconciler_, cfg,
       [&](std::size_t) { return std::make_pair(ka, kb); });
   ASSERT_TRUE(report.established);
   EXPECT_EQ(report.attempts, 1u);
@@ -325,7 +311,7 @@ TEST_F(ReliabilityTest, FaultFreeRunMatchesSeedPathAndNeverRetransmits) {
 // agreement succeeds >= 99% of 200 trials within the retry budget, both
 // parties hold identical keys in every success, and the counters report
 // retransmissions.
-void run_drop_sweep(double drop, core::AutoencoderReconciler& reconciler) {
+void run_drop_sweep(double drop, const core::SyndromeCode& reconciler) {
   constexpr int kTrials = 200;
   int successes = 0;
   std::size_t total_retransmissions = 0;
@@ -351,11 +337,11 @@ void run_drop_sweep(double drop, core::AutoencoderReconciler& reconciler) {
 }
 
 TEST_F(ReliabilityTest, SucceedsUnderTenPercentDrop) {
-  run_drop_sweep(0.10, *reconciler_);
+  run_drop_sweep(0.10, reconciler_);
 }
 
 TEST_F(ReliabilityTest, SucceedsUnderTwentyFivePercentDrop) {
-  run_drop_sweep(0.25, *reconciler_);
+  run_drop_sweep(0.25, reconciler_);
 }
 
 TEST_F(ReliabilityTest, SurvivesDuplicationAndReordering) {
@@ -365,7 +351,7 @@ TEST_F(ReliabilityTest, SurvivesDuplicationAndReordering) {
   cfg.fault.corrupt_prob = 0.05;
   PublicChannel base;
   const auto report =
-      run_reliable_key_agreement(base, *reconciler_, cfg, material_for(77));
+      run_reliable_key_agreement(base, reconciler_, cfg, material_for(77));
   ASSERT_TRUE(report.established);
   std::size_t dups = 0;
   for (const auto& att : report.attempt_log) {
@@ -389,7 +375,7 @@ TEST_F(ReliabilityTest, RecoversWithFreshSessionAfterTamperedAttempt) {
     return true;
   });
   const auto report =
-      run_reliable_key_agreement(base, *reconciler_, cfg, material_for(5));
+      run_reliable_key_agreement(base, reconciler_, cfg, material_for(5));
   ASSERT_TRUE(report.established);
   EXPECT_EQ(report.attempts, 2u);
   ASSERT_EQ(report.attempt_log.size(), 2u);
@@ -404,7 +390,7 @@ TEST_F(ReliabilityTest, ReportsRetryExhaustionOnHopelessLink) {
   cfg.max_session_attempts = 2;
   PublicChannel base;
   const auto report =
-      run_reliable_key_agreement(base, *reconciler_, cfg, material_for(9));
+      run_reliable_key_agreement(base, reconciler_, cfg, material_for(9));
   EXPECT_FALSE(report.established);
   EXPECT_EQ(report.attempts, 2u);
   EXPECT_EQ(report.failure, FailureReason::kRetryExhausted);
@@ -473,7 +459,7 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   cfg.max_session_attempts = 4;
   PublicChannel base;
   const auto report =
-      run_reliable_key_agreement(base, *reconciler_, cfg, material_for(31));
+      run_reliable_key_agreement(base, reconciler_, cfg, material_for(31));
   EXPECT_EQ(counters_of(report),
             "attempts=1 ttk=3669.212999956156 link=22,1938,12,5,3,3,1,5\n"
             "sid=1 est=1 none alice=established/none "
@@ -491,7 +477,7 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   lossy.max_session_attempts = 3;
   PublicChannel eve;
   const auto failed =
-      run_reliable_key_agreement(eve, *reconciler_, lossy, material_for(32));
+      run_reliable_key_agreement(eve, reconciler_, lossy, material_for(32));
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(counters_of(failed),
             "attempts=3 ttk=37476.41731994929 link=55,4653,8,45,4,4,2,5\n"
@@ -522,7 +508,7 @@ TEST_F(ReliabilityTest, DetailedResultCarriesTerminalStates) {
   cfg.max_session_attempts = 1;
   PublicChannel ch;
   const auto report = run_reliable_key_agreement(
-      ch, *reconciler_, cfg,
+      ch, reconciler_, cfg,
       [&](std::size_t) { return std::make_pair(ka, kb); });
   EXPECT_TRUE(report.established);
   EXPECT_TRUE(static_cast<bool>(report));
@@ -539,7 +525,7 @@ TEST_F(ReliabilityTest, DetailedResultExplainsFailure) {
   cfg.max_session_attempts = 1;
   PublicChannel ch;
   const auto report = run_reliable_key_agreement(
-      ch, *reconciler_, cfg, [](std::size_t) {
+      ch, reconciler_, cfg, [](std::size_t) {
         return std::make_pair(random_key(70), random_key(71));
       });
   EXPECT_FALSE(report.established);

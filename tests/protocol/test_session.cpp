@@ -10,22 +10,8 @@
 namespace vkey::protocol {
 namespace {
 
-// One shared trained reconciler for all session tests (training is the
-// expensive part).
 class SessionTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    core::ReconcilerConfig cfg;
-    cfg.key_bits = 64;
-    cfg.decoder_units = 64;
-    reconciler_ = new core::AutoencoderReconciler(cfg);
-    reconciler_->train(2500, 25);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-
   static BitVec random_key(std::uint64_t seed) {
     vkey::Rng rng(seed);
     BitVec k(64);
@@ -49,14 +35,12 @@ class SessionTest : public ::testing::Test {
     ReliabilityConfig cfg;
     cfg.max_session_attempts = 1;
     return run_reliable_key_agreement(
-        ch, *reconciler_, cfg,
+        ch, reconciler_, cfg,
         [&](std::size_t) { return std::make_pair(ka, kb); });
   }
 
-  static core::AutoencoderReconciler* reconciler_;
+  static inline const core::SyndromeCode reconciler_{64, 11};
 };
-
-core::AutoencoderReconciler* SessionTest::reconciler_ = nullptr;
 
 TEST_F(SessionTest, HappyPathEstablishesSameKey) {
   const BitVec kb = random_key(1);
@@ -93,7 +77,7 @@ TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
 TEST_F(SessionTest, SessionIdMismatchRejected) {
   const BitVec k = random_key(6);
   SessionConfig cfg;
-  BobSession bob(cfg, *reconciler_, k);
+  BobSession bob(cfg, reconciler_, k);
   Message req;
   req.type = MessageType::kKeyGenRequest;
   req.session_id = 999;  // wrong session
@@ -105,7 +89,7 @@ TEST_F(SessionTest, SessionIdMismatchRejected) {
 TEST_F(SessionTest, DuplicateRetransmissionDistinctFromReplay) {
   const BitVec k = random_key(7);
   SessionConfig cfg;
-  BobSession bob(cfg, *reconciler_, k);
+  BobSession bob(cfg, reconciler_, k);
   Message req;
   req.type = MessageType::kKeyGenRequest;
   req.session_id = cfg.session_id;
@@ -138,7 +122,7 @@ TEST_F(SessionTest, DuplicateRetransmissionDistinctFromReplay) {
 TEST_F(SessionTest, SyndromeRequiresAcceptedSession) {
   const BitVec k = random_key(8);
   SessionConfig cfg;
-  BobSession bob(cfg, *reconciler_, k);
+  BobSession bob(cfg, reconciler_, k);
   EXPECT_FALSE(bob.take_unprompted().has_value());
 
   Message req;
@@ -165,8 +149,8 @@ TEST_F(SessionTest, MalformedSyndromeIsRejectedAndTheIntactOneEstablishes) {
   const BitVec kb = random_key(10);
   const BitVec ka = with_flips(kb, 2, 11);
   SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, ka);
-  BobSession bob(cfg, *reconciler_, kb);
+  AliceSession alice(cfg, reconciler_, ka);
+  BobSession bob(cfg, reconciler_, kb);
   const auto accept = bob.handle(alice.start());
   ASSERT_TRUE(accept.has_value());
   EXPECT_FALSE(alice.handle(*accept).has_value());
@@ -198,14 +182,14 @@ TEST_F(SessionTest, MalformedSyndromeIsRejectedAndTheIntactOneEstablishes) {
 TEST_F(SessionTest, FinalKeyBeforeEstablishmentThrows) {
   const BitVec k = random_key(9);
   SessionConfig cfg;
-  AliceSession alice(cfg, *reconciler_, k);
+  AliceSession alice(cfg, reconciler_, k);
   EXPECT_THROW(alice.final_key(), vkey::Error);
 }
 
 TEST_F(SessionTest, KeyWidthValidated) {
   SessionConfig cfg;
-  EXPECT_THROW(BobSession(cfg, *reconciler_, BitVec(32)), vkey::Error);
-  EXPECT_THROW(AliceSession(cfg, *reconciler_, BitVec(32)), vkey::Error);
+  EXPECT_THROW(BobSession(cfg, reconciler_, BitVec(32)), vkey::Error);
+  EXPECT_THROW(AliceSession(cfg, reconciler_, BitVec(32)), vkey::Error);
 }
 
 TEST_F(SessionTest, StateStringsAreHumanReadable) {

@@ -61,6 +61,16 @@ sim-clock-owner
     multi-session bug the shared queue exists to prevent. Tests, benches
     and examples construct clocks freely.
 
+protocol-syndrome-only
+    The protocol layer (`src/protocol/`) runs on the public syndrome code
+    alone: it names no `AutoencoderReconciler`, `decode_guided` or
+    `reconcile_one_shot`. Sessions, the reliability supervisor, the gateway
+    and the attacks take a `const core::SyndromeCode&`, whose decode reads
+    only the public encoder, so nothing that only runs the protocol builds
+    or trains a decoder. The trained decoder and the two decodes that run it
+    belong to the paper's figures (Fig. 11, Fig. 15, the ablations; see
+    `core/reconciler.h`).
+
 no-raw-memcmp-on-secrets
     No `memcmp` in the key-lifecycle layers (`src/crypto/`, `src/protocol/`).
     memcmp short-circuits on the first differing byte, so comparing MACs or
@@ -198,6 +208,12 @@ SIM_CLOCK_OWNER_PATTERNS = [
     re.compile(r"make_(?:unique|shared)\s*<\s*SimClock\b"),
 ]
 SIM_CLOCK_OWNER_SCOPE = "src/protocol/"
+
+# The trained half of the reconciler, named in protocol code: sessions and
+# attacks run on core::SyndromeCode alone (protocol-syndrome-only).
+PROTOCOL_SYNDROME_ONLY_PATTERN = re.compile(
+    r"\b(?:AutoencoderReconciler|decode_guided|reconcile_one_shot)\b")
+PROTOCOL_SYNDROME_ONLY_SCOPE = "src/protocol/"
 
 # memcmp in the key-lifecycle layers: short-circuit comparison is a timing
 # oracle when the operands are MACs or keys. constant_time_equal
@@ -338,6 +354,12 @@ def scan_file(path, rel, explain):
                           "sub-clock — take a SimClock& from the caller "
                           "instead")
                     break
+        if (rel.startswith(PROTOCOL_SYNDROME_ONLY_SCOPE)
+                and PROTOCOL_SYNDROME_ONLY_PATTERN.search(code)):
+            check("protocol-syndrome-only", i, raw,
+                  "the protocol runs on core::SyndromeCode alone; the "
+                  "trained decoder and the decodes that run it belong to the "
+                  "paper's figures (core/reconciler.h)")
         # Pragmas and attributes carry their mode as a string literal, so
         # these read the line with only its trailing comment removed.
         line = raw.split("//", 1)[0]
