@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
     // Naive pairing: same head windows on both sides (no mirroring).
     ArRssiStreams naive;
     for (const auto& r : rounds) {
-      const auto a = ex.sequence(r.alice_rx);
-      const auto b = ex.sequence(r.bob_rx);
-      const auto e = ex.sequence(r.eve_rx_bob_tx);
+      const auto a = ex.sequence(r.alice_rx.rrssi);
+      const auto b = ex.sequence(r.bob_rx.rrssi);
+      const auto e = ex.sequence(r.eve_rx_bob_tx.rrssi);
       for (std::size_t j = 0; j < 4; ++j) {
         naive.alice.push_back(a[j]);
         naive.bob.push_back(b[j]);

@@ -7,12 +7,12 @@
 // noise figure contribution and the RSSI register quantization step.
 #pragma once
 
-#include <string>
+#include <string_view>
 
 namespace vkey::channel {
 
 struct DeviceModel {
-  std::string name;
+  std::string_view name;  ///< a literal: copying a model allocates nothing
   /// Systematic RX gain offset [dB] relative to nominal (per-unit factory
   /// spread; constant over a trace, drawn once per device instance).
   double gain_offset_sigma_db = 1.0;

@@ -20,9 +20,10 @@
 #pragma once
 
 #include <complex>
-#include <vector>
 
+#include "channel/scenario.h"
 #include "common/rng.h"
+#include "common/small_buffer.h"
 
 namespace vkey::channel {
 
@@ -33,7 +34,8 @@ double path_loss_db(double distance_m, double exponent, double ref_loss_db);
 ///
 /// g(t) = (1/sqrt(R)) * sum_r exp(j * phi_r(t)),
 /// phi_r advanced by 2*pi*fd*cos(alpha_r)*dt per step, supporting
-/// time-varying Doppler fd (vehicle speeds change along the trace).
+/// time-varying Doppler fd (vehicle speeds change along the trace). The
+/// simulator's kSosRays rays live inside the ring; more take a heap block.
 class SumOfSinusoidsRing {
  public:
   SumOfSinusoidsRing(int rays, vkey::Rng& rng);
@@ -47,8 +49,8 @@ class SumOfSinusoidsRing {
   std::complex<double> current() const;
 
  private:
-  std::vector<double> cos_alpha_;
-  std::vector<double> phase_;
+  SmallBuffer<double, kSosRays> cos_alpha_;
+  SmallBuffer<double, kSosRays> phase_;
 };
 
 /// Small-scale complex gain for one link.

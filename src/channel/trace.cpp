@@ -1,11 +1,8 @@
 #include "channel/trace.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
-
-#include "common/stats.h"
 
 namespace vkey::channel {
 
@@ -27,10 +24,6 @@ SmallScaleConfig small_scale(const ScenarioConfig& s) {
                           kFastFadingWeight};
 }
 }  // namespace
-
-double PacketObservation::prssi() const {
-  return vkey::stats::mean(rrssi);
-}
 
 struct TraceGenerator::Impl {
   /// Eve's links, built only when the config places her. Each process runs
@@ -124,10 +117,11 @@ struct TraceGenerator::Impl {
   }
 
   /// One receiver of a transmission window and its per-packet state.
+  template <typename Obs>
   struct Listener {
     const DeviceModel* dev;  ///< nullptr: Eve, not simulated
     double offset_db;  ///< rx hardware gain offset + current interference
-    PacketObservation* out;
+    Obs* out;
     double drift_db = 0.0;  ///< per-packet receiver gain drift
     double floor_mw = 0.0;  ///< noise-floor power, once per packet
   };
@@ -135,7 +129,8 @@ struct TraceGenerator::Impl {
   /// Start `l`'s reception of a window at `t0`. Draws its per-packet gain
   /// drift (see DeviceModel::gain_drift_db_per_s15) — an Eve who is not
   /// simulated still makes the draw, and nothing else.
-  void open(Listener& l, double t0, int n_sym) {
+  template <typename Obs>
+  void open(Listener<Obs>& l, double t0, int n_sym) {
     if (l.dev == nullptr) {
       (void)rng_noise.gaussian();
       return;
@@ -150,7 +145,8 @@ struct TraceGenerator::Impl {
   }
 
   /// Latch one register sample of `l` for a channel gain of `gain_db`.
-  void latch(const Listener& l, double tx_power_dbm, double gain_db) {
+  template <typename Obs>
+  void latch(const Listener<Obs>& l, double tx_power_dbm, double gain_db) {
     const double noise = rng_noise.gaussian(0.0, l.dev->rssi_noise_sigma_db);
     const double rssi_signal = tx_power_dbm + gain_db + noise + l.offset_db;
     // The register reports signal + thermal floor power: deep fades are
@@ -161,19 +157,19 @@ struct TraceGenerator::Impl {
   }
 
   /// Sample one transmission window of `n_sym` symbols starting at `t0`:
-  /// the legitimate receiver (`rx[0]`) over the reciprocal link, and Eve
-  /// (`rx[1]`) over her link to the transmitter (Eve-Alice when `alice_tx`,
-  /// else Eve-Bob). Geometry (speeds, separation, shadowing position)
-  /// advances exactly once per symbol instant; each link's fading process
-  /// advances by its own elapsed time, so the same window is observed
-  /// through statistically distinct links.
+  /// the legitimate receiver over the reciprocal link, and Eve (`ev`) over
+  /// her link to the transmitter (Eve-Alice when `alice_tx`, else
+  /// Eve-Bob). Geometry (speeds, separation, shadowing position) advances
+  /// exactly once per symbol instant; each link's fading process advances
+  /// by its own elapsed time, so the same window is observed through
+  /// statistically distinct links.
   void transmit_phase(double t0, double tx_power_dbm,
-                      std::array<Listener, 2> rx, bool alice_tx) {
+                      Listener<PacketObservation> legit,
+                      Listener<EveObservation> ev, bool alice_tx) {
     const int n_sym = phy.rssi_samples_per_packet();
     const double tsym = phy.symbol_time();
-    for (Listener& l : rx) open(l, t0, n_sym);
-    const Listener& legit = rx[0];
-    const Listener& ev = rx[1];
+    open(legit, t0, n_sym);
+    open(ev, t0, n_sym);
 
     for (int i = 0; i < n_sym; ++i) {
       const double t = t0 + (i + 0.5) * tsym;
@@ -245,16 +241,16 @@ struct TraceGenerator::Impl {
     const double t1 = now;
     transmit_phase(
         t1, cfg.device_alice.tx_power_dbm,
-        {Listener{&cfg.device_bob, hw_bob + interf_bob, &round.bob_rx},
-         Listener{eve_dev, hw_eve + interf_eve, &round.eve_rx_alice_tx}},
+        {&cfg.device_bob, hw_bob + interf_bob, &round.bob_rx},
+        {eve_dev, hw_eve + interf_eve, &round.eve_rx_alice_tx},
         /*alice_tx=*/true);
 
     // Phase 2: Bob turns around and responds; Alice and Eve listen.
     const double t2 = t1 + airtime + cfg.device_bob.turnaround_delay_s;
     transmit_phase(
         t2, cfg.device_bob.tx_power_dbm,
-        {Listener{&cfg.device_alice, hw_alice + interf_alice, &round.alice_rx},
-         Listener{eve_dev, hw_eve + interf_eve, &round.eve_rx_bob_tx}},
+        {&cfg.device_alice, hw_alice + interf_alice, &round.alice_rx},
+        {eve_dev, hw_eve + interf_eve, &round.eve_rx_bob_tx},
         /*alice_tx=*/false);
 
     now = t2 + airtime + kProbeIntervalS;

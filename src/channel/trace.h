@@ -21,8 +21,14 @@
 // and Bob (per-packet gain drift and per-sample noise, interference, the
 // hardware offsets), so every legitimate sample is bit-identical with or
 // without her.
+//
+// A legitimate reception of the paper's packet holds its samples inline
+// (kInlineRrssiSamples), and the fading rings hold their rays inline: a
+// generator allocates only its state, and generate(n) only the vector it
+// returns.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -34,28 +40,44 @@
 #include "channel/mobility.h"
 #include "channel/scenario.h"
 #include "common/rng.h"
+#include "common/small_buffer.h"
+#include "common/stats.h"
 
 namespace vkey::channel {
 
-/// rRSSI observations of one received packet.
-struct PacketObservation {
-  double t_start = 0.0;              ///< reception start [s]
-  double t_end = 0.0;                ///< reception end [s]
-  std::vector<double> rrssi;         ///< one register RSSI per symbol [dBm]
+/// rRSSI observations of one received packet, its samples held in
+/// `Samples`.
+template <typename Samples>
+struct Observation {
+  double t_start = 0.0;  ///< reception start [s]
+  double t_end = 0.0;    ///< reception end [s]
+  Samples rrssi;         ///< one register RSSI per symbol [dBm]
 
   /// Packet RSSI: the average the paper calls pRSSI.
-  double prssi() const;
+  double prssi() const { return vkey::stats::mean(rrssi); }
 };
+
+/// Register samples a legitimate reception holds inline: the paper's
+/// packet (SF12, 16-byte payload: LoRaParams' defaults) latches 52. A
+/// longer packet moves its samples to one heap block.
+inline constexpr std::size_t kInlineRrssiSamples = 52;
+
+/// A legitimate party's reception: its samples live inside the round.
+using PacketObservation =
+    Observation<SmallBuffer<double, kInlineRrssiSamples>>;
+/// Eve's reception keeps its samples on the heap, so a round without her
+/// (the generator's default) stays small.
+using EveObservation = Observation<std::vector<double>>;
 
 /// All observations of one probe/response exchange.
 struct ProbeRound {
   double t_round_start = 0.0;
-  PacketObservation bob_rx;          ///< Bob's view of Alice's probe
-  PacketObservation alice_rx;        ///< Alice's view of Bob's response
-  PacketObservation eve_rx_alice_tx;  ///< Eve overhears the probe
-  PacketObservation eve_rx_bob_tx;   ///< Eve overhears the response
-                                     ///< (both empty without Eve)
-  double distance_m = 0.0;           ///< Alice-Bob separation at round start
+  PacketObservation bob_rx;        ///< Bob's view of Alice's probe
+  PacketObservation alice_rx;      ///< Alice's view of Bob's response
+  EveObservation eve_rx_alice_tx;  ///< Eve overhears the probe
+  EveObservation eve_rx_bob_tx;    ///< Eve overhears the response
+                                   ///< (both empty without Eve)
+  double distance_m = 0.0;         ///< Alice-Bob separation at round start
 };
 
 /// Eve's lateral offset from Alice [m]; sets her shadowing correlation

@@ -15,14 +15,14 @@ namespace {
 
 const char* kHeader = "round,observer,symbol,t_start,rssi_dbm";
 
-const char* observer_name(int idx) {
-  switch (idx) {
-    case 0: return "bob_rx";
-    case 1: return "alice_rx";
-    case 2: return "eve_rx_alice_tx";
-    case 3: return "eve_rx_bob_tx";
-  }
-  throw vkey::Error("bad observer index");
+/// Call `fn(name, observation)` for each of `round`'s four observers, in
+/// the schema's order (legitimate and Eve's observations differ in type).
+template <typename Round, typename Fn>
+void for_each_observer(Round& round, Fn&& fn) {
+  fn("bob_rx", round.bob_rx);
+  fn("alice_rx", round.alice_rx);
+  fn("eve_rx_alice_tx", round.eve_rx_alice_tx);
+  fn("eve_rx_bob_tx", round.eve_rx_bob_tx);
 }
 
 /// Parse all of `token` as a T: from_chars must consume every character
@@ -40,15 +40,6 @@ T parse_field(const std::string& token, std::size_t line_no) {
   return value;
 }
 
-PacketObservation& observation_of(ProbeRound& round,
-                                  const std::string& name) {
-  if (name == "bob_rx") return round.bob_rx;
-  if (name == "alice_rx") return round.alice_rx;
-  if (name == "eve_rx_alice_tx") return round.eve_rx_alice_tx;
-  if (name == "eve_rx_bob_tx") return round.eve_rx_bob_tx;
-  throw vkey::Error("unknown observer '" + name + "' in trace CSV");
-}
-
 }  // namespace
 
 void write_trace_csv(std::ostream& out,
@@ -57,15 +48,12 @@ void write_trace_csv(std::ostream& out,
   out.precision(17);
   out << kHeader << "\n";
   for (std::size_t r = 0; r < rounds.size(); ++r) {
-    const PacketObservation* obs[] = {
-        &rounds[r].bob_rx, &rounds[r].alice_rx, &rounds[r].eve_rx_alice_tx,
-        &rounds[r].eve_rx_bob_tx};
-    for (int o = 0; o < 4; ++o) {
-      for (std::size_t s = 0; s < obs[o]->rrssi.size(); ++s) {
-        out << r << ',' << observer_name(o) << ',' << s << ','
-            << obs[o]->t_start << ',' << obs[o]->rrssi[s] << "\n";
+    for_each_observer(rounds[r], [&](const char* name, const auto& obs) {
+      for (std::size_t s = 0; s < obs.rrssi.size(); ++s) {
+        out << r << ',' << name << ',' << s << ',' << obs.t_start << ','
+            << obs.rrssi[s] << "\n";
       }
-    }
+    });
   }
   VKEY_REQUIRE(out.good(), "trace CSV write failed");
 }
@@ -101,13 +89,17 @@ std::vector<ProbeRound> read_trace_csv(std::istream& in) {
     const auto symbol = parse_field<std::size_t>(symbol_s, line_no);
     const auto t_start = parse_field<double>(t_s, line_no);
     const auto rssi = parse_field<double>(rssi_s, line_no);
-    ProbeRound& round = rounds[round_idx];
-    PacketObservation& obs = observation_of(round, observer);
-    VKEY_REQUIRE(symbol == obs.rrssi.size(),
-                 "out-of-order symbol index at line " +
-                     std::to_string(line_no));
-    if (symbol == 0) obs.t_start = t_start;
-    obs.rrssi.push_back(rssi);
+    bool known = false;
+    for_each_observer(rounds[round_idx], [&](const char* name, auto& obs) {
+      if (known || observer != name) return;
+      known = true;
+      VKEY_REQUIRE(symbol == obs.rrssi.size(),
+                   "out-of-order symbol index at line " +
+                       std::to_string(line_no));
+      if (symbol == 0) obs.t_start = t_start;
+      obs.rrssi.push_back(rssi);
+    });
+    VKEY_REQUIRE(known, "unknown observer '" + observer + "' in trace CSV");
   }
 
   std::vector<ProbeRound> out;

@@ -117,7 +117,7 @@ std::vector<double> BitVec::to_doubles() const {
   return v;
 }
 
-BitVec BitVec::from_doubles_threshold(const std::vector<double>& v,
+BitVec BitVec::from_doubles_threshold(std::span<const double> v,
                                       double threshold) {
   BitVec out(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) out.bits_[i] = v[i] >= threshold;

@@ -100,7 +100,7 @@ class BitVec {
   std::vector<double> to_doubles() const;
 
   /// Build from real values thresholded at 0.5.
-  static BitVec from_doubles_threshold(const std::vector<double>& v,
+  static BitVec from_doubles_threshold(std::span<const double> v,
                                        double threshold = 0.5);
 
  private:

@@ -42,24 +42,24 @@ double ArRssiExtractor::eve_boundary(const channel::ProbeRound& round) const {
   return vkey::stats::mean(std::span<const double>(eve.data(), we));
 }
 
-std::vector<double> ArRssiExtractor::sequence(
-    const channel::PacketObservation& obs) const {
-  std::vector<double> out;
-  sequence_into(obs, out);
-  return out;
+double ArRssiExtractor::Windows::mean(std::size_t j) const {
+  return vkey::stats::mean(rrssi.subspan(j * len, len));
 }
 
-void ArRssiExtractor::sequence_into(const channel::PacketObservation& obs,
-                                    std::vector<double>& out) const {
-  const auto& r = obs.rrssi;
-  VKEY_REQUIRE(!r.empty(), "empty packet observation");
-  const std::size_t w = window_len(r.size());
-  out.clear();
-  out.reserve(r.size() / w);
-  for (std::size_t i = 0; i + w <= r.size(); i += w) {
-    out.push_back(
-        vkey::stats::mean(std::span<const double>(r.data() + i, w)));
-  }
+ArRssiExtractor::Windows ArRssiExtractor::windows(
+    std::span<const double> rrssi) const {
+  VKEY_REQUIRE(!rrssi.empty(), "empty packet observation");
+  const std::size_t w = window_len(rrssi.size());
+  return {rrssi, w, rrssi.size() / w};
+}
+
+std::vector<double> ArRssiExtractor::sequence(
+    std::span<const double> rrssi) const {
+  const Windows w = windows(rrssi);
+  std::vector<double> out;
+  out.reserve(w.count);
+  for (std::size_t j = 0; j < w.count; ++j) out.push_back(w.mean(j));
+  return out;
 }
 
 std::size_t ArRssiExtractor::values_per_packet(std::size_t n) const {

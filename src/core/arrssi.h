@@ -15,9 +15,12 @@
 //    window means across all rRSSI samples of a packet. This is the key
 //    material stream feeding the BiLSTM model; its length (~ samples/window
 //    per packet) is what gives Vehicle-Key its 9-14x key-generation-rate
-//    advantage over pRSSI-based schemes (one value per packet).
+//    advantage over pRSSI-based schemes (one value per packet). windows()
+//    reads the same values one at a time, so a caller that keeps a few of
+//    them (extract_streams) computes only those.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "channel/trace.h"
@@ -48,14 +51,24 @@ class ArRssiExtractor {
   /// observation of Bob's response over the Eve-Bob channel.
   double eve_boundary(const channel::ProbeRound& round) const;
 
-  /// Non-overlapping window means over a packet's rRSSI samples
-  /// (any trailing partial window is dropped).
-  std::vector<double> sequence(const channel::PacketObservation& obs) const;
+  /// A packet's non-overlapping windows of rRSSI samples: a view, valid
+  /// while the samples it was made from are.
+  struct Windows {
+    std::span<const double> rrssi;
+    std::size_t len = 0;    ///< samples per window
+    std::size_t count = 0;  ///< whole windows: sequence()'s length
 
-  /// sequence() into caller storage: `out` is overwritten and keeps its
-  /// capacity, so a loop over packets allocates once.
-  void sequence_into(const channel::PacketObservation& obs,
-                     std::vector<double>& out) const;
+    /// Mean of window `j` < count: sequence()[j], bit for bit.
+    double mean(std::size_t j) const;
+  };
+
+  /// The windows of a packet's rRSSI samples (any trailing partial window
+  /// is dropped).
+  Windows windows(std::span<const double> rrssi) const;
+
+  /// Non-overlapping window means over a packet's rRSSI samples: every
+  /// window's mean, in order.
+  std::vector<double> sequence(std::span<const double> rrssi) const;
 
   /// Number of arRSSI values sequence() yields for a packet of `n` samples.
   std::size_t values_per_packet(std::size_t n) const;

@@ -14,18 +14,19 @@ ArRssiStreams extract_streams(const std::vector<channel::ProbeRound>& rounds,
   ArRssiStreams s;
   if (rounds.empty()) return s;
   const bool with_eve = !rounds.front().eve_rx_bob_tx.rrssi.empty();
-  std::vector<double> a, b, e;  // one round's sequences, reused
   for (const auto& r : rounds) {
     VKEY_REQUIRE(r.eve_rx_bob_tx.rrssi.empty() != with_eve,
                  "trace mixes rounds with and without Eve");
-    extractor.sequence_into(r.alice_rx, a);
-    extractor.sequence_into(r.bob_rx, b);
+    // Only the windows kept below are averaged, straight from the samples.
+    const ArRssiExtractor::Windows a = extractor.windows(r.alice_rx.rrssi);
+    const ArRssiExtractor::Windows b = extractor.windows(r.bob_rx.rrssi);
     // Keep the streams index-aligned even if sample counts differ by one
     // (defensive; packets share the same PHY so counts normally match).
-    std::size_t n = std::min(a.size(), b.size());
+    std::size_t n = std::min(a.count, b.count);
+    ArRssiExtractor::Windows e;
     if (with_eve) {
-      extractor.sequence_into(r.eve_rx_bob_tx, e);
-      n = std::min(n, e.size());
+      e = extractor.windows(r.eve_rx_bob_tx.rrssi);
+      n = std::min(n, e.count);
     }
     if (n == 0) continue;
     const std::size_t k =
@@ -40,9 +41,9 @@ ArRssiStreams extract_streams(const std::vector<channel::ProbeRound>& rounds,
     for (std::size_t j = 0; j < k; ++j) {
       // Alice: head of her reception window; Bob: tail of his, mirrored so
       // that index-aligned values are the temporally closest pairs.
-      s.alice.push_back(a[j]);
-      s.bob.push_back(b[n - 1 - j]);
-      if (with_eve) s.eve.push_back(e[j]);
+      s.alice.push_back(a.mean(j));
+      s.bob.push_back(b.mean(n - 1 - j));
+      if (with_eve) s.eve.push_back(e.mean(j));
     }
   }
   return s;

@@ -14,9 +14,9 @@
 // Eve is optional: a trace whose rounds carry no Eve observation (the
 // generator's default, or a two-radio hardware capture) yields an empty
 // Eve stream and samples with an empty eve_seq; a trace that mixes rounds
-// with and without her is rejected. Extraction reuses one buffer per
-// observer across rounds, and make_samples allocates a fixed number of
-// blocks per window.
+// with and without her is rejected. Extraction averages only the windows
+// it keeps, straight from each reception's samples, and make_samples
+// allocates a fixed number of blocks per window.
 #pragma once
 
 #include <cstddef>

@@ -20,12 +20,13 @@
 //
 // Inference has one body, infer_window(): the BiLSTM over flat buffers
 // (BiLstm::infer_into) in a caller's workspace, then both heads straight
-// into the Output. infer() runs it in a call-local workspace, so it
-// allocates four blocks whatever the sequence length: the workspace and the
-// Output's three vectors. infer_batch() runs it window after window in one
-// shared workspace. Training runs flat rows too, one per batch member and
-// sized once per train(): the BiLSTM writes straight into the prediction
-// head's input row, and BPTT reads dL/dh from that row's gradient.
+// into the Output, whose rows hold the default model's outputs inline.
+// infer() runs it in a call-local workspace, so it allocates one block: the
+// workspace. infer_batch() runs it window after window in one shared
+// workspace, allocating that and the Output vector. Training runs flat rows
+// too, one per batch member and sized once per train(): the BiLSTM writes
+// straight into the prediction head's input row, and BPTT reads dL/dh from
+// that row's gradient.
 //
 // Only Alice (or a power-rich RSU) runs this model; Bob uses the
 // conventional multi-bit quantizer on his own measurements.
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "common/bitvec.h"
+#include "common/small_buffer.h"
 #include "core/dataset.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
@@ -74,18 +76,22 @@ class PredictorQuantizer {
   TrainReport train(std::span<const TrainingSample> samples,
                     std::size_t epochs);
 
+  /// One output row: the default model's 64 values live inline, a larger
+  /// model's take one heap block.
+  using OutputRow = SmallBuffer<double, 64>;
+
   struct Output {
-    nn::Vec predicted_seq;   ///< y_hat, length seq_len
-    nn::Vec probabilities;   ///< sigmoid outputs, length key_bits
-    BitVec bits;             ///< thresholded at 0.5
+    OutputRow predicted_seq;  ///< y_hat, length seq_len
+    OutputRow probabilities;  ///< sigmoid outputs, length key_bits
+    BitVec bits;              ///< thresholded at 0.5
   };
 
   /// Inference on one normalized arRSSI window.
   Output infer(const nn::Vec& alice_seq) const;
 
   /// infer() on each window, in order, over one shared workspace: a batch
-  /// allocates each Output's three vectors plus two blocks (the Output
-  /// vector and the workspace).
+  /// of the default model allocates two blocks, the Output vector and the
+  /// workspace.
   std::vector<Output> infer_batch(std::span<const nn::Vec> windows) const;
 
   /// Toggle the int8 inference path at runtime (see PredictorConfig).

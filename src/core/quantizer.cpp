@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/small_buffer.h"
 
 namespace vkey::core {
 
@@ -18,13 +19,17 @@ MultiBitQuantizer::MultiBitQuantizer(const QuantizerConfig& config)
 
 namespace {
 
+/// A block's sorted copy: the default 32-sample block with the largest
+/// tail merged into it (15 samples) fits inline.
+using BlockScratch = SmallBuffer<double, 48>;
+/// At most 2^4 - 1 thresholds: always inline.
+using Thresholds = SmallBuffer<double, 15>;
+
 /// Quantile thresholds splitting `block` into `levels` equal-mass bins
-/// (levels-1 thresholds) into `th`; `sorted` is scratch. Both keep their
-/// capacity, so a quantizer pass allocates them once.
+/// (levels-1 thresholds) into `th`; `sorted` is scratch.
 void quantile_thresholds(std::span<const double> block, std::size_t levels,
-                         std::vector<double>& sorted,
-                         std::vector<double>& th) {
-  sorted.assign(block.begin(), block.end());
+                         BlockScratch& sorted, Thresholds& th) {
+  sorted.assign(block);
   std::sort(sorted.begin(), sorted.end());
   th.resize(levels - 1);
   const std::size_t n = sorted.size();
@@ -36,7 +41,7 @@ void quantile_thresholds(std::span<const double> block, std::size_t levels,
   }
 }
 
-std::size_t level_of(double v, const std::vector<double>& th) {
+std::size_t level_of(double v, const Thresholds& th) {
   std::size_t level = 0;
   while (level < th.size() && v >= th[level]) ++level;
   return level;
@@ -59,7 +64,8 @@ QuantizationResult MultiBitQuantizer::quantize(
   out.bits.reserve(values.size() *
                    static_cast<std::size_t>(cfg_.bits_per_sample));
   out.kept.reserve(values.size());
-  std::vector<double> sorted, th;
+  BlockScratch sorted;
+  Thresholds th;
 
   std::size_t start = 0;
   while (start < values.size()) {
@@ -77,8 +83,7 @@ QuantizationResult MultiBitQuantizer::quantize(
     if (cfg_.guard_band_ratio > 0.0 && th.size() >= 1) {
       double span_est;
       if (th.size() >= 2) {
-        span_est = (th.back() - th.front()) /
-                   static_cast<double>(th.size() - 1);
+        span_est = (th.back() - th[0]) / static_cast<double>(th.size() - 1);
       } else {
         const auto [mn, mx] = std::minmax_element(block.begin(), block.end());
         span_est = (*mx - *mn) / 2.0;
@@ -113,7 +118,8 @@ BitVec MultiBitQuantizer::quantize_at(
   const std::size_t levels = 1u << cfg_.bits_per_sample;
   BitVec out;
   out.reserve(indices.size() * static_cast<std::size_t>(cfg_.bits_per_sample));
-  std::vector<double> block, sorted, th;
+  BlockScratch block, sorted;
+  Thresholds th;
 
   std::size_t start = 0;
   while (start < indices.size()) {

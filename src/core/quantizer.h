@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/bitvec.h"
+#include "common/small_buffer.h"
 
 namespace vkey::core {
 
@@ -29,8 +30,10 @@ struct QuantizerConfig {
 };
 
 struct QuantizationResult {
-  BitVec bits;                        ///< Gray-coded bits of kept samples
-  std::vector<std::size_t> kept;      ///< indices of samples kept
+  BitVec bits;  ///< Gray-coded bits of kept samples
+  /// Indices of samples kept: a key window's 64 live inline, a longer
+  /// series' take one heap block.
+  SmallBuffer<std::size_t, 64> kept;
 };
 
 class MultiBitQuantizer {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "nn/activations.h"
 
 namespace vkey::nn {
 
@@ -34,9 +33,12 @@ double bce_with_logits(std::span<const double> logits,
                  "BCE target must be in [0,1]");
     const double x = logits[i];
     const double z = target[i];
-    // Stable form: max(x,0) - x*z + log(1 + exp(-|x|)).
-    loss += std::max(x, 0.0) - x * z + std::log1p(std::exp(-std::fabs(x)));
-    grad[i] = sigmoid(x) - z;
+    // Stable form: max(x,0) - x*z + log(1 + exp(-|x|)). exp(-|x|) is also
+    // the exponential sigmoid(x) takes on either side of zero, so the
+    // gradient reuses it, bit for bit.
+    const double e = std::exp(-std::fabs(x));
+    loss += std::max(x, 0.0) - x * z + std::log1p(e);
+    grad[i] = (x >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e)) - z;
   }
   return loss;
 }

@@ -12,6 +12,7 @@ SimClock::EventId SimClock::schedule(double delay_ms, Callback fn) {
 SimClock::EventId SimClock::schedule_at(double due_ms, Callback fn) {
   if (due_ms < now_ms_) due_ms = now_ms_;
   const EventId id = next_id_++;
+  if (heap_.capacity() == 0) heap_.reserve(kInitialEvents);
   heap_.push_back(Event{due_ms, id, std::move(fn), true});
   std::push_heap(heap_.begin(), heap_.end(), fires_after);
   ++live_;

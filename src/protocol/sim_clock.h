@@ -19,7 +19,9 @@
 // Storage: one binary min-heap of (due, id, callback) entries in a vector
 // the clock reuses, so a warm clock schedules and runs without allocating
 // (beyond what a std::function needs for captures too large to store
-// inline). cancel() finds its entry by a linear scan — the clocks that
+// inline). The first schedule() reserves room for an agreement attempt's
+// usual events (kInitialEvents), so a per-agreement clock allocates its
+// heap once. cancel() finds its entry by a linear scan — the clocks that
 // cancel hold a handful of ARQ and rekey timers — and leaves a tombstone:
 // the callback is released at once, the entry leaves the heap when it
 // reaches the top, and the heap is compacted when tombstones outnumber the
@@ -82,6 +84,10 @@ class SimClock {
   std::uint64_t clears() const noexcept { return clears_; }
 
  private:
+  /// Events the first schedule() makes room for: more than an agreement
+  /// attempt or a key confirmation holds at once on a lossless link.
+  static constexpr std::size_t kInitialEvents = 16;
+
   struct Event {
     double due_ms;
     EventId id;  ///< insertion order: breaks ties between equal due times

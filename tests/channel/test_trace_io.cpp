@@ -133,8 +133,8 @@ TEST(TraceIo, RejectsPartialAndNonFiniteNumbers) {
 TEST(TraceIo, MutatedCsvIsRejectedOrFinite) {
   auto rounds = make_rounds(2);
   for (ProbeRound& r : rounds) {
-    for (PacketObservation* o :
-         {&r.bob_rx, &r.alice_rx, &r.eve_rx_alice_tx, &r.eve_rx_bob_tx}) {
+    for (PacketObservation* o : {&r.bob_rx, &r.alice_rx}) o->rrssi.resize(3);
+    for (EveObservation* o : {&r.eve_rx_alice_tx, &r.eve_rx_bob_tx}) {
       o->rrssi.resize(3);
     }
   }
@@ -189,13 +189,14 @@ TEST(TraceIo, MutatedCsvIsRejectedOrFinite) {
       ASSERT_FALSE(r.bob_rx.rrssi.empty()) << "trial " << trial;
       ASSERT_FALSE(r.alice_rx.rrssi.empty()) << "trial " << trial;
       ASSERT_TRUE(std::isfinite(r.t_round_start)) << "trial " << trial;
-      for (const PacketObservation* o :
-           {&r.bob_rx, &r.alice_rx, &r.eve_rx_alice_tx, &r.eve_rx_bob_tx}) {
-        ASSERT_TRUE(std::isfinite(o->t_start)) << "trial " << trial;
-        for (const double v : o->rrssi) {
-          ASSERT_TRUE(std::isfinite(v)) << "trial " << trial;
-        }
-      }
+      const auto finite = [](const auto& o) {
+        return std::isfinite(o.t_start) &&
+               std::all_of(o.rrssi.begin(), o.rrssi.end(),
+                           [](double v) { return std::isfinite(v); });
+      };
+      ASSERT_TRUE(finite(r.bob_rx) && finite(r.alice_rx) &&
+                  finite(r.eve_rx_alice_tx) && finite(r.eve_rx_bob_tx))
+          << "trial " << trial;
     }
   }
   EXPECT_GT(accepted, 0);  // the accept path is exercised too

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -140,12 +142,15 @@ TEST(BitVec, ToDoublesAndThreshold) {
   ASSERT_EQ(d.size(), 3u);
   EXPECT_DOUBLE_EQ(d[0], 1.0);
   EXPECT_DOUBLE_EQ(d[1], 0.0);
-  EXPECT_EQ(BitVec::from_doubles_threshold({0.9, 0.1, 0.500001}),
+  EXPECT_EQ(BitVec::from_doubles_threshold(std::vector<double>{0.9, 0.1, 0.500001}),
             BitVec::from_string("101"));
 }
 
 TEST(BitVec, ThresholdCustomValue) {
-  EXPECT_EQ(BitVec::from_doubles_threshold({0.2, 0.4}, 0.3).to_string(), "01");
+  EXPECT_EQ(
+      BitVec::from_doubles_threshold(std::vector<double>{0.2, 0.4}, 0.3)
+          .to_string(),
+      "01");
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST(ArRssi, WindowLenRoundsAndClamps) {
 
 TEST(ArRssi, SequenceIsNonOverlappingMeans) {
   ArRssiExtractor ex(0.5);  // window of 2 on 4 samples
-  const auto seq = ex.sequence(make_obs({1.0, 3.0, 5.0, 7.0}));
+  const auto seq = ex.sequence(make_obs({1.0, 3.0, 5.0, 7.0}).rrssi);
   ASSERT_EQ(seq.size(), 2u);
   EXPECT_DOUBLE_EQ(seq[0], 2.0);
   EXPECT_DOUBLE_EQ(seq[1], 6.0);
@@ -36,7 +36,7 @@ TEST(ArRssi, SequenceIsNonOverlappingMeans) {
 
 TEST(ArRssi, SequenceDropsPartialTail) {
   ArRssiExtractor ex(0.4);  // window of 2 on 5 samples -> 2 windows
-  const auto seq = ex.sequence(make_obs({1.0, 1.0, 2.0, 2.0, 9.0}));
+  const auto seq = ex.sequence(make_obs({1.0, 1.0, 2.0, 2.0, 9.0}).rrssi);
   EXPECT_EQ(seq.size(), 2u);
 }
 
@@ -51,7 +51,7 @@ TEST(ArRssi, BoundaryPairUsesAdjacentWindows) {
   channel::ProbeRound round;
   round.bob_rx = make_obs({1, 1, 1, 1, 1, 1, 10.0, 20.0});   // tail = 15
   round.alice_rx = make_obs({30.0, 40.0, 1, 1, 1, 1, 1, 1}); // head = 35
-  round.eve_rx_bob_tx = make_obs({50.0, 60.0, 1, 1, 1, 1, 1, 1});
+  round.eve_rx_bob_tx.rrssi = {50.0, 60.0, 1, 1, 1, 1, 1, 1};
   const auto bp = ex.boundary_pair(round);
   EXPECT_DOUBLE_EQ(bp.bob_arrssi, 15.0);
   EXPECT_DOUBLE_EQ(bp.alice_arrssi, 35.0);
@@ -60,7 +60,7 @@ TEST(ArRssi, BoundaryPairUsesAdjacentWindows) {
 
 TEST(ArRssi, EmptyObservationRejected) {
   ArRssiExtractor ex(0.1);
-  EXPECT_THROW(ex.sequence(make_obs({})), vkey::Error);
+  EXPECT_THROW(ex.sequence(make_obs({}).rrssi), vkey::Error);
   channel::ProbeRound round;
   EXPECT_THROW(ex.boundary_pair(round), vkey::Error);
 }
@@ -68,7 +68,7 @@ TEST(ArRssi, EmptyObservationRejected) {
 TEST(ArRssi, FullWindowEqualsPrssi) {
   ArRssiExtractor ex(1.0);
   const auto obs = make_obs({-80.0, -82.0, -78.0, -90.0});
-  const auto seq = ex.sequence(obs);
+  const auto seq = ex.sequence(obs.rrssi);
   ASSERT_EQ(seq.size(), 1u);
   EXPECT_DOUBLE_EQ(seq[0], obs.prssi());
 }
@@ -80,8 +80,8 @@ TEST(ArRssi, WiderWindowSmoothsNoise) {
   for (auto& v : noisy) v = rng.gaussian(-80.0, 3.0);
   ArRssiExtractor narrow(0.001);  // window 1
   ArRssiExtractor wide(0.02);     // window 20
-  const auto sn = narrow.sequence(make_obs(noisy));
-  const auto sw = wide.sequence(make_obs(noisy));
+  const auto sn = narrow.sequence(noisy);
+  const auto sw = wide.sequence(noisy);
   auto var = [](const std::vector<double>& x) {
     double m = 0.0, s = 0.0;
     for (double v : x) m += v;

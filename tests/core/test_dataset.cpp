@@ -63,8 +63,8 @@ TEST(Dataset, MirroredPairingImprovesCorrelation) {
   // Build the naive pairing manually: Alice head windows vs Bob head windows.
   std::vector<double> alice_naive, bob_naive;
   for (const auto& r : rounds) {
-    const auto a = ex.sequence(r.alice_rx);
-    const auto b = ex.sequence(r.bob_rx);
+    const auto a = ex.sequence(r.alice_rx.rrssi);
+    const auto b = ex.sequence(r.bob_rx.rrssi);
     for (std::size_t j = 0; j < 4; ++j) {
       alice_naive.push_back(a[j]);
       bob_naive.push_back(b[j]);

@@ -193,7 +193,8 @@ TEST(PredictorGolden, EpochLossesOnSmallFixedInputs) {
   EXPECT_EQ(bits_digest(nn::snapshot(p.parameters())),
             "052b0697f5b2f64ea1cf79f69263dd83377bc0f54488b7d7576ce8d8ae671071");
   const auto out = p.infer(samples[0].alice_seq);
-  std::vector<double> both = out.predicted_seq;
+  std::vector<double> both(out.predicted_seq.begin(),
+                           out.predicted_seq.end());
   both.insert(both.end(), out.probabilities.begin(), out.probabilities.end());
   EXPECT_EQ(bits_digest(both),
             "52f16807dfcd5100655b109bf308722bd4a34f05e1a49a5a22fc0075c92b6eac");

@@ -33,25 +33,29 @@ BitVec random_key(std::size_t n, vkey::Rng& rng) {
 
 class ReconcilerTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    reconciler_ = new AutoencoderReconciler(fast_config());
-    reconciler_->train(2500, 25);
-  }
-  static void TearDownTestSuite() {
-    delete reconciler_;
-    reconciler_ = nullptr;
-  }
-  static AutoencoderReconciler* reconciler_;
-};
+  /// The public code: fast_config()'s encoder is tied and frozen, so this
+  /// is the trained model's f1, bit for bit, and nothing is trained for the
+  /// tests that only run the code.
+  static inline const SyndromeCode code_{64, fast_config().seed};
 
-AutoencoderReconciler* ReconcilerTest::reconciler_ = nullptr;
+  /// The trained model, for the tests that read its decoder: trained on
+  /// first use, once per process.
+  static const AutoencoderReconciler& trained() {
+    static const AutoencoderReconciler model = [] {
+      AutoencoderReconciler r(fast_config());
+      r.train(2500, 25);
+      return r;
+    }();
+    return model;
+  }
+};
 
 TEST_F(ReconcilerTest, NoMismatchIsFixedPoint) {
   vkey::Rng rng(1);
   const BitVec k = random_key(64, rng);
-  const auto y = reconciler_->encode_bob(k);
-  EXPECT_EQ(reconciler_->reconcile(k, y), k);
-  const auto d = reconciler_->decode_mismatch(k, y);
+  const auto y = code_.encode_bob(k);
+  EXPECT_EQ(code_.reconcile(k, y), k);
+  const auto d = code_.decode_mismatch(k, y);
   EXPECT_EQ(d.mismatch.weight(), 0u);
 }
 
@@ -63,7 +67,7 @@ TEST_F(ReconcilerTest, CorrectsSingleFlip) {
     const BitVec kb = random_key(64, rng);
     BitVec ka = kb;
     ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-    success += reconciler_->reconcile(ka, reconciler_->encode_bob(kb)) == kb;
+    success += code_.reconcile(ka, code_.encode_bob(kb)) == kb;
   }
   EXPECT_GE(success, trials - 1);
 }
@@ -78,8 +82,7 @@ TEST_F(ReconcilerTest, CorrectsModerateMismatch) {
     for (std::size_t i = 0; i < 64; ++i) {
       if (rng.bernoulli(0.05)) ka.flip(i);
     }
-    success +=
-        reconciler_->reconcile(ka, reconciler_->encode_bob(kb)) == kb;
+    success += code_.reconcile(ka, code_.encode_bob(kb)) == kb;
   }
   EXPECT_GE(success, trials * 6 / 10);
 }
@@ -95,13 +98,13 @@ TEST_F(ReconcilerTest, ImprovesAgreementAtHighBer) {
       if (rng.bernoulli(0.10)) ka.flip(i);
     }
     pre += ka.agreement(kb);
-    post += reconciler_->reconcile(ka, reconciler_->encode_bob(kb))
-                .agreement(kb);
+    post += code_.reconcile(ka, code_.encode_bob(kb)).agreement(kb);
   }
   EXPECT_GT(post / trials, pre / trials + 0.03);
 }
 
 TEST_F(ReconcilerTest, UncorrelatedKeyGainsNothingOneShot) {
+  const AutoencoderReconciler& model = trained();
   // The paper's eavesdropping attack: feeding the syndrome to the decoder
   // with unrelated key material must stay near 50% agreement.
   vkey::Rng rng(5);
@@ -110,13 +113,14 @@ TEST_F(ReconcilerTest, UncorrelatedKeyGainsNothingOneShot) {
   for (int trial = 0; trial < trials; ++trial) {
     const BitVec kb = random_key(64, rng);
     const BitVec ke = random_key(64, rng);
-    agree += reconciler_->reconcile_one_shot(ke, reconciler_->encode_bob(kb))
-                 .agreement(kb);
+    agree +=
+        model.reconcile_one_shot(ke, model.encode_bob(kb)).agreement(kb);
   }
   EXPECT_NEAR(agree / trials, 0.5, 0.1);
 }
 
 TEST_F(ReconcilerTest, VerifyingEveryFlipBeatsTheDecoderShortlist) {
+  const AutoencoderReconciler& model = trained();
   // 17% BER is the channel's pre-reconciliation disagreement (kar_pre ~
   // 0.833): scoring all 64 flips each pass recovers far more blocks exactly
   // than scoring the trained decoder's 16 top-scored ones.
@@ -129,16 +133,16 @@ TEST_F(ReconcilerTest, VerifyingEveryFlipBeatsTheDecoderShortlist) {
     for (std::size_t i = 0; i < 64; ++i) {
       if (rng.bernoulli(0.17)) ka.flip(i);
     }
-    const auto y = reconciler_->encode_bob(kb);
-    every += (ka ^ reconciler_->decode_mismatch(ka, y).mismatch) == kb;
-    guided += (ka ^ reconciler_->decode_guided(ka, y).mismatch) == kb;
+    const auto y = model.encode_bob(kb);
+    every += (ka ^ model.decode_mismatch(ka, y).mismatch) == kb;
+    guided += (ka ^ model.decode_guided(ka, y).mismatch) == kb;
   }
   EXPECT_GE(every - guided, trials / 10) << every << " vs " << guided;
 }
 
 TEST_F(ReconcilerTest, SyndromeHasCodeDim) {
   vkey::Rng rng(6);
-  EXPECT_EQ(reconciler_->encode_bob(random_key(64, rng)).size(), 32u);
+  EXPECT_EQ(code_.encode_bob(random_key(64, rng)).size(), 32u);
 }
 
 TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
@@ -149,9 +153,9 @@ TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
     for (int f = 0; f < flips; ++f) {
       ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
     }
-    const auto y = reconciler_->encode_bob(kb);
+    const auto y = code_.encode_bob(kb);
     std::vector<std::uint8_t> bytes(kSyndromeBytes);
-    reconciler_->syndrome(kb, bytes);
+    code_.syndrome(kb, bytes);
     // y_Bob's doubles as 8 little-endian IEEE-754 bytes each.
     ASSERT_EQ(bytes.size(), y.size() * 8);
     for (std::size_t i = 0; i < y.size(); ++i) {
@@ -161,15 +165,14 @@ TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
             << "double " << i << " byte " << b;
       }
     }
-    const std::optional<BitVec> fixed = reconciler_->correct(ka, bytes);
+    const std::optional<BitVec> fixed = code_.correct(ka, bytes);
     ASSERT_TRUE(fixed.has_value());
-    EXPECT_EQ(*fixed, reconciler_->reconcile(ka, y)) << flips << " flips";
+    EXPECT_EQ(*fixed, code_.reconcile(ka, y)) << flips << " flips";
   }
   // Anything but exactly kCodeDim doubles is refused, not decoded.
   const BitVec k = random_key(64, rng);
   for (const std::size_t n : {0u, 255u, 264u}) {
-    EXPECT_FALSE(
-        reconciler_->correct(k, std::vector<std::uint8_t>(n)).has_value())
+    EXPECT_FALSE(code_.correct(k, std::vector<std::uint8_t>(n)).has_value())
         << n << " bytes";
   }
 }
@@ -180,18 +183,17 @@ TEST_F(ReconcilerTest, IterationsReported) {
   BitVec ka = kb;
   ka.flip(5);
   ka.flip(30);
-  const auto d = reconciler_->decode_mismatch(ka, reconciler_->encode_bob(kb));
+  const auto d = code_.decode_mismatch(ka, code_.encode_bob(kb));
   EXPECT_GE(d.iterations, 2u);
   EXPECT_LE(d.iterations, 40u);  // the greedy decode's pass budget
 }
 
 TEST_F(ReconcilerTest, InputWidthsChecked) {
   vkey::Rng rng(8);
-  EXPECT_THROW(reconciler_->encode_bob(BitVec(32)), vkey::Error);
-  const auto y = reconciler_->encode_bob(random_key(64, rng));
-  EXPECT_THROW(reconciler_->reconcile(BitVec(32), y), vkey::Error);
-  EXPECT_THROW(reconciler_->reconcile(random_key(64, rng),
-                                      std::vector<double>(5)),
+  EXPECT_THROW(code_.encode_bob(BitVec(32)), vkey::Error);
+  const auto y = code_.encode_bob(random_key(64, rng));
+  EXPECT_THROW(code_.reconcile(BitVec(32), y), vkey::Error);
+  EXPECT_THROW(code_.reconcile(random_key(64, rng), std::vector<double>(5)),
                vkey::Error);
 }
 
