@@ -52,14 +52,14 @@ struct ReconcilerScore {
   double eve;
 };
 
-/// How a score corrects a key: the protocol's decode, the decoder-guided
-/// greedy decode, or one decoder pass.
-enum class Decode { kEveryFlip, kGuided, kOneShot };
+/// How a score corrects a key: the protocol's beam decode, the
+/// decoder-guided greedy decode, or one decoder pass.
+enum class Decode { kBeam, kGuided, kOneShot };
 
 BitVec correct(const AutoencoderReconciler& rec, Decode decode,
                const BitVec& key, std::span<const double> y) {
   switch (decode) {
-    case Decode::kEveryFlip:
+    case Decode::kBeam:
       return rec.reconcile(key, y);
     case Decode::kGuided:
       return key ^ rec.decode_guided(key, y).mismatch;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       rc.decoder_units = 64;
       AutoencoderReconciler rec(rc);
       rec.train(report.scaled(2500, 600), report.scaled(25, 6));
-      const auto s = score_reconciler(rec, Decode::kEveryFlip, 7, trials);
+      const auto s = score_reconciler(rec, Decode::kBeam, 7, trials);
       t.add_row({c.name, Table::pct(s.kar), Table::pct(s.success),
                  Table::pct(s.eve)});
     }
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
     rec.train(report.scaled(2500, 600), report.scaled(25, 6));
     Table t({"decode", "KAR @6% BER", "exact blocks", "Eve"});
     for (const auto& [name, decode] :
-         {std::pair{"verify every flip (default)", Decode::kEveryFlip},
+         {std::pair{"beam of 8 within 14 flips (default)", Decode::kBeam},
           std::pair{"greedy, decoder shortlist", Decode::kGuided},
           std::pair{"one-shot decoder pass", Decode::kOneShot}}) {
       const auto s = score_reconciler(rec, decode, 9, trials);

@@ -2,7 +2,7 @@
 //
 // google-benchmark timings of each per-key online operation for both roles:
 //   Alice: BiLSTM prediction + quantization inference, reconciliation
-//          (the protocol's greedy decode against the public encoder, on a
+//          (the protocol's beam decode against the public encoder, on a
 //          block carrying the channel's attempt-0 mismatch), privacy
 //          amplification.
 //   Bob:   multi-bit quantization, syndrome encoding, privacy amplification.

@@ -89,8 +89,16 @@ std::vector<ProbeRound> read_trace_csv(std::istream& in) {
     const auto symbol = parse_field<std::size_t>(symbol_s, line_no);
     const auto t_start = parse_field<double>(t_s, line_no);
     const auto rssi = parse_field<double>(rssi_s, line_no);
+    auto round = rounds.find(round_idx);
+    if (round == rounds.end()) {
+      VKEY_REQUIRE(rounds.size() < kMaxTraceRounds,
+                   "trace CSV names more than " +
+                       std::to_string(kMaxTraceRounds) + " rounds at line " +
+                       std::to_string(line_no));
+      round = rounds.emplace(round_idx, ProbeRound{}).first;
+    }
     bool known = false;
-    for_each_observer(rounds[round_idx], [&](const char* name, auto& obs) {
+    for_each_observer(round->second, [&](const char* name, auto& obs) {
       if (known || observer != name) return;
       known = true;
       VKEY_REQUIRE(symbol == obs.rrssi.size(),

@@ -13,6 +13,7 @@
 // within the packet.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -27,9 +28,16 @@ void write_trace_csv(std::ostream& out,
 void save_trace_csv(const std::string& path,
                     const std::vector<ProbeRound>& rounds);
 
+/// The most distinct rounds read_trace_csv accepts. A round held while
+/// reading costs about 1 KiB whatever its line holds, so this keeps a
+/// hostile CSV with one line per round index under ~64 MiB; a capture of
+/// more rounds is split into several files.
+inline constexpr std::size_t kMaxTraceRounds = std::size_t{1} << 16;
+
 /// Parse a CSV stream/file produced by write_trace_csv (or by a hardware
 /// capture tool following the same schema). Throws vkey::Error on malformed
-/// input; rounds with missing observers are rejected.
+/// input; rounds with missing observers are rejected, and so is a CSV that
+/// names more than kMaxTraceRounds rounds, at the line that names one more.
 std::vector<ProbeRound> read_trace_csv(std::istream& in);
 std::vector<ProbeRound> load_trace_csv(const std::string& path);
 

@@ -27,14 +27,28 @@ constexpr std::size_t kBatchSize = 32;
 /// Bit-disagreement rates of the synthetic training pairs (uniform).
 constexpr double kTrainBerLo = 0.0;
 constexpr double kTrainBerHi = 0.20;
-/// Greedy decoding budget (see decode_mismatch in the header).
+/// Decoding budget in passes, for both decodes (see the header).
 constexpr std::size_t kMaxDecodeIterations = 40;
+/// The protocol decode's beam: the states it keeps between passes, and its
+/// design radius, the most net flips it returns (key_bits * 7 / 32: 14 of
+/// 64, between Alice's ~17% attempt-0 mismatch and Eve's ~49%).
+constexpr std::size_t kBeamWidth = 8;
+constexpr std::size_t decode_radius(std::size_t key_bits) {
+  return key_bits * 7 / 32;
+}
+/// A residual energy at or below this is the exact key: the syndrome
+/// travels as data, so Bob's key leaves rounding error alone.
+constexpr double kConverged = 1e-9;
+/// The score of a flip the radius rules out: it never enters the beam.
+constexpr double kNever = std::numeric_limits<double>::infinity();
 /// Flips a decoder-guided pass scores (see decode_guided in the header).
 constexpr std::size_t kShortlist = 16;
 constexpr std::uint64_t kBloomSeed = 0x5e551011;  ///< public Bloom parameters
 
-/// Per-key-bit doubles, inline for every key a BitVec holds inline.
+/// Per-key-bit doubles and bytes, inline for every key a BitVec holds
+/// inline.
 using KeyScratch = SmallBuffer<double, BitVec::kInlineBits>;
+using KeyBits = SmallBuffer<std::uint8_t, BitVec::kInlineBits>;
 
 /// `bits` as 0.0 / 1.0 encoder inputs.
 void load_bits(const BitVec& bits, KeyScratch& out) {
@@ -49,9 +63,8 @@ void check_widths(std::size_t key_bits, const BitVec& key_alice,
   VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
 }
 
-/// The greedy loop both decodes run; `candidates(h, score)` calls score(i)
-/// for each flip position i a pass considers, in order, and is the only
-/// difference between them.
+/// decode_guided's greedy loop; `candidates(h, score)` calls score(i) for
+/// each flip position i a pass considers, in order.
 ///
 /// The syndrome travels as data (not over a noisy analog channel), so
 /// h = y_Bob - f1(K'_work) vanishes exactly when the working key matches
@@ -93,7 +106,7 @@ SyndromeCode::DecodeResult greedy_decode(
   double best_norm2 = h_norm2;
   std::size_t iters = 0;
 
-  while (iters < kMaxDecodeIterations && h_norm2 > 1e-9) {
+  while (iters < kMaxDecodeIterations && h_norm2 > kConverged) {
     ++iters;
     std::fill(dots.begin(), dots.end(), 0.0);
     for (std::size_t r = 0; r < kCodeDim; ++r) {
@@ -138,6 +151,45 @@ SyndromeCode::DecodeResult greedy_decode(
   return {bloom.map_mismatch_back(best_delta), iters};
 }
 
+/// A Bloom-mapped key's flips as packed words, inline for every key a
+/// BitVec holds inline.
+using KeyWords = SmallBuffer<std::uint64_t, BitVec::kInlineBits / 64>;
+
+bool has_bit(const KeyWords& words, std::size_t i) {
+  return ((words[i / 64] >> (i % 64)) & 1u) != 0;
+}
+
+/// One state of decode_mismatch's beam: the bits it flips in Alice's
+/// Bloom-mapped key and how many, s_i = 1 - 2 w_i for each bit of the key
+/// it reaches, its residual energy ||h||^2 and <h, W_col_i> for every bit.
+struct BeamState {
+  KeyWords flipped;
+  std::size_t flips = 0;
+  KeyScratch sign;
+  double norm2 = 0.0;
+  KeyScratch dots;
+};
+
+/// A child a pass keeps: state `from` with bit `bit` flipped.
+struct Child {
+  double norm2 = 0.0;
+  std::size_t from = 0, bit = 0;
+};
+
+/// Whether flipping bit i of `a` gives the same key as flipping bit j of
+/// `b`, for two distinct states of one pass.
+bool same_child(const KeyWords& a, std::size_t i, const KeyWords& b,
+                std::size_t j) {
+  if (i == j) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    std::uint64_t x = a[k] ^ b[k];
+    if (k == i / 64) x ^= std::uint64_t{1} << (i % 64);
+    if (k == j / 64) x ^= std::uint64_t{1} << (j % 64);
+    if (x != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 SyndromeCode::SyndromeCode(std::size_t key_bits, std::uint64_t seed)
@@ -145,6 +197,33 @@ SyndromeCode::SyndromeCode(std::size_t key_bits, std::uint64_t seed)
       bloom_(key_bits, kBloomSeed),
       f1_(key_bits, kCodeDim, rng_) {
   VKEY_REQUIRE(key_bits >= 8, "key too short");
+  form_gram();
+}
+
+void SyndromeCode::form_gram() {
+  const std::size_t n = key_bits();
+  const double* w = f1_.weights().value.data();  // kCodeDim x n
+  gram_.assign(n * n, 0.0);
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    const double* row = w + r * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) gram_[i * n + j] += row[i] * row[j];
+    }
+  }
+}
+
+double SyndromeCode::residual(std::span<const std::uint8_t> work,
+                              std::span<const double> y_bob,
+                              std::span<double, kCodeDim> h) const {
+  KeyScratch x(work.size());
+  for (std::size_t i = 0; i < work.size(); ++i) x[i] = work[i];
+  f1_.infer_into(x.data(), h.data());
+  double norm2 = 0.0;
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    h[r] = y_bob[r] - h[r];
+    norm2 += h[r] * h[r];
+  }
+  return norm2;
 }
 
 std::array<double, kCodeDim> SyndromeCode::encode_bob(
@@ -161,10 +240,146 @@ SyndromeCode::DecodeResult SyndromeCode::decode_mismatch(
     const BitVec& key_alice, std::span<const double> y_bob) const {
   const std::size_t n = key_bits();
   check_widths(n, key_alice, y_bob);
-  return greedy_decode(f1_, bloom_, key_alice, y_bob,
-                       [n](std::span<const double>, auto&& score) {
-                         for (std::size_t i = 0; i < n; ++i) score(i);
-                       });
+  const std::size_t radius = decode_radius(n);
+  const double* w = f1_.weights().value.data();  // kCodeDim x n
+  const BitVec mapped = bloom_.apply(key_alice);
+  KeyBits start(n);
+  KeyScratch diag(n), score(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    start[i] = mapped.get(i);
+    diag[i] = gram_[i * n + i];
+  }
+
+  // Two generations of states; a pass reads one and writes the other.
+  std::array<std::array<BeamState, kBeamWidth>, 2> gens;
+  for (auto& gen : gens) {
+    for (BeamState& st : gen) {
+      st.flipped.resize((n + 63) / 64);
+      st.sign.resize(n);
+      st.dots.resize(n);
+    }
+  }
+  std::size_t cur = 0, width = 1;
+
+  // The start state: Alice's key itself, its residual h and <h, W_col_i>.
+  BeamState& first = gens[cur][0];
+  std::array<double, kCodeDim> h{};
+  first.norm2 = residual(start, y_bob, h);
+  for (std::size_t i = 0; i < n; ++i) first.sign[i] = start[i] ? -1.0 : 1.0;
+  double* const dots0 = first.dots.data();
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    const double* row = w + r * n;
+    for (std::size_t i = 0; i < n; ++i) dots0[i] += h[r] * row[i];
+  }
+  std::size_t macs = 2 * n * kCodeDim;
+  const double initial_norm2 = first.norm2;
+  double best_norm2 = first.norm2;
+  KeyWords best = first.flipped;
+  bool converged = best_norm2 <= kConverged;
+  std::size_t iters = 0;
+
+  while (!converged && iters < kMaxDecodeIterations) {
+    ++iters;
+    const auto& beam = gens[cur];
+    auto& next = gens[cur ^ 1];
+    // Score every single-bit flip of every state within the radius: the
+    // energy it leaves is ||h||^2 - 2 s_i <h, W_col_i> + G_ii. Keep the
+    // kBeamWidth lowest of distinct keys in (energy, state, bit) order: a
+    // scan in state-then-bit order inserts after equal energies, and of
+    // two routes to one key the one ranked first stays.
+    std::array<Child, kBeamWidth> kept;
+    std::size_t nkept = 0;
+    double bar = kNever;  // the energy a child must beat to be kept
+    for (std::size_t s = 0; s < width; ++s) {
+      const BeamState& st = beam[s];
+      const double* sign = st.sign.data();
+      const double* dots = st.dots.data();
+      double* const out = score.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = st.norm2 - 2.0 * sign[i] * dots[i] + diag[i];
+      }
+      macs += n;
+      if (st.flips == radius) {  // only un-flipping keeps it in the radius
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!has_bit(st.flipped, i)) out[i] = kNever;
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double norm2 = out[i];
+        if (!(norm2 < bar)) continue;
+        std::size_t at = nkept;  // a state's own children are distinct
+        for (std::size_t k = 0; k < nkept; ++k) {
+          if (kept[k].from != s &&
+              same_child(st.flipped, i, beam[kept[k].from].flipped,
+                         kept[k].bit)) {
+            at = k;
+            break;
+          }
+        }
+        if (at < nkept) {
+          if (!(norm2 < kept[at].norm2)) continue;
+        } else if (nkept < kBeamWidth) {
+          ++nkept;
+        }
+        // Drop entry `at` (the duplicate, or the worst when full), then
+        // insert after every kept energy at or below this one.
+        at = std::min(at, nkept - 1);
+        for (; at > 0 && kept[at - 1].norm2 > norm2; --at) {
+          kept[at] = kept[at - 1];
+        }
+        kept[at] = {norm2, s, i};
+        if (nkept == kBeamWidth) bar = kept[nkept - 1].norm2;
+      }
+    }
+    if (nkept == 0) break;  // a non-finite syndrome scores nothing
+
+    // Each kept child updates its parent's dot products through row `bit`
+    // of the Gram matrix: flipping bit i moves h by -s_i W_col_i.
+    for (std::size_t k = 0; k < nkept; ++k) {
+      const Child& c = kept[k];
+      const BeamState& parent = beam[c.from];
+      BeamState& child = next[k];
+      const double s = parent.sign[c.bit];
+      child.flipped = parent.flipped;
+      child.flipped[c.bit / 64] ^= std::uint64_t{1} << (c.bit % 64);
+      child.flips = has_bit(child.flipped, c.bit) ? parent.flips + 1
+                                                  : parent.flips - 1;
+      std::copy_n(parent.sign.data(), n, child.sign.data());
+      child.sign[c.bit] = -s;
+      child.norm2 = c.norm2;
+      const double* g = gram_.data() + c.bit * n;
+      const double* dots = parent.dots.data();
+      double* out = child.dots.data();
+      for (std::size_t m = 0; m < n; ++m) out[m] = dots[m] - s * g[m];
+    }
+    macs += nkept * n;
+    cur ^= 1;
+    width = nkept;
+
+    if (next[0].norm2 < best_norm2) {
+      best_norm2 = next[0].norm2;
+      best = next[0].flipped;
+    }
+    if (best_norm2 <= kConverged) {
+      // The running energies pick up rounding pass after pass: the winner
+      // counts as converged only if its key passes the test from scratch.
+      KeyBits work = start;
+      for (std::size_t i = 0; i < n; ++i) work[i] ^= has_bit(best, i);
+      best_norm2 = residual(work, y_bob, h);
+      macs += n * kCodeDim;
+      converged = best_norm2 <= kConverged;
+    }
+  }
+
+  // Convergence gate: a mismatch inside the design radius drives the
+  // residual to (near) zero. If it never fell below a quarter of its
+  // starting energy, the mismatch was denser than the code can localize
+  // (e.g. an eavesdropper's uncorrelated key): report no correction.
+  BitVec delta(n);
+  if (best_norm2 <= 0.25 * initial_norm2) {
+    for (std::size_t i = 0; i < n; ++i) delta.set(i, has_bit(best, i));
+  }
+  return {bloom_.map_mismatch_back(delta), iters, macs};
 }
 
 BitVec SyndromeCode::reconcile(const BitVec& key_alice,
@@ -347,6 +562,7 @@ double AutoencoderReconciler::train(std::size_t num_samples,
     }
     last_epoch_loss = epoch_loss / static_cast<double>(pairs.size());
   }
+  if (train_encoder) form_gram();  // decode_mismatch reads f1's Gram matrix
   return last_epoch_loss;
 }
 

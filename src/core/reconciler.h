@@ -10,10 +10,11 @@
 //
 // SyndromeCode is the half the protocol runs, all of it public: the Bloom
 // map, Bob's encoder f1 (frozen at its random start) and decode_mismatch,
-// which solves for delta_x against f1 itself: a greedy loop that scores
-// every single-bit flip of Alice's working key against the residual on
-// each pass and commits the best one. No decoder layer runs and nothing is
-// trained. Sessions, the supervisor, the gateway and attacks take one.
+// which solves for delta_x against f1 itself: a bounded beam search that
+// scores every single-bit flip of each of its working keys against the
+// residual on each pass and keeps the best few keys within a design
+// radius. No decoder layer runs and nothing is trained. Sessions, the
+// supervisor, the gateway and attacks take one.
 //
 // AutoencoderReconciler adds what the paper's figures use: Alice's encoder
 // f2, the decoder MLP g and its training, decode_guided() (g shortlists
@@ -33,9 +34,13 @@
 //  * Adam at learning rate 2e-3 over mini-batches of 32;
 //  * training bit-disagreement rates drawn uniformly from [0, 0.20], which
 //    covers the channel's pre-reconciliation rates;
-//  * at most 40 greedy decode passes, and a decode that leaves more than a
-//    quarter of the initial residual energy reports no correction (see
-//    decode_mismatch);
+//  * at most 40 passes for either decode, and a decode that leaves more
+//    than a quarter of the initial residual energy reports no correction;
+//  * decode_mismatch's beam keeps 8 working keys and returns at most
+//    key_bits * 7 / 32 flips (14 of 64: between Alice's ~17% attempt-0
+//    mismatch and Eve's ~49%), and it counts a residual energy of at most
+//    1e-9 as converged only once the winner's key passes that test from
+//    scratch (see decode_mismatch);
 //  * a decoder-guided pass shortlists the decoder's 16 top-scored flips;
 //  * Bloom parameters from the public seed 0x5e551011.
 //
@@ -45,19 +50,25 @@
 // reconcile() against those bytes, refusing any other length. Sessions and
 // attacks use only these two; the bytes are SyndromeCode's to define.
 //
-// Cost accounting: decode_mismatch() encodes Alice's key once (N x M
-// multiply-accumulates), works out the encoder's N column norms once
-// (N x M) and spends one M-term dot product per flip per pass (N x M), so
-// a decode of I passes costs (2 + I) x N x M. decode_flops() counts one
-// decoder-guided pass (encoder + decoder g), the quantity Fig. 11 compares
-// across decoder widths and against the CS/OMP decoder.
+// Cost accounting: each code forms f1's Gram matrix W^T W once (N x N x M
+// multiply-accumulates, set-up; again when training moves f1).
+// decode_mismatch() encodes Alice's key (N x M) and dots her residual with
+// every encoder column (N x M); each pass then scores every flip of every
+// state (one multiply-accumulate each, N per state) and updates each kept
+// child's N dot products from one Gram row (N per child), and a converged
+// winner is re-encoded once (N x M). So a decode of I passes costs at most
+// (3 x M + 16 x I) x N, and DecodeResult::macs counts what it spent.
+// decode_guided() runs the greedy loop, whose pass sweeps W once (N x M);
+// decode_flops() counts one decoder-guided pass (encoder + decoder g), the
+// quantity Fig. 11 compares across decoder widths and against the CS/OMP
+// decoder.
 //
 // Allocation: encode_bob() and decode_mismatch() work in fixed-size
-// scratch: y_Bob and the residual are kCodeDim arrays, and the per-key-bit
-// doubles (the mapped key as encoder input, the column norms, each pass's
-// dot products) live in SmallBuffers that hold BitVec::kInlineBits of them
-// inline, so neither allocates at key widths up to 128 bits, whatever the
-// number of passes.
+// scratch: y_Bob and the residual are kCodeDim arrays, the beam's states
+// are two fixed arrays of 8, and their per-key-bit values (flips
+// as packed words, signs, dot products, each pass's scores) live in
+// SmallBuffers that hold BitVec::kInlineBits of them inline, so neither
+// allocates at key widths up to 128 bits, whatever the number of passes.
 #pragma once
 
 #include <array>
@@ -94,20 +105,27 @@ class SyndromeCode {
 
   struct DecodeResult {
     BitVec mismatch;         ///< estimated flips, original key space
-    std::size_t iterations = 0;  ///< greedy passes used
+    std::size_t iterations = 0;  ///< passes used
+    /// Multiply-accumulates decode_mismatch() spent (see "Cost accounting");
+    /// decode_guided() leaves it 0, Fig. 11 charges it decode_flops() a pass.
+    std::size_t macs = 0;
   };
 
   /// Alice's side, the protocol's decode: recover the estimated mismatch
-  /// (in original key space). A greedy loop of at most 40 passes: each pass
-  /// scores every single-bit flip of Alice's working key by the residual
-  /// ||h'|| it would leave (with a linear encoder, flipping bit i moves h by
-  /// -(1 - 2 w_i) W_col_i, one M-term dot product given the column norms)
-  /// and commits the flip that shrinks it most (Alice-side only, no extra
-  /// communication). A pass that cannot shrink the residual ends the loop;
-  /// the best state reached is kept, and a decode whose residual never fell
-  /// below a quarter of its initial energy reports no correction. Inverts
-  /// f1, the encoder that produced y_Bob. Allocates nothing up to 128-bit
-  /// keys.
+  /// (in original key space) by a beam search over her working keys,
+  /// Alice-side only, with no extra communication. It starts from her key;
+  /// each of at most 40 passes scores every single-bit flip of every state
+  /// by the residual energy ||y_Bob - f1(K'_work)||^2 it would leave (with
+  /// a linear encoder, flipping bit i moves h by -(1 - 2 w_i) W_col_i, so
+  /// a score is one multiply-accumulate given the state's dot products and
+  /// the Gram matrix) and keeps the 8 lowest-scored distinct keys, ties
+  /// broken by score, then state, then bit, so the result is the same on
+  /// every lane. No key strays more than key_bits * 7 / 32 flips from
+  /// hers. The loop stops once the best key reached passes the 1e-9
+  /// convergence test, re-checked from scratch; that key is kept, and a
+  /// decode whose best key never fell below a quarter of the initial
+  /// energy reports no correction. Inverts f1, the encoder that produced
+  /// y_Bob. Allocates nothing up to 128-bit keys.
   DecodeResult decode_mismatch(const BitVec& key_alice,
                                std::span<const double> y_bob) const;
 
@@ -127,11 +145,23 @@ class SyndromeCode {
                                 std::span<const std::uint8_t> syndrome) const;
 
  protected:
+  /// Form f1's Gram matrix W^T W (N x N); again whenever f1 trains.
+  void form_gram();
+
   /// The stream f1 was drawn from, where that draw left it: the trained
   /// half draws f2, its decoder and its epochs' shuffles from here.
   vkey::Rng rng_;
   PositionPreservingBloom bloom_;
   nn::Dense f1_;  ///< Bob's encoder, and Alice's when tied
+
+ private:
+  /// h = y_Bob - f1(`work`) for a Bloom-mapped key of 0/1 bytes; returns
+  /// ||h||^2.
+  double residual(std::span<const std::uint8_t> work,
+                  std::span<const double> y_bob,
+                  std::span<double, kCodeDim> h) const;
+
+  std::vector<double> gram_;  ///< W^T W of f1, row-major
 };
 
 struct ReconcilerConfig {
@@ -140,7 +170,7 @@ struct ReconcilerConfig {
   /// Share one encoder between the two parties (f1 == f2). With untied
   /// linear encoders the decoder's input h = f1(K'_B) - f2(K'_A) contains
   /// a nuisance term (W1 - W2) K'_A that it cannot observe; tying removes
-  /// it. The greedy decodes always invert f1, which produced y_Bob. The
+  /// it. Both iterative decodes invert f1, which produced y_Bob. The
   /// paper draws two encoder MLPs; tying is the weight-shared special case.
   bool tie_encoders = true;
   /// Keep the encoder frozen at its random initialization. A random
@@ -173,10 +203,13 @@ class AutoencoderReconciler : public SyndromeCode {
   /// layer). Returns the final mean training loss.
   double train(std::size_t num_samples, std::size_t epochs);
 
-  /// decode_mismatch()'s loop with the decoder MLP choosing the candidates:
-  /// each pass runs g on the residual and scores only its 16 top-scored
-  /// flips. Fig. 11's AE-16..AE-128 rows and ablation A5 run it to compare
-  /// decoder widths; no protocol path does.
+  /// A greedy single-path decode with the decoder MLP choosing the
+  /// candidates: each pass runs g on the residual, scores only its 16
+  /// top-scored flips and commits the one that shrinks the residual most;
+  /// a pass that cannot shrink it ends the loop, and the best state reached
+  /// is kept (40-pass budget and quarter-energy gate as decode_mismatch's).
+  /// Fig. 11's AE-16..AE-128 rows and ablation A5 run it to compare decoder
+  /// widths; no protocol path does.
   DecodeResult decode_guided(const BitVec& key_alice,
                              std::span<const double> y_bob) const;
 

@@ -109,7 +109,7 @@ std::string to_string(FailureReason r) {
 
 AgreementReport run_reliable_key_agreement(
     PublicChannel& base, const core::SyndromeCode& reconciler,
-    const ReliabilityConfig& config, const ProbeMaterialFn& material) {
+    const ReliabilityConfig& config, ProbeMaterialRef material) {
   VKEY_REQUIRE(config.max_session_attempts >= 1, "need at least one attempt");
   AgreementReport report;
 

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -111,12 +113,41 @@ struct AgreementReport {
 using ProbeMaterialFn =
     std::function<std::pair<BitVec, BitVec>(std::size_t attempt)>;
 
+/// What run_reliable_key_agreement takes: a non-owning reference to any
+/// callable of ProbeMaterialFn's shape (a lambda, a ProbeMaterialFn). It
+/// is two words and never copies the callable, so passing a lambda
+/// allocates nothing whatever it captures. The callable must outlive the
+/// call, which a lambda written as the argument does.
+class ProbeMaterialRef {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, ProbeMaterialRef> &&
+                std::is_invocable_r_v<std::pair<BitVec, BitVec>, F&,
+                                      std::size_t>>>
+  ProbeMaterialRef(F&& callable) noexcept  // implicit: call sites pass lambdas
+      : callable_(std::addressof(callable)),
+        call_([](const void* c, std::size_t attempt) {
+          using Callable = std::remove_reference_t<F>;
+          return std::pair<BitVec, BitVec>((*static_cast<Callable*>(
+              const_cast<void*>(c)))(attempt));
+        }) {}
+
+  std::pair<BitVec, BitVec> operator()(std::size_t attempt) const {
+    return call_(callable_, attempt);
+  }
+
+ private:
+  const void* callable_;
+  std::pair<BitVec, BitVec> (*call_)(const void*, std::size_t);
+};
+
 /// Run key agreement with ARQ + session recovery over a faulty link, on a
 /// virtual clock of its own. `base` keeps the eavesdropper transcript across
 /// attempts and may carry a MITM interceptor.
 AgreementReport run_reliable_key_agreement(
     PublicChannel& base, const core::SyndromeCode& reconciler,
-    const ReliabilityConfig& config, const ProbeMaterialFn& material);
+    const ReliabilityConfig& config, ProbeMaterialRef material);
 
 /// Eagerly register every instrument the session/ARQ/link/reliability stack
 /// creates lazily — including the rare-path taxonomy (the per-kind

@@ -202,5 +202,37 @@ TEST(TraceIo, MutatedCsvIsRejectedOrFinite) {
   EXPECT_GT(accepted, 0);  // the accept path is exercised too
 }
 
+// A hostile CSV naming 10^5 distinct rounds, one bob_rx sample each, in a
+// seeded shuffled order: the reader stops at the line naming round
+// kMaxTraceRounds + 1 instead of holding ~1 KiB for every line, and the
+// rest of the stream stays unread.
+TEST(TraceIo, CsvNamingTooManyRoundsFailsFast) {
+  constexpr std::size_t kLines = 100'000;
+  static_assert(kLines > kMaxTraceRounds);
+  std::vector<std::size_t> order(kLines);
+  for (std::size_t i = 0; i < kLines; ++i) order[i] = i;
+  vkey::Rng rng(0x70da7a);
+  for (std::size_t i = kLines; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_int(i)]);
+  }
+  std::string csv = "round,observer,symbol,t_start,rssi_dbm\n";
+  for (const std::size_t round : order) {
+    csv += std::to_string(round) + ",bob_rx,0,0.5,-80\n";
+  }
+  std::stringstream in(csv);
+  try {
+    (void)read_trace_csv(in);
+    FAIL() << "a CSV of " << kLines << " rounds was accepted";
+  } catch (const vkey::Error& e) {
+    // Line 1 is the header, so round kMaxTraceRounds + 1 is on the line
+    // after that number.
+    EXPECT_NE(std::string(e.what()).find(
+                  "at line " + std::to_string(kMaxTraceRounds + 2)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(static_cast<std::size_t>(in.tellg()), csv.size());
+}
+
 }  // namespace
 }  // namespace vkey::channel

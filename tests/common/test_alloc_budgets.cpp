@@ -518,15 +518,16 @@ TEST(AllocBudget, SessionFromProbeToConfirmedEpochIsFixedPlusPerAttempt) {
   const core::PredictorQuantizer predictor{core::PredictorConfig{}};
   protocol::register_protocol_metrics();
   (void)one_session(code, predictor, 1, 1);  // warm-up: weights, metrics
-  // Fixed: the generator's state, the material callback's closure, the
-  // agreement's clock heap, transcript and attempt log, and the
-  // confirmation's clock heap and transcript (7). Per attempt: the round
-  // vector, extraction's 5 blocks, the prediction's workspace and the
-  // attempt's flight ring (8). While rRSSI samples, ray phases, device
-  // names, per-packet sequences, quantizer scratch and prediction rows
-  // took blocks of their own, and the clock heaps grew by doubling, the
-  // fixed part was 23 blocks and each attempt 47.
-  constexpr std::uint64_t kFixed = 7;
+  // Fixed: the generator's state, the agreement's clock heap, transcript
+  // and attempt log, and the confirmation's clock heap and transcript (6).
+  // Per attempt: the round vector, extraction's 5 blocks, the prediction's
+  // workspace and the attempt's flight ring (8). While the agreement took
+  // its material callback as a std::function, the closure added a fixed
+  // block (7); while rRSSI samples, ray phases, device names, per-packet
+  // sequences, quantizer scratch and prediction rows took blocks of their
+  // own, and the clock heaps grew by doubling, the fixed part was 23 blocks
+  // and each attempt 47.
+  constexpr std::uint64_t kFixed = 6;
   constexpr std::uint64_t kPerAttempt = 8;
   for (const std::size_t agree_from : {0u, 1u, 3u}) {
     for (const std::uint64_t seed : {2u, 3u}) {

@@ -140,6 +140,89 @@ TEST_F(ReconcilerTest, VerifyingEveryFlipBeatsTheDecoderShortlist) {
   EXPECT_GE(every - guided, trials / 10) << every << " vs " << guided;
 }
 
+/// Bob's key and Alice's with exactly `flips` distinct bits flipped.
+std::pair<BitVec, BitVec> pair_with_flips(std::size_t flips, vkey::Rng& rng) {
+  const BitVec kb = random_key(64, rng);
+  BitVec ka = kb;
+  for (std::size_t placed = 0; placed < flips;) {
+    const auto i = static_cast<std::size_t>(rng.uniform_int(64));
+    if (ka.get(i) == kb.get(i)) {
+      ka.flip(i);
+      ++placed;
+    }
+  }
+  return {kb, ka};
+}
+
+/// decode_mismatch's design radius for a 64-bit key (key_bits * 7 / 32).
+constexpr std::size_t kRadius64 = 14;
+
+TEST_F(ReconcilerTest, DecodeNeverReturnsMoreFlipsThanTheRadius) {
+  vkey::Rng rng(16);
+  for (std::size_t flips = 0; flips <= 32; ++flips) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const auto [kb, ka] = pair_with_flips(flips, rng);
+      const auto d = code_.decode_mismatch(ka, code_.encode_bob(kb));
+      ASSERT_LE(d.mismatch.weight(), kRadius64)
+          << flips << " flips, trial " << trial;
+    }
+  }
+}
+
+TEST_F(ReconcilerTest, BlocksBeyondTheRadiusAreNeverCorrected) {
+  vkey::Rng rng(17);
+  for (std::size_t flips = kRadius64 + 1; flips <= kRadius64 + 8; ++flips) {
+    for (int trial = 0; trial < 100; ++trial) {
+      const auto [kb, ka] = pair_with_flips(flips, rng);
+      EXPECT_NE(code_.reconcile(ka, code_.encode_bob(kb)), kb)
+          << flips << " flips, trial " << trial;
+    }
+  }
+}
+
+TEST_F(ReconcilerTest, BeamCorrectsAtLeastWhatTheGreedyDecodeDid) {
+  // Blocks of 200 random keys per flip count, each count on its own
+  // stream. `greedy` is how many of them the single-path greedy decode
+  // (the protocol's decode before the beam) corrected exactly.
+  struct Row {
+    std::size_t flips;
+    int greedy;
+  };
+  for (const Row row : {Row{4, 192}, Row{5, 185}, Row{6, 177}, Row{7, 166},
+                        Row{8, 145}, Row{9, 128}, Row{10, 117}, Row{11, 77},
+                        Row{12, 61}, Row{13, 59}, Row{14, 53}}) {
+    vkey::Rng rng(1000 + row.flips);
+    int exact = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto [kb, ka] = pair_with_flips(row.flips, rng);
+      exact += code_.reconcile(ka, code_.encode_bob(kb)) == kb;
+    }
+    EXPECT_GE(exact, row.greedy) << row.flips << " flips";
+    if (row.flips <= 10) {
+      EXPECT_GE(exact, 190) << row.flips << " flips";  // 95%
+    }
+  }
+}
+
+TEST_F(ReconcilerTest, EveRecoversNoMoreThanFromTheGreedyDecode) {
+  // Eve's attempt-0 bits agree with Bob's on about half their positions:
+  // each block here disagrees at a rate drawn uniformly from [30%, 70%].
+  // The greedy decode recovered 18 of these 2000 blocks exactly; the beam
+  // may not recover more.
+  vkey::Rng rng(0xe7e);
+  int exact = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const BitVec kb = random_key(64, rng);
+    const double ber = rng.uniform(0.30, 0.70);
+    BitVec ke = kb;
+    for (std::size_t i = 0; i < 64; ++i) {
+      if (rng.bernoulli(ber)) ke.flip(i);
+    }
+    exact += code_.reconcile(ke, code_.encode_bob(kb)) == kb;
+  }
+  EXPECT_LE(exact, 18);
+}
+
 TEST_F(ReconcilerTest, SyndromeHasCodeDim) {
   vkey::Rng rng(6);
   EXPECT_EQ(code_.encode_bob(random_key(64, rng)).size(), 32u);
