@@ -12,7 +12,8 @@
 //     and bench_runner owns everything between the markers;
 //   * `bench_runner --check-docs` re-renders the blocks from the committed
 //     snapshots and fails if the file on disk differs — the CI gate against
-//     stale docs.
+//     stale docs — or if a snapshot holds a gauge as a plain number, which
+//     no current bench writes (each gauge is {value, high, low}).
 //
 // Modes:
 //   bench_runner                 run all benches (full size), write
@@ -22,7 +23,8 @@
 //   bench_runner --regen-only    no bench runs; regenerate docs from the
 //                                existing snapshots
 //   bench_runner --check-docs    no bench runs; verify docs match the
-//                                snapshots (exit 1 when stale)
+//                                snapshots and every gauge has its range
+//                                (exit 1 when stale)
 //   bench_runner --check-perf    run bench_tab3_runtime --quick into
 //                                <data>/quick/ and compare every stage's
 //                                real time against the committed
@@ -228,6 +230,36 @@ std::string regenerate(const std::string& docs_text, const fs::path& data_dir) {
   return out;
 }
 
+/// --check-docs' second half: every snapshot's gauges carry their range,
+/// {value, high, low}. A plain number marks a snapshot written before
+/// gauges kept their range; each is printed, and the count returned.
+int count_plain_gauges(const fs::path& data_dir) {
+  int plain = 0;
+  for (const auto& spec : kBenches) {
+    const fs::path snap =
+        data_dir / ("BENCH_" + std::string(spec.name) + ".json");
+    if (!fs::exists(snap)) continue;
+    const Value doc = Value::parse(read_file(snap));
+    const Value* metrics = doc.find("metrics");
+    const Value* gauges =
+        metrics != nullptr ? metrics->find("gauges") : nullptr;
+    if (gauges == nullptr) continue;
+    for (const auto& [name, gauge] : gauges->as_object()) {
+      if (gauge.is_object() && gauge.find("value") != nullptr &&
+          gauge.find("high") != nullptr && gauge.find("low") != nullptr) {
+        continue;
+      }
+      std::fprintf(stderr,
+                   "%s: gauge %s is a plain number, not {value, high, low}; "
+                   "regenerate with: bench_%s --json %s\n",
+                   snap.string().c_str(), name.c_str(), spec.name,
+                   snap.string().c_str());
+      ++plain;
+    }
+  }
+  return plain;
+}
+
 /// Stage -> real-time-ns map from a tab3_runtime snapshot (column 1 of the
 /// captured google-benchmark table; cells are pre-formatted numbers).
 std::vector<std::pair<std::string, double>> stage_times(const Value& snap) {
@@ -347,6 +379,7 @@ int main(int argc, char** argv) {
                      opt.docs.c_str(), opt.data_dir.c_str());
         return 1;
       }
+      if (count_plain_gauges(opt.data_dir) > 0) return 1;
       std::printf("%s is up to date with %s\n", opt.docs.c_str(),
                   opt.data_dir.c_str());
       return 0;

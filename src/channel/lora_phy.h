@@ -13,6 +13,12 @@
 
 namespace vkey::channel {
 
+/// The most payload one SX127x LoRa packet carries (its FIFO and payload
+/// length register hold 255 bytes). Every frame the protocol makes fits in
+/// it: the syndrome frame, its largest agreement frame, by a static_assert
+/// in session.cpp, and a sealed data frame by KeySchedule::seal's limit.
+inline constexpr std::size_t kMaxLoRaPayloadBytes = 255;
+
 /// What a transmission carried, for the per-use airtime breakdown.
 enum class AirtimeUse : std::uint8_t {
   kProbe,  ///< channel probing ("phy.airtime_ms.probe")

@@ -45,6 +45,7 @@ class Value {
   static Value object() { Value v; v.type_ = Type::kObject; return v; }
 
   bool is_null() const { return type_ == Type::kNull; }
+  bool is_object() const { return type_ == Type::kObject; }
 
   /// Typed accessors; throw vkey::Error on type mismatch.
   bool as_bool() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -36,9 +35,15 @@ constexpr std::size_t kBeamWidth = 8;
 constexpr std::size_t decode_radius(std::size_t key_bits) {
   return key_bits * 7 / 32;
 }
-/// A residual energy at or below this is the exact key: the syndrome
-/// travels as data, so Bob's key leaves rounding error alone.
-constexpr double kConverged = 1e-9;
+/// Levels per syndrome component: one byte's worth.
+constexpr std::size_t kLevels = 256;
+static_assert(kSyndromeBytes == kCodeDim &&
+                  kLevels - 1 == std::numeric_limits<std::uint8_t>::max(),
+              "one level index per syndrome byte");
+/// The cell test's slack, in units of epsilon x (|low| + |high|) of a
+/// component's range: covers the rounding in Bob's level index, in the
+/// centre and in the residual, so Bob's own key always passes.
+constexpr double kCellSlack = 16.0;
 /// The score of a flip the radius rules out: it never enters the beam.
 constexpr double kNever = std::numeric_limits<double>::infinity();
 /// Flips a decoder-guided pass scores (see decode_guided in the header).
@@ -61,94 +66,6 @@ void check_widths(std::size_t key_bits, const BitVec& key_alice,
                   std::span<const double> y_bob) {
   VKEY_REQUIRE(key_alice.size() == key_bits, "key width mismatch");
   VKEY_REQUIRE(y_bob.size() == kCodeDim, "syndrome width mismatch");
-}
-
-/// decode_guided's greedy loop; `candidates(h, score)` calls score(i) for
-/// each flip position i a pass considers, in order.
-///
-/// The syndrome travels as data (not over a noisy analog channel), so
-/// h = y_Bob - f1(K'_work) vanishes exactly when the working key matches
-/// Bob's. f1 is public and linear: flipping bit i of the working key
-/// changes h by -(1 - 2 w_i) * W_col_i, so the post-flip residual is
-/// ||h||^2 - 2 s_i <h, W_col_i> + ||W_col_i||^2, one dot product given the
-/// column norms, which are worked out once per call.
-/// Each pass works out every column's dot product in one sweep over W,
-/// then commits the considered flip that shrinks ||h|| the most (the first
-/// of equals). A pass that cannot shrink the residual ends the loop, so a
-/// wrong greedy step can be undone but never loops forever.
-template <typename Candidates>
-SyndromeCode::DecodeResult greedy_decode(
-    const nn::Dense& encoder, const PositionPreservingBloom& bloom,
-    const BitVec& key_alice, std::span<const double> y_bob,
-    Candidates&& candidates) {
-  const std::size_t n = key_alice.size();
-  const double* w = encoder.weights().value.data();  // kCodeDim x n
-  BitVec work = bloom.apply(key_alice);
-  BitVec delta(n);
-
-  // The residual h of Alice's encoding; `dots` first holds the encoder's
-  // input, then each pass's <h, W_col_i>.
-  KeyScratch norms(n), dots(n);
-  load_bits(work, dots);
-  std::array<double, kCodeDim> h{};
-  encoder.infer_into(dots.data(), h.data());
-  double h_norm2 = 0.0;
-  for (std::size_t r = 0; r < kCodeDim; ++r) {
-    h[r] = y_bob[r] - h[r];
-    h_norm2 += h[r] * h[r];
-  }
-  for (std::size_t r = 0; r < kCodeDim; ++r) {
-    const double* row = w + r * n;
-    for (std::size_t i = 0; i < n; ++i) norms[i] += row[i] * row[i];
-  }
-  const double initial_norm2 = h_norm2;
-  BitVec best_delta = delta;
-  double best_norm2 = h_norm2;
-  std::size_t iters = 0;
-
-  while (iters < kMaxDecodeIterations && h_norm2 > kConverged) {
-    ++iters;
-    std::fill(dots.begin(), dots.end(), 0.0);
-    for (std::size_t r = 0; r < kCodeDim; ++r) {
-      const double* row = w + r * n;
-      for (std::size_t i = 0; i < n; ++i) dots[i] += h[r] * row[i];
-    }
-    std::size_t best_pos = n;
-    double pick_norm2 = h_norm2 - 1e-12;
-    double best_sign = 0.0;
-    candidates(std::span<const double>(h), [&](std::size_t i) {
-      const double s = work.get(i) ? -1.0 : 1.0;  // 1 - 2 w_i
-      const double cand_norm2 = h_norm2 - 2.0 * s * dots[i] + norms[i];
-      if (cand_norm2 < pick_norm2) {
-        pick_norm2 = cand_norm2;
-        best_pos = i;
-        best_sign = s;
-      }
-    });
-    if (best_pos == n) break;  // no flip improves the residual
-
-    for (std::size_t r = 0; r < kCodeDim; ++r) {
-      h[r] -= best_sign * w[r * n + best_pos];
-    }
-    h_norm2 = pick_norm2;
-    work.flip(best_pos);
-    delta.flip(best_pos);
-    // Track the best state reached (used if we fail to fully converge).
-    if (h_norm2 < best_norm2) {
-      best_norm2 = h_norm2;
-      best_delta = delta;
-    }
-  }
-
-  // Convergence gate: a mismatch inside the design radius drives the
-  // residual to (near) zero — the syndrome is exact. If the residual never
-  // collapsed, the mismatch was denser than the code can localize (e.g. an
-  // eavesdropper running the public decode with uncorrelated key
-  // material): report reconciliation failure by applying no correction.
-  if (best_norm2 > 0.25 * initial_norm2) {
-    return {BitVec(n), iters};
-  }
-  return {bloom.map_mismatch_back(best_delta), iters};
 }
 
 /// A Bloom-mapped key's flips as packed words, inline for every key a
@@ -203,12 +120,25 @@ SyndromeCode::SyndromeCode(std::size_t key_bits, std::uint64_t seed)
 void SyndromeCode::form_gram() {
   const std::size_t n = key_bits();
   const double* w = f1_.weights().value.data();  // kCodeDim x n
+  const double* b = f1_.bias().value.data();
   gram_.assign(n * n, 0.0);
+  cell_energy_ = 0.0;
   for (std::size_t r = 0; r < kCodeDim; ++r) {
     const double* row = w + r * n;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) gram_[i * n + j] += row[i] * row[j];
     }
+    // Component r of f1 over 0/1 inputs: its least and greatest values.
+    double low = b[r], high = b[r];
+    for (std::size_t i = 0; i < n; ++i) (row[i] < 0.0 ? low : high) += row[i];
+    low_[r] = low;
+    step_[r] = (high - low) / static_cast<double>(kLevels - 1);
+    VKEY_REQUIRE(step_[r] > 0.0 && std::isfinite(step_[r]),
+                 "encoder row spans no range");
+    reach_[r] = 0.5 * step_[r] + kCellSlack *
+                                     std::numeric_limits<double>::epsilon() *
+                                     (std::abs(low) + std::abs(high));
+    cell_energy_ += reach_[r] * reach_[r];
   }
 }
 
@@ -226,14 +156,53 @@ double SyndromeCode::residual(std::span<const std::uint8_t> work,
   return norm2;
 }
 
-std::array<double, kCodeDim> SyndromeCode::encode_bob(
+bool SyndromeCode::in_cells(std::span<const double, kCodeDim> h) const {
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    if (!(std::abs(h[r]) <= reach_[r])) return false;
+  }
+  return true;
+}
+
+std::optional<bool> SyndromeCode::cell_test(
+    std::span<const std::uint8_t> work, std::span<const double> y_bob,
+    std::span<double, kCodeDim> h, double& norm2) const {
+  if (!(norm2 <= cell_energy_)) return std::nullopt;
+  // A decode's running energy picks up rounding pass after pass, and a
+  // small energy is not yet a match: the key passes only if its own
+  // encoding, from scratch, falls in every cell.
+  norm2 = residual(work, y_bob, h);
+  return in_cells(h);
+}
+
+std::array<std::uint8_t, kCodeDim> SyndromeCode::cells(
     const BitVec& key_bob) const {
   VKEY_REQUIRE(key_bob.size() == key_bits(), "key width mismatch");
   KeyScratch x(key_bits());
   load_bits(bloom_.apply(key_bob), x);
-  std::array<double, kCodeDim> y_bob{};
-  f1_.infer_into(x.data(), y_bob.data());
-  return y_bob;
+  std::array<double, kCodeDim> y{};
+  f1_.infer_into(x.data(), y.data());
+  std::array<std::uint8_t, kCodeDim> cell{};
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    // y lies in its component's range, so the nearest level is one of the
+    // kLevels: nothing needs clamping.
+    cell[r] =
+        static_cast<std::uint8_t>(std::lround((y[r] - low_[r]) / step_[r]));
+  }
+  return cell;
+}
+
+std::array<double, kCodeDim> SyndromeCode::centres(
+    std::span<const std::uint8_t, kCodeDim> cell) const {
+  std::array<double, kCodeDim> y{};
+  for (std::size_t r = 0; r < kCodeDim; ++r) {
+    y[r] = low_[r] + static_cast<double>(cell[r]) * step_[r];
+  }
+  return y;
+}
+
+std::array<double, kCodeDim> SyndromeCode::encode_bob(
+    const BitVec& key_bob) const {
+  return centres(cells(key_bob));
 }
 
 SyndromeCode::DecodeResult SyndromeCode::decode_mismatch(
@@ -275,7 +244,7 @@ SyndromeCode::DecodeResult SyndromeCode::decode_mismatch(
   const double initial_norm2 = first.norm2;
   double best_norm2 = first.norm2;
   KeyWords best = first.flipped;
-  bool converged = best_norm2 <= kConverged;
+  bool converged = in_cells(h);  // the start's residual is from scratch
   std::size_t iters = 0;
 
   while (!converged && iters < kMaxDecodeIterations) {
@@ -359,24 +328,22 @@ SyndromeCode::DecodeResult SyndromeCode::decode_mismatch(
     if (next[0].norm2 < best_norm2) {
       best_norm2 = next[0].norm2;
       best = next[0].flipped;
-    }
-    if (best_norm2 <= kConverged) {
-      // The running energies pick up rounding pass after pass: the winner
-      // counts as converged only if its key passes the test from scratch.
       KeyBits work = start;
       for (std::size_t i = 0; i < n; ++i) work[i] ^= has_bit(best, i);
-      best_norm2 = residual(work, y_bob, h);
-      macs += n * kCodeDim;
-      converged = best_norm2 <= kConverged;
+      if (const auto inside = cell_test(work, y_bob, h, best_norm2)) {
+        macs += n * kCodeDim;
+        converged = *inside;
+      }
     }
   }
 
   // Convergence gate: a mismatch inside the design radius drives the
-  // residual to (near) zero. If it never fell below a quarter of its
-  // starting energy, the mismatch was denser than the code can localize
-  // (e.g. an eavesdropper's uncorrelated key): report no correction.
+  // residual down to the cells' rounding. If the decode never passed the
+  // cell test and its energy never fell below a quarter of where it
+  // started, the mismatch was denser than the code can localize (e.g. an
+  // eavesdropper's uncorrelated key): report no correction.
   BitVec delta(n);
-  if (best_norm2 <= 0.25 * initial_norm2) {
+  if (converged || best_norm2 <= 0.25 * initial_norm2) {
     for (std::size_t i = 0; i < n; ++i) delta.set(i, has_bit(best, i));
   }
   return {bloom_.map_mismatch_back(delta), iters, macs};
@@ -390,27 +357,14 @@ BitVec SyndromeCode::reconcile(const BitVec& key_alice,
 void SyndromeCode::syndrome(const BitVec& key_bob,
                             std::span<std::uint8_t> out) const {
   VKEY_REQUIRE(out.size() == kSyndromeBytes, "syndrome buffer width mismatch");
-  const std::array<double, kCodeDim> y_bob = encode_bob(key_bob);
-  for (std::size_t i = 0; i < y_bob.size(); ++i) {
-    const auto v = std::bit_cast<std::uint64_t>(y_bob[i]);
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[8 * i + b] = static_cast<std::uint8_t>(v >> (8 * b));
-    }
-  }
+  const std::array<std::uint8_t, kCodeDim> cell = cells(key_bob);
+  std::copy(cell.begin(), cell.end(), out.begin());
 }
 
 std::optional<BitVec> SyndromeCode::correct(
     const BitVec& key_alice, std::span<const std::uint8_t> syndrome) const {
   if (syndrome.size() != kSyndromeBytes) return std::nullopt;
-  std::array<double, kCodeDim> y_bob{};
-  for (std::size_t i = 0; i < kCodeDim; ++i) {
-    std::uint64_t v = 0;
-    for (std::size_t b = 0; b < 8; ++b) {
-      v |= std::uint64_t{syndrome[8 * i + b]} << (8 * b);
-    }
-    y_bob[i] = std::bit_cast<double>(v);
-  }
-  return reconcile(key_alice, y_bob);
+  return reconcile(key_alice, centres(syndrome.first<kCodeDim>()));
 }
 
 AutoencoderReconciler::AutoencoderReconciler(const ReconcilerConfig& config)
@@ -568,33 +522,91 @@ double AutoencoderReconciler::train(std::size_t num_samples,
 
 AutoencoderReconciler::DecodeResult AutoencoderReconciler::decode_guided(
     const BitVec& key_alice, std::span<const double> y_bob) const {
-  check_widths(key_bits(), key_alice, y_bob);
+  const std::size_t n = key_bits();
+  check_widths(n, key_alice, y_bob);
+  const double* w = f1_.weights().value.data();  // kCodeDim x n
+  const BitVec mapped = bloom_.apply(key_alice);
+  KeyBits work(n);
+  for (std::size_t i = 0; i < n; ++i) work[i] = mapped.get(i);
+  BitVec delta(n);
+
+  // f1 is public and linear: flipping bit i of the working key moves h by
+  // -(1 - 2 w_i) W_col_i, so the post-flip residual is ||h||^2 -
+  // 2 s_i <h, W_col_i> + G_ii, one dot product given the Gram diagonal.
+  std::array<double, kCodeDim> h{};
+  double h_norm2 = residual(work, y_bob, h);
+  const double initial_norm2 = h_norm2;
+  BitVec best_delta = delta;
+  double best_norm2 = h_norm2;
+  bool converged = in_cells(h);
+  std::size_t iters = 0;
+
   // Each pass runs the decoder on h through two ping-pong activation
   // buffers and shortlists its top-scored positions, highest logit first.
   const std::size_t width =
       std::max({cfg_.key_bits, kCodeDim, cfg_.decoder_units});
   std::vector<double> buffers(2 * width);
-  std::vector<std::size_t> order(cfg_.key_bits);
-  return greedy_decode(
-      f1_, bloom_, key_alice, y_bob,
-      [&](std::span<const double> h, auto&& score) {
-        double* cur = buffers.data();
-        double* next = cur + width;
-        std::copy(h.begin(), h.end(), cur);
-        for (const auto& layer : decoder_) {
-          layer.infer_into(cur, next);
-          std::swap(cur, next);
-        }
-        const double* x = cur;  // the decoder's logits, key_bits wide
-        std::iota(order.begin(), order.end(), 0);
-        const std::size_t take = std::min(kShortlist, order.size());
-        std::partial_sort(order.begin(),
-                          order.begin() + static_cast<std::ptrdiff_t>(take),
-                          order.end(), [x](std::size_t a, std::size_t b) {
-                            return x[a] > x[b];
-                          });
-        for (std::size_t c = 0; c < take; ++c) score(order[c]);
-      });
+  std::vector<std::size_t> order(n);
+  KeyScratch dots(n);
+  while (!converged && iters < kMaxDecodeIterations) {
+    ++iters;
+    std::fill(dots.begin(), dots.end(), 0.0);
+    for (std::size_t r = 0; r < kCodeDim; ++r) {
+      const double* row = w + r * n;
+      for (std::size_t i = 0; i < n; ++i) dots[i] += h[r] * row[i];
+    }
+    double* cur = buffers.data();
+    double* next = cur + width;
+    std::copy(h.begin(), h.end(), cur);
+    for (const auto& layer : decoder_) {
+      layer.infer_into(cur, next);
+      std::swap(cur, next);
+    }
+    const double* x = cur;  // the decoder's logits, key_bits wide
+    std::iota(order.begin(), order.end(), 0);
+    const std::size_t take = std::min(kShortlist, order.size());
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<std::ptrdiff_t>(take),
+                      order.end(), [x](std::size_t a, std::size_t b) {
+                        return x[a] > x[b];
+                      });
+    // Commit the shortlisted flip that shrinks ||h|| the most (the first of
+    // equals). A pass that cannot shrink it ends the loop, so a wrong greedy
+    // step can be undone but never loops forever.
+    std::size_t best_pos = n;
+    double pick_norm2 = h_norm2 - 1e-12;
+    double best_sign = 0.0;
+    for (std::size_t c = 0; c < take; ++c) {
+      const std::size_t i = order[c];
+      const double s = work[i] ? -1.0 : 1.0;  // 1 - 2 w_i
+      const double cand_norm2 = h_norm2 - 2.0 * s * dots[i] + gram_[i * n + i];
+      if (cand_norm2 < pick_norm2) {
+        pick_norm2 = cand_norm2;
+        best_pos = i;
+        best_sign = s;
+      }
+    }
+    if (best_pos == n) break;
+
+    for (std::size_t r = 0; r < kCodeDim; ++r) {
+      h[r] -= best_sign * w[r * n + best_pos];
+    }
+    h_norm2 = pick_norm2;
+    work[best_pos] ^= 1;
+    delta.flip(best_pos);
+    if (h_norm2 < best_norm2) {
+      best_norm2 = h_norm2;
+      best_delta = delta;
+      converged = cell_test(work, y_bob, h, best_norm2).value_or(false);
+      h_norm2 = best_norm2;
+    }
+  }
+
+  // Convergence gate, as decode_mismatch's.
+  if (!converged && best_norm2 > 0.25 * initial_norm2) {
+    return {BitVec(n), iters};
+  }
+  return {bloom_.map_mismatch_back(best_delta), iters};
 }
 
 BitVec AutoencoderReconciler::reconcile_one_shot(

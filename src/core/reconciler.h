@@ -36,39 +36,57 @@
 //    covers the channel's pre-reconciliation rates;
 //  * at most 40 passes for either decode, and a decode that leaves more
 //    than a quarter of the initial residual energy reports no correction;
+//  * 256 syndrome levels per component (one byte), so the syndrome is
+//    kCodeDim bytes;
 //  * decode_mismatch's beam keeps 8 working keys and returns at most
 //    key_bits * 7 / 32 flips (14 of 64: between Alice's ~17% attempt-0
-//    mismatch and Eve's ~49%), and it counts a residual energy of at most
-//    1e-9 as converged only once the winner's key passes that test from
-//    scratch (see decode_mismatch);
+//    mismatch and Eve's ~49%);
+//  * either decode stops at the first key it reaches whose encoding falls
+//    in every received cell (the cell test below);
 //  * a decoder-guided pass shortlists the decoder's 16 top-scored flips;
 //  * Bloom parameters from the public seed 0x5e551011.
 //
-// The protocol carries the syndrome as bytes: syndrome() writes Bob's y_Bob
-// as kCodeDim little-endian IEEE-754 doubles into the caller's
-// kSyndromeBytes (a frame's inline payload), and correct() is Alice's
-// reconcile() against those bytes, refusing any other length. Sessions and
-// attacks use only these two; the bytes are SyndromeCode's to define.
+// The public syndrome is kCodeDim one-byte cells. f1 is linear and reads
+// 0/1 inputs, so component r of its output lies in the exact range
+// [b_r + sum_j min(0, W_rj), b_r + sum_j max(0, W_rj)], worked out from the
+// public f1 alone wherever the Gram matrix is formed. That range holds 256
+// evenly spaced levels, step_r apart, and each component rounds to the
+// nearest: syndrome() writes the 32 level indices into the caller's
+// kSyndromeBytes (a frame's inline payload), encode_bob() returns the
+// levels themselves (the cell centres), and correct() is Alice's
+// reconcile() against the centres of the received indices, refusing any
+// other length. So the protocol, the figures and Eve all see one syndrome.
+// Sessions and attacks use only syndrome() and correct(); the bytes are
+// SyndromeCode's to define.
+//
+// The cell test: a residual energy ||y_Bob - f1(K'_work)||^2 of at most
+// sum_r (step_r / 2)^2 (plus a few ulps of slack per component) prompts a
+// check from scratch, which passes when the working key's own encoding
+// falls in the received cell in every component. Bob's key always passes;
+// the MAC still decides.
 //
 // Cost accounting: each code forms f1's Gram matrix W^T W once (N x N x M
 // multiply-accumulates, set-up; again when training moves f1).
 // decode_mismatch() encodes Alice's key (N x M) and dots her residual with
 // every encoder column (N x M); each pass then scores every flip of every
 // state (one multiply-accumulate each, N per state) and updates each kept
-// child's N dot products from one Gram row (N per child), and a converged
-// winner is re-encoded once (N x M). So a decode of I passes costs at most
-// (3 x M + 16 x I) x N, and DecodeResult::macs counts what it spent.
+// child's N dot products from one Gram row (N per child), and each new
+// best key under the cell energy is re-encoded for the cell test (N x M,
+// almost always once). So a decode of I passes and C cell tests costs at
+// most (2 x M + 16 x I + C x M) x N, and DecodeResult::macs counts what it
+// spent.
 // decode_guided() runs the greedy loop, whose pass sweeps W once (N x M);
 // decode_flops() counts one decoder-guided pass (encoder + decoder g), the
 // quantity Fig. 11 compares across decoder widths and against the CS/OMP
 // decoder.
 //
-// Allocation: encode_bob() and decode_mismatch() work in fixed-size
-// scratch: y_Bob and the residual are kCodeDim arrays, the beam's states
-// are two fixed arrays of 8, and their per-key-bit values (flips
-// as packed words, signs, dot products, each pass's scores) live in
-// SmallBuffers that hold BitVec::kInlineBits of them inline, so neither
-// allocates at key widths up to 128 bits, whatever the number of passes.
+// Allocation: encode_bob(), syndrome(), correct() and decode_mismatch()
+// work in fixed-size scratch: y_Bob, its cells and the residual are
+// kCodeDim arrays, the beam's states are two fixed arrays of 8, and their
+// per-key-bit values (flips as packed words, signs, dot products, each
+// pass's scores) live in SmallBuffers that hold BitVec::kInlineBits of
+// them inline, so none of them allocates at key widths up to 128 bits,
+// whatever the number of passes.
 #pragma once
 
 #include <array>
@@ -84,11 +102,11 @@
 
 namespace vkey::core {
 
-/// M: the encoder output width ("32 units"), so the width of the public
-/// syndrome y_Bob.
+/// M: the encoder output width ("32 units"), so the number of cells in the
+/// public syndrome y_Bob.
 inline constexpr std::size_t kCodeDim = 32;
-/// The syndrome frame's payload: y_Bob's kCodeDim doubles, 8 bytes each.
-inline constexpr std::size_t kSyndromeBytes = kCodeDim * 8;
+/// The syndrome frame's payload: one level index byte per cell.
+inline constexpr std::size_t kSyndromeBytes = kCodeDim;
 
 /// The public half the protocol runs; it holds no decoder.
 class SyndromeCode {
@@ -100,7 +118,7 @@ class SyndromeCode {
   std::size_t key_bits() const { return bloom_.size(); }
 
   /// Bob's side: Bloom-map the key and encode; the result is the public
-  /// syndrome y_Bob.
+  /// syndrome y_Bob, each component the centre of its cell.
   std::array<double, kCodeDim> encode_bob(const BitVec& key_bob) const;
 
   struct DecodeResult {
@@ -121,11 +139,11 @@ class SyndromeCode {
   /// the Gram matrix) and keeps the 8 lowest-scored distinct keys, ties
   /// broken by score, then state, then bit, so the result is the same on
   /// every lane. No key strays more than key_bits * 7 / 32 flips from
-  /// hers. The loop stops once the best key reached passes the 1e-9
-  /// convergence test, re-checked from scratch; that key is kept, and a
-  /// decode whose best key never fell below a quarter of the initial
-  /// energy reports no correction. Inverts f1, the encoder that produced
-  /// y_Bob. Allocates nothing up to 128-bit keys.
+  /// hers. The loop stops once a new best key passes the cell test; the
+  /// best key reached is kept, and a decode that never passed the test and
+  /// whose best key never fell below a quarter of the initial energy
+  /// reports no correction. Inverts f1, the encoder that produced y_Bob.
+  /// Allocates nothing up to 128-bit keys.
   DecodeResult decode_mismatch(const BitVec& key_alice,
                                std::span<const double> y_bob) const;
 
@@ -135,33 +153,60 @@ class SyndromeCode {
                    std::span<const double> y_bob) const;
 
   /// encode_bob() as the syndrome frame's payload, written into `out`
-  /// (exactly kSyndromeBytes): each of y_Bob's kCodeDim doubles as 8
-  /// little-endian IEEE-754 bytes.
+  /// (exactly kSyndromeBytes): each component's level index, 0..255.
   void syndrome(const BitVec& key_bob, std::span<std::uint8_t> out) const;
 
-  /// reconcile() against syndrome() bytes; nullopt unless `syndrome` holds
-  /// exactly kSyndromeBytes.
+  /// reconcile() against the cell centres of syndrome() bytes; nullopt
+  /// unless `syndrome` holds exactly kSyndromeBytes.
   std::optional<BitVec> correct(const BitVec& key_alice,
                                 std::span<const std::uint8_t> syndrome) const;
 
  protected:
-  /// Form f1's Gram matrix W^T W (N x N); again whenever f1 trains.
+  /// Form f1's Gram matrix W^T W (N x N) and the syndrome's cells; again
+  /// whenever f1 trains.
   void form_gram();
 
-  /// The stream f1 was drawn from, where that draw left it: the trained
-  /// half draws f2, its decoder and its epochs' shuffles from here.
-  vkey::Rng rng_;
-  PositionPreservingBloom bloom_;
-  nn::Dense f1_;  ///< Bob's encoder, and Alice's when tied
-
- private:
   /// h = y_Bob - f1(`work`) for a Bloom-mapped key of 0/1 bytes; returns
   /// ||h||^2.
   double residual(std::span<const std::uint8_t> work,
                   std::span<const double> y_bob,
                   std::span<double, kCodeDim> h) const;
 
+  /// Whether a residual worked out from scratch leaves every component in
+  /// its cell.
+  bool in_cells(std::span<const double, kCodeDim> h) const;
+
+  /// The cell test, for a decode's new best key `work` whose running
+  /// energy is `norm2`: nullopt while that energy is above the cell
+  /// energy; otherwise `work` is re-encoded from scratch (N x M, its
+  /// residual into `h`, its energy into `norm2`) and the result is whether
+  /// it falls in every received cell.
+  std::optional<bool> cell_test(std::span<const std::uint8_t> work,
+                                std::span<const double> y_bob,
+                                std::span<double, kCodeDim> h,
+                                double& norm2) const;
+
+  /// The stream f1 was drawn from, where that draw left it: the trained
+  /// half draws f2, its decoder and its epochs' shuffles from here.
+  vkey::Rng rng_;
+  PositionPreservingBloom bloom_;
+  nn::Dense f1_;  ///< Bob's encoder, and Alice's when tied
   std::vector<double> gram_;  ///< W^T W of f1, row-major
+
+ private:
+  /// Bob's level index in each component.
+  std::array<std::uint8_t, kCodeDim> cells(const BitVec& key_bob) const;
+  /// The level each of `cell`'s indices names.
+  std::array<double, kCodeDim> centres(
+      std::span<const std::uint8_t, kCodeDim> cell) const;
+
+  /// Each component's lowest level, the step between levels, and the
+  /// farthest an encoding in the cell lies from its centre (half a step
+  /// and a few ulps).
+  std::array<double, kCodeDim> low_{}, step_{}, reach_{};
+  /// The cell test's trigger: the residual energy of a key whose encoding
+  /// sits at the edge of every cell.
+  double cell_energy_ = 0.0;
 };
 
 struct ReconcilerConfig {
@@ -207,7 +252,8 @@ class AutoencoderReconciler : public SyndromeCode {
   /// candidates: each pass runs g on the residual, scores only its 16
   /// top-scored flips and commits the one that shrinks the residual most;
   /// a pass that cannot shrink it ends the loop, and the best state reached
-  /// is kept (40-pass budget and quarter-energy gate as decode_mismatch's).
+  /// is kept (40-pass budget, cell test and quarter-energy gate as
+  /// decode_mismatch's).
   /// Fig. 11's AE-16..AE-128 rows and ablation A5 run it to compare decoder
   /// widths; no protocol path does.
   DecodeResult decode_guided(const BitVec& key_alice,

@@ -184,6 +184,8 @@ bool KeySchedule::verify_confirm(const Message& msg) const {
 
 Message KeySchedule::seal(std::uint64_t nonce,
                           const std::vector<std::uint8_t>& plain) {
+  VKEY_REQUIRE(plain.size() <= kMaxPlaintextBytes,
+               "plaintext outgrows one LoRa packet");
   const DirectionKeys& tx = send_keys(current_);
   Message msg;
   msg.type = MessageType::kData;

@@ -53,10 +53,13 @@
 #include <string>
 #include <vector>
 
+#include "channel/lora_phy.h"
 #include "common/bitvec.h"
 #include "crypto/secret_buffer.h"
+#include "crypto/sha256.h"
 #include "protocol/message.h"
 #include "protocol/sim_clock.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
 
@@ -159,9 +162,15 @@ class KeySchedule {
 
   // ---------------------------------------------------- data protection
 
+  /// The most plaintext seal() takes: its frame (header, epoch, ciphertext,
+  /// HMAC-SHA256 tag and CRC) then fills one LoRa packet exactly.
+  static constexpr std::size_t kMaxPlaintextBytes =
+      channel::kMaxLoRaPayloadBytes - wire::kHeaderBytes - 4 -
+      crypto::Sha256::kDigestSize - wire::kCrcBytes;
+
   /// Seal plaintext into a kData frame under the current epoch's send
   /// direction: payload = be32(epoch) || AES-128-CTR ciphertext, MAC over
-  /// the full header+payload.
+  /// the full header+payload. Throws on more than kMaxPlaintextBytes.
   Message seal(std::uint64_t nonce, const std::vector<std::uint8_t>& plain);
 
   /// An opened frame's plaintext: inline up to kInlinePayloadBytes, like

@@ -40,15 +40,16 @@ inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kAck);
 
 /// Hard bounds the wire codec enforces on length fields *before* trusting
-/// them. The largest honest payload is the syndrome (kCodeDim doubles, well
-/// under 4 KiB at every configuration the repo ships); the largest MAC is
-/// HMAC-SHA256 (32 bytes, bounded at 64 for agility). Anything bigger is an
-/// attack or corruption, and must be rejected without allocating.
+/// them. The largest honest agreement payload is the syndrome (one byte per
+/// cell, 32 bytes); a data frame carries at most 196 (seal's limit); the
+/// largest MAC is HMAC-SHA256 (32 bytes, bounded at 64 for agility).
+/// Anything bigger is an attack or corruption, and must be rejected without
+/// allocating.
 inline constexpr std::size_t kMaxPayloadBytes = 8192;
 inline constexpr std::size_t kMaxMacBytes = 64;
 
-/// Payload bytes a Message keeps inline: the syndrome (kCodeDim doubles,
-/// 256 bytes at the shipped configuration), the largest agreement frame.
+/// Payload bytes a Message keeps inline: every agreement payload (the
+/// syndrome, the largest, is 32 bytes) and sealed data up to this size.
 /// Only larger kData payloads take a heap block.
 inline constexpr std::size_t kInlinePayloadBytes = 256;
 

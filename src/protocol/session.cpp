@@ -5,12 +5,20 @@
 #include <string_view>
 #include <utility>
 
+#include "channel/lora_phy.h"
 #include "common/error.h"
 #include "crypto/secret_buffer.h"
 #include "crypto/sha256.h"
 #include "protocol/flight_recorder.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
+
+// The syndrome frame, the largest an agreement sends, fits one LoRa packet.
+static_assert(wire::kHeaderBytes + core::kSyndromeBytes +
+                      crypto::Sha256::kDigestSize + wire::kCrcBytes <=
+                  channel::kMaxLoRaPayloadBytes,
+              "the syndrome frame outgrows a LoRa packet");
 
 namespace {
 

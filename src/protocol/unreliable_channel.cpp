@@ -73,6 +73,8 @@ std::size_t UnreliableChannel::acquire_slot() {
     }
   }
   if (slot_count_ >= kInlineSlots) {
+    // Room for as many again as live inline: the pointers take one block.
+    if (extra_slots_.empty()) extra_slots_.reserve(kInlineSlots);
     extra_slots_.push_back(std::make_unique<Slot>());
   }
   return slot_count_++;

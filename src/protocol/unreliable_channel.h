@@ -49,6 +49,7 @@
 #include "common/rng.h"
 #include "protocol/channel.h"
 #include "protocol/sim_clock.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
 
@@ -154,7 +155,7 @@ class UnreliableChannel {
   std::array<Slot, kInlineSlots> inline_slots_{};
   std::vector<std::unique_ptr<Slot>> extra_slots_;
   std::size_t slot_count_ = 0;  ///< slots handed out so far
-  std::vector<std::uint8_t> frame_bytes_;  ///< corruption path's reused bytes
+  wire::FrameBytes frame_bytes_;  ///< corruption path's reused bytes
 };
 
 /// "alice" / "bob": the endpoint's actor name in flight-recorder timelines.

@@ -1,5 +1,6 @@
 #include "protocol/wire.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/error.h"
@@ -160,32 +161,40 @@ std::optional<std::span<const std::uint8_t>> FrameReader::read_bytes(
 
 // ---------------------------------------------------------------- FrameWriter
 
-void FrameWriter::put_u8(std::uint8_t v) { out_.push_back(v); }
+std::span<std::uint8_t> FrameWriter::take(std::size_t n) {
+  VKEY_REQUIRE(out_.size() - off_ >= n, "frame overruns its buffer");
+  const auto room = out_.subspan(off_, n);
+  off_ += n;
+  return room;
+}
+
+void FrameWriter::put_u8(std::uint8_t v) { take(1)[0] = v; }
 
 void FrameWriter::put_u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  out_.push_back(static_cast<std::uint8_t>(v));
+  const auto room = take(2);
+  room[0] = static_cast<std::uint8_t>(v >> 8);
+  room[1] = static_cast<std::uint8_t>(v);
 }
 
 void FrameWriter::put_u32(std::uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const auto room = take(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    room[i] = static_cast<std::uint8_t>(v >> (8 * (3 - i)));
   }
 }
 
 void FrameWriter::put_u64(std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const auto room = take(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    room[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
   }
 }
 
 void FrameWriter::put_bytes(std::span<const std::uint8_t> bytes) {
-  out_.insert(out_.end(), bytes.begin(), bytes.end());
+  std::copy(bytes.begin(), bytes.end(), take(bytes.size()).begin());
 }
 
-void FrameWriter::finish() && {
-  put_u32(crc32(std::span<const std::uint8_t>(out_).subspan(start_)));
-}
+void FrameWriter::finish() && { put_u32(crc32(out_.first(off_))); }
 
 // --------------------------------------------------------------- encode/decode
 
@@ -193,10 +202,18 @@ std::size_t frame_size(const Message& msg) {
   return kMinFrameBytes + msg.payload.size() + msg.mac.size();
 }
 
-void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
+namespace {
+
+/// frame_size(msg), once `msg` is checked against the wire bounds.
+std::size_t checked_frame_size(const Message& msg) {
   VKEY_REQUIRE(msg.payload.size() <= kMaxPayloadBytes,
                "payload exceeds the wire bound");
   VKEY_REQUIRE(msg.mac.size() <= kMaxMacBytes, "MAC exceeds the wire bound");
+  return frame_size(msg);
+}
+
+/// The v1 frame of `msg` into `out`, exactly its frame_size().
+void write_frame(const Message& msg, std::span<std::uint8_t> out) {
   FrameWriter w(out);
   w.put_u16(kMagic);
   w.put_u8(kWireVersion);
@@ -210,16 +227,24 @@ void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
   std::move(w).finish();
 }
 
-void encode_frame(const Message& msg, std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(frame_size(msg));
-  append_frame(msg, out);
+}  // namespace
+
+void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + checked_frame_size(msg));
+  write_frame(msg, std::span(out).subspan(at));
+}
+
+void encode_frame(const Message& msg, FrameBytes& out) {
+  out.resize(checked_frame_size(msg));
+  write_frame(msg, out);
   metrics::counter<"wire.encoded">().add(1);
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
   std::vector<std::uint8_t> out;
-  encode_frame(msg, out);
+  append_frame(msg, out);
+  metrics::counter<"wire.encoded">().add(1);
   return out;
 }
 

@@ -99,12 +99,12 @@ class FrameReader {
   std::size_t off_ = 0;
 };
 
-/// Big-endian frame builder that appends to a caller's buffer; finish()
-/// stamps the CRC over everything this writer appended.
+/// Big-endian frame builder over a caller's buffer, sized to the frame
+/// beforehand (frame_size()); finish() stamps the CRC over everything
+/// written. Writing past the buffer's end throws vkey::Error.
 class FrameWriter {
  public:
-  explicit FrameWriter(std::vector<std::uint8_t>& out)
-      : out_(out), start_(out.size()) {}
+  explicit FrameWriter(std::span<std::uint8_t> out) : out_(out) {}
 
   void put_u8(std::uint8_t v);
   void put_u16(std::uint16_t v);
@@ -112,13 +112,23 @@ class FrameWriter {
   void put_u64(std::uint64_t v);
   void put_bytes(std::span<const std::uint8_t> bytes);
 
-  /// Append crc32(everything this writer appended).
+  /// Write crc32(everything written so far).
   void finish() &&;
 
  private:
-  std::vector<std::uint8_t>& out_;
-  std::size_t start_;
+  /// The next `n` bytes of the buffer, checked to exist.
+  std::span<std::uint8_t> take(std::size_t n);
+
+  std::span<std::uint8_t> out_;
+  std::size_t off_ = 0;
 };
+
+/// Frame bytes kept inline: every frame whose payload a Message keeps
+/// inline, with the largest MAC the wire allows.
+inline constexpr std::size_t kInlineFrameBytes =
+    kMinFrameBytes + kInlinePayloadBytes + kMaxMacBytes;
+/// A reused encoding buffer that costs no heap block for such frames.
+using FrameBytes = SmallBuffer<std::uint8_t, kInlineFrameBytes>;
 
 /// Exact on-air size of `msg` framed: kMinFrameBytes + payload + mac.
 /// (Computed without encoding; used for airtime math on the hot path.)
@@ -131,9 +141,9 @@ std::size_t frame_size(const Message& msg);
 void append_frame(const Message& msg, std::vector<std::uint8_t>& out);
 
 /// Pack a Message into a v1 frame in `out` (its contents replaced, its
-/// capacity reused) and count it in "wire.encoded". Throws like
+/// storage reused) and count it in "wire.encoded". Throws like
 /// append_frame().
-void encode_frame(const Message& msg, std::vector<std::uint8_t>& out);
+void encode_frame(const Message& msg, FrameBytes& out);
 std::vector<std::uint8_t> encode_frame(const Message& msg);
 
 /// Parse a frame into `out`, reusing its payload and MAC storage. On

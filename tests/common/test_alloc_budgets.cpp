@@ -294,11 +294,11 @@ TEST(AllocBudget, AgreementAttemptDoesNotGrowWithFramesSent) {
   ASSERT_EQ(lossless.retransmissions, 0u);
 
   // A lossy attempt may hold more events in flight at once (one more
-  // doubling of the clock's heap) and re-encode a corrupted frame (the
-  // link's byte buffer), which is all a fault may add: nothing is
-  // allocated per frame sent, retransmitted, dropped, duplicated or
-  // corrupted. (Before frames stopped being copied, these attempts
-  // allocated 9-69 blocks more than the lossless one.)
+  // doubling of the clock's heap) and more frames than the link's eight
+  // inline slots (a block each, and one for their pointers), which is all
+  // a fault may add: nothing is allocated per frame sent, retransmitted,
+  // dropped, duplicated or corrupted. (Before frames stopped being copied,
+  // these attempts allocated 9-69 blocks more than the lossless one.)
   constexpr std::uint64_t kInFlightSlack = 8;
   std::size_t most_frames = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {

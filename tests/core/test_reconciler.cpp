@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,6 +31,44 @@ BitVec random_key(std::size_t n, vkey::Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) k.set(i, rng.bernoulli(0.5));
   return k;
 }
+
+/// A SyndromeCode whose encoder a test can read and move, to check the
+/// syndrome's cells against their definition.
+class OpenCode : public SyndromeCode {
+ public:
+  using SyndromeCode::SyndromeCode;
+
+  BitVec mapped(const BitVec& key) const { return bloom_.apply(key); }
+
+  /// f1's output for `key`, before it is rounded to a cell.
+  std::array<double, kCodeDim> raw(const BitVec& key) const {
+    const std::vector<double> x = mapped(key).to_doubles();
+    std::array<double, kCodeDim> y{};
+    f1_.infer_into(x.data(), y.data());
+    return y;
+  }
+
+  double weight(std::size_t r, std::size_t j) const {
+    return f1_.weights().value[r * key_bits() + j];
+  }
+
+  /// Component r's least and greatest value over 0/1 inputs.
+  std::pair<double, double> range(std::size_t r) const {
+    double low = f1_.bias().value[r], high = low;
+    for (std::size_t j = 0; j < key_bits(); ++j) {
+      (weight(r, j) < 0.0 ? low : high) += weight(r, j);
+    }
+    return {low, high};
+  }
+
+  /// Set W_rj and re-form the public tables, as training does.
+  void set_weight(std::size_t r, std::size_t j, double v) {
+    nn::Parameter& w = *f1_.parameters()[0];
+    w.value[r * key_bits() + j] = v;
+    w.bump();
+    form_gram();
+  }
+};
 
 class ReconcilerTest : public ::testing::Test {
  protected:
@@ -229,6 +268,7 @@ TEST_F(ReconcilerTest, SyndromeHasCodeDim) {
 }
 
 TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
+  const OpenCode code(64, fast_config().seed);
   vkey::Rng rng(12);
   for (int flips = 0; flips < 8; ++flips) {
     const BitVec kb = random_key(64, rng);
@@ -236,27 +276,85 @@ TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
     for (int f = 0; f < flips; ++f) {
       ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
     }
-    const auto y = code_.encode_bob(kb);
     std::vector<std::uint8_t> bytes(kSyndromeBytes);
-    code_.syndrome(kb, bytes);
-    // y_Bob's doubles as 8 little-endian IEEE-754 bytes each.
-    ASSERT_EQ(bytes.size(), y.size() * 8);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const auto v = std::bit_cast<std::uint64_t>(y[i]);
-      for (std::size_t b = 0; b < 8; ++b) {
-        ASSERT_EQ(bytes[8 * i + b], static_cast<std::uint8_t>(v >> (8 * b)))
-            << "double " << i << " byte " << b;
-      }
+    code.syndrome(kb, bytes);
+    ASSERT_EQ(bytes.size(), kCodeDim);
+    // Byte r indexes the level nearest f1's component r among 256 evenly
+    // spaced over its exact range, and encode_bob() is that level.
+    const auto raw = code.raw(kb);
+    const auto y = code.encode_bob(kb);
+    for (std::size_t r = 0; r < kCodeDim; ++r) {
+      const auto [low, high] = code.range(r);
+      const double step = (high - low) / 255.0;
+      const double level = low + bytes[r] * step;
+      EXPECT_GE(raw[r], low - 1e-12) << "component " << r;
+      EXPECT_LE(raw[r], high + 1e-12) << "component " << r;
+      EXPECT_LE(std::abs(raw[r] - level), 0.5 * step + 1e-12)
+          << "component " << r;
+      EXPECT_NEAR(y[r], level, 1e-12) << "component " << r;
     }
-    const std::optional<BitVec> fixed = code_.correct(ka, bytes);
+    const std::optional<BitVec> fixed = code.correct(ka, bytes);
     ASSERT_TRUE(fixed.has_value());
-    EXPECT_EQ(*fixed, code_.reconcile(ka, y)) << flips << " flips";
+    EXPECT_EQ(*fixed, code.reconcile(ka, y)) << flips << " flips";
   }
-  // Anything but exactly kCodeDim doubles is refused, not decoded.
+  // Anything but one byte per cell is refused, not decoded.
   const BitVec k = random_key(64, rng);
-  for (const std::size_t n : {0u, 255u, 264u}) {
-    EXPECT_FALSE(code_.correct(k, std::vector<std::uint8_t>(n)).has_value())
+  for (const std::size_t n : {0u, 31u, 33u, 256u}) {
+    EXPECT_FALSE(code.correct(k, std::vector<std::uint8_t>(n)).has_value())
         << n << " bytes";
+  }
+}
+
+TEST(Reconciler, KeyAtACellEdgeReconcilesWithZeroFlips) {
+  // One weight moves so that a key's encoding lies within 1e-12 of a cell
+  // boundary in one component, on either side of it or on it. Bob's
+  // rounding may pick either cell; Alice, holding the same key, must pass
+  // the cell test at once and flip nothing.
+  vkey::Rng rng(23);
+  const BitVec key = random_key(64, rng);
+  const OpenCode base(64, 11);
+  const BitVec x = base.mapped(key);
+  const auto raw = base.raw(key);
+  // A component whose encoding sits mid-range, and the input the key holds
+  // at 0 with the largest positive weight there: moving that weight moves
+  // the top of the range, not the encoding.
+  std::size_t r = 0;
+  double t = 0.0;
+  for (; r < kCodeDim; ++r) {
+    const auto [low, high] = base.range(r);
+    t = 255.0 * (raw[r] - low) / (high - low);
+    if (t > 64.0 && t < 192.0) break;
+  }
+  ASSERT_LT(r, kCodeDim);
+  std::size_t j = x.size();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!x.get(i) && base.weight(r, i) > 0.0 &&
+        (j == x.size() || base.weight(r, i) > base.weight(r, j))) {
+      j = i;
+    }
+  }
+  ASSERT_LT(j, x.size());
+  const double edge = std::floor(t) + 0.5;  // a boundary, in steps
+  for (const double offset : {-1e-12, -1e-14, 0.0, 1e-14, 1e-12}) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    OpenCode code(64, 11);
+    const auto [low, high] = code.range(r);
+    // The step that puts raw[r] - offset on the boundary.
+    const double step = (raw[r] - offset - low) / edge;
+    const double w = code.weight(r, j) + (low + 255.0 * step - high);
+    ASSERT_GT(w, 0.0);
+    code.set_weight(r, j, w);
+    ASSERT_EQ(code.raw(key)[r], raw[r]);  // input j is 0
+    const auto [new_low, new_high] = code.range(r);
+    const double new_step = (new_high - new_low) / 255.0;
+    EXPECT_LE(std::abs(raw[r] - (new_low + edge * new_step)), 1.1e-12);
+
+    const auto d = code.decode_mismatch(key, code.encode_bob(key));
+    EXPECT_EQ(d.mismatch.weight(), 0u);
+    EXPECT_EQ(d.iterations, 0u);
+    std::vector<std::uint8_t> bytes(kSyndromeBytes);
+    code.syndrome(key, bytes);
+    EXPECT_EQ(code.correct(key, bytes), key);
   }
 }
 
@@ -330,9 +428,9 @@ TEST(Reconciler, DecodeReadsNoDecoderWeight) {
 }
 
 TEST(Reconciler, EverySingleBitErrorIsFixedInOnePass) {
-  // One pass scores every flip, and the true one leaves a zero residual:
-  // on the untrained code, and with untied encoders both trained (the
-  // paper's Fig. 7), whose decode still inverts f1, the encoder y_Bob
+  // One pass scores every flip, and the true one leaves only the cells'
+  // rounding: on the untrained code, and with untied encoders both trained
+  // (the paper's Fig. 7), whose decode still inverts f1, the encoder y_Bob
   // came from.
   ReconcilerConfig untied;
   untied.tie_encoders = false;

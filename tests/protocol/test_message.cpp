@@ -60,7 +60,7 @@ BitVec random_key(vkey::Rng& rng) {
   return k;
 }
 
-TEST(Message, PackUnpackDoubles) {
+TEST(Message, SyndromeCellsCrossTheWire) {
   const core::SyndromeCode rec(64, 5);
   vkey::Rng rng(3);
   const BitVec kb = random_key(rng);
@@ -68,7 +68,7 @@ TEST(Message, PackUnpackDoubles) {
   Message m = sample_message();
   m.payload.resize(core::kSyndromeBytes);
   rec.syndrome(kb, m.payload);
-  ASSERT_EQ(m.payload.size(), core::kCodeDim * 8);
+  ASSERT_EQ(m.payload.size(), core::kCodeDim);  // one byte per cell
   wire::WireError err = wire::WireError::kNone;
   const auto back = wire::decode_frame(wire::encode_frame(m), &err);
   ASSERT_TRUE(back.has_value()) << wire::to_string(err);
@@ -78,11 +78,11 @@ TEST(Message, PackUnpackDoubles) {
   EXPECT_EQ(*fixed, rec.reconcile(ka, rec.encode_bob(kb)));
 }
 
-TEST(Message, UnpackRejectsMisaligned) {
+TEST(Message, CorrectRefusesAnyOtherPayloadLength) {
   const core::SyndromeCode rec(64, 5);
   vkey::Rng rng(4);
   const BitVec k = random_key(rng);
-  const std::size_t n = core::kCodeDim * 8;
+  const std::size_t n = core::kSyndromeBytes;
   for (const std::size_t size : {std::size_t{7}, n - 1, n + 1}) {
     Message m = sample_message();
     m.payload.assign(size, 0x3c);

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <vector>
 
+#include "common/error.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/reconciler.h"
 #include "crypto/sha256.h"
+#include "protocol/key_schedule.h"
 #include "protocol/reliability.h"
 #include "protocol/reliable_transport.h"
 #include "protocol/session.h"
@@ -451,6 +453,55 @@ std::string transcript_digest(const PublicChannel& base) {
   return std::to_string(bytes.size()) + ":" + sha256_hex(bytes);
 }
 
+TEST_F(ReliabilityTest, EveryFrameFitsOneLoRaPacket) {
+  // Each frame on air must fit one SX127x packet: every frame of a
+  // lossless and a lossy agreement and of a key confirmation over a lossy
+  // link, as their transcripts hold them, and a sealed data frame of the
+  // most plaintext seal() takes, which fills one exactly.
+  std::size_t frames = 0, syndromes = 0;
+  const auto check = [&](const Message& m) {
+    ++frames;
+    syndromes += m.type == MessageType::kSyndrome;
+    EXPECT_LE(wire::encode_frame(m).size(), channel::kMaxLoRaPayloadBytes)
+        << to_string(m.type);
+  };
+  for (const double faults : {0.0, 0.2}) {
+    ReliabilityConfig cfg = config_for(faults, 41);
+    cfg.fault.dup_prob = faults;
+    cfg.fault.reorder_prob = faults;
+    cfg.fault.corrupt_prob = faults;
+    PublicChannel base;
+    const auto report =
+        run_reliable_key_agreement(base, reconciler_, cfg, material_for(41));
+    EXPECT_TRUE(report.established) << "faults " << faults;
+    for (const Message& m : base.transcript()) check(m);
+  }
+  EXPECT_GE(syndromes, 2u);
+
+  const BitVec secret = random_key(42);
+  using Role = KeySchedule::Role;
+  KeySchedule initiator(secret, 0x77, Role::kInitiator);
+  KeySchedule responder(secret, 0x77, Role::kResponder);
+  SimClock clock;
+  PublicChannel base;
+  FaultConfig lossy;
+  lossy.drop_prob = 0.5;
+  lossy.seed = 5;
+  UnreliableChannel link(clock, base, lossy, fast_radio());
+  EXPECT_TRUE(
+      run_key_confirmation(clock, link, initiator, responder).confirmed);
+  for (const Message& m : base.transcript()) check(m);
+
+  std::vector<std::uint8_t> plain(KeySchedule::kMaxPlaintextBytes, 0x5a);
+  const Message sealed = initiator.seal(1, plain);
+  check(sealed);
+  EXPECT_EQ(wire::encode_frame(sealed).size(), channel::kMaxLoRaPayloadBytes);
+  EXPECT_TRUE(responder.open(sealed, clock.now_ms()).has_value());
+  plain.push_back(0x5a);
+  EXPECT_THROW((void)initiator.seal(2, plain), vkey::Error);
+  EXPECT_GE(frames, 12u);
+}
+
 TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   ReliabilityConfig cfg = config_for(0.25, 31);
   cfg.fault.dup_prob = 0.2;
@@ -461,13 +512,13 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   const auto report =
       run_reliable_key_agreement(base, reconciler_, cfg, material_for(31));
   EXPECT_EQ(counters_of(report),
-            "attempts=1 ttk=3669.212999956156 link=22,1938,12,5,3,3,1,5\n"
+            "attempts=1 ttk=2121.645980193749 link=24,1064,15,5,3,3,1,5\n"
             "sid=1 est=1 none alice=established/none "
-            "bob=established/duplicate ms=3669.212999956156 "
-            "atx=2,5,3,1,2,0 btx=3,4,5,1,0,0 dups=0,3 flight=93,93\n");
+            "bob=established/none ms=2121.645980193749 "
+            "atx=2,6,4,2,1,0 btx=3,3,6,2,0,0 dups=1,4 flight=103,103\n");
   EXPECT_EQ(transcript_digest(base),
-            "1938:bd4c0b4ac95b7b0213ec7cd2faa7be469a18b0bb06ad04f8bfcdeaf5b68"
-            "d77b6");
+            "1064:863b8bcb96e8e6c882c972f390219a61fd60261ea40bb32d04a5aa8e33b"
+            "32483");
 
   // A link too lossy to finish: every attempt fails and leaves a dump.
   ReliabilityConfig lossy = config_for(0.8, 32);
@@ -480,23 +531,23 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
       run_reliable_key_agreement(eve, reconciler_, lossy, material_for(32));
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(counters_of(failed),
-            "attempts=3 ttk=37476.41731994929 link=55,4653,8,45,4,4,2,5\n"
-            "sid=1 est=0 retry-exhausted alice=await-syndrome/none "
-            "bob=await-confirm/none ms=12607.15728566181 atx=1,8,1,0,0,1 "
-            "btx=2,8,1,0,0,0 dups=0,0 flight=86,86\n"
+            "attempts=3 ttk=36463.59913454495 link=55,2253,8,45,4,4,2,5\n"
+            "sid=1 est=0 retry-exhausted alice=await-accept/bad-state "
+            "bob=await-confirm/none ms=12607.15728566181 atx=1,8,0,0,0,1 "
+            "btx=2,9,1,0,0,0 dups=0,0 flight=87,87\n"
             "sid=2 est=0 retry-exhausted alice=await-accept/none "
             "bob=idle/none ms=13696.002607303932 atx=1,8,0,0,0,1 "
             "btx=0,0,0,0,0,0 dups=0,0 flight=39,39\n"
             "sid=3 est=0 retry-exhausted alice=await-syndrome/duplicate "
-            "bob=await-confirm/duplicate ms=11173.257426983546 "
+            "bob=await-confirm/duplicate ms=10160.43924157921 "
             "atx=1,2,3,1,0,0 btx=2,15,2,0,0,1 dups=2,1 flight=109,109\n");
   EXPECT_EQ(transcript_digest(eve),
-            "4653:fb6805050d4016d34e53d2b95e0ca2fce84eca81826f746fd7612dbddf"
-            "149d66");
+            "2253:dfee5edf6ddcd92ce2dca8360d6c22b30ca1fde8c7dab4a75e05f292b1"
+            "6d81fe");
   const std::string dump = failed.failure_dump();
   EXPECT_EQ(std::to_string(dump.size()) + ":" + sha256_hex(dump),
-            "17913:c2a1cdac82df51a059ab912de8c06ad4a52329907566c9e4470acb3b55"
-            "954ee3");
+            "17999:1019686c1152fd7ec5b9e7618d5ee8a9c7d649a822e6877a7e3afe5dbf"
+            "1d69c6");
 }
 
 // ------------------------------------------- structured agreement results

@@ -158,11 +158,11 @@ TEST_F(SessionTest, MalformedSyndromeIsRejectedAndTheIntactOneEstablishes) {
   const auto syndrome = bob.take_unprompted();
   ASSERT_TRUE(syndrome.has_value());
 
-  // Bob's syndrome frame with its payload cut to 255 bytes: not a whole
-  // number of doubles, so Alice refuses it before decoding or checking the
-  // MAC, and keeps waiting.
+  // Bob's syndrome frame with its last cell cut off: not one byte per
+  // cell, so Alice refuses it before decoding or checking the MAC, and
+  // keeps waiting.
   Message cut = *syndrome;
-  cut.payload.resize(255);
+  cut.payload.resize(core::kSyndromeBytes - 1);
   EXPECT_FALSE(alice.handle(cut).has_value());
   EXPECT_EQ(alice.last_reject(), RejectReason::kMalformed);
   EXPECT_EQ(alice.state(), SessionState::kAwaitSyndrome);
