@@ -59,7 +59,7 @@ std::vector<Sample> make_pairs(std::uint64_t seed, std::size_t trials) {
 
 int main(int argc, char** argv) {
   BenchReport report("fig11_reconciliation", argc, argv);
-  const auto pairs = make_pairs(77, report.scaled(150, 40));
+  const auto pairs = make_pairs(77, report.scaled(3000, 150));
 
   Table t({"method", "agreement", "std", "cost (MAC ops/block)"});
 

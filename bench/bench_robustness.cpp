@@ -52,7 +52,7 @@ BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
   return out;
 }
 
-ProbeMaterialFn material_for(std::uint64_t trial) {
+auto material_for(std::uint64_t trial) {
   return [trial](std::size_t attempt) {
     const std::uint64_t seed = hash_combine64(trial, attempt);
     const BitVec kb = random_key(seed);

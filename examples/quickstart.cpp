@@ -75,7 +75,7 @@ int main() {
               "both sides confirmed the same key (%zu frames on the air, "
               "ARQ acks included).\n",
               block->alice_raw.hamming_distance(block->bob_key),
-              channel.transcript().size());
+              report.link.sent);
 
   // --- 3. protected V2V traffic ------------------------------------------
   using Role = protocol::KeySchedule::Role;

@@ -290,11 +290,10 @@ int sim_main(int argc, char** argv) {
       rcfg.fault.seed = hash_combine64(fault.seed, i);
       rcfg.arq.seed = hash_combine64(fault.seed ^ 0xa2c, i);
       rcfg.base_session_id = 1 + i * 16;
-      const protocol::ProbeMaterialFn material =
-          [&blocks, i](std::size_t attempt) {
-            const auto& b = blocks[(i + attempt) % blocks.size()];
-            return std::make_pair(b.alice_raw, b.bob_key);
-          };
+      const auto material = [&blocks, i](std::size_t attempt) {
+        const auto& b = blocks[(i + attempt) % blocks.size()];
+        return std::make_pair(b.alice_raw, b.bob_key);
+      };
       protocol::PublicChannel base;
       const auto report = protocol::run_reliable_key_agreement(
           base, pipeline.reconciler(), rcfg, material);

@@ -7,8 +7,16 @@
 
 namespace vkey::protocol {
 
-std::optional<Message> find_syndrome(const PublicChannel& channel) {
-  for (const auto& msg : channel.transcript()) {
+void record_transcript(PublicChannel& channel,
+                       std::vector<Message>& transcript) {
+  channel.set_interceptor([&transcript](Message& msg) {
+    transcript.push_back(msg);
+    return true;
+  });
+}
+
+std::optional<Message> find_syndrome(std::span<const Message> transcript) {
+  for (const Message& msg : transcript) {
     if (msg.type == MessageType::kSyndrome) return msg;
   }
   return std::nullopt;

@@ -6,16 +6,20 @@
 // paper's two evaluated attacks plus the two "handled by construction"
 // attacks (MITM, replay) whose rejection the tests verify:
 //
-//  * Eavesdropping attack: pull y_Bob from the transcript and run the public
+//  * Eavesdropping attack: record every frame on the channel as sent
+//    (record_transcript), pull y_Bob from the recording and run the public
 //    decoder against Eve's own key material (Fig. 15(a): ~50% agreement).
 //  * Imitating attack: drive Eve's channel observations (she followed
 //    Alice's route) through the same pipeline (Fig. 15(b)).
-//  * MITM: intercept and perturb the syndrome; Alice's MAC check must fail.
+//  * MITM: intercept and perturb the syndrome (install_syndrome_tamper);
+//    Alice's MAC check must fail.
 //  * Replay: hand a session a captured frame again; the nonce window
 //    suppresses a bit-identical copy and rejects a modified one.
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "core/reconciler.h"
@@ -23,8 +27,15 @@
 
 namespace vkey::protocol {
 
-/// Extract the first syndrome message from a channel transcript.
-std::optional<Message> find_syndrome(const PublicChannel& channel);
+/// Passive eavesdropping: install an interceptor that appends every frame
+/// on `channel` to `transcript` as sent, oldest first, then delivers it.
+/// It replaces any installed interceptor (an attacker that also tampers
+/// writes one that does both). `transcript` must outlive the traffic.
+void record_transcript(PublicChannel& channel,
+                       std::vector<Message>& transcript);
+
+/// The first syndrome message of a recorded transcript.
+std::optional<Message> find_syndrome(std::span<const Message> transcript);
 
 /// Eavesdropping attack: Eve decodes y_Bob with her own key material using
 /// the public syndrome code. Returns her corrected-key guess.

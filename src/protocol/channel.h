@@ -1,22 +1,16 @@
 // The public (unauthenticated) channel the protocol messages traverse.
 //
 // Per the threat model (Sec. III), Eve has full knowledge of the protocol
-// and can eavesdrop, inject and replay messages. PublicChannel therefore
-// keeps a complete transcript (Eve's view) and exposes an interception hook
-// through which an active attacker can drop, modify or forge traffic before
-// delivery. Delivery itself belongs to the link on top (UnreliableChannel),
-// which hands every frame to transmit() and delivers what survives on its
-// own clock.
-//
-// The transcript is one flat log of the frames' v1 encodings
-// (protocol/wire.h), written back to back: it grows geometrically from an
-// initial reservation, so logging a frame allocates nothing once the log
-// is warm. transcript() decodes it on demand.
+// and can eavesdrop, inject and replay messages. PublicChannel gives her one
+// hook, the interceptor, which sees every frame as sent: a passive Eve
+// records the traffic through it (protocol/attacks.h, record_transcript)
+// and an active one drops, modifies or forges frames before delivery. With
+// no interceptor installed nothing is kept. Delivery itself belongs to the
+// link on top (UnreliableChannel), which hands every frame to transmit()
+// and delivers what survives on its own clock.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "protocol/message.h"
 
@@ -29,20 +23,15 @@ class PublicChannel {
   /// it.
   using Interceptor = std::function<bool(Message&)>;
 
-  /// Log `msg` to the public transcript *as sent* (Eve sees the original
-  /// even when an interceptor rewrites it), then apply the interceptor to
-  /// `msg` in place. Returns false when the interceptor drops it; `msg` is
-  /// then what would have been delivered.
+  /// Hand `msg`, as sent, to the interceptor, which may rewrite it in
+  /// place. Returns false when the interceptor drops it; `msg` is then what
+  /// would have been delivered.
   bool transmit(Message& msg);
 
-  /// Everything ever sent, oldest first: the eavesdropper's view.
-  std::vector<Message> transcript() const;
-
-  /// Install (or clear, by passing nullptr) the active-attacker hook.
+  /// Install (or clear, by passing nullptr) the attacker's hook.
   void set_interceptor(Interceptor interceptor);
 
  private:
-  std::vector<std::uint8_t> log_;  ///< v1 frames back to back
   Interceptor interceptor_;
 };
 

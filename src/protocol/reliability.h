@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -107,17 +106,13 @@ struct AgreementReport {
   explicit operator bool() const { return established; }
 };
 
-/// Fresh probe material for attempt k: (alice_raw, bob_raw), each
-/// reconciler.key_bits() wide. Recovery re-probes the channel, so successive
-/// attempts should return different material.
-using ProbeMaterialFn =
-    std::function<std::pair<BitVec, BitVec>(std::size_t attempt)>;
-
-/// What run_reliable_key_agreement takes: a non-owning reference to any
-/// callable of ProbeMaterialFn's shape (a lambda, a ProbeMaterialFn). It
-/// is two words and never copies the callable, so passing a lambda
-/// allocates nothing whatever it captures. The callable must outlive the
-/// call, which a lambda written as the argument does.
+/// What run_reliable_key_agreement takes for its probe material: a
+/// non-owning reference to any callable that, given attempt k, returns
+/// fresh material (alice_raw, bob_raw), each reconciler.key_bits() wide.
+/// Recovery re-probes the channel, so successive attempts should return
+/// different material. It is two words and never copies the callable, so
+/// passing a lambda allocates nothing whatever it captures. The callable
+/// must outlive the call, which a lambda written as the argument does.
 class ProbeMaterialRef {
  public:
   template <typename F,
@@ -143,8 +138,9 @@ class ProbeMaterialRef {
 };
 
 /// Run key agreement with ARQ + session recovery over a faulty link, on a
-/// virtual clock of its own. `base` keeps the eavesdropper transcript across
-/// attempts and may carry a MITM interceptor.
+/// virtual clock of its own. Every attempt's frames pass `base`, whose
+/// interceptor (when one is installed) records them for Eve or tampers
+/// with them.
 AgreementReport run_reliable_key_agreement(
     PublicChannel& base, const core::SyndromeCode& reconciler,
     const ReliabilityConfig& config, ProbeMaterialRef material);

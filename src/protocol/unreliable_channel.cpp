@@ -135,8 +135,8 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   const std::size_t slot = acquire_slot();
   Message& in_flight = slot_at(slot).msg;
   in_flight = msg;
-  // Through the base channel first: keeps the eavesdropper transcript and
-  // lets an installed MITM interceptor rewrite or drop the frame.
+  // Through the base channel first: an installed interceptor sees the
+  // frame as sent (Eve's view) and may rewrite or drop it (MITM).
   if (!base_.transmit(in_flight)) return;  // intercepted and dropped
 
   if (rng_.bernoulli(faults_.drop_prob)) {

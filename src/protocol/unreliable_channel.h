@@ -3,11 +3,11 @@
 // Real SX127x links drop, duplicate, reorder and corrupt frames, and every
 // frame occupies the air for a duration given by the LoRa PHY timing
 // formulas. UnreliableChannel models all of that on top of the existing
-// PublicChannel (which keeps the eavesdropper transcript and the active-
-// attacker interceptor hook): each send() passes through the base channel's
-// transmit() first — so Eve's view and MITM interception are unchanged —
-// and is then subjected to a seeded fault model before being delivered to
-// the far endpoint through the SimClock:
+// PublicChannel (which holds the attacker's interceptor hook): each send()
+// passes through the base channel's transmit() first — so Eve sees every
+// frame as sent, and MITM interception is unchanged — and is then
+// subjected to a seeded fault model before being delivered to the far
+// endpoint through the SimClock:
 //
 //   * drop:        frame lost with probability drop_prob;
 //   * corruption:  1..3 random bit flips in the *packed wire frame*

@@ -229,12 +229,6 @@ void write_frame(const Message& msg, std::span<std::uint8_t> out) {
 
 }  // namespace
 
-void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
-  const std::size_t at = out.size();
-  out.resize(at + checked_frame_size(msg));
-  write_frame(msg, std::span(out).subspan(at));
-}
-
 void encode_frame(const Message& msg, FrameBytes& out) {
   out.resize(checked_frame_size(msg));
   write_frame(msg, out);
@@ -242,8 +236,8 @@ void encode_frame(const Message& msg, FrameBytes& out) {
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
-  std::vector<std::uint8_t> out;
-  append_frame(msg, out);
+  std::vector<std::uint8_t> out(checked_frame_size(msg));
+  write_frame(msg, out);
   metrics::counter<"wire.encoded">().add(1);
   return out;
 }
@@ -265,29 +259,6 @@ std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
   Message msg;
   if (!decode_frame(bytes, msg, error)) return std::nullopt;
   return msg;
-}
-
-std::vector<Message> parse_frames(std::span<const std::uint8_t> log) {
-  std::vector<Message> out;
-  while (!log.empty()) {
-    // The header's two length fields give the frame's extent.
-    FrameReader r(log);
-    std::uint16_t magic = 0;
-    std::uint8_t version = 0;
-    std::uint16_t payload_len = 0;
-    std::uint8_t mac_len = 0;
-    VKEY_REQUIRE(r.read_u16(magic) && r.read_u8(version) &&
-                     r.read_u16(payload_len) && r.read_u8(mac_len),
-                 "frame log ends inside a header");
-    const std::size_t size =
-        kMinFrameBytes + static_cast<std::size_t>(payload_len) + mac_len;
-    VKEY_REQUIRE(size <= log.size(), "frame log ends inside a frame");
-    VKEY_REQUIRE(parse_frame(log.first(size), out.emplace_back()) ==
-                     WireError::kNone,
-                 "frame log holds a damaged frame");
-    log = log.subspan(size);
-  }
-  return out;
 }
 
 void register_wire_metrics() {

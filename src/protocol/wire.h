@@ -134,15 +134,10 @@ using FrameBytes = SmallBuffer<std::uint8_t, kInlineFrameBytes>;
 /// (Computed without encoding; used for airtime math on the hot path.)
 std::size_t frame_size(const Message& msg);
 
-/// Append the v1 frame of `msg` to `out`. Throws vkey::Error when the
-/// message violates the wire bounds (oversized payload or MAC) — an honest
-/// sender never does. Not counted: a log that keeps frames (the public
-/// transcript) is not radio traffic.
-void append_frame(const Message& msg, std::vector<std::uint8_t>& out);
-
 /// Pack a Message into a v1 frame in `out` (its contents replaced, its
-/// storage reused) and count it in "wire.encoded". Throws like
-/// append_frame().
+/// storage reused) and count it in "wire.encoded". Throws vkey::Error when
+/// the message violates the wire bounds (oversized payload or MAC) — an
+/// honest sender never does.
 void encode_frame(const Message& msg, FrameBytes& out);
 std::vector<std::uint8_t> encode_frame(const Message& msg);
 
@@ -155,11 +150,6 @@ bool decode_frame(std::span<const std::uint8_t> bytes, Message& out,
                   WireError* error = nullptr);
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     WireError* error = nullptr);
-
-/// The messages of a log of frames written back to back by append_frame(),
-/// oldest first. Not counted, like append_frame(). Throws vkey::Error on a
-/// log that no append_frame() sequence could have written.
-std::vector<Message> parse_frames(std::span<const std::uint8_t> log);
 
 /// Eagerly register every wire.* instrument so metric snapshots carry the
 /// full reject taxonomy (at zero) even for runs that never reject a frame —

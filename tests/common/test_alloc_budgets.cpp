@@ -319,14 +319,14 @@ TEST(AllocBudget, LosslessAgreementAttemptStaysUnderABound) {
   (void)one_attempt(reconciler, {});
   const AttemptCost cost = one_attempt(reconciler, {});
   ASSERT_TRUE(cost.established);
-  // 3: the clock's heap, reserved once, the transcript and the attempt
-  // log. Bob's encoding and syndrome, Alice's decode, keys, frames, the
-  // link's slots and the sessions' and transports' tables live inline or
-  // on the stack (6 while the heap grew by doubling; 12 while the
-  // encoding, the syndrome and the decode took 6 blocks; 40 when keys,
-  // frames and tables took one each; 120 when every frame was copied per
-  // hop).
-  EXPECT_LE(cost.allocations, 3u);
+  // 2: the clock's heap, reserved once, and the attempt log. Bob's
+  // encoding and syndrome, Alice's decode, keys, frames, the link's slots
+  // and the sessions' and transports' tables live inline or on the stack
+  // (3 while the public channel logged every frame; 6 while the heap grew
+  // by doubling; 12 while the encoding, the syndrome and the decode took 6
+  // blocks; 40 when keys, frames and tables took one each; 120 when every
+  // frame was copied per hop).
+  EXPECT_LE(cost.allocations, 2u);
 }
 
 TEST(AllocBudget, FlightRecordingCostsOneBlockPerAttempt) {
@@ -387,12 +387,13 @@ TEST(AllocBudget, KeyConfirmationStaysUnderABound) {
     const protocol::ConfirmReport report = confirm_over(drop, allocs);
     ASSERT_TRUE(report.confirmed) << "drop " << drop;
     most_transmissions = std::max(most_transmissions, report.transmissions);
-    // 2: the clock's heap, reserved once, and the transcript. Both roles'
-    // frames and the link's slots live inline, and retransmissions rewrite
-    // the same frames (3 or 4 while the heap grew by doubling; 11 while
-    // frames and slots took blocks; 70, 86 and 117 for 1, 2 and 4
-    // transmissions when each built a frame and a heap closure).
-    EXPECT_LE(allocs, 2u) << "drop " << drop << ", "
+    // 1: the clock's heap, reserved once. Both roles' frames and the
+    // link's slots live inline, and retransmissions rewrite the same frames
+    // (2 while the public channel logged every frame; 3 or 4 while the heap
+    // grew by doubling; 11 while frames and slots took blocks; 70, 86 and
+    // 117 for 1, 2 and 4 transmissions when each built a frame and a heap
+    // closure).
+    EXPECT_LE(allocs, 1u) << "drop " << drop << ", "
                           << report.transmissions << " transmissions";
   }
   EXPECT_GE(most_transmissions, 3u);
@@ -518,16 +519,17 @@ TEST(AllocBudget, SessionFromProbeToConfirmedEpochIsFixedPlusPerAttempt) {
   const core::PredictorQuantizer predictor{core::PredictorConfig{}};
   protocol::register_protocol_metrics();
   (void)one_session(code, predictor, 1, 1);  // warm-up: weights, metrics
-  // Fixed: the generator's state, the agreement's clock heap, transcript
-  // and attempt log, and the confirmation's clock heap and transcript (6).
-  // Per attempt: the round vector, extraction's 5 blocks, the prediction's
-  // workspace and the attempt's flight ring (8). While the agreement took
-  // its material callback as a std::function, the closure added a fixed
-  // block (7); while rRSSI samples, ray phases, device names, per-packet
-  // sequences, quantizer scratch and prediction rows took blocks of their
-  // own, and the clock heaps grew by doubling, the fixed part was 23 blocks
-  // and each attempt 47.
-  constexpr std::uint64_t kFixed = 6;
+  // Fixed: the generator's state, the agreement's clock heap and attempt
+  // log, and the confirmation's clock heap (4). Per attempt: the round
+  // vector, extraction's 5 blocks, the prediction's workspace and the
+  // attempt's flight ring (8). While the public channel logged every frame,
+  // the agreement's and the confirmation's logs added 2 fixed blocks (6);
+  // while the agreement took its material callback as a std::function, the
+  // closure added one more (7); while rRSSI samples, ray phases, device
+  // names, per-packet sequences, quantizer scratch and prediction rows took
+  // blocks of their own, and the clock heaps grew by doubling, the fixed
+  // part was 23 blocks and each attempt 47.
+  constexpr std::uint64_t kFixed = 4;
   constexpr std::uint64_t kPerAttempt = 8;
   for (const std::size_t agree_from : {0u, 1u, 3u}) {
     for (const std::uint64_t seed : {2u, 3u}) {

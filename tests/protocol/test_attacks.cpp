@@ -20,7 +20,7 @@ class AttackTest : public ::testing::Test {
   }
 
   /// One agreement attempt over a fault-free link whose base channel is
-  /// `ch`: Eve's transcript and the attacker's interceptor.
+  /// `ch`, which carries the attacker's interceptor.
   static AgreementReport agree(PublicChannel& ch, const BitVec& ka,
                                const BitVec& kb) {
     ReliabilityConfig cfg;
@@ -33,15 +33,41 @@ class AttackTest : public ::testing::Test {
   static inline const core::SyndromeCode reconciler_{64, 11};
 };
 
+TEST_F(AttackTest, RecordedTranscriptHoldsEveryFrameAsSent) {
+  PublicChannel ch;
+  std::vector<Message> transcript;
+  record_transcript(ch, transcript);
+  Message request;
+  request.type = MessageType::kKeyGenRequest;
+  request.session_id = 1;
+  request.nonce = 1;
+  Message syndrome = request;
+  syndrome.type = MessageType::kSyndrome;
+  syndrome.nonce = 2;
+  syndrome.payload = {1, 2, 3};
+  syndrome.mac = {4, 5};
+  Message in_flight = request;
+  EXPECT_TRUE(ch.transmit(in_flight));
+  EXPECT_EQ(in_flight, request);  // recording delivers the frame as sent
+  in_flight = syndrome;
+  EXPECT_TRUE(ch.transmit(in_flight));
+  ASSERT_EQ(transcript.size(), 2u);
+  EXPECT_EQ(transcript[0], request);
+  EXPECT_EQ(transcript[1], syndrome);
+  EXPECT_EQ(find_syndrome(transcript), syndrome);
+}
+
 TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
   const BitVec kb = random_key(1);
   BitVec ka = kb;
   ka.flip(5);
   PublicChannel ch;
+  std::vector<Message> transcript;
+  record_transcript(ch, transcript);
   ASSERT_TRUE(agree(ch, ka, kb));
 
-  // Eve pulls the syndrome from the transcript.
-  const auto syndrome = find_syndrome(ch);
+  // Eve pulls the syndrome from what she recorded.
+  const auto syndrome = find_syndrome(transcript);
   ASSERT_TRUE(syndrome.has_value());
 
   // Her key material is uncorrelated: decoding gets her nowhere near K_Bob.
@@ -52,8 +78,7 @@ TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
 }
 
 TEST_F(AttackTest, NoSyndromeInEmptyTranscript) {
-  PublicChannel ch;
-  EXPECT_FALSE(find_syndrome(ch).has_value());
+  EXPECT_FALSE(find_syndrome({}).has_value());
 }
 
 TEST_F(AttackTest, EavesdropAttackValidatesMessageType) {

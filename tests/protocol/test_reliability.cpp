@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -11,6 +12,7 @@
 #include "common/rng.h"
 #include "core/reconciler.h"
 #include "crypto/sha256.h"
+#include "protocol/attacks.h"
 #include "protocol/key_schedule.h"
 #include "protocol/reliability.h"
 #include "protocol/reliable_transport.h"
@@ -126,6 +128,8 @@ channel::LoRaParams fast_radio() {
 TEST(UnreliableChannel, FaultFreeLinkDeliversEverythingInOrder) {
   SimClock clock;
   PublicChannel base;
+  std::vector<Message> eve;
+  record_transcript(base, eve);
   FaultConfig faults;  // all probabilities zero
   UnreliableChannel link(clock, base, faults, fast_radio());
   std::vector<std::uint64_t> seen;
@@ -143,8 +147,8 @@ TEST(UnreliableChannel, FaultFreeLinkDeliversEverythingInOrder) {
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(link.stats().delivered, 5u);
   EXPECT_EQ(link.stats().dropped, 0u);
-  EXPECT_EQ(base.transcript().size(), 5u);  // Eve still sees everything
-  EXPECT_GT(clock.now_ms(), 0.0);           // airtime-derived latency
+  EXPECT_EQ(eve.size(), 5u);       // Eve still sees everything
+  EXPECT_GT(clock.now_ms(), 0.0);  // airtime-derived latency
 }
 
 TEST(UnreliableChannel, DropRateIsRoughlyHonoured) {
@@ -215,11 +219,17 @@ TEST(UnreliableChannel, SeededFaultStreamIsReproducible) {
 }
 
 TEST(UnreliableChannel, DeliversTheFrameItWasGivenWhateverTheBaseHolds) {
-  // The link uses the base channel for its transcript and interceptor only:
-  // Bob gets the frame that was sent, a frame the interceptor drops never
-  // reaches him, and Eve's transcript keeps both.
+  // The link uses the base channel for its interceptor only: Bob gets the
+  // frame that was sent, a frame the interceptor drops never reaches him,
+  // and Eve, listening in the same interceptor, hears both.
   SimClock clock;
   PublicChannel base;
+  std::vector<Message> eve;
+  bool drop = false;
+  base.set_interceptor([&](Message& m) {
+    eve.push_back(m);
+    return !drop;
+  });
   UnreliableChannel link(clock, base, FaultConfig{}, fast_radio());
   std::vector<std::uint64_t> at_bob;
   link.set_handler(UnreliableChannel::Endpoint::kBob,
@@ -233,12 +243,12 @@ TEST(UnreliableChannel, DeliversTheFrameItWasGivenWhateverTheBaseHolds) {
   clock.run_until_idle();
   EXPECT_EQ(at_bob, (std::vector<std::uint64_t>{1}));
 
-  base.set_interceptor([](Message&) { return false; });
+  drop = true;
   frame.nonce = 2;
   link.send(UnreliableChannel::Endpoint::kAlice, frame);
   clock.run_until_idle();
   EXPECT_EQ(at_bob, (std::vector<std::uint64_t>{1}));  // the drop holds
-  EXPECT_EQ(base.transcript().size(), 2u);  // Eve saw both frames
+  EXPECT_EQ(eve.size(), 2u);                           // Eve saw both frames
 }
 
 // ------------------------------------------------- end-to-end key agreement
@@ -263,7 +273,7 @@ class ReliabilityTest : public ::testing::Test {
 
   /// Probe material for trial `trial`: Bob's key plus a 3-bit-noisy copy
   /// for Alice; attempts within a trial draw fresh material.
-  static ProbeMaterialFn material_for(std::uint64_t trial) {
+  static auto material_for(std::uint64_t trial) {
     return [trial](std::size_t attempt) {
       const std::uint64_t seed = hash_combine64(trial, attempt);
       const BitVec kb = random_key(seed);
@@ -444,9 +454,9 @@ std::string sha256_hex(const std::string& text) {
   return crypto::to_hex(d.data(), d.size());
 }
 
-std::string transcript_digest(const PublicChannel& base) {
+std::string transcript_digest(std::span<const Message> transcript) {
   std::string bytes;
-  for (const Message& m : base.transcript()) {
+  for (const Message& m : transcript) {
     const auto frame = wire::encode_frame(m);
     bytes.append(frame.begin(), frame.end());
   }
@@ -471,10 +481,12 @@ TEST_F(ReliabilityTest, EveryFrameFitsOneLoRaPacket) {
     cfg.fault.reorder_prob = faults;
     cfg.fault.corrupt_prob = faults;
     PublicChannel base;
+    std::vector<Message> transcript;
+    record_transcript(base, transcript);
     const auto report =
         run_reliable_key_agreement(base, reconciler_, cfg, material_for(41));
     EXPECT_TRUE(report.established) << "faults " << faults;
-    for (const Message& m : base.transcript()) check(m);
+    for (const Message& m : transcript) check(m);
   }
   EXPECT_GE(syndromes, 2u);
 
@@ -484,13 +496,15 @@ TEST_F(ReliabilityTest, EveryFrameFitsOneLoRaPacket) {
   KeySchedule responder(secret, 0x77, Role::kResponder);
   SimClock clock;
   PublicChannel base;
+  std::vector<Message> transcript;
+  record_transcript(base, transcript);
   FaultConfig lossy;
   lossy.drop_prob = 0.5;
   lossy.seed = 5;
   UnreliableChannel link(clock, base, lossy, fast_radio());
   EXPECT_TRUE(
       run_key_confirmation(clock, link, initiator, responder).confirmed);
-  for (const Message& m : base.transcript()) check(m);
+  for (const Message& m : transcript) check(m);
 
   std::vector<std::uint8_t> plain(KeySchedule::kMaxPlaintextBytes, 0x5a);
   const Message sealed = initiator.seal(1, plain);
@@ -509,6 +523,8 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   cfg.fault.corrupt_prob = 0.2;
   cfg.max_session_attempts = 4;
   PublicChannel base;
+  std::vector<Message> transcript;
+  record_transcript(base, transcript);
   const auto report =
       run_reliable_key_agreement(base, reconciler_, cfg, material_for(31));
   EXPECT_EQ(counters_of(report),
@@ -516,7 +532,7 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
             "sid=1 est=1 none alice=established/none "
             "bob=established/none ms=2121.645980193749 "
             "atx=2,6,4,2,1,0 btx=3,3,6,2,0,0 dups=1,4 flight=103,103\n");
-  EXPECT_EQ(transcript_digest(base),
+  EXPECT_EQ(transcript_digest(transcript),
             "1064:863b8bcb96e8e6c882c972f390219a61fd60261ea40bb32d04a5aa8e33b"
             "32483");
 
@@ -526,9 +542,11 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   lossy.fault.reorder_prob = 0.25;
   lossy.fault.corrupt_prob = 0.25;
   lossy.max_session_attempts = 3;
-  PublicChannel eve;
+  PublicChannel air;
+  std::vector<Message> eve;
+  record_transcript(air, eve);
   const auto failed =
-      run_reliable_key_agreement(eve, reconciler_, lossy, material_for(32));
+      run_reliable_key_agreement(air, reconciler_, lossy, material_for(32));
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(counters_of(failed),
             "attempts=3 ttk=36463.59913454495 link=55,2253,8,45,4,4,2,5\n"
