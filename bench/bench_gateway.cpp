@@ -90,9 +90,7 @@ struct SuiteTelemetry {
 GatewayReport run_gateway(const GatewayConfig& cfg,
                           const core::SyndromeCode& reconciler,
                           SuiteTelemetry* telem) {
-  GatewayConfig run_cfg = cfg;
-  if (telem != nullptr) run_cfg.tick_interval_ms = 1000.0;
-  GatewayEngine engine(run_cfg, reconciler, make_material());
+  GatewayEngine engine(cfg, reconciler, make_material());
   if (telem != nullptr) {
     engine.set_tick([telem](double now_ms) {
       telem->sampler.sample(telem->vbase_ms + now_ms);

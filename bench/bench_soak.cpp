@@ -62,7 +62,6 @@ namespace {
 // path (failure dumps included) before the zero-growth gate arms.
 constexpr double kDropPattern[] = {0.0, 0.10, 0.25};
 constexpr std::size_t kPatternLen = sizeof(kDropPattern) / sizeof(double);
-constexpr double kTickIntervalMs = 1000.0;  // observer tick (virtual)
 
 BitVec random_key(std::uint64_t seed, std::size_t bits) {
   vkey::Rng rng(seed);
@@ -103,7 +102,6 @@ GatewayConfig round_config(std::size_t sessions, std::size_t round,
   cfg.reliability.max_session_attempts = 6;
   cfg.reliability.fault.drop_prob = drop;
   cfg.seed = hash_combine64(0x50a9, round);
-  cfg.tick_interval_ms = kTickIntervalMs;
   return cfg;
 }
 

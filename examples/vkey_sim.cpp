@@ -381,9 +381,6 @@ int sim_main(int argc, char** argv) {
     gcfg.max_inflight = gateway_inflight;
     gcfg.reliability.fault = fault;
     gcfg.seed = hash_combine64(cfg.trace.seed, fault.seed);
-    // Telemetry rides the engine's lifecycle tick: samples land on a 1 s
-    // virtual grid, offset by the phases already on the shared timeline.
-    if (telemetry) gcfg.tick_interval_ms = 1000.0;
     protocol::GatewayEngine engine(
         gcfg, pipeline.reconciler(),
         [&blocks](std::uint64_t device, std::size_t attempt) {
@@ -425,6 +422,8 @@ int sim_main(int argc, char** argv) {
           });
     }
     if (telemetry) {
+      // Telemetry rides the engine's lifecycle tick: samples land on a 1 s
+      // virtual grid, offset by the phases already on the shared timeline.
       const double vbase_ms = telemetry_vt_ms;
       engine.set_tick([&telemetry, vbase_ms](double now_ms) {
         telemetry->sample(vbase_ms + now_ms);

@@ -68,7 +68,7 @@ void GatewayEngine::on_tick() {
   // run alive forever. The executing tick is already off the queue, so
   // pending() counts everything else.
   if (clock_.pending() > 0) {
-    clock_.schedule(cfg_.tick_interval_ms, [this] { on_tick(); });
+    clock_.schedule(kTickIntervalMs, [this] { on_tick(); });
   }
 }
 
@@ -212,13 +212,11 @@ GatewayReport GatewayEngine::run() {
   VKEY_REQUIRE(!ran_, "GatewayEngine::run() is one-shot");
   ran_ = true;
   clock_.schedule_at(0.0, [this] { on_arrival(0); });
-  if (tick_ && cfg_.tick_interval_ms > 0.0) {
-    clock_.schedule(cfg_.tick_interval_ms, [this] { on_tick(); });
-  }
+  if (tick_) clock_.schedule(kTickIntervalMs, [this] { on_tick(); });
   // Runaway guard far above need: every session costs O(1) lifecycle events
   // (arrival, admission, completion, <= max_rekeys rekeys, idle checks).
   std::size_t cap = cfg_.sessions * (cfg_.max_rekeys + 8) + 1024;
-  if (tick_ && cfg_.tick_interval_ms > 0.0) {
+  if (tick_) {
     // Observer ticks add makespan / interval events; bound the makespan by
     // the arrival span plus a generous per-session tail (establishments,
     // rekeys, the idle timeout). A too-low guess still fails loudly via the
@@ -228,7 +226,7 @@ GatewayReport GatewayEngine::run() {
         kIdleTimeoutMs * 4.0 +
         cfg_.rekey_interval_ms * static_cast<double>(cfg_.max_rekeys) +
         60'000.0;
-    cap += static_cast<std::size_t>(span_bound / cfg_.tick_interval_ms) + 64;
+    cap += static_cast<std::size_t>(span_bound / kTickIntervalMs) + 64;
   }
   clock_.run_until_idle(cap);
   VKEY_REQUIRE(registry_.queued() == 0 && registry_.establishing() == 0 &&

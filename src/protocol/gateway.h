@@ -50,6 +50,16 @@
 
 namespace vkey::protocol {
 
+/// Period of the observer tick on the shared timeline [virtual ms]. With
+/// an observer installed (GatewayEngine::set_tick), each tick invokes it at
+/// a grid point — the hook the telemetry sampler uses to take
+/// lane-invariant samples mid-run. Ticks are ordinary lifecycle events: RF
+/// sub-simulation batches join before any timeline event runs, so the
+/// metric totals a tick observes do not depend on the pool lane count. The
+/// final tick lands on the first grid point at or after the last lifecycle
+/// event (an observed run's makespan rounds up to the tick grid).
+inline constexpr double kTickIntervalMs = 1000.0;
+
 struct GatewayConfig {
   std::size_t sessions = 1000;     ///< devices arriving at the gateway
   std::size_t max_inflight = 256;  ///< admission control: concurrent
@@ -67,15 +77,6 @@ struct GatewayConfig {
   /// rings.
   ReliabilityConfig reliability;
   std::uint64_t seed = 1;
-  /// Period of the observer tick on the shared timeline (0 disables). Each
-  /// tick invokes the set_tick() callback at a virtual-time grid point —
-  /// the hook the telemetry sampler uses to take lane-invariant samples
-  /// mid-run. Ticks are ordinary lifecycle events: RF sub-simulation
-  /// batches join before any timeline event runs, so the metric totals a
-  /// tick observes do not depend on the pool lane count. The final tick
-  /// lands on the first grid point at or after the last lifecycle event
-  /// (an instrumented run's makespan rounds up to the tick grid).
-  double tick_interval_ms = 0.0;
 };
 
 /// Scalar outcome of one device's RF exchange (the pure, per-index result
@@ -144,8 +145,8 @@ class GatewayEngine {
   /// called before run(); pass nullptr to clear.
   void set_batch_material(BatchMaterialFn prefetch);
 
-  /// Install the observer-tick callback (see GatewayConfig::tick_interval_ms).
-  /// Runs on the lifecycle thread at each tick's virtual time; it may read
+  /// Install the observer-tick callback (see kTickIntervalMs). Runs on the
+  /// lifecycle thread at each tick's virtual time; it may read
   /// metrics and sample telemetry but must not mutate engine state. Must be
   /// called before run(); pass nullptr to clear.
   void set_tick(std::function<void(double now_ms)> tick);

@@ -151,19 +151,15 @@ void KeySchedule::rekey(double now_ms) {
 
 Message KeySchedule::make_confirm(std::uint64_t nonce) const {
   Message msg;
-  make_confirm(nonce, msg);
-  return msg;
-}
-
-void KeySchedule::make_confirm(std::uint64_t nonce, Message& out) const {
-  out.type = role_ == Role::kInitiator ? MessageType::kKeyConfirm
+  msg.type = role_ == Role::kInitiator ? MessageType::kKeyConfirm
                                        : MessageType::kKeyConfirmAck;
-  out.session_id = session_id_;
-  out.nonce = nonce;
+  msg.session_id = session_id_;
+  msg.nonce = nonce;
   const auto epoch = be32(current_.epoch);
-  out.payload.assign(epoch);
-  const auto tag = confirm_tag(current_, out, role_);
-  out.mac.assign(tag);
+  msg.payload.assign(epoch);
+  const auto tag = confirm_tag(current_, msg, role_);
+  msg.mac.assign(tag);
+  return msg;
 }
 
 bool KeySchedule::verify_confirm(const Message& msg) const {
@@ -214,6 +210,9 @@ std::optional<KeySchedule::Plaintext> KeySchedule::open(const Message& msg,
 
   const EpochKeys* keys = nullptr;
   bool grace = false;
+  // The next epoch's secret and keys, when the peer rekeyed first.
+  crypto::SecretBuffer next_secret;
+  std::optional<EpochKeys> candidate;
   if (epoch == current_.epoch) {
     keys = &current_;
   } else if (previous_.has_value() && epoch == previous_->epoch &&
@@ -221,37 +220,32 @@ std::optional<KeySchedule::Plaintext> KeySchedule::open(const Message& msg,
     keys = &*previous_;
     grace = true;
   } else if (epoch == current_.epoch + 1) {
-    // The peer rekeyed first. Derive the candidate epoch and require the
-    // frame to authenticate under it *before* adopting anything — a forged
-    // epoch number alone must not move the schedule.
-    auto next_secret = ratchet_secret(secret_, session_id_, epoch);
-    EpochKeys candidate = derive_epoch_keys(next_secret, session_id_, epoch);
-    const auto tag = frame_mac(recv_keys(candidate).mac, msg);
-    if (!crypto::constant_time_equal(msg.mac, tag)) {
-      ++stats_.mac_rejects;
-      return std::nullopt;
-    }
-    previous_ = std::move(current_);
-    previous_expires_ms_ = now_ms + policy_.grace_ms;
-    secret_ = std::move(next_secret);
-    current_ = std::move(candidate);
-    last_rekey_ms_ = now_ms;
-    ++stats_.rekeys;
-    ++stats_.fast_forwards;
-    keys = &current_;
+    next_secret = ratchet_secret(secret_, session_id_, epoch);
+    candidate = derive_epoch_keys(next_secret, session_id_, epoch);
+    keys = &*candidate;
   } else {
     ++stats_.epoch_rejects;
     return std::nullopt;
   }
 
-  // The fast-forward path verified once already; verifying again here keeps
-  // a single authenticate-then-decrypt sequence for every route.
-  const DirectionKeys& rx = recv_keys(*keys);
-  const auto tag = frame_mac(rx.mac, msg);
+  const auto tag = frame_mac(recv_keys(*keys).mac, msg);
   if (!crypto::constant_time_equal(msg.mac, tag)) {
     ++stats_.mac_rejects;
     return std::nullopt;
   }
+  if (candidate.has_value()) {
+    // The frame authenticated under the candidate epoch: adopt it. Only
+    // now — a forged epoch number alone must not move the schedule.
+    previous_ = std::move(current_);
+    previous_expires_ms_ = now_ms + policy_.grace_ms;
+    secret_ = std::move(next_secret);
+    current_ = std::move(*candidate);
+    last_rekey_ms_ = now_ms;
+    ++stats_.rekeys;
+    ++stats_.fast_forwards;
+    keys = &current_;
+  }
+  const DirectionKeys& rx = recv_keys(*keys);
 
   // Decrypt straight from the frame: the ciphertext follows the 4-byte
   // epoch prefix read above.
@@ -263,9 +257,8 @@ std::optional<KeySchedule::Plaintext> KeySchedule::open(const Message& msg,
   return plain;
 }
 
-RekeyTimer::RekeyTimer(SimClock& clock, KeySchedule& schedule,
-                       std::function<void(std::uint32_t)> on_rekey)
-    : clock_(clock), schedule_(schedule), on_rekey_(std::move(on_rekey)) {}
+RekeyTimer::RekeyTimer(SimClock& clock, KeySchedule& schedule)
+    : clock_(clock), schedule_(schedule) {}
 
 RekeyTimer::~RekeyTimer() { stop(); }
 
@@ -286,7 +279,6 @@ void RekeyTimer::arm(double delay_ms) {
     const double now = clock_.now_ms();
     if (schedule_.rekey_due(now)) {
       schedule_.rekey(now);
-      if (on_rekey_) on_rekey_(schedule_.epoch());
       arm(schedule_.policy().rekey_interval_ms);
     } else {
       // The peer fast-forwarded us since the last firing; re-arm for the
@@ -307,8 +299,7 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
   VKEY_REQUIRE(max_transmissions >= 1, "need at least one transmission");
 
   // The round trip in one object: every handler and timer captures only a
-  // pointer to it, which std::function stores inline, and each role
-  // rewrites its one frame in place for every transmission.
+  // pointer to it, which std::function stores inline.
   struct Round {
     SimClock& clock;
     UnreliableChannel& link;
@@ -321,14 +312,12 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
     std::uint64_t ack_nonce = 0;
     bool done = false;
     double done_at = 0.0;
-    Message confirm{};  ///< the initiator's frame
-    Message ack{};      ///< the responder's frame
 
     void transmit() {
       if (done || transmissions >= max_transmissions) return;
       ++transmissions;
-      initiator.make_confirm(nonce_base + transmissions, confirm);
-      link.send(Endpoint::kAlice, confirm);
+      link.send(Endpoint::kAlice,
+                initiator.make_confirm(nonce_base + transmissions));
       clock.schedule(timeout_ms, [this] { transmit(); });
     }
     // The responder is stateless: every authentic confirm earns a fresh
@@ -336,8 +325,7 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
     void at_responder(const Message& msg) {
       if (msg.type == MessageType::kKeyConfirm &&
           responder.verify_confirm(msg)) {
-        responder.make_confirm(ack_nonce++, ack);
-        link.send(Endpoint::kBob, ack);
+        link.send(Endpoint::kBob, responder.make_confirm(ack_nonce++));
       }
     }
     void at_initiator(const Message& msg) {
@@ -360,9 +348,9 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
   // Retransmit on a flat timeout of ~2 RTT plus slack for reordering and
   // duplicate echoes. All virtual time, so the choice only affects how much
   // simulated air the retries consume. Every confirm frame has one size.
-  initiator.make_confirm(nonce_base, round.confirm);
-  round.timeout_ms =
-      4.0 * link.nominal_latency_ms(round.confirm) + kReorderWindowMs + 100.0;
+  const double latency_ms =
+      link.nominal_latency_ms(initiator.make_confirm(nonce_base));
+  round.timeout_ms = 4.0 * latency_ms + kReorderWindowMs + 100.0;
 
   round.transmit();
   clock.run_until_idle();

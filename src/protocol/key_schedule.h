@@ -34,9 +34,8 @@
 // header, so confirming proves live possession of this epoch's schedule —
 // not a replay of an earlier one. Every tag (confirm, seal, open) is
 // frame_mac() over the frame's fixed header array and its payload span
-// (message.h), so a MAC assembles no input; open() decrypts straight from
-// the frame into inline storage, and run_key_confirmation() rewrites one
-// frame per role in place for each transmission.
+// (message.h), so a MAC assembles no input; open() checks a frame's MAC
+// once and decrypts straight from the frame into inline storage.
 //
 // Rekeying is driven by virtual time (RekeyTimer on the SimClock — wall
 // clocks are banned in library code). Old-epoch keys stay valid for a
@@ -47,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -155,8 +153,6 @@ class KeySchedule {
   // role byte), so neither side can reflect the other's tag back.
 
   Message make_confirm(std::uint64_t nonce) const;
-  /// make_confirm() into `out`, reusing its payload and MAC storage.
-  void make_confirm(std::uint64_t nonce, Message& out) const;
   /// Verify the *peer's* confirmation frame for the current epoch.
   bool verify_confirm(const Message& msg) const;
 
@@ -204,14 +200,12 @@ class KeySchedule {
 };
 
 /// Scheduled re-establishment on virtual time: arms a SimClock event every
-/// rekey_interval_ms; each firing advances the schedule (unless the peer
+/// rekey_interval_ms; each firing advances the schedule unless the peer
 /// already fast-forwarded it, in which case the timer just re-arms for the
-/// remainder) and invokes `on_rekey(new_epoch)` so the owner can announce
-/// the epoch on the wire.
+/// remainder.
 class RekeyTimer {
  public:
-  RekeyTimer(SimClock& clock, KeySchedule& schedule,
-             std::function<void(std::uint32_t)> on_rekey = {});
+  RekeyTimer(SimClock& clock, KeySchedule& schedule);
   ~RekeyTimer();
 
   RekeyTimer(const RekeyTimer&) = delete;
@@ -225,7 +219,6 @@ class RekeyTimer {
 
   SimClock& clock_;
   KeySchedule& schedule_;
-  std::function<void(std::uint32_t)> on_rekey_;
   SimClock::EventId pending_ = 0;
   bool running_ = false;
 };

@@ -38,6 +38,9 @@ constexpr std::size_t kMaxEventsPerAttempt = 200000;
 // running past it ends as FailureReason::kTimeout.
 constexpr double kAttemptTimeoutMs = 1.8e6;
 
+// Failed attempts a failure dump shows, the most recent ones.
+constexpr std::size_t kDumpedAttempts = 3;
+
 void accumulate(LinkStats& into, const LinkStats& from) {
   into.sent += from.sent;
   into.bytes_sent += from.bytes_sent;
@@ -73,13 +76,13 @@ FailureReason classify_failure(const AliceSession& alice,
 
 }  // namespace
 
-std::string AgreementReport::failure_dump(std::size_t max_attempts) const {
-  if (established || attempt_log.empty() || max_attempts == 0) return {};
+std::string AgreementReport::failure_dump() const {
+  if (established || attempt_log.empty()) return {};
   // Keep the *most recent* attempts: the last one carries the terminal
   // failure, earlier ones show whether recovery was converging.
-  const std::size_t first =
-      attempt_log.size() > max_attempts ? attempt_log.size() - max_attempts
-                                        : 0;
+  const std::size_t first = attempt_log.size() > kDumpedAttempts
+                                ? attempt_log.size() - kDumpedAttempts
+                                : 0;
   std::string out;
   if (first > 0) {
     out += std::to_string(first) + " earlier attempt(s) suppressed\n";

@@ -95,13 +95,13 @@ struct AgreementReport {
   BitVec key;  ///< the established 128-bit key; empty on failure
 
   /// Post-mortem timelines of the failing attempts: the flight-recorder
-  /// dump of up to the last `max_attempts` failed attempts (oldest first),
-  /// each prefixed with its FailureReason, with a single "N earlier
-  /// attempt(s) suppressed" line when the log is longer than the cap — a
-  /// gateway draining thousands of sessions must stay debuggable without
-  /// drowning the console. Empty when the agreement established or nothing
-  /// was recorded.
-  std::string failure_dump(std::size_t max_attempts = 3) const;
+  /// dump of up to the last three failed attempts (oldest first), each
+  /// prefixed with its FailureReason, with a single "N earlier attempt(s)
+  /// suppressed" line when the log is longer than that — a gateway
+  /// draining thousands of sessions must stay debuggable without drowning
+  /// the console. Empty when the agreement established or nothing was
+  /// recorded.
+  std::string failure_dump() const;
 
   explicit operator bool() const { return established; }
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
+#include <utility>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -103,11 +105,7 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   arm_timer(*entry);
 }
 
-void ReliableTransport::send(const Message& msg) {
-  if (!resend(msg)) track(msg);
-}
-
-void ReliableTransport::send(Message&& msg) {
+void ReliableTransport::send(Message msg) {
   if (!resend(msg)) track(std::move(msg));
 }
 
@@ -162,7 +160,7 @@ void ReliableTransport::on_wire(const Message& msg) {
     return;
   }
 
-  const Message* response = session_.respond(msg);
+  std::optional<Message> response = session_.handle(msg);
   if (auto unprompted = session_.take_unprompted()) {
     // A frame the session publishes on its own (Bob's syndrome once he
     // accepts) goes out one event later, after the response sent below.
@@ -183,7 +181,7 @@ void ReliableTransport::on_wire(const Message& msg) {
                   msg.session_id, msg.nonce);
     }
   }
-  if (response != nullptr) send(*response);
+  if (response) send(std::move(*response));
 }
 
 }  // namespace vkey::protocol

@@ -29,7 +29,7 @@
 // the link's flight recorder under the endpoint's name ("alice"/"bob").
 //
 // Frame ownership: the transport keeps one copy of every frame it tracks
-// (moved in when the caller hands over an rvalue) in a fixed table of
+// (moved in from send()'s by-value argument) in a fixed table of
 // three entries inside the transport — a session publishes at most three
 // distinct frames, and a fourth is refused — and an acked frame stays
 // there, marked, so tracking, retransmitting, fast-resending or acking a
@@ -90,9 +90,8 @@ class ReliableTransport {
   /// the retry budget is exhausted. Re-sending a frame already in flight
   /// (a session re-eliciting its cached response) triggers an immediate
   /// fast retransmission instead of a new tracking entry; re-sending an
-  /// acked one does nothing. Only a new frame is copied (or moved) in.
-  void send(const Message& msg);
-  void send(Message&& msg);
+  /// acked one does nothing. Only a new frame is moved into the table.
+  void send(Message msg);
 
   /// True once any frame ran out of retries (the session attempt is dead).
   bool exhausted() const { return exhausted_; }

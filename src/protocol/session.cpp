@@ -87,8 +87,8 @@ InboundGuard::Verdict InboundGuard::classify(const Message& msg) const {
   return Verdict::kFresh;
 }
 
-const Message* InboundGuard::accept(const Message& msg,
-                                    std::optional<Message> response) {
+void InboundGuard::accept(const Message& msg,
+                          const std::optional<Message>& response) {
   VKEY_REQUIRE(accepted_ < kMaxAcceptedFrames,
                "a session accepts at most three frames");
   highest_nonce_ = saw_any_nonce_ ? std::max(highest_nonce_, msg.nonce)
@@ -96,13 +96,12 @@ const Message* InboundGuard::accept(const Message& msg,
   saw_any_nonce_ = true;
   Entry& e = processed_[accepted_++];
   e.inbound = msg;
-  e.response = std::move(response);
-  return e.response.has_value() ? &*e.response : nullptr;
+  e.response = response;
 }
 
-const Message* InboundGuard::response_for(std::uint64_t nonce) const {
+std::optional<Message> InboundGuard::response_for(std::uint64_t nonce) const {
   const Entry* e = find(nonce);
-  return e != nullptr && e->response.has_value() ? &*e->response : nullptr;
+  return e != nullptr ? e->response : std::nullopt;
 }
 
 // ------------------------------------------------------------ SessionEndpoint
@@ -124,10 +123,10 @@ SessionEndpoint::~SessionEndpoint() {
   crypto::secure_wipe(amplified_key_);
 }
 
-const Message* SessionEndpoint::respond(const Message& msg) {
+std::optional<Message> SessionEndpoint::handle(const Message& msg) {
   const SessionState before = state_;
   last_reject_ = RejectReason::kNone;
-  const Message* response = nullptr;
+  std::optional<Message> response;
   if (msg.session_id != cfg_.session_id) {
     last_reject_ = RejectReason::kBadSession;
     guard_.count_reject();
@@ -144,26 +143,19 @@ const Message* SessionEndpoint::respond(const Message& msg) {
         last_reject_ = RejectReason::kReplayedNonce;
         guard_.count_reject();
         break;
-      case InboundGuard::Verdict::kFresh: {
+      case InboundGuard::Verdict::kFresh:
         next_nonce_ = std::max(next_nonce_, msg.nonce + 1);
-        std::optional<Message> fresh = dispatch(msg);
+        response = dispatch(msg);  // nullopt when refused
         if (last_reject_ == RejectReason::kNone) {
-          response = guard_.accept(msg, std::move(fresh));
+          guard_.accept(msg, response);
         } else {
           guard_.count_reject();
         }
         break;
-      }
     }
   }
   note(before, last_reject_, msg);
   return response;
-}
-
-std::optional<Message> SessionEndpoint::handle(const Message& msg) {
-  const Message* response = respond(msg);
-  if (response == nullptr) return std::nullopt;
-  return *response;
 }
 
 std::optional<Message> SessionEndpoint::take_unprompted() {

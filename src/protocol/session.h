@@ -18,12 +18,13 @@
 // Frame ownership: a session reads inbound frames where the link holds
 // them and copies an accepted one, with the response it elicited, into its
 // duplicate cache — a fixed table of three entries inside the session (a
-// session accepts at most three frames, and a fourth is refused), so
-// accepting, re-eliciting and suppressing frames allocates nothing. The syndrome MAC
-// key, its tag and the confirmation digests live in fixed arrays; key
-// bytes are wiped after use. Each side privacy-amplifies its key once, when
-// the key is final, into wiped storage that the digests and final_key()
-// read.
+// session accepts at most three frames, and a fourth is refused). handle()
+// returns a copy of the response, and an agreement frame lives inside its
+// Message, so accepting, re-eliciting and suppressing frames allocates
+// nothing. The syndrome MAC key, its tag and the confirmation digests live
+// in fixed arrays; key bytes are wiped after use. Each side
+// privacy-amplifies its key once, when the key is final, into wiped
+// storage that the digests and final_key() read.
 #pragma once
 
 #include <array>
@@ -93,17 +94,16 @@ class InboundGuard {
 
   Verdict classify(const Message& msg) const;
 
-  /// Remember a copy of an accepted frame and the response it elicited
-  /// (taken by move), and advance the replay window. Returns the stored
-  /// response (nullptr when there is none), valid until the next accept().
-  /// Rejected frames are deliberately *not* recorded so an out-of-order
-  /// frame can still be accepted when retransmitted later.
-  const Message* accept(const Message& msg, std::optional<Message> response);
+  /// Remember a copy of an accepted frame and of the response it elicited,
+  /// and advance the replay window. Rejected frames are deliberately *not*
+  /// recorded so an out-of-order frame can still be accepted when
+  /// retransmitted later.
+  void accept(const Message& msg, const std::optional<Message>& response);
 
-  /// The response originally elicited by the frame with this nonce
-  /// (nullptr when it produced none, or the nonce was never accepted),
-  /// valid until the next accept().
-  const Message* response_for(std::uint64_t nonce) const;
+  /// A copy of the response originally elicited by the frame with this
+  /// nonce (nullopt when it produced none, or the nonce was never
+  /// accepted).
+  std::optional<Message> response_for(std::uint64_t nonce) const;
 
   void count_duplicate() { ++duplicates_suppressed_; }
   void count_reject() { ++rejects_; }
@@ -138,12 +138,8 @@ class InboundGuard {
 /// in-session frames, and the frames it originates.
 class SessionEndpoint {
  public:
-  /// Feed an inbound message. Returns the response to transmit, if any:
-  /// the session's own copy in its duplicate cache, valid until the next
-  /// call (a transport copies what it sends).
-  const Message* respond(const Message& msg);
-
-  /// respond(), with the response copied out (harnesses and tests).
+  /// Feed an inbound message. Returns the response to transmit, if any: a
+  /// copy of the one the duplicate cache keeps for the frame.
   std::optional<Message> handle(const Message& msg);
 
   /// A frame the session publishes on its own rather than in response:

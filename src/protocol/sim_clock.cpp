@@ -13,16 +13,14 @@ SimClock::EventId SimClock::schedule_at(double due_ms, Callback fn) {
   if (due_ms < now_ms_) due_ms = now_ms_;
   const EventId id = next_id_++;
   if (heap_.capacity() == 0) heap_.reserve(kInitialEvents);
-  heap_.push_back(Event{due_ms, id, std::move(fn), true});
+  heap_.push_back(Event{due_ms, id, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), fires_after);
-  ++live_;
   return id;
 }
 
 std::size_t SimClock::clear() {
-  const std::size_t dropped = live_;
+  const std::size_t dropped = heap_.size();
   heap_.clear();  // keeps the capacity for the next attempt
-  live_ = 0;
   ++clears_;
   return dropped;
 }
@@ -30,35 +28,18 @@ std::size_t SimClock::clear() {
 bool SimClock::cancel(EventId id) {
   const auto it = std::find_if(heap_.begin(), heap_.end(),
                                [id](const Event& e) { return e.id == id; });
-  if (it == heap_.end() || !it->live) return false;
-  it->live = false;
-  it->fn = nullptr;  // release the captures now, as an erase would
-  --live_;
-  // Tombstones leave the heap when they reach the top. Compact once they
-  // outnumber the live events, so schedule/cancel churn without running
-  // stays bounded in memory.
-  if (heap_.size() > 2 * live_ + 16) {
-    std::erase_if(heap_, [](const Event& e) { return !e.live; });
-    std::make_heap(heap_.begin(), heap_.end(), fires_after);
-  }
+  if (it == heap_.end()) return false;
+  heap_.erase(it);
+  std::make_heap(heap_.begin(), heap_.end(), fires_after);
   return true;
 }
 
-bool SimClock::pop_tombstones() {
-  while (!heap_.empty() && !heap_.front().live) {
-    std::pop_heap(heap_.begin(), heap_.end(), fires_after);
-    heap_.pop_back();
-  }
-  return !heap_.empty();
-}
-
 bool SimClock::run_next() {
-  if (!pop_tombstones()) return false;
+  if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), fires_after);
   const double due_ms = heap_.back().due_ms;
   Callback fn = std::move(heap_.back().fn);
   heap_.pop_back();
-  --live_;
   now_ms_ = due_ms;  // time never moves backwards: due >= schedule time
   fn();
   return true;
@@ -66,7 +47,7 @@ bool SimClock::run_next() {
 
 std::size_t SimClock::run_until(double until_ms) {
   std::size_t ran = 0;
-  while (pop_tombstones() && heap_.front().due_ms <= until_ms) {
+  while (!heap_.empty() && heap_.front().due_ms <= until_ms) {
     run_next();
     ++ran;
   }

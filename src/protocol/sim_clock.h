@@ -21,11 +21,9 @@
 // (beyond what a std::function needs for captures too large to store
 // inline). The first schedule() reserves room for an agreement attempt's
 // usual events (kInitialEvents), so a per-agreement clock allocates its
-// heap once. cancel() finds its entry by a linear scan — the clocks that
-// cancel hold a handful of ARQ and rekey timers — and leaves a tombstone:
-// the callback is released at once, the entry leaves the heap when it
-// reaches the top, and the heap is compacted when tombstones outnumber the
-// live events. pending() counts live events only.
+// heap once. cancel() finds its entry by a linear scan, erases it (its
+// callback is released at once) and restores the heap: the clocks that
+// cancel hold a handful of ARQ and rekey timers.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +67,7 @@ class SimClock {
   /// guard). Returns the number of events run.
   std::size_t run_until_idle(std::size_t max_events = 1u << 20);
 
-  std::size_t pending() const noexcept { return live_; }
+  std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Drop every pending event without running it; returns how many were
   /// discarded. The owner of a torn-down sub-simulation must clear the
@@ -92,7 +90,6 @@ class SimClock {
     double due_ms;
     EventId id;  ///< insertion order: breaks ties between equal due times
     Callback fn;
-    bool live;  ///< false once cancelled (a tombstone)
   };
 
   /// Heap order (std::*_heap keep the greatest on top): the event that
@@ -101,14 +98,10 @@ class SimClock {
     return a.due_ms != b.due_ms ? a.due_ms > b.due_ms : a.id > b.id;
   }
 
-  /// Drop tombstones off the top; true when a live event remains.
-  bool pop_tombstones();
-
   double now_ms_ = 0.0;
   EventId next_id_ = 1;
   std::uint64_t clears_ = 0;
   std::vector<Event> heap_;
-  std::size_t live_ = 0;  ///< entries in heap_ that are not tombstones
 };
 
 }  // namespace vkey::protocol

@@ -1,5 +1,8 @@
 #include "protocol/unreliable_channel.h"
 
+#include <optional>
+#include <utility>
+
 #include "common/error.h"
 #include "common/metrics.h"
 #include "protocol/flight_recorder.h"
@@ -154,16 +157,17 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     // the air — so the frame CRC catches almost all damage (typed reject,
     // frame lost like a radio CRC drop) and the rare CRC-colliding flip
     // must still get past the protocol-layer MAC.
-    wire::encode_frame(in_flight, frame_bytes_);
+    wire::FrameBytes bytes = wire::encode_frame(in_flight);
     const int flips = 1 + static_cast<int>(rng_.uniform_int(3));
     for (int f = 0; f < flips; ++f) {
-      frame_bytes_[rng_.uniform_int(frame_bytes_.size())] ^=
+      bytes[rng_.uniform_int(bytes.size())] ^=
           static_cast<std::uint8_t>(1u << rng_.uniform_int(8));
     }
     ++stats_.corrupted;
     metrics::counter<"link.corrupted">().add(1);
     wire::WireError err = wire::WireError::kNone;
-    if (!wire::decode_frame(frame_bytes_, in_flight, &err)) {
+    std::optional<Message> decoded = wire::decode_frame(bytes, &err);
+    if (!decoded) {
       ++stats_.crc_lost;  // the radio discards the damaged frame
       metrics::counter<"link.crc_lost">().add(1);
       if (recorder_ != nullptr) {
@@ -175,6 +179,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       }
       return;
     }
+    in_flight = std::move(*decoded);
     if (recorder_ != nullptr) {
       FlightDetail detail;
       detail << to_string(msg.type) << " flips="

@@ -32,10 +32,11 @@
 // holds in flight at once) and an agreement frame lives inside its slot,
 // so a link moves frames without allocating; a burst beyond those slots
 // takes one heap slot each, kept for the link's life. The corruption path
-// re-encodes into one reused byte buffer and decodes back into the slot. A slot is free once its deliveries have run, or once the
-// clock was cleared after they were scheduled (SimClock::clears()), so an
-// owner that tears an exchange down by clearing the clock leaks nothing —
-// but never while a handler is reading it.
+// encodes the frame into a FrameBytes on the stack and moves the decoded
+// frame into its slot. A slot is free once its deliveries have run, or
+// once the clock was cleared after they were scheduled (SimClock::clears()),
+// so an owner that tears an exchange down by clearing the clock leaks
+// nothing — but never while a handler is reading it.
 #pragma once
 
 #include <array>
@@ -49,7 +50,6 @@
 #include "common/rng.h"
 #include "protocol/channel.h"
 #include "protocol/sim_clock.h"
-#include "protocol/wire.h"
 
 namespace vkey::protocol {
 
@@ -155,7 +155,6 @@ class UnreliableChannel {
   std::array<Slot, kInlineSlots> inline_slots_{};
   std::vector<std::unique_ptr<Slot>> extra_slots_;
   std::size_t slot_count_ = 0;  ///< slots handed out so far
-  wire::FrameBytes frame_bytes_;  ///< corruption path's reused bytes
 };
 
 /// "alice" / "bob": the endpoint's actor name in flight-recorder timelines.

@@ -202,18 +202,11 @@ std::size_t frame_size(const Message& msg) {
   return kMinFrameBytes + msg.payload.size() + msg.mac.size();
 }
 
-namespace {
-
-/// frame_size(msg), once `msg` is checked against the wire bounds.
-std::size_t checked_frame_size(const Message& msg) {
+FrameBytes encode_frame(const Message& msg) {
   VKEY_REQUIRE(msg.payload.size() <= kMaxPayloadBytes,
                "payload exceeds the wire bound");
   VKEY_REQUIRE(msg.mac.size() <= kMaxMacBytes, "MAC exceeds the wire bound");
-  return frame_size(msg);
-}
-
-/// The v1 frame of `msg` into `out`, exactly its frame_size().
-void write_frame(const Message& msg, std::span<std::uint8_t> out) {
+  FrameBytes out(frame_size(msg));
   FrameWriter w(out);
   w.put_u16(kMagic);
   w.put_u8(kWireVersion);
@@ -225,39 +218,20 @@ void write_frame(const Message& msg, std::span<std::uint8_t> out) {
   w.put_bytes(msg.payload);
   w.put_bytes(msg.mac);
   std::move(w).finish();
-}
-
-}  // namespace
-
-void encode_frame(const Message& msg, FrameBytes& out) {
-  out.resize(checked_frame_size(msg));
-  write_frame(msg, out);
-  metrics::counter<"wire.encoded">().add(1);
-}
-
-std::vector<std::uint8_t> encode_frame(const Message& msg) {
-  std::vector<std::uint8_t> out(checked_frame_size(msg));
-  write_frame(msg, out);
   metrics::counter<"wire.encoded">().add(1);
   return out;
-}
-
-bool decode_frame(std::span<const std::uint8_t> bytes, Message& out,
-                  WireError* error) {
-  const WireError e = parse_frame(bytes, out);
-  if (error != nullptr) *error = e;
-  if (e != WireError::kNone) {
-    reject_counter(e).add(1);
-    return false;
-  }
-  metrics::counter<"wire.decoded">().add(1);
-  return true;
 }
 
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     WireError* error) {
   Message msg;
-  if (!decode_frame(bytes, msg, error)) return std::nullopt;
+  const WireError e = parse_frame(bytes, msg);
+  if (error != nullptr) *error = e;
+  if (e != WireError::kNone) {
+    reject_counter(e).add(1);
+    return std::nullopt;
+  }
+  metrics::counter<"wire.decoded">().add(1);
   return msg;
 }
 

@@ -37,7 +37,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "protocol/message.h"
 
@@ -127,27 +126,22 @@ class FrameWriter {
 /// inline, with the largest MAC the wire allows.
 inline constexpr std::size_t kInlineFrameBytes =
     kMinFrameBytes + kInlinePayloadBytes + kMaxMacBytes;
-/// A reused encoding buffer that costs no heap block for such frames.
+/// An encoded frame, held inline up to kInlineFrameBytes.
 using FrameBytes = SmallBuffer<std::uint8_t, kInlineFrameBytes>;
 
 /// Exact on-air size of `msg` framed: kMinFrameBytes + payload + mac.
 /// (Computed without encoding; used for airtime math on the hot path.)
 std::size_t frame_size(const Message& msg);
 
-/// Pack a Message into a v1 frame in `out` (its contents replaced, its
-/// storage reused) and count it in "wire.encoded". Throws vkey::Error when
-/// the message violates the wire bounds (oversized payload or MAC) — an
-/// honest sender never does.
-void encode_frame(const Message& msg, FrameBytes& out);
-std::vector<std::uint8_t> encode_frame(const Message& msg);
+/// Pack a Message into a v1 frame and count it in "wire.encoded". Throws
+/// vkey::Error when the message violates the wire bounds (oversized
+/// payload or MAC) — an honest sender never does.
+FrameBytes encode_frame(const Message& msg);
 
-/// Parse a frame into `out`, reusing its payload and MAC storage. On
-/// failure returns false, leaves `out` untouched, stores the typed reason
-/// in *error (when non-null) and bumps the matching "wire.reject.<reason>"
+/// Parse a frame. On failure returns nullopt, stores the typed reason in
+/// *error (when non-null) and bumps the matching "wire.reject.<reason>"
 /// counter. Accepted frames bump "wire.decoded"; re-encoding an accepted
 /// frame reproduces the input byte-for-byte.
-bool decode_frame(std::span<const std::uint8_t> bytes, Message& out,
-                  WireError* error = nullptr);
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     WireError* error = nullptr);
 

@@ -29,7 +29,7 @@ namespace {
 
 TEST(Fuzz, HundredThousandMutatedFramesRejectTypedOrRoundTrip) {
   // Corpus: one valid frame per message type, with varying payload shapes.
-  std::vector<std::vector<std::uint8_t>> corpus;
+  std::vector<wire::FrameBytes> corpus;
   for (std::uint8_t t = 1; t <= kMaxMessageType; ++t) {
     Message m;
     m.type = static_cast<MessageType>(t);

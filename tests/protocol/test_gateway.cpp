@@ -348,9 +348,7 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
 }
 
 TEST_F(GatewayTest, LifecycleTicksLandOnTheGridAndCoverTheWholeRun) {
-  GatewayConfig cfg = small_config(30, 8);
-  cfg.tick_interval_ms = 1000.0;
-  GatewayEngine engine(cfg, reconciler_, material());
+  GatewayEngine engine(small_config(30, 8), reconciler_, material());
   std::vector<double> ticks;
   engine.set_tick([&ticks](double now_ms) { ticks.push_back(now_ms); });
   const GatewayReport rep = engine.run();
@@ -378,18 +376,7 @@ TEST_F(GatewayTest, LifecycleTicksLandOnTheGridAndCoverTheWholeRun) {
   EXPECT_DOUBLE_EQ(prep.median_time_to_key_ms, rep.median_time_to_key_ms);
   EXPECT_DOUBLE_EQ(prep.p99_time_to_key_ms, rep.p99_time_to_key_ms);
   EXPECT_LE(prep.makespan_ms, rep.makespan_ms);
-  EXPECT_LE(rep.makespan_ms - prep.makespan_ms, cfg.tick_interval_ms);
-}
-
-TEST_F(GatewayTest, TickObserverIsInertWithoutAnInterval) {
-  // tick_interval_ms stays at its 0.0 default: the observer must never fire
-  // and the run must behave exactly like an unobserved one.
-  GatewayEngine engine(small_config(10, 4), reconciler_, material());
-  std::size_t fired = 0;
-  engine.set_tick([&fired](double) { ++fired; });
-  const GatewayReport rep = engine.run();
-  EXPECT_EQ(fired, 0u);
-  EXPECT_EQ(rep.established, 10u);
+  EXPECT_LE(rep.makespan_ms - prep.makespan_ms, kTickIntervalMs);
 }
 
 }  // namespace

@@ -350,13 +350,17 @@ TEST(RekeyTimerTest, FiresOnScheduleAndAnnouncesEpochs) {
   SimClock clock;
   KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator,
                     fast_policy());
-  std::vector<std::uint32_t> announced;
-  RekeyTimer timer(clock, alice,
-                   [&](std::uint32_t epoch) { announced.push_back(epoch); });
+  RekeyTimer timer(clock, alice);
   timer.start();
-  clock.run_until(3500.0);
-  EXPECT_EQ(alice.epoch(), 3u);
-  EXPECT_EQ(announced, (std::vector<std::uint32_t>{1, 2, 3}));
+  // The schedule announces each epoch the timer advances it to, on the
+  // rekey interval's grid and nowhere between.
+  std::vector<std::uint32_t> epochs;
+  for (const double t : {999.0, 1000.0, 1999.0, 2000.0, 2999.0, 3500.0}) {
+    clock.run_until(t);
+    epochs.push_back(alice.epoch());
+  }
+  EXPECT_EQ(epochs, (std::vector<std::uint32_t>{0, 1, 1, 2, 2, 3}));
+  EXPECT_DOUBLE_EQ(alice.last_rekey_ms(), 3000.0);
   timer.stop();
   clock.run_until(10'000.0);
   EXPECT_EQ(alice.epoch(), 3u);  // stopped timers stay stopped
@@ -368,7 +372,7 @@ TEST(RekeyTimerTest, PeerFastForwardDefersTheNextScheduledRekey) {
                     fast_policy());
   KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder,
                   fast_policy());
-  RekeyTimer timer(clock, bob, {});
+  RekeyTimer timer(clock, bob);
   timer.start();
 
   // At t=600 Alice rekeys (e.g. her own timer elsewhere) and her epoch-1

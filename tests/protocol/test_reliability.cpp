@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/reconciler.h"
 #include "crypto/sha256.h"
 #include "protocol/attacks.h"
@@ -55,6 +58,24 @@ TEST(SimClock, CancelPreventsExecution) {
   EXPECT_FALSE(clock.cancel(id));  // double cancel is a no-op
   clock.run_until_idle();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(SimClock, CancelReleasesItsCallbackAtOnce) {
+  // A cancelled event's captures go at cancel(), not when the event would
+  // have fired: here it sits mid-queue, between earlier and later events.
+  SimClock clock;
+  const auto token = std::make_shared<int>(0);
+  int fired = 0;
+  clock.schedule(1.0, [&fired] { ++fired; });
+  const auto id = clock.schedule(5.0, [token] { ++*token; });
+  clock.schedule(9.0, [&fired] { ++fired; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(clock.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(clock.pending(), 2u);
+  EXPECT_EQ(clock.run_until_idle(), 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(*token, 0);
 }
 
 TEST(SimClock, CallbacksMayScheduleFurtherEvents) {
@@ -566,6 +587,34 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   EXPECT_EQ(std::to_string(dump.size()) + ":" + sha256_hex(dump),
             "17999:1019686c1152fd7ec5b9e7618d5ee8a9c7d649a822e6877a7e3afe5dbf"
             "1d69c6");
+}
+
+TEST_F(ReliabilityTest, LossyAgreementTraceExportIsPinned) {
+  // The virtual-clock Chrome trace of the lossy agreement above (each
+  // attempt's span, each flight event an instant) pinned across builds; CI
+  // compares trace exports only across lane counts of one build.
+  trace::TraceLog& log = trace::TraceLog::global();
+  const bool metrics_on = metrics::enabled();
+  metrics::set_enabled(true);  // attempt spans honour the metrics switch
+  log.clear();
+  log.set_capacity(1 << 16);
+  log.set_enabled(true);
+  ReliabilityConfig lossy = config_for(0.8, 32);
+  lossy.fault.dup_prob = 0.25;
+  lossy.fault.reorder_prob = 0.25;
+  lossy.fault.corrupt_prob = 0.25;
+  lossy.max_session_attempts = 3;
+  PublicChannel air;
+  const auto failed =
+      run_reliable_key_agreement(air, reconciler_, lossy, material_for(32));
+  const std::string doc = log.chrome_trace(true).dump(0);
+  log.set_enabled(false);
+  log.clear();
+  metrics::set_enabled(metrics_on);
+  ASSERT_FALSE(failed.established);
+  EXPECT_EQ(std::to_string(doc.size()) + ":" + sha256_hex(doc),
+            "46571:09e82d9310b097dfbe30f9b4c2b5b5da6849c4837ec4b1e914b627cf"
+            "73c0cad0");
 }
 
 // ------------------------------------------- structured agreement results

@@ -228,8 +228,8 @@ TEST(SimClockModel, SeededInterleavingsMatchTheMapScheduler) {
 }
 
 TEST(SimClockModel, CancelChurnWithoutRunningKeepsTheOrder) {
-  // Schedule-then-cancel without ever running, so tombstones are compacted
-  // away mid-stream: the survivors still fire in (due, id) order.
+  // Schedule-then-cancel without ever running, so only cancels shrink the
+  // heap: the survivors still fire in (due, id) order.
   SimClock clock;
   MapClock model;
   std::vector<int> fired, want;

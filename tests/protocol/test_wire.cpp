@@ -18,7 +18,7 @@ Message sample_message() {
   return m;
 }
 
-WireError decode_error(const std::vector<std::uint8_t>& bytes) {
+WireError decode_error(std::span<const std::uint8_t> bytes) {
   WireError err = WireError::kNone;
   EXPECT_FALSE(decode_frame(bytes, &err).has_value());
   return err;

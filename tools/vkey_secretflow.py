@@ -12,16 +12,11 @@ analyzer treats everything downstream of `expose()` as still secret — sealing
 (`KeySchedule::seal`) and keyed primitives (HMAC/HKDF/AES) are the sanctioned
 consumers, observability is not.
 
-Backends
---------
-The analyzer probes for libclang (`clang.cindex`) at import time so an AST
-backend can slot in where the wheel exists; this container does not ship it,
-so the zero-dependency tokenizer backend (same family as vkey_lint.py) is the
-primary and default implementation. `--backend clang` errors out loudly when
-the probe failed rather than silently degrading.
+The analyzer is a zero-dependency tokenizer (same family as vkey_lint.py):
+it needs no compiler front end, only Python.
 
-Taint model (tokenizer backend)
--------------------------------
+Taint model
+-----------
 sources
     * calls: hkdf_extract / hkdf_expand / ratchet_secret /
       derive_epoch_keys / amplify / expose / expose_mut
@@ -69,13 +64,6 @@ import argparse
 import re
 import sys
 from pathlib import Path
-
-try:  # pragma: no cover - environment probe
-    import clang.cindex  # noqa: F401
-
-    HAVE_LIBCLANG = True
-except Exception:  # ImportError or broken install
-    HAVE_LIBCLANG = False
 
 SCAN_DIRS = ("src",)
 SOURCE_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
@@ -405,9 +393,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         description=__doc__.split("\n", 1)[0])
     ap.add_argument("--root", default=".", help="repository root")
-    ap.add_argument("--backend", choices=("auto", "tokenizer", "clang"),
-                    default="auto",
-                    help="analysis backend (clang requires libclang)")
     ap.add_argument("--explain", action="store_true",
                     help="print allowlist reasons for scanned files")
     ap.add_argument("--self-test", action="store_true",
@@ -420,18 +405,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     root = Path(args.root).resolve()
-
-    if args.backend == "clang" and not HAVE_LIBCLANG:
-        print("vkey_secretflow: --backend clang requested but clang.cindex "
-              "is not importable in this environment; install libclang or "
-              "use --backend tokenizer", file=sys.stderr)
-        return 2
-    # The AST backend is a reserved slot: even where the probe succeeds the
-    # tokenizer remains the reference implementation until the clang walk
-    # lands, so auto always resolves to tokenizer today.
-    if args.backend == "clang":
-        print("vkey_secretflow: note: clang backend not yet implemented; "
-              "falling back to tokenizer", file=sys.stderr)
 
     if args.self_test:
         return run_self_test((root / args.fixtures).resolve()
@@ -457,8 +430,7 @@ def main(argv=None):
               f"{len({fi.path for fi in findings})} file(s)",
               file=sys.stderr)
         return 1
-    print(f"vkey_secretflow: clean ({len(files)} files scanned, "
-          f"backend=tokenizer, libclang={'yes' if HAVE_LIBCLANG else 'no'})")
+    print(f"vkey_secretflow: clean ({len(files)} files scanned)")
     return 0
 
 
