@@ -45,6 +45,7 @@
 
 #include "common/alloc_stats.h"
 #include "common/bench_io.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/telemetry.h"

@@ -61,9 +61,10 @@
 //                          (profiling mode; no longer byte-diffable)
 //   --threads N            worker lanes for the parallel pipeline stages
 //                          (N=1 is the bit-exact sequential reference)
-// When the reliable-link phase fails blocks, up to three failed sessions'
-// flight-recorder timelines are printed for post-mortem (then "N more
-// failed blocks suppressed").
+// When the reliable-link phase fails blocks, up to three failed sessions
+// are replayed and their flight-recorder timelines printed for post-mortem
+// (then "N more failed blocks suppressed"); the replays count in --metrics
+// and appear in --trace-out.
 //
 // Exit status: 0 on success, 1 when an output file cannot be written, 2 on
 // a bad flag or a value the library rejects (e.g. `--hidden 1`), with one
@@ -309,16 +310,15 @@ int sim_main(int argc, char** argv) {
       } else {
         ++failures[static_cast<std::size_t>(report.failure)];
         ++failed_blocks;
-        // Post-mortem: print failed sessions' flight-recorder timelines so
-        // the injected fault is visible without re-running — bounded, so a
-        // high-loss sweep cannot flood the console.
+        // Post-mortem: replay failed sessions with the flight recorder on
+        // and print their timelines, so the injected fault is visible —
+        // bounded, so a high-loss sweep cannot flood the console.
         if (dumps_shown < kMaxFailureDumps) {
-          const std::string dump = report.failure_dump();
-          if (!dump.empty()) {
-            ++dumps_shown;
-            std::printf("\nblock %zu failed; recent attempts' timelines:\n%s",
-                        i, dump.c_str());
-          }
+          ++dumps_shown;
+          const std::string dump = protocol::failure_dump(
+              base, pipeline.reconciler(), rcfg, material);
+          std::printf("\nblock %zu failed; recent attempts' timelines:\n%s",
+                      i, dump.c_str());
         }
       }
     }

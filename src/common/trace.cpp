@@ -197,11 +197,6 @@ ScopedTimer::ScopedTimer(metrics::Histogram& hist, NowFn now,
   begin(name);
 }
 
-ScopedTimer::ScopedTimer(const std::string& name)
-    : hist_(&metrics::Registry::global().histogram(name)) {
-  begin(name);
-}
-
 void ScopedTimer::begin(std::string_view name) {
   if (!metrics::enabled()) return;  // no clock read, no allocation
   // Every explicit NowFn in this tree is a SimClock (or test) virtual time

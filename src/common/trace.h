@@ -194,8 +194,6 @@ class ScopedTimer {
   /// Spans from explicit clocks are tagged Domain::kVirtual: in this tree
   /// every explicit NowFn is a virtual time base.
   ScopedTimer(metrics::Histogram& hist, NowFn now, std::string_view name = {});
-  /// Convenience: registry histogram `name` with default time buckets.
-  explicit ScopedTimer(const std::string& name);
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

@@ -36,9 +36,6 @@ KeyGenPipeline::KeyGenPipeline(const PipelineConfig& config) : cfg_(config) {
                "reconciler block must be a multiple of the fragment width");
   VKEY_REQUIRE(cfg_.dataset.seq_len == cfg_.predictor.seq_len,
                "dataset and predictor sequence lengths must match");
-  // The reconciler trains inside run(); unless the caller pinned its lane
-  // count explicitly it inherits the pipeline-wide setting.
-  if (cfg_.reconciler.threads == 0) cfg_.reconciler.threads = cfg_.threads;
 }
 
 PredictorQuantizer& KeyGenPipeline::predictor() {
@@ -73,8 +70,7 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   // parents under it.
   trace::ScopedTimer run_timer(run_ms, "pipeline.run");
   run_timer.attr("train_rounds", train_rounds)
-      .attr("test_rounds", test_rounds)
-      .attr("threads", cfg_.threads);
+      .attr("test_rounds", test_rounds);
 
   // --- data collection ---
   trace::ScopedTimer probe_timer(probe_ms, "pipeline.probe");
@@ -140,7 +136,7 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
     // each chunk runs through PredictorQuantizer::infer_batch (infer() per
     // window over one workspace). The chunk geometry depends only on the
     // sample count — never on the lane count — so the output stays
-    // byte-stable for any `threads` value (see DESIGN.md "Parallel
+    // byte-stable for any lane count (see DESIGN.md "Parallel
     // execution & determinism contract").
     constexpr std::size_t kPredictChunk = 16;
     const std::size_t n = test_samples.size();
@@ -165,8 +161,7 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
             fragments[i].eve = outs[2 * (i - lo) + 1].bits;
             quantized_bits.add(fragments[i].alice.size());
           }
-        },
-        cfg_.threads);
+        });
   } else {
     fragments = parallel::parallel_map(
         test_samples,
@@ -186,8 +181,7 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
           f.eve = f.eve.slice(0, frag_bits);
           quantized_bits.add(f.alice.size());
           return f;
-        },
-        cfg_.threads);
+        });
   }
 
   // Concatenate the fixed-width fragments once; blocks then read at bit
@@ -233,8 +227,7 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
           blk.eve_success_iterative = eve_fixed == blk.bob_key;
         }
         blocks_[b] = std::move(blk);
-      },
-      cfg_.threads);
+      });
 
   // Ordered reduction over the finished blocks.
   std::vector<double> kar_pre_list, kar_post_list, eve_list, eve_iter_list;

@@ -38,12 +38,6 @@ struct PipelineConfig {
   /// Fig. 10 ablation: false replaces the BiLSTM with Alice running the
   /// same multi-bit quantizer as Bob on her own measurements.
   bool use_prediction = true;
-  /// Worker lanes for the parallel stages (per-sample inference, per-block
-  /// reconciliation, reconciler training). 0 = process default
-  /// (parallel::default_threads(), i.e. --threads / VKEY_THREADS /
-  /// hardware concurrency). Results are bit-identical for every value —
-  /// see DESIGN.md "Parallel execution & determinism contract".
-  std::size_t threads = 0;
 };
 
 /// One reconciled key block and its quality.

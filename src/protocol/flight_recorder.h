@@ -5,12 +5,13 @@
 // were dropped across a bench run — but cannot explain why ONE session
 // failed: which injected fault hit which frame, what the ARQ did about it,
 // and how the state machines reacted. The flight recorder is that causal
-// timeline. The reliability supervisor creates one per attempt and hands it
-// to the link, both transports and both sessions; every layer appends its
-// events (frame tx/rx, drop/reorder/dup/corrupt injections, retransmits and
-// backoff arming, InboundGuard rejections, session state transitions), and
-// the recorder travels with the AttemptReport so a failed — or fuzzed —
-// session can dump its full history next to its FailureReason.
+// timeline. When asked for one (failure_dump(), which replays an agreement,
+// or a trace), the reliability supervisor creates one per attempt and hands
+// it to the link, both transports and both sessions; every layer appends
+// its events (frame tx/rx, drop/reorder/dup/corrupt injections, retransmits
+// and backoff arming, InboundGuard rejections, session state transitions),
+// so a failed — or fuzzed — session can dump its full history next to its
+// FailureReason.
 //
 // Determinism: events are stamped from the attempt's SimClock (virtual ms)
 // and carry a per-recorder insertion ordinal `seq`, so dump() is
@@ -107,10 +108,6 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 512, trace::NowFn now = {});
-
-  /// Swap the time source (e.g. when a recorder outlives its SimClock an
-  /// owner clears it). Events already recorded keep their stamps.
-  void set_now(trace::NowFn now) { now_ = std::move(now); }
 
   std::size_t size() const noexcept { return ring_.size(); }
   std::size_t dropped() const noexcept { return ring_.dropped(); }

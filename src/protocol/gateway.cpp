@@ -19,13 +19,25 @@ constexpr std::size_t kSimBatch = 256;
 /// A confirmed session idle this long after its last activity is evicted.
 constexpr double kIdleTimeoutMs = 30'000.0;
 
-/// Failed sessions re-simulated for a post-mortem timeline, at most.
+/// Failed sessions replayed for a post-mortem timeline, at most.
 constexpr std::size_t kFailureDumpLimit = 3;
 
 /// Session-id space of one device: 16 ids per device leaves room for the
 /// supervisor's per-attempt increments without collisions across devices.
 std::uint64_t session_id_for(std::uint64_t device) {
   return 1 + (device << 4);
+}
+
+/// The reliability config of `device`'s exchange. Per-device fault/backoff
+/// streams: device k's loss pattern must be independent of device j's and
+/// of the lane that simulates it.
+ReliabilityConfig device_config(const GatewayConfig& cfg,
+                                std::uint64_t device) {
+  ReliabilityConfig rcfg = cfg.reliability;
+  rcfg.fault.seed = hash_combine64(hash_combine64(cfg.seed, 0x6a7eu), device);
+  rcfg.arq.seed = hash_combine64(hash_combine64(cfg.seed, 0xa49u), device);
+  rcfg.base_session_id = session_id_for(device);
+  return rcfg;
 }
 
 double percentile(const std::vector<double>& sorted, double q) {
@@ -73,23 +85,12 @@ void GatewayEngine::on_tick() {
 }
 
 SessionOutcome GatewayEngine::simulate(
-    std::uint64_t device, std::size_t flight_capacity, std::string* dump,
-    std::pair<BitVec, BitVec>* attempt0) const {
-  ReliabilityConfig rcfg = cfg_.reliability;
-  // Per-device fault/backoff streams: device k's loss pattern must be
-  // independent of device j's and of the lane that simulates it.
-  rcfg.fault.seed =
-      hash_combine64(hash_combine64(cfg_.seed, 0x6a7eu), device);
-  rcfg.arq.seed = hash_combine64(hash_combine64(cfg_.seed, 0xa49u), device);
-  rcfg.base_session_id = session_id_for(device);
-  rcfg.flight_capacity = flight_capacity;
-
+    std::uint64_t device, std::pair<BitVec, BitVec>* attempt0) const {
   PublicChannel base;
   const AgreementReport report = run_reliable_key_agreement(
-      base, reconciler_, rcfg,
+      base, reconciler_, device_config(cfg_, device),
       [this, device, attempt0](std::size_t attempt) {
-        // Recovery attempts (and post-mortem re-simulation, which passes no
-        // prefetch) fall back to the per-attempt source.
+        // Recovery attempts fall back to the per-attempt source.
         if (attempt == 0 && attempt0 != nullptr) return std::move(*attempt0);
         return material_(device, attempt);
       });
@@ -101,7 +102,6 @@ SessionOutcome GatewayEngine::simulate(
   out.attempts = report.attempts;
   out.wire_bytes = report.link.bytes_sent;
   if (report.established) out.key = report.key;
-  if (dump != nullptr) *dump = report.failure_dump();
   return out;
 }
 
@@ -125,7 +125,7 @@ void GatewayEngine::ensure_outcome(std::uint64_t device) {
         end - begin,
         [this, begin, &prefetched](std::size_t i) {
           outcomes_[begin + i] =
-              simulate(begin + i, 0, nullptr,
+              simulate(begin + i,
                        prefetched.empty() ? nullptr : &prefetched[i]);
         },
         cfg_.threads);
@@ -280,19 +280,20 @@ GatewayReport GatewayEngine::finalize() {
   }
 
   // Bounded post-mortems: determinism makes recording free after the fact —
-  // re-simulating a failed device with the same seeds replays its exact
-  // frame history, this time with the flight recorder on.
+  // replaying a failed device with the same seeds and material retraces its
+  // exact frame history, this time with the flight recorder on.
   std::size_t failed_seen = 0;
   for (std::uint64_t d = 0; d < cfg_.sessions; ++d) {
     if (outcomes_[d].established) continue;
     ++failed_seen;
     if (rep.failure_dumps.size() >= kFailureDumpLimit) continue;
-    const std::size_t capacity = cfg_.reliability.flight_capacity > 0
-                                     ? cfg_.reliability.flight_capacity
-                                     : 512;
-    std::string dump;
-    simulate(d, capacity, &dump, nullptr);
-    rep.failure_dumps.push_back("device " + std::to_string(d) + ": " + dump);
+    PublicChannel base;
+    rep.failure_dumps.push_back(
+        "device " + std::to_string(d) + ": " +
+        failure_dump(base, reconciler_, device_config(cfg_, d),
+                     [this, d](std::size_t attempt) {
+                       return material_(d, attempt);
+                     }));
   }
   rep.failures_suppressed = failed_seen - rep.failure_dumps.size();
   return rep;

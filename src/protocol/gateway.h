@@ -22,10 +22,10 @@
 // device order. `threads=1` and `threads=N` produce byte-identical reports
 // (CI diffs the bench_gateway snapshots).
 //
-// Determinism also buys free post-mortems: a failed session re-simulated
-// with the same seeds reproduces its exact frame-level history, so the
-// engine records nothing at scale (flight recorders off) and regenerates
-// bounded per-session flight-recorder timelines for the first few failures
+// Determinism also buys free post-mortems: a failed session replayed with
+// the same seeds reproduces its exact frame-level history, so the engine
+// records nothing at scale and regenerates bounded per-session
+// flight-recorder timelines (failure_dump()) for the first few failures
 // after the run.
 //
 // Instrumentation: `gateway.*` counters/gauges (arrivals, admissions,
@@ -71,10 +71,7 @@ struct GatewayConfig {
   std::size_t threads = 0;  ///< pool lanes for the batches (0 = default;
                             ///< 1 = bit-exact sequential reference)
   /// Fault model, ARQ, radio and retry budget of every session's exchange.
-  /// `fault.seed`/`arq.seed` are re-derived per device from `seed`;
-  /// `flight_capacity` is forced to 0 during the scale run (see
-  /// GatewayReport::failure_dumps) so 100k sessions do not hold 100k event
-  /// rings.
+  /// `fault.seed`/`arq.seed` are re-derived per device from `seed`.
   ReliabilityConfig reliability;
   std::uint64_t seed = 1;
 };
@@ -109,8 +106,8 @@ struct GatewayReport {
   double mean_attempts = 0.0;
   double bytes_per_session = 0.0;  ///< wire bytes per *established* session
   /// Bounded post-mortems: the first three failed sessions' timelines,
-  /// regenerated by deterministic re-simulation with recording enabled,
-  /// each prefixed with its device id.
+  /// regenerated by failure_dump()'s deterministic replay, each prefixed
+  /// with its device id.
   std::vector<std::string> failure_dumps;
   std::size_t failures_suppressed = 0;  ///< failed sessions beyond the cap
 };
@@ -130,10 +127,10 @@ class GatewayEngine {
   /// fan-out (256 arrivals), so a predictor-backed source can make one
   /// batch inference call per batch instead of one per session. Must
   /// return exactly `count` pairs, and each pair MUST equal
-  /// material(device, 0) — recovery attempts (>= 1) and post-run failure
-  /// re-simulation still go through MaterialFn, and the determinism
-  /// contract (byte-identical post-mortems) relies on the two sources
-  /// agreeing.
+  /// material(device, 0) — recovery attempts (>= 1) and the post-run
+  /// failure_dump() replays still go through MaterialFn, and the
+  /// determinism contract (byte-identical post-mortems) relies on the two
+  /// sources agreeing.
   using BatchMaterialFn = std::function<std::vector<std::pair<BitVec, BitVec>>(
       std::uint64_t first_device, std::size_t count)>;
 
@@ -174,8 +171,7 @@ class GatewayEngine {
   /// `attempt0` (optional) overrides material for attempt 0 only — the slot
   /// a BatchMaterialFn prefetched for this device, moved from: each slot
   /// serves its device's one scale-run simulation.
-  SessionOutcome simulate(std::uint64_t device, std::size_t flight_capacity,
-                          std::string* dump,
+  SessionOutcome simulate(std::uint64_t device,
                           std::pair<BitVec, BitVec>* attempt0) const;
   GatewayReport finalize();
 

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <optional>
 
 #include "common/error.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "protocol/flight_recorder.h"
 #include "protocol/wire.h"
 
 namespace vkey::protocol {
@@ -40,6 +42,9 @@ constexpr double kAttemptTimeoutMs = 1.8e6;
 
 // Failed attempts a failure dump shows, the most recent ones.
 constexpr std::size_t kDumpedAttempts = 3;
+
+// Events each attempt's flight ring keeps in a failure_dump() replay.
+constexpr std::size_t kFlightCapacity = 512;
 
 void accumulate(LinkStats& into, const LinkStats& from) {
   into.sent += from.sent;
@@ -74,47 +79,24 @@ FailureReason classify_failure(const AliceSession& alice,
   return FailureReason::kProtocolError;
 }
 
-}  // namespace
-
-std::string AgreementReport::failure_dump() const {
-  if (established || attempt_log.empty()) return {};
-  // Keep the *most recent* attempts: the last one carries the terminal
-  // failure, earlier ones show whether recovery was converging.
-  const std::size_t first = attempt_log.size() > kDumpedAttempts
-                                ? attempt_log.size() - kDumpedAttempts
-                                : 0;
-  std::string out;
-  if (first > 0) {
-    out += std::to_string(first) + " earlier attempt(s) suppressed\n";
-  }
-  bool dumped = false;
-  for (std::size_t i = first; i < attempt_log.size(); ++i) {
-    const AttemptReport& att = attempt_log[i];
-    if (att.flight.size() == 0) continue;
-    out += "attempt " + std::to_string(i + 1) + " failed (" +
-           to_string(att.failure) + ")\n" + att.flight.dump();
-    dumped = true;
-  }
-  return dumped ? out : std::string{};
-}
-
-std::string to_string(FailureReason r) {
-  switch (r) {
-    case FailureReason::kNone: return "none";
-    case FailureReason::kRetryExhausted: return "retry-exhausted";
-    case FailureReason::kMacMismatch: return "mac-mismatch";
-    case FailureReason::kConfirmMismatch: return "confirm-mismatch";
-    case FailureReason::kTimeout: return "timeout";
-    case FailureReason::kProtocolError: return "protocol-error";
-  }
-  return "?";
-}
-
-AgreementReport run_reliable_key_agreement(
-    PublicChannel& base, const core::SyndromeCode& reconciler,
-    const ReliabilityConfig& config, ProbeMaterialRef material) {
+/// The supervisor behind run_reliable_key_agreement() and failure_dump().
+/// With `dump` set every layer records each attempt into a flight ring, and
+/// `dump` collects the timelines a failed agreement shows.
+AgreementReport supervise(PublicChannel& base,
+                          const core::SyndromeCode& reconciler,
+                          const ReliabilityConfig& config,
+                          ProbeMaterialRef material, std::string* dump) {
   VKEY_REQUIRE(config.max_session_attempts >= 1, "need at least one attempt");
   AgreementReport report;
+  // An agreement fails only once every attempt has, so the attempts a
+  // failure dump shows are the last kDumpedAttempts.
+  const std::size_t first_dumped =
+      config.max_session_attempts > kDumpedAttempts
+          ? config.max_session_attempts - kDumpedAttempts
+          : 0;
+  if (dump != nullptr && first_dumped > 0) {
+    *dump = std::to_string(first_dumped) + " earlier attempt(s) suppressed\n";
+  }
 
   // The agreement's workspace, reused by every attempt: its private
   // timeline (attempts run on it back to back; clear() drops a torn-down
@@ -155,21 +137,22 @@ AgreementReport run_reliable_key_agreement(
         [&clock] { return clock.now_ms(); }, "reliability.attempt");
     link.reset(hash_combine64(config.fault.seed, attempt));
 
-    // Per-attempt flight recorder stamped with this attempt's virtual
-    // clock; every layer below appends its events to the same timeline.
-    // With recording off (capacity 0) and no trace to mirror into, the
-    // layers stay detached and never format an event detail; the recorder
-    // then counts only the supervisor's two attempt markers.
-    FlightRecorder flight(config.flight_capacity,
-                          [&clock] { return clock.now_ms(); });
-    FlightDetail start;
-    start << "attempt=" << attempt + 1;
-    flight.record(FlightEventKind::kAttemptStart, "supervisor", start,
-                  scfg.session_id);
-    if (config.flight_capacity > 0 || trace::TraceLog::global().enabled()) {
-      link.set_recorder(&flight);
-      alice.set_recorder(&flight, "alice");
-      bob.set_recorder(&flight, "bob");
+    // The attempt's flight recorder, stamped with its virtual clock: every
+    // layer below appends its events to the same timeline. A replay keeps
+    // them in a ring; otherwise the recorder exists only to mirror them
+    // into the TraceLog, and without a trace the layers stay detached and
+    // never format an event detail.
+    std::optional<FlightRecorder> flight;
+    if (dump != nullptr || trace::TraceLog::global().enabled()) {
+      flight.emplace(dump != nullptr ? kFlightCapacity : 0,
+                     [&clock] { return clock.now_ms(); });
+      FlightDetail start;
+      start << "attempt=" << attempt + 1;
+      flight->record(FlightEventKind::kAttemptStart, "supervisor", start,
+                     scfg.session_id);
+      link.set_recorder(&*flight);
+      alice.set_recorder(&*flight, "alice");
+      bob.set_recorder(&*flight, "bob");
     }
 
     ReliableTransport alice_tx(
@@ -219,13 +202,15 @@ AgreementReport run_reliable_key_agreement(
                                          alice_tx.exhausted() ||
                                              bob_tx.exhausted(),
                                          timed_out);
-    flight.record(FlightEventKind::kAttemptEnd, "supervisor",
-                  att.established ? "established" : to_string(att.failure),
-                  scfg.session_id);
-    // The recorder travels with the report, which outlives this
-    // agreement's clock: detach the recorder's NowFn from it.
-    flight.set_now({});
-    att.flight = std::move(flight);
+    if (flight) {
+      flight->record(FlightEventKind::kAttemptEnd, "supervisor",
+                     att.established ? "established" : to_string(att.failure),
+                     scfg.session_id);
+      if (dump != nullptr && !att.established && attempt >= first_dumped) {
+        *dump += "attempt " + std::to_string(attempt + 1) + " failed (" +
+                 to_string(att.failure) + ")\n" + flight->dump();
+      }
+    }
 
     // Tear down the attempt's residue: un-fired ARQ timers and in-flight
     // deliveries hold closures over the transports and sessions that die
@@ -253,6 +238,37 @@ AgreementReport run_reliable_key_agreement(
     metrics::counter<"reliability.exhausted">().add(1);
   }
   return report;
+}
+
+}  // namespace
+
+std::string to_string(FailureReason r) {
+  switch (r) {
+    case FailureReason::kNone: return "none";
+    case FailureReason::kRetryExhausted: return "retry-exhausted";
+    case FailureReason::kMacMismatch: return "mac-mismatch";
+    case FailureReason::kConfirmMismatch: return "confirm-mismatch";
+    case FailureReason::kTimeout: return "timeout";
+    case FailureReason::kProtocolError: return "protocol-error";
+  }
+  return "?";
+}
+
+AgreementReport run_reliable_key_agreement(
+    PublicChannel& base, const core::SyndromeCode& reconciler,
+    const ReliabilityConfig& config, ProbeMaterialRef material) {
+  return supervise(base, reconciler, config, material, nullptr);
+}
+
+std::string failure_dump(PublicChannel& base,
+                         const core::SyndromeCode& reconciler,
+                         const ReliabilityConfig& config,
+                         ProbeMaterialRef material) {
+  std::string dump;
+  if (supervise(base, reconciler, config, material, &dump).established) {
+    return {};
+  }
+  return dump;
 }
 
 void register_protocol_metrics() {

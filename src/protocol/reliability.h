@@ -21,7 +21,6 @@
 
 #include "common/bitvec.h"
 #include "core/reconciler.h"
-#include "protocol/flight_recorder.h"
 #include "protocol/reliable_transport.h"
 #include "protocol/session.h"
 #include "protocol/unreliable_channel.h"
@@ -47,18 +46,6 @@ struct ReliabilityConfig {
   channel::LoRaParams radio;
   std::size_t max_session_attempts = 3;
   std::uint64_t base_session_id = 1;  ///< attempt k uses base + k
-  /// Flight-recorder ring size per attempt (0 disables recording). Every
-  /// attempt gets its own recorder, attached to the link (the transports on
-  /// its ends log there too) and both sessions, stamped with the
-  /// agreement's SimClock. Recording formats each event's detail in place
-  /// and reserves the ring's first block (64 events) once per attempt, so
-  /// it adds one allocation to an attempt that stays within that block.
-  /// At 0 the recorder stays detached from the link and the sessions, so
-  /// no layer formats an event detail, unless the global TraceLog is
-  /// enabled (its `flight.*` instants still need every event); the
-  /// recorder then counts only the supervisor's attempt-start and
-  /// attempt-end markers.
-  std::size_t flight_capacity = 512;
 };
 
 /// Counters and outcome of one negotiation attempt.
@@ -75,9 +62,6 @@ struct AttemptReport {
   TransportStats bob_transport;
   std::size_t alice_duplicates_suppressed = 0;
   std::size_t bob_duplicates_suppressed = 0;
-  /// The attempt's full event timeline (empty ring when recording was
-  /// disabled via ReliabilityConfig::flight_capacity = 0).
-  FlightRecorder flight;
 };
 
 struct AgreementReport {
@@ -93,15 +77,6 @@ struct AgreementReport {
   LinkStats link;
   std::vector<AttemptReport> attempt_log;
   BitVec key;  ///< the established 128-bit key; empty on failure
-
-  /// Post-mortem timelines of the failing attempts: the flight-recorder
-  /// dump of up to the last three failed attempts (oldest first), each
-  /// prefixed with its FailureReason, with a single "N earlier attempt(s)
-  /// suppressed" line when the log is longer than that — a gateway
-  /// draining thousands of sessions must stay debuggable without drowning
-  /// the console. Empty when the agreement established or nothing was
-  /// recorded.
-  std::string failure_dump() const;
 
   explicit operator bool() const { return established; }
 };
@@ -140,10 +115,30 @@ class ProbeMaterialRef {
 /// Run key agreement with ARQ + session recovery over a faulty link, on a
 /// virtual clock of its own. Every attempt's frames pass `base`, whose
 /// interceptor (when one is installed) records them for Eve or tampers
-/// with them.
+/// with them. It keeps no event timeline: while the global TraceLog is on,
+/// every layer's flight events are mirrored there as `flight.*` instants;
+/// failure_dump() replays the agreement to print them.
 AgreementReport run_reliable_key_agreement(
     PublicChannel& base, const core::SyndromeCode& reconciler,
     const ReliabilityConfig& config, ProbeMaterialRef material);
+
+/// Post-mortem of the agreement run_reliable_key_agreement() runs with the
+/// same arguments, by replaying it with every layer recording into a
+/// 512-event flight ring per attempt: the timelines of up to the last three
+/// failed attempts (oldest first), each prefixed with its FailureReason,
+/// after a single "N earlier attempt(s) suppressed" line when more failed,
+/// so a sweep of thousands of sessions stays debuggable without drowning
+/// the console. Empty when the agreement establishes.
+///
+/// The replay is a run like any other: it counts in the metrics, appears in
+/// the trace while tracing is on, and its frames pass `base`'s interceptor.
+/// It retraces the original run only because that run is deterministic, so
+/// `material` must be pure: the same material for the same attempt, every
+/// time it is called.
+std::string failure_dump(PublicChannel& base,
+                         const core::SyndromeCode& reconciler,
+                         const ReliabilityConfig& config,
+                         ProbeMaterialRef material);
 
 /// Eagerly register every instrument the session/ARQ/link/reliability stack
 /// creates lazily — including the rare-path taxonomy (the per-kind

@@ -7,23 +7,26 @@
 // greedy passes it runs, a key schedule's build and rekeys allocate
 // nothing, and a warm SimClock cycle allocates nothing. On the protocol
 // side, an agreement attempt allocates the same handful of blocks however
-// many frames it sends, retransmits, drops or duplicates, and flight
-// recording adds one block however many events it records; a key
-// confirmation allocates a few blocks and a seal+open pair none; each
-// session amplifies its key once, into storage final_key() reads without
-// allocating; and a whole session, from first probe to confirmed epoch,
-// allocates a fixed handful of blocks plus a few per attempt.
+// many frames it sends, retransmits, drops or duplicates, and its
+// failure_dump() replay, which records every event, adds one block however
+// many events it records; a key confirmation allocates a few blocks and a
+// seal+open pair none; each session amplifies its key once, into storage
+// final_key() reads without allocating; and a whole session, from first
+// probe to confirmed epoch, allocates a fixed handful of blocks plus a few
+// per attempt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/alloc_stats.h"
 #include "common/bitvec.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "channel/trace.h"
 #include "core/dataset.h"
 #include "core/predictor.h"
@@ -237,39 +240,57 @@ channel::LoRaParams sf7() {
 }
 
 /// One agreement attempt between sessions holding the same 64-bit key (so
-/// the decode has nothing to correct), over a link with `faults`;
-/// flight recording off by default, as at gateway scale.
+/// the decode has nothing to correct), over a link with `faults`. With
+/// `replay` the allocations counted are those of failure_dump() on the same
+/// arguments, which replays the attempt with every layer recording into a
+/// flight ring, and `events` counts the flight events a traced run mirrors.
 struct AttemptCost {
   std::uint64_t allocations = 0;
   std::size_t frames = 0;
   std::size_t retransmissions = 0;
-  std::size_t events = 0;  ///< flight events recorded
+  std::size_t events = 0;  ///< flight events (with `replay` only)
   bool established = false;
 };
 
 AttemptCost one_attempt(const core::SyndromeCode& reconciler,
                         const protocol::FaultConfig& faults,
-                        std::size_t flight_capacity = 0) {
+                        bool replay = false) {
   const BitVec key = random_bits(64, 3);
   protocol::ReliabilityConfig cfg;
   cfg.fault = faults;
   cfg.radio = sf7();
   cfg.max_session_attempts = 1;
-  cfg.flight_capacity = flight_capacity;
   protocol::PublicChannel base;
+  const auto material = [&key](std::size_t) {
+    return std::make_pair(key, key);
+  };
   protocol::AgreementReport report;
   AttemptCost cost;
   cost.allocations = allocations_of([&] {
-    report = protocol::run_reliable_key_agreement(
-        base, reconciler, cfg,
-        [&key](std::size_t) { return std::make_pair(key, key); });
+    report =
+        protocol::run_reliable_key_agreement(base, reconciler, cfg, material);
   });
   cost.frames = report.link.sent;
   const auto& att = report.attempt_log.front();
   cost.retransmissions =
       att.alice_transport.retransmissions + att.bob_transport.retransmissions;
-  cost.events = att.flight.total();
   cost.established = report.established;
+  if (replay) {
+    std::string dump;
+    cost.allocations = allocations_of([&] {
+      dump = protocol::failure_dump(base, reconciler, cfg, material);
+    });
+    trace::TraceLog& log = trace::TraceLog::global();
+    log.clear();
+    log.set_enabled(true);
+    (void)protocol::run_reliable_key_agreement(base, reconciler, cfg,
+                                               material);
+    for (const trace::Span& span : log.spans()) {
+      cost.events += span.instant && span.name.starts_with("flight.");
+    }
+    log.set_enabled(false);
+    log.clear();
+  }
   return cost;
 }
 
@@ -333,15 +354,15 @@ TEST(AllocBudget, FlightRecordingCostsOneBlockPerAttempt) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
   const core::SyndromeCode reconciler(64, 11);
   protocol::register_protocol_metrics();
-  (void)one_attempt(reconciler, {}, 512);
+  (void)one_attempt(reconciler, {}, true);
   const AttemptCost quiet = one_attempt(reconciler, {});
-  const AttemptCost lossless = one_attempt(reconciler, {}, 512);
+  const AttemptCost lossless = one_attempt(reconciler, {}, true);
   ASSERT_TRUE(lossless.established);
   ASSERT_GE(lossless.events, 30u);
-  // Every event formats its detail in place: recording costs the ring's
-  // first block, however many events (68 blocks in all, 27 more than
-  // without recording, when each detail was concatenated from std::strings
-  // and the ring grew by doubling).
+  // Every event formats its detail in place: the replay costs the ring's
+  // first block more than the run, however many events (68 blocks in all,
+  // 27 more than without recording, when each detail was concatenated from
+  // std::strings and the ring grew by doubling).
   EXPECT_LE(lossless.allocations, quiet.allocations + 1) << lossless.events
                                                          << " events";
   // A lossy attempt may outgrow the first block (64 events) once or twice
@@ -349,7 +370,7 @@ TEST(AllocBudget, FlightRecordingCostsOneBlockPerAttempt) {
   // allocates nothing per event.
   std::size_t most_events = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    const AttemptCost lossy = one_attempt(reconciler, lossy_faults(seed), 512);
+    const AttemptCost lossy = one_attempt(reconciler, lossy_faults(seed), true);
     ASSERT_TRUE(lossy.established) << "seed " << seed;
     most_events = std::max(most_events, lossy.events);
     EXPECT_LE(lossy.allocations, lossless.allocations + 4)
@@ -461,7 +482,7 @@ TEST(AllocBudget, FinalKeyIsAmplifiedOncePerSide) {
 /// loop over lossless SF12 runs it: the session builds its generator on
 /// the first attempt, and each attempt probes the next 16 rounds of an
 /// Eve-less drive, extracts the window and predicts Alice's bits, then
-/// agrees with flight recording on. The model is untrained, so Bob holds
+/// agrees. The model is untrained, so Bob holds
 /// his own quantized bits, which hers do not match, until attempt
 /// `agree_from`; from it on he holds her prediction, so the session
 /// establishes on that attempt. Both KeySchedule roles then confirm
@@ -521,8 +542,9 @@ TEST(AllocBudget, SessionFromProbeToConfirmedEpochIsFixedPlusPerAttempt) {
   (void)one_session(code, predictor, 1, 1);  // warm-up: weights, metrics
   // Fixed: the generator's state, the agreement's clock heap and attempt
   // log, and the confirmation's clock heap (4). Per attempt: the round
-  // vector, extraction's 5 blocks, the prediction's workspace and the
-  // attempt's flight ring (8). While the public channel logged every frame,
+  // vector, extraction's 5 blocks and the prediction's workspace (7). While
+  // every attempt recorded into a flight ring of its own, the ring added
+  // one more per attempt (8); while the public channel logged every frame,
   // the agreement's and the confirmation's logs added 2 fixed blocks (6);
   // while the agreement took its material callback as a std::function, the
   // closure added one more (7); while rRSSI samples, ray phases, device
@@ -530,7 +552,7 @@ TEST(AllocBudget, SessionFromProbeToConfirmedEpochIsFixedPlusPerAttempt) {
   // blocks of their own, and the clock heaps grew by doubling, the fixed
   // part was 23 blocks and each attempt 47.
   constexpr std::uint64_t kFixed = 4;
-  constexpr std::uint64_t kPerAttempt = 8;
+  constexpr std::uint64_t kPerAttempt = 7;
   for (const std::size_t agree_from : {0u, 1u, 3u}) {
     for (const std::uint64_t seed : {2u, 3u}) {
       const SessionCost cost = one_session(code, predictor, seed, agree_from);

@@ -291,11 +291,12 @@ TEST(EnabledSwitch, DisabledInstrumentsDropWrites) {
   Counter c;
   Gauge g;
   Histogram h({1.0});
+  const bool was_enabled = enabled();
   set_enabled(false);
   c.add(5);
   g.set(5.0);
   h.observe(0.5);
-  set_enabled(true);
+  set_enabled(was_enabled);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   EXPECT_EQ(h.count(), 0u);
@@ -334,6 +335,7 @@ TEST(ScopedTimer, CustomNowFnMeasuresVirtualTime) {
 TEST(ScopedTimer, DisabledMetricsSkipTheClockEntirely) {
   Histogram h({1.0});
   int clock_reads = 0;
+  const bool was_enabled = enabled();
   set_enabled(false);
   {
     trace::ScopedTimer t(h, [&clock_reads] {
@@ -341,7 +343,7 @@ TEST(ScopedTimer, DisabledMetricsSkipTheClockEntirely) {
       return 0.0;
     });
   }
-  set_enabled(true);
+  set_enabled(was_enabled);
   EXPECT_EQ(clock_reads, 0);
   EXPECT_EQ(h.count(), 0u);
 }
@@ -359,6 +361,7 @@ TEST(TraceLog, RecordsSpansWhenEnabledAndBoundsCapacity) {
   EXPECT_EQ(log.dropped(), 2u);
   log.set_enabled(false);
   log.clear();
+  log.set_capacity(1 << 16);  // the default
 }
 
 }  // namespace

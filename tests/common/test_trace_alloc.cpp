@@ -36,13 +36,14 @@ std::uint64_t allocations_in(Fn&& fn) {
 
 TEST(ScopedTimerAlloc, DisabledMetricsPathIsAllocationFree) {
   metrics::Histogram& h = test_hist();
+  const bool metrics_on = metrics::enabled();
   TraceLog::global().set_enabled(true);  // even with the log on
   metrics::set_enabled(false);
   const std::uint64_t n = allocations_in([&h] {
     ScopedTimer t(h, "pipeline.reconcile_block");
     t.attr("block", 7).attr("reason", "duplicate");
   });
-  metrics::set_enabled(true);
+  metrics::set_enabled(metrics_on);
   TraceLog::global().set_enabled(false);
   TraceLog::global().clear();
   EXPECT_EQ(n, 0u);

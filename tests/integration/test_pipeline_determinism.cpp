@@ -3,9 +3,10 @@
 //
 // The contract is bit-identity, not statistical closeness, so every
 // comparison here is exact: EXPECT_EQ on doubles, whole BitVecs and dumped
-// JSON. threads == 1 is the sequential reference; any lane count must
+// JSON. One lane is the sequential reference; any lane count must
 // reproduce it bit for bit, and two runs of the same config and seed must
-// agree regardless of machine load.
+// agree regardless of machine load. The pipeline runs on the process
+// default lane count, which these tests set and then restore.
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -14,13 +15,14 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "core/pipeline.h"
 #include "core/reconciler.h"
 
 namespace vkey::core {
 namespace {
 
-PipelineConfig det_config(bool use_prediction, std::size_t threads) {
+PipelineConfig det_config(bool use_prediction) {
   PipelineConfig cfg;
   cfg.trace.scenario =
       channel::make_scenario(channel::ScenarioKind::kV2VUrban, 50.0);
@@ -31,7 +33,6 @@ PipelineConfig det_config(bool use_prediction, std::size_t threads) {
   cfg.reconciler_epochs = 10;
   cfg.reconciler_samples = 800;
   cfg.use_prediction = use_prediction;
-  cfg.threads = threads;
   return cfg;
 }
 
@@ -41,12 +42,16 @@ struct RunOutput {
   BitVec amplified;
 };
 
-RunOutput run_once(const PipelineConfig& cfg) {
+/// One run on `threads` lanes (0 = the process default as found).
+RunOutput run_once(const PipelineConfig& cfg, std::size_t threads = 0) {
+  const std::size_t lanes = parallel::default_threads();
+  if (threads != 0) parallel::set_default_threads(threads);
   KeyGenPipeline p(cfg);
   RunOutput out;
   out.m = p.run(100, 140);
   out.blocks = p.blocks();
   out.amplified = p.amplified_key_stream();
+  parallel::set_default_threads(lanes);
   return out;
 }
 
@@ -85,19 +90,21 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
 }
 
 TEST(PipelineDeterminism, SameSeedTwiceIsIdentical) {
-  const auto cfg = det_config(/*use_prediction=*/false, /*threads=*/0);
+  const auto cfg = det_config(/*use_prediction=*/false);
   expect_identical(run_once(cfg), run_once(cfg));
 }
 
 TEST(PipelineDeterminism, LaneCountDoesNotChangeBits) {
-  const auto ref = run_once(det_config(false, 1));
-  expect_identical(ref, run_once(det_config(false, 2)));
-  expect_identical(ref, run_once(det_config(false, 8)));
+  const auto cfg = det_config(false);
+  const auto ref = run_once(cfg, 1);
+  expect_identical(ref, run_once(cfg, 2));
+  expect_identical(ref, run_once(cfg, 8));
 }
 
 TEST(PipelineDeterminism, LaneCountDoesNotChangeBitsWithPrediction) {
-  const auto ref = run_once(det_config(true, 1));
-  expect_identical(ref, run_once(det_config(true, 4)));
+  const auto cfg = det_config(true);
+  const auto ref = run_once(cfg, 1);
+  expect_identical(ref, run_once(cfg, 4));
 }
 
 TEST(PipelineDeterminism, ReconcilerTrainingIsLaneCountInvariant) {

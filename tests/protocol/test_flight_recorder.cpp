@@ -1,13 +1,16 @@
 // Flight recorder: ring bounds, timestamp sources, the dump format, and
-// the reliability supervisor's per-attempt wiring — a failed agreement must
-// carry a timeline that names the injected fault, byte-identical across
-// runs with the same seed.
+// the reliability supervisor's per-attempt wiring — a failed agreement's
+// replay must print a timeline that names the injected fault, byte-identical
+// across runs with the same seed, and retrace what the unrecorded run did.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/reconciler.h"
 #include "protocol/flight_recorder.h"
 #include "protocol/reliability.h"
@@ -134,27 +137,54 @@ class FlightReliabilityTest : public ::testing::Test {
   static inline const core::SyndromeCode reconciler_{64, 11};
 };
 
-TEST_F(FlightReliabilityTest, AttemptTimelineTravelsWithTheReport) {
+/// Events of kind `what` in a failure dump: the lines whose kind, after the
+/// event's stamp and ordinal, starts with `what`.
+std::size_t count_events(const std::string& dump, const std::string& what) {
+  std::size_t n = 0;
+  for (std::size_t at = dump.find("] #"); at != std::string::npos;
+       at = dump.find("] #", at + 1)) {
+    const std::size_t kind = dump.find(' ', at + 3) + 1;
+    n += dump.compare(kind, what.size(), what) == 0;
+  }
+  return n;
+}
+
+TEST_F(FlightReliabilityTest, EstablishedAgreementHasNoPostMortem) {
   ReliabilityConfig cfg;
   cfg.fault.drop_prob = 0.3;
   cfg.fault.seed = 21;
   cfg.arq.seed = 22;
-  PublicChannel base;
   const BitVec kb = random_key(33);
-  const auto report = run_reliable_key_agreement(
-      base, reconciler_, cfg, [&](std::size_t) {
-        return std::make_pair(kb, kb);  // identical keys: reconciles cleanly
-      });
+  const auto material = [&](std::size_t) {
+    return std::make_pair(kb, kb);  // identical keys: reconciles cleanly
+  };
+  // Traced, the attempt's timeline opens and closes with the supervisor's
+  // markers, the last one naming the outcome.
+  trace::TraceLog& log = trace::TraceLog::global();
+  log.clear();
+  log.set_enabled(true);
+  PublicChannel base;
+  const auto report = run_reliable_key_agreement(base, reconciler_, cfg,
+                                                 material);
+  std::vector<trace::Span> events;
+  for (const trace::Span& span : log.spans()) {
+    if (span.instant && span.name.starts_with("flight.")) {
+      events.push_back(span);
+    }
+  }
+  log.set_enabled(false);
+  log.clear();
   ASSERT_TRUE(report.established);
-  ASSERT_FALSE(report.attempt_log.empty());
-  const auto& flight = report.attempt_log.back().flight;
-  const auto events = flight.events();
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front().kind, FlightEventKind::kAttemptStart);
-  EXPECT_EQ(events.back().kind, FlightEventKind::kAttemptEnd);
-  EXPECT_EQ(events.back().detail, "established");
+  EXPECT_EQ(events.front().name, "flight.attempt-start");
+  EXPECT_EQ(events.back().name, "flight.attempt-end");
+  const auto detail = std::find_if(
+      events.back().attrs.begin(), events.back().attrs.end(),
+      [](const trace::Attr& a) { return a.key == "detail"; });
+  ASSERT_NE(detail, events.back().attrs.end());
+  EXPECT_EQ(detail->s, "established");
   // An established agreement has no post-mortem.
-  EXPECT_TRUE(report.failure_dump().empty());
+  EXPECT_TRUE(failure_dump(base, reconciler_, cfg, material).empty());
 }
 
 TEST_F(FlightReliabilityTest, FailureDumpNamesTheInjectedFault) {
@@ -167,12 +197,12 @@ TEST_F(FlightReliabilityTest, FailureDumpNamesTheInjectedFault) {
   cfg.max_session_attempts = 1;
   PublicChannel base;
   const BitVec kb = random_key(44);
-  const auto report = run_reliable_key_agreement(
-      base, reconciler_, cfg,
-      [&](std::size_t) { return std::make_pair(kb, kb); });
+  const auto material = [&](std::size_t) { return std::make_pair(kb, kb); };
+  const auto report =
+      run_reliable_key_agreement(base, reconciler_, cfg, material);
   ASSERT_FALSE(report.established);
 
-  const std::string dump = report.failure_dump();
+  const std::string dump = failure_dump(base, reconciler_, cfg, material);
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find(to_string(report.failure)), std::string::npos);
   EXPECT_NE(dump.find("drop"), std::string::npos);  // the injected fault
@@ -188,37 +218,39 @@ TEST_F(FlightReliabilityTest, SameSeedYieldsByteIdenticalDumps) {
     cfg.max_session_attempts = 1;
     PublicChannel base;
     const BitVec kb = random_key(44);
-    const auto report = run_reliable_key_agreement(
-        base, reconciler_, cfg,
-        [&](std::size_t) { return std::make_pair(kb, kb); });
-    return report.failure_dump();
+    return failure_dump(base, reconciler_, cfg, [&](std::size_t) {
+      return std::make_pair(kb, kb);
+    });
   };
   const std::string first = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, run());
 }
 
-TEST_F(FlightReliabilityTest, ZeroFlightCapacityDisablesTheTimeline) {
+TEST_F(FlightReliabilityTest, ReplayRetracesAnUntracedRun) {
+  // The run records nothing; its replay shows every retransmission its
+  // transports counted and the give-up that ended it.
   ReliabilityConfig cfg;
-  cfg.flight_capacity = 0;
   cfg.fault.drop_prob = 0.95;
   cfg.fault.seed = 4;
   cfg.arq.seed = 5;
   cfg.max_session_attempts = 1;
   PublicChannel base;
   const BitVec kb = random_key(44);
-  const auto report = run_reliable_key_agreement(
-      base, reconciler_, cfg,
-      [&](std::size_t) { return std::make_pair(kb, kb); });
+  const auto material = [&](std::size_t) { return std::make_pair(kb, kb); };
+  const auto report =
+      run_reliable_key_agreement(base, reconciler_, cfg, material);
   ASSERT_FALSE(report.established);
-  const FlightRecorder& flight = report.attempt_log.back().flight;
-  EXPECT_EQ(flight.size(), 0u);
-  // The layers stay detached: nothing but the supervisor's attempt-start
-  // and attempt-end markers ever reached the recorder, although the ARQ
-  // burned its whole retry budget on dropped frames.
-  EXPECT_EQ(flight.total(), 2u);
-  EXPECT_GT(report.attempt_log.back().alice_transport.retransmissions, 0u);
-  EXPECT_TRUE(report.failure_dump().empty());
+  const AttemptReport& att = report.attempt_log.back();
+  ASSERT_GT(att.alice_transport.retransmissions, 0u);
+
+  const std::string dump = failure_dump(base, reconciler_, cfg, material);
+  EXPECT_EQ(count_events(dump, "retransmit"),
+            att.alice_transport.retransmissions +
+                att.bob_transport.retransmissions);
+  EXPECT_EQ(count_events(dump, "gave-up"),
+            att.alice_transport.gave_up + att.bob_transport.gave_up);
+  EXPECT_EQ(count_events(dump, "frame-tx"), report.link.sent);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -432,11 +435,12 @@ TEST_F(ReliabilityTest, ReportsRetryExhaustionOnHopelessLink) {
 
 // ------------------------------------------------------- event-order pin
 //
-// Every counter of every attempt, the digest of Eve's transcript (each frame
-// re-encoded as v1 bytes) and the digest of the failure dump, for seeded
-// agreements under drop, duplication, reordering and corruption. The
-// expected values were captured before the link, ARQ and sessions stopped
-// copying frames; any reordered event or extra RNG draw moves one of them.
+// Every counter of every attempt, the flight events each attempt mirrors
+// into the trace, the digest of Eve's transcript (each frame re-encoded as
+// v1 bytes) and the digest of the failure dump, for seeded agreements under
+// drop, duplication, reordering and corruption. The expected values were
+// captured before the link, ARQ and sessions stopped copying frames; any
+// reordered event or extra RNG draw moves one of them.
 
 std::string counters_of(const AgreementReport& r) {
   const auto tx = [](const TransportStats& t) {
@@ -463,9 +467,61 @@ std::string counters_of(const AgreementReport& r) {
            " ms=" + json::format_number(a.duration_ms) +
            " atx=" + tx(a.alice_transport) + " btx=" + tx(a.bob_transport) +
            " dups=" + std::to_string(a.alice_duplicates_suppressed) + "," +
-           std::to_string(a.bob_duplicates_suppressed) +
-           " flight=" + std::to_string(a.flight.total()) + "," +
-           std::to_string(a.flight.size()) + "\n";
+           std::to_string(a.bob_duplicates_suppressed) + "\n";
+  }
+  return out;
+}
+
+/// One attempt's flight events as a traced run mirrored them, each written
+/// as FlightRecorder::dump() writes it.
+struct TracedAttempt {
+  std::vector<std::string> events;
+  std::string outcome;  ///< the attempt-end detail
+};
+
+/// Run `agree` with the TraceLog on and return the `flight.*` instants it
+/// mirrored there, one TracedAttempt per attempt-start.
+template <typename Agree>
+std::vector<TracedAttempt> traced_flight_events(Agree&& agree) {
+  trace::TraceLog& log = trace::TraceLog::global();
+  log.clear();
+  log.set_enabled(true);
+  agree();
+  const std::vector<trace::Span> spans = log.spans();
+  log.set_enabled(false);
+  log.clear();
+  std::vector<TracedAttempt> attempts;
+  for (const trace::Span& span : spans) {
+    if (!span.instant || !span.name.starts_with("flight.")) continue;
+    const std::string kind = span.name.substr(std::string("flight.").size());
+    if (kind == "attempt-start" || attempts.empty()) attempts.emplace_back();
+    std::string actor, detail;
+    std::int64_t session = 0, nonce = 0;
+    for (const trace::Attr& a : span.attrs) {
+      if (a.key == "actor") actor = a.s;
+      if (a.key == "detail") detail = a.s;
+      if (a.key == "session") session = a.i;
+      if (a.key == "nonce") nonce = a.i;
+    }
+    TracedAttempt& att = attempts.back();
+    if (kind == "attempt-end") att.outcome = detail;
+    char stamp[64];
+    std::snprintf(stamp, sizeof(stamp), "  [%12.3f ms] #%zu ", span.start_ms,
+                  att.events.size());
+    std::string line = stamp + kind + " " + actor;
+    if (!detail.empty()) line += " " + detail;
+    if (session != 0) line += " session=" + std::to_string(session);
+    line += " nonce=" + std::to_string(nonce);
+    att.events.push_back(std::move(line));
+  }
+  return attempts;
+}
+
+/// Events per traced attempt, comma-separated.
+std::string event_counts(const std::vector<TracedAttempt>& attempts) {
+  std::string out;
+  for (const TracedAttempt& att : attempts) {
+    out += (out.empty() ? "" : ",") + std::to_string(att.events.size());
   }
   return out;
 }
@@ -546,13 +602,17 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   PublicChannel base;
   std::vector<Message> transcript;
   record_transcript(base, transcript);
-  const auto report =
-      run_reliable_key_agreement(base, reconciler_, cfg, material_for(31));
+  AgreementReport report;
+  const auto events = traced_flight_events([&] {
+    report =
+        run_reliable_key_agreement(base, reconciler_, cfg, material_for(31));
+  });
   EXPECT_EQ(counters_of(report),
             "attempts=1 ttk=2121.645980193749 link=24,1064,15,5,3,3,1,5\n"
             "sid=1 est=1 none alice=established/none "
             "bob=established/none ms=2121.645980193749 "
-            "atx=2,6,4,2,1,0 btx=3,3,6,2,0,0 dups=1,4 flight=103,103\n");
+            "atx=2,6,4,2,1,0 btx=3,3,6,2,0,0 dups=1,4\n");
+  EXPECT_EQ(event_counts(events), "103");
   EXPECT_EQ(transcript_digest(transcript),
             "1064:863b8bcb96e8e6c882c972f390219a61fd60261ea40bb32d04a5aa8e33b"
             "32483");
@@ -566,24 +626,30 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   PublicChannel air;
   std::vector<Message> eve;
   record_transcript(air, eve);
-  const auto failed =
-      run_reliable_key_agreement(air, reconciler_, lossy, material_for(32));
+  AgreementReport failed;
+  const auto failed_events = traced_flight_events([&] {
+    failed =
+        run_reliable_key_agreement(air, reconciler_, lossy, material_for(32));
+  });
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(counters_of(failed),
             "attempts=3 ttk=36463.59913454495 link=55,2253,8,45,4,4,2,5\n"
             "sid=1 est=0 retry-exhausted alice=await-accept/bad-state "
             "bob=await-confirm/none ms=12607.15728566181 atx=1,8,0,0,0,1 "
-            "btx=2,9,1,0,0,0 dups=0,0 flight=87,87\n"
+            "btx=2,9,1,0,0,0 dups=0,0\n"
             "sid=2 est=0 retry-exhausted alice=await-accept/none "
             "bob=idle/none ms=13696.002607303932 atx=1,8,0,0,0,1 "
-            "btx=0,0,0,0,0,0 dups=0,0 flight=39,39\n"
+            "btx=0,0,0,0,0,0 dups=0,0\n"
             "sid=3 est=0 retry-exhausted alice=await-syndrome/duplicate "
             "bob=await-confirm/duplicate ms=10160.43924157921 "
-            "atx=1,2,3,1,0,0 btx=2,15,2,0,0,1 dups=2,1 flight=109,109\n");
+            "atx=1,2,3,1,0,0 btx=2,15,2,0,0,1 dups=2,1\n");
+  EXPECT_EQ(event_counts(failed_events), "87,39,109");
   EXPECT_EQ(transcript_digest(eve),
             "2253:dfee5edf6ddcd92ce2dca8360d6c22b30ca1fde8c7dab4a75e05f292b1"
             "6d81fe");
-  const std::string dump = failed.failure_dump();
+  PublicChannel replay;
+  const std::string dump =
+      failure_dump(replay, reconciler_, lossy, material_for(32));
   EXPECT_EQ(std::to_string(dump.size()) + ":" + sha256_hex(dump),
             "17999:1019686c1152fd7ec5b9e7618d5ee8a9c7d649a822e6877a7e3afe5dbf"
             "1d69c6");
@@ -615,6 +681,57 @@ TEST_F(ReliabilityTest, LossyAgreementTraceExportIsPinned) {
   EXPECT_EQ(std::to_string(doc.size()) + ":" + sha256_hex(doc),
             "46571:09e82d9310b097dfbe30f9b4c2b5b5da6849c4837ec4b1e914b627cf"
             "73c0cad0");
+}
+
+TEST_F(ReliabilityTest, FailureDumpRetracesTheTracedRun) {
+  // A traced agreement mirrors each flight event as a `flight.*` instant;
+  // failure_dump()'s replay must print the same events, field for field,
+  // for each failed attempt it shows: kind, actor, virtual time, session,
+  // nonce and detail, under the attempt's failure reason.
+  ReliabilityConfig lossy = config_for(0.8, 32);
+  lossy.fault.dup_prob = 0.25;
+  lossy.fault.reorder_prob = 0.25;
+  lossy.fault.corrupt_prob = 0.25;
+  lossy.max_session_attempts = 3;
+  ReliabilityConfig longer = lossy;  // two attempts too many to show
+  longer.max_session_attempts = 5;
+  ReliabilityConfig hopeless = config_for(0.95, 9);
+  hopeless.max_session_attempts = 1;
+  for (const ReliabilityConfig& cfg : {lossy, longer, hopeless}) {
+    SCOPED_TRACE(std::to_string(cfg.max_session_attempts) + " attempt(s)");
+    PublicChannel air;
+    AgreementReport report;
+    const auto traced = traced_flight_events([&] {
+      report =
+          run_reliable_key_agreement(air, reconciler_, cfg, material_for(32));
+    });
+    ASSERT_FALSE(report.established);
+    ASSERT_EQ(traced.size(), report.attempts);
+
+    std::vector<std::string> want;
+    const std::size_t first = traced.size() > 3 ? traced.size() - 3 : 0;
+    if (first > 0) {
+      want.push_back(std::to_string(first) + " earlier attempt(s) suppressed");
+    }
+    for (std::size_t i = first; i < traced.size(); ++i) {
+      EXPECT_EQ(traced[i].outcome, to_string(report.attempt_log[i].failure));
+      want.push_back("attempt " + std::to_string(i + 1) + " failed (" +
+                     traced[i].outcome + ")");
+      want.push_back("flight recorder: " +
+                     std::to_string(traced[i].events.size()) +
+                     " event(s), 0 dropped");
+      want.insert(want.end(), traced[i].events.begin(),
+                  traced[i].events.end());
+    }
+    std::vector<std::string> got;
+    std::istringstream dump(
+        failure_dump(air, reconciler_, cfg, material_for(32)));
+    for (std::string line; std::getline(dump, line);) got.push_back(line);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "line " << i;
+    }
+  }
 }
 
 // ------------------------------------------- structured agreement results

@@ -214,6 +214,7 @@ TEST(Wire, EncodeRefusesMessagesThatViolateWireBounds) {
 }
 
 TEST(Wire, RejectCountersTrackTypedReasons) {
+  const bool metrics_on = metrics::enabled();
   metrics::set_enabled(true);
   register_wire_metrics();
   auto& reg = metrics::Registry::global();
@@ -231,7 +232,7 @@ TEST(Wire, RejectCountersTrackTypedReasons) {
   const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + 4);
   (void)decode_frame(cut);
   EXPECT_EQ(trunc_counter.value(), trunc0 + 1);
-  metrics::set_enabled(false);
+  metrics::set_enabled(metrics_on);
 }
 
 }  // namespace
