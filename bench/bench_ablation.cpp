@@ -81,10 +81,7 @@ ReconcilerScore score_reconciler(const AutoencoderReconciler& rec,
       kb.set(i, rng.bernoulli(0.5));
       ke.set(i, rng.bernoulli(0.5));
     }
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.bernoulli(0.06)) ka.flip(i);
-    }
+    const BitVec ka = with_noise(kb, 0.06, rng);
     const auto y = rec.encode_bob(kb);
     const BitVec fixed = correct(rec, decode, ka, y);
     kar += fixed.agreement(kb);

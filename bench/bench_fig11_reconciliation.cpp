@@ -41,15 +41,8 @@ std::vector<Sample> make_pairs(std::uint64_t seed, std::size_t trials) {
   std::vector<Sample> out;
   for (std::size_t t = 0; t < trials; ++t) {
     Sample s;
-    s.bob = BitVec(kKeyBits);
-    for (std::size_t i = 0; i < kKeyBits; ++i) {
-      s.bob.set(i, rng.bernoulli(0.5));
-    }
-    s.alice = s.bob;
-    const double ber = kBerLevels[t % 3];
-    for (std::size_t i = 0; i < kKeyBits; ++i) {
-      if (rng.bernoulli(ber)) s.alice.flip(i);
-    }
+    s.bob = random_bits(kKeyBits, rng);
+    s.alice = with_noise(s.bob, kBerLevels[t % 3], rng);
     out.push_back(std::move(s));
   }
   return out;

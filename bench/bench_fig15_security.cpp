@@ -59,11 +59,8 @@ SecurityRow evaluate(const BenchReport& report, ScenarioKind kind,
 void print_replay_diagnostics(BenchReport& report) {
   using namespace vkey::protocol;
   const SyndromeCode reconciler(64, 11);
-  vkey::Rng rng(0x515);
-  BitVec k(64);
-  for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
   SessionConfig scfg;
-  BobSession bob(scfg, reconciler, k);
+  BobSession bob(scfg, reconciler, random_bits(64, vkey::Rng(0x515)));
 
   Message req;
   req.type = MessageType::kKeyGenRequest;

@@ -36,22 +36,6 @@ using namespace vkey::protocol;
 
 namespace {
 
-BitVec random_key(std::uint64_t seed, std::size_t bits) {
-  vkey::Rng rng(seed);
-  BitVec k(bits);
-  for (std::size_t i = 0; i < bits; ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
-BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec out = k;
-  for (int f = 0; f < flips; ++f) {
-    out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
-  }
-  return out;
-}
-
 /// Pure per-device probe material: Bob's raw key plus Alice's 3-bit-noisy
 /// view, derived from (device, attempt) alone so pool lanes can call it
 /// concurrently.
@@ -59,8 +43,8 @@ GatewayEngine::MaterialFn make_material() {
   return [](std::uint64_t device, std::size_t attempt) {
     const std::uint64_t seed =
         hash_combine64(hash_combine64(0x9a7e, device), attempt);
-    const BitVec kb = random_key(seed, 64);
-    return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
+    const BitVec kb = random_bits(64, vkey::Rng(seed));
+    return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
   };
 }
 

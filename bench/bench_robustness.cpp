@@ -36,27 +36,11 @@ using namespace vkey::protocol;
 
 namespace {
 
-BitVec random_key(std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec k(64);
-  for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
-BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec out = k;
-  for (int f = 0; f < flips; ++f) {
-    out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
-  }
-  return out;
-}
-
 auto material_for(std::uint64_t trial) {
   return [trial](std::size_t attempt) {
     const std::uint64_t seed = hash_combine64(trial, attempt);
-    const BitVec kb = random_key(seed);
-    return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
+    const BitVec kb = random_bits(64, vkey::Rng(seed));
+    return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
   };
 }
 

@@ -64,30 +64,14 @@ namespace {
 constexpr double kDropPattern[] = {0.0, 0.10, 0.25};
 constexpr std::size_t kPatternLen = sizeof(kDropPattern) / sizeof(double);
 
-BitVec random_key(std::uint64_t seed, std::size_t bits) {
-  vkey::Rng rng(seed);
-  BitVec k(bits);
-  for (std::size_t i = 0; i < bits; ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
-BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec out = k;
-  for (int f = 0; f < flips; ++f) {
-    out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
-  }
-  return out;
-}
-
 /// Pure per-device probe material, re-seeded per round so no two rounds
 /// replay the same noise realizations.
 GatewayEngine::MaterialFn make_material(std::uint64_t round_seed) {
   return [round_seed](std::uint64_t device, std::size_t attempt) {
     const std::uint64_t seed = hash_combine64(
         hash_combine64(hash_combine64(0x50a7, round_seed), device), attempt);
-    const BitVec kb = random_key(seed, 64);
-    return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
+    const BitVec kb = random_bits(64, vkey::Rng(seed));
+    return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
   };
 }
 

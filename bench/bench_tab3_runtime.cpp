@@ -57,8 +57,7 @@ struct Fixture {
       alice_seq[i] = rng.uniform();
       bob_seq_raw[i] = -80.0 + 5.0 * rng.gaussian();
     }
-    key_bob = BitVec(64);
-    for (std::size_t i = 0; i < 64; ++i) key_bob.set(i, rng.bernoulli(0.5));
+    key_bob = random_bits(64, rng);
     // The channel's attempt-0 mismatch: kar_pre ~ 0.833, so about 11 of
     // the 64 bits differ.
     key_alice = key_bob;

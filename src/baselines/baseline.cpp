@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "core/privacy.h"
 #include "core/quantizer.h"
 #include "cs/compressed_sensing.h"
 
@@ -78,29 +79,21 @@ BlockScores cs_blocks(const BitVec& alice, const BitVec& bob,
   return s;
 }
 
-/// The score every baseline reports. KGR is the net matched secret-bit
-/// rate, the Vehicle-Key pipeline's convention: each block's published
-/// bits are public, so privacy amplification discounts them.
+/// The score every baseline reports, Vehicle-Key's own
+/// (core::score_key_blocks) over the trace's probe time.
 BaselineMetrics fold(std::string name, const BlockScores& s,
                      std::size_t block_bits, std::size_t probe_rounds,
                      double round_duration_s) {
+  const core::KeyScore score = core::score_key_blocks(
+      s.kar, s.exact, s.leaked_bits, block_bits,
+      static_cast<double>(probe_rounds) * round_duration_s);
   BaselineMetrics m;
   m.name = std::move(name);
-  const std::size_t blocks = s.kar.size();
-  if (blocks == 0) return m;
-  m.blocks = blocks;
-  m.mean_kar = stats::mean(s.kar);
-  m.std_kar = blocks >= 2 ? stats::sample_stddev(s.kar) : 0.0;
-  m.key_success_rate =
-      static_cast<double>(s.exact) / static_cast<double>(blocks);
-  const double leaked_per_block =
-      static_cast<double>(s.leaked_bits) / static_cast<double>(blocks);
-  const double net_bits_per_block =
-      std::max(0.0, static_cast<double>(block_bits) - leaked_per_block);
-  const double total_time =
-      static_cast<double>(probe_rounds) * round_duration_s;
-  m.kgr_bits_per_s = static_cast<double>(blocks) * net_bits_per_block *
-                     m.mean_kar / total_time;
+  m.blocks = s.kar.size();
+  m.mean_kar = score.mean_kar;
+  m.std_kar = score.std_kar;
+  m.key_success_rate = score.exact_rate;
+  m.kgr_bits_per_s = score.kgr_bits_per_s;
   return m;
 }
 

@@ -7,10 +7,11 @@
 //
 // Each baseline is one function over a trace: `round_duration_s` is the
 // wall-clock cost of one probe exchange (from the trace generator), the
-// denominator of the key rate. Every scheme scores its reconciled blocks
-// the same way: KAR mean and sample std over the blocks, the exact-block
-// rate, and the net KGR, which subtracts the bits each block's
-// reconciliation publishes (privacy amplification shrinks the key by them).
+// denominator of the key rate. Every scheme, Vehicle-Key included, scores
+// its reconciled blocks through core::score_key_blocks: KAR mean and sample
+// std over the blocks, the exact-block rate, and the net KGR, which
+// subtracts the bits each block's reconciliation publishes (privacy
+// amplification shrinks the key by them).
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "common/bitvec.h"
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace vkey {
 
@@ -121,6 +122,28 @@ BitVec BitVec::from_doubles_threshold(std::span<const double> v,
                                       double threshold) {
   BitVec out(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) out.bits_[i] = v[i] >= threshold;
+  return out;
+}
+
+BitVec random_bits(std::size_t n, Rng& rng) {
+  BitVec out(n);
+  for (std::size_t i = 0; i < n; ++i) out.set(i, rng.bernoulli(0.5));
+  return out;
+}
+
+BitVec with_flips(const BitVec& key, std::size_t count, Rng& rng) {
+  BitVec out = key;
+  for (std::size_t f = 0; f < count; ++f) {
+    out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
+  }
+  return out;
+}
+
+BitVec with_noise(const BitVec& key, double p, Rng& rng) {
+  BitVec out = key;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (rng.bernoulli(p)) out.flip(i);
+  }
   return out;
 }
 

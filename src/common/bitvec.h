@@ -4,6 +4,8 @@
 // Bloom mapping, reconciliation (XOR algebra) and privacy amplification.
 // BitVec provides exactly the operations those stages need: indexed access,
 // XOR, Hamming distance/weight, byte (de)serialization and pretty printing.
+// The synthetic-key generators below draw the keys that training, the
+// figures and the tests feed those stages.
 //
 // Storage: one byte per bit in a SmallBuffer that keeps kInlineBits bits
 // inside the object, which covers every raw, Bloom-mapped and final key
@@ -21,6 +23,8 @@
 #include "common/small_buffer.h"
 
 namespace vkey {
+
+class Rng;
 
 class BitVec {
  public:
@@ -41,10 +45,6 @@ class BitVec {
   /// Unpack from bytes, MSB-first within each byte, taking `nbits` bits.
   static BitVec from_bytes(std::span<const std::uint8_t> bytes,
                            std::size_t nbits);
-  static BitVec from_bytes(const std::vector<std::uint8_t>& bytes,
-                           std::size_t nbits) {
-    return from_bytes(std::span<const std::uint8_t>(bytes), nbits);
-  }
 
   std::size_t size() const noexcept { return bits_.size(); }
   bool empty() const noexcept { return bits_.empty(); }
@@ -106,5 +106,27 @@ class BitVec {
  private:
   SmallBuffer<std::uint8_t, kInlineBits> bits_;  // one byte per bit: 0 or 1
 };
+
+// Synthetic keys: the pairs (K_B, K_A = K_B xor e) the reconciler trains
+// on (paper Sec. IV-C), and the probe material of figures and tests. Each
+// draws from the caller's stream in a fixed order, so a seed pins the key;
+// the rvalue forms start a fresh stream in place: random_bits(64, Rng(7)).
+
+/// `n` fair bits: bit i is rng.bernoulli(0.5), i ascending.
+BitVec random_bits(std::size_t n, Rng& rng);
+inline BitVec random_bits(std::size_t n, Rng&& rng) {
+  return random_bits(n, rng);
+}
+
+/// `key` with `count` flips, each at rng.uniform_int(key.size()). A
+/// position may repeat, so at most `count` bits differ.
+BitVec with_flips(const BitVec& key, std::size_t count, Rng& rng);
+inline BitVec with_flips(const BitVec& key, std::size_t count, Rng&& rng) {
+  return with_flips(key, count, rng);
+}
+
+/// `key` through a binary symmetric channel: bit i flips when
+/// rng.bernoulli(p), i ascending.
+BitVec with_noise(const BitVec& key, double p, Rng& rng);
 
 }  // namespace vkey

@@ -255,31 +255,18 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   PipelineMetrics m;
   m.blocks = blocks_.size();
   m.mean_kar_pre = vkey::stats::mean(kar_pre_list);
-  m.mean_kar_post = vkey::stats::mean(kar_post_list);
-  m.std_kar_post = kar_post_list.size() >= 2
-                       ? vkey::stats::sample_stddev(kar_post_list)
-                       : 0.0;
-  m.key_success_rate =
-      static_cast<double>(success) / static_cast<double>(blocks_.size());
+  m.test_duration_s = static_cast<double>(test_rounds) * gen.round_duration();
+  // The syndrome's kCodeDim public values are charged one bit each.
+  const KeyScore score =
+      score_key_blocks(kar_post_list, success, m.blocks * kCodeDim,
+                       block_bits, m.test_duration_s);
+  m.mean_kar_post = score.mean_kar;
+  m.std_kar_post = score.std_kar;
+  m.key_success_rate = score.exact_rate;
+  m.kgr_bits_per_s = score.kgr_bits_per_s;
   m.mean_eve_kar = vkey::stats::mean(eve_list);
   m.mean_eve_kar_iterative = vkey::stats::mean(eve_iter_list);
   m.eve_exact_blocks_iterative = eve_success;
-  m.test_duration_s = static_cast<double>(test_rounds) * gen.round_duration();
-  // Key generation rate (the convention of the LoRa key-generation
-  // literature): net secret bits produced per second of channel use —
-  // matched post-reconciliation bits, minus the public-syndrome leakage
-  // (kCodeDim values leak at most kCodeDim bits; privacy amplification
-  // discounts them). The same accounting is applied to every baseline.
-  const double net_bits_per_block =
-      std::max(0.0, static_cast<double>(cfg_.reconciler.key_bits) -
-                        static_cast<double>(kCodeDim));
-  // Guard the division: a zero-duration trace (degenerate PHY/interval
-  // configuration) must not push inf/nan into the JSON exporters.
-  m.kgr_bits_per_s = m.test_duration_s > 0.0
-                         ? static_cast<double>(blocks_.size()) *
-                               net_bits_per_block * m.mean_kar_post /
-                               m.test_duration_s
-                         : 0.0;
   return m;
 }
 

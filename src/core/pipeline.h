@@ -65,7 +65,7 @@ struct PipelineMetrics {
   double mean_kar_post = 0.0;
   double std_kar_post = 0.0;
   double key_success_rate = 0.0;  ///< fraction of blocks agreeing exactly
-  double kgr_bits_per_s = 0.0;    ///< successfully agreed bits / second
+  double kgr_bits_per_s = 0.0;    ///< net secret bits / second
   double mean_eve_kar = 0.0;      ///< Eve, one-shot decode (paper's attack)
   double mean_eve_kar_iterative = 0.0;  ///< Eve running the protocol's decode
   /// Blocks Eve's run of the protocol's decode recovers exactly.

@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/error.h"
+#include "common/stats.h"
 #include "crypto/secret_buffer.h"
 #include "crypto/sha256.h"
 
@@ -48,6 +49,30 @@ void PrivacyAmplifier::amplify_into(const BitVec& raw,
   auto digest = h.finalize();
   std::copy_n(digest.begin(), out.size(), out.begin());
   crypto::secure_wipe(digest.data(), digest.size());
+}
+
+KeyScore score_key_blocks(std::span<const double> kar, std::size_t exact,
+                          std::size_t leaked_bits, std::size_t block_bits,
+                          double duration_s) {
+  KeyScore score;
+  const std::size_t blocks = kar.size();
+  if (blocks == 0) return score;
+  score.mean_kar = stats::mean(kar);
+  score.std_kar = blocks >= 2 ? stats::sample_stddev(kar) : 0.0;
+  score.exact_rate =
+      static_cast<double>(exact) / static_cast<double>(blocks);
+  const double leaked_per_block =
+      static_cast<double>(leaked_bits) / static_cast<double>(blocks);
+  const double net_bits_per_block =
+      std::max(0.0, static_cast<double>(block_bits) - leaked_per_block);
+  // Guard the division: a zero-duration trace (degenerate PHY/interval
+  // configuration) must not push inf/nan into the JSON exporters.
+  score.kgr_bits_per_s = duration_s > 0.0
+                             ? static_cast<double>(blocks) *
+                                   net_bits_per_block * score.mean_kar /
+                                   duration_s
+                             : 0.0;
+  return score;
 }
 
 }  // namespace vkey::core

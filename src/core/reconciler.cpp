@@ -412,15 +412,9 @@ double AutoencoderReconciler::train(std::size_t num_samples,
       num_samples,
       [&](std::size_t s) {
         vkey::Rng rng(hash_combine64(pair_seed, s));
-        BitVec kb(cfg_.key_bits);
-        for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
-          kb.set(i, rng.bernoulli(0.5));
-        }
+        const BitVec kb = random_bits(cfg_.key_bits, rng);
         const double ber = rng.uniform(kTrainBerLo, kTrainBerHi);
-        BitVec ka = kb;
-        for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
-          if (rng.bernoulli(ber)) ka.flip(i);
-        }
+        const BitVec ka = with_noise(kb, ber, rng);
         return std::pair<BitVec, BitVec>(bloom_.apply(kb), bloom_.apply(ka));
       },
       cfg_.threads);

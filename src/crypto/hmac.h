@@ -1,20 +1,18 @@
 // HMAC-SHA256 (RFC 2104 / FIPS 198-1).
 //
 // The reconciliation exchange appends MAC(K'_Bob, y_Bob) so Alice can detect
-// man-in-the-middle modification (paper Sec. IV-C). Also provides the
-// constant-time tag comparison used at verification.
+// man-in-the-middle modification (paper Sec. IV-C). Verification compares
+// tags with constant_time_equal (secret_buffer.h).
 //
-// Keys are secrets: the primary entry points take the key as a
-// SecretBuffer or a borrowed span, and the derived ipad/opad blocks are
-// zeroized before return (secure_wipe). The vector overloads remain as
-// shims for non-secret-typed callers.
+// Keys are secrets: the entry points take the key as a SecretBuffer or a
+// borrowed span, and the derived ipad/opad blocks are zeroized before
+// return (secure_wipe).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <vector>
 
 #include "crypto/secret_buffer.h"
 #include "crypto/sha256.h"
@@ -40,31 +38,6 @@ inline std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
 inline std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
     const SecretBuffer& key, std::span<const std::uint8_t> message) {
   return hmac_sha256(key.expose(), message);
-}
-
-/// Shim for std::vector callers (both arguments convert to spans).
-inline std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
-    const std::vector<std::uint8_t>& key,
-    const std::vector<std::uint8_t>& message) {
-  return hmac_sha256(std::span<const std::uint8_t>(key),
-                     std::span<const std::uint8_t>(message));
-}
-
-/// Constant-time equality of two byte strings (length leak only). Thin
-/// shim over the span overload in secret_buffer.h, kept for existing
-/// vector callers.
-inline bool constant_time_equal(const std::vector<std::uint8_t>& a,
-                                const std::vector<std::uint8_t>& b) {
-  return constant_time_equal(std::span<const std::uint8_t>(a),
-                             std::span<const std::uint8_t>(b));
-}
-
-/// Constant-time check of a computed tag (array) against a received one.
-inline bool constant_time_equal(
-    const std::vector<std::uint8_t>& received,
-    const std::array<std::uint8_t, Sha256::kDigestSize>& computed) {
-  return constant_time_equal(std::span<const std::uint8_t>(received),
-                             std::span<const std::uint8_t>(computed));
 }
 
 }  // namespace vkey::crypto

@@ -149,8 +149,7 @@ class SecretBuffer {
 };
 
 /// Constant-time equality over raw byte views (length leak only). This is
-/// the primitive every MAC/confirm verification routes through; the
-/// vector overload in hmac.h is a shim over this one.
+/// the primitive every MAC/confirm verification routes through.
 bool constant_time_equal(std::span<const std::uint8_t> a,
                          std::span<const std::uint8_t> b) noexcept;
 

@@ -1,6 +1,5 @@
 #include "protocol/key_schedule.h"
 
-#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -14,13 +13,6 @@
 namespace vkey::protocol {
 
 namespace {
-
-/// The 4-byte epoch prefix every confirm and data payload starts with.
-std::array<std::uint8_t, 4> be32(std::uint32_t v) {
-  return {static_cast<std::uint8_t>(v >> 24),
-          static_cast<std::uint8_t>(v >> 16),
-          static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-}
 
 /// The ASCII bytes of a string literal without its terminator: the HKDF
 /// labels and the salt prefix as compile-time byte strings.
@@ -52,13 +44,10 @@ std::array<std::uint8_t, 24> epoch_salt(std::uint64_t session_id,
                                         std::uint32_t epoch) {
   static_assert(kSaltPrefix.size() + 8 + 4 == 24);
   std::array<std::uint8_t, 24> salt{};
-  std::copy(kSaltPrefix.begin(), kSaltPrefix.end(), salt.begin());
-  for (std::size_t i = 0; i < 8; ++i) {
-    salt[12 + i] = static_cast<std::uint8_t>(session_id >> (56 - 8 * i));
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    salt[20 + i] = static_cast<std::uint8_t>(epoch >> (24 - 8 * i));
-  }
+  wire::FrameWriter w(salt);
+  w.put_bytes(kSaltPrefix);
+  w.put_u64(session_id);
+  w.put_u32(epoch);
   return salt;
 }
 
@@ -155,8 +144,8 @@ Message KeySchedule::make_confirm(std::uint64_t nonce) const {
                                        : MessageType::kKeyConfirmAck;
   msg.session_id = session_id_;
   msg.nonce = nonce;
-  const auto epoch = be32(current_.epoch);
-  msg.payload.assign(epoch);
+  msg.payload.resize(4);  // the epoch prefix alone
+  wire::FrameWriter(msg.payload).put_u32(current_.epoch);
   const auto tag = confirm_tag(current_, msg, role_);
   msg.mac.assign(tag);
   return msg;
@@ -187,12 +176,11 @@ Message KeySchedule::seal(std::uint64_t nonce,
   msg.type = MessageType::kData;
   msg.session_id = session_id_;
   msg.nonce = nonce;
-  const auto epoch = be32(current_.epoch);
-  msg.payload.resize(epoch.size() + plain.size());
-  std::copy(epoch.begin(), epoch.end(), msg.payload.begin());
+  msg.payload.resize(4 + plain.size());  // epoch prefix || ciphertext
+  wire::FrameWriter(msg.payload).put_u32(current_.epoch);
   crypto::Aes128(tx.enc).ctr_crypt(
       plain, tx.nonce_base ^ nonce,
-      std::span<std::uint8_t>(msg.payload).subspan(epoch.size()));
+      std::span<std::uint8_t>(msg.payload).subspan(4));
   const auto tag = frame_mac(tx.mac, msg);
   msg.mac.assign(tag);
   ++stats_.sealed;

@@ -1,18 +1,9 @@
 #include "protocol/message.h"
 
 #include "crypto/hmac.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
-
-namespace {
-
-void put_u64(std::span<std::uint8_t, 8> out, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  }
-}
-
-}  // namespace
 
 std::string to_string(MessageType t) {
   switch (t) {
@@ -29,11 +20,11 @@ std::string to_string(MessageType t) {
 
 std::array<std::uint8_t, kMacHeaderBytes> mac_header(const Message& msg) {
   std::array<std::uint8_t, kMacHeaderBytes> out{};
-  out[0] = static_cast<std::uint8_t>(msg.type);
-  const std::span<std::uint8_t> rest = std::span(out).subspan(1);
-  put_u64(rest.subspan<0, 8>(), msg.session_id);
-  put_u64(rest.subspan<8, 8>(), msg.nonce);
-  put_u64(rest.subspan<16, 8>(), msg.payload.size());
+  wire::FrameWriter w(out);
+  w.put_u8(static_cast<std::uint8_t>(msg.type));
+  w.put_u64(msg.session_id);
+  w.put_u64(msg.nonce);
+  w.put_u64(msg.payload.size());
   return out;
 }
 

@@ -207,10 +207,9 @@ std::array<std::uint8_t, 32> SessionEndpoint::confirm_digest(
   crypto::Sha256 h;
   h.update(amplified_key_);
   std::array<std::uint8_t, 9> tail{};  // be64 session || role
-  for (std::size_t i = 0; i < 8; ++i) {
-    tail[i] = static_cast<std::uint8_t>(cfg_.session_id >> (56 - 8 * i));
-  }
-  tail[8] = static_cast<std::uint8_t>(role);
+  wire::FrameWriter w(tail);
+  w.put_u64(cfg_.session_id);
+  w.put_u8(static_cast<std::uint8_t>(role));
   h.update(tail);
   return h.finalize();
 }

@@ -8,15 +8,8 @@
 namespace vkey::baselines {
 namespace {
 
-BitVec random_key(std::size_t n, vkey::Rng& rng) {
-  BitVec k(n);
-  for (std::size_t i = 0; i < n; ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
 TEST(Cascade, IdenticalKeysUntouched) {
-  vkey::Rng rng(1);
-  const BitVec k = random_key(64, rng);
+  const BitVec k = random_bits(64, vkey::Rng(1));
   const auto r = cascade_reconcile(k, k);
   EXPECT_EQ(r.corrected, k);
   EXPECT_GT(r.messages, 0u);  // parities are still exchanged
@@ -25,9 +18,8 @@ TEST(Cascade, IdenticalKeysUntouched) {
 TEST(Cascade, CorrectsSingleError) {
   vkey::Rng rng(2);
   for (int trial = 0; trial < 20; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_flips(kb, 1, rng);
     EXPECT_EQ(cascade_reconcile(ka, kb).corrected, kb);
   }
 }
@@ -38,11 +30,8 @@ TEST(Cascade, CorrectsTypicalBerCompletely) {
   int success = 0;
   const int trials = 40;
   for (int trial = 0; trial < trials; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.10)) ka.flip(i);
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_noise(kb, 0.10, rng);
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(trial);
     success += cascade_reconcile(ka, kb, seed).corrected == kb;
   }
@@ -51,11 +40,8 @@ TEST(Cascade, CorrectsTypicalBerCompletely) {
 
 TEST(Cascade, LeaksAreCounted) {
   vkey::Rng rng(4);
-  const BitVec kb = random_key(64, rng);
-  BitVec ka = kb;
-  for (int f = 0; f < 6; ++f) {
-    ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-  }
+  const BitVec kb = random_bits(64, rng);
+  const BitVec ka = with_flips(kb, 6, rng);
   const auto r = cascade_reconcile(ka, kb);
   // At least the initial block parities of every iteration leak.
   EXPECT_GE(r.leaked_bits, 22u + 11u + 6u + 3u);
@@ -63,8 +49,7 @@ TEST(Cascade, LeaksAreCounted) {
 }
 
 TEST(Cascade, MoreErrorsMoreMessages) {
-  vkey::Rng rng(5);
-  const BitVec kb = random_key(128, rng);
+  const BitVec kb = random_bits(128, vkey::Rng(5));
   BitVec one = kb, many = kb;
   one.flip(10);
   for (std::size_t i = 0; i < 128; i += 9) many.flip(i);
@@ -75,19 +60,15 @@ TEST(Cascade, MoreErrorsMoreMessages) {
 TEST(Cascade, NeverDecreasesAgreement) {
   vkey::Rng rng(6);
   for (int trial = 0; trial < 20; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.15)) ka.flip(i);
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_noise(kb, 0.15, rng);
     const auto r = cascade_reconcile(ka, kb);
     EXPECT_GE(r.corrected.agreement(kb), ka.agreement(kb));
   }
 }
 
 TEST(Cascade, ConfigValidated) {
-  vkey::Rng rng(7);
-  const BitVec k = random_key(16, rng);
+  const BitVec k = random_bits(16, vkey::Rng(7));
   EXPECT_THROW(cascade_reconcile(k, BitVec(8)), vkey::Error);
 }
 
@@ -100,11 +81,8 @@ TEST_P(CascadeBerSweep, HighSuccessUpToFifteenPercent) {
   int success = 0;
   const int trials = 25;
   for (int t = 0; t < trials; ++t) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(ber)) ka.flip(i);
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_noise(kb, ber, rng);
     const std::uint64_t seed = 50 + static_cast<std::uint64_t>(t);
     success += cascade_reconcile(ka, kb, seed).corrected == kb;
   }

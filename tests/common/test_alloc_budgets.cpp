@@ -42,13 +42,6 @@
 namespace vkey {
 namespace {
 
-BitVec random_bits(std::size_t n, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec key(n);
-  for (std::size_t i = 0; i < n; ++i) key.set(i, rng.bernoulli(0.5));
-  return key;
-}
-
 template <typename Fn>
 std::uint64_t allocations_of(Fn&& fn) {
   const alloc_stats::PhaseScope phase;
@@ -141,7 +134,7 @@ TEST(AllocBudget, PredictorTrainingAllocatesAFewBlocksPerSample) {
     samples[i].bob_seq.resize(cfg.seq_len);
     for (double& v : samples[i].alice_seq) v = rng.uniform();
     for (double& v : samples[i].bob_seq) v = rng.uniform();
-    samples[i].bob_bits = random_bits(cfg.key_bits, 10 + i);
+    samples[i].bob_bits = random_bits(cfg.key_bits, vkey::Rng(10 + i));
   }
   const core::PredictorQuantizer fresh(cfg);
   // Warm-up: the first training registers the nn metrics.
@@ -188,7 +181,7 @@ TEST(AllocBudget, ReconcilerTrainingAllocatesNothingPerPair) {
 TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
   const core::SyndromeCode reconciler(64, 11);
-  const BitVec bob = random_bits(64, 1);
+  const BitVec bob = random_bits(64, vkey::Rng(1));
   // Warm-up: the first encoding packs the encoder's weights and registers
   // the nn.dense metrics.
   auto y_bob = reconciler.encode_bob(bob);
@@ -217,7 +210,7 @@ TEST(AllocBudget, DecodeAllocatesTheSameForAnyNumberOfPasses) {
 
 TEST(AllocBudget, KeyScheduleBuildAndTwoRekeysStayUnderABound) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const BitVec secret = random_bits(128, 2);
+  const BitVec secret = random_bits(128, vkey::Rng(2));
   const auto build_and_rekey = [&] {
     protocol::KeySchedule schedule(secret, 0x51,
                                    protocol::KeySchedule::Role::kInitiator);
@@ -255,7 +248,7 @@ struct AttemptCost {
 AttemptCost one_attempt(const core::SyndromeCode& reconciler,
                         const protocol::FaultConfig& faults,
                         bool replay = false) {
-  const BitVec key = random_bits(64, 3);
+  const BitVec key = random_bits(64, vkey::Rng(3));
   protocol::ReliabilityConfig cfg;
   cfg.fault = faults;
   cfg.radio = sf7();
@@ -381,7 +374,7 @@ TEST(AllocBudget, FlightRecordingCostsOneBlockPerAttempt) {
 
 TEST(AllocBudget, KeyConfirmationStaysUnderABound) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const BitVec secret = random_bits(128, 4);
+  const BitVec secret = random_bits(128, vkey::Rng(4));
   using Role = protocol::KeySchedule::Role;
   const auto confirm_over = [&](double drop, std::uint64_t& allocs) {
     protocol::KeySchedule initiator(secret, 0x77, Role::kInitiator);
@@ -422,7 +415,7 @@ TEST(AllocBudget, KeyConfirmationStaysUnderABound) {
 
 TEST(AllocBudget, SealOpenPairStaysUnderABound) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
-  const BitVec secret = random_bits(128, 4);
+  const BitVec secret = random_bits(128, vkey::Rng(4));
   using Role = protocol::KeySchedule::Role;
   protocol::KeySchedule a(secret, 0x78, Role::kInitiator);
   protocol::KeySchedule b(secret, 0x78, Role::kResponder);
@@ -444,7 +437,7 @@ TEST(AllocBudget, SealOpenPairStaysUnderABound) {
 TEST(AllocBudget, FinalKeyIsAmplifiedOncePerSide) {
   if (!alloc_stats::hooks_installed()) GTEST_SKIP() << "no allocator hooks";
   const core::SyndromeCode reconciler(64, 11);
-  const BitVec key = random_bits(64, 6);
+  const BitVec key = random_bits(64, vkey::Rng(6));
   protocol::SessionConfig cfg;
   cfg.session_id = 0x5e55;
   protocol::AliceSession alice(cfg, reconciler, key);

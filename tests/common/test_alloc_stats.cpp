@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "metrics_on.h"
 
 namespace vkey {
 namespace {
@@ -86,8 +87,7 @@ TEST(AllocStats, SteadyStateChurnHasZeroLiveGrowth) {
 }
 
 TEST(AllocStats, PublishMetricsExportsTheAllocGauges) {
-  const bool prev = metrics::enabled();
-  metrics::set_enabled(true);
+  MetricsOn on;
   alloc_stats::publish_metrics();
   const json::Value snap = metrics::Registry::global().snapshot();
   const alloc_stats::Totals now = alloc_stats::totals();
@@ -100,7 +100,6 @@ TEST(AllocStats, PublishMetricsExportsTheAllocGauges) {
   EXPECT_LE(gauges.at("alloc.allocations").at("value").as_number(),
             static_cast<double>(now.allocations));
   EXPECT_GT(gauges.at("alloc.allocations").at("value").as_number(), 0.0);
-  metrics::set_enabled(prev);
 }
 
 }  // namespace

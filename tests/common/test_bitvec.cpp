@@ -113,7 +113,7 @@ TEST(BitVec, FromBytesMsbFirst) {
 }
 
 TEST(BitVec, FromBytesTooShortThrows) {
-  EXPECT_THROW(BitVec::from_bytes({0xff}, 9), Error);
+  EXPECT_THROW(BitVec::from_bytes(std::vector<std::uint8_t>{0xff}, 9), Error);
 }
 
 TEST(BitVec, SliceAndAppend) {
@@ -151,6 +151,46 @@ TEST(BitVec, ThresholdCustomValue) {
       BitVec::from_doubles_threshold(std::vector<double>{0.2, 0.4}, 0.3)
           .to_string(),
       "01");
+}
+
+// Each synthetic-key generator against the loop it replaced, for a fixed
+// seed: the same draws in the same order, and no draw more or fewer.
+
+TEST(SyntheticKeys, RandomBitsDrawsOneFairBitPerPositionInOrder) {
+  Rng rng(7), loop(7);
+  const BitVec got = random_bits(100, rng);
+  BitVec want(100);
+  for (std::size_t i = 0; i < 100; ++i) want.set(i, loop.bernoulli(0.5));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(rng.next_u64(), loop.next_u64());
+  EXPECT_EQ(random_bits(100, Rng(7)), want);
+}
+
+TEST(SyntheticKeys, WithFlipsDrawsOnePositionPerFlip) {
+  const BitVec key = random_bits(64, Rng(1));
+  Rng rng(8), loop(8);
+  const BitVec got = with_flips(key, 40, rng);
+  BitVec want = key;
+  for (int f = 0; f < 40; ++f) {
+    want.flip(static_cast<std::size_t>(loop.uniform_int(want.size())));
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(rng.next_u64(), loop.next_u64());
+  EXPECT_EQ(with_flips(key, 40, Rng(8)), want);
+  // 40 positions drawn from 64 repeat, and a repeat flips a bit back.
+  EXPECT_LT(got.hamming_distance(key), 40u);
+}
+
+TEST(SyntheticKeys, WithNoiseDrawsOneBernoulliPerBitInOrder) {
+  const BitVec key = random_bits(200, Rng(2));
+  Rng rng(9), loop(9);
+  const BitVec got = with_noise(key, 0.17, rng);
+  BitVec want = key;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (loop.bernoulli(0.17)) want.flip(i);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(rng.next_u64(), loop.next_u64());
 }
 
 }  // namespace

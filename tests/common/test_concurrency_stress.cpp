@@ -18,6 +18,7 @@
 #include "common/alloc_stats.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "metrics_on.h"
 
 namespace vkey::metrics {
 namespace {
@@ -27,6 +28,7 @@ constexpr int kThreads = 8;
 constexpr int kOpsPerThread = 25000;  // 8 * 25k = 200k ops per test
 
 TEST(ConcurrencyStress, CounterTotalsAreExactUnderContention) {
+  MetricsOn on;
   Counter c;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -51,6 +53,7 @@ TEST(ConcurrencyStress, CounterTotalsAreExactUnderContention) {
 }
 
 TEST(ConcurrencyStress, GaugeAccumulateIsExactWithIntegralDeltas) {
+  MetricsOn on;
   // Integral deltas below 2^53 are exactly representable in a double, so
   // the CAS accumulate loop must produce a bit-exact total.
   Gauge g;
@@ -66,6 +69,7 @@ TEST(ConcurrencyStress, GaugeAccumulateIsExactWithIntegralDeltas) {
 }
 
 TEST(ConcurrencyStress, HistogramCountSumAndBucketsAreExact) {
+  MetricsOn on;
   Histogram h(std::vector<double>{1.0, 2.0, 4.0, 8.0});
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -97,6 +101,7 @@ TEST(ConcurrencyStress, HistogramCountSumAndBucketsAreExact) {
 }
 
 TEST(ConcurrencyStress, RegistryFindOrCreateRacesYieldOneInstrument) {
+  MetricsOn on;
   // All threads register the same names while hammering them; references
   // must all alias one instrument per name and no add may be lost.
   Registry& reg = Registry::global();
@@ -120,6 +125,7 @@ TEST(ConcurrencyStress, RegistryFindOrCreateRacesYieldOneInstrument) {
 }
 
 TEST(ConcurrencyStress, SnapshotWhileWritingIsInternallyConsistent) {
+  MetricsOn on;
   Registry& reg = Registry::global();
   const std::string name = "stress.snapshot.counter";
   reg.counter(name).reset();
@@ -202,6 +208,7 @@ TEST(ConcurrencyStress, TraceLogWraparoundUnderContention) {
 }
 
 TEST(ConcurrencyStress, ScopedTimersFromManyThreadsObserveOnce) {
+  MetricsOn on;
   Registry& reg = Registry::global();
   Histogram& h = reg.histogram("stress.timer.ms");
   h.reset();

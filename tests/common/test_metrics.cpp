@@ -10,11 +10,13 @@
 #include "common/error.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "metrics_on.h"
 
 namespace vkey::metrics {
 namespace {
 
 TEST(Counter, AddsAndResets) {
+  MetricsOn on;
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -25,6 +27,7 @@ TEST(Counter, AddsAndResets) {
 }
 
 TEST(Counter, ConcurrentAddsDontLoseIncrements) {
+  MetricsOn on;
   Counter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
@@ -39,6 +42,7 @@ TEST(Counter, ConcurrentAddsDontLoseIncrements) {
 }
 
 TEST(Gauge, SetAndAccumulate) {
+  MetricsOn on;
   Gauge g;
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
@@ -49,6 +53,7 @@ TEST(Gauge, SetAndAccumulate) {
 }
 
 TEST(Gauge, ConcurrentAddsSumExactlyWithIntegralDeltas) {
+  MetricsOn on;
   Gauge g;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
@@ -65,6 +70,7 @@ TEST(Gauge, ConcurrentAddsSumExactlyWithIntegralDeltas) {
 }
 
 TEST(Histogram, ObservationsLandInTheRightBuckets) {
+  MetricsOn on;
   Histogram h({1.0, 10.0, 100.0});
   h.observe(0.5);    // <= 1
   h.observe(1.0);    // <= 1 (bound is inclusive)
@@ -82,6 +88,7 @@ TEST(Histogram, ObservationsLandInTheRightBuckets) {
 }
 
 TEST(Histogram, QuantileInterpolatesWithinBuckets) {
+  MetricsOn on;
   Histogram h({10.0, 20.0, 30.0});
   for (int i = 0; i < 100; ++i) h.observe(5.0);   // all in first bucket
   EXPECT_LE(h.quantile(0.5), 10.0);
@@ -96,6 +103,7 @@ TEST(Histogram, QuantileInterpolatesWithinBuckets) {
 }
 
 TEST(Histogram, TracksMaxAndOverflowCount) {
+  MetricsOn on;
   Histogram h({1.0, 10.0});
   EXPECT_DOUBLE_EQ(h.max(), 0.0);  // empty: neutral, not -inf
   h.observe(0.5);
@@ -113,6 +121,7 @@ TEST(Histogram, TracksMaxAndOverflowCount) {
 // the overflow bucket reported p99 == bounds.back() no matter how far out
 // the tail actually was.
 TEST(Histogram, OverflowBucketQuantilesUseTheObservedMax) {
+  MetricsOn on;
   Histogram h({1.0, 10.0});
   for (int i = 0; i < 100; ++i) h.observe(1000.0);
   // All mass is in the overflow bucket [10, max]; quantiles must move past
@@ -132,6 +141,7 @@ TEST(Histogram, OverflowBucketQuantilesUseTheObservedMax) {
 }
 
 TEST(Gauge, TracksHighAndLowWatermarks) {
+  MetricsOn on;
   Gauge g;
   // Unwritten gauges report neutral watermarks, not ±inf sentinels.
   EXPECT_DOUBLE_EQ(g.high_watermark(), 0.0);
@@ -156,6 +166,7 @@ TEST(Gauge, TracksHighAndLowWatermarks) {
 }
 
 TEST(Gauge, WatermarksUnderConcurrentWritesKeepTheExtremes) {
+  MetricsOn on;
   Gauge g;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
@@ -181,6 +192,7 @@ TEST(Histogram, RejectsEmptyOrUnsortedBounds) {
 }
 
 TEST(Registry, FindOrCreateReturnsStableReferences) {
+  MetricsOn on;
   Registry reg;
   Counter& a = reg.counter("test.frames");
   Counter& b = reg.counter("test.frames");
@@ -207,6 +219,7 @@ TEST(Registry, ResetZeroesValuesButKeepsRegistrations) {
 }
 
 TEST(Registry, SnapshotIsSortedAndCompleteAndCsvMatches) {
+  MetricsOn on;
   Registry reg;
   reg.counter("z.last").add(1);
   reg.counter("a.first").add(2);
@@ -256,6 +269,7 @@ TEST(Registry, CsvCarriesQuantileRowsPerHistogram) {
 }
 
 TEST(Registry, CsvEscapesDelimitersAndQuotesInNames) {
+  MetricsOn on;
   Registry reg;
   reg.counter("lora.sf7,bw125").add(1);
   reg.gauge("rssi \"raw\" dBm").set(-92.0);
@@ -303,6 +317,7 @@ TEST(EnabledSwitch, DisabledInstrumentsDropWrites) {
 }
 
 TEST(ScopedTimer, ObservesIntoHistogramOnDestruction) {
+  MetricsOn on;
   Histogram h(default_time_buckets_ms());
   {
     trace::ScopedTimer t(h);
@@ -312,6 +327,7 @@ TEST(ScopedTimer, ObservesIntoHistogramOnDestruction) {
 }
 
 TEST(ScopedTimer, StopIsIdempotentAndReturnsElapsed) {
+  MetricsOn on;
   Histogram h(default_time_buckets_ms());
   trace::ScopedTimer t(h);
   const double first = t.stop();
@@ -322,6 +338,7 @@ TEST(ScopedTimer, StopIsIdempotentAndReturnsElapsed) {
 }
 
 TEST(ScopedTimer, CustomNowFnMeasuresVirtualTime) {
+  MetricsOn on;
   Histogram h({10.0, 100.0, 1000.0});
   double virtual_ms = 100.0;
   {
@@ -349,6 +366,7 @@ TEST(ScopedTimer, DisabledMetricsSkipTheClockEntirely) {
 }
 
 TEST(TraceLog, RecordsSpansWhenEnabledAndBoundsCapacity) {
+  MetricsOn on;
   trace::TraceLog& log = trace::TraceLog::global();
   log.clear();
   log.set_enabled(true);

@@ -13,17 +13,10 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "metrics_on.h"
 
 namespace vkey {
 namespace {
-
-// The suite must behave the same under `VKEY_METRICS=off ctest`: force
-// collection on for the duration of each test and restore the prior state.
-struct MetricsOn {
-  bool prev = metrics::enabled();
-  MetricsOn() { metrics::set_enabled(true); }
-  ~MetricsOn() { metrics::set_enabled(prev); }
-};
 
 telemetry::Sampler make_sampler(const std::string& prefix,
                                 std::size_t ring_capacity = 4096) {

@@ -14,6 +14,7 @@
 #include "common/alloc_stats.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "metrics_on.h"
 
 namespace vkey::trace {
 namespace {
@@ -50,6 +51,7 @@ TEST(ScopedTimerAlloc, DisabledMetricsPathIsAllocationFree) {
 }
 
 TEST(ScopedTimerAlloc, NamedTimerWithTraceLogDisabledIsAllocationFree) {
+  MetricsOn on;
   metrics::Histogram& h = test_hist();
   ASSERT_TRUE(metrics::enabled());
   ASSERT_FALSE(TraceLog::global().enabled());
@@ -70,6 +72,7 @@ TEST(ScopedTimerAlloc, UnnamedTimerIsAllocationFreeEvenWhileTracing) {
 }
 
 TEST(ScopedTimerAlloc, TracingTimerDoesAllocate) {
+  MetricsOn on;
   // Control: the counter actually counts — a recording named span copies
   // its name into the log, which cannot be free.
   metrics::Histogram& h = test_hist();

@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
+#include "metrics_on.h"
 
 namespace vkey::trace {
 namespace {
@@ -39,6 +40,7 @@ struct LogFixture {
 };
 
 TEST(SpanTree, NestedTimersLinkChildToParent) {
+  MetricsOn on;
   LogFixture fx;
   std::uint64_t outer_id = 0, inner_id = 0;
   {
@@ -68,6 +70,7 @@ TEST(SpanTree, NestedTimersLinkChildToParent) {
 }
 
 TEST(SpanTree, ThreeLevelTreeReconstructsFromTheLog) {
+  MetricsOn on;
   LogFixture fx;
   {
     ScopedTimer root(test_hist(), "root");
@@ -88,6 +91,7 @@ TEST(SpanTree, ThreeLevelTreeReconstructsFromTheLog) {
 }
 
 TEST(SpanTree, UnnamedTimersTakeNoIdAndDoNotParent) {
+  MetricsOn on;
   LogFixture fx;
   {
     ScopedTimer named(test_hist(), "named");
@@ -105,6 +109,7 @@ TEST(SpanTree, UnnamedTimersTakeNoIdAndDoNotParent) {
 }
 
 TEST(SpanTree, AttributesSurviveIntoTheLogAndTheExport) {
+  MetricsOn on;
   LogFixture fx;
   {
     ScopedTimer t(test_hist(), "attributed");
@@ -129,6 +134,7 @@ TEST(SpanTree, AttributesSurviveIntoTheLogAndTheExport) {
 }
 
 TEST(LaneAnnotation, LaneScopeInstallsLaneAndAmbientParent) {
+  MetricsOn on;
   LogFixture fx;
   ASSERT_EQ(current_lane(), 0u);
   {
@@ -147,6 +153,7 @@ TEST(LaneAnnotation, LaneScopeInstallsLaneAndAmbientParent) {
 }
 
 TEST(LaneAnnotation, ParallelForChildrenParentUnderTheSubmittingStage) {
+  MetricsOn on;
   LogFixture fx;
   std::uint64_t stage_id = 0;
   {
@@ -175,6 +182,7 @@ TEST(LaneAnnotation, ParallelForChildrenParentUnderTheSubmittingStage) {
 }
 
 TEST(Wraparound, RingKeepsNewestSpansAndCountsDrops) {
+  MetricsOn on;
   LogFixture fx;
   fx.log.set_capacity(4);
   for (int i = 0; i < 10; ++i) {
@@ -189,6 +197,7 @@ TEST(Wraparound, RingKeepsNewestSpansAndCountsDrops) {
 }
 
 TEST(Wraparound, ExportNeverEmitsDanglingParentRefs) {
+  MetricsOn on;
   LogFixture fx;
   fx.log.set_capacity(3);
   {
@@ -218,6 +227,7 @@ TEST(Wraparound, ExportNeverEmitsDanglingParentRefs) {
 }
 
 TEST(ChromeTrace, CanonicalOrderDenseIdsAndSchema) {
+  MetricsOn on;
   LogFixture fx;
   double t = 100.0;
   NowFn clock = [&t] { return t; };
@@ -259,6 +269,7 @@ TEST(ChromeTrace, CanonicalOrderDenseIdsAndSchema) {
 }
 
 TEST(ChromeTrace, VirtualOnlyFilterDropsWallSpans) {
+  MetricsOn on;
   LogFixture fx;
   double t = 0.0;
   NowFn clock = [&t] { return t; };
@@ -312,6 +323,7 @@ std::string run_mixed_workload(std::size_t threads) {
 }
 
 TEST(ChromeTrace, VirtualExportIsByteIdenticalAcrossThreadCounts) {
+  MetricsOn on;
   // The determinism contract: wall spans consume a fixed *count* of ids in
   // a schedule-dependent order, but the virtual phase runs single-threaded
   // after them, so after the dense remap the virtual-only export cannot
@@ -324,6 +336,7 @@ TEST(ChromeTrace, VirtualExportIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ChromeTrace, DroppedCountIsReportedInOtherData) {
+  MetricsOn on;
   LogFixture fx;
   fx.log.set_capacity(2);
   for (int i = 0; i < 5; ++i) {

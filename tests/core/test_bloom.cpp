@@ -8,16 +8,9 @@
 namespace vkey::core {
 namespace {
 
-BitVec random_key(std::size_t n, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec k(n);
-  for (std::size_t i = 0; i < n; ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
 TEST(Bloom, InvertibleForLegitimateParties) {
   PositionPreservingBloom bloom(64, 0xabc);
-  const BitVec k = random_key(64, 1);
+  const BitVec k = random_bits(64, vkey::Rng(1));
   EXPECT_EQ(bloom.invert(bloom.apply(k)), k);
 }
 
@@ -27,12 +20,9 @@ TEST(Bloom, PreservesHammingDistanceExactly) {
   PositionPreservingBloom bloom(128, 0xdef);
   vkey::Rng rng(2);
   for (int trial = 0; trial < 20; ++trial) {
-    const BitVec a = random_key(128, 100 + static_cast<std::uint64_t>(trial));
-    BitVec b = a;
-    const auto flips = 1 + rng.uniform_int(20);
-    for (std::uint64_t f = 0; f < flips; ++f) {
-      b.flip(static_cast<std::size_t>(rng.uniform_int(128)));
-    }
+    const BitVec a =
+        random_bits(128, vkey::Rng(100 + static_cast<std::uint64_t>(trial)));
+    const BitVec b = with_flips(a, 1 + rng.uniform_int(20), rng);
     EXPECT_EQ(bloom.apply(a).hamming_distance(bloom.apply(b)),
               a.hamming_distance(b));
   }
@@ -40,7 +30,7 @@ TEST(Bloom, PreservesHammingDistanceExactly) {
 
 TEST(Bloom, OutputLooksUnlikeInput) {
   PositionPreservingBloom bloom(64, 0x123);
-  const BitVec k = random_key(64, 3);
+  const BitVec k = random_bits(64, vkey::Rng(3));
   const BitVec mapped = bloom.apply(k);
   EXPECT_NE(mapped, k);
   // Roughly half the positions should differ (pad is random).
@@ -51,13 +41,13 @@ TEST(Bloom, OutputLooksUnlikeInput) {
 
 TEST(Bloom, DifferentSessionsDifferentMappings) {
   PositionPreservingBloom b1(64, 1), b2(64, 2);
-  const BitVec k = random_key(64, 4);
+  const BitVec k = random_bits(64, vkey::Rng(4));
   EXPECT_NE(b1.apply(k), b2.apply(k));
 }
 
 TEST(Bloom, SameSessionIsDeterministic) {
   PositionPreservingBloom b1(64, 42), b2(64, 42);
-  const BitVec k = random_key(64, 5);
+  const BitVec k = random_bits(64, vkey::Rng(5));
   EXPECT_EQ(b1.apply(k), b2.apply(k));
 }
 
@@ -65,7 +55,7 @@ TEST(Bloom, MismatchMapsBackThroughPermutation) {
   // Correcting in K'-space then inverting equals correcting in K-space:
   // delta' = K'_A ^ K'_B  =>  map_mismatch_back(delta') = K_A ^ K_B.
   PositionPreservingBloom bloom(64, 0x777);
-  const BitVec ka = random_key(64, 6);
+  const BitVec ka = random_bits(64, vkey::Rng(6));
   BitVec kb = ka;
   kb.flip(3);
   kb.flip(40);
@@ -75,7 +65,7 @@ TEST(Bloom, MismatchMapsBackThroughPermutation) {
 
 TEST(Bloom, EndToEndCorrectionThroughMap) {
   PositionPreservingBloom bloom(64, 0x999);
-  const BitVec ka = random_key(64, 7);
+  const BitVec ka = random_bits(64, vkey::Rng(7));
   BitVec kb = ka;
   kb.flip(10);
   // Alice learns the mapped-domain mismatch, maps it back, corrects.

@@ -8,35 +8,28 @@
 namespace vkey::core {
 namespace {
 
-BitVec random_bits(std::size_t n, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec v(n);
-  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.5));
-  return v;
-}
-
 TEST(PrivacyAmplifier, OutputWidth) {
   PrivacyAmplifier amp(128);
-  EXPECT_EQ(amp.amplify(random_bits(64, 1)).size(), 128u);
+  EXPECT_EQ(amp.amplify(random_bits(64, vkey::Rng(1))).size(), 128u);
   PrivacyAmplifier amp64(64);
-  EXPECT_EQ(amp64.amplify(random_bits(64, 1)).size(), 64u);
+  EXPECT_EQ(amp64.amplify(random_bits(64, vkey::Rng(1))).size(), 64u);
 }
 
 TEST(PrivacyAmplifier, Deterministic) {
   PrivacyAmplifier amp(128);
-  const BitVec raw = random_bits(64, 2);
+  const BitVec raw = random_bits(64, vkey::Rng(2));
   EXPECT_EQ(amp.amplify(raw, 7), amp.amplify(raw, 7));
 }
 
 TEST(PrivacyAmplifier, SaltSeparatesSessions) {
   PrivacyAmplifier amp(128);
-  const BitVec raw = random_bits(64, 3);
+  const BitVec raw = random_bits(64, vkey::Rng(3));
   EXPECT_NE(amp.amplify(raw, 1), amp.amplify(raw, 2));
 }
 
 TEST(PrivacyAmplifier, SingleBitAvalanche) {
   PrivacyAmplifier amp(128);
-  BitVec raw = random_bits(64, 4);
+  BitVec raw = random_bits(64, vkey::Rng(4));
   const BitVec k1 = amp.amplify(raw);
   raw.flip(10);
   const BitVec k2 = amp.amplify(raw);
@@ -50,7 +43,7 @@ TEST(PrivacyAmplifier, MatchingInputsMatchOutputs) {
   // The whole protocol relies on this: agreed raw keys give agreed final
   // keys on both sides.
   PrivacyAmplifier amp(128);
-  const BitVec raw = random_bits(64, 5);
+  const BitVec raw = random_bits(64, vkey::Rng(5));
   const BitVec copy = raw;
   EXPECT_EQ(amp.amplify(raw, 9), amp.amplify(copy, 9));
 }

@@ -26,12 +26,6 @@ ReconcilerConfig fast_config() {
   return cfg;
 }
 
-BitVec random_key(std::size_t n, vkey::Rng& rng) {
-  BitVec k(n);
-  for (std::size_t i = 0; i < n; ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
 /// A SyndromeCode whose encoder a test can read and move, to check the
 /// syndrome's cells against their definition.
 class OpenCode : public SyndromeCode {
@@ -90,8 +84,7 @@ class ReconcilerTest : public ::testing::Test {
 };
 
 TEST_F(ReconcilerTest, NoMismatchIsFixedPoint) {
-  vkey::Rng rng(1);
-  const BitVec k = random_key(64, rng);
+  const BitVec k = random_bits(64, vkey::Rng(1));
   const auto y = code_.encode_bob(k);
   EXPECT_EQ(code_.reconcile(k, y), k);
   const auto d = code_.decode_mismatch(k, y);
@@ -103,9 +96,8 @@ TEST_F(ReconcilerTest, CorrectsSingleFlip) {
   int success = 0;
   const int trials = 20;
   for (int trial = 0; trial < trials; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_flips(kb, 1, rng);
     success += code_.reconcile(ka, code_.encode_bob(kb)) == kb;
   }
   EXPECT_GE(success, trials - 1);
@@ -116,11 +108,8 @@ TEST_F(ReconcilerTest, CorrectsModerateMismatch) {
   int success = 0;
   const int trials = 40;
   for (int trial = 0; trial < trials; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.05)) ka.flip(i);
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_noise(kb, 0.05, rng);
     success += code_.reconcile(ka, code_.encode_bob(kb)) == kb;
   }
   EXPECT_GE(success, trials * 6 / 10);
@@ -131,11 +120,8 @@ TEST_F(ReconcilerTest, ImprovesAgreementAtHighBer) {
   double pre = 0.0, post = 0.0;
   const int trials = 30;
   for (int trial = 0; trial < trials; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.10)) ka.flip(i);
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_noise(kb, 0.10, rng);
     pre += ka.agreement(kb);
     post += code_.reconcile(ka, code_.encode_bob(kb)).agreement(kb);
   }
@@ -150,8 +136,8 @@ TEST_F(ReconcilerTest, UncorrelatedKeyGainsNothingOneShot) {
   double agree = 0.0;
   const int trials = 30;
   for (int trial = 0; trial < trials; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    const BitVec ke = random_key(64, rng);
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ke = random_bits(64, rng);
     agree +=
         model.reconcile_one_shot(ke, model.encode_bob(kb)).agreement(kb);
   }
@@ -167,11 +153,8 @@ TEST_F(ReconcilerTest, VerifyingEveryFlipBeatsTheDecoderShortlist) {
   int every = 0, guided = 0;
   const int trials = 500;
   for (int trial = 0; trial < trials; ++trial) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.17)) ka.flip(i);
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_noise(kb, 0.17, rng);
     const auto y = model.encode_bob(kb);
     every += (ka ^ model.decode_mismatch(ka, y).mismatch) == kb;
     guided += (ka ^ model.decode_guided(ka, y).mismatch) == kb;
@@ -181,7 +164,7 @@ TEST_F(ReconcilerTest, VerifyingEveryFlipBeatsTheDecoderShortlist) {
 
 /// Bob's key and Alice's with exactly `flips` distinct bits flipped.
 std::pair<BitVec, BitVec> pair_with_flips(std::size_t flips, vkey::Rng& rng) {
-  const BitVec kb = random_key(64, rng);
+  const BitVec kb = random_bits(64, rng);
   BitVec ka = kb;
   for (std::size_t placed = 0; placed < flips;) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(64));
@@ -251,31 +234,24 @@ TEST_F(ReconcilerTest, EveRecoversNoMoreThanFromTheGreedyDecode) {
   vkey::Rng rng(0xe7e);
   int exact = 0;
   for (int trial = 0; trial < 2000; ++trial) {
-    const BitVec kb = random_key(64, rng);
+    const BitVec kb = random_bits(64, rng);
     const double ber = rng.uniform(0.30, 0.70);
-    BitVec ke = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(ber)) ke.flip(i);
-    }
+    const BitVec ke = with_noise(kb, ber, rng);
     exact += code_.reconcile(ke, code_.encode_bob(kb)) == kb;
   }
   EXPECT_LE(exact, 18);
 }
 
 TEST_F(ReconcilerTest, SyndromeHasCodeDim) {
-  vkey::Rng rng(6);
-  EXPECT_EQ(code_.encode_bob(random_key(64, rng)).size(), 32u);
+  EXPECT_EQ(code_.encode_bob(random_bits(64, vkey::Rng(6))).size(), 32u);
 }
 
 TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
   const OpenCode code(64, fast_config().seed);
   vkey::Rng rng(12);
   for (int flips = 0; flips < 8; ++flips) {
-    const BitVec kb = random_key(64, rng);
-    BitVec ka = kb;
-    for (int f = 0; f < flips; ++f) {
-      ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_flips(kb, flips, rng);
     std::vector<std::uint8_t> bytes(kSyndromeBytes);
     code.syndrome(kb, bytes);
     ASSERT_EQ(bytes.size(), kCodeDim);
@@ -298,7 +274,7 @@ TEST_F(ReconcilerTest, SyndromeBytesAreEncodeBobAndCorrectIsReconcile) {
     EXPECT_EQ(*fixed, code.reconcile(ka, y)) << flips << " flips";
   }
   // Anything but one byte per cell is refused, not decoded.
-  const BitVec k = random_key(64, rng);
+  const BitVec k = random_bits(64, rng);
   for (const std::size_t n : {0u, 31u, 33u, 256u}) {
     EXPECT_FALSE(code.correct(k, std::vector<std::uint8_t>(n)).has_value())
         << n << " bytes";
@@ -310,8 +286,7 @@ TEST(Reconciler, KeyAtACellEdgeReconcilesWithZeroFlips) {
   // boundary in one component, on either side of it or on it. Bob's
   // rounding may pick either cell; Alice, holding the same key, must pass
   // the cell test at once and flip nothing.
-  vkey::Rng rng(23);
-  const BitVec key = random_key(64, rng);
+  const BitVec key = random_bits(64, vkey::Rng(23));
   const OpenCode base(64, 11);
   const BitVec x = base.mapped(key);
   const auto raw = base.raw(key);
@@ -359,8 +334,7 @@ TEST(Reconciler, KeyAtACellEdgeReconcilesWithZeroFlips) {
 }
 
 TEST_F(ReconcilerTest, IterationsReported) {
-  vkey::Rng rng(7);
-  const BitVec kb = random_key(64, rng);
+  const BitVec kb = random_bits(64, vkey::Rng(7));
   BitVec ka = kb;
   ka.flip(5);
   ka.flip(30);
@@ -372,9 +346,9 @@ TEST_F(ReconcilerTest, IterationsReported) {
 TEST_F(ReconcilerTest, InputWidthsChecked) {
   vkey::Rng rng(8);
   EXPECT_THROW(code_.encode_bob(BitVec(32)), vkey::Error);
-  const auto y = code_.encode_bob(random_key(64, rng));
+  const auto y = code_.encode_bob(random_bits(64, rng));
   EXPECT_THROW(code_.reconcile(BitVec(32), y), vkey::Error);
-  EXPECT_THROW(code_.reconcile(random_key(64, rng), std::vector<double>(5)),
+  EXPECT_THROW(code_.reconcile(random_bits(64, rng), std::vector<double>(5)),
                vkey::Error);
 }
 
@@ -399,12 +373,8 @@ TEST(Reconciler, DecodeReadsNoDecoderWeight) {
     vkey::Rng rng(seed);
     std::vector<std::pair<BitVec, BitVec>> pairs;
     for (int ber_pct = 0; ber_pct <= 20; ++ber_pct) {
-      const BitVec kb = random_key(64, rng);
-      BitVec ka = kb;
-      for (std::size_t i = 0; i < 64; ++i) {
-        if (rng.bernoulli(ber_pct / 100.0)) ka.flip(i);
-      }
-      pairs.emplace_back(kb, ka);
+      const BitVec kb = random_bits(64, rng);
+      pairs.emplace_back(kb, with_noise(kb, ber_pct / 100.0, rng));
     }
     const auto expect_same = [&](const char* when) {
       for (std::size_t t = 0; t < pairs.size(); ++t) {
@@ -443,7 +413,7 @@ TEST(Reconciler, EverySingleBitErrorIsFixedInOnePass) {
     SCOPED_TRACE(r == &fresh ? "untrained code" : "untied + trained");
     vkey::Rng rng(15);
     for (int key = 0; key < 20; ++key) {
-      const BitVec kb = random_key(64, rng);
+      const BitVec kb = random_bits(64, rng);
       const auto y = r->encode_bob(kb);
       for (std::size_t i = 0; i < 64; ++i) {
         BitVec ka = kb;

@@ -85,13 +85,9 @@ TEST(CsReconcile, CorrectsSparseMismatch) {
   int success = 0;
   const int trials = 20;
   for (int trial = 0; trial < trials; ++trial) {
-    BitVec kb(64);
-    for (int i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
-    BitVec ka = kb;
+    const BitVec kb = random_bits(64, rng);
     // Flip 3 random positions (within OMP's reliable radius for 20x64).
-    for (int f = 0; f < 3; ++f) {
-      ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-    }
+    const BitVec ka = with_flips(kb, 3, rng);
     const auto syn = cs_syndrome(phi, kb);
     success += cs_reconcile(phi, ka, syn, 8).corrected == kb;
   }
@@ -100,9 +96,7 @@ TEST(CsReconcile, CorrectsSparseMismatch) {
 
 TEST(CsReconcile, NoMismatchIsNoOp) {
   const Matrix phi = make_sensing_matrix(20, 64, 23);
-  vkey::Rng rng(29);
-  BitVec k(64);
-  for (int i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
+  const BitVec k = random_bits(64, vkey::Rng(29));
   const auto rec = cs_reconcile(phi, k, cs_syndrome(phi, k), 8);
   EXPECT_EQ(rec.corrected, k);
   EXPECT_EQ(rec.iterations, 0u);
@@ -113,12 +107,8 @@ TEST(CsReconcile, DegradesGracefullyWhenTooDense) {
   // crash and must return a key of the right size.
   vkey::Rng rng(31);
   const Matrix phi = make_sensing_matrix(20, 64, 37);
-  BitVec kb(64), ka;
-  for (int i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
-  ka = kb;
-  for (int i = 0; i < 64; ++i) {
-    if (rng.bernoulli(0.4)) ka.flip(static_cast<std::size_t>(i));
-  }
+  const BitVec kb = random_bits(64, rng);
+  const BitVec ka = with_noise(kb, 0.4, rng);
   const auto rec = cs_reconcile(phi, ka, cs_syndrome(phi, kb), 10);
   EXPECT_EQ(rec.corrected.size(), 64u);
 }
@@ -140,12 +130,8 @@ TEST_P(OmpSparsitySweep, HighRecoveryWithinRadius) {
   int ok = 0;
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
-    BitVec kb(64);
-    for (int i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
-    BitVec ka = kb;
-    for (int f = 0; f < flips; ++f) {
-      ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_flips(kb, flips, rng);
     ok += cs_reconcile(phi, ka, cs_syndrome(phi, kb), 10).corrected == kb;
   }
   const int required = flips <= 2 ? trials * 8 / 10 : trials * 5 / 10;

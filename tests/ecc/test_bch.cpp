@@ -10,12 +10,6 @@
 namespace vkey::ecc {
 namespace {
 
-BitVec random_bits(std::size_t n, vkey::Rng& rng) {
-  BitVec v(n);
-  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.5));
-  return v;
-}
-
 TEST(Bch, KnownDimensions) {
   // BCH(15, 7, 2) and BCH(15, 5, 3) are textbook codes.
   EXPECT_EQ(BchCode(4, 2).k(), 7);
@@ -105,10 +99,7 @@ TEST(BchReconciler, RoundTripWithinRadius) {
   vkey::Rng rng(5);
   for (int trial = 0; trial < 15; ++trial) {
     const BitVec kb = random_bits(64, rng);
-    BitVec ka = kb;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (rng.bernoulli(0.08)) ka.flip(i);  // ~5 errors, well inside t=10
-    }
+    const BitVec ka = with_noise(kb, 0.08, rng);  // ~5 errors, well inside t=10
     const auto helper = rec.helper_data(kb);
     const auto fixed = rec.reconcile(ka, helper);
     ASSERT_TRUE(fixed.has_value()) << trial;

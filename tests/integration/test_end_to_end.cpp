@@ -113,9 +113,7 @@ TEST_F(EndToEnd, EveCannotDecryptTraffic) {
   // Eve guesses a key from the syndrome + her own material.
   const auto syndrome = protocol::find_syndrome(transcript);
   ASSERT_TRUE(syndrome.has_value());
-  vkey::Rng rng(123);
-  BitVec ke(64);
-  for (std::size_t i = 0; i < 64; ++i) ke.set(i, rng.bernoulli(0.5));
+  const BitVec ke = random_bits(64, vkey::Rng(123));
   const BitVec eve_raw =
       protocol::eavesdrop_attack(pipeline_->reconciler(), ke, *syndrome);
   const core::PrivacyAmplifier amp(protocol::kFinalKeyBits);

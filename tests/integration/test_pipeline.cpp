@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
+#include "metrics_on.h"
 #include "protocol/reliability.h"
 
 namespace vkey::core {
@@ -85,6 +86,7 @@ TEST(Pipeline, AccessorsRequireRun) {
 }
 
 TEST(Pipeline, StageTimersAndCountersPopulatedAfterRun) {
+  MetricsOn on;
   auto& reg = metrics::Registry::global();
   reg.reset();
   KeyGenPipeline p(small_config(/*use_prediction=*/false));

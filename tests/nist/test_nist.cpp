@@ -12,13 +12,6 @@
 namespace vkey::nist {
 namespace {
 
-BitVec random_bits(std::size_t n, std::uint64_t seed) {
-  vkey::Rng rng(seed);
-  BitVec v(n);
-  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.5));
-  return v;
-}
-
 BitVec alternating(std::size_t n) {
   BitVec v(n);
   for (std::size_t i = 0; i < n; ++i) v.set(i, i % 2 == 0);
@@ -74,7 +67,7 @@ TEST(Nist, AllOnesFailsFrequency) {
 }
 
 TEST(Nist, RandomPassesFrequency) {
-  EXPECT_GT(frequency_test(random_bits(10000, 1)), 0.01);
+  EXPECT_GT(frequency_test(random_bits(10000, vkey::Rng(1))), 0.01);
 }
 
 TEST(Nist, AlternatingPassesFrequencyButFailsRuns) {
@@ -87,7 +80,7 @@ TEST(Nist, BlockFrequencyCatchesClusteredBias) {
   BitVec v(2000);
   for (std::size_t i = 0; i < 1000; ++i) v.set(i, true);  // half 1s, half 0s
   EXPECT_LT(block_frequency_test(v, 100), 0.01);
-  EXPECT_GT(block_frequency_test(random_bits(2000, 2), 100), 0.01);
+  EXPECT_GT(block_frequency_test(random_bits(2000, vkey::Rng(2)), 100), 0.01);
 }
 
 TEST(Nist, LongestRunDetectsStructure) {
@@ -95,13 +88,13 @@ TEST(Nist, LongestRunDetectsStructure) {
   BitVec v(12800);
   for (std::size_t i = 0; i < v.size(); ++i) v.set(i, (i / 64) % 2 == 0);
   EXPECT_LT(longest_run_test(v), 0.01);
-  EXPECT_GT(longest_run_test(random_bits(12800, 3)), 0.01);
+  EXPECT_GT(longest_run_test(random_bits(12800, vkey::Rng(3))), 0.01);
 }
 
 TEST(Nist, DftDetectsPeriodicity) {
   const BitVec v = alternating(4096);
   EXPECT_LT(dft_test(v), 0.01);
-  EXPECT_GT(dft_test(random_bits(4096, 4)), 0.01);
+  EXPECT_GT(dft_test(random_bits(4096, vkey::Rng(4))), 0.01);
 }
 
 TEST(Nist, CumulativeSumsDetectsDrift) {
@@ -110,8 +103,8 @@ TEST(Nist, CumulativeSumsDetectsDrift) {
   BitVec v(5000);
   for (std::size_t i = 0; i < v.size(); ++i) v.set(i, rng.bernoulli(0.55));
   EXPECT_LT(cumulative_sums_test(v), 0.01);
-  EXPECT_GT(cumulative_sums_test(random_bits(5000, 6)), 0.01);
-  EXPECT_GT(cumulative_sums_test(random_bits(5000, 6), false), 0.01);
+  EXPECT_GT(cumulative_sums_test(random_bits(5000, vkey::Rng(6))), 0.01);
+  EXPECT_GT(cumulative_sums_test(random_bits(5000, vkey::Rng(6)), false), 0.01);
 }
 
 TEST(Nist, ApproximateEntropyDetectsRepetition) {
@@ -120,20 +113,19 @@ TEST(Nist, ApproximateEntropyDetectsRepetition) {
   const char* pattern = "1101";
   for (std::size_t i = 0; i < v.size(); ++i) v.set(i, pattern[i % 4] == '1');
   EXPECT_LT(approximate_entropy_test(v), 0.01);
-  EXPECT_GT(approximate_entropy_test(random_bits(4000, 7)), 0.01);
+  EXPECT_GT(approximate_entropy_test(random_bits(4000, vkey::Rng(7))), 0.01);
 }
 
 TEST(Nist, NonOverlappingTemplateDetectsPlantedPattern) {
   // Plant the template 000000001 much more often than chance.
-  vkey::Rng rng(8);
-  BitVec v(8000);
-  for (std::size_t i = 0; i < v.size(); ++i) v.set(i, rng.bernoulli(0.5));
+  BitVec v = random_bits(8000, vkey::Rng(8));
   for (std::size_t start = 0; start + 9 < v.size(); start += 40) {
     for (int j = 0; j < 8; ++j) v.set(start + static_cast<std::size_t>(j), false);
     v.set(start + 8, true);
   }
   EXPECT_LT(non_overlapping_template_test(v), 0.01);
-  EXPECT_GT(non_overlapping_template_test(random_bits(8000, 9)), 0.01);
+  EXPECT_GT(non_overlapping_template_test(random_bits(8000, vkey::Rng(9))),
+            0.01);
 }
 
 TEST(Nist, BerlekampMasseyKnownComplexities) {
@@ -156,7 +148,7 @@ TEST(Nist, BerlekampMasseyKnownComplexities) {
 }
 
 TEST(Nist, LinearComplexityPassesRandomFailsLfsr) {
-  EXPECT_GT(linear_complexity_test(random_bits(5000, 10)), 0.01);
+  EXPECT_GT(linear_complexity_test(random_bits(5000, vkey::Rng(10))), 0.01);
   // A short-LFSR stream has tiny complexity in every block.
   BitVec v(5000);
   std::uint8_t s[4] = {1, 0, 0, 0};
@@ -169,7 +161,7 @@ TEST(Nist, LinearComplexityPassesRandomFailsLfsr) {
 }
 
 TEST(Nist, SuiteRunsAllTests) {
-  const auto results = run_suite(random_bits(20000, 11));
+  const auto results = run_suite(random_bits(20000, vkey::Rng(11)));
   EXPECT_EQ(results.size(), 9u);
   int passed = 0;
   for (const auto& r : results) {
@@ -180,7 +172,7 @@ TEST(Nist, SuiteRunsAllTests) {
 }
 
 TEST(Nist, SuiteSkipsTestsOnShortInput) {
-  const auto results = run_suite(random_bits(150, 12));
+  const auto results = run_suite(random_bits(150, vkey::Rng(12)));
   bool any_skipped = false;
   for (const auto& r : results) {
     if (!r.p_value.has_value()) any_skipped = true;
@@ -199,7 +191,7 @@ TEST(Nist, InputLengthValidation) {
 class NistPValueSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NistPValueSweep, RandomStreamsPass) {
-  const BitVec v = random_bits(8000, GetParam());
+  const BitVec v = random_bits(8000, vkey::Rng(GetParam()));
   EXPECT_GT(frequency_test(v), 0.001);
   EXPECT_GT(runs_test(v), 0.001);
   EXPECT_GT(approximate_entropy_test(v), 0.001);

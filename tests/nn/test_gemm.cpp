@@ -21,6 +21,7 @@
 #include "common/error.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "metrics_on.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
@@ -752,7 +753,7 @@ TEST(Parameter, RevisionStartsAtOneAndBumps) {
 // --- accounting regressions: counters must not advance on rejected calls ---
 
 TEST(Accounting, DenseCountersUnchangedOnInvalidInput) {
-  if (!metrics::enabled()) GTEST_SKIP() << "metrics disabled";
+  MetricsOn on;
   vkey::Rng rng(501);
   Dense d(4, 3, rng);
   auto& flops = metrics::Registry::global().counter("nn.dense.flops");
@@ -778,7 +779,7 @@ TEST(Accounting, DenseCountersUnchangedOnInvalidInput) {
 }
 
 TEST(Accounting, LstmCountersUnchangedOnInvalidInput) {
-  if (!metrics::enabled()) GTEST_SKIP() << "metrics disabled";
+  MetricsOn on;
   vkey::Rng rng(502);
   Lstm lstm(2, 4, rng);
   BiLstm bi(2, 4, rng);

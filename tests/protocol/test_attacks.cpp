@@ -12,13 +12,6 @@ namespace {
 
 class AttackTest : public ::testing::Test {
  protected:
-  static BitVec random_key(std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec k(64);
-    for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
-    return k;
-  }
-
   /// One agreement attempt over a fault-free link whose base channel is
   /// `ch`, which carries the attacker's interceptor.
   static AgreementReport agree(PublicChannel& ch, const BitVec& ka,
@@ -58,7 +51,7 @@ TEST_F(AttackTest, RecordedTranscriptHoldsEveryFrameAsSent) {
 }
 
 TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
-  const BitVec kb = random_key(1);
+  const BitVec kb = random_bits(64, vkey::Rng(1));
   BitVec ka = kb;
   ka.flip(5);
   PublicChannel ch;
@@ -71,7 +64,7 @@ TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
   ASSERT_TRUE(syndrome.has_value());
 
   // Her key material is uncorrelated: decoding gets her nowhere near K_Bob.
-  const BitVec ke = random_key(99);
+  const BitVec ke = random_bits(64, vkey::Rng(99));
   const BitVec guess = eavesdrop_attack(reconciler_, ke, *syndrome);
   EXPECT_LT(guess.agreement(kb), 0.75);
   EXPECT_GT(guess.agreement(kb), 0.25);
@@ -84,12 +77,13 @@ TEST_F(AttackTest, NoSyndromeInEmptyTranscript) {
 TEST_F(AttackTest, EavesdropAttackValidatesMessageType) {
   Message not_syndrome;
   not_syndrome.type = MessageType::kKeyGenRequest;
-  EXPECT_THROW(eavesdrop_attack(reconciler_, random_key(2), not_syndrome),
+  EXPECT_THROW(eavesdrop_attack(reconciler_, random_bits(64, vkey::Rng(2)),
+                                not_syndrome),
                vkey::Error);
 }
 
 TEST_F(AttackTest, MitmTamperIsDetectedByMac) {
-  const BitVec kb = random_key(3);
+  const BitVec kb = random_bits(64, vkey::Rng(3));
   BitVec ka = kb;
   ka.flip(7);
   PublicChannel ch;
@@ -103,7 +97,7 @@ TEST_F(AttackTest, MitmTamperIsDetectedByMac) {
 }
 
 TEST_F(AttackTest, ReplayedSyndromeCannotDisturbTheSession) {
-  const BitVec kb = random_key(4);
+  const BitVec kb = random_bits(64, vkey::Rng(4));
   BitVec ka = kb;
   ka.flip(11);
   SessionConfig cfg;

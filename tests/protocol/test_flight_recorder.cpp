@@ -127,13 +127,6 @@ TEST(FlightRecorder, ChannelWiringRecordsInjectedFaults) {
 
 class FlightReliabilityTest : public ::testing::Test {
  public:
-  static BitVec random_key(std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec k(64);
-    for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
-    return k;
-  }
-
   static inline const core::SyndromeCode reconciler_{64, 11};
 };
 
@@ -154,7 +147,7 @@ TEST_F(FlightReliabilityTest, EstablishedAgreementHasNoPostMortem) {
   cfg.fault.drop_prob = 0.3;
   cfg.fault.seed = 21;
   cfg.arq.seed = 22;
-  const BitVec kb = random_key(33);
+  const BitVec kb = random_bits(64, vkey::Rng(33));
   const auto material = [&](std::size_t) {
     return std::make_pair(kb, kb);  // identical keys: reconciles cleanly
   };
@@ -196,7 +189,7 @@ TEST_F(FlightReliabilityTest, FailureDumpNamesTheInjectedFault) {
   cfg.arq.seed = 5;
   cfg.max_session_attempts = 1;
   PublicChannel base;
-  const BitVec kb = random_key(44);
+  const BitVec kb = random_bits(64, vkey::Rng(44));
   const auto material = [&](std::size_t) { return std::make_pair(kb, kb); };
   const auto report =
       run_reliable_key_agreement(base, reconciler_, cfg, material);
@@ -217,7 +210,7 @@ TEST_F(FlightReliabilityTest, SameSeedYieldsByteIdenticalDumps) {
     cfg.arq.seed = 5;
     cfg.max_session_attempts = 1;
     PublicChannel base;
-    const BitVec kb = random_key(44);
+    const BitVec kb = random_bits(64, vkey::Rng(44));
     return failure_dump(base, reconciler_, cfg, [&](std::size_t) {
       return std::make_pair(kb, kb);
     });
@@ -236,7 +229,7 @@ TEST_F(FlightReliabilityTest, ReplayRetracesAnUntracedRun) {
   cfg.arq.seed = 5;
   cfg.max_session_attempts = 1;
   PublicChannel base;
-  const BitVec kb = random_key(44);
+  const BitVec kb = random_bits(64, vkey::Rng(44));
   const auto material = [&](std::size_t) { return std::make_pair(kb, kb); };
   const auto report =
       run_reliable_key_agreement(base, reconciler_, cfg, material);

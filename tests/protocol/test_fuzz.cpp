@@ -279,13 +279,8 @@ TEST_F(SessionFuzz, RandomInterleavingsNeverCrashOrDisagree) {
   for (int trial = 0; trial < kTrials; ++trial) {
     vkey::Rng rng(
         hash_combine64(0xf0e555ULL, static_cast<std::uint64_t>(trial)));
-    BitVec kb(64), ka;
-    for (std::size_t i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
-    ka = kb;
-    const int flips = static_cast<int>(rng.uniform_int(9));  // 0..8
-    for (int f = 0; f < flips; ++f) {
-      ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_flips(kb, rng.uniform_int(9), rng);  // 0..8 flips
 
     SessionConfig cfg;
     AliceSession alice(cfg, reconciler_, ka);
@@ -353,8 +348,7 @@ TEST_F(SessionFuzz, WireRejectedFramesLeaveNoPayloadResidueInSessionState) {
   // and (c) the handshake still completes with matching keys, proving no
   // residue bent the outcome.
   vkey::Rng rng(0xd15ca4d);
-  BitVec kb(64);
-  for (std::size_t i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
+  const BitVec kb = random_bits(64, rng);
   SessionConfig cfg;
   AliceSession alice(cfg, reconciler_, kb);
   BobSession bob(cfg, reconciler_, kb);
@@ -433,12 +427,8 @@ TEST_F(SessionFuzz, FailedFuzzedSessionDumpsTimelineNamingTheInjectedFault) {
        ++trial) {
     vkey::Rng rng(
         hash_combine64(0xf7169ULL, static_cast<std::uint64_t>(trial)));
-    BitVec kb(64), ka;
-    for (std::size_t i = 0; i < 64; ++i) kb.set(i, rng.bernoulli(0.5));
-    ka = kb;
-    for (int f = 0; f < 3; ++f) {
-      ka.flip(static_cast<std::size_t>(rng.uniform_int(64)));
-    }
+    const BitVec kb = random_bits(64, rng);
+    const BitVec ka = with_flips(kb, 3, rng);
 
     SessionConfig cfg;
     AliceSession alice(cfg, reconciler_, ka);

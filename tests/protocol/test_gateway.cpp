@@ -107,29 +107,13 @@ TEST(SessionRegistry, StateAndReasonStringsAreHumanReadable) {
 
 class GatewayTest : public ::testing::Test {
  public:
-  static BitVec random_key(std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec k(64);
-    for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
-    return k;
-  }
-
-  static BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec out = k;
-    for (int f = 0; f < flips; ++f) {
-      out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
-    }
-    return out;
-  }
-
   /// Pure per-device probe material (the gateway calls it from pool lanes).
   static GatewayEngine::MaterialFn material() {
     return [](std::uint64_t device, std::size_t attempt) {
       const std::uint64_t seed =
           hash_combine64(hash_combine64(0x6a73, device), attempt);
-      const BitVec kb = random_key(seed);
-      return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
+      const BitVec kb = random_bits(64, vkey::Rng(seed));
+      return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
     };
   }
 
@@ -238,11 +222,11 @@ TEST_F(GatewayTest, FailedSessionsEvictWithBoundedPostMortems) {
       [](std::uint64_t device, std::size_t attempt) {
         const std::uint64_t seed =
             hash_combine64(hash_combine64(0x6a73, device), attempt);
-        const BitVec kb = random_key(seed);
+        const BitVec kb = random_bits(64, vkey::Rng(seed));
         if (device % 5 == 0) {
-          return std::make_pair(random_key(seed ^ 0xdead), kb);
+          return std::make_pair(random_bits(64, vkey::Rng(seed ^ 0xdead)), kb);
         }
-        return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
+        return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
       };
   GatewayEngine engine(small_config(20, 4), reconciler_, mixed);
   const GatewayReport rep = engine.run();
@@ -312,14 +296,16 @@ TEST_F(GatewayTest, InterleavedSessionsOnSharedClockSuppressDuplicates) {
     }
   };
 
-  const BitVec kb0 = random_key(900);
-  const BitVec kb1 = random_key(901);
+  const BitVec kb0 = random_bits(64, vkey::Rng(900));
+  const BitVec kb1 = random_bits(64, vkey::Rng(901));
   SessionConfig scfg0;
   scfg0.session_id = 17;
   SessionConfig scfg1;
   scfg1.session_id = 33;
-  Pair p0(clock, 0, reconciler_, with_flips(kb0, 2, 910), kb0, scfg0);
-  Pair p1(clock, 1, reconciler_, with_flips(kb1, 2, 911), kb1, scfg1);
+  Pair p0(clock, 0, reconciler_, with_flips(kb0, 2, vkey::Rng(910)), kb0,
+          scfg0);
+  Pair p1(clock, 1, reconciler_, with_flips(kb1, 2, vkey::Rng(911)), kb1,
+          scfg1);
 
   // Stagger the starts so the two exchanges interleave mid-flight on the
   // shared timeline instead of running in lockstep.

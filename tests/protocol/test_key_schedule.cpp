@@ -15,13 +15,8 @@
 namespace vkey::protocol {
 namespace {
 
-BitVec test_secret(std::uint64_t seed = 0x5ec0de) {
-  vkey::Rng rng(seed);
-  BitVec key(128);
-  for (std::size_t i = 0; i < key.size(); ++i) key.set(i, rng.bernoulli(0.5));
-  return key;
-}
-
+/// The amplified secret both ends of a schedule share.
+const BitVec kSecret = random_bits(128, vkey::Rng(0x5ec0de));
 constexpr std::uint64_t kSession = 0xABCDEF01;
 
 KeySchedule::Policy fast_policy() {
@@ -46,7 +41,7 @@ bool same(const crypto::SecretBuffer& a, const crypto::SecretBuffer& b) {
 }
 
 TEST(KeyScheduleDerive, BothPartiesDeriveIdenticalEpochKeys) {
-  const auto secret = test_secret().to_bytes();
+  const auto secret = kSecret.to_bytes();
   const EpochKeys a = derive_epoch_keys(secret, kSession, 0);
   const EpochKeys b = derive_epoch_keys(secret, kSession, 0);
   EXPECT_TRUE(same(a.a2b.enc, b.a2b.enc));
@@ -57,7 +52,7 @@ TEST(KeyScheduleDerive, BothPartiesDeriveIdenticalEpochKeys) {
 }
 
 TEST(KeyScheduleDerive, DirectionsAndPurposesAreIndependent) {
-  const auto secret = test_secret().to_bytes();
+  const auto secret = kSecret.to_bytes();
   const EpochKeys keys = derive_epoch_keys(secret, kSession, 0);
   EXPECT_FALSE(same(keys.a2b.enc, keys.b2a.enc));
   EXPECT_FALSE(same(keys.a2b.mac, keys.b2a.mac));
@@ -69,17 +64,17 @@ TEST(KeyScheduleDerive, DirectionsAndPurposesAreIndependent) {
 }
 
 TEST(KeyScheduleDerive, EpochsSessionsAndSecretsSeparateKeys) {
-  const auto secret = test_secret().to_bytes();
+  const auto secret = kSecret.to_bytes();
   const EpochKeys e0 = derive_epoch_keys(secret, kSession, 0);
   EXPECT_FALSE(same(e0.a2b.enc, derive_epoch_keys(secret, kSession, 1).a2b.enc));
   EXPECT_FALSE(
       same(e0.a2b.enc, derive_epoch_keys(secret, kSession + 1, 0).a2b.enc));
-  const auto other = test_secret(0x0ddba11).to_bytes();
+  const auto other = random_bits(128, vkey::Rng(0x0ddba11)).to_bytes();
   EXPECT_FALSE(same(e0.a2b.enc, derive_epoch_keys(other, kSession, 0).a2b.enc));
 }
 
 TEST(KeyScheduleDerive, RatchetIsDeterministicAndOneWayLooking) {
-  const auto secret = test_secret().to_bytes();
+  const auto secret = kSecret.to_bytes();
   const auto next = ratchet_secret(secret, kSession, 1);
   EXPECT_TRUE(same(next, ratchet_secret(secret, kSession, 1)));
   EXPECT_EQ(next.size(), 32u);
@@ -168,8 +163,8 @@ TEST(KeyScheduleDerive, MatchesTheHeaderDiagramRecomputedWithHkdf) {
 // ------------------------------------------------------------- seal / open
 
 TEST(KeySchedule, SealOpenRoundTripsAcrossRoles) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator);
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder);
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator);
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder);
   const std::vector<std::uint8_t> plain{'h', 'e', 'l', 'l', 'o'};
 
   const Message a2b = alice.seal(1, plain);
@@ -192,7 +187,7 @@ TEST(KeySchedule, SealOpenRoundTripsAcrossRoles) {
 }
 
 TEST(KeySchedule, ReflectedFramesDoNotAuthenticate) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator);
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator);
   const Message sealed = alice.seal(1, {1, 2, 3});
   // Alice's own frame bounced back at her: wrong direction keys.
   EXPECT_FALSE(alice.open(sealed, 0.0).has_value());
@@ -200,8 +195,8 @@ TEST(KeySchedule, ReflectedFramesDoNotAuthenticate) {
 }
 
 TEST(KeySchedule, TamperedCiphertextEpochOrNonceIsRejected) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator);
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder);
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator);
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder);
 
   Message tampered = alice.seal(1, {1, 2, 3, 4});
   tampered.payload.back() ^= 0x01;
@@ -222,14 +217,14 @@ TEST(KeySchedule, TamperedCiphertextEpochOrNonceIsRejected) {
   EXPECT_EQ(bob.stats().mac_rejects, 3u);
 
   // A different secret cannot open the frame.
-  KeySchedule eve(test_secret(0xe5e), kSession,
+  KeySchedule eve(random_bits(128, vkey::Rng(0xe5e)), kSession,
                   KeySchedule::Role::kResponder);
   EXPECT_FALSE(eve.open(alice.seal(5, {1, 2, 3, 4}), 0.0).has_value());
   EXPECT_EQ(eve.stats().mac_rejects, 1u);
 
   // A frame spliced into another session fails that session's MAC: the
   // session id salts the whole key schedule.
-  KeySchedule other(test_secret(), kSession + 1,
+  KeySchedule other(kSecret, kSession + 1,
                     KeySchedule::Role::kResponder);
   Message spliced = alice.seal(6, {1, 2, 3, 4});
   spliced.session_id = kSession + 1;
@@ -240,7 +235,7 @@ TEST(KeySchedule, TamperedCiphertextEpochOrNonceIsRejected) {
 // ------------------------------------------------------------------ rekey
 
 TEST(KeySchedule, RekeyAdvancesEpochAndChangesKeys) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator,
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator,
                     fast_policy());
   const auto before = alice.keys().a2b.enc;
   EXPECT_FALSE(alice.rekey_due(999.0));
@@ -252,9 +247,9 @@ TEST(KeySchedule, RekeyAdvancesEpochAndChangesKeys) {
 }
 
 TEST(KeySchedule, GraceWindowKeepsTheOldEpochOpenableThenExpires) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator,
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator,
                     fast_policy());
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder,
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder,
                   fast_policy());
   // Frame sealed under epoch 0, delivered after Bob rekeyed to epoch 1.
   const Message in_flight = alice.seal(1, {0xaa});
@@ -269,9 +264,9 @@ TEST(KeySchedule, GraceWindowKeepsTheOldEpochOpenableThenExpires) {
 }
 
 TEST(KeySchedule, PeerThatRekeyedFirstIsAdoptedAfterAuthentication) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator,
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator,
                     fast_policy());
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder,
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder,
                   fast_policy());
   alice.rekey(1000.0);  // Alice is at epoch 1, Bob still at 0
   const Message from_next = alice.seal(5, {1, 2, 3});
@@ -284,7 +279,7 @@ TEST(KeySchedule, PeerThatRekeyedFirstIsAdoptedAfterAuthentication) {
 }
 
 TEST(KeySchedule, ForgedEpochNumberCannotWedgeTheSchedule) {
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder,
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder,
                   fast_policy());
   // Attacker claims epoch 1 without the keys: MAC fails under the candidate
   // and Bob must NOT move off epoch 0.
@@ -307,8 +302,8 @@ TEST(KeySchedule, ForgedEpochNumberCannotWedgeTheSchedule) {
 // ----------------------------------------------------------- confirmation
 
 TEST(KeySchedule, ConfirmRoundTripVerifiesAndRejectsReflection) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator);
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder);
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator);
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder);
 
   const Message confirm = alice.make_confirm(1);
   EXPECT_EQ(confirm.type, MessageType::kKeyConfirm);
@@ -323,8 +318,8 @@ TEST(KeySchedule, ConfirmRoundTripVerifiesAndRejectsReflection) {
 }
 
 TEST(KeySchedule, ConfirmBindsEpochSessionAndTag) {
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator);
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder);
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator);
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder);
 
   Message tampered = alice.make_confirm(1);
   tampered.mac[5] ^= 0x01;
@@ -335,7 +330,7 @@ TEST(KeySchedule, ConfirmBindsEpochSessionAndTag) {
   EXPECT_FALSE(bob.verify_confirm(tampered));
 
   // A confirm from a different secret never verifies.
-  KeySchedule mallory(test_secret(0xbad), kSession,
+  KeySchedule mallory(random_bits(128, vkey::Rng(0xbad)), kSession,
                       KeySchedule::Role::kInitiator);
   EXPECT_FALSE(bob.verify_confirm(mallory.make_confirm(3)));
 
@@ -348,7 +343,7 @@ TEST(KeySchedule, ConfirmBindsEpochSessionAndTag) {
 
 TEST(RekeyTimerTest, FiresOnScheduleAndAnnouncesEpochs) {
   SimClock clock;
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator,
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator,
                     fast_policy());
   RekeyTimer timer(clock, alice);
   timer.start();
@@ -368,9 +363,9 @@ TEST(RekeyTimerTest, FiresOnScheduleAndAnnouncesEpochs) {
 
 TEST(RekeyTimerTest, PeerFastForwardDefersTheNextScheduledRekey) {
   SimClock clock;
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator,
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator,
                     fast_policy());
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder,
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder,
                   fast_policy());
   RekeyTimer timer(clock, bob);
   timer.start();
@@ -396,8 +391,8 @@ TEST(KeyConfirmation, RoundTripSucceedsOnACleanLink) {
   PublicChannel base;
   FaultConfig faults;  // fault-free
   UnreliableChannel link(clock, base, faults, fast_radio());
-  KeySchedule alice(test_secret(), kSession, KeySchedule::Role::kInitiator);
-  KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder);
+  KeySchedule alice(kSecret, kSession, KeySchedule::Role::kInitiator);
+  KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder);
 
   const auto report = run_key_confirmation(clock, link, alice, bob);
   EXPECT_TRUE(report.confirmed);
@@ -418,9 +413,9 @@ TEST(KeyConfirmation, RetransmissionsSurviveALossyLink) {
     faults.corrupt_prob = 0.1;
     faults.seed = seed;
     UnreliableChannel link(clock, base, faults, fast_radio());
-    KeySchedule alice(test_secret(), kSession,
+    KeySchedule alice(kSecret, kSession,
                       KeySchedule::Role::kInitiator);
-    KeySchedule bob(test_secret(), kSession, KeySchedule::Role::kResponder);
+    KeySchedule bob(kSecret, kSession, KeySchedule::Role::kResponder);
     const auto report = run_key_confirmation(clock, link, alice, bob);
     if (report.confirmed) ++confirmed;
     retransmissions += report.transmissions - 1;
@@ -434,9 +429,10 @@ TEST(KeyConfirmation, MismatchedSecretsNeverConfirm) {
   PublicChannel base;
   FaultConfig faults;
   UnreliableChannel link(clock, base, faults, fast_radio());
-  KeySchedule alice(test_secret(0xa), kSession,
+  KeySchedule alice(random_bits(128, vkey::Rng(0xa)), kSession,
                     KeySchedule::Role::kInitiator);
-  KeySchedule bob(test_secret(0xb), kSession, KeySchedule::Role::kResponder);
+  KeySchedule bob(random_bits(128, vkey::Rng(0xb)), kSession,
+                  KeySchedule::Role::kResponder);
   const auto report = run_key_confirmation(clock, link, alice, bob, 4);
   EXPECT_FALSE(report.confirmed);
   EXPECT_EQ(report.transmissions, 4u);  // exhausted the budget

@@ -54,17 +54,11 @@ TEST(Message, AcceptsTheMaximumBoundedSizes) {
 
 // The syndrome's payload bytes are the syndrome code's; these two check
 // them as a message carries them.
-BitVec random_key(vkey::Rng& rng) {
-  BitVec k(64);
-  for (std::size_t i = 0; i < k.size(); ++i) k.set(i, rng.bernoulli(0.5));
-  return k;
-}
-
 TEST(Message, SyndromeCellsCrossTheWire) {
   const core::SyndromeCode rec(64, 5);
   vkey::Rng rng(3);
-  const BitVec kb = random_key(rng);
-  const BitVec ka = random_key(rng);
+  const BitVec kb = random_bits(64, rng);
+  const BitVec ka = random_bits(64, rng);
   Message m = sample_message();
   m.payload.resize(core::kSyndromeBytes);
   rec.syndrome(kb, m.payload);
@@ -81,7 +75,7 @@ TEST(Message, SyndromeCellsCrossTheWire) {
 TEST(Message, CorrectRefusesAnyOtherPayloadLength) {
   const core::SyndromeCode rec(64, 5);
   vkey::Rng rng(4);
-  const BitVec k = random_key(rng);
+  const BitVec k = random_bits(64, rng);
   const std::size_t n = core::kSyndromeBytes;
   for (const std::size_t size : {std::size_t{7}, n - 1, n + 1}) {
     Message m = sample_message();

@@ -18,6 +18,7 @@
 #include "common/trace.h"
 #include "core/reconciler.h"
 #include "crypto/sha256.h"
+#include "metrics_on.h"
 #include "protocol/attacks.h"
 #include "protocol/key_schedule.h"
 #include "protocol/reliability.h"
@@ -279,29 +280,13 @@ TEST(UnreliableChannel, DeliversTheFrameItWasGivenWhateverTheBaseHolds) {
 
 class ReliabilityTest : public ::testing::Test {
  public:  // helpers are shared with the free-standing drop-sweep driver
-  static BitVec random_key(std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec k(64);
-    for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
-    return k;
-  }
-
-  static BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec out = k;
-    for (int f = 0; f < flips; ++f) {
-      out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
-    }
-    return out;
-  }
-
   /// Probe material for trial `trial`: Bob's key plus a 3-bit-noisy copy
   /// for Alice; attempts within a trial draw fresh material.
   static auto material_for(std::uint64_t trial) {
     return [trial](std::size_t attempt) {
       const std::uint64_t seed = hash_combine64(trial, attempt);
-      const BitVec kb = random_key(seed);
-      return std::make_pair(with_flips(kb, 3, seed ^ 0x5a5a), kb);
+      const BitVec kb = random_bits(64, vkey::Rng(seed));
+      return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
     };
   }
 
@@ -318,8 +303,8 @@ class ReliabilityTest : public ::testing::Test {
 };
 
 TEST_F(ReliabilityTest, FaultFreeRunMatchesSeedPathAndNeverRetransmits) {
-  const BitVec kb = random_key(100);
-  const BitVec ka = with_flips(kb, 3, 101);
+  const BitVec kb = random_bits(64, vkey::Rng(100));
+  const BitVec ka = with_flips(kb, 3, vkey::Rng(101));
 
   // Seed path, from core alone: Alice's reconciliation recovers Bob's key.
   ASSERT_EQ(reconciler_.reconcile(ka, reconciler_.encode_bob(kb)), kb);
@@ -567,7 +552,7 @@ TEST_F(ReliabilityTest, EveryFrameFitsOneLoRaPacket) {
   }
   EXPECT_GE(syndromes, 2u);
 
-  const BitVec secret = random_key(42);
+  const BitVec secret = random_bits(64, vkey::Rng(42));
   using Role = KeySchedule::Role;
   KeySchedule initiator(secret, 0x77, Role::kInitiator);
   KeySchedule responder(secret, 0x77, Role::kResponder);
@@ -660,8 +645,7 @@ TEST_F(ReliabilityTest, LossyAgreementTraceExportIsPinned) {
   // attempt's span, each flight event an instant) pinned across builds; CI
   // compares trace exports only across lane counts of one build.
   trace::TraceLog& log = trace::TraceLog::global();
-  const bool metrics_on = metrics::enabled();
-  metrics::set_enabled(true);  // attempt spans honour the metrics switch
+  MetricsOn on;  // attempt spans honour the metrics switch
   log.clear();
   log.set_capacity(1 << 16);
   log.set_enabled(true);
@@ -676,7 +660,6 @@ TEST_F(ReliabilityTest, LossyAgreementTraceExportIsPinned) {
   const std::string doc = log.chrome_trace(true).dump(0);
   log.set_enabled(false);
   log.clear();
-  metrics::set_enabled(metrics_on);
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(std::to_string(doc.size()) + ":" + sha256_hex(doc),
             "46571:09e82d9310b097dfbe30f9b4c2b5b5da6849c4837ec4b1e914b627cf"
@@ -737,8 +720,8 @@ TEST_F(ReliabilityTest, FailureDumpRetracesTheTracedRun) {
 // ------------------------------------------- structured agreement results
 
 TEST_F(ReliabilityTest, DetailedResultCarriesTerminalStates) {
-  const BitVec kb = random_key(60);
-  const BitVec ka = with_flips(kb, 2, 61);
+  const BitVec kb = random_bits(64, vkey::Rng(60));
+  const BitVec ka = with_flips(kb, 2, vkey::Rng(61));
   ReliabilityConfig cfg = config_for(0.0, 60);
   cfg.max_session_attempts = 1;
   PublicChannel ch;
@@ -761,7 +744,8 @@ TEST_F(ReliabilityTest, DetailedResultExplainsFailure) {
   PublicChannel ch;
   const auto report = run_reliable_key_agreement(
       ch, reconciler_, cfg, [](std::size_t) {
-        return std::make_pair(random_key(70), random_key(71));
+        return std::make_pair(random_bits(64, vkey::Rng(70)),
+                              random_bits(64, vkey::Rng(71)));
       });
   EXPECT_FALSE(report.established);
   const auto& att = report.attempt_log.front();

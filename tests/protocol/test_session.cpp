@@ -12,22 +12,6 @@ namespace {
 
 class SessionTest : public ::testing::Test {
  protected:
-  static BitVec random_key(std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec k(64);
-    for (std::size_t i = 0; i < 64; ++i) k.set(i, rng.bernoulli(0.5));
-    return k;
-  }
-
-  static BitVec with_flips(const BitVec& k, int flips, std::uint64_t seed) {
-    vkey::Rng rng(seed);
-    BitVec out = k;
-    for (int f = 0; f < flips; ++f) {
-      out.flip(static_cast<std::size_t>(rng.uniform_int(out.size())));
-    }
-    return out;
-  }
-
   /// One agreement attempt over a fault-free link, under the supervisor
   /// every workload runs.
   static AgreementReport agree(const BitVec& ka, const BitVec& kb) {
@@ -43,8 +27,8 @@ class SessionTest : public ::testing::Test {
 };
 
 TEST_F(SessionTest, HappyPathEstablishesSameKey) {
-  const BitVec kb = random_key(1);
-  const BitVec ka = with_flips(kb, 3, 2);
+  const BitVec kb = random_bits(64, vkey::Rng(1));
+  const BitVec ka = with_flips(kb, 3, vkey::Rng(2));
   const auto report = agree(ka, kb);
   ASSERT_TRUE(report.established);
   const AttemptReport& att = report.attempt_log.front();
@@ -57,7 +41,7 @@ TEST_F(SessionTest, HappyPathEstablishesSameKey) {
 }
 
 TEST_F(SessionTest, IdenticalKeysAlsoWork) {
-  const BitVec k = random_key(3);
+  const BitVec k = random_bits(64, vkey::Rng(3));
   EXPECT_TRUE(agree(k, k));
 }
 
@@ -65,8 +49,8 @@ TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
   // Totally uncorrelated keys: reconciliation cannot fix them; the MAC
   // check must catch it and fail the session rather than "succeed" with
   // different keys.
-  const BitVec kb = random_key(4);
-  const BitVec ka = random_key(5);
+  const BitVec kb = random_bits(64, vkey::Rng(4));
+  const BitVec ka = random_bits(64, vkey::Rng(5));
   const auto report = agree(ka, kb);
   EXPECT_FALSE(report);
   EXPECT_NE(report.attempt_log.front().alice_state,
@@ -75,7 +59,7 @@ TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
 }
 
 TEST_F(SessionTest, SessionIdMismatchRejected) {
-  const BitVec k = random_key(6);
+  const BitVec k = random_bits(64, vkey::Rng(6));
   SessionConfig cfg;
   BobSession bob(cfg, reconciler_, k);
   Message req;
@@ -87,7 +71,7 @@ TEST_F(SessionTest, SessionIdMismatchRejected) {
 }
 
 TEST_F(SessionTest, DuplicateRetransmissionDistinctFromReplay) {
-  const BitVec k = random_key(7);
+  const BitVec k = random_bits(64, vkey::Rng(7));
   SessionConfig cfg;
   BobSession bob(cfg, reconciler_, k);
   Message req;
@@ -120,7 +104,7 @@ TEST_F(SessionTest, DuplicateRetransmissionDistinctFromReplay) {
 }
 
 TEST_F(SessionTest, SyndromeRequiresAcceptedSession) {
-  const BitVec k = random_key(8);
+  const BitVec k = random_bits(64, vkey::Rng(8));
   SessionConfig cfg;
   BobSession bob(cfg, reconciler_, k);
   EXPECT_FALSE(bob.take_unprompted().has_value());
@@ -146,8 +130,8 @@ TEST_F(SessionTest, SyndromeRequiresAcceptedSession) {
 }
 
 TEST_F(SessionTest, MalformedSyndromeIsRejectedAndTheIntactOneEstablishes) {
-  const BitVec kb = random_key(10);
-  const BitVec ka = with_flips(kb, 2, 11);
+  const BitVec kb = random_bits(64, vkey::Rng(10));
+  const BitVec ka = with_flips(kb, 2, vkey::Rng(11));
   SessionConfig cfg;
   AliceSession alice(cfg, reconciler_, ka);
   BobSession bob(cfg, reconciler_, kb);
@@ -180,7 +164,7 @@ TEST_F(SessionTest, MalformedSyndromeIsRejectedAndTheIntactOneEstablishes) {
 }
 
 TEST_F(SessionTest, FinalKeyBeforeEstablishmentThrows) {
-  const BitVec k = random_key(9);
+  const BitVec k = random_bits(64, vkey::Rng(9));
   SessionConfig cfg;
   AliceSession alice(cfg, reconciler_, k);
   EXPECT_THROW(alice.final_key(), vkey::Error);

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
+#include "metrics_on.h"
 
 namespace vkey::protocol::wire {
 namespace {
@@ -214,8 +215,7 @@ TEST(Wire, EncodeRefusesMessagesThatViolateWireBounds) {
 }
 
 TEST(Wire, RejectCountersTrackTypedReasons) {
-  const bool metrics_on = metrics::enabled();
-  metrics::set_enabled(true);
+  MetricsOn on;
   register_wire_metrics();
   auto& reg = metrics::Registry::global();
   auto& crc_counter = reg.counter("wire.reject.crc");
@@ -232,7 +232,6 @@ TEST(Wire, RejectCountersTrackTypedReasons) {
   const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + 4);
   (void)decode_frame(cut);
   EXPECT_EQ(trunc_counter.value(), trunc0 + 1);
-  metrics::set_enabled(metrics_on);
 }
 
 }  // namespace
