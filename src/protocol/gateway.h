@@ -83,7 +83,7 @@ struct SessionOutcome {
   FailureReason failure = FailureReason::kNone;
   double establish_ms = 0.0;
   std::size_t attempts = 0;
-  std::size_t wire_bytes = 0;  ///< packed v1 frame bytes incl. retx + acks
+  std::size_t wire_bytes = 0;  ///< packed v2 frame bytes incl. retx + acks
   BitVec key;  ///< established 128-bit key; empty on failure
 };
 

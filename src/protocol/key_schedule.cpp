@@ -25,7 +25,9 @@ constexpr std::array<std::uint8_t, N - 1> ascii(const char (&text)[N]) {
   return bytes;
 }
 
-// The label schedule of the header diagram.
+// The label schedule of the header diagram. "v1" versions the key schedule,
+// not the frame codec (wire.h's kWireVersion): no key or tag depends on how
+// a frame is encoded, and new labels would change every derived key.
 constexpr auto kSaltPrefix = ascii("vkey/wire/v1");
 constexpr auto kA2bEnc = ascii("vkey v1 a2b enc");
 constexpr auto kA2bMac = ascii("vkey v1 a2b mac");
@@ -295,18 +297,28 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
     const KeySchedule& responder;
     std::size_t max_transmissions;
     std::uint64_t nonce_base;
-    double timeout_ms = 0.0;
     std::size_t transmissions = 0;
     std::uint64_t ack_nonce = 0;
     bool done = false;
     double done_at = 0.0;
 
+    // Retransmit on a timeout of ~2 RTT plus slack for reordering and
+    // duplicate echoes. All virtual time, so the choice only affects how
+    // much simulated air the retries consume. The round trip is this
+    // confirm and the ack it elicits, whose frame has the confirm's size
+    // but for its own nonce's varint.
     void transmit() {
       if (done || transmissions >= max_transmissions) return;
       ++transmissions;
-      link.send(Endpoint::kAlice,
-                initiator.make_confirm(nonce_base + transmissions));
-      clock.schedule(timeout_ms, [this] { transmit(); });
+      const Message confirm =
+          initiator.make_confirm(nonce_base + transmissions);
+      Message ack = confirm;
+      ack.nonce = ack_nonce;
+      const double rtt_ms =
+          link.nominal_latency_ms(confirm) + link.nominal_latency_ms(ack);
+      link.send(Endpoint::kAlice, confirm);
+      clock.schedule(2.0 * rtt_ms + kReorderWindowMs + 100.0,
+                     [this] { transmit(); });
     }
     // The responder is stateless: every authentic confirm earns a fresh
     // ack, so a lost ack heals on the initiator's next retransmission.
@@ -332,13 +344,6 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
                    [&round](const Message& msg) { round.at_responder(msg); });
   link.set_handler(Endpoint::kAlice,
                    [&round](const Message& msg) { round.at_initiator(msg); });
-
-  // Retransmit on a flat timeout of ~2 RTT plus slack for reordering and
-  // duplicate echoes. All virtual time, so the choice only affects how much
-  // simulated air the retries consume. Every confirm frame has one size.
-  const double latency_ms =
-      link.nominal_latency_ms(initiator.make_confirm(nonce_base));
-  round.timeout_ms = 4.0 * latency_ms + kReorderWindowMs + 100.0;
 
   round.transmit();
   clock.run_until_idle();

@@ -159,9 +159,11 @@ class KeySchedule {
   // ---------------------------------------------------- data protection
 
   /// The most plaintext seal() takes: its frame (header, epoch, ciphertext,
-  /// HMAC-SHA256 tag and CRC) then fills one LoRa packet exactly.
+  /// HMAC-SHA256 tag and CRC) then fits one LoRa packet whatever its
+  /// session id and nonce, and fills one exactly when both take the
+  /// longest varint.
   static constexpr std::size_t kMaxPlaintextBytes =
-      channel::kMaxLoRaPayloadBytes - wire::kHeaderBytes - 4 -
+      channel::kMaxLoRaPayloadBytes - wire::kMaxHeaderBytes - 4 -
       crypto::Sha256::kDigestSize - wire::kCrcBytes;
 
   /// Seal plaintext into a kData frame under the current epoch's send

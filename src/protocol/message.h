@@ -39,10 +39,11 @@ enum class MessageType : std::uint8_t {
 inline constexpr std::uint8_t kMaxMessageType =
     static_cast<std::uint8_t>(MessageType::kAck);
 
-/// Hard bounds the wire codec enforces on length fields *before* trusting
-/// them. The largest honest agreement payload is the syndrome (one byte per
-/// cell, 32 bytes); a data frame carries at most 196 (seal's limit); the
-/// largest MAC is HMAC-SHA256 (32 bytes, bounded at 64 for agility).
+/// Hard bounds the wire codec enforces on lengths *before* trusting them.
+/// The largest honest agreement payload is the syndrome (one byte per
+/// cell, 32 bytes); a data frame carries at most 197 (a 4-byte epoch and
+/// seal's 193-byte plaintext limit); the largest MAC is HMAC-SHA256 (32
+/// bytes, bounded at 64 for agility).
 /// Anything bigger is an attack or corruption, and must be rejected without
 /// allocating.
 inline constexpr std::size_t kMaxPayloadBytes = 8192;

@@ -43,7 +43,6 @@ ReliableTransport::ReliableTransport(SimClock& clock, const ArqConfig& config,
       link_(link),
       endpoint_(endpoint),
       session_(session),
-      ack_latency_ms_(link.nominal_latency_ms(ack_for(Message{}))),
       rng_(config.seed) {
   link_.set_handler(endpoint_, [this](const Message& m) { on_wire(m); });
 }
@@ -59,8 +58,11 @@ ReliableTransport::Tracked* ReliableTransport::find(std::uint64_t nonce) {
 void ReliableTransport::arm_timer(Tracked& entry) {
   const double backoff = arq_backoff_delay_ms(entry.attempt, rng_);
   metrics::histogram<"arq.backoff_ms">().observe(backoff);
-  const double timeout =
-      link_.nominal_latency_ms(entry.msg) + ack_latency_ms_ + backoff;
+  // The ack echoes this frame's session id and nonce, whose varints set
+  // its size: wait for that ack, not for the smallest one.
+  const double timeout = link_.nominal_latency_ms(entry.msg) +
+                         link_.nominal_latency_ms(ack_for(entry.msg)) +
+                         backoff;
   const std::uint64_t nonce = entry.msg.nonce;
   if (FlightRecorder* rec = link_.recorder()) {
     FlightDetail detail;

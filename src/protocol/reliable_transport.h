@@ -17,7 +17,7 @@
 // the earlier frames have landed.
 //
 // The retransmission timer for attempt k fires after
-//   latency(frame) + latency(ack) + backoff(k)
+//   latency(frame) + latency(ack of frame) + backoff(k)
 // where backoff(k) ~ Uniform[kBaseBackoffMs, min(kMaxBackoffMs,
 // kBaseBackoffMs * kBackoffFactor^k)] — exponential growth with
 // decorrelated jitter, so colliding retransmitters desynchronize (attempt 0
@@ -126,7 +126,6 @@ class ReliableTransport {
   UnreliableChannel& link_;
   UnreliableChannel::Endpoint endpoint_;
   SessionEndpoint& session_;
-  double ack_latency_ms_;  ///< one-way latency of an ack frame
   vkey::Rng rng_;
   std::array<Tracked, kMaxTrackedFrames> frames_{};  ///< one per nonce
   std::size_t tracked_ = 0;  ///< frames_[0, tracked_) are in use

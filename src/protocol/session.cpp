@@ -14,8 +14,9 @@
 
 namespace vkey::protocol {
 
-// The syndrome frame, the largest an agreement sends, fits one LoRa packet.
-static_assert(wire::kHeaderBytes + core::kSyndromeBytes +
+// The syndrome frame, the largest an agreement sends, fits one LoRa packet
+// whatever its session id and nonce.
+static_assert(wire::kMaxHeaderBytes + core::kSyndromeBytes +
                       crypto::Sha256::kDigestSize + wire::kCrcBytes <=
                   channel::kMaxLoRaPayloadBytes,
               "the syndrome frame outgrows a LoRa packet");

@@ -52,7 +52,7 @@ void UnreliableChannel::set_handler(Endpoint endpoint, Handler handler) {
 
 double UnreliableChannel::airtime_ms(const Message& msg) const {
   channel::LoRaParams p = radio_;
-  // The radio carries the packed v1 frame, not the in-memory serialization;
+  // The radio carries the packed v2 frame, not the in-memory serialization;
   // airtime (and therefore every ARQ timeout) follows the frame size.
   p.payload_bytes = static_cast<int>(wire::frame_size(msg));
   return channel::LoRaPhy(p).airtime() * 1000.0;

@@ -69,7 +69,7 @@ struct FaultConfig {
 
 struct LinkStats {
   std::size_t sent = 0;       ///< frames handed to the link
-  std::size_t bytes_sent = 0;  ///< packed wire bytes put on the air (v1
+  std::size_t bytes_sent = 0;  ///< packed wire bytes put on the air (v2
                                ///< frames, retransmissions and acks included)
   std::size_t delivered = 0;  ///< frames that reached the far endpoint
   std::size_t dropped = 0;    ///< lost to the drop fault

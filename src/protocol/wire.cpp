@@ -29,15 +29,14 @@ metrics::Counter& reject_counter(WireError e) {
   switch (e) {
     case WireError::kTruncated:
       return metrics::counter<"wire.reject.truncated">();
-    case WireError::kBadMagic: return metrics::counter<"wire.reject.magic">();
     case WireError::kBadVersion:
       return metrics::counter<"wire.reject.version">();
-    case WireError::kOversizedPayload:
-      return metrics::counter<"wire.reject.payload-len">();
     case WireError::kOversizedMac:
       return metrics::counter<"wire.reject.mac-len">();
-    case WireError::kTrailingBytes:
-      return metrics::counter<"wire.reject.trailing">();
+    case WireError::kBadVarint:
+      return metrics::counter<"wire.reject.varint">();
+    case WireError::kOversizedPayload:
+      return metrics::counter<"wire.reject.payload-len">();
     case WireError::kBadCrc: return metrics::counter<"wire.reject.crc">();
     case WireError::kNone:  // refused above
     case WireError::kBadType: break;
@@ -45,47 +44,45 @@ metrics::Counter& reject_counter(WireError e) {
   return metrics::counter<"wire.reject.type">();
 }
 
-/// Validate `bytes` as one v1 frame and, only when every gate passes,
+/// Validate `bytes` as one v2 frame and, only when every gate passes,
 /// write it into `out`. Counts nothing: decode_frame() does.
 WireError parse_frame(std::span<const std::uint8_t> bytes, Message& out) {
-  FrameReader r(bytes);
-
-  // Structural gates, cheapest first. A buffer shorter than the fixed
-  // header cannot even be classified further.
-  std::uint16_t magic = 0;
-  std::uint8_t version = 0;
-  std::uint16_t payload_len = 0;
+  // Structural gates, cheapest first. A buffer shorter than the smallest
+  // frame cannot even be classified further.
+  if (bytes.size() < kMinFrameBytes) return WireError::kTruncated;
+  const auto body = bytes.first(bytes.size() - kCrcBytes);
+  FrameReader r(body);
+  std::uint8_t version_type = 0;
   std::uint8_t mac_len = 0;
-  std::uint8_t type = 0;
-  std::uint64_t session = 0;
-  std::uint64_t nonce = 0;
-  if (!r.read_u16(magic) || !r.read_u8(version) || !r.read_u16(payload_len) ||
-      !r.read_u8(mac_len) || !r.read_u8(type) || !r.read_u64(session) ||
-      !r.read_u64(nonce)) {
-    return WireError::kTruncated;
-  }
-  if (magic != kMagic) return WireError::kBadMagic;
-  if (version != kWireVersion) return WireError::kBadVersion;
-  if (payload_len > kMaxPayloadBytes) return WireError::kOversizedPayload;
+  const bool fixed_ok = r.read_u8(version_type) && r.read_u8(mac_len);
+  VKEY_REQUIRE(fixed_ok, "bounded reader out of sync with kMinFrameBytes");
+  if ((version_type >> 4) != kWireVersion) return WireError::kBadVersion;
   if (mac_len > kMaxMacBytes) return WireError::kOversizedMac;
 
-  const std::size_t want =
-      static_cast<std::size_t>(payload_len) + mac_len + kCrcBytes;
-  if (r.remaining() < want) return WireError::kTruncated;
-  if (r.remaining() > want) return WireError::kTrailingBytes;
+  // The varints must end inside the body: one that runs into the CRC is
+  // as malformed as an overlong one.
+  std::uint64_t session = 0;
+  std::uint64_t nonce = 0;
+  if (!r.read_varint(session) || !r.read_varint(nonce)) {
+    return WireError::kBadVarint;
+  }
 
+  // The payload is what the header and MAC leave of the body.
+  if (r.remaining() < mac_len) return WireError::kTruncated;
+  const std::size_t payload_len = r.remaining() - mac_len;
+  if (payload_len > kMaxPayloadBytes) return WireError::kOversizedPayload;
   const auto payload = r.read_bytes(payload_len);
   const auto mac = r.read_bytes(mac_len);
   std::uint32_t stored_crc = 0;
-  const bool crc_ok = r.read_u32(stored_crc);
+  const bool crc_ok =
+      FrameReader(bytes.last(kCrcBytes)).read_u32(stored_crc);
   VKEY_REQUIRE(payload.has_value() && mac.has_value() && crc_ok,
                "bounded reader out of sync with the length checks");
-  if (crc32(bytes.first(bytes.size() - kCrcBytes)) != stored_crc) {
-    return WireError::kBadCrc;
-  }
+  if (crc32(body) != stored_crc) return WireError::kBadCrc;
 
   // Semantic gate last: the frame is structurally sound and CRC-clean, so a
   // bad type here is a protocol-level forgery, not line noise.
+  const std::uint8_t type = version_type & 0x0Fu;
   if (type < 1 || type > kMaxMessageType) return WireError::kBadType;
 
   out.type = static_cast<MessageType>(type);
@@ -102,11 +99,10 @@ std::string to_string(WireError e) {
   switch (e) {
     case WireError::kNone: return "none";
     case WireError::kTruncated: return "truncated";
-    case WireError::kBadMagic: return "magic";
     case WireError::kBadVersion: return "version";
-    case WireError::kOversizedPayload: return "payload-len";
     case WireError::kOversizedMac: return "mac-len";
-    case WireError::kTrailingBytes: return "trailing";
+    case WireError::kBadVarint: return "varint";
+    case WireError::kOversizedPayload: return "payload-len";
     case WireError::kBadCrc: return "crc";
     case WireError::kBadType: return "type";
   }
@@ -130,13 +126,6 @@ bool FrameReader::read_u8(std::uint8_t& v) {
   return true;
 }
 
-bool FrameReader::read_u16(std::uint16_t& v) {
-  if (remaining() < 2) return false;
-  v = static_cast<std::uint16_t>((bytes_[off_] << 8) | bytes_[off_ + 1]);
-  off_ += 2;
-  return true;
-}
-
 bool FrameReader::read_u32(std::uint32_t& v) {
   if (remaining() < 4) return false;
   v = 0;
@@ -149,6 +138,24 @@ bool FrameReader::read_u64(std::uint64_t& v) {
   v = 0;
   for (int i = 0; i < 8; ++i) v = (v << 8) | bytes_[off_++];
   return true;
+}
+
+bool FrameReader::read_varint(std::uint64_t& v) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes && i < remaining(); ++i) {
+    const std::uint8_t b = bytes_[off_ + i];
+    // The tenth byte holds bit 63 alone: anything above 1 overflows, and a
+    // continuation bit there would make the form longer than ten bytes.
+    if (i + 1 == kMaxVarintBytes && b > 1) return false;
+    value |= static_cast<std::uint64_t>(b & 0x7Fu) << (7 * i);
+    if ((b & 0x80u) == 0) {
+      if (b == 0 && i > 0) return false;  // overlong: a zero top group
+      off_ += i + 1;
+      v = value;
+      return true;
+    }
+  }
+  return false;  // no last byte within ten bytes or the buffer
 }
 
 std::optional<std::span<const std::uint8_t>> FrameReader::read_bytes(
@@ -170,12 +177,6 @@ std::span<std::uint8_t> FrameWriter::take(std::size_t n) {
 
 void FrameWriter::put_u8(std::uint8_t v) { take(1)[0] = v; }
 
-void FrameWriter::put_u16(std::uint16_t v) {
-  const auto room = take(2);
-  room[0] = static_cast<std::uint8_t>(v >> 8);
-  room[1] = static_cast<std::uint8_t>(v);
-}
-
 void FrameWriter::put_u32(std::uint32_t v) {
   const auto room = take(4);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -190,6 +191,14 @@ void FrameWriter::put_u64(std::uint64_t v) {
   }
 }
 
+void FrameWriter::put_varint(std::uint64_t v) {
+  const auto room = take(varint_size(v));
+  for (std::size_t i = 0; i + 1 < room.size(); ++i, v >>= 7) {
+    room[i] = static_cast<std::uint8_t>(v | 0x80u);
+  }
+  room.back() = static_cast<std::uint8_t>(v);
+}
+
 void FrameWriter::put_bytes(std::span<const std::uint8_t> bytes) {
   std::copy(bytes.begin(), bytes.end(), take(bytes.size()).begin());
 }
@@ -199,22 +208,24 @@ void FrameWriter::finish() && { put_u32(crc32(out_.first(off_))); }
 // --------------------------------------------------------------- encode/decode
 
 std::size_t frame_size(const Message& msg) {
-  return kMinFrameBytes + msg.payload.size() + msg.mac.size();
+  return kFixedHeaderBytes + varint_size(msg.session_id) +
+         varint_size(msg.nonce) + msg.payload.size() + msg.mac.size() +
+         kCrcBytes;
 }
 
 FrameBytes encode_frame(const Message& msg) {
+  const auto type = static_cast<std::uint8_t>(msg.type);
+  VKEY_REQUIRE(type >= 1 && type <= kMaxMessageType,
+               "message type outside the wire's range");
   VKEY_REQUIRE(msg.payload.size() <= kMaxPayloadBytes,
                "payload exceeds the wire bound");
   VKEY_REQUIRE(msg.mac.size() <= kMaxMacBytes, "MAC exceeds the wire bound");
   FrameBytes out(frame_size(msg));
   FrameWriter w(out);
-  w.put_u16(kMagic);
-  w.put_u8(kWireVersion);
-  w.put_u16(static_cast<std::uint16_t>(msg.payload.size()));
+  w.put_u8(static_cast<std::uint8_t>((kWireVersion << 4) | type));
   w.put_u8(static_cast<std::uint8_t>(msg.mac.size()));
-  w.put_u8(static_cast<std::uint8_t>(msg.type));
-  w.put_u64(msg.session_id);
-  w.put_u64(msg.nonce);
+  w.put_varint(msg.session_id);
+  w.put_varint(msg.nonce);
   w.put_bytes(msg.payload);
   w.put_bytes(msg.mac);
   std::move(w).finish();
@@ -240,9 +251,9 @@ void register_wire_metrics() {
   reg.counter("wire.encoded");
   reg.counter("wire.decoded");
   for (const WireError e :
-       {WireError::kTruncated, WireError::kBadMagic, WireError::kBadVersion,
-        WireError::kOversizedPayload, WireError::kOversizedMac,
-        WireError::kTrailingBytes, WireError::kBadCrc, WireError::kBadType}) {
+       {WireError::kTruncated, WireError::kBadVersion, WireError::kOversizedMac,
+        WireError::kBadVarint, WireError::kOversizedPayload, WireError::kBadCrc,
+        WireError::kBadType}) {
     reject_counter(e);
   }
 }

@@ -3,8 +3,12 @@
 // must never crash, hang or corrupt state — they reject and move on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/reconciler.h"
@@ -22,31 +26,62 @@ namespace {
 // --------------------------------------------------------- frame codec fuzz
 //
 // 100k seeded mutations of valid wire frames (bit flips, truncations,
-// length-field rewrites, version skew, pure garbage). Invariants, checked
-// under the sanitizer presets in CI: the decoder never crashes or reads out
-// of bounds, every rejection carries a typed WireError, and everything it
-// accepts re-encodes byte-for-byte.
+// mac_len rewrites, version skew, malformed varints, growth past the
+// payload bound, forged types, pure garbage). Invariants, checked under the
+// sanitizer presets in CI: the decoder never crashes or reads out of
+// bounds, every rejection carries a typed WireError, everything it accepts
+// re-encodes byte-for-byte, and the mix reaches every reject reason.
+
+/// Replace the trailing CRC with crc32 of everything before it.
+void restamp_crc(wire::FrameBytes& bytes) {
+  bytes.resize(bytes.size() - wire::kCrcBytes);
+  const std::uint32_t crc = wire::crc32(bytes);
+  for (const int shift : {24, 16, 8, 0}) {
+    bytes.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+}
+
+/// Replace bytes [at, at + n) of `bytes` with `with`.
+void splice(wire::FrameBytes& bytes, std::size_t at, std::size_t n,
+            std::span<const std::uint8_t> with) {
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.begin() + at);
+  out.insert(out.end(), with.begin(), with.end());
+  out.insert(out.end(), bytes.begin() + at + n, bytes.end());
+  bytes.assign(out);
+}
 
 TEST(Fuzz, HundredThousandMutatedFramesRejectTypedOrRoundTrip) {
-  // Corpus: one valid frame per message type, with varying payload shapes.
+  // Corpus: one valid frame per message type, with varying payload shapes
+  // and session ids and nonces of every varint width from 1 to 10 bytes.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kIds[kMaxMessageType] = {
+      0, 127, 128, 16384, 1ULL << 40, 1ULL << 63, kMax};
+  std::vector<Message> messages;
   std::vector<wire::FrameBytes> corpus;
   for (std::uint8_t t = 1; t <= kMaxMessageType; ++t) {
     Message m;
     m.type = static_cast<MessageType>(t);
-    m.session_id = 0x1020304050607080ULL + t;
-    m.nonce = t * 13u;
+    m.session_id = kIds[t - 1];
+    m.nonce = kIds[kMaxMessageType - t] + t;
     m.payload.assign(static_cast<std::size_t>(t) * 7u, t);
     if (t % 2 == 0) m.mac.assign(32, static_cast<std::uint8_t>(0xc0 + t));
+    messages.push_back(m);
     corpus.push_back(wire::encode_frame(m));
   }
+
+  // The four malformed varint forms, each of which must be seen rejected.
+  enum VarintDamage { kOverlong, kElevenBytes, kTenthAboveOne, kCutMidVarint };
+  std::size_t bad_varints[4] = {};
 
   constexpr int kCases = 100'000;
   vkey::Rng rng(0xf4a3e5);
   int accepted = 0;
   std::size_t reject_reasons[16] = {};
   for (int trial = 0; trial < kCases; ++trial) {
-    auto bytes = corpus[rng.uniform_int(corpus.size())];
-    switch (rng.uniform_int(5)) {
+    const std::size_t pick = rng.uniform_int(corpus.size());
+    auto bytes = corpus[pick];
+    int damage = -1;
+    switch (rng.uniform_int(8)) {
       case 0:  // 1..8 bit flips anywhere in the frame
         for (std::uint64_t f = 0, n = 1 + rng.uniform_int(8); f < n; ++f) {
           bytes[rng.uniform_int(bytes.size())] ^=
@@ -56,17 +91,56 @@ TEST(Fuzz, HundredThousandMutatedFramesRejectTypedOrRoundTrip) {
       case 1:  // truncate (or keep whole, exercising the accept path)
         bytes.resize(rng.uniform_int(bytes.size() + 1));
         break;
-      case 2:  // rewrite the length fields
-        bytes[3] = static_cast<std::uint8_t>(rng.uniform_int(256));
-        bytes[4] = static_cast<std::uint8_t>(rng.uniform_int(256));
-        bytes[5] = static_cast<std::uint8_t>(rng.uniform_int(256));
+      case 2:  // rewrite mac_len
+        bytes[1] = static_cast<std::uint8_t>(rng.uniform_int(256));
         break;
-      case 3:  // version skew (and occasionally magic damage)
-        bytes[2] = static_cast<std::uint8_t>(rng.uniform_int(256));
-        if (rng.bernoulli(0.3)) {
-          bytes[rng.uniform_int(2)] =
-              static_cast<std::uint8_t>(rng.uniform_int(256));
+      case 3:  // version skew (the type nibble rides along)
+        bytes[0] = static_cast<std::uint8_t>(rng.uniform_int(256));
+        break;
+      case 4: {  // malformed session id or nonce
+        const Message& m = messages[pick];
+        const std::size_t session_len = wire::varint_size(m.session_id);
+        const bool nonce = rng.bernoulli(0.5);
+        const std::size_t at = 2 + (nonce ? session_len : 0);
+        const std::size_t len =
+            wire::varint_size(nonce ? m.nonce : m.session_id);
+        damage = static_cast<int>(rng.uniform_int(4));
+        std::vector<std::uint8_t> form;
+        switch (damage) {
+          case kOverlong:  // a zero group past the last: 0x80 0x00 for 0
+            bytes[at + len - 1] |= 0x80;
+            form.push_back(0x00);
+            splice(bytes, at + len, 0, form);
+            break;
+          case kElevenBytes:
+            form.assign(10, 0x80);
+            form.push_back(0x01);
+            splice(bytes, at, len, form);
+            break;
+          case kTenthAboveOne:
+            form.assign(9, 0xFF);
+            form.push_back(static_cast<std::uint8_t>(2 + rng.uniform_int(126)));
+            splice(bytes, at, len, form);
+            break;
+          default: {  // the body ends inside the varint; a fresh CRC follows
+            const std::size_t keep = at + rng.uniform_int(len);
+            bytes.resize(std::max(keep, std::size_t{4}) + wire::kCrcBytes);
+            if (keep >= 4) restamp_crc(bytes);
+            break;
+          }
         }
+        break;
+      }
+      case 5:  // grow: a few bytes, or past the payload bound
+        bytes.resize(bytes.size() + (rng.bernoulli(0.5)
+                                         ? rng.uniform_int(16)
+                                         : kMaxPayloadBytes +
+                                               rng.uniform_int(64)));
+        break;
+      case 6:  // forge the type with a valid CRC (0 and 8..15 are unknown)
+        bytes[0] = static_cast<std::uint8_t>((wire::kWireVersion << 4) |
+                                             rng.uniform_int(16));
+        restamp_crc(bytes);
         break;
       default:  // pure garbage of arbitrary small size
         bytes.resize(rng.uniform_int(96));
@@ -87,18 +161,26 @@ TEST(Fuzz, HundredThousandMutatedFramesRejectTypedOrRoundTrip) {
       // an untracked reject path.
       ASSERT_NE(err, wire::WireError::kNone) << "trial " << trial;
       ++reject_reasons[static_cast<std::size_t>(err)];
+      if (damage >= 0 && err == wire::WireError::kBadVarint) {
+        ++bad_varints[damage];
+      }
     }
   }
 
-  // The mutation mix must have exercised both outcomes and the full reject
-  // taxonomy's structural core (truncated / magic / version / lengths / crc).
+  // The mutation mix must have exercised both outcomes, every reject
+  // reason, and each malformed varint form.
   EXPECT_GT(accepted, 0);
-  EXPECT_GT(reject_reasons[size_t(wire::WireError::kTruncated)], 0u);
-  EXPECT_GT(reject_reasons[size_t(wire::WireError::kBadMagic)], 0u);
-  EXPECT_GT(reject_reasons[size_t(wire::WireError::kBadVersion)], 0u);
-  EXPECT_GT(reject_reasons[size_t(wire::WireError::kOversizedPayload)], 0u);
-  EXPECT_GT(reject_reasons[size_t(wire::WireError::kOversizedMac)], 0u);
-  EXPECT_GT(reject_reasons[size_t(wire::WireError::kBadCrc)], 0u);
+  for (const wire::WireError e :
+       {wire::WireError::kTruncated, wire::WireError::kBadVersion,
+        wire::WireError::kOversizedMac, wire::WireError::kBadVarint,
+        wire::WireError::kOversizedPayload, wire::WireError::kBadCrc,
+        wire::WireError::kBadType}) {
+    EXPECT_GT(reject_reasons[static_cast<std::size_t>(e)], 0u)
+        << wire::to_string(e);
+  }
+  for (const int d : {kOverlong, kElevenBytes, kTenthAboveOne, kCutMidVarint}) {
+    EXPECT_GT(bad_varints[d], 0u) << "varint damage " << d;
+  }
 }
 
 // ---------------------------------------------------- link slot lifetime fuzz
@@ -382,10 +464,10 @@ TEST_F(SessionFuzz, WireRejectedFramesLeaveNoPayloadResidueInSessionState) {
         case 1:  // truncation
           bad.resize(rng.uniform_int(bad.size()));
           break;
-        case 2:  // magic damage
+        case 2:  // version and type damage
           bad[0] ^= 0xff;
           break;
-        default:  // version skew
+        default:  // session-id varint damage
           bad[2] ^= 0x55;
           break;
       }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -528,8 +529,8 @@ std::string transcript_digest(std::span<const Message> transcript) {
 TEST_F(ReliabilityTest, EveryFrameFitsOneLoRaPacket) {
   // Each frame on air must fit one SX127x packet: every frame of a
   // lossless and a lossy agreement and of a key confirmation over a lossy
-  // link, as their transcripts hold them, and a sealed data frame of the
-  // most plaintext seal() takes, which fills one exactly.
+  // link, as their transcripts hold them, and sealed data frames of the
+  // most plaintext seal() takes.
   std::size_t frames = 0, syndromes = 0;
   const auto check = [&](const Message& m) {
     ++frames;
@@ -568,11 +569,17 @@ TEST_F(ReliabilityTest, EveryFrameFitsOneLoRaPacket) {
       run_key_confirmation(clock, link, initiator, responder).confirmed);
   for (const Message& m : transcript) check(m);
 
+  // The most plaintext seal() takes fits at any session id and nonce, and
+  // fills the packet exactly when both take the widest varint.
   std::vector<std::uint8_t> plain(KeySchedule::kMaxPlaintextBytes, 0x5a);
-  const Message sealed = initiator.seal(1, plain);
+  check(initiator.seal(1, plain));
+  constexpr std::uint64_t kWidest = std::numeric_limits<std::uint64_t>::max();
+  KeySchedule wide_initiator(secret, kWidest, Role::kInitiator);
+  KeySchedule wide_responder(secret, kWidest, Role::kResponder);
+  const Message sealed = wide_initiator.seal(kWidest, plain);
   check(sealed);
   EXPECT_EQ(wire::encode_frame(sealed).size(), channel::kMaxLoRaPayloadBytes);
-  EXPECT_TRUE(responder.open(sealed, clock.now_ms()).has_value());
+  EXPECT_TRUE(wide_responder.open(sealed, clock.now_ms()).has_value());
   plain.push_back(0x5a);
   EXPECT_THROW((void)initiator.seal(2, plain), vkey::Error);
   EXPECT_GE(frames, 12u);
@@ -593,14 +600,14 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
         run_reliable_key_agreement(base, reconciler_, cfg, material_for(31));
   });
   EXPECT_EQ(counters_of(report),
-            "attempts=1 ttk=2121.645980193749 link=24,1064,15,5,3,3,1,5\n"
+            "attempts=1 ttk=1515.5223605754823 link=22,528,14,5,3,3,1,5\n"
             "sid=1 est=1 none alice=established/none "
-            "bob=established/none ms=2121.645980193749 "
-            "atx=2,6,4,2,1,0 btx=3,3,6,2,0,0 dups=1,4\n");
-  EXPECT_EQ(event_counts(events), "103");
+            "bob=established/none ms=1515.5223605754823 "
+            "atx=2,6,4,2,0,0 btx=3,2,5,2,1,0 dups=1,3\n");
+  EXPECT_EQ(event_counts(events), "96");
   EXPECT_EQ(transcript_digest(transcript),
-            "1064:863b8bcb96e8e6c882c972f390219a61fd60261ea40bb32d04a5aa8e33b"
-            "32483");
+            "528:93ddc769ba9b54a4b7b893db990b8c64fe42c9a0ec19964a2a85e464dcf2"
+            "8ecc");
 
   // A link too lossy to finish: every attempt fails and leaves a dump.
   ReliabilityConfig lossy = config_for(0.8, 32);
@@ -618,26 +625,26 @@ TEST_F(ReliabilityTest, FaultyAgreementsReplayEveryEventAndDraw) {
   });
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(counters_of(failed),
-            "attempts=3 ttk=36463.59913454495 link=55,2253,8,45,4,4,2,5\n"
+            "attempts=3 ttk=37054.66208340459 link=68,1728,10,56,4,4,2,5\n"
             "sid=1 est=0 retry-exhausted alice=await-accept/bad-state "
-            "bob=await-confirm/none ms=12607.15728566181 atx=1,8,0,0,0,1 "
+            "bob=await-confirm/none ms=11722.42128566181 atx=1,8,0,0,0,1 "
             "btx=2,9,1,0,0,0 dups=0,0\n"
             "sid=2 est=0 retry-exhausted alice=await-accept/none "
-            "bob=idle/none ms=13696.002607303932 atx=1,8,0,0,0,1 "
+            "bob=idle/none ms=12811.266607303933 atx=1,8,0,0,0,1 "
             "btx=0,0,0,0,0,0 dups=0,0\n"
-            "sid=3 est=0 retry-exhausted alice=await-syndrome/duplicate "
-            "bob=await-confirm/duplicate ms=10160.43924157921 "
-            "atx=1,2,3,1,0,0 btx=2,15,2,0,0,1 dups=2,1\n");
-  EXPECT_EQ(event_counts(failed_events), "87,39,109");
+            "sid=3 est=0 retry-exhausted alice=await-confirm-ack/duplicate "
+            "bob=await-confirm/duplicate ms=12520.974190438847 "
+            "atx=2,10,5,1,0,0 btx=2,17,2,0,0,1 dups=3,1\n");
+  EXPECT_EQ(event_counts(failed_events), "87,39,159");
   EXPECT_EQ(transcript_digest(eve),
-            "2253:dfee5edf6ddcd92ce2dca8360d6c22b30ca1fde8c7dab4a75e05f292b1"
-            "6d81fe");
+            "1728:538e296f3919531464e5835c5cb5cbf8764b0b06e7957093fe73193ec7"
+            "fd2057");
   PublicChannel replay;
   const std::string dump =
       failure_dump(replay, reconciler_, lossy, material_for(32));
   EXPECT_EQ(std::to_string(dump.size()) + ":" + sha256_hex(dump),
-            "17999:1019686c1152fd7ec5b9e7618d5ee8a9c7d649a822e6877a7e3afe5dbf"
-            "1d69c6");
+            "21718:a689560b01d88bb08c55d56ff67b783b44a33ecff0904de36ca55438ae"
+            "a7b0fb");
 }
 
 TEST_F(ReliabilityTest, LossyAgreementTraceExportIsPinned) {
@@ -662,8 +669,8 @@ TEST_F(ReliabilityTest, LossyAgreementTraceExportIsPinned) {
   log.clear();
   ASSERT_FALSE(failed.established);
   EXPECT_EQ(std::to_string(doc.size()) + ":" + sha256_hex(doc),
-            "46571:09e82d9310b097dfbe30f9b4c2b5b5da6849c4837ec4b1e914b627cf"
-            "73c0cad0");
+            "56355:3bf841e4b0698627916063a8383f905654cb6a5e85ad536fb0d157ff"
+            "10c369cc");
 }
 
 TEST_F(ReliabilityTest, FailureDumpRetracesTheTracedRun) {
@@ -676,7 +683,10 @@ TEST_F(ReliabilityTest, FailureDumpRetracesTheTracedRun) {
   lossy.fault.reorder_prob = 0.25;
   lossy.fault.corrupt_prob = 0.25;
   lossy.max_session_attempts = 3;
-  ReliabilityConfig longer = lossy;  // two attempts too many to show
+  // Two attempts too many to show, on a link lossy enough to fail all five
+  // (at 80% drop the fourth attempt establishes).
+  ReliabilityConfig longer = lossy;
+  longer.fault.drop_prob = 0.85;
   longer.max_session_attempts = 5;
   ReliabilityConfig hopeless = config_for(0.95, 9);
   hopeless.max_session_attempts = 1;
@@ -715,6 +725,30 @@ TEST_F(ReliabilityTest, FailureDumpRetracesTheTracedRun) {
       EXPECT_EQ(got[i], want[i]) << "line " << i;
     }
   }
+}
+
+TEST_F(ReliabilityTest, WideSessionIdsNeverTimeOutOnALosslessSf12Link) {
+  // Every ARQ timer waits for the ack of the frame it guards. At SF12 a
+  // six-byte session-id varint puts one more 8-symbol block (262 ms) on
+  // each ack, more than the 100 ms attempt-0 backoff: a timer sized for the
+  // narrowest ack would fire before the real one lands.
+  MetricsOn on;
+  auto& timeouts = metrics::Registry::global().counter("arq.timeouts");
+  const auto timeouts0 = timeouts.value();
+  ReliabilityConfig cfg;  // lossless, and LoRaParams default to SF12
+  cfg.base_session_id = std::uint64_t{1} << 40;
+  const BitVec key = random_bits(64, vkey::Rng(40));
+  PublicChannel base;
+  const auto report =
+      run_reliable_key_agreement(base, reconciler_, cfg, [&](std::size_t) {
+        return std::make_pair(key, key);
+      });
+  ASSERT_TRUE(report.established);
+  ASSERT_EQ(report.attempts, 1u);
+  const auto& att = report.attempt_log.front();
+  EXPECT_EQ(att.alice_transport.retransmissions, 0u);
+  EXPECT_EQ(att.bob_transport.retransmissions, 0u);
+  EXPECT_EQ(timeouts.value(), timeouts0);
 }
 
 // ------------------------------------------- structured agreement results
