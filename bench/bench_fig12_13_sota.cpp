@@ -36,9 +36,6 @@ Row run_vehicle_key(const BenchReport& report, ScenarioKind kind,
   cfg.trace.seed = seed;
   cfg.predictor.hidden = 32;
   cfg.predictor_epochs = report.scaled(25, 6);
-  cfg.reconciler.decoder_units = 64;
-  cfg.reconciler_epochs = report.scaled(25, 6);
-  cfg.reconciler_samples = report.scaled(3000, 600);
   core::KeyGenPipeline pipeline(cfg);
   const auto m =
       pipeline.run(report.scaled(700, 120), report.scaled(500, 120));

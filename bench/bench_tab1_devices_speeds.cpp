@@ -27,9 +27,6 @@ double kar_for(const BenchReport& report, const DeviceModel& device,
   cfg.trace.device_eve = device;
   cfg.trace.seed = seed;
   cfg.use_prediction = false;  // isolates channel/device effects
-  cfg.reconciler.decoder_units = 64;
-  cfg.reconciler_epochs = report.scaled(20, 5);
-  cfg.reconciler_samples = report.scaled(2500, 600);
   KeyGenPipeline pipeline(cfg);
   return pipeline.run(report.scaled(150, 40), report.scaled(500, 150))
       .mean_kar_post;

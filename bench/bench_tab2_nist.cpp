@@ -24,9 +24,6 @@ int main(int argc, char** argv) {
     cfg.trace.scenario = make_scenario(kind, 50.0);
     cfg.trace.seed = 90 + static_cast<std::uint64_t>(kind);
     cfg.use_prediction = false;  // fastest path to many key blocks
-    cfg.reconciler.decoder_units = 64;
-    cfg.reconciler_epochs = report.scaled(20, 5);
-    cfg.reconciler_samples = report.scaled(2500, 600);
     KeyGenPipeline pipeline(cfg);
     pipeline.run(report.scaled(150, 40), report.scaled(1200, 300));
     stream.append(pipeline.amplified_key_stream());

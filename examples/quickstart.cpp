@@ -3,8 +3,8 @@
 //
 // The five-minute tour of the public API:
 //   1. KeyGenPipeline simulates channel probing, trains the BiLSTM
-//      prediction/quantization model and the autoencoder reconciler, and
-//      produces reconciled key blocks.
+//      prediction/quantization model, and reconciles key blocks with the
+//      public syndrome code.
 //   2. run_reliable_key_agreement drives AliceSession/BobSession through the
 //      authenticated agreement protocol (syndrome + MAC, key confirmation,
 //      replay protection) over an ARQ link, the path every workload runs.
@@ -28,8 +28,6 @@ int main() {
   cfg.trace.seed = 2025;
   cfg.predictor.hidden = 16;   // small model: quickstart favours speed
   cfg.predictor_epochs = 10;
-  cfg.reconciler_epochs = 15;
-  cfg.reconciler_samples = 1500;
 
   std::printf("Probing the channel and training Vehicle-Key models...\n");
   core::KeyGenPipeline pipeline(cfg);
@@ -40,7 +38,7 @@ int main() {
   std::printf("  key generation rate: %.2f bit/s over %.0f s of probing\n",
               metrics.kgr_bits_per_s, metrics.test_duration_s);
   std::printf("  eavesdropper agreement: %.2f%% (chance = 50%%)\n",
-              100.0 * metrics.mean_eve_kar);
+              100.0 * metrics.mean_eve_kar_iterative);
 
   // --- 2. authenticated key agreement over the public channel ------------
   // A block the pipeline reconciled, with errors for the session to fix.

@@ -25,9 +25,6 @@ int main() {
     cfg.trace.scenario = make_scenario(ScenarioKind::kV2VRural, speed);
     cfg.trace.seed = 1234 + static_cast<std::uint64_t>(speed);
     cfg.use_prediction = false;  // keep the example quick
-    cfg.reconciler.decoder_units = 64;
-    cfg.reconciler_epochs = 15;
-    cfg.reconciler_samples = 1500;
     KeyGenPipeline pipeline(cfg);
     const auto m = pipeline.run(150, 300);
     std::size_t usable = 0;
@@ -42,9 +39,6 @@ int main() {
   cfg.trace.scenario = make_scenario(ScenarioKind::kV2VRural, 60.0);
   cfg.trace.seed = 99;
   cfg.use_prediction = false;
-  cfg.reconciler.decoder_units = 64;
-  cfg.reconciler_epochs = 15;
-  cfg.reconciler_samples = 1500;
   KeyGenPipeline pipeline(cfg);
   pipeline.run(150, 400);
 

@@ -14,7 +14,6 @@
 //   --test-rounds N        probe rounds used for evaluation default 400
 //   --hidden N             BiLSTM hidden units              default 32
 //   --epochs N             predictor training epochs (>= 1) default 40
-//   --decoder-units N      reconciler decoder width         default 64
 //   --seed N               simulation seed                  default 1
 //   --no-prediction        ablate the BiLSTM (direct quantization)
 //   --int8                 run predictor *inference* through the int8
@@ -100,7 +99,7 @@ namespace {
                "usage: %s [--scenario v2i-urban|v2i-rural|v2v-urban|"
                "v2v-rural] [--speed KMH] [--train-rounds N] "
                "[--test-rounds N] [--hidden N] [--epochs N] "
-               "[--decoder-units N] [--seed N] [--no-prediction] [--int8] "
+               "[--seed N] [--no-prediction] [--int8] "
                "[--drop P] [--reorder P] [--dup P] [--corrupt P] "
                "[--link-seed N] [--gateway N] [--max-inflight N] "
                "[--metrics] [--metrics-json PATH] "
@@ -172,7 +171,6 @@ int sim_main(int argc, char** argv) {
   PipelineConfig cfg;
   cfg.predictor.hidden = 32;
   cfg.predictor_epochs = 40;
-  cfg.reconciler.decoder_units = 64;
   cfg.trace.seed = 1;
 
   for (int i = 1; i < argc; ++i) {
@@ -189,7 +187,6 @@ int sim_main(int argc, char** argv) {
     else if (arg == "--test-rounds") test_rounds = static_cast<std::size_t>(next_u64());
     else if (arg == "--hidden") cfg.predictor.hidden = static_cast<std::size_t>(next_u64());
     else if (arg == "--epochs") { cfg.predictor_epochs = static_cast<std::size_t>(next_u64()); if (cfg.predictor_epochs == 0) usage(argv[0]); }
-    else if (arg == "--decoder-units") cfg.reconciler.decoder_units = static_cast<std::size_t>(next_u64());
     else if (arg == "--seed") cfg.trace.seed = next_u64();
     else if (arg == "--no-prediction") cfg.use_prediction = false;
     else if (arg == "--int8") cfg.predictor.quantized = true;
@@ -258,7 +255,6 @@ int sim_main(int argc, char** argv) {
                  Table::pct(m.std_kar_post, 2)});
   t.add_row({"exact-key block rate", Table::pct(m.key_success_rate)});
   t.add_row({"KGR (net secret bit/s)", Table::fmt(m.kgr_bits_per_s, 3)});
-  t.add_row({"Eve KAR (one-shot decode)", Table::pct(m.mean_eve_kar)});
   t.add_row({"Eve KAR (iterative misuse)",
              Table::pct(m.mean_eve_kar_iterative)});
   t.add_row({"evaluation span", Table::fmt(m.test_duration_s, 0) + " s"});
@@ -392,31 +388,22 @@ int sim_main(int argc, char** argv) {
       // regenerates, live, the same bits the per-attempt source reads out
       // of the cached evaluation blocks (infer_batch runs infer() per
       // window, the path that produced those blocks, so the two sources
-      // agree as BatchMaterialFn requires).
+      // agree as BatchMaterialFn requires). A block is one window.
       const auto& samples = pipeline.test_samples();
-      const std::size_t wpb = cfg.reconciler.key_bits / cfg.predictor.key_bits;
       const std::size_t n_blocks = blocks.size();
       engine.set_batch_material(
-          [&pipeline, &samples, wpb, n_blocks](std::uint64_t first,
-                                               std::size_t count) {
+          [&pipeline, &samples, n_blocks](std::uint64_t first,
+                                          std::size_t count) {
             std::vector<vkey::nn::Vec> windows;
-            windows.reserve(count * wpb);
+            windows.reserve(count);
             for (std::size_t d = 0; d < count; ++d) {
-              const std::size_t bi = (first + d) % n_blocks;
-              for (std::size_t w = 0; w < wpb; ++w) {
-                windows.push_back(samples[bi * wpb + w].alice_seq);
-              }
+              windows.push_back(samples[(first + d) % n_blocks].alice_seq);
             }
             const auto outs = pipeline.predictor().infer_batch(windows);
             std::vector<std::pair<BitVec, BitVec>> material(count);
             for (std::size_t d = 0; d < count; ++d) {
-              const std::size_t bi = (first + d) % n_blocks;
-              BitVec alice, bob;
-              for (std::size_t w = 0; w < wpb; ++w) {
-                alice.append(outs[d * wpb + w].bits);
-                bob.append(samples[bi * wpb + w].bob_bits);
-              }
-              material[d] = {std::move(alice), std::move(bob)};
+              material[d] = {outs[d].bits,
+                             samples[(first + d) % n_blocks].bob_bits};
             }
             return material;
           });
@@ -514,8 +501,8 @@ int sim_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A size the library rejects (a 1-unit BiLSTM, a 0-unit decoder, too few
-  // rounds for one key block) or no vector can hold (--test-rounds or
+  // A size the library rejects (a 1-unit BiLSTM, too few rounds for one key
+  // block) or no vector can hold (--test-rounds or
   // --gateway near 2^64) is a bad flag value: report it like one.
   // std::exception covers both vkey::Error and std::length_error.
   try {

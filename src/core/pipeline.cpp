@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <optional>
-#include <utility>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -18,6 +17,10 @@ namespace {
 // per-trace dataset); evaluation always uses non-overlapping windows.
 constexpr std::size_t kTrainStride = 4;
 
+// Seed of the public code: the benches' and examples' SyndromeCode(64, 11),
+// the frozen f1 of a default AutoencoderReconciler.
+constexpr std::uint64_t kCodeSeed = 11;
+
 // Stage histograms are fetched once per process; the per-run cost is a
 // relaxed atomic observe, keeping the hot path within the metrics budget.
 metrics::Histogram& stage_hist(const char* stage) {
@@ -31,9 +34,8 @@ metrics::Counter& bit_counter(const char* name) {
 
 }  // namespace
 
-KeyGenPipeline::KeyGenPipeline(const PipelineConfig& config) : cfg_(config) {
-  VKEY_REQUIRE(cfg_.reconciler.key_bits % cfg_.predictor.key_bits == 0,
-               "reconciler block must be a multiple of the fragment width");
+KeyGenPipeline::KeyGenPipeline(const PipelineConfig& config)
+    : cfg_(config), code_(cfg_.predictor.key_bits, kCodeSeed) {
   VKEY_REQUIRE(cfg_.dataset.seq_len == cfg_.predictor.seq_len,
                "dataset and predictor sequence lengths must match");
 }
@@ -43,11 +45,6 @@ PredictorQuantizer& KeyGenPipeline::predictor() {
   return *predictor_;
 }
 
-AutoencoderReconciler& KeyGenPipeline::reconciler() {
-  VKEY_REQUIRE(reconciler_.has_value(), "run() has not trained a reconciler");
-  return *reconciler_;
-}
-
 PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
                                     std::size_t test_rounds) {
   VKEY_REQUIRE(test_rounds >= 1, "need test rounds");
@@ -55,13 +52,17 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   static metrics::Histogram& probe_ms = stage_hist("probe");
   static metrics::Histogram& extract_ms = stage_hist("extract");
   static metrics::Histogram& train_pred_ms = stage_hist("train_predictor");
-  static metrics::Histogram& train_rec_ms = stage_hist("train_reconciler");
   static metrics::Histogram& predict_ms = stage_hist("predict");
   static metrics::Histogram& quantize_ms = stage_hist("quantize");
   static metrics::Histogram& reconcile_ms = stage_hist("reconcile");
   static metrics::Histogram& eval_ms = stage_hist("eval");
+  static metrics::Counter& runs = bit_counter("runs");
   static metrics::Counter& quantized_bits = bit_counter("bits.quantized");
-  bit_counter("runs").add(1);
+  static metrics::Counter& blocks_total = bit_counter("blocks.total");
+  static metrics::Counter& blocks_success = bit_counter("blocks.success");
+  static metrics::Counter& reconciled_bits = bit_counter("bits.reconciled");
+  static metrics::Counter& agreed_bits = bit_counter("bits.agreed");
+  runs.add(1);
 
   channel::TraceGenerator gen(cfg_.trace);
 
@@ -100,21 +101,15 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
     predictor_.emplace(cfg_.predictor);
     predictor_->train(train_samples, cfg_.predictor_epochs);
   }
-  {
-    trace::ScopedTimer t(train_rec_ms, "pipeline.train_reconciler");
-    reconciler_.emplace(cfg_.reconciler);
-    reconciler_->train(cfg_.reconciler_samples, cfg_.reconciler_epochs);
-  }
 
   // --- evaluation ---
   // Every per-sample and per-block step below is a pure function of the
-  // trained (now immutable) models, so the stage fans out through the
-  // deterministic pool: results land in index-addressed slots and every
+  // trained (now immutable) predictor and the public code, so the stage
+  // fans out through the deterministic pool: results land in index-addressed slots and every
   // order-sensitive reduction runs on this thread in index order, which
   // keeps the output bit-identical for any thread count.
   trace::ScopedTimer eval_timer(eval_ms, "pipeline.eval");
   const std::size_t frag_bits = cfg_.predictor.key_bits;
-  const std::size_t block_bits = cfg_.reconciler.key_bits;
 
   // The multi-bit fallback is only needed for the Fig. 10 ablation branch;
   // the normal prediction path never constructs it.
@@ -126,10 +121,9 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
     fallback_quant.emplace(qc);
   }
 
-  struct Fragment {
-    BitVec alice, eve;
-  };
-  std::vector<Fragment> fragments;
+  // Each window's fragment is one key block.
+  const std::size_t n_blocks = test_samples.size();
+  blocks_.assign(n_blocks, KeyBlockResult{});
   if (cfg_.use_prediction) {
     // Chunked prediction: windows are grouped into fixed-size chunks, the
     // pool's unit of work and one pipeline.predict_chunk span each, and
@@ -139,14 +133,13 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
     // byte-stable for any lane count (see DESIGN.md "Parallel
     // execution & determinism contract").
     constexpr std::size_t kPredictChunk = 16;
-    const std::size_t n = test_samples.size();
-    const std::size_t n_chunks = (n + kPredictChunk - 1) / kPredictChunk;
-    fragments.assign(n, Fragment{});
+    const std::size_t n_chunks =
+        (n_blocks + kPredictChunk - 1) / kPredictChunk;
     parallel::parallel_for(
         n_chunks,
         [&](std::size_t c) {
           const std::size_t lo = c * kPredictChunk;
-          const std::size_t hi = std::min(n, lo + kPredictChunk);
+          const std::size_t hi = std::min(n_blocks, lo + kPredictChunk);
           trace::ScopedTimer t(predict_ms, "pipeline.predict_chunk");
           t.attr("chunk", c).attr("windows", 2 * (hi - lo));
           std::vector<nn::Vec> windows;
@@ -157,96 +150,71 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
           }
           const auto outs = predictor_->infer_batch(windows);
           for (std::size_t i = lo; i < hi; ++i) {
-            fragments[i].alice = outs[2 * (i - lo)].bits;
-            fragments[i].eve = outs[2 * (i - lo) + 1].bits;
-            quantized_bits.add(fragments[i].alice.size());
+            blocks_[i].alice_raw = outs[2 * (i - lo)].bits;
+            blocks_[i].eve_raw = outs[2 * (i - lo) + 1].bits;
+            quantized_bits.add(blocks_[i].alice_raw.size());
           }
         });
   } else {
-    fragments = parallel::parallel_map(
-        test_samples,
-        [&](const TrainingSample& s, std::size_t) {
-          // Ablation: Alice quantizes her own window directly.
-          Fragment f;
-          trace::ScopedTimer t(quantize_ms);
-          std::vector<double> a(s.alice_seq.begin(), s.alice_seq.end());
-          std::vector<double> e(s.eve_seq.begin(), s.eve_seq.end());
-          f.alice = fallback_quant->quantize(a).bits;
-          f.eve = fallback_quant->quantize(e).bits;
-          // Pad/trim to the fragment width (guard bands disabled, so sizes
-          // normally already match).
-          while (f.alice.size() < frag_bits) f.alice.push_back(false);
-          f.alice = f.alice.slice(0, frag_bits);
-          while (f.eve.size() < frag_bits) f.eve.push_back(false);
-          f.eve = f.eve.slice(0, frag_bits);
-          quantized_bits.add(f.alice.size());
-          return f;
-        });
+    parallel::parallel_for(n_blocks, [&](std::size_t i) {
+      // Ablation: Alice quantizes her own window directly.
+      const TrainingSample& s = test_samples[i];
+      KeyBlockResult& blk = blocks_[i];
+      trace::ScopedTimer t(quantize_ms);
+      std::vector<double> a(s.alice_seq.begin(), s.alice_seq.end());
+      std::vector<double> e(s.eve_seq.begin(), s.eve_seq.end());
+      blk.alice_raw = fallback_quant->quantize(a).bits;
+      blk.eve_raw = fallback_quant->quantize(e).bits;
+      // Pad/trim to the fragment width (guard bands disabled, so sizes
+      // normally already match).
+      while (blk.alice_raw.size() < frag_bits) blk.alice_raw.push_back(false);
+      blk.alice_raw = blk.alice_raw.slice(0, frag_bits);
+      while (blk.eve_raw.size() < frag_bits) blk.eve_raw.push_back(false);
+      blk.eve_raw = blk.eve_raw.slice(0, frag_bits);
+      quantized_bits.add(blk.alice_raw.size());
+    });
   }
 
-  // Concatenate the fixed-width fragments once; blocks then read at bit
-  // offsets instead of repeatedly re-slicing shrinking accumulators.
-  BitVec alice_bits, bob_bits, eve_bits;
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    VKEY_REQUIRE(fragments[i].alice.size() == frag_bits &&
-                     test_samples[i].bob_bits.size() == frag_bits,
-                 "fragment width mismatch");
-    alice_bits.append(fragments[i].alice);
-    eve_bits.append(fragments[i].eve);
-    bob_bits.append(test_samples[i].bob_bits);
-  }
-
-  const std::size_t n_blocks = alice_bits.size() / block_bits;
-  VKEY_REQUIRE(n_blocks >= 1, "not enough test data for one key block");
-  blocks_.assign(n_blocks, KeyBlockResult{});
   parallel::parallel_for(
       n_blocks,
       [&](std::size_t b) {
-        const std::size_t off = b * block_bits;
-        KeyBlockResult blk;
-        blk.bob_key = bob_bits.slice(off, block_bits);
-        const BitVec ka = alice_bits.slice(off, block_bits);
-        const BitVec ke = eve_bits.slice(off, block_bits);
-        blk.alice_raw = ka;
-        blk.kar_pre = ka.agreement(blk.bob_key);
+        KeyBlockResult& blk = blocks_[b];
+        blk.bob_key = test_samples[b].bob_bits;
+        VKEY_REQUIRE(blk.alice_raw.size() == frag_bits &&
+                         blk.bob_key.size() == frag_bits,
+                     "fragment width mismatch");
+        blk.kar_pre = blk.alice_raw.agreement(blk.bob_key);
         {
           trace::ScopedTimer t(reconcile_ms, "pipeline.reconcile_block");
           t.attr("block", b);
-          const auto y_bob = reconciler_->encode_bob(blk.bob_key);
-          blk.alice_corrected = reconciler_->reconcile(ka, y_bob);
+          const auto y_bob = code_.encode_bob(blk.bob_key);
+          blk.alice_corrected = code_.reconcile(blk.alice_raw, y_bob);
           blk.kar_post = blk.alice_corrected.agreement(blk.bob_key);
           blk.success = blk.alice_corrected == blk.bob_key;
-          // Eve eavesdrops y_Bob and decodes it with her key: one public
-          // decoder pass (the paper's Fig. 15 attack) and the protocol's
-          // own decode (stronger).
-          blk.eve_kar_post =
-              reconciler_->reconcile_one_shot(ke, y_bob).agreement(
-                  blk.bob_key);
-          const BitVec eve_fixed = reconciler_->reconcile(ke, y_bob);
+          // Eve eavesdrops y_Bob and runs the protocol's own decode on it
+          // with her key material.
+          const BitVec eve_fixed = code_.reconcile(blk.eve_raw, y_bob);
           blk.eve_kar_iterative = eve_fixed.agreement(blk.bob_key);
           blk.eve_success_iterative = eve_fixed == blk.bob_key;
         }
-        blocks_[b] = std::move(blk);
       });
 
   // Ordered reduction over the finished blocks.
-  std::vector<double> kar_pre_list, kar_post_list, eve_list, eve_iter_list;
+  std::vector<double> kar_pre_list, kar_post_list, eve_iter_list;
   std::size_t success = 0, eve_success = 0;
   kar_pre_list.reserve(n_blocks);
   kar_post_list.reserve(n_blocks);
-  eve_list.reserve(n_blocks);
   eve_iter_list.reserve(n_blocks);
   for (const auto& blk : blocks_) {
-    bit_counter("blocks.total").add(1);
-    bit_counter("bits.reconciled").add(block_bits);
+    blocks_total.add(1);
+    reconciled_bits.add(frag_bits);
     if (blk.success) {
-      bit_counter("blocks.success").add(1);
-      bit_counter("bits.agreed").add(block_bits);
+      blocks_success.add(1);
+      agreed_bits.add(frag_bits);
       ++success;
     }
     kar_pre_list.push_back(blk.kar_pre);
     kar_post_list.push_back(blk.kar_post);
-    eve_list.push_back(blk.eve_kar_post);
     eve_iter_list.push_back(blk.eve_kar_iterative);
     eve_success += blk.eve_success_iterative;
   }
@@ -259,12 +227,11 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   // The syndrome's kCodeDim public values are charged one bit each.
   const KeyScore score =
       score_key_blocks(kar_post_list, success, m.blocks * kCodeDim,
-                       block_bits, m.test_duration_s);
+                       frag_bits, m.test_duration_s);
   m.mean_kar_post = score.mean_kar;
   m.std_kar_post = score.std_kar;
   m.key_success_rate = score.exact_rate;
   m.kgr_bits_per_s = score.kgr_bits_per_s;
-  m.mean_eve_kar = vkey::stats::mean(eve_list);
   m.mean_eve_kar_iterative = vkey::stats::mean(eve_iter_list);
   m.eve_exact_blocks_iterative = eve_success;
   return m;

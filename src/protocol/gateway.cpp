@@ -22,10 +22,14 @@ constexpr double kIdleTimeoutMs = 30'000.0;
 /// Failed sessions replayed for a post-mortem timeline, at most.
 constexpr std::size_t kFailureDumpLimit = 3;
 
-/// Session-id space of one device: 16 ids per device leaves room for the
-/// supervisor's per-attempt increments without collisions across devices.
+/// Session ids per device: the supervisor's attempt k runs under the
+/// device's first id + k, so a retry budget up to this size never reaches
+/// the next device's ids.
+constexpr std::size_t kSessionIdsPerDevice = 16;
+
+/// The first session id of `device`'s block.
 std::uint64_t session_id_for(std::uint64_t device) {
-  return 1 + (device << 4);
+  return 1 + device * kSessionIdsPerDevice;
 }
 
 /// The reliability config of `device`'s exchange. Per-device fault/backoff
@@ -61,6 +65,8 @@ GatewayEngine::GatewayEngine(const GatewayConfig& config,
   VKEY_REQUIRE(cfg_.arrival_interval_ms >= 0.0,
                "arrival spacing must be >= 0");
   VKEY_REQUIRE(static_cast<bool>(material_), "probe material source required");
+  VKEY_REQUIRE(cfg_.reliability.max_session_attempts <= kSessionIdsPerDevice,
+               "retry budget exceeds a device's session ids");
 }
 
 void GatewayEngine::set_batch_material(BatchMaterialFn prefetch) {
@@ -101,7 +107,10 @@ SessionOutcome GatewayEngine::simulate(
   out.establish_ms = report.time_to_establish_ms;
   out.attempts = report.attempts;
   out.wire_bytes = report.link.bytes_sent;
-  if (report.established) out.key = report.key;
+  if (report.established) {
+    out.session_id = report.attempt_log.back().session_id;
+    out.key = report.key;
+  }
   return out;
 }
 
@@ -166,7 +175,7 @@ void GatewayEngine::on_establishment_done(std::uint64_t device) {
     metrics::histogram<"gateway.queue_wait_ms">().observe(rec.queue_wait_ms());
     // The confirmed session's live key state: rekey events ratchet it on
     // the shared timeline until the session idles out.
-    schedules_.emplace(device, KeySchedule(out.key, session_id_for(device),
+    schedules_.emplace(device, KeySchedule(out.key, out.session_id,
                                            KeySchedule::Role::kInitiator));
     if (cfg_.rekey_interval_ms > 0.0 && cfg_.max_rekeys > 0) {
       clock_.schedule(cfg_.rekey_interval_ms,

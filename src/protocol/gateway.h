@@ -84,6 +84,9 @@ struct SessionOutcome {
   double establish_ms = 0.0;
   std::size_t attempts = 0;
   std::size_t wire_bytes = 0;  ///< packed v2 frame bytes incl. retx + acks
+  /// Session id of the attempt that established `key` (the device's first
+  /// id + that attempt's index); 0 on failure.
+  std::uint64_t session_id = 0;
   BitVec key;  ///< established 128-bit key; empty on failure
 };
 

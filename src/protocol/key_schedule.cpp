@@ -38,6 +38,10 @@ constexpr auto kB2aNonce = ascii("vkey v1 b2a nonce");
 constexpr auto kConfirm = ascii("vkey v1 confirm");
 constexpr auto kRatchet = ascii("vkey v1 ratchet");
 
+/// Key confirmation's nonces: confirm k carries kConfirmNonceBase + k and
+/// the acks count up from kConfirmNonceBase + 500'000.
+constexpr std::uint64_t kConfirmNonceBase = 1'000'000;
+
 /// Extraction salt: protocol string || be64(session) || be32(epoch), 24
 /// bytes. Putting the epoch in the salt (not just the expand labels)
 /// separates epochs at the extract step, so even identical input secrets
@@ -283,8 +287,7 @@ void RekeyTimer::arm(double delay_ms) {
 ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
                                    KeySchedule& initiator,
                                    KeySchedule& responder,
-                                   std::size_t max_transmissions,
-                                   std::uint64_t nonce_base) {
+                                   std::size_t max_transmissions) {
   using Endpoint = UnreliableChannel::Endpoint;
   VKEY_REQUIRE(max_transmissions >= 1, "need at least one transmission");
 
@@ -296,7 +299,6 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
     const KeySchedule& initiator;
     const KeySchedule& responder;
     std::size_t max_transmissions;
-    std::uint64_t nonce_base;
     std::size_t transmissions = 0;
     std::uint64_t ack_nonce = 0;
     bool done = false;
@@ -311,7 +313,7 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
       if (done || transmissions >= max_transmissions) return;
       ++transmissions;
       const Message confirm =
-          initiator.make_confirm(nonce_base + transmissions);
+          initiator.make_confirm(kConfirmNonceBase + transmissions);
       Message ack = confirm;
       ack.nonce = ack_nonce;
       const double rtt_ms =
@@ -335,10 +337,10 @@ ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
         done_at = clock.now_ms();
       }
     }
-  } round{clock, link, initiator, responder, max_transmissions, nonce_base};
+  } round{clock, link, initiator, responder, max_transmissions};
   const double t0 = clock.now_ms();
   round.done_at = t0;
-  round.ack_nonce = nonce_base + 500'000;
+  round.ack_nonce = kConfirmNonceBase + 500'000;
 
   link.set_handler(Endpoint::kBob,
                    [&round](const Message& msg) { round.at_responder(msg); });

@@ -241,7 +241,6 @@ struct ConfirmReport {
 ConfirmReport run_key_confirmation(SimClock& clock, UnreliableChannel& link,
                                    KeySchedule& initiator,
                                    KeySchedule& responder,
-                                   std::size_t max_transmissions = 8,
-                                   std::uint64_t nonce_base = 1'000'000);
+                                   std::size_t max_transmissions = 8);
 
 }  // namespace vkey::protocol

@@ -21,9 +21,6 @@ class EndToEnd : public ::testing::Test {
     cfg.trace.seed = 31337;
     cfg.predictor.hidden = 8;
     cfg.predictor_epochs = 4;
-    cfg.reconciler.decoder_units = 64;
-    cfg.reconciler_epochs = 20;
-    cfg.reconciler_samples = 2000;
     cfg.use_prediction = false;  // keep the suite fast
     pipeline_ = new core::KeyGenPipeline(cfg);
     metrics_ = pipeline_->run(120, 250);

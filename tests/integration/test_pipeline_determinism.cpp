@@ -29,9 +29,6 @@ PipelineConfig det_config(bool use_prediction) {
   cfg.trace.seed = 99;
   cfg.predictor.hidden = 8;
   cfg.predictor_epochs = 3;
-  cfg.reconciler.decoder_units = 64;
-  cfg.reconciler_epochs = 10;
-  cfg.reconciler_samples = 800;
   cfg.use_prediction = use_prediction;
   return cfg;
 }
@@ -64,8 +61,9 @@ std::string metrics_doc(const PipelineMetrics& m) {
   doc.set("mean_kar_post", json::Value(m.mean_kar_post));
   doc.set("std_kar_post", json::Value(m.std_kar_post));
   doc.set("key_success_rate", json::Value(m.key_success_rate));
-  doc.set("mean_eve_kar", json::Value(m.mean_eve_kar));
   doc.set("mean_eve_kar_iterative", json::Value(m.mean_eve_kar_iterative));
+  doc.set("eve_exact_blocks_iterative",
+          json::Value(m.eve_exact_blocks_iterative));
   doc.set("test_duration_s", json::Value(m.test_duration_s));
   doc.set("kgr_bits_per_s", json::Value(m.kgr_bits_per_s));
   return doc.dump(2);
@@ -83,7 +81,7 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
     EXPECT_EQ(x.success, y.success) << "block " << i;
     EXPECT_EQ(x.kar_pre, y.kar_pre) << "block " << i;
     EXPECT_EQ(x.kar_post, y.kar_post) << "block " << i;
-    EXPECT_EQ(x.eve_kar_post, y.eve_kar_post) << "block " << i;
+    EXPECT_EQ(x.eve_raw, y.eve_raw) << "block " << i;
     EXPECT_EQ(x.eve_kar_iterative, y.eve_kar_iterative) << "block " << i;
   }
   EXPECT_EQ(a.amplified, b.amplified);

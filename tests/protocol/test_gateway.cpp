@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/privacy.h"
 #include "core/reconciler.h"
 #include "protocol/gateway.h"
 #include "protocol/session.h"
@@ -248,6 +249,57 @@ TEST_F(GatewayTest, FailedSessionsEvictWithBoundedPostMortems) {
     EXPECT_EQ(engine.registry().record(d).state, DeviceState::kEvicted);
     EXPECT_EQ(*engine.registry().record(d).evict_reason, EvictReason::kFailed);
   }
+}
+
+TEST_F(GatewayTest, LiveKeyCarriesTheEstablishingAttemptsSessionId) {
+  // Attempt k runs under the device's first session id + k, and the key it
+  // establishes was amplified under that id, so the live schedule must use
+  // it too. Every third device's first probe is uncorrelated, so it needs
+  // a recovery attempt however the lossy link treats it.
+  GatewayConfig cfg = small_config(40, 8);
+  cfg.reliability.fault.drop_prob = 0.3;
+  cfg.reliability.fault.corrupt_prob = 0.05;
+  const GatewayEngine::MaterialFn source =
+      [](std::uint64_t device, std::size_t attempt) {
+        const std::uint64_t seed =
+            hash_combine64(hash_combine64(0x6a73, device), attempt);
+        const BitVec kb = random_bits(64, vkey::Rng(seed));
+        if (attempt == 0 && device % 3 == 0) {
+          return std::make_pair(random_bits(64, vkey::Rng(seed ^ 0xdead)), kb);
+        }
+        return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
+      };
+  GatewayEngine engine(cfg, reconciler_, source);
+  const GatewayReport rep = engine.run();
+
+  std::size_t established = 0, recovered = 0;
+  for (std::uint64_t d = 0; d < cfg.sessions; ++d) {
+    const SessionOutcome& out = engine.outcomes()[d];
+    if (!out.established) {
+      EXPECT_EQ(out.session_id, 0u) << "device " << d;
+      continue;
+    }
+    ++established;
+    recovered += out.attempts >= 2;
+    EXPECT_EQ(out.session_id, 1 + (d << 4) + out.attempts - 1)
+        << "device " << d;
+    const BitVec bob_raw = source(d, out.attempts - 1).second;
+    EXPECT_TRUE(out.key == core::PrivacyAmplifier(kFinalKeyBits)
+                               .amplify(bob_raw, out.session_id))
+        << "device " << d;
+  }
+  EXPECT_EQ(established, rep.established);
+  EXPECT_GT(recovered, 0u) << "no device needed a recovery attempt";
+}
+
+TEST_F(GatewayTest, RetryBudgetMustFitADevicesSessionIds) {
+  // Each device owns 16 session ids; a 17th attempt would run under the
+  // next device's first id.
+  GatewayConfig cfg = small_config(4, 2);
+  cfg.reliability.max_session_attempts = 16;
+  EXPECT_NO_THROW((GatewayEngine{cfg, reconciler_, material()}));
+  cfg.reliability.max_session_attempts = 17;
+  EXPECT_THROW((GatewayEngine{cfg, reconciler_, material()}), vkey::Error);
 }
 
 // ------------------------------- interleaved sessions on one shared clock
