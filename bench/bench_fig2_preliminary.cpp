@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       cfg.scenario = make_scenario(ScenarioKind::kV2VUrban, 50.0);
       cfg.phy = LoRaPhy::params_for_bitrate(rate);
       cfg.seed = 21;
-      const LoRaPhy phy(cfg.phy);
+      const LoRaPhy phy(cfg.phy, kProbePayloadBytes);
       t.add_row({Table::fmt(phy.bit_rate(), 0),
                  std::to_string(cfg.phy.spreading_factor),
                  Table::fmt(cfg.phy.bandwidth_hz / 1e3, 1),

@@ -41,10 +41,8 @@ namespace {
 /// concurrently.
 GatewayEngine::MaterialFn make_material() {
   return [](std::uint64_t device, std::size_t attempt) {
-    const std::uint64_t seed =
-        hash_combine64(hash_combine64(0x9a7e, device), attempt);
-    const BitVec kb = random_bits(64, vkey::Rng(seed));
-    return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
+    return flipped_pair(
+        64, 3, hash_combine64(hash_combine64(0x9a7e, device), attempt));
   };
 }
 

@@ -48,8 +48,13 @@
 //   --trace-out PATH       enable span tracing and write the run's
 //                          virtual-clock span tree (reliability attempts +
 //                          flight-recorder events) as Chrome trace-event
-//                          JSON; loadable in chrome://tracing / Perfetto and
-//                          byte-identical across --threads values
+//                          JSON; loadable in chrome://tracing / Perfetto.
+//                          Byte-identical across --threads values without
+//                          --gateway; with it, pool lanes run the devices'
+//                          sub-simulations concurrently, span ids follow
+//                          start order across lanes and tid is the lane,
+//                          so the file varies with --threads (and from
+//                          run to run at more than one lane)
 //   --telemetry-out PATH   write delta-encoded telemetry samples as JSONL:
 //                          one baseline sample after the pipeline, one after
 //                          the reliable-link phase, and 1 s virtual-grid
@@ -487,7 +492,10 @@ int sim_main(int argc, char** argv) {
   if (!trace_out_path.empty()) {
     // Virtual-clock spans only: SimClock time and the canonical
     // (start, id) export order make the file byte-identical for any
-    // --threads value, so CI can diff it across lane counts.
+    // --threads value, so CI can diff it across lane counts. Not so with
+    // --gateway: its agreements run concurrently on pool lanes, each on a
+    // sub-clock from virtual 0, so which lane opens a span first (a race
+    // at more than one lane) sets its id, and each span's tid is its lane.
     if (trace::TraceLog::global().write_chrome_trace(trace_out_path,
                                                      /*virtual_only=*/true)) {
       std::fprintf(stderr, "wrote %s\n", trace_out_path.c_str());

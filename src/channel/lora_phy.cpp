@@ -8,14 +8,23 @@
 
 namespace vkey::channel {
 
-LoRaPhy::LoRaPhy(const LoRaParams& p) {
+namespace {
+
+// The packet format every radio here programs: an 8-symbol preamble, an
+// explicit header (IH = 0) and a payload CRC.
+constexpr int kPreambleSymbols = 8;
+constexpr int kImplicitHeader = 0;
+constexpr int kCrcOn = 1;
+
+}  // namespace
+
+LoRaPhy::LoRaPhy(const LoRaParams& p, std::size_t payload_bytes) {
   VKEY_REQUIRE(p.spreading_factor >= 6 && p.spreading_factor <= 12,
                "SF must be in 6..12");
   VKEY_REQUIRE(p.bandwidth_hz > 0, "bandwidth must be positive");
   VKEY_REQUIRE(p.coding_rate_denom >= 5 && p.coding_rate_denom <= 8,
                "CR denominator must be in 5..8");
-  VKEY_REQUIRE(p.payload_bytes > 0, "payload must be non-empty");
-  VKEY_REQUIRE(p.preamble_symbols >= 6, "preamble too short");
+  VKEY_REQUIRE(payload_bytes > 0, "payload must be non-empty");
 
   const double sf = p.spreading_factor;
   const double two_sf = std::pow(2.0, sf);
@@ -25,15 +34,13 @@ LoRaPhy::LoRaPhy(const LoRaParams& p) {
   // Semtech AN1200.13 payload symbol count. Low-data-rate optimization (DE)
   // is mandatory for symbol times > 16 ms (SF11/SF12 at 125 kHz).
   const bool de = symbol_time_ > 16e-3;
-  const int ih = p.explicit_header ? 0 : 1;
-  const int crc = p.crc_on ? 1 : 0;
-  const double numer = 8.0 * p.payload_bytes - 4.0 * sf + 28 + 16.0 * crc -
-                       20.0 * ih;
+  const double numer = 8.0 * static_cast<double>(payload_bytes) - 4.0 * sf +
+                       28 + 16.0 * kCrcOn - 20.0 * kImplicitHeader;
   const double denom = 4.0 * (sf - (de ? 2.0 : 0.0));
   const double ceil_term = std::ceil(std::max(numer, 0.0) / denom);
   payload_symbols_ =
       8 + static_cast<int>(ceil_term * (p.coding_rate_denom - 4 + 4));
-  total_symbols_ = payload_symbols_ + p.preamble_symbols + 4.25;
+  total_symbols_ = payload_symbols_ + kPreambleSymbols + 4.25;
   airtime_ = total_symbols_ * symbol_time_;
   rssi_samples_ = static_cast<int>(std::floor(total_symbols_));
 }

@@ -5,7 +5,8 @@
 // the bit rate is 183 bps and a 16-byte packet stays on air for ~1.5 s.
 // This module computes symbol time, bit rate, payload symbol count and total
 // airtime from the standard Semtech formulas; the trace generator uses it to
-// place every rRSSI register sample on the time axis.
+// place every rRSSI register sample on the time axis, and the protocol link
+// to price every frame from its byte count.
 #pragma once
 
 #include <cstddef>
@@ -25,23 +26,26 @@ enum class AirtimeUse : std::uint8_t {
   kWire,   ///< protocol wire frames ("phy.airtime_ms.wire")
 };
 
-/// Radio/packet configuration. Defaults are the paper's evaluation settings
-/// (BW = 125 kHz, SF = 12, CR = 4/8, f0 = 434 MHz, 16-byte payload).
+/// Carrier frequency f0 of the paper's SX127x radios [Hz].
+inline constexpr double kCarrierHz = 434e6;
+
+/// Payload of one channel probe packet, the paper's 16 bytes.
+inline constexpr std::size_t kProbePayloadBytes = 16;
+
+/// The radio settings the paper varies. Defaults are its evaluation
+/// settings (BW = 125 kHz, SF = 12, CR = 4/8). Every packet has an
+/// 8-symbol preamble, an explicit header and a payload CRC.
 struct LoRaParams {
   int spreading_factor = 12;   ///< SF, 6..12
   double bandwidth_hz = 125e3;  ///< BW: 7.8k .. 500k
   int coding_rate_denom = 8;   ///< CR = 4/denom, denom in 5..8
-  double carrier_hz = 434e6;   ///< f0
-  int preamble_symbols = 8;    ///< programmed preamble length
-  int payload_bytes = 16;      ///< MAC payload length
-  bool explicit_header = true;
-  bool crc_on = true;
 };
 
-/// Derived timing quantities for one LoRaParams configuration.
+/// Derived timing quantities of one packet of `payload_bytes` bytes sent
+/// with `params`.
 class LoRaPhy {
  public:
-  explicit LoRaPhy(const LoRaParams& params);
+  LoRaPhy(const LoRaParams& params, std::size_t payload_bytes);
 
   /// Chirp symbol duration: 2^SF / BW [s].
   double symbol_time() const { return symbol_time_; }

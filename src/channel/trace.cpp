@@ -68,7 +68,7 @@ struct TraceGenerator::Impl {
 
   explicit Impl(const TraceConfig& c)
       : cfg(c),
-        phy(c.phy),
+        phy(c.phy, kProbePayloadBytes),
         speed_a(c.scenario.speed_a_kmh, kSpeedJitterKmh, 30.0,
                 vkey::Rng(vkey::hash_combine64(c.seed, 0x01))),
         speed_b(c.scenario.speed_b_kmh,
@@ -104,7 +104,7 @@ struct TraceGenerator::Impl {
   }
 
   double doppler_hz(double speed_mps) const {
-    return speed_mps / kSpeedOfLight * cfg.phy.carrier_hz;
+    return speed_mps / kSpeedOfLight * kCarrierHz;
   }
 
   /// Advance the slowly varying interference offsets once per round.

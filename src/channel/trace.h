@@ -58,7 +58,7 @@ struct Observation {
 };
 
 /// Register samples a legitimate reception holds inline: the paper's
-/// packet (SF12, 16-byte payload: LoRaParams' defaults) latches 52. A
+/// probe (SF12 by LoRaParams' default, kProbePayloadBytes) latches 52. A
 /// longer packet moves its samples to one heap block.
 inline constexpr std::size_t kInlineRrssiSamples = 52;
 

@@ -147,4 +147,11 @@ BitVec with_noise(const BitVec& key, double p, Rng& rng) {
   return out;
 }
 
+std::pair<BitVec, BitVec> flipped_pair(std::size_t bits, std::size_t flips,
+                                       std::uint64_t seed) {
+  BitVec bob = random_bits(bits, Rng(seed));
+  BitVec alice = with_flips(bob, flips, Rng(seed ^ 0x5a5a));
+  return {std::move(alice), std::move(bob)};
+}
+
 }  // namespace vkey

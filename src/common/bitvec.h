@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/small_buffer.h"
@@ -128,5 +129,11 @@ inline BitVec with_flips(const BitVec& key, std::size_t count, Rng&& rng) {
 /// `key` through a binary symmetric channel: bit i flips when
 /// rng.bernoulli(p), i ascending.
 BitVec with_noise(const BitVec& key, double p, Rng& rng);
+
+/// Correlated probe material (alice, bob) from one seed: Bob's key is
+/// random_bits(bits, Rng(seed)), Alice's with_flips(bob, flips,
+/// Rng(seed ^ 0x5a5a)).
+std::pair<BitVec, BitVec> flipped_pair(std::size_t bits, std::size_t flips,
+                                       std::uint64_t seed);
 
 }  // namespace vkey

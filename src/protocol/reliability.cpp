@@ -98,13 +98,11 @@ AgreementReport supervise(PublicChannel& base,
     *dump = std::to_string(first_dumped) + " earlier attempt(s) suppressed\n";
   }
 
-  // The agreement's workspace, reused by every attempt: its private
-  // timeline (attempts run on it back to back; clear() drops a torn-down
-  // attempt's events but never rewinds time, and its heap stays warm) and
-  // one link, whose frame slots stay warm too. Each attempt restarts the
-  // link's fault stream and builds fresh sessions and transports.
+  // The agreement's private timeline, reused by every attempt: attempts
+  // run on it back to back (clear() drops a torn-down attempt's events but
+  // never rewinds time), and its heap, reserved once, is the agreement's
+  // one block. Each attempt builds a fresh link, sessions and transports.
   SimClock clock;  // vkey-lint: allow(sim-clock-owner)
-  UnreliableChannel link(clock, base, config.fault, config.radio);
   // Room for the usual handful of attempts up front.
   report.attempt_log.reserve(
       std::min<std::size_t>(config.max_session_attempts, 8));
@@ -135,7 +133,9 @@ AgreementReport supervise(PublicChannel& base,
     trace::ScopedTimer attempt_timer(
         metrics::histogram<"reliability.attempt_ms">(),
         [&clock] { return clock.now_ms(); }, "reliability.attempt");
-    link.reset(hash_combine64(config.fault.seed, attempt));
+    FaultConfig faults = config.fault;
+    faults.seed = hash_combine64(config.fault.seed, attempt);
+    UnreliableChannel link(clock, base, faults, config.radio);
 
     // The attempt's flight recorder, stamped with its virtual clock: every
     // layer below appends its events to the same timeline. A replay keeps
@@ -151,8 +151,8 @@ AgreementReport supervise(PublicChannel& base,
       flight->record(FlightEventKind::kAttemptStart, "supervisor", start,
                      scfg.session_id);
       link.set_recorder(&*flight);
-      alice.set_recorder(&*flight, "alice");
-      bob.set_recorder(&*flight, "bob");
+      alice.set_recorder(&*flight);
+      bob.set_recorder(&*flight);
     }
 
     ReliableTransport alice_tx(
@@ -213,8 +213,8 @@ AgreementReport supervise(PublicChannel& base,
     }
 
     // Tear down the attempt's residue: un-fired ARQ timers and in-flight
-    // deliveries hold closures over the transports and sessions that die
-    // with this scope (and clearing frees the link's slots).
+    // deliveries hold closures over the link, transports and sessions that
+    // die with this scope.
     clock.clear();
 
     report.time_to_establish_ms += att.duration_ms;

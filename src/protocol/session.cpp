@@ -109,11 +109,12 @@ std::optional<Message> InboundGuard::response_for(std::uint64_t nonce) const {
 
 SessionEndpoint::SessionEndpoint(const SessionConfig& config,
                                  const core::SyndromeCode& reconciler,
-                                 BitVec raw_key)
+                                 BitVec raw_key, std::string_view actor)
     : cfg_(config),
       reconciler_(reconciler),
       key_(std::move(raw_key)),
-      amplifier_(kFinalKeyBits) {
+      amplifier_(kFinalKeyBits),
+      actor_(actor) {
   VKEY_REQUIRE(key_.size() == reconciler.key_bits(),
                "session key width must match the reconciler");
   VKEY_REQUIRE(key_.size() <= kMaxRawKeyBits,
@@ -161,12 +162,6 @@ std::optional<Message> SessionEndpoint::handle(const Message& msg) {
 
 std::optional<Message> SessionEndpoint::take_unprompted() {
   return std::exchange(unprompted_, std::nullopt);
-}
-
-void SessionEndpoint::set_recorder(FlightRecorder* recorder,
-                                   std::string actor) {
-  recorder_ = recorder;
-  actor_ = std::move(actor);
 }
 
 BitVec SessionEndpoint::final_key() const {
@@ -239,7 +234,7 @@ void SessionEndpoint::note(SessionState before, RejectReason reason,
 BobSession::BobSession(const SessionConfig& config,
                        const core::SyndromeCode& reconciler,
                        BitVec raw_key)
-    : SessionEndpoint(config, reconciler, std::move(raw_key)) {}
+    : SessionEndpoint(config, reconciler, std::move(raw_key), "bob") {}
 
 std::optional<Message> BobSession::dispatch(const Message& msg) {
   switch (msg.type) {
@@ -286,7 +281,7 @@ Message BobSession::make_syndrome() {
 AliceSession::AliceSession(const SessionConfig& config,
                            const core::SyndromeCode& reconciler,
                            BitVec raw_key)
-    : SessionEndpoint(config, reconciler, std::move(raw_key)) {}
+    : SessionEndpoint(config, reconciler, std::move(raw_key), "alice") {}
 
 Message AliceSession::start() {
   VKEY_REQUIRE(state_ == SessionState::kIdle, "session already started");

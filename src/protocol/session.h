@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/bitvec.h"
 #include "core/privacy.h"
@@ -148,8 +149,9 @@ class SessionEndpoint {
   std::optional<Message> take_unprompted();
 
   /// Attach a flight recorder; state transitions and InboundGuard
-  /// rejections are logged under `actor`. Pass nullptr to detach.
-  void set_recorder(FlightRecorder* recorder, std::string actor);
+  /// rejections are logged under the side's name, "alice" or "bob". Pass
+  /// nullptr to detach.
+  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   SessionState state() const { return state_; }
   RejectReason last_reject() const { return last_reject_; }
@@ -170,10 +172,11 @@ class SessionEndpoint {
 
  protected:
   /// `raw_key` is this side's quantized key material (reconciler.key_bits()
-  /// wide, at most kMaxRawKeyBits).
+  /// wide, at most kMaxRawKeyBits); `actor` names the side in flight
+  /// timelines.
   SessionEndpoint(const SessionConfig& config,
-                  const core::SyndromeCode& reconciler,
-                  BitVec raw_key);
+                  const core::SyndromeCode& reconciler, BitVec raw_key,
+                  std::string_view actor);
   ~SessionEndpoint();
   SessionEndpoint(const SessionEndpoint&) = delete;
   SessionEndpoint& operator=(const SessionEndpoint&) = delete;
@@ -220,7 +223,7 @@ class SessionEndpoint {
   std::uint64_t next_nonce_ = 0;
   InboundGuard guard_;
   FlightRecorder* recorder_ = nullptr;
-  std::string actor_;
+  std::string_view actor_;
 };
 
 class BobSession final : public SessionEndpoint {

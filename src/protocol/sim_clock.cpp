@@ -21,7 +21,6 @@ SimClock::EventId SimClock::schedule_at(double due_ms, Callback fn) {
 std::size_t SimClock::clear() {
   const std::size_t dropped = heap_.size();
   heap_.clear();  // keeps the capacity for the next attempt
-  ++clears_;
   return dropped;
 }
 

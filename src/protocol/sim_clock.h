@@ -76,11 +76,6 @@ class SimClock {
   /// never rewinds.
   std::size_t clear();
 
-  /// How many times clear() has run: an event scheduled while this read n
-  /// can no longer fire once it reads more (the link frees the slots of
-  /// such deliveries).
-  std::uint64_t clears() const noexcept { return clears_; }
-
  private:
   /// Events the first schedule() makes room for: more than an agreement
   /// attempt or a key confirmation holds at once on a lossless link.
@@ -100,7 +95,6 @@ class SimClock {
 
   double now_ms_ = 0.0;
   EventId next_id_ = 1;
-  std::uint64_t clears_ = 0;
   std::vector<Event> heap_;
 };
 

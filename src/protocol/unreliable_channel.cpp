@@ -17,6 +17,12 @@ namespace {
 constexpr double kDupDelayMs = 150.0;
 constexpr double kProcessingDelayMs = 5.0;
 
+/// One-way latency [ms] of a frame `phy` prices: its time on air plus the
+/// rx chain's processing delay.
+double latency_ms(const channel::LoRaPhy& phy) {
+  return phy.airtime() * 1000.0 + kProcessingDelayMs;
+}
+
 }  // namespace
 
 std::string to_string(UnreliableChannel::Endpoint endpoint) {
@@ -39,27 +45,14 @@ UnreliableChannel::UnreliableChannel(SimClock& clock, PublicChannel& base,
                "fault probabilities must be in [0, 1]");
 }
 
-void UnreliableChannel::reset(std::uint64_t seed) {
-  faults_.seed = seed;
-  rng_ = vkey::Rng(seed);
-  stats_ = {};
-  recorder_ = nullptr;
-}
-
 void UnreliableChannel::set_handler(Endpoint endpoint, Handler handler) {
   handlers_[static_cast<int>(endpoint)] = std::move(handler);
 }
 
-double UnreliableChannel::airtime_ms(const Message& msg) const {
-  channel::LoRaParams p = radio_;
+double UnreliableChannel::nominal_latency_ms(const Message& msg) const {
   // The radio carries the packed v2 frame, not the in-memory serialization;
   // airtime (and therefore every ARQ timeout) follows the frame size.
-  p.payload_bytes = static_cast<int>(wire::frame_size(msg));
-  return channel::LoRaPhy(p).airtime() * 1000.0;
-}
-
-double UnreliableChannel::nominal_latency_ms(const Message& msg) const {
-  return airtime_ms(msg) + kProcessingDelayMs;
+  return latency_ms(channel::LoRaPhy(radio_, wire::frame_size(msg)));
 }
 
 UnreliableChannel::Slot& UnreliableChannel::slot_at(std::size_t i) {
@@ -68,12 +61,7 @@ UnreliableChannel::Slot& UnreliableChannel::slot_at(std::size_t i) {
 
 std::size_t UnreliableChannel::acquire_slot() {
   for (std::size_t i = 0; i < slot_count_; ++i) {
-    Slot& s = slot_at(i);
-    if (s.readers == 0 &&
-        (s.deliveries == 0 || s.clears != clock_.clears())) {
-      s.deliveries = 0;
-      return i;
-    }
+    if (slot_at(i).deliveries == 0) return i;
   }
   if (slot_count_ >= kInlineSlots) {
     // Room for as many again as live inline: the pointers take one block.
@@ -87,9 +75,7 @@ void UnreliableChannel::deliver(Endpoint to, std::size_t slot,
                                 double delay_ms) {
   VKEY_REQUIRE(static_cast<bool>(handlers_[static_cast<int>(to)]),
                "endpoint handler not installed");
-  Slot& s = slot_at(slot);
-  s.clears = clock_.clears();
-  ++s.deliveries;
+  ++slot_at(slot).deliveries;
   // Slot and endpoint in one word: with `this`, two words of capture.
   const std::uint64_t ref = (std::uint64_t{slot} << 1) |
                             static_cast<std::uint64_t>(to);
@@ -105,32 +91,26 @@ void UnreliableChannel::on_delivery(std::uint64_t ref) {
                       to_string(slot.msg.type), slot.msg.session_id,
                       slot.msg.nonce);
   }
-  // The frame is the handler's until it returns: a slot being read is not
-  // handed out again, even when the handler clears the clock and sends.
-  ++slot.readers;
+  // The frame is the handler's until it returns: this delivery still
+  // counts, so a handler that sends never gets this slot back.
   handlers_[static_cast<int>(to)](slot.msg);
-  --slot.readers;
   --slot.deliveries;
 }
 
 void UnreliableChannel::send(Endpoint from, const Message& msg) {
+  // The packed v2 frame goes on the air, and its size prices it. Its bytes
+  // and airtime are spent whether or not it survives the channel; the bytes
+  // are what "steady-state bytes/session" in the gateway report measures.
+  const std::size_t frame_bytes = wire::frame_size(msg);
+  const channel::LoRaPhy phy(radio_, frame_bytes);
   ++stats_.sent;
-  // Transmit cost in wire bytes: spent whether or not the frame survives
-  // the channel. This is what "steady-state bytes/session" in the gateway
-  // report measures.
-  stats_.bytes_sent += wire::frame_size(msg);
+  stats_.bytes_sent += frame_bytes;
   metrics::counter<"link.sent">().add(1);
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kFrameTx, to_string(from),
                       to_string(msg.type), msg.session_id, msg.nonce);
   }
-  if (metrics::enabled()) {
-    // Airtime is spent by the transmitter whether or not the frame
-    // survives the channel.
-    channel::LoRaParams p = radio_;
-    p.payload_bytes = static_cast<int>(wire::frame_size(msg));
-    channel::LoRaPhy(p).account_airtime(channel::AirtimeUse::kWire);
-  }
+  phy.account_airtime(channel::AirtimeUse::kWire);
   const Endpoint to =
       from == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
 
@@ -189,7 +169,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     }
   }
 
-  double delay = nominal_latency_ms(msg);
+  double delay = latency_ms(phy);
   if (rng_.bernoulli(faults_.reorder_prob)) {
     ++stats_.reordered;
     metrics::counter<"link.reordered">().add(1);

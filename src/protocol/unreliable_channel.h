@@ -16,8 +16,9 @@
 //                  WireError recorded in the flight recorder — the frame
 //                  CRC32 catches almost all damage, the protocol MAC
 //                  catches the rest;
-//   * latency:     time-on-air of the packed wire frame (channel::LoRaPhy)
-//                  plus a fixed 5 ms processing delay;
+//   * latency:     time-on-air of the packed wire frame (channel::LoRaPhy
+//                  prices it from its byte count) plus a fixed 5 ms
+//                  processing delay;
 //   * reordering:  extra uniform delay in [0, kReorderWindowMs] with
 //                  probability reorder_prob, letting later frames overtake;
 //   * duplication: a second copy delivered 150 ms later with
@@ -33,10 +34,14 @@
 // so a link moves frames without allocating; a burst beyond those slots
 // takes one heap slot each, kept for the link's life. The corruption path
 // encodes the frame into a FrameBytes on the stack and moves the decoded
-// frame into its slot. A slot is free once its deliveries have run, or
-// once the clock was cleared after they were scheduled (SimClock::clears()),
-// so an owner that tears an exchange down by clearing the clock leaks
-// nothing — but never while a handler is reading it.
+// frame into its slot. A slot is free once its deliveries have run; a
+// delivery counts until its handler returns, so a handler that sends never
+// gets its own slot back.
+//
+// A link serves one exchange. When its clock is cleared under it, the
+// slots of the dropped deliveries stay busy for the rest of the link's
+// life (nothing reads those frames again); an owner that runs exchanges
+// back to back builds a fresh link for each.
 #pragma once
 
 #include <array>
@@ -79,10 +84,10 @@ struct LinkStats {
   std::size_t reordered = 0;
 };
 
-/// A two-endpoint lossy link. Endpoint 0 is Alice's radio, endpoint 1 Bob's;
-/// send(from, msg) delivers to the opposite endpoint's handler via the
-/// virtual clock. Deliveries capture the link: its owner clears the clock
-/// before the link goes.
+/// A two-endpoint lossy link for one exchange. Endpoint 0 is Alice's radio,
+/// endpoint 1 Bob's; send(from, msg) delivers to the opposite endpoint's
+/// handler via the virtual clock. Deliveries capture the link: its owner
+/// clears the clock before the link goes.
 class UnreliableChannel {
  public:
   enum class Endpoint : int { kAlice = 0, kBob = 1 };
@@ -94,20 +99,14 @@ class UnreliableChannel {
   UnreliableChannel(const UnreliableChannel&) = delete;
   UnreliableChannel& operator=(const UnreliableChannel&) = delete;
 
-  /// Start over as a fresh link whose fault stream is seeded with `seed`:
-  /// zeroed stats and no recorder, but the same handlers and the warm slot
-  /// table. Call it after clearing the clock (frames still queued would
-  /// otherwise arrive in the fresh link); the supervisor reuses one link
-  /// across an agreement's attempts this way.
-  void reset(std::uint64_t seed);
-
   /// The handler runs inside a delivery event. It may send, but must not
   /// replace its own endpoint's handler while it runs.
   void set_handler(Endpoint endpoint, Handler handler);
 
   /// Attach a flight recorder: every tx/rx and every injected fault is
   /// logged with the frame's type and nonce. Pass nullptr to detach. The
-  /// recorder must outlive the channel (the supervisor owns both).
+  /// recorder must outlive every later send and delivery (the supervisor
+  /// owns both for one attempt).
   void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
   /// The attached recorder (nullptr when detached); the transports on the
   /// link's ends log their ARQ events to it too.
@@ -115,10 +114,9 @@ class UnreliableChannel {
 
   void send(Endpoint from, const Message& msg);
 
-  /// Time-on-air [ms] of `msg` serialized onto the configured radio.
-  double airtime_ms(const Message& msg) const;
-
-  /// One-way delivery latency [ms] excluding fault-induced extra delay.
+  /// One-way delivery latency [ms] excluding fault-induced extra delay:
+  /// the time-on-air of `msg`'s packed frame on the configured radio plus
+  /// the processing delay.
   double nominal_latency_ms(const Message& msg) const;
 
   const LinkStats& stats() const { return stats_; }
@@ -126,10 +124,7 @@ class UnreliableChannel {
  private:
   struct Slot {
     Message msg;
-    std::uint64_t clears = 0;  ///< clock.clears() when its deliveries were
-                               ///< scheduled
-    int deliveries = 0;        ///< scheduled deliveries still to run
-    int readers = 0;           ///< handlers reading msg right now
+    int deliveries = 0;  ///< scheduled deliveries still to run
   };
 
   /// Slots inside the link; more come from the heap, one at a time.

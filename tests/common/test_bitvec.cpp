@@ -193,5 +193,14 @@ TEST(SyntheticKeys, WithNoiseDrawsOneBernoulliPerBitInOrder) {
   EXPECT_EQ(rng.next_u64(), loop.next_u64());
 }
 
+TEST(SyntheticKeys, FlippedPairIsBobsKeyAndAliceFlippedCopy) {
+  const auto [alice, bob] = flipped_pair(64, 3, 0x1234);
+  const BitVec kb = random_bits(64, Rng(0x1234));
+  EXPECT_EQ(bob, kb);
+  EXPECT_EQ(alice, with_flips(kb, 3, Rng(0x1234 ^ 0x5a5a)));
+  EXPECT_GE(alice.hamming_distance(bob), 1u);  // an odd count of flips
+  EXPECT_LE(alice.hamming_distance(bob), 3u);
+}
+
 }  // namespace
 }  // namespace vkey

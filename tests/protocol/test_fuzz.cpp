@@ -435,8 +435,8 @@ TEST_F(SessionFuzz, WireRejectedFramesLeaveNoPayloadResidueInSessionState) {
   AliceSession alice(cfg, reconciler_, kb);
   BobSession bob(cfg, reconciler_, kb);
   FlightRecorder alice_rec(256), bob_rec(256);
-  alice.set_recorder(&alice_rec, "alice");
-  bob.set_recorder(&bob_rec, "bob");
+  alice.set_recorder(&alice_rec);
+  bob.set_recorder(&bob_rec);
 
   std::deque<Message> wire_q;
   wire_q.push_back(alice.start());
@@ -516,8 +516,8 @@ TEST_F(SessionFuzz, FailedFuzzedSessionDumpsTimelineNamingTheInjectedFault) {
     AliceSession alice(cfg, reconciler_, ka);
     BobSession bob(cfg, reconciler_, kb);
     FlightRecorder rec(256);  // no clock: ordinals order the timeline
-    alice.set_recorder(&rec, "alice");
-    bob.set_recorder(&rec, "bob");
+    alice.set_recorder(&rec);
+    bob.set_recorder(&rec);
 
     std::deque<Message> wire;
     wire.push_back(alice.start());

@@ -111,10 +111,8 @@ class GatewayTest : public ::testing::Test {
   /// Pure per-device probe material (the gateway calls it from pool lanes).
   static GatewayEngine::MaterialFn material() {
     return [](std::uint64_t device, std::size_t attempt) {
-      const std::uint64_t seed =
-          hash_combine64(hash_combine64(0x6a73, device), attempt);
-      const BitVec kb = random_bits(64, vkey::Rng(seed));
-      return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
+      return flipped_pair(
+          64, 3, hash_combine64(hash_combine64(0x6a73, device), attempt));
     };
   }
 
@@ -223,11 +221,11 @@ TEST_F(GatewayTest, FailedSessionsEvictWithBoundedPostMortems) {
       [](std::uint64_t device, std::size_t attempt) {
         const std::uint64_t seed =
             hash_combine64(hash_combine64(0x6a73, device), attempt);
-        const BitVec kb = random_bits(64, vkey::Rng(seed));
         if (device % 5 == 0) {
-          return std::make_pair(random_bits(64, vkey::Rng(seed ^ 0xdead)), kb);
+          return std::make_pair(random_bits(64, vkey::Rng(seed ^ 0xdead)),
+                                random_bits(64, vkey::Rng(seed)));
         }
-        return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
+        return flipped_pair(64, 3, seed);
       };
   GatewayEngine engine(small_config(20, 4), reconciler_, mixed);
   const GatewayReport rep = engine.run();
@@ -263,11 +261,11 @@ TEST_F(GatewayTest, LiveKeyCarriesTheEstablishingAttemptsSessionId) {
       [](std::uint64_t device, std::size_t attempt) {
         const std::uint64_t seed =
             hash_combine64(hash_combine64(0x6a73, device), attempt);
-        const BitVec kb = random_bits(64, vkey::Rng(seed));
         if (attempt == 0 && device % 3 == 0) {
-          return std::make_pair(random_bits(64, vkey::Rng(seed ^ 0xdead)), kb);
+          return std::make_pair(random_bits(64, vkey::Rng(seed ^ 0xdead)),
+                                random_bits(64, vkey::Rng(seed)));
         }
-        return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
+        return flipped_pair(64, 3, seed);
       };
   GatewayEngine engine(cfg, reconciler_, source);
   const GatewayReport rep = engine.run();

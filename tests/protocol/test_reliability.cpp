@@ -285,9 +285,7 @@ class ReliabilityTest : public ::testing::Test {
   /// for Alice; attempts within a trial draw fresh material.
   static auto material_for(std::uint64_t trial) {
     return [trial](std::size_t attempt) {
-      const std::uint64_t seed = hash_combine64(trial, attempt);
-      const BitVec kb = random_bits(64, vkey::Rng(seed));
-      return std::make_pair(with_flips(kb, 3, vkey::Rng(seed ^ 0x5a5a)), kb);
+      return flipped_pair(64, 3, hash_combine64(trial, attempt));
     };
   }
 
